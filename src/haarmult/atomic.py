@@ -27,7 +27,7 @@ import numpy as np
 
 from .dyadic import DyadicInterval, IntervalFamily, carleson_constant, is_block
 from .errors import VerificationError, ZeroInputError
-from .haar import HaarExpansion, hp_norm, square_function, square_leaf_sums
+from .haar import HaarExpansion, hp_norm, push_down, square_function, square_leaf_sums
 
 # Relative slack for inequalities that are exact in real arithmetic and only
 # subject to floating-point rounding.
@@ -215,27 +215,22 @@ def appendix_constant(p: float, carleson: float | Fraction) -> float:
     return 1.0 + 4.0 ** (1.0 / p) * ratio / (1.0 - ratio)
 
 
-def _piece_stats(
-    u: HaarExpansion, piece: AtomicPiece, p: float
-) -> tuple[float, float, float]:
-    """(norm_p^p, sup of square function, l2 norm squared) for one block.
+def _piece_stats(u: HaarExpansion, piece: AtomicPiece, p: float) -> tuple[float, float]:
+    """(norm_p^p, sup of square function) for one block.
 
     The square function of a block vanishes outside its top, so the leaf sum
-    only runs over the top.
+    only runs over the top; members outside the top (a corrupt piece, caught
+    by `tops_ok`) are left out.
     """
-    max_level = u.max_level
-    shift = max_level - piece.top.level
-    base = piece.top.position << shift
-    local = np.zeros(1 << shift)
-    l2_sq = 0.0
-    for interval in piece.block:
-        square = u.coefficient_square(interval)
-        lo = (interval.position << (max_level - interval.level)) - base
-        hi = lo + (1 << (max_level - interval.level))
-        local[lo:hi] += square
-        l2_sq += square * 2.0 ** (-interval.level)
-    norm_p_p = float(np.sum(local ** (p / 2.0))) * 2.0 ** (-max_level)
-    return norm_p_p, math.sqrt(float(local.max())), l2_sq
+    top = piece.top
+    members = [i for i in piece.block if top.contains(i)]
+    levels = np.array([i.level - top.level for i in members], dtype=np.int64)
+    positions = np.array([i.position for i in members], dtype=np.int64)
+    positions -= top.position << levels
+    squares = [u.coefficient_square(i) for i in members]
+    local = push_down(u.max_level - top.level, levels, positions, squares)
+    norm_p_p = float(np.sum(local ** (p / 2.0))) * 2.0 ** (-u.max_level)
+    return norm_p_p, math.sqrt(float(local.max()))
 
 
 def verify_decomposition(
@@ -299,7 +294,7 @@ def verify_decomposition(
     top_sum = 0.0
     chain_middle_ok = True
     for piece in dec.pieces:
-        piece_norm_p, piece_sup, _ = _piece_stats(u, piece, p)
+        piece_norm_p, piece_sup = _piece_stats(u, piece, p)
         top_measure = 2.0 ** (-piece.top.level)
         piece_bound = top_measure * piece_sup**p
         if piece_norm_p > piece_bound * (1 + _ROUNDING_RTOL):

@@ -161,16 +161,6 @@ class IntervalFamily:
         )
 
 
-def measure(interval: DyadicInterval) -> Fraction:
-    """Exact measure 2^-level of a dyadic interval."""
-    return interval.measure
-
-
-def contains(outer: DyadicInterval, inner: DyadicInterval) -> bool:
-    """True iff inner is a subset of outer."""
-    return outer.contains(inner)
-
-
 def carleson_constant(family: IntervalFamily) -> Fraction:
     """sup over members I of (1/|I|) * sum of |J| over members J inside I.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .atomic import AtomicDecomposition, appendix_constant, decompose
 from .dyadic import DyadicInterval
-from .errors import ZeroInputError
+from .errors import VerificationError, ZeroInputError
 from .haar import HaarExpansion, convexify, hp_norm, l2_norm, multiply, tl_norm
 
 _SUM_TOL = 1e-12
@@ -89,11 +89,14 @@ def _assemble(
             weights[interval] = (
                 scale * u.coefficient_square(interval) * 2.0 ** (-interval.level)
             )
-    return PietschMeasure(
+    measure = PietschMeasure(
         weights=dict(sorted(weights.items())),
         normalizer=normalizer,
         exponent=exponent,
     )
+    if not validate_measure(measure, u):
+        raise VerificationError(f"weights failed validation: total {measure.total()}")
+    return measure
 
 
 def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dyadic import DyadicInterval
 from .errors import DegenerateThetaError, VerificationError, ZeroInputError
-from .haar import HaarExpansion, tl_norm
+from .haar import HaarExpansion, push_down, support_arrays, tl_norm
 from .pietsch import weights_tl
 
 _IDENTITY_RTOL = 1e-10
@@ -123,11 +123,6 @@ def x0_norm_estimate(
     x_vec = np.array([abs(f.x[i]) for i in support])
     w_vec = np.array([measure.weights[i] for i in support])
     m_vec = np.array([2.0 ** (-i.level) for i in support])
-    leaves = 1 << u.max_level
-    cover = np.zeros((n_support, leaves))
-    for row, interval in enumerate(support):
-        shift = u.max_level - interval.level
-        cover[row, interval.position << shift : (interval.position + 1) << shift] = 1.0
 
     rng = np.random.default_rng(seed)
     candidates = np.empty((n_samples + 1, n_support))
@@ -149,7 +144,7 @@ def x0_norm_estimate(
         raise VerificationError("multiplier argument exceeds the unit ball")
 
     mixed = x_vec ** (1.0 - th) * candidates**th
-    leaf_sums = mixed**q @ cover
+    leaf_sums = push_down(u.max_level, *support_arrays(u), mixed**q)
     mixed_norms = np.mean(leaf_sums ** (p / q), axis=1) ** (1.0 / p)
     worst = float(mixed_norms.max())
     if worst > cap * (1.0 + _CHAIN_RTOL):

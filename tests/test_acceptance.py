@@ -38,7 +38,7 @@ from haarmult import (
     x0_norm_estimate,
 )
 from haarmult.cli import main
-from haarmult.haar import evaluate_haar
+from haarmult.haar import evaluate_haar, q_variation, square_leaf_sums
 from haarmult.pietsch import _assemble
 
 N_INSTANCES = 1000
@@ -126,6 +126,37 @@ def vector_results(vector_pool):
             dec = decompose(u, p)
             results[i, p] = (dec, _assemble(u, p, dec, exponent=2.0))
     return results
+
+
+def _slice_loop_leaf_sums(u, value_of):
+    """Reference leaf sums: one slice update per interval, in support order."""
+    sums = np.zeros(1 << u.max_level)
+    for interval in u.coeffs:
+        shift = u.max_level - interval.level
+        lo = interval.position << shift
+        sums[lo : lo + (1 << shift)] += value_of(interval)
+    return sums
+
+
+def _dense_cover_x0(f, u, n_samples, seed):
+    """Reference value of x0_norm_estimate through the dense support x 2^N
+    cover matrix (same candidates, same seed)."""
+    p, q, th = f.p, f.q, f.theta
+    support = list(u.coeffs)
+    y_vec = np.array([f.y[i] for i in support])
+    x_vec = np.array([abs(f.x[i]) for i in support])
+    m_vec = np.array([2.0 ** (-i.level) for i in support])
+    cover = np.zeros((len(support), 1 << u.max_level))
+    for row, interval in enumerate(support):
+        shift = u.max_level - interval.level
+        cover[row, interval.position << shift : (interval.position + 1) << shift] = 1.0
+    rng = np.random.default_rng(seed)
+    raw = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_samples, len(support)))
+    scales = (raw**q @ m_vec) ** (1.0 / q)
+    candidates = np.vstack([y_vec, raw / scales[:, None]])
+    leaf_sums = (x_vec ** (1.0 - th) * candidates**th) ** q @ cover
+    norms = np.mean(leaf_sums ** (p / q), axis=1) ** (1.0 / p)
+    return float(norms.max()) ** (1.0 / (1.0 - th))
 
 
 def _report(criterion, passed, detail=""):
@@ -459,3 +490,24 @@ class TestCriterion8MutationSensitivity:
             )
         caught &= exit_code == 1
         _report(8, caught, "perturbed factor rejected, mutant verify exits 1")
+
+
+class TestLeafSumOracles:
+    def test_leaf_sums_bit_identical_to_slice_loop(self, scalar_pool, vector_pool):
+        for u in scalar_pool + vector_pool:
+            expected = _slice_loop_leaf_sums(u, u.coefficient_square)
+            assert np.array_equal(square_leaf_sums(u), expected)
+        for u in scalar_pool:
+            for q in (0.7, 2.0, 3.0):
+                powers = _slice_loop_leaf_sums(u, lambda i: abs(u.coeffs[i][0]) ** q)
+                assert np.array_equal(q_variation(u, q).values, powers ** (1.0 / q))
+
+    def test_x0_matches_dense_cover(self, scalar_pool):
+        for i in (0, 1, 250, 999):
+            u = scalar_pool[i]
+            p, q = PISIER_PQS[i % len(PISIER_PQS)]
+            f = factorize(u, p, q)
+            expected = _dense_cover_x0(f, u, 50, seed=i)
+            assert x0_norm_estimate(f, u, 50, seed=i) == pytest.approx(
+                expected, rel=1e-12
+            )

@@ -155,6 +155,22 @@ class TestVerifyDecomposition:
         )
         assert not verify_decomposition(u, 1.0, bad).tops_ok
 
+    def test_member_outside_top_left_out_of_leaf_sum(self):
+        # the coarser member 2/0 lies outside the top 1/1; its square must not
+        # reach the top's leaves (sup S = 1, not sqrt(10)) and nothing raises
+        u = scalar(2, {(1, 1): 1.0, (2, 0): 3.0})
+        bad = AtomicDecomposition(
+            pieces=(
+                AtomicPiece(IntervalFamily([iv(1, 1), iv(2, 0)], max_level=2), iv(1, 1)),
+            ),
+            max_level=2,
+            dimension=1,
+        )
+        report = verify_decomposition(u, 1.0, bad)
+        assert not report.passed
+        assert not report.tops_ok
+        assert report.top_bound_sum == 0.5
+
     def test_blocks_pass_block_predicate(self):
         rng = np.random.default_rng(43)
         for _ in range(30):

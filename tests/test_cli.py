@@ -163,6 +163,24 @@ class TestCommands:
         assert main(["pietsch", "--p", "1", path]) == 2
 
 
+    @pytest.mark.parametrize(
+        "command", [["pietsch", "--p", "1"], ["factorize", "--p", "1.5", "--q", "3"]]
+    )
+    def test_overflowing_scale_exit_two(self, tmp_path, capsys, command):
+        scaled = {
+            "max_level": 1,
+            "dimension": 1,
+            "coefficients": [
+                {"level": 0, "pos": 0, "value": [1e160]},
+                {"level": 1, "pos": 0, "value": [0.5e160]},
+                {"level": 1, "pos": 1, "value": [-0.25e160]},
+            ],
+        }
+        path = write(tmp_path, "u.json", scaled)
+        assert main(command + [path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
         code = main(

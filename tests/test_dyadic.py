@@ -11,12 +11,10 @@ from haarmult import (
     EmptyFamilyError,
     IntervalFamily,
     carleson_constant,
-    contains,
     generation_decay_check,
     generations,
     is_block,
     maximal_intervals,
-    measure,
 )
 
 
@@ -67,13 +65,13 @@ families_st = st.sets(intervals_st, min_size=1, max_size=40).map(IntervalFamily)
 
 class TestDyadicInterval:
     def test_measure_unit(self):
-        assert measure(iv(0, 0)) == 1
+        assert iv(0, 0).measure == 1
 
     def test_measure_level_two(self):
-        assert measure(iv(2, 3)) == Fraction(1, 4)
+        assert iv(2, 3).measure == Fraction(1, 4)
 
     def test_measure_deep(self):
-        assert measure(iv(10, 0)) == Fraction(1, 1024)
+        assert iv(10, 0).measure == Fraction(1, 1024)
 
     def test_invalid_position_rejected(self):
         with pytest.raises(ValueError):
@@ -82,13 +80,13 @@ class TestDyadicInterval:
             iv(1, -1)
 
     def test_contains_half(self):
-        assert contains(iv(0, 0), iv(1, 0))
+        assert iv(0, 0).contains(iv(1, 0))
 
     def test_disjoint_halves(self):
-        assert not contains(iv(1, 0), iv(1, 1))
+        assert not iv(1, 0).contains(iv(1, 1))
 
     def test_contains_reflexive(self):
-        assert contains(iv(3, 5), iv(3, 5))
+        assert iv(3, 5).contains(iv(3, 5))
 
     @given(intervals_st, intervals_st)
     def test_nested_or_disjoint(self, a, b):

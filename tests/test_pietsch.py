@@ -10,6 +10,7 @@ from haarmult import (
     DyadicInterval,
     HaarExpansion,
     PietschMeasure,
+    VerificationError,
     ZeroInputError,
     check_multiplier_bound,
     decompose,
@@ -259,3 +260,12 @@ class TestValidateMeasure:
         u = scalar(1, {(0, 0): 1.0})
         bad = PietschMeasure(weights={iv(1, 1): 0.5}, normalizer=1.0, exponent=2.0)
         assert not validate_measure(bad, u)
+
+
+class TestExtremeScale:
+    def test_tiny_scale_weights_fail_closed(self):
+        # at 1e-160 the squared norms underflow and the assembled weights
+        # total inf; the constructor must refuse to return them
+        u = scalar(1, {(0, 0): 1e-160, (1, 0): 0.5e-160, (1, 1): -0.25e-160})
+        with pytest.raises(VerificationError):
+            weights_hp(u, 1.0)

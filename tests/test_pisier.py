@@ -2,6 +2,7 @@
 second factor, and the sampled lattice-norm machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,3 +196,24 @@ class TestLatticeNormEstimate:
         )
         with pytest.raises(ValueError):
             x0_norm_estimate(tampered, u, 0)
+
+    def test_memory_linear_in_leaves(self):
+        # sparse deep expansion: the leaf sums may hold one 2^20 row per
+        # candidate, never one per support interval (that would be ~0.5 GB)
+        rng = np.random.default_rng(64)
+        coeffs = {}
+        for _ in range(64):
+            level = int(rng.integers(0, 21))
+            coeffs[iv(level, int(rng.integers(0, 1 << level)))] = float(
+                rng.standard_normal()
+            )
+        u = HaarExpansion.scalar(20, coeffs)
+        f = factorize(u, 1.5, 3.0)
+        n_samples = 4
+        tracemalloc.start()
+        try:
+            x0_norm_estimate(f, u, n_samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (n_samples + 1) * (1 << 20) * 8
