@@ -129,6 +129,8 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
     sums = square_leaf_sums(u)
     min_coeff = min(u.coefficient_square(i) for i in u.coeffs)
     max_val = float(sums.max())
+    if not (min_coeff > 0.0 and max_val < math.inf):
+        raise OverflowError("the coefficient squares leave the float range")
     # 4^k brackets: start above the largest square-function value, stop once
     # the threshold undercuts every coefficient (then every support interval
     # is fully covered and gets assigned).
@@ -168,23 +170,12 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
 
     pieces = []
     for members in groups.values():
-        member_set = set(members)
-        coarsest = min(i.level for i in members)
-        maximal = {
-            interval
-            for interval in members
-            if not any(
-                interval.ancestor(level) in member_set
-                for level in range(coarsest, interval.level)
-            )
-        }
-        blocks: dict[DyadicInterval, list[DyadicInterval]] = {m: [] for m in maximal}
-        for interval in members:
-            for level in range(coarsest, interval.level + 1):
-                candidate = interval.ancestor(level)
-                if candidate in maximal:
-                    blocks[candidate].append(interval)
-                    break
+        family = IntervalFamily(members, max_level=max_level)
+        root: list[DyadicInterval] = []
+        blocks: dict[DyadicInterval, list[DyadicInterval]] = {}
+        for interval, up in zip(family, family.parents()):
+            root.append(interval if up < 0 else root[up])
+            blocks.setdefault(root[-1], []).append(interval)
         for top, block in blocks.items():
             pieces.append(
                 AtomicPiece(IntervalFamily(block, max_level=max_level), top)

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .atomic import decompose, verify_decomposition
-from .dyadic import DyadicInterval, generation_decay_check
+from .dyadic import DyadicInterval, generation_decay_check, generations
 from .errors import (
     DegenerateThetaError,
     EmptyFamilyError,
@@ -214,6 +214,7 @@ class _Check:
         if self.extremes:
             out["extremes"] = dict(sorted(self.extremes.items()))
         if self.failures:
+            out["failure_count"] = len(self.failures)
             out["failures"] = self.failures[:20]
         return out
 
@@ -253,11 +254,9 @@ def run_verification(
 
         family = u.support_family()
         decay_ok = True
-        depth = max(
-            (family.ancestor_depth(i) for i in family), default=0
-        )
+        layers = len(generations(family)) + 1
         for interval in family:
-            for layer in range(depth + 2):
+            for layer in range(layers):
                 if not generation_decay_check(family, interval, layer):
                     decay_ok = False
         check("decay_bound").record(decay_ok, seed, trial)
@@ -513,6 +512,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error("--seed must be nonnegative")
         if not 0 < args.density <= 1:
             parser.error("--density must lie in (0, 1]")
+        if args.dimension < 1:
+            parser.error("--dimension must be positive")
         report = run_verification(
             p=args.p,
             q=args.q,

@@ -1,13 +1,14 @@
 """Dyadic intervals on [0,1) and exact combinatorics of interval families.
 
-Measures, Carleson constants and generation measures are computed in exact
-dyadic-rational arithmetic (`fractions.Fraction`); only the transcendental
-right-hand side of the generation decay bound is evaluated in floating point.
+Every family query reads one table, each member's nearest strict ancestor
+(`IntervalFamily.parents`): depths are one top-down pass over it and packed
+measures one bottom-up pass, both O(n). Measures are exact integer counts of
+leaves of level `max_level`, made `fractions.Fraction` only on return; only
+the transcendental right side of the generation decay bound is a float.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -69,7 +70,7 @@ class IntervalFamily:
     canonical. ``max_level`` is the declared cap; every member must respect it.
     """
 
-    __slots__ = ("intervals", "max_level", "_set", "_by_level")
+    __slots__ = ("intervals", "max_level", "_set", "_ancestry")
 
     def __init__(
         self, intervals: Iterable[DyadicInterval], max_level: int | None = None
@@ -85,10 +86,7 @@ class IntervalFamily:
         object.__setattr__(self, "intervals", ordered)
         object.__setattr__(self, "max_level", max_level)
         object.__setattr__(self, "_set", frozenset(ordered))
-        by_level: dict[int, list[int]] = {}
-        for interval in ordered:
-            by_level.setdefault(interval.level, []).append(interval.position)
-        object.__setattr__(self, "_by_level", by_level)
+        object.__setattr__(self, "_ancestry", None)
 
     def __iter__(self) -> Iterator[DyadicInterval]:
         return iter(self.intervals)
@@ -122,43 +120,42 @@ class IntervalFamily:
         members = [i for i in self.intervals if interval.contains(i)]
         return IntervalFamily(members, max_level=self.max_level)
 
-    def count_inside(self, interval: DyadicInterval, level: int) -> int:
-        """Number of members at the given level contained in `interval`."""
-        positions = self._by_level.get(level)
-        if positions is None or level < interval.level:
-            return 0
-        shift = level - interval.level
-        lo = interval.position << shift
-        hi = (interval.position + 1) << shift
-        return bisect_left(positions, hi) - bisect_left(positions, lo)
+    def _table(self) -> tuple[dict[DyadicInterval, int], tuple[int, ...]]:
+        """Member -> index map and `parents`, built on first use by a walk in
+        left-endpoint order, coarsest first: a member's ancestors come before
+        it and all members between lie inside them, so they stay on the stack."""
+        if self._ancestry is None:
+            members, top = self.intervals, self.max_level
+            index = {m: k for k, m in enumerate(members)}
+            parent = [-1] * len(members)
+            chain: list[DyadicInterval] = []
+            for m in sorted(
+                members, key=lambda m: (m.position << (top - m.level), m.level)
+            ):
+                while chain and not chain[-1].contains(m):
+                    chain.pop()
+                if chain:
+                    parent[index[m]] = index[chain[-1]]
+                chain.append(m)
+            object.__setattr__(self, "_ancestry", (index, tuple(parent)))
+        return self._ancestry
 
-    def packed_measure(self, interval: DyadicInterval) -> Fraction:
-        """Exact total measure of members contained in `interval`."""
-        total = Fraction(0)
-        for level in self._by_level:
-            count = self.count_inside(interval, level)
-            if count:
-                total += Fraction(count, 1 << level)
-        return total
+    def parents(self) -> tuple[int, ...]:
+        """Per member, the index of its nearest strict ancestor in the family,
+        or -1 if it is maximal; a parent precedes its children."""
+        return self._table()[1]
 
-    def has_member_inside(self, interval: DyadicInterval) -> bool:
-        """True iff some member is contained in `interval`."""
-        return any(
-            self.count_inside(interval, level) for level in self._by_level
-        )
-
-    def ancestor_depth(self, interval: DyadicInterval) -> int:
-        """Number of members strictly containing `interval`.
+    def depths(self) -> list[int]:
+        """Per member, the number of members strictly containing it.
 
         The dyadic ancestors of an interval form a chain, so this count is
         also the length of the longest strictly increasing chain above it
         within the family.
         """
-        return sum(
-            1
-            for level in range(interval.level)
-            if interval.ancestor(level) in self._set
-        )
+        depth: list[int] = []
+        for up in self.parents():
+            depth.append(depth[up] + 1 if up >= 0 else 0)
+        return depth
 
 
 def carleson_constant(family: IntervalFamily) -> Fraction:
@@ -169,17 +166,19 @@ def carleson_constant(family: IntervalFamily) -> Fraction:
     """
     if not family:
         raise EmptyFamilyError("Carleson constant of an empty family")
-    best = Fraction(0)
-    for interval in family:
-        ratio = family.packed_measure(interval) / interval.measure
-        if ratio > best:
-            best = ratio
-    return best
+    # leaves of level max_level inside each member, summed bottom-up
+    packed = [1 << (family.max_level - i.level) for i in family]
+    parent = family.parents()
+    for k in range(len(packed) - 1, -1, -1):
+        if parent[k] >= 0:
+            packed[parent[k]] += packed[k]
+    best = max(count << i.level for count, i in zip(packed, family))
+    return Fraction(best, 1 << family.max_level)
 
 
 def maximal_intervals(family: IntervalFamily) -> IntervalFamily:
     """The pairwise-disjoint maximal members; they cover the same set."""
-    members = [i for i in family if family.ancestor_depth(i) == 0]
+    members = [i for i, up in zip(family, family.parents()) if up < 0]
     return IntervalFamily(members, max_level=family.max_level)
 
 
@@ -191,8 +190,8 @@ def generations(family: IntervalFamily) -> list[IntervalFamily]:
     partition the family and each layer is pairwise disjoint.
     """
     buckets: dict[int, list[DyadicInterval]] = {}
-    for interval in family:
-        buckets.setdefault(family.ancestor_depth(interval), []).append(interval)
+    for interval, depth in zip(family, family.depths()):
+        buckets.setdefault(depth, []).append(interval)
     return [
         IntervalFamily(buckets[n], max_level=family.max_level)
         for n in range(len(buckets))
@@ -205,48 +204,35 @@ def generation_decay_check(
     """Check |G_layer*(I, E)| <= 4 * 2^(-2*layer / (4*[[E]] + 1)) * |I|.
 
     The left side is the exact measure of the layer of the restricted family
-    {J in E : J ⊆ I}; the right side is evaluated in floating point.
+    {J in E : J ⊆ I}, the members inside I at depth depth(I) + layer (an
+    ancestor of J ⊆ I lies in [J, I] or contains I); the right side is a float.
     """
     if layer < 0:
         raise ValueError("layer must be nonnegative")
     if interval not in family:
         raise ValueError(f"interval {interval} is not a member of the family")
-    restricted = family.restrict(interval)
-    layers = generations(restricted)
-    if layer >= len(layers):
-        covered = Fraction(0)
-    else:
-        covered = sum((j.measure for j in layers[layer]), Fraction(0))
+    index, _ = family._table()
+    depths = family.depths()
+    target = depths[index[interval]] + layer
+    covered = sum(
+        1 << (family.max_level - j.level)
+        for j, depth in zip(family, depths)
+        if depth == target and interval.contains(j)
+    )
     packing = float(carleson_constant(family))
     bound = 4.0 * 2.0 ** (-2.0 * layer / (4.0 * packing + 1.0)) * float(interval.measure)
-    return float(covered) <= bound
+    return covered / (1 << family.max_level) <= bound
 
 
 def is_block(collection: IntervalFamily, ambient: IntervalFamily) -> bool:
     """Block predicate for `collection` inside `ambient`.
 
     True iff the collection has a unique maximal interval I and contains
-    every ambient member K with J ⊆ K ⊆ I for some member J.
+    every ambient member K with J ⊆ K ⊆ I for some member J; that is, iff
+    exactly one member's nearest ambient ancestor is missing from it (or none).
     """
     if not collection.issubset(ambient):
         raise ValueError("collection must be a sub-collection of the ambient family")
-    tops = maximal_intervals(collection)
-    if len(tops) != 1:
-        return False
-    top = tops.intervals[0]
-    for level in range(top.level, ambient.max_level + 1):
-        positions = ambient._by_level.get(level)
-        if not positions:
-            continue
-        shift = level - top.level
-        lo = top.position << shift
-        hi = (top.position + 1) << shift
-        start = bisect_left(positions, lo)
-        stop = bisect_left(positions, hi)
-        for pos in positions[start:stop]:
-            candidate = DyadicInterval(level, pos)
-            if candidate in collection:
-                continue
-            if collection.has_member_inside(candidate):
-                return False
-    return True
+    index, parent = ambient._table()
+    ups = [parent[index[i]] for i in collection]
+    return sum(up < 0 or ambient.intervals[up] not in collection for up in ups) == 1

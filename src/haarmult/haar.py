@@ -202,18 +202,30 @@ def q_variation(u: HaarExpansion, q: float) -> StepFunction:
 
 
 def hp_norm(u: HaarExpansion, p: float) -> float:
-    """L^p norm of the square function, 0 < p <= 2."""
+    """L^p norm of the square function, 0 < p <= 2; OverflowError if the norm
+    of a nonzero expansion comes out 0 or inf (coefficients are not rescaled)."""
     if not 0 < p <= 2:
         raise ValueError(f"p must lie in (0, 2], got {p}")
     sums = square_leaf_sums(u)
-    return float(np.mean(sums ** (p / 2.0)) ** (1.0 / p))
+    return _in_float_range(float(np.mean(sums ** (p / 2.0)) ** (1.0 / p)), u)
 
 
 def tl_norm(u: HaarExpansion, p: float, q: float) -> float:
-    """L^p norm of the q-variation, 0 < p <= q < infinity."""
+    """L^p norm of the q-variation, 0 < p <= q < infinity; OverflowError
+    like `hp_norm`."""
     if not 0 < p <= q:
         raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
-    return q_variation(u, q).lp_norm(p)
+    try:
+        value = q_variation(u, q).lp_norm(p)
+    except OverflowError:  # a power |x_I|^q past the float range
+        value = math.inf
+    return _in_float_range(value, u)
+
+
+def _in_float_range(norm: float, u: HaarExpansion) -> float:
+    if not u.is_zero and not 0.0 < norm < math.inf:
+        raise OverflowError(f"norm {norm} of a nonzero u leaves the float range")
+    return norm
 
 
 def convexify(u: HaarExpansion, q: float) -> HaarExpansion:

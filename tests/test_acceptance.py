@@ -27,6 +27,7 @@ from haarmult import (
     decompose,
     factorize,
     generation_decay_check,
+    generations,
     h2_measure,
     hp_norm,
     l2_norm,
@@ -40,6 +41,8 @@ from haarmult import (
 from haarmult.cli import main
 from haarmult.haar import evaluate_haar, q_variation, square_leaf_sums
 from haarmult.pietsch import _assemble
+
+import dyadic_oracle
 
 N_INSTANCES = 1000
 HP_PS = (0.5, 1.0, 1.5, 2.0)
@@ -375,9 +378,13 @@ class TestCriterion6DecayBound:
             members = [DyadicInterval(0, 0)]
         return IntervalFamily(members)
 
-    def test_bound_over_thousand_families(self):
+    @classmethod
+    def _pool(cls):
         rng = np.random.default_rng(999)
-        families = [self._random_family(rng) for _ in range(N_INSTANCES)]
+        return [cls._random_family(rng) for _ in range(N_INSTANCES)]
+
+    def test_bound_over_thousand_families(self):
+        families = self._pool()
         max_packing = max(float(carleson_constant(f)) for f in families)
         assert max_packing == 8.0  # density-1 families at max_level 7 pack to 8
 
@@ -420,6 +427,24 @@ class TestCriterion6DecayBound:
             f"{checked} (interval, layer) pairs over {N_INSTANCES} families, "
             f"Carleson constants up to {max_packing:.0f}, {violations} violations",
         )
+
+    def test_queries_match_reference(self):
+        # the nearest-ancestor table against the bisect scans and ancestor
+        # walks it replaced
+        families = self._pool()
+        for fam in families:
+            assert carleson_constant(fam) == dyadic_oracle.carleson_constant(fam)
+            got = [layer.intervals for layer in generations(fam)]
+            assert got == [
+                layer.intervals for layer in dyadic_oracle.generations(fam)
+            ]
+        for fam in families[:100]:
+            layers = len(generations(fam)) + 1
+            for interval in fam:
+                for layer in range(layers):
+                    assert generation_decay_check(
+                        fam, interval, layer
+                    ) == dyadic_oracle.generation_decay_check(fam, interval, layer)
 
 
 class TestCriterion7OracleEquivalence:

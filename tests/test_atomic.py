@@ -62,6 +62,12 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(scalar(0, {(0, 0): 1.0}), 2.5)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_squares_out_of_float_range(self, scale):
+        u = scalar(1, {(0, 0): scale, (1, 0): 0.5 * scale, (1, 1): -0.25 * scale})
+        with pytest.raises(OverflowError, match="float range"):
+            decompose(u, 1.0)
+
     def test_two_interval_example(self):
         u = scalar(1, {(0, 0): 1.0, (1, 0): 1.0})
         dec = decompose(u, 1.0)

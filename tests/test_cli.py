@@ -181,6 +181,29 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    @pytest.mark.parametrize(
+        "command",
+        [["norm", "--p", "1"], ["norm", "--p", "1", "--q", "2"], ["decompose", "--p", "1"]],
+    )
+    def test_out_of_float_range_exit_two(self, tmp_path, capsys, command, scale):
+        scaled = {
+            "max_level": 1,
+            "dimension": 1,
+            "coefficients": [
+                {"level": 0, "pos": 0, "value": [scale]},
+                {"level": 1, "pos": 0, "value": [0.5 * scale]},
+                {"level": 1, "pos": 1, "value": [-0.25 * scale]},
+            ],
+        }
+        path = write(tmp_path, "u.json", scaled)
+        assert main(command + [path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "float range" in captured.err
+
+
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
         code = main(
@@ -212,6 +235,23 @@ class TestVerifyCommand:
         assert payload["checks"]["hp_weight_sum"]["passed"] is False
         failure = payload["checks"]["hp_weight_sum"]["failures"][0]
         assert {"seed", "trial"} <= set(failure)
+
+    def test_failure_count_beyond_listed_failures(self, capsys):
+        code = main(
+            ["verify", "--trials", "25", "--max-level", "3", "--p", "1",
+             "--inject-mutant", "scale-omega"]
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        weight_sum = payload["checks"]["hp_weight_sum"]
+        assert weight_sum["failure_count"] == 25
+        assert len(weight_sum["failures"]) == 20
+        assert "failure_count" not in payload["checks"]["decay_bound"]
+
+    def test_dimension_below_one_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--p", "1", "--dimension", "0"])
+        assert exc.value.code == 2
 
     def test_x_mutant_exit_one(self, capsys):
         code = main(

@@ -1,6 +1,7 @@
 """Interval combinatorics against brute-force oracles."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from haarmult import (
     is_block,
     maximal_intervals,
 )
+
+import dyadic_oracle
 
 
 def iv(level, pos):
@@ -61,6 +64,21 @@ intervals_st = st.integers(0, 6).flatmap(
     lambda n: st.builds(DyadicInterval, st.just(n), st.integers(0, 2**n - 1))
 )
 families_st = st.sets(intervals_st, min_size=1, max_size=40).map(IntervalFamily)
+
+
+@st.composite
+def sub_collections_st(draw):
+    """An ambient family and a sub-collection of it: members under one member,
+    each kept or not (so intermediate members get skipped), with or without
+    that member; the empty collection is among them."""
+    ambient = draw(families_st)
+    top = draw(st.sampled_from(ambient.intervals))
+    under = [i for i in ambient if top.contains(i) and i != top]
+    keep = draw(st.lists(st.booleans(), min_size=len(under), max_size=len(under)))
+    picked = [i for i, kept in zip(under, keep) if kept]
+    if draw(st.booleans()):
+        picked.append(top)
+    return IntervalFamily(picked, max_level=ambient.max_level), ambient
 
 
 class TestDyadicInterval:
@@ -134,6 +152,29 @@ class TestCarleson:
         )
         assert value >= 1
         assert (value == 1) == disjoint
+
+
+class TestAncestorTable:
+    def test_nearest_ancestor_skips_non_members(self):
+        fam = family((0, 0), (2, 1), (3, 2), (1, 1))
+        # members in (level, position) order: 0/0, 1/1, 2/1, 3/2
+        assert fam.parents() == (-1, 0, 0, 2)
+        assert fam.depths() == [0, 1, 1, 2]
+
+    @given(families_st)
+    def test_parents_are_nearest_ancestors(self, fam):
+        members = fam.intervals
+        for k, up in enumerate(fam.parents()):
+            above = [j for j in range(len(members))
+                     if j != k and members[j].contains(members[k])]
+            assert up == max(above, key=lambda j: members[j].level, default=-1)
+            assert up < k
+
+    @given(families_st)
+    def test_depths_match_reference(self, fam):
+        assert fam.depths() == list(
+            dyadic_oracle.ancestor_depth(fam, i) for i in fam
+        )
 
 
 class TestMaximalAndGenerations:
@@ -239,3 +280,27 @@ class TestIsBlock:
         ambient = family((0, 0), (1, 1), (2, 0))
         assert is_block(family((0, 0), (2, 0)), ambient)
         assert is_block(family((0, 0), (1, 1)), ambient)
+
+    def test_empty_collection_is_not_a_block(self):
+        assert not is_block(IntervalFamily([]), family((0, 0)))
+
+    def test_every_sub_collection_matches_reference(self):
+        # a chain 0/0 > 1/0 > 2/1 with a side branch 1/1 > 3/6 and a
+        # disjoint leaf 3/1: all 64 sub-collections
+        ambient = family((0, 0), (1, 0), (2, 1), (1, 1), (3, 6), (3, 1))
+        verdicts = set()
+        for size in range(len(ambient) + 1):
+            for picked in combinations(ambient.intervals, size):
+                collection = IntervalFamily(picked, max_level=ambient.max_level)
+                expected = dyadic_oracle.is_block(collection, ambient)
+                assert is_block(collection, ambient) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @given(sub_collections_st())
+    @settings(max_examples=300)
+    def test_matches_reference_on_random_sub_collections(self, pair):
+        collection, ambient = pair
+        assert is_block(collection, ambient) == dyadic_oracle.is_block(
+            collection, ambient
+        )

@@ -215,6 +215,33 @@ class TestTlNorm:
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+class TestFloatRange:
+    # the squares (and q-th powers) of these coefficients under- or overflow
+    # although the norms themselves, about the scale, are representable
+    @staticmethod
+    def scaled(scale):
+        return scalar(1, {(0, 0): scale, (1, 0): 0.5 * scale, (1, 1): -0.25 * scale})
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_norms_fail_closed(self, scale):
+        u = self.scaled(scale)
+        with pytest.raises(OverflowError, match="float range"):
+            hp_norm(u, 1.0)
+        with pytest.raises(OverflowError, match="float range"):
+            tl_norm(u, 1.0, 2.0)
+
+    def test_representable_scale_kept(self):
+        u = self.scaled(1.0)
+        small = self.scaled(1e-150)
+        assert hp_norm(small, 1.0) == pytest.approx(1e-150 * hp_norm(u, 1.0), rel=1e-12)
+        assert tl_norm(small, 1.0, 2.0) == pytest.approx(
+            1e-150 * tl_norm(u, 1.0, 2.0), rel=1e-12
+        )
+
+    def test_zero_expansion_is_zero(self):
+        assert tl_norm(HaarExpansion.scalar(2, {}), 1.0, 2.0) == 0.0
+
+
 class TestConvexify:
     def test_q_two_absolute_value(self):
         u = scalar(1, {(0, 0): -3.0, (1, 1): 2.0})
