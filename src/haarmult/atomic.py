@@ -97,9 +97,9 @@ class DecompositionReport:
         }
 
 
-def _majority_cover_levels(omega: np.ndarray, max_level: int) -> list[np.ndarray]:
-    """For each node (level, pos): the level of the maximal majority interval
-    containing it, or -1 if none.
+def _majority_cover_levels(omega: np.ndarray, max_level: int) -> np.ndarray:
+    """For each node (level, pos), at the heap index 2^level - 1 + pos: the
+    level of the maximal majority interval containing it, or -1 if none.
 
     A dyadic J has majority if more than half of its leaves lie in omega; the
     maximal such intervals are pairwise disjoint and their union contains
@@ -114,12 +114,14 @@ def _majority_cover_levels(omega: np.ndarray, max_level: int) -> list[np.ndarray
             break
         counts = counts[0::2] + counts[1::2]
         level -= 1
-    cover: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * (max_level + 1)
-    cover[0] = np.where(majority[0], 0, -1)
+    cover = np.empty((2 << max_level) - 1, dtype=np.int8)
+    cover[0] = 0 if majority[0][0] else -1
     for lvl in range(1, max_level + 1):
-        inherited = np.repeat(cover[lvl - 1], 2)
-        cover[lvl] = np.where(
-            inherited >= 0, inherited, np.where(majority[lvl], lvl, -1)
+        inherited = np.repeat(cover[(1 << (lvl - 1)) - 1 : (1 << lvl) - 1], 2)
+        cover[(1 << lvl) - 1 : (2 << lvl) - 1] = np.where(
+            inherited >= 0,
+            inherited,
+            np.where(majority[lvl], np.int8(lvl), np.int8(-1)),
         )
     return cover
 
@@ -127,7 +129,7 @@ def _majority_cover_levels(omega: np.ndarray, max_level: int) -> list[np.ndarray
 def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
     max_level = u.max_level
     sums = square_leaf_sums(u)
-    min_coeff = min(u.coefficient_square(i) for i in u.coeffs)
+    min_coeff = float(u.squares.min())
     max_val = float(sums.max())
     if not (min_coeff > 0.0 and max_val < math.inf):
         raise OverflowError("the coefficient squares leave the float range")
@@ -137,8 +139,11 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
     k_start = min(math.ceil(0.5 * math.log2(max_val)) + 1, 550)
     k_stop = max(math.floor(0.5 * math.log2(min_coeff)) - 1, -550)
 
-    pending = set(u.coeffs)
-    anchors: dict[DyadicInterval, tuple[int, int, int]] = {}
+    # each row's anchor: the maximal member of Omega~_k containing it at the
+    # largest k whose threshold covers it, as a heap index 2^level - 1 + pos
+    heap = (1 << u.levels) - 1 + u.positions
+    pending = np.arange(len(heap))
+    anchor_level = np.empty(len(heap), dtype=np.int64)
     for k in range(k_start, k_stop - 1, -1):
         exponent = 2 * k
         if exponent > 1023:
@@ -150,38 +155,41 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
         omega = sums > threshold
         if not omega.any():
             continue
-        cover = _majority_cover_levels(omega, max_level)
-        assigned = []
-        for interval in pending:
-            anchor_level = int(cover[interval.level][interval.position])
-            if anchor_level >= 0:
-                anchor_pos = interval.position >> (interval.level - anchor_level)
-                anchors[interval] = (k, anchor_level, anchor_pos)
-                assigned.append(interval)
-        pending.difference_update(assigned)
-        if not pending:
+        found = _majority_cover_levels(omega, max_level)[heap[pending]]
+        hit = found >= 0
+        anchor_level[pending[hit]] = found[hit]
+        pending = pending[~hit]
+        if not len(pending):
             break
-    if pending:  # unreachable: the k_stop threshold covers all coefficients
+    if len(pending):  # unreachable: the k_stop threshold covers all coefficients
         raise VerificationError(f"stopping time failed to assign {len(pending)} intervals")
+    anchor = (1 << anchor_level) - 1 + (u.positions >> (u.levels - anchor_level))
 
-    groups: dict[tuple[int, int, int], list[DyadicInterval]] = {}
-    for interval, anchor in anchors.items():
-        groups.setdefault(anchor, []).append(interval)
-
-    pieces = []
-    for members in groups.values():
-        family = IntervalFamily(members, max_level=max_level)
-        root: list[DyadicInterval] = []
-        blocks: dict[DyadicInterval, list[DyadicInterval]] = {}
-        for interval, up in zip(family, family.parents()):
-            root.append(interval if up < 0 else root[up])
-            blocks.setdefault(root[-1], []).append(interval)
-        for top, block in blocks.items():
-            pieces.append(
-                AtomicPiece(IntervalFamily(block, max_level=max_level), top)
-            )
-    pieces.sort(key=lambda piece: piece.top)
-    return tuple(pieces)
+    # A block is a group of rows with equal (k, anchor) cut at its maximal
+    # members, so a row's block top is the coarsest row of its group that
+    # contains it. Nested rows with one anchor have one k (at the inner
+    # row's k the anchor covers the outer row too), so equal anchors suffice.
+    # Rows are in heap order: a binary search finds a row's ancestor at a
+    # given level among them, and coarser levels come first.
+    top = np.full(len(heap), -1)
+    for level in range(max_level + 1):
+        rows = np.flatnonzero((top < 0) & (u.levels >= level))
+        code = (1 << level) - 1 + (u.positions[rows] >> (u.levels[rows] - level))
+        at = np.minimum(np.searchsorted(heap, code), len(heap) - 1)
+        hit = (heap[at] == code) & (anchor[at] == anchor[rows])
+        top[rows[hit]] = at[hit]
+    # every row is its own ancestor, so all are assigned; tops in support
+    # order give the pieces sorted by top
+    order = np.argsort(top, kind="stable")
+    starts = np.flatnonzero(np.diff(top[order])) + 1
+    support = u.support
+    return tuple(
+        AtomicPiece(
+            IntervalFamily([support[j] for j in block.tolist()], max_level=max_level),
+            support[top[block[0]]],
+        )
+        for block in np.split(order, starts)
+    )
 
 
 def sup_square(u: HaarExpansion) -> float:
@@ -206,20 +214,25 @@ def appendix_constant(p: float, carleson: float | Fraction) -> float:
     return 1.0 + 4.0 ** (1.0 / p) * ratio / (1.0 - ratio)
 
 
-def _piece_stats(u: HaarExpansion, piece: AtomicPiece, p: float) -> tuple[float, float]:
-    """(norm_p^p, sup of square function) for one block.
+def _piece_stats(
+    u: HaarExpansion, piece: AtomicPiece, p: float, rows: dict[DyadicInterval, int]
+) -> tuple[float, float]:
+    """(norm_p^p, sup of square function) for one block; `rows` maps each
+    support interval to its row in the support arrays.
 
     The square function of a block vanishes outside its top, so the leaf sum
     only runs over the top; members outside the top (a corrupt piece, caught
-    by `tops_ok`) are left out.
+    by `tops_ok`) and outside the support (whose square is 0) are left out.
     """
     top = piece.top
-    members = [i for i in piece.block if top.contains(i)]
-    levels = np.array([i.level - top.level for i in members], dtype=np.int64)
-    positions = np.array([i.position for i in members], dtype=np.int64)
-    positions -= top.position << levels
-    squares = [u.coefficient_square(i) for i in members]
-    local = push_down(u.max_level - top.level, levels, positions, squares)
+    index = np.array([rows.get(i, -1) for i in piece.block], dtype=np.int64)
+    index = index[index >= 0]
+    levels = u.levels[index] - top.level
+    positions = u.positions[index]
+    inside = (levels >= 0) & (positions >> np.maximum(levels, 0) == top.position)
+    index, levels, positions = index[inside], levels[inside], positions[inside]
+    positions = positions - (top.position << levels)
+    local = push_down(u.max_level - top.level, levels, positions, u.squares[index])
     norm_p_p = float(np.sum(local ** (p / 2.0))) * 2.0 ** (-u.max_level)
     return norm_p_p, math.sqrt(float(local.max()))
 
@@ -284,8 +297,9 @@ def verify_decomposition(
     block_sum = 0.0
     top_sum = 0.0
     chain_middle_ok = True
+    rows = dict(zip(u.coeffs, range(len(u.coeffs))))
     for piece in dec.pieces:
-        piece_norm_p, piece_sup = _piece_stats(u, piece, p)
+        piece_norm_p, piece_sup = _piece_stats(u, piece, p, rows)
         top_measure = 2.0 ** (-piece.top.level)
         piece_bound = top_measure * piece_sup**p
         if piece_norm_p > piece_bound * (1 + _ROUNDING_RTOL):

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .atomic import decompose, verify_decomposition
-from .dyadic import DyadicInterval, generation_decay_check, generations
+from .dyadic import DyadicInterval, generation_decay_verdicts, generations
 from .errors import (
     DegenerateThetaError,
     EmptyFamilyError,
@@ -79,6 +79,11 @@ def _interval_key(interval: DyadicInterval) -> str:
     return f"{interval.level}/{interval.position}"
 
 
+def _is_json_int(value: Any) -> bool:
+    """A JSON integer: `json` gives int, and bool is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load(path: str) -> HaarExpansion:
     """Read an expansion file; every schema violation gets its own message."""
     try:
@@ -88,29 +93,34 @@ def load(path: str) -> HaarExpansion:
         raise ExpansionFormatError(f"{path}: malformed JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ExpansionFormatError(f"{path}: top level must be a JSON object")
-    try:
-        max_level = int(data["max_level"])
-        dimension = int(data["dimension"])
-        entries = data["coefficients"]
-    except (KeyError, TypeError, ValueError) as exc:
+    max_level = data.get("max_level")
+    dimension = data.get("dimension")
+    entries = data.get("coefficients")
+    if not (_is_json_int(max_level) and _is_json_int(dimension) and entries is not None):
         raise ExpansionFormatError(
             f"{path}: need integer max_level, integer dimension and a "
             f"coefficients list"
-        ) from exc
+        )
     if max_level < 0 or dimension < 1 or not isinstance(entries, list):
         raise ExpansionFormatError(
             f"{path}: max_level must be >= 0, dimension >= 1, coefficients a list"
         )
     coeffs: dict[DyadicInterval, tuple[float, ...]] = {}
     for entry in entries:
-        try:
-            level = int(entry["level"])
-            pos = int(entry["pos"])
-            value = [float(v) for v in entry["value"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(entry, dict):
+            entry = {}
+        level, pos, raw = entry.get("level"), entry.get("pos"), entry.get("value")
+        if not (
+            _is_json_int(level)
+            and _is_json_int(pos)
+            and isinstance(raw, list)
+            and all(_is_json_int(v) or isinstance(v, float) for v in raw)
+        ):
             raise ExpansionFormatError(
-                f"{path}: each coefficient needs level, pos and a numeric value list"
-            ) from exc
+                f"{path}: each coefficient needs integer level and pos and a "
+                f"list of numbers as value"
+            )
+        value = [float(v) for v in raw]
         if not 0 <= level <= max_level:
             raise ExpansionFormatError(
                 f"{path}: level {level} outside [0, {max_level}]"
@@ -253,13 +263,9 @@ def run_verification(
         rng = np.random.default_rng([seed, trial, 10_000])
 
         family = u.support_family()
-        decay_ok = True
         layers = len(generations(family)) + 1
-        for interval in family:
-            for layer in range(layers):
-                if not generation_decay_check(family, interval, layer):
-                    decay_ok = False
-        check("decay_bound").record(decay_ok, seed, trial)
+        verdicts = generation_decay_verdicts(family, layers)
+        check("decay_bound").record(all(map(all, verdicts)), seed, trial)
 
         try:
             dec = decompose(u, p)
@@ -482,6 +488,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "factorize":
+        if args.samples < 0:
+            parser.error(f"--samples must be nonnegative, got {args.samples}")
         u = load(args.file)
         f = factorize(u, args.p, args.q)
         ok = verify_factorization(u, f)

@@ -1,39 +1,49 @@
 """Dyadic intervals on [0,1) and exact combinatorics of interval families.
 
-Every family query reads one table, each member's nearest strict ancestor
-(`IntervalFamily.parents`): depths are one top-down pass over it and packed
-measures one bottom-up pass, both O(n). Measures are exact integer counts of
-leaves of level `max_level`, made `fractions.Fraction` only on return; only
-the transcendental right side of the generation decay bound is a float.
+A `DyadicInterval` is an immutable `(level, position)` tuple, so hashing,
+equality and ordering run in C. Every family query reads one table, each
+member's nearest strict ancestor (`IntervalFamily.parents`): depths are one
+top-down pass over it and packed measures one bottom-up pass, both O(n), and
+the generation decay verdicts of every member and layer one bottom-up pass in
+O(n L). Measures are exact integer counts of leaves of level `max_level`,
+made `fractions.Fraction` only on return; only the transcendental right side
+of the generation decay bound is a float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFamilyError
 
 
-@dataclass(frozen=True, order=True)
-class DyadicInterval:
-    """The half-open interval [position * 2^-level, (position + 1) * 2^-level).
-
-    Positions are 0-based: level n splits [0,1) into slots 0 .. 2^n - 1.
-    Any two dyadic intervals are either disjoint or nested.
-    """
-
+class _LevelPosition(NamedTuple):
     level: int
     position: int
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
-        if not 0 <= self.position < (1 << self.level):
-            raise ValueError(
-                f"position must lie in [0, 2^{self.level}), got {self.position}"
-            )
+
+class DyadicInterval(_LevelPosition):
+    """The half-open interval [position * 2^-level, (position + 1) * 2^-level).
+
+    Positions are 0-based: level n splits [0,1) into slots 0 .. 2^n - 1.
+    Any two dyadic intervals are either disjoint or nested. An interval is
+    the tuple (level, position): it hashes, compares and sorts as that tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, position: int) -> "DyadicInterval":
+        if level < 0:
+            raise ValueError(f"level must be nonnegative, got {level}")
+        if not 0 <= position < (1 << level):
+            raise ValueError(f"position must lie in [0, 2^{level}), got {position}")
+        return super().__new__(cls, level, position)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "DyadicInterval":
+        # validate `_replace` too, which builds through `_make`
+        return cls(*iterable)
 
     @property
     def measure(self) -> Fraction:
@@ -123,20 +133,24 @@ class IntervalFamily:
     def _table(self) -> tuple[dict[DyadicInterval, int], tuple[int, ...]]:
         """Member -> index map and `parents`, built on first use by a walk in
         left-endpoint order, coarsest first: a member's ancestors come before
-        it and all members between lie inside them, so they stay on the stack."""
+        it and all members between lie inside them, so they stay on the stack.
+
+        Endpoints are integer leaf counts; the stack top contains the next
+        member iff its right end lies past that member's left end."""
         if self._ancestry is None:
             members, top = self.intervals, self.max_level
-            index = {m: k for k, m in enumerate(members)}
+            index = dict(zip(members, range(len(members))))
             parent = [-1] * len(members)
-            chain: list[DyadicInterval] = []
-            for m in sorted(
-                members, key=lambda m: (m.position << (top - m.level), m.level)
-            ):
-                while chain and not chain[-1].contains(m):
+            lefts = [m.position << (top - m.level) for m in members]
+            rights = [left + (1 << (top - m.level)) for left, m in zip(lefts, members)]
+            chain: list[int] = []
+            # a stable sort keeps the coarser of two members with one left end first
+            for k in sorted(range(len(members)), key=lefts.__getitem__):
+                while chain and rights[chain[-1]] <= lefts[k]:
                     chain.pop()
                 if chain:
-                    parent[index[m]] = index[chain[-1]]
-                chain.append(m)
+                    parent[k] = chain[-1]
+                chain.append(k)
             object.__setattr__(self, "_ancestry", (index, tuple(parent)))
         return self._ancestry
 
@@ -198,30 +212,69 @@ def generations(family: IntervalFamily) -> list[IntervalFamily]:
     ]
 
 
+def _layer_leaves(family: IntervalFamily) -> list[list[int]]:
+    """Per member I, entry n: the leaves of level max_level in the members
+    inside I at depth depth(I) + n, gathered bottom-up over the parent table.
+
+    The members inside I are I and its descendants in the table (an ancestor
+    of J ⊆ I lies in [J, I] or contains I), so each list is a histogram of
+    relative depths, and merging every child into its parent costs O(n L).
+    """
+    top = family.max_level
+    leaves = [[1 << (top - i.level)] for i in family]
+    parent = family.parents()
+    for k in range(len(leaves) - 1, -1, -1):
+        if parent[k] >= 0:
+            target = leaves[parent[k]]
+            for n, count in enumerate(leaves[k], 1):
+                if n < len(target):
+                    target[n] += count
+                else:
+                    target.append(count)
+    return leaves
+
+
+def _within_decay_bound(
+    leaves: list[int], max_level: int, interval: DyadicInterval, layer: int, packing: float
+) -> bool:
+    covered = leaves[layer] if layer < len(leaves) else 0
+    bound = 4.0 * 2.0 ** (-2.0 * layer / (4.0 * packing + 1.0)) * float(interval.measure)
+    return covered / (1 << max_level) <= bound
+
+
+def generation_decay_verdicts(family: IntervalFamily, layers: int) -> list[list[bool]]:
+    """Per member, in family order, `generation_decay_check` at every layer
+    0 .. layers - 1: one Carleson constant and one bottom-up pass for all."""
+    if layers < 0:
+        raise ValueError("layers must be nonnegative")
+    if not family:
+        return []
+    packing = float(carleson_constant(family))
+    top = family.max_level
+    return [
+        [_within_decay_bound(leaves, top, interval, n, packing) for n in range(layers)]
+        for leaves, interval in zip(_layer_leaves(family), family)
+    ]
+
+
 def generation_decay_check(
     family: IntervalFamily, interval: DyadicInterval, layer: int
 ) -> bool:
     """Check |G_layer*(I, E)| <= 4 * 2^(-2*layer / (4*[[E]] + 1)) * |I|.
 
     The left side is the exact measure of the layer of the restricted family
-    {J in E : J ⊆ I}, the members inside I at depth depth(I) + layer (an
-    ancestor of J ⊆ I lies in [J, I] or contains I); the right side is a float.
+    {J in E : J ⊆ I}, the members inside I at depth depth(I) + layer; the
+    right side is a float. `generation_decay_verdicts` gives every verdict of
+    a family at once.
     """
     if layer < 0:
         raise ValueError("layer must be nonnegative")
     if interval not in family:
         raise ValueError(f"interval {interval} is not a member of the family")
     index, _ = family._table()
-    depths = family.depths()
-    target = depths[index[interval]] + layer
-    covered = sum(
-        1 << (family.max_level - j.level)
-        for j, depth in zip(family, depths)
-        if depth == target and interval.contains(j)
-    )
+    leaves = _layer_leaves(family)[index[interval]]
     packing = float(carleson_constant(family))
-    bound = 4.0 * 2.0 ** (-2.0 * layer / (4.0 * packing + 1.0)) * float(interval.measure)
-    return covered / (1 << family.max_level) <= bound
+    return _within_decay_bound(leaves, family.max_level, interval, layer, packing)
 
 
 def is_block(collection: IntervalFamily, ambient: IntervalFamily) -> bool:

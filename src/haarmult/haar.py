@@ -6,6 +6,11 @@ L-infinity normalised Haar functions h_I. All square functions are step
 functions that are constant on the 2^N leaves of the finest level N, so every
 norm integral below is a finite leaf sum with no quadrature error.
 
+Each expansion stores its support once as read-only arrays in support order,
+(level, position) sorted: `levels`, `positions`, `values` and `squares`. The
+hot paths (leaf sums, multipliers, the stopping time) read those arrays
+instead of looping over the `coeffs` mapping.
+
 Every leaf sum sum_I v_I 1_I goes through `push_down`; no other module knows
 the leaf layout. It is bit-identical to adding the intervals one by one in
 (level, position) order, and holds O(2^N) floats per batch row.
@@ -15,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import compress, repeat
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,23 +30,44 @@ from .dyadic import DyadicInterval, IntervalFamily
 CoeffMap = Mapping[DyadicInterval, "float | Iterable[float]"]
 
 
+def _square_length(vector: list[float]) -> float:
+    """`coefficient_square` of a vector, inf where the sum overflows."""
+    try:
+        return math.fsum(c * c for c in vector)
+    except OverflowError:
+        return math.inf
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class HaarExpansion:
     """Sparse Haar coefficients up to a fixed maximum level.
 
     Zero coefficient vectors are dropped on construction, so the key set of
     ``coeffs`` equals the Haar support. Values are tuples of floats of length
     ``dimension`` and must be finite.
+
+    The support is also kept as read-only arrays, built once, row j for the
+    j-th interval of ``coeffs``: ``levels`` and ``positions`` (int64),
+    ``values`` of shape (n, dimension), and ``squares``, the squared Euclidean
+    lengths, equal to `coefficient_square` (inf where that overflows).
     """
 
-    __slots__ = ("max_level", "dimension", "coeffs")
+    __slots__ = (
+        "max_level", "dimension", "coeffs", "levels", "positions", "values", "squares"
+    )
 
     def __init__(self, max_level: int, dimension: int, coeffs: CoeffMap) -> None:
         if max_level < 0:
             raise ValueError(f"max_level must be nonnegative, got {max_level}")
         if dimension < 1:
             raise ValueError(f"dimension must be positive, got {dimension}")
-        cleaned: dict[DyadicInterval, tuple[float, ...]] = {}
-        for interval in sorted(coeffs):
+        intervals = sorted(coeffs)
+        rows = []
+        for interval in intervals:
             if interval.level > max_level:
                 raise ValueError(
                     f"interval {interval} exceeds max level {max_level}"
@@ -56,13 +83,60 @@ class HaarExpansion:
                     f"coefficient at {interval} has length {len(vector)}, "
                     f"expected {dimension}"
                 )
-            if not all(math.isfinite(c) for c in vector):
-                raise ValueError(f"coefficient at {interval} is not finite")
-            if any(vector):
-                cleaned[interval] = vector
-        object.__setattr__(self, "max_level", max_level)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "coeffs", cleaned)
+            rows.append(vector)
+        keys = np.array(intervals, dtype=np.int64).reshape(len(intervals), 2)
+        levels, positions = keys.T.copy()
+        values = np.array(rows, dtype=float).reshape(len(rows), dimension)
+        self._store(max_level, dimension, intervals, levels, positions, values)
+
+    @classmethod
+    def _from_rows(
+        cls,
+        max_level: int,
+        dimension: int,
+        intervals: Sequence[DyadicInterval],
+        levels: np.ndarray,
+        positions: np.ndarray,
+        values: np.ndarray,
+    ) -> "HaarExpansion":
+        """The validating core for rows already in support order."""
+        u = object.__new__(cls)
+        u._store(max_level, dimension, intervals, levels, positions, values)
+        return u
+
+    def _store(
+        self,
+        max_level: int,
+        dimension: int,
+        intervals: Sequence[DyadicInterval],
+        levels: np.ndarray,
+        positions: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Reject non-finite rows, drop zero rows, and set every attribute."""
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            bad = intervals[int(np.argmin(finite))]
+            raise ValueError(f"coefficient at {bad} is not finite")
+        nonzero = values.any(axis=1)
+        if not nonzero.all():
+            intervals = list(compress(intervals, nonzero.tolist()))
+            levels, positions, values = (
+                levels[nonzero], positions[nonzero], values[nonzero]
+            )
+        if dimension == 1:
+            with np.errstate(over="ignore"):
+                squares = values[:, 0] * values[:, 0]
+        else:
+            squares = np.array(list(map(_square_length, values.tolist())), dtype=float)
+        set_attr = object.__setattr__
+        set_attr(self, "max_level", max_level)
+        set_attr(self, "dimension", dimension)
+        set_attr(self, "coeffs", dict(zip(intervals, zip(*values.T.tolist()))))
+        set_attr(self, "levels", _read_only(levels))
+        set_attr(self, "positions", _read_only(positions))
+        set_attr(self, "values", _read_only(values))
+        set_attr(self, "squares", _read_only(squares))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HaarExpansion is immutable")
@@ -161,15 +235,12 @@ def push_down(
 
 def support_arrays(u: HaarExpansion) -> tuple[np.ndarray, np.ndarray]:
     """Levels and positions of the support, in `push_down` order."""
-    levels = np.array([i.level for i in u.coeffs], dtype=np.int64)
-    positions = np.array([i.position for i in u.coeffs], dtype=np.int64)
-    return levels, positions
+    return u.levels, u.positions
 
 
 def square_leaf_sums(u: HaarExpansion) -> np.ndarray:
     """Leafwise values of S(u)^2, i.e. sum_I |x_I|^2 1_I."""
-    squares = [u.coefficient_square(interval) for interval in u.coeffs]
-    return push_down(u.max_level, *support_arrays(u), squares)
+    return push_down(u.max_level, u.levels, u.positions, u.squares)
 
 
 def evaluate_haar(interval: DyadicInterval, t: float) -> int:
@@ -234,11 +305,11 @@ def convexify(u: HaarExpansion, q: float) -> HaarExpansion:
         raise ValueError("convexification is defined for scalar expansions only")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    powered = {
-        interval: abs(value) ** (q / 2.0)
-        for interval, (value,) in u.coeffs.items()
-    }
-    return HaarExpansion(u.max_level, 1, powered)
+    powered = [abs(value) ** (q / 2.0) for (value,) in u.coeffs.values()]
+    values = np.array(powered, dtype=float).reshape(len(powered), 1)
+    return HaarExpansion._from_rows(
+        u.max_level, 1, u.support, u.levels, u.positions, values
+    )
 
 
 def l2_norm(u: HaarExpansion) -> float:
@@ -252,10 +323,15 @@ def l2_norm(u: HaarExpansion) -> float:
 
 
 def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:
-    """Coefficientwise multiplier phi * u; missing phi entries count as 0."""
-    scaled = {}
-    for interval, vector in u.coeffs.items():
-        factor = phi.get(interval, 0.0)
-        if factor:
-            scaled[interval] = tuple(factor * c for c in vector)
-    return HaarExpansion(u.max_level, u.dimension, scaled)
+    """Coefficientwise multiplier phi * u; missing phi entries count as 0.
+
+    Zero products are dropped and a non-finite product raises ValueError,
+    as on construction.
+    """
+    support = u.support
+    factors = np.array(list(map(phi.get, support, repeat(0.0))), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = u.values * factors[:, None]
+    return HaarExpansion._from_rows(
+        u.max_level, u.dimension, support, u.levels, u.positions, values
+    )

@@ -107,6 +107,8 @@ def x0_norm_estimate(
     All of these must hold for every candidate; a violation raises
     VerificationError.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     measure = weights_tl(u, f.p, f.q)
     for interval, weight in measure.weights.items():
         expected = (weight * 2.0**interval.level) ** (1.0 / f.q)

@@ -82,6 +82,14 @@ def _restricted_generations(family, interval):
     return generations(family.restrict(interval))
 
 
+def layer_measures(family, interval):
+    """Exact measure of each layer of the restricted family I ∩ E."""
+    return [
+        sum((j.measure for j in layer), Fraction(0))
+        for layer in _restricted_generations(family, interval)
+    ]
+
+
 def generation_decay_check(family, interval, layer):
     """Verdict of the decay bound from the generations of I ∩ E.
 

@@ -27,6 +27,7 @@ from haarmult import (
     decompose,
     factorize,
     generation_decay_check,
+    generation_decay_verdicts,
     generations,
     h2_measure,
     hp_norm,
@@ -38,11 +39,14 @@ from haarmult import (
     verify_factorization,
     x0_norm_estimate,
 )
+from haarmult.atomic import _stopping_time_pieces
 from haarmult.cli import main
+from haarmult.dyadic import _layer_leaves
 from haarmult.haar import evaluate_haar, q_variation, square_leaf_sums
 from haarmult.pietsch import _assemble
 
 import dyadic_oracle
+import haar_oracle
 
 N_INSTANCES = 1000
 HP_PS = (0.5, 1.0, 1.5, 2.0)
@@ -446,6 +450,26 @@ class TestCriterion6DecayBound:
                         fam, interval, layer
                     ) == dyadic_oracle.generation_decay_check(fam, interval, layer)
 
+    def test_whole_family_verdicts_match_reference(self):
+        # one bottom-up pass per family against the per-call oracle, for every
+        # member and every layer up to one past the deepest generation; the
+        # layer measures too, since the bound leaves every verdict true
+        for fam in self._pool():
+            scale = 1 << fam.max_level
+            for interval, leaves in zip(fam, _layer_leaves(fam)):
+                assert [Fraction(n, scale) for n in leaves] == (
+                    dyadic_oracle.layer_measures(fam, interval)
+                )
+            layers = len(generations(fam)) + 1
+            verdicts = generation_decay_verdicts(fam, layers)
+            assert verdicts == [
+                [
+                    dyadic_oracle.generation_decay_check(fam, interval, layer)
+                    for layer in range(layers)
+                ]
+                for interval in fam
+            ]
+
 
 class TestCriterion7OracleEquivalence:
     def test_pointwise_oracle(self):
@@ -536,3 +560,101 @@ class TestLeafSumOracles:
             assert x0_norm_estimate(f, u, 50, seed=i) == pytest.approx(
                 expected, rel=1e-12
             )
+
+
+def _mixed_raw(u, rng):
+    """u's coefficients as a constructor might get them: some zero vectors,
+    some integer vectors (zero ones too), lists, and bare scalars for d = 1."""
+    raw = {}
+    for interval, vector in u.coeffs.items():
+        draw = rng.random()
+        if draw < 0.2:
+            raw[interval] = [-0.0] * u.dimension
+        elif draw < 0.35:
+            raw[interval] = [int(round(c)) for c in vector]
+        elif u.dimension == 1 and draw < 0.7:
+            raw[interval] = vector[0]
+        else:
+            raw[interval] = list(vector)
+    return raw
+
+
+class TestExpansionOracles:
+    """The support arrays against the per-coefficient loops they replaced."""
+
+    def test_constructor_matches_loop(self, scalar_pool, vector_pool):
+        rng = np.random.default_rng(4040)
+        for u in scalar_pool + vector_pool:
+            for raw in (dict(u.coeffs), _mixed_raw(u, rng)):
+                got = HaarExpansion(u.max_level, u.dimension, raw)
+                want = haar_oracle.cleaned_coeffs(u.max_level, u.dimension, raw)
+                assert list(got.coeffs.items()) == list(want.items())
+                assert all(type(c) is float for v in got.coeffs.values() for c in v)
+                assert got.levels.tolist() == [i.level for i in want]
+                assert got.positions.tolist() == [i.position for i in want]
+                assert got.values.tolist() == [list(v) for v in want.values()]
+                assert got.squares.tolist() == [
+                    haar_oracle.coefficient_square(got, i) for i in want
+                ]
+
+    def test_multiply_matches_loop(self, scalar_pool, vector_pool):
+        rng = np.random.default_rng(4141)
+        outside = DyadicInterval(7, 3)  # above every pool max level
+        for u in scalar_pool + vector_pool:
+            support = u.support
+            factors = rng.uniform(-1.0, 1.0, len(support))
+            draw = rng.random(len(support))
+            factors[draw < 0.15] = 0.0
+            # the smallest subnormal: products with |x| < 1/2 underflow to 0
+            factors[(draw >= 0.15) & (draw < 0.3)] = 5e-324
+            phi = {
+                interval: float(factor)
+                for interval, factor, keep in zip(support, factors, draw < 0.9)
+                if keep
+            }
+            phi[outside] = 1.0
+            got = multiply(phi, u)
+            assert list(got.coeffs.items()) == list(haar_oracle.multiply(phi, u).items())
+            assert got.squares.tolist() == [
+                haar_oracle.coefficient_square(got, i) for i in got.coeffs
+            ]
+            assert np.array_equal(
+                square_leaf_sums(got),
+                _slice_loop_leaf_sums(got, got.coefficient_square),
+            )
+
+    @pytest.mark.parametrize("factor", [1.7976931348623157e308, math.inf, math.nan])
+    def test_multiply_non_finite_rejected(self, scalar_pool, vector_pool, factor):
+        checked = 0
+        for u in scalar_pool[:50] + vector_pool[:50]:
+            largest = max(u.coeffs, key=lambda i: max(map(abs, u.coeffs[i])))
+            if max(map(abs, u.coeffs[largest])) <= 1.0:
+                continue
+            checked += 1
+            phi = dict.fromkeys(u.coeffs, 0.5)
+            phi[largest] = factor
+            with pytest.raises(ValueError) as want:
+                haar_oracle.multiply(phi, u)
+            with pytest.raises(ValueError) as got:
+                multiply(phi, u)
+            assert str(got.value) == str(want.value)
+        assert checked > 50
+
+    def test_decomposition_pieces_match_set_assignment(
+        self, scalar_pool, vector_pool, scalar_results, vector_results
+    ):
+        for i, u in enumerate(scalar_pool):
+            got = scalar_results[i, 1.0][0].pieces
+            want = haar_oracle.stopping_time_pieces(u)
+            assert [(p.top, p.block.intervals) for p in got] == [
+                (p.top, p.block.intervals) for p in want
+            ]
+        for i, u in enumerate(vector_pool):
+            got = vector_results[i, 1.0][0].pieces
+            want = haar_oracle.stopping_time_pieces(u)
+            assert [(p.top, p.block.intervals) for p in got] == [
+                (p.top, p.block.intervals) for p in want
+            ]
+        for u in scalar_pool[:20]:
+            powered = convexify(u, 3.0)
+            assert _stopping_time_pieces(powered) == haar_oracle.stopping_time_pieces(powered)

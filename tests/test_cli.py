@@ -71,6 +71,38 @@ class TestLoadSave:
         with pytest.raises(ExpansionFormatError, match="length"):
             load(write(tmp_path, "bad.json", bad))
 
+    # a float level, a string value and bools are not JSON integers/numbers;
+    # they used to load as interval 1/0 with the value coerced
+    LOOSE_TYPES = {
+        "float level, string value": {
+            "max_level": 2,
+            "dimension": 2,
+            "coefficients": [{"level": 1.9, "pos": 0, "value": "12"}],
+        },
+        "bool level and value": {
+            "max_level": 2,
+            "dimension": 1,
+            "coefficients": [{"level": True, "pos": 0, "value": [True]}],
+        },
+        "float max_level": dict(MINIMAL, max_level=1.0),
+        "bool dimension": dict(MINIMAL, dimension=True),
+        "string pos": dict(
+            MINIMAL, coefficients=[{"level": 0, "pos": "0", "value": [1.0]}]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LOOSE_TYPES))
+    def test_json_types_strict(self, tmp_path, capsys, name):
+        path = write(tmp_path, "bad.json", self.LOOSE_TYPES[name])
+        with pytest.raises(ExpansionFormatError):
+            load(path)
+        assert main(["norm", "--p", "1", path]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_integer_values_accepted(self, tmp_path):
+        ok = dict(MINIMAL, coefficients=[{"level": 0, "pos": 0, "value": [2]}])
+        assert load(write(tmp_path, "u.json", ok)).coeffs == {iv(0, 0): (2.0,)}
+
 
 class TestGenRandom:
     def test_full_density_counts(self):
@@ -155,6 +187,13 @@ class TestCommands:
         assert main(["gen", "--max-level", "3", "--seed", "2", "--out", out]) == 0
         u = load(out)
         assert u.max_level == 3
+
+    def test_negative_samples_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "u.json", MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["factorize", "--p", "1.5", "--q", "3", "--samples", "-1", path])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
     def test_zero_expansion_input_error(self, tmp_path, capsys):
         path = write(

@@ -1,5 +1,7 @@
 """Interval combinatorics against brute-force oracles."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +15,7 @@ from haarmult import (
     IntervalFamily,
     carleson_constant,
     generation_decay_check,
+    generation_decay_verdicts,
     generations,
     is_block,
     maximal_intervals,
@@ -96,6 +99,41 @@ class TestDyadicInterval:
             iv(2, 4)
         with pytest.raises(ValueError):
             iv(1, -1)
+
+    def test_invalid_level_rejected(self):
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            iv(-1, 0)
+        with pytest.raises(ValueError, match="position must lie"):
+            DyadicInterval(level=3, position=8)
+
+    def test_is_a_level_position_tuple(self):
+        interval = DyadicInterval(level=2, position=3)
+        assert interval == iv(2, 3) == (2, 3)
+        assert hash(interval) == hash((2, 3))
+        level, position = interval
+        assert (level, position) == (interval.level, interval.position) == (2, 3)
+        assert repr(interval) == "DyadicInterval(level=2, position=3)"
+        assert str(interval) == "2/3"
+
+    def test_sorts_by_level_then_position(self):
+        intervals = [iv(2, 0), iv(0, 0), iv(1, 1), iv(2, 3), iv(1, 0)]
+        assert sorted(intervals) == [iv(0, 0), iv(1, 0), iv(1, 1), iv(2, 0), iv(2, 3)]
+        assert iv(1, 1) < iv(2, 0)
+
+    def test_pickle_and_copy_round_trip(self):
+        interval = iv(5, 17)
+        for clone in (pickle.loads(pickle.dumps(interval)), copy.deepcopy(interval)):
+            assert clone == interval
+            assert type(clone) is DyadicInterval
+
+    def test_immutable(self):
+        interval = iv(1, 0)
+        with pytest.raises(AttributeError):
+            interval.level = 2
+        with pytest.raises(AttributeError):
+            interval.extra = 1
+        with pytest.raises(ValueError):
+            interval._replace(position=2)
 
     def test_contains_half(self):
         assert iv(0, 0).contains(iv(1, 0))
@@ -250,6 +288,31 @@ class TestDecayBound:
         for interval in fam.intervals[:10]:
             for layer in range(depth + 1):
                 assert generation_decay_check(fam, interval, layer)
+
+
+class TestDecayVerdicts:
+    def test_matches_per_call_check(self):
+        fam = family((0, 0), (1, 0), (2, 0), (2, 1), (3, 2), (3, 7), (4, 15))
+        layers = len(generations(fam)) + 2
+        assert generation_decay_verdicts(fam, layers) == [
+            [generation_decay_check(fam, interval, n) for n in range(layers)]
+            for interval in fam
+        ]
+
+    def test_layer_counts(self):
+        assert generation_decay_verdicts(family((0, 0), (1, 0)), 0) == [[], []]
+        assert generation_decay_verdicts(IntervalFamily([]), 3) == []
+        with pytest.raises(ValueError):
+            generation_decay_verdicts(family((0, 0)), -1)
+
+    @given(families_st)
+    @settings(max_examples=60)
+    def test_matches_reference(self, fam):
+        layers = len(generations(fam)) + 1
+        assert generation_decay_verdicts(fam, layers) == [
+            [dyadic_oracle.generation_decay_check(fam, i, n) for n in range(layers)]
+            for i in fam
+        ]
 
 
 class TestIsBlock:

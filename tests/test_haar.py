@@ -73,6 +73,51 @@ class TestExpansion:
         u = scalar(2, {(0, 0): 1.0, (1, 0): 2.0})
         assert u.restrict([iv(1, 0)]).support == (iv(1, 0),)
 
+    def test_support_arrays_in_support_order(self):
+        u = HaarExpansion(2, 2, {iv(2, 3): (1.0, 2.0), iv(0, 0): [3, 4], iv(1, 1): (0, 0)})
+        assert u.support == (iv(0, 0), iv(2, 3))
+        assert u.levels.tolist() == [0, 2]
+        assert u.positions.tolist() == [0, 3]
+        assert u.values.tolist() == [[3.0, 4.0], [1.0, 2.0]]
+        assert u.squares.tolist() == [25.0, 5.0]
+        assert u.levels.dtype == u.positions.dtype == np.int64
+
+    def test_support_arrays_read_only(self):
+        u = scalar(2, {(0, 0): 1.0, (1, 1): 2.0})
+        for product in (u, multiply({iv(1, 1): 3.0}, u), convexify(u, 3.0)):
+            for array in (product.levels, product.positions, product.values, product.squares):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 7
+        with pytest.raises(AttributeError):
+            u.values = np.zeros((2, 1))
+
+    def test_empty_support_arrays(self):
+        u = HaarExpansion(3, 2, {iv(1, 0): (0.0, 0.0)})
+        assert u.is_zero
+        assert u.values.shape == (0, 2)
+        assert len(u.levels) == len(u.positions) == len(u.squares) == 0
+
+    def test_squares_overflow_to_inf_without_warning(self):
+        # the squares of huge coefficients leave the float range silently,
+        # and every norm then fails closed
+        u = scalar(1, {(0, 0): 1e160, (1, 0): 1e-200})
+        assert u.squares.tolist() == [math.inf, 0.0]
+        with pytest.raises(OverflowError):
+            hp_norm(u, 1.0)
+        # a vector whose squares are finite but whose sum is not
+        v = HaarExpansion(0, 2, {iv(0, 0): (1.3e154, 1.3e154)})
+        assert v.squares.tolist() == [math.inf]
+        with pytest.raises(OverflowError):
+            hp_norm(v, 1.0)
+
+    def test_multiply_drops_zero_and_rejects_non_finite_products(self):
+        u = scalar(2, {(0, 0): 1.0, (1, 0): 0.25, (1, 1): 2.0})
+        product = multiply({iv(0, 0): 0.0, iv(1, 0): 5e-324, iv(1, 1): 3.0}, u)
+        assert product.coeffs == {iv(1, 1): (6.0,)}
+        with pytest.raises(ValueError, match="coefficient at 1/1 is not finite"):
+            multiply({iv(1, 1): 1e308}, u)
+
 
 class TestEvaluateHaar:
     def test_left_half(self):

@@ -197,6 +197,12 @@ class TestLatticeNormEstimate:
         with pytest.raises(ValueError):
             x0_norm_estimate(tampered, u, 0)
 
+    def test_negative_sample_count_rejected(self):
+        u = scalar(1, {(0, 0): 1.0, (1, 0): 1.0})
+        f = factorize(u, 1.5, 3.0)
+        with pytest.raises(ValueError, match="n_samples"):
+            x0_norm_estimate(f, u, -1)
+
     def test_memory_linear_in_leaves(self):
         # sparse deep expansion: the leaf sums may hold one 2^20 row per
         # candidate, never one per support interval (that would be ~0.5 GB)
