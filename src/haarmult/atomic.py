@@ -13,7 +13,8 @@ Generations are constant along containment chains inside a group, so the
 block condition holds by construction. The guarantees (partition, block
 property, tops' Carleson constant <= 4, and the two-sided norm chain) are
 still re-checked on every output; `decompose` refuses to return an
-unverified decomposition.
+unverified decomposition. `_block_rows` alone maps blocks onto the support
+rows; the verifier and the weights in `pietsch` read its rows.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -214,27 +216,36 @@ def appendix_constant(p: float, carleson: float | Fraction) -> float:
     return 1.0 + 4.0 ** (1.0 / p) * ratio / (1.0 - ratio)
 
 
+def _block_rows(u: HaarExpansion, dec: AtomicDecomposition) -> list[np.ndarray]:
+    """For each piece, the support row of each block member in block order,
+    -1 for a member outside the support."""
+    row_of = dict(zip(u.coeffs, range(len(u.coeffs))))
+    return [
+        np.fromiter(map(row_of.get, block, repeat(-1)), np.int64, len(block))
+        for block, _ in dec.pieces
+    ]
+
+
 def _piece_stats(
-    u: HaarExpansion, piece: AtomicPiece, p: float, rows: dict[DyadicInterval, int]
-) -> tuple[float, float]:
-    """(norm_p^p, sup of square function) for one block; `rows` maps each
-    support interval to its row in the support arrays.
+    u: HaarExpansion, top: DyadicInterval, rows: np.ndarray, p: float
+) -> tuple[float, float, bool]:
+    """(norm_p^p, sup of square function, whether every supported member
+    lies inside the top) for one block, given its `_block_rows` entry.
 
     The square function of a block vanishes outside its top, so the leaf sum
     only runs over the top; members outside the top (a corrupt piece, caught
     by `tops_ok`) and outside the support (whose square is 0) are left out.
     """
-    top = piece.top
-    index = np.array([rows.get(i, -1) for i in piece.block], dtype=np.int64)
-    index = index[index >= 0]
-    levels = u.levels[index] - top.level
-    positions = u.positions[index]
+    rows = rows[rows >= 0]
+    levels = u.levels[rows] - top.level
+    positions = u.positions[rows]
     inside = (levels >= 0) & (positions >> np.maximum(levels, 0) == top.position)
-    index, levels, positions = index[inside], levels[inside], positions[inside]
+    all_inside = bool(inside.all())
+    rows, levels, positions = rows[inside], levels[inside], positions[inside]
     positions = positions - (top.position << levels)
-    local = push_down(u.max_level - top.level, levels, positions, u.squares[index])
+    local = push_down(u.max_level - top.level, levels, positions, u.squares[rows])
     norm_p_p = float(np.sum(local ** (p / 2.0))) * 2.0 ** (-u.max_level)
-    return norm_p_p, math.sqrt(float(local.max()))
+    return norm_p_p, math.sqrt(float(local.max())), all_inside
 
 
 def verify_decomposition(
@@ -254,19 +265,13 @@ def verify_decomposition(
     if dec.max_level != u.max_level or dec.dimension != u.dimension:
         raise ValueError("decomposition does not match the expansion")
 
-    support = set(u.coeffs)
-    seen: set[DyadicInterval] = set()
-    partition_ok = True
-    tops_ok = True
-    for block, top in dec.pieces:
-        members = set(block)
-        if not members or (members & seen) or not members <= support:
-            partition_ok = False
-        seen |= members
-        if top not in members or not all(top.contains(i) for i in members):
-            tops_ok = False
-    if seen != support:
-        partition_ok = False
+    # the blocks partition the support iff none is empty and their support
+    # rows, sorted, are 0..n-1
+    block_rows = _block_rows(u, dec)
+    covered = np.sort(np.concatenate([np.zeros(0, np.int64), *block_rows]))
+    partition_ok = all(map(len, block_rows)) and np.array_equal(
+        covered, np.arange(len(u.coeffs))
+    )
 
     tops = dec.tops()
     distinct = IntervalFamily(tops, max_level=dec.max_level)
@@ -297,10 +302,12 @@ def verify_decomposition(
     block_sum = 0.0
     top_sum = 0.0
     chain_middle_ok = True
-    rows = dict(zip(u.coeffs, range(len(u.coeffs))))
-    for piece in dec.pieces:
-        piece_norm_p, piece_sup = _piece_stats(u, piece, p, rows)
-        top_measure = 2.0 ** (-piece.top.level)
+    tops_ok = True
+    for (block, top), rows in zip(dec.pieces, block_rows):
+        piece_norm_p, piece_sup, inside = _piece_stats(u, top, rows, p)
+        strays = (block.intervals[j] for j in np.flatnonzero(rows < 0).tolist())
+        tops_ok &= inside and top in block and all(map(top.contains, strays))
+        top_measure = 2.0 ** (-top.level)
         piece_bound = top_measure * piece_sup**p
         if piece_norm_p > piece_bound * (1 + _ROUNDING_RTOL):
             chain_middle_ok = False

@@ -8,8 +8,8 @@ norm integral below is a finite leaf sum with no quadrature error.
 
 Each expansion stores its support once as read-only arrays in support order,
 (level, position) sorted: `levels`, `positions`, `values` and `squares`. The
-hot paths (leaf sums, multipliers, the stopping time) read those arrays
-instead of looping over the `coeffs` mapping.
+hot paths (leaf sums, multipliers, the stopping time, the block statistics,
+the weights) read those arrays instead of looping over the `coeffs` mapping.
 
 Every leaf sum sum_I v_I 1_I goes through `push_down`; no other module knows
 the leaf layout. It is bit-identical to adding the intervals one by one in
@@ -31,7 +31,7 @@ CoeffMap = Mapping[DyadicInterval, "float | Iterable[float]"]
 
 
 def _square_length(vector: list[float]) -> float:
-    """`coefficient_square` of a vector, inf where the sum overflows."""
+    """Squared Euclidean length of a vector, inf where the sum overflows."""
     try:
         return math.fsum(c * c for c in vector)
     except OverflowError:
@@ -53,7 +53,7 @@ class HaarExpansion:
     The support is also kept as read-only arrays, built once, row j for the
     j-th interval of ``coeffs``: ``levels`` and ``positions`` (int64),
     ``values`` of shape (n, dimension), and ``squares``, the squared Euclidean
-    lengths, equal to `coefficient_square` (inf where that overflows).
+    lengths as `math.fsum` of the squared entries (inf where that overflows).
     """
 
     __slots__ = (
@@ -161,13 +161,6 @@ class HaarExpansion:
         kept = {i: self.coeffs[i] for i in intervals if i in self.coeffs}
         return HaarExpansion(self.max_level, self.dimension, kept)
 
-    def coefficient_square(self, interval: DyadicInterval) -> float:
-        """Squared Euclidean length of the coefficient vector at `interval`."""
-        vector = self.coeffs.get(interval)
-        if vector is None:
-            return 0.0
-        return math.fsum(c * c for c in vector)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HaarExpansion):
             return NotImplemented
@@ -233,11 +226,6 @@ def push_down(
     return acc
 
 
-def support_arrays(u: HaarExpansion) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and positions of the support, in `push_down` order."""
-    return u.levels, u.positions
-
-
 def square_leaf_sums(u: HaarExpansion) -> np.ndarray:
     """Leafwise values of S(u)^2, i.e. sum_I |x_I|^2 1_I."""
     return push_down(u.max_level, u.levels, u.positions, u.squares)
@@ -268,7 +256,7 @@ def q_variation(u: HaarExpansion, q: float) -> StepFunction:
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
     powers = [abs(value) ** q for (value,) in u.coeffs.values()]
-    sums = push_down(u.max_level, *support_arrays(u), powers)
+    sums = push_down(u.max_level, u.levels, u.positions, powers)
     return StepFunction(u.max_level, sums ** (1.0 / q))
 
 
@@ -312,14 +300,14 @@ def convexify(u: HaarExpansion, q: float) -> HaarExpansion:
     )
 
 
+def _square_measures(u: HaarExpansion) -> np.ndarray:
+    """|x_I|^2 |I| per support row, bit for bit `square * 2.0 ** -level`."""
+    return u.squares * np.ldexp(1.0, -u.levels)
+
+
 def l2_norm(u: HaarExpansion) -> float:
     """(sum_I |x_I|^2 |I|)^(1/2), the H^2 norm computed from coefficients."""
-    return math.sqrt(
-        math.fsum(
-            u.coefficient_square(interval) * 2.0 ** (-interval.level)
-            for interval in u.coeffs
-        )
-    )
+    return math.sqrt(math.fsum(_square_measures(u).tolist()))
 
 
 def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:

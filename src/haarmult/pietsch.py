@@ -9,18 +9,30 @@ block i is
 A is the smallest constant >= 1 with sum_i |I_i|^(1-p/2) ||u_i||_2^p
 <= A ||u||^p, which makes sum_I w_I <= 1 automatic and turns the multiplier
 bound ||phi.u|| <= A^(1/p) ||u|| (sum |phi_I|^s w_I)^(1/s) into a
-deterministic inequality rather than a statistical one.
+deterministic inequality rather than a statistical one. Per block, the sum
+of |x_I|^2 |I| is a `math.fsum` over the block's support rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .atomic import AtomicDecomposition, appendix_constant, decompose
+import numpy as np
+
+from .atomic import AtomicDecomposition, _block_rows, appendix_constant, decompose
 from .dyadic import DyadicInterval
 from .errors import VerificationError, ZeroInputError
-from .haar import HaarExpansion, convexify, hp_norm, l2_norm, multiply, tl_norm
+from .haar import (
+    HaarExpansion,
+    _square_measures,
+    convexify,
+    hp_norm,
+    l2_norm,
+    multiply,
+    tl_norm,
+)
 
 _SUM_TOL = 1e-12
 _BOUND_RTOL = 1e-9
@@ -58,10 +70,11 @@ class MultiplierReport:
 
 
 def validate_measure(m: PietschMeasure, u: HaarExpansion) -> bool:
-    """Invariants: weights nonnegative, total <= 1, support inside u's."""
-    if any(w < 0 for w in m.weights.values()):
+    """Invariants: weights nonnegative, total <= 1, support inside u's; a NaN
+    weight fails."""
+    if not all(w >= 0 for w in m.weights.values()):
         return False
-    if m.total() > 1.0 + _SUM_TOL:
+    if not m.total() <= 1.0 + _SUM_TOL:
         return False
     return all(interval in u.coeffs for interval in m.weights)
 
@@ -69,28 +82,25 @@ def validate_measure(m: PietschMeasure, u: HaarExpansion) -> bool:
 def _assemble(
     u: HaarExpansion, p: float, dec: AtomicDecomposition, exponent: float
 ) -> PietschMeasure:
+    """Weights from a verified decomposition of u, written in support order."""
     norm_p = hp_norm(u, p)
     norm_p_p = norm_p**p
-    block_factors: list[tuple[float, float]] = []
+    terms = _square_measures(u)
+    factors = np.empty(len(u.coeffs))
     total = 0.0
-    for block, top in dec.pieces:
-        l2_sq = math.fsum(
-            u.coefficient_square(i) * 2.0 ** (-i.level) for i in block
-        )
+    for rows, (_, top) in zip(_block_rows(u, dec), dec.pieces):
+        l2_sq = math.fsum(terms[rows].tolist())
         top_measure = 2.0 ** (-top.level)
-        factor = top_measure ** (1.0 - p / 2.0) * l2_sq ** ((p - 2.0) / 2.0)
-        block_factors.append((factor, l2_sq))
+        factors[rows] = top_measure ** (1.0 - p / 2.0) * l2_sq ** ((p - 2.0) / 2.0)
         total += top_measure ** (1.0 - p / 2.0) * l2_sq ** (p / 2.0)
     normalizer = max(1.0, total / norm_p_p)
-    weights: dict[DyadicInterval, float] = {}
-    for (factor, _), (block, _) in zip(block_factors, dec.pieces):
-        scale = factor / (normalizer * norm_p_p)
-        for interval in block:
-            weights[interval] = (
-                scale * u.coefficient_square(interval) * 2.0 ** (-interval.level)
-            )
+    # scale * square * 2^-level per row, scale = factor / (A ||u||^p); an
+    # overflow gives inf or nan as float arithmetic does, and fails validation
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = factors / (normalizer * norm_p_p) * u.squares
+        weights = scaled * np.ldexp(1.0, -u.levels)
     measure = PietschMeasure(
-        weights=dict(sorted(weights.items())),
+        weights=dict(zip(u.coeffs, weights.tolist())),
         normalizer=normalizer,
         exponent=exponent,
     )
@@ -147,10 +157,7 @@ def h2_measure(u: HaarExpansion) -> dict[DyadicInterval, float]:
     if u.is_zero:
         raise ZeroInputError("h2_measure needs a nonzero expansion")
     denom = l2_norm(u) ** 2
-    return {
-        interval: u.coefficient_square(interval) * 2.0 ** (-interval.level) / denom
-        for interval in u.coeffs
-    }
+    return dict(zip(u.coeffs, (t / denom for t in _square_measures(u).tolist())))
 
 
 def check_multiplier_bound(
@@ -177,20 +184,12 @@ def check_multiplier_bound(
         abs(phi.get(interval, 0.0)) ** s * weight
         for interval, weight in m.weights.items()
     )
-    product = multiply(phi, u)
-    if u.dimension > 1:
-        lhs = hp_norm(product, p)
-        norm = hp_norm(u, p)
-        lower = 1.0 if p <= 1 else appendix_constant(p, 4) ** (-p)
-        constant = (m.normalizer / lower) ** (1.0 / p)
-    elif s != 2.0:
-        lhs = tl_norm(product, p, s)
-        norm = tl_norm(u, p, s)
-        constant = m.normalizer ** (1.0 / p)
-    else:
-        lhs = hp_norm(product, p)
-        norm = hp_norm(u, p)
-        constant = m.normalizer ** (1.0 / p)
+    tl_route = u.dimension == 1 and s != 2.0
+    norm_of = partial(tl_norm, p=p, q=s) if tl_route else partial(hp_norm, p=p)
+    lhs = norm_of(multiply(phi, u))
+    norm = norm_of(u)
+    lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
+    constant = (m.normalizer / lower) ** (1.0 / p)
     rhs = constant * norm * weighted ** (1.0 / s)
     return MultiplierReport(
         lhs=lhs,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dyadic import DyadicInterval
 from .errors import DegenerateThetaError, VerificationError, ZeroInputError
-from .haar import HaarExpansion, push_down, support_arrays, tl_norm
+from .haar import HaarExpansion, push_down, tl_norm
 from .pietsch import weights_tl
 
 _IDENTITY_RTOL = 1e-10
@@ -109,6 +109,8 @@ def x0_norm_estimate(
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
+    if set(f.x) != set(u.coeffs) or set(f.y) != set(u.coeffs):
+        raise ValueError("factorization does not match the expansion")
     measure = weights_tl(u, f.p, f.q)
     for interval, weight in measure.weights.items():
         expected = (weight * 2.0**interval.level) ** (1.0 / f.q)
@@ -123,8 +125,8 @@ def x0_norm_estimate(
     n_support = len(support)
     y_vec = np.array([f.y[i] for i in support])
     x_vec = np.array([abs(f.x[i]) for i in support])
-    w_vec = np.array([measure.weights[i] for i in support])
-    m_vec = np.array([2.0 ** (-i.level) for i in support])
+    w_vec = np.array(list(measure.weights.values()))  # in support order
+    m_vec = np.ldexp(1.0, -u.levels)
 
     rng = np.random.default_rng(seed)
     candidates = np.empty((n_samples + 1, n_support))
@@ -146,7 +148,7 @@ def x0_norm_estimate(
         raise VerificationError("multiplier argument exceeds the unit ball")
 
     mixed = x_vec ** (1.0 - th) * candidates**th
-    leaf_sums = push_down(u.max_level, *support_arrays(u), mixed**q)
+    leaf_sums = push_down(u.max_level, u.levels, u.positions, mixed**q)
     mixed_norms = np.mean(leaf_sums ** (p / q), axis=1) ** (1.0 / p)
     worst = float(mixed_norms.max())
     if worst > cap * (1.0 + _CHAIN_RTOL):

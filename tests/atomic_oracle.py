@@ -1,0 +1,148 @@
+"""Reference implementations of the decomposition verifier and the weight
+assembly, kept from the per-interval code that the block rows replaced: the
+set-based partition and tops loop, the block statistics with their own row
+lookup, and the weights written one interval at a time through the squared
+length of each coefficient. The tests compare the library against them; they
+are slow and not part of the package.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from haarmult import IntervalFamily, PietschMeasure, carleson_constant, is_block
+from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, appendix_constant
+from haarmult.haar import hp_norm, push_down
+
+import haar_oracle
+
+
+def _square(u, interval):
+    """The squared length at `interval`, 0 outside the support."""
+    if interval not in u.coeffs:
+        return 0.0
+    return haar_oracle.coefficient_square(u, interval)
+
+
+def piece_stats(u, piece, p, rows):
+    """(norm_p^p, sup of square function) for one block; `rows` maps each
+    support interval to its row in the support arrays."""
+    top = piece.top
+    index = np.array([rows.get(i, -1) for i in piece.block], dtype=np.int64)
+    index = index[index >= 0]
+    levels = u.levels[index] - top.level
+    positions = u.positions[index]
+    inside = (levels >= 0) & (positions >> np.maximum(levels, 0) == top.position)
+    index, levels, positions = index[inside], levels[inside], positions[inside]
+    positions = positions - (top.position << levels)
+    local = push_down(u.max_level - top.level, levels, positions, u.squares[index])
+    norm_p_p = float(np.sum(local ** (p / 2.0))) * 2.0 ** (-u.max_level)
+    return norm_p_p, math.sqrt(float(local.max()))
+
+
+def verify_decomposition(u, p, dec):
+    """The report of `haarmult.verify_decomposition`, field for field."""
+    if not 0 < p <= 2:
+        raise ValueError(f"p must lie in (0, 2], got {p}")
+    if dec.max_level != u.max_level or dec.dimension != u.dimension:
+        raise ValueError("decomposition does not match the expansion")
+
+    support = set(u.coeffs)
+    seen = set()
+    partition_ok = True
+    tops_ok = True
+    for block, top in dec.pieces:
+        members = set(block)
+        if not members or (members & seen) or not members <= support:
+            partition_ok = False
+        seen |= members
+        if top not in members or not all(top.contains(i) for i in members):
+            tops_ok = False
+    if seen != support:
+        partition_ok = False
+
+    tops = dec.tops()
+    distinct = IntervalFamily(tops, max_level=dec.max_level)
+    if len(distinct) == len(tops):
+        tops_carleson = carleson_constant(distinct) if tops else Fraction(0)
+    else:
+        weights = {}
+        for top in tops:
+            weights[top] = weights.get(top, 0) + 1
+        tops_carleson = max(
+            sum(
+                (weights[j] * j.measure for j in weights if i.contains(j)),
+                Fraction(0),
+            )
+            / i.measure
+            for i in weights
+        )
+    tops_carleson_ok = tops_carleson <= 4
+
+    support_family = u.support_family()
+    blocks_ok = partition_ok and all(
+        is_block(piece.block, support_family) for piece in dec.pieces
+    )
+
+    norm_p = hp_norm(u, p)
+    norm_p_p = norm_p**p
+    block_sum = 0.0
+    top_sum = 0.0
+    chain_middle_ok = True
+    rows = dict(zip(u.coeffs, range(len(u.coeffs))))
+    for piece in dec.pieces:
+        piece_norm_p, piece_sup = piece_stats(u, piece, p, rows)
+        top_measure = 2.0 ** (-piece.top.level)
+        piece_bound = top_measure * piece_sup**p
+        if piece_norm_p > piece_bound * (1 + _ROUNDING_RTOL):
+            chain_middle_ok = False
+        block_sum += piece_norm_p
+        top_sum += piece_bound
+
+    if u.dimension == 1 or p <= 1:
+        lower_constant = 1.0
+    else:
+        lower_constant = appendix_constant(p, max(tops_carleson, 1)) ** (-p)
+    chain_lower_ok = lower_constant * norm_p_p <= block_sum * (1 + _ROUNDING_RTOL)
+    observed_ratio = top_sum / norm_p_p if norm_p_p else math.inf
+
+    return DecompositionReport(
+        partition_ok=partition_ok,
+        blocks_ok=blocks_ok,
+        tops_ok=tops_ok,
+        tops_carleson=tops_carleson,
+        tops_carleson_ok=tops_carleson_ok,
+        chain_lower_ok=chain_lower_ok,
+        chain_middle_ok=chain_middle_ok,
+        lower_constant=lower_constant,
+        norm_p=norm_p,
+        block_norm_sum_p=block_sum,
+        top_bound_sum=top_sum,
+        observed_ratio=observed_ratio,
+    )
+
+
+def assemble(u, p, dec, exponent):
+    """The unvalidated measure of `haarmult.pietsch._assemble`."""
+    norm_p = hp_norm(u, p)
+    norm_p_p = norm_p**p
+    block_factors = []
+    total = 0.0
+    for block, top in dec.pieces:
+        l2_sq = math.fsum(_square(u, i) * 2.0 ** (-i.level) for i in block)
+        top_measure = 2.0 ** (-top.level)
+        factor = top_measure ** (1.0 - p / 2.0) * l2_sq ** ((p - 2.0) / 2.0)
+        block_factors.append((factor, l2_sq))
+        total += top_measure ** (1.0 - p / 2.0) * l2_sq ** (p / 2.0)
+    normalizer = max(1.0, total / norm_p_p)
+    weights = {}
+    for (factor, _), (block, _) in zip(block_factors, dec.pieces):
+        scale = factor / (normalizer * norm_p_p)
+        for interval in block:
+            weights[interval] = scale * _square(u, interval) * 2.0 ** (-interval.level)
+    return PietschMeasure(
+        weights=dict(sorted(weights.items())),
+        normalizer=normalizer,
+        exponent=exponent,
+    )

@@ -10,11 +10,14 @@ import contextlib
 import io
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from haarmult import (
+    AtomicDecomposition,
+    AtomicPiece,
     DyadicInterval,
     Factorization,
     HaarExpansion,
@@ -37,14 +40,17 @@ from haarmult import (
     validate_measure,
     verify_decomposition,
     verify_factorization,
+    weights_hp,
+    weights_vector,
     x0_norm_estimate,
 )
 from haarmult.atomic import _stopping_time_pieces
-from haarmult.cli import main
+from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves
 from haarmult.haar import evaluate_haar, q_variation, square_leaf_sums
 from haarmult.pietsch import _assemble
 
+import atomic_oracle
 import dyadic_oracle
 import haar_oracle
 
@@ -55,19 +61,14 @@ PISIER_PQS = ((4.0 / 3.0, 2.0), (1.5, 3.0), (2.0, 4.0))
 
 
 def _random_expansion(seed, max_level, dimension, density):
+    """The CLI generator; an empty draw gets one root coefficient, drawn next
+    from the same stream."""
     rng = np.random.default_rng(seed)
-    coeffs = {}
-    for level in range(max_level + 1):
-        for pos in range(1 << level):
-            if rng.random() < density:
-                coeffs[DyadicInterval(level, pos)] = tuple(
-                    rng.standard_normal(dimension).tolist()
-                )
-    if not coeffs:
-        coeffs[DyadicInterval(0, 0)] = tuple(
-            rng.standard_normal(dimension).tolist()
-        )
-    return HaarExpansion(max_level, dimension, coeffs)
+    u = _gen_with_rng(rng, max_level, dimension, density)
+    if u.is_zero:
+        root = tuple(rng.standard_normal(dimension).tolist())
+        u = HaarExpansion(max_level, dimension, {DyadicInterval(0, 0): root})
+    return u
 
 
 def _pool(base_seed, count, dimension):
@@ -303,7 +304,8 @@ class TestCriterion4ExactIdentities:
         parseval_ok = True
         for u in scalar_pool + vector_pool[:200]:
             exact = math.fsum(
-                u.coefficient_square(i) * 2.0 ** (-i.level) for i in u.coeffs
+                haar_oracle.coefficient_square(u, i) * 2.0 ** (-i.level)
+                for i in u.coeffs
             )
             value = hp_norm(u, 2.0) ** 2
             parseval_ok &= math.isclose(value, exact, rel_tol=1e-12)
@@ -544,7 +546,8 @@ class TestCriterion8MutationSensitivity:
 class TestLeafSumOracles:
     def test_leaf_sums_bit_identical_to_slice_loop(self, scalar_pool, vector_pool):
         for u in scalar_pool + vector_pool:
-            expected = _slice_loop_leaf_sums(u, u.coefficient_square)
+            square = partial(haar_oracle.coefficient_square, u)
+            expected = _slice_loop_leaf_sums(u, square)
             assert np.array_equal(square_leaf_sums(u), expected)
         for u in scalar_pool:
             for q in (0.7, 2.0, 3.0):
@@ -620,7 +623,9 @@ class TestExpansionOracles:
             ]
             assert np.array_equal(
                 square_leaf_sums(got),
-                _slice_loop_leaf_sums(got, got.coefficient_square),
+                _slice_loop_leaf_sums(
+                    got, partial(haar_oracle.coefficient_square, got)
+                ),
             )
 
     @pytest.mark.parametrize("factor", [1.7976931348623157e308, math.inf, math.nan])
@@ -658,3 +663,120 @@ class TestExpansionOracles:
         for u in scalar_pool[:20]:
             powered = convexify(u, 3.0)
             assert _stopping_time_pieces(powered) == haar_oracle.stopping_time_pieces(powered)
+
+
+def _assert_same_report(got, want):
+    assert got == want
+    assert [type(v) for v in vars(got).values()] == [
+        type(v) for v in vars(want).values()
+    ]
+
+
+def _assert_same_measure(got, want):
+    assert list(got.weights.items()) == list(want.weights.items())
+    assert (got.normalizer, got.exponent) == (want.normalizer, want.exponent)
+
+
+def _corruptions(u, dec, rng):
+    """(kind, decomposition) pairs, each breaking dec in one way: a member
+    moved to another block, dropped, or duplicated in another block; an
+    interval outside the support added; a wrong top, a top shared with
+    another piece; an empty block."""
+    max_level = dec.max_level
+    pieces = list(dec.pieces)
+    a, b = rng.choice(len(pieces), 2, replace=False).tolist()
+    block_a, top_a = pieces[a]
+    block_b, top_b = pieces[b]
+    member = block_a.intervals[int(rng.integers(len(block_a)))]
+
+    def replaced(changes):
+        out = list(pieces)
+        for k, members, top in changes:
+            out[k] = AtomicPiece(IntervalFamily(members, max_level=max_level), top)
+        return AtomicDecomposition(tuple(out), max_level, dec.dimension)
+
+    rest_a = [i for i in block_a if i != member]
+    yield "moved", replaced([(a, rest_a, top_a), (b, [*block_b, member], top_b)])
+    yield "dropped", replaced([(a, rest_a, top_a)])
+    yield "duplicated", replaced([(b, [*block_b, member], top_b)])
+    outside = [
+        DyadicInterval(level, pos)
+        for level in range(max_level + 1)
+        for pos in range(1 << level)
+        if DyadicInterval(level, pos) not in u.coeffs
+    ]
+    if outside:
+        stray = outside[int(rng.integers(len(outside)))]
+        yield "outside", replaced([(a, [*block_a, stray], top_a)])
+    level = int(rng.integers(max_level + 1))
+    wrong = DyadicInterval(level, int(rng.integers(1 << level)))
+    if wrong != top_a:
+        yield "wrong top", replaced([(a, block_a, wrong)])
+    yield "shared top", replaced([(b, block_b, top_a)])
+    empty = AtomicPiece(IntervalFamily([], max_level=max_level), top_b)
+    yield "empty", AtomicDecomposition((*pieces, empty), max_level, dec.dimension)
+
+
+class TestBlockRowOracles:
+    """The verifier and the weights against the set-based and per-interval
+    code that the block rows replaced, report field for field and weight for
+    weight."""
+
+    def test_pools_match(
+        self, scalar_pool, vector_pool, scalar_results, tl_results, vector_results
+    ):
+        for i, u in enumerate(scalar_pool):
+            for p in HP_PS:
+                dec, report, measure = scalar_results[i, p]
+                _assert_same_report(report, atomic_oracle.verify_decomposition(u, p, dec))
+                _assert_same_measure(measure, atomic_oracle.assemble(u, p, dec, 2.0))
+            p, q = TL_PQS[i % len(TL_PQS)]
+            powered = convexify(u, q)
+            inner_p = 2.0 * p / q
+            dec = decompose(powered, inner_p)
+            want = atomic_oracle.assemble(powered, inner_p, dec, q)
+            _assert_same_measure(tl_results[i, (p, q)], want)
+        for i, u in enumerate(vector_pool):
+            for p in HP_PS:
+                dec, measure = vector_results[i, p]
+                _assert_same_report(
+                    verify_decomposition(u, p, dec),
+                    atomic_oracle.verify_decomposition(u, p, dec),
+                )
+                _assert_same_measure(measure, atomic_oracle.assemble(u, p, dec, 2.0))
+
+    def test_corrupted_decompositions_match(self, scalar_pool, vector_pool):
+        rng = np.random.default_rng(6060)
+        failed = {}
+        broken_partition = {"dropped", "duplicated", "outside", "empty"}
+        for u in scalar_pool[:150] + vector_pool[:150]:
+            dec = decompose(u, 1.0)
+            if len(dec.pieces) < 2:
+                continue
+            for kind, bad in _corruptions(u, dec, rng):
+                for p in (0.5, 1.5):
+                    got = verify_decomposition(u, p, bad)
+                    _assert_same_report(got, atomic_oracle.verify_decomposition(u, p, bad))
+                    failed.setdefault(kind, []).append(not got.passed)
+                    if kind in broken_partition:
+                        assert not got.partition_ok
+        assert set(failed) == broken_partition | {"moved", "wrong top", "shared top"}
+        assert all(any(verdicts) for verdicts in failed.values())
+
+    def test_weights_match_at_small_scale(self):
+        # at 2^-500 and max level 9 the terms |x_I|^2 |I| are subnormal, so
+        # only the order scale * square * 2^-level reproduces the weights
+        for i in range(40):
+            u = _random_expansion([7, i], 9, 1 + i % 2, 0.5)
+            tiny = HaarExpansion._from_rows(
+                u.max_level,
+                u.dimension,
+                u.support,
+                u.levels,
+                u.positions,
+                np.ldexp(u.values, -500),
+            )
+            for p in (0.5, 1.0, 2.0):
+                got = weights_hp(tiny, p) if u.dimension == 1 else weights_vector(tiny, p)
+                dec = decompose(tiny, p)
+                _assert_same_measure(got, atomic_oracle.assemble(tiny, p, dec, 2.0))

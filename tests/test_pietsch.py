@@ -24,6 +24,8 @@ from haarmult import (
     weights_vector,
 )
 
+import haar_oracle
+
 
 def iv(level, pos):
     return DyadicInterval(level, pos)
@@ -62,7 +64,7 @@ class TestWeightsHp:
         norm_sq = hp_norm(u, 2.0) ** 2
         for interval, weight in m.weights.items():
             expected = (
-                u.coefficient_square(interval)
+                haar_oracle.coefficient_square(u, interval)
                 * 2.0 ** (-interval.level)
                 / (m.normalizer * norm_sq)
             )
@@ -254,6 +256,13 @@ class TestValidateMeasure:
     def test_negative_weight_caught(self):
         u = scalar(0, {(0, 0): 1.0})
         bad = PietschMeasure(weights={iv(0, 0): -0.1}, normalizer=1.0, exponent=2.0)
+        assert not validate_measure(bad, u)
+
+    def test_nan_weight_caught(self):
+        u = scalar(1, {(0, 0): 1.0, (1, 0): 0.5})
+        bad = PietschMeasure(
+            weights={iv(0, 0): math.nan, iv(1, 0): 0.1}, normalizer=1.0, exponent=2.0
+        )
         assert not validate_measure(bad, u)
 
     def test_foreign_support_caught(self):

@@ -197,6 +197,12 @@ class TestLatticeNormEstimate:
         with pytest.raises(ValueError):
             x0_norm_estimate(tampered, u, 0)
 
+    def test_factorization_of_other_support_rejected(self):
+        f = factorize(scalar(1, {(0, 0): 1.0, (1, 0): 0.5}), 1.5, 3.0)
+        u = scalar(1, {(0, 0): 1.0, (1, 1): 0.5})
+        with pytest.raises(ValueError, match="factorization does not match"):
+            x0_norm_estimate(f, u, 4)
+
     def test_negative_sample_count_rejected(self):
         u = scalar(1, {(0, 0): 1.0, (1, 0): 1.0})
         f = factorize(u, 1.5, 3.0)
