@@ -15,11 +15,19 @@ property, tops' Carleson constant <= 4, and the two-sided norm chain) are
 still re-checked on every output; `decompose` refuses to return an
 unverified decomposition. `_block_rows` alone maps blocks onto the support
 rows; the verifier and the weights in `pietsch` read its rows.
+
+Containment inside the support is one array, each row's nearest support
+ancestor (`_support_parents`), found by a binary search over heap codes. The
+stopping time reads it to find block tops, and the verifier's block check is
+one pass over it: a block passes iff exactly one of its rows has no parent
+in the same block. `dyadic.is_block` is the reference predicate for that
+check; no path in the package calls it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -27,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicInterval, IntervalFamily, carleson_constant, is_block
+from .dyadic import DyadicInterval, IntervalFamily, _packed_carleson
 from .errors import VerificationError, ZeroInputError
 from .haar import HaarExpansion, hp_norm, push_down, square_function, square_leaf_sums
 
@@ -128,6 +136,28 @@ def _majority_cover_levels(omega: np.ndarray, max_level: int) -> np.ndarray:
     return cover
 
 
+def _support_parents(u: HaarExpansion) -> np.ndarray:
+    """Per support row, the row of its nearest strict ancestor in the
+    support, -1 if it has none: `u.support_family().parents()` as an array.
+
+    Rows are in heap order 2^level - 1 + position, so a binary search finds
+    the ancestor of a row at a given level among them; climbing one level at
+    a time, the first hit is the nearest."""
+    heap = (1 << u.levels) - 1 + u.positions
+    parent = np.full(len(heap), -1)
+    rows = np.flatnonzero(u.levels > 0)
+    up = 0
+    while len(rows):
+        up += 1
+        level = u.levels[rows] - up
+        code = (1 << level) - 1 + (u.positions[rows] >> up)
+        at = np.minimum(np.searchsorted(heap, code), len(heap) - 1)
+        hit = heap[at] == code
+        parent[rows[hit]] = at[hit]
+        rows = rows[~hit & (level > 0)]
+    return parent
+
+
 def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
     max_level = u.max_level
     sums = square_leaf_sums(u)
@@ -170,24 +200,27 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
     # A block is a group of rows with equal (k, anchor) cut at its maximal
     # members, so a row's block top is the coarsest row of its group that
     # contains it. Nested rows with one anchor have one k (at the inner
-    # row's k the anchor covers the outer row too), so equal anchors suffice.
-    # Rows are in heap order: a binary search finds a row's ancestor at a
-    # given level among them, and coarser levels come first.
-    top = np.full(len(heap), -1)
-    for level in range(max_level + 1):
-        rows = np.flatnonzero((top < 0) & (u.levels >= level))
-        code = (1 << level) - 1 + (u.positions[rows] >> (u.levels[rows] - level))
-        at = np.minimum(np.searchsorted(heap, code), len(heap) - 1)
-        hit = (heap[at] == code) & (anchor[at] == anchor[rows])
-        top[rows[hit]] = at[hit]
-    # every row is its own ancestor, so all are assigned; tops in support
-    # order give the pieces sorted by top
+    # row's k the anchor covers the outer row too), so equal anchors suffice,
+    # and every support row between two such rows has that anchor as well:
+    # the top is reached through parents with the row's anchor. Parents lie
+    # on coarser levels, so one pass per level, coarsest first, sets them.
+    parent = _support_parents(u)
+    top = np.arange(len(heap))
+    bounds = np.searchsorted(u.levels, np.arange(1, max_level + 1))
+    for lo, hi in zip(bounds.tolist(), bounds[1:].tolist() + [len(heap)]):
+        up = parent[lo:hi]
+        same = (up >= 0) & (anchor[up] == anchor[lo:hi])
+        top[lo:hi][same] = top[up[same]]
+    # tops in support order give the pieces sorted by top, and each block's
+    # rows ascending give its members sorted
     order = np.argsort(top, kind="stable")
     starts = np.flatnonzero(np.diff(top[order])) + 1
     support = u.support
     return tuple(
         AtomicPiece(
-            IntervalFamily([support[j] for j in block.tolist()], max_level=max_level),
+            IntervalFamily._from_sorted(
+                tuple(map(support.__getitem__, block.tolist())), max_level
+            ),
             support[top[block[0]]],
         )
         for block in np.split(order, starts)
@@ -219,7 +252,7 @@ def appendix_constant(p: float, carleson: float | Fraction) -> float:
 def _block_rows(u: HaarExpansion, dec: AtomicDecomposition) -> list[np.ndarray]:
     """For each piece, the support row of each block member in block order,
     -1 for a member outside the support."""
-    row_of = dict(zip(u.coeffs, range(len(u.coeffs))))
+    row_of = dict(zip(u.support, range(len(u.support))))
     return [
         np.fromiter(map(row_of.get, block, repeat(-1)), np.int64, len(block))
         for block, _ in dec.pieces
@@ -248,6 +281,37 @@ def _piece_stats(
     return norm_p_p, math.sqrt(float(local.max())), all_inside
 
 
+def _blocks_closed(
+    u: HaarExpansion, block_rows: list[np.ndarray], covered: np.ndarray
+) -> bool:
+    """Whether every block of a partition of the support rows is a block
+    relative to the support: exactly one of its rows has no support parent
+    or a parent in another block (`dyadic.is_block`, for all blocks at once).
+    `covered` is the concatenation of `block_rows`."""
+    block = np.empty(len(u.support), dtype=np.int64)
+    block[covered] = np.repeat(np.arange(len(block_rows)), list(map(len, block_rows)))
+    parent = _support_parents(u)
+    head = parent < 0
+    child = ~head
+    head[child] = block[parent[child]] != block[child]
+    heads = np.bincount(block[head], minlength=len(block_rows))
+    return bool((heads == 1).all())
+
+
+def _tops_carleson(tops: list[DyadicInterval], max_level: int) -> Fraction:
+    """The Carleson constant of the tops counted with multiplicity, 0 for no
+    tops; ValueError for a top above `max_level`."""
+    counts = Counter(tops)
+    distinct = tuple(sorted(counts))
+    if not distinct:
+        return Fraction(0)
+    if distinct[-1].level > max_level:  # the finest top comes last
+        over = next(top for top in distinct if top.level > max_level)
+        raise ValueError(f"interval {over} exceeds declared max level {max_level}")
+    family = IntervalFamily._from_sorted(distinct, max_level)
+    return _packed_carleson(family, [counts[top] for top in distinct])
+
+
 def verify_decomposition(
     u: HaarExpansion, p: float, dec: AtomicDecomposition
 ) -> DecompositionReport:
@@ -258,8 +322,16 @@ def verify_decomposition(
     norm chain holds (with constant 1 for scalar expansions or p <= 1, with
     the appendix constant otherwise), (d) the middle inequality
     sum ||u_i||^p <= sum |I_i| * sup S(u_i)^p holds, (e) every block is a
-    block relative to the support, (f) the observed upper-chain ratio.
+    block relative to the support, read from the support parent rows, (f)
+    the observed upper-chain ratio. Every call rechecks from scratch.
     """
+    return _verify(u, p, dec)[0]
+
+
+def _verify(
+    u: HaarExpansion, p: float, dec: AtomicDecomposition
+) -> tuple[DecompositionReport, list[np.ndarray]]:
+    """`verify_decomposition` and the block rows it read."""
     if not 0 < p <= 2:
         raise ValueError(f"p must lie in (0, 2], got {p}")
     if dec.max_level != u.max_level or dec.dimension != u.dimension:
@@ -268,34 +340,15 @@ def verify_decomposition(
     # the blocks partition the support iff none is empty and their support
     # rows, sorted, are 0..n-1
     block_rows = _block_rows(u, dec)
-    covered = np.sort(np.concatenate([np.zeros(0, np.int64), *block_rows]))
+    covered = np.concatenate([np.zeros(0, np.int64), *block_rows])
     partition_ok = all(map(len, block_rows)) and np.array_equal(
-        covered, np.arange(len(u.coeffs))
+        np.sort(covered), np.arange(len(u.support))
     )
 
-    tops = dec.tops()
-    distinct = IntervalFamily(tops, max_level=dec.max_level)
-    if len(distinct) == len(tops):
-        tops_carleson = carleson_constant(distinct) if tops else Fraction(0)
-    else:
-        # duplicate tops: fall back to the multiset definition
-        weights: dict[DyadicInterval, int] = {}
-        for top in tops:
-            weights[top] = weights.get(top, 0) + 1
-        tops_carleson = max(
-            sum(
-                (weights[j] * j.measure for j in weights if i.contains(j)),
-                Fraction(0),
-            )
-            / i.measure
-            for i in weights
-        )
+    tops_carleson = _tops_carleson(dec.tops(), dec.max_level)
     tops_carleson_ok = tops_carleson <= 4
 
-    support_family = u.support_family()
-    blocks_ok = partition_ok and all(
-        is_block(piece.block, support_family) for piece in dec.pieces
-    )
+    blocks_ok = partition_ok and _blocks_closed(u, block_rows, covered)
 
     norm_p = hp_norm(u, p)
     norm_p_p = norm_p**p
@@ -321,7 +374,7 @@ def verify_decomposition(
     chain_lower_ok = lower_constant * norm_p_p <= block_sum * (1 + _ROUNDING_RTOL)
     observed_ratio = top_sum / norm_p_p if norm_p_p else math.inf
 
-    return DecompositionReport(
+    report = DecompositionReport(
         partition_ok=partition_ok,
         blocks_ok=blocks_ok,
         tops_ok=tops_ok,
@@ -335,6 +388,7 @@ def verify_decomposition(
         top_bound_sum=top_sum,
         observed_ratio=observed_ratio,
     )
+    return report, block_rows
 
 
 def decompose(u: HaarExpansion, p: float) -> AtomicDecomposition:
@@ -343,6 +397,14 @@ def decompose(u: HaarExpansion, p: float) -> AtomicDecomposition:
     The output always passes `verify_decomposition`; a verification failure
     raises instead of returning a bad decomposition.
     """
+    return _decompose(u, p)[0]
+
+
+def _decompose(
+    u: HaarExpansion, p: float
+) -> tuple[AtomicDecomposition, DecompositionReport, list[np.ndarray]]:
+    """`decompose` with the report and block rows of its verification, for
+    the weight constructors to reuse within one call."""
     if u.is_zero:
         raise ZeroInputError("cannot decompose the zero expansion")
     if not 0 < p <= 2:
@@ -352,9 +414,9 @@ def decompose(u: HaarExpansion, p: float) -> AtomicDecomposition:
         max_level=u.max_level,
         dimension=u.dimension,
     )
-    report = verify_decomposition(u, p, dec)
+    report, block_rows = _verify(u, p, dec)
     if not report.passed:
         raise VerificationError(
             f"decomposition failed verification: {report.as_dict()}"
         )
-    return dec
+    return dec, report, block_rows

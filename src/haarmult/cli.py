@@ -8,7 +8,7 @@ Expansion files are JSON objects
 with one entry per support interval. Interval keys in reports use the
 "level/pos" form. All numeric output is printed with 17 significant digits
 so reports are byte-reproducible. Exit codes: 0 all checks pass, 1 a
-verification failed, 2 usage, input or arithmetic error.
+verification failed, 2 usage, input, file or arithmetic error.
 """
 
 from __future__ import annotations
@@ -435,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(parser, args)
     except (ExpansionFormatError, EmptyFamilyError, ZeroInputError,
-            DegenerateThetaError, ValueError, ArithmeticError) as exc:
+            DegenerateThetaError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

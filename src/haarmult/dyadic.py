@@ -93,6 +93,19 @@ class IntervalFamily:
                 raise ValueError(
                     f"interval {interval} exceeds declared max level {max_level}"
                 )
+        self._set_members(ordered, max_level)
+
+    @classmethod
+    def _from_sorted(
+        cls, ordered: tuple[DyadicInterval, ...], max_level: int
+    ) -> "IntervalFamily":
+        """The family of members already sorted and distinct, none above
+        `max_level`: no sort, no set pass and no per-member level check."""
+        family = object.__new__(cls)
+        family._set_members(ordered, max_level)
+        return family
+
+    def _set_members(self, ordered: tuple[DyadicInterval, ...], max_level: int) -> None:
         object.__setattr__(self, "intervals", ordered)
         object.__setattr__(self, "max_level", max_level)
         object.__setattr__(self, "_set", frozenset(ordered))
@@ -180,14 +193,21 @@ def carleson_constant(family: IntervalFamily) -> Fraction:
     """
     if not family:
         raise EmptyFamilyError("Carleson constant of an empty family")
+    return _packed_carleson(family, [1] * len(family))
+
+
+def _packed_carleson(family: IntervalFamily, multiplicity: list[int]) -> Fraction:
+    """The Carleson constant of the multiset holding each member of a
+    non-empty family `multiplicity[k]` times."""
     # leaves of level max_level inside each member, summed bottom-up
-    packed = [1 << (family.max_level - i.level) for i in family]
+    top = family.max_level
+    packed = [m << (top - i.level) for m, i in zip(multiplicity, family)]
     parent = family.parents()
     for k in range(len(packed) - 1, -1, -1):
         if parent[k] >= 0:
             packed[parent[k]] += packed[k]
     best = max(count << i.level for count, i in zip(packed, family))
-    return Fraction(best, 1 << family.max_level)
+    return Fraction(best, 1 << top)
 
 
 def maximal_intervals(family: IntervalFamily) -> IntervalFamily:
@@ -283,6 +303,9 @@ def is_block(collection: IntervalFamily, ambient: IntervalFamily) -> bool:
     True iff the collection has a unique maximal interval I and contains
     every ambient member K with J ⊆ K ⊆ I for some member J; that is, iff
     exactly one member's nearest ambient ancestor is missing from it (or none).
+
+    This is the reference predicate: `atomic.verify_decomposition` checks
+    all blocks at once from the support parent rows and does not call it.
     """
     if not collection.issubset(ambient):
         raise ValueError("collection must be a sub-collection of the ambient family")

@@ -6,10 +6,13 @@ L-infinity normalised Haar functions h_I. All square functions are step
 functions that are constant on the 2^N leaves of the finest level N, so every
 norm integral below is a finite leaf sum with no quadrature error.
 
-Each expansion stores its support once as read-only arrays in support order,
-(level, position) sorted: `levels`, `positions`, `values` and `squares`. The
-hot paths (leaf sums, multipliers, the stopping time, the block statistics,
-the weights) read those arrays instead of looping over the `coeffs` mapping.
+Each expansion stores its support once, in support order ((level, position)
+sorted), as the `support` tuple and as read-only arrays: `levels`,
+`positions`, `values` and `squares`. The hot paths (leaf sums, multipliers,
+the stopping time, the block statistics, the weights, the multiplier check)
+read those arrays. The `coeffs` mapping is built from them on first access,
+so a product phi * u or a convexification builds no dict unless a caller
+reads it.
 
 Every leaf sum sum_I v_I 1_I goes through `push_down`; no other module knows
 the leaf layout. It is bit-identical to adding the intervals one by one in
@@ -50,14 +53,17 @@ class HaarExpansion:
     ``coeffs`` equals the Haar support. Values are tuples of floats of length
     ``dimension`` and must be finite.
 
-    The support is also kept as read-only arrays, built once, row j for the
-    j-th interval of ``coeffs``: ``levels`` and ``positions`` (int64),
-    ``values`` of shape (n, dimension), and ``squares``, the squared Euclidean
-    lengths as `math.fsum` of the squared entries (inf where that overflows).
+    The support is kept once, row j for the j-th interval of ``support``: the
+    ``support`` tuple and read-only arrays ``levels`` and ``positions``
+    (int64), ``values`` of shape (n, dimension), and ``squares``, the squared
+    Euclidean lengths as `math.fsum` of the squared entries (inf where that
+    overflows). ``coeffs`` is built from ``support`` and ``values`` on first
+    access and kept.
     """
 
     __slots__ = (
-        "max_level", "dimension", "coeffs", "levels", "positions", "values", "squares"
+        "max_level", "dimension", "support", "levels", "positions", "values",
+        "squares", "_coeffs",
     )
 
     def __init__(self, max_level: int, dimension: int, coeffs: CoeffMap) -> None:
@@ -132,7 +138,8 @@ class HaarExpansion:
         set_attr = object.__setattr__
         set_attr(self, "max_level", max_level)
         set_attr(self, "dimension", dimension)
-        set_attr(self, "coeffs", dict(zip(intervals, zip(*values.T.tolist()))))
+        set_attr(self, "support", tuple(intervals))
+        set_attr(self, "_coeffs", None)
         set_attr(self, "levels", _read_only(levels))
         set_attr(self, "positions", _read_only(positions))
         set_attr(self, "values", _read_only(values))
@@ -146,15 +153,19 @@ class HaarExpansion:
         return cls(max_level, 1, coeffs)
 
     @property
-    def support(self) -> tuple[DyadicInterval, ...]:
-        return tuple(self.coeffs)
+    def coeffs(self) -> dict[DyadicInterval, tuple[float, ...]]:
+        """Interval -> coefficient tuple in support order, built on first use."""
+        if self._coeffs is None:
+            coeffs = dict(zip(self.support, zip(*self.values.T.tolist())))
+            object.__setattr__(self, "_coeffs", coeffs)
+        return self._coeffs
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.support
 
     def support_family(self) -> IntervalFamily:
-        return IntervalFamily(self.coeffs, max_level=self.max_level)
+        return IntervalFamily._from_sorted(self.support, self.max_level)
 
     def restrict(self, intervals: Iterable[DyadicInterval]) -> "HaarExpansion":
         """Sub-expansion keeping only the given support intervals."""
@@ -173,7 +184,7 @@ class HaarExpansion:
     def __repr__(self) -> str:
         return (
             f"HaarExpansion(max_level={self.max_level}, "
-            f"dimension={self.dimension}, support={len(self.coeffs)})"
+            f"dimension={self.dimension}, support={len(self.support)})"
         )
 
 
@@ -255,7 +266,7 @@ def q_variation(u: HaarExpansion, q: float) -> StepFunction:
         raise ValueError("q-variation is defined for scalar expansions only")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    powers = [abs(value) ** q for (value,) in u.coeffs.values()]
+    powers = [abs(value) ** q for value in u.values[:, 0].tolist()]
     sums = push_down(u.max_level, u.levels, u.positions, powers)
     return StepFunction(u.max_level, sums ** (1.0 / q))
 
@@ -293,7 +304,7 @@ def convexify(u: HaarExpansion, q: float) -> HaarExpansion:
         raise ValueError("convexification is defined for scalar expansions only")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    powered = [abs(value) ** (q / 2.0) for (value,) in u.coeffs.values()]
+    powered = [abs(value) ** (q / 2.0) for value in u.values[:, 0].tolist()]
     values = np.array(powered, dtype=float).reshape(len(powered), 1)
     return HaarExpansion._from_rows(
         u.max_level, 1, u.support, u.levels, u.positions, values
@@ -310,16 +321,25 @@ def l2_norm(u: HaarExpansion) -> float:
     return math.sqrt(math.fsum(_square_measures(u).tolist()))
 
 
+def _phi_rows(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> np.ndarray:
+    """phi at each support row of u, 0.0 where phi has no entry: one `get`
+    per row."""
+    return np.array(list(map(phi.get, u.support, repeat(0.0))), dtype=float)
+
+
+def _multiply_rows(factors: np.ndarray, u: HaarExpansion) -> HaarExpansion:
+    """phi * u from the factor of each support row (`_phi_rows`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = u.values * factors[:, None]
+    return HaarExpansion._from_rows(
+        u.max_level, u.dimension, u.support, u.levels, u.positions, values
+    )
+
+
 def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:
     """Coefficientwise multiplier phi * u; missing phi entries count as 0.
 
     Zero products are dropped and a non-finite product raises ValueError,
     as on construction.
     """
-    support = u.support
-    factors = np.array(list(map(phi.get, support, repeat(0.0))), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = u.values * factors[:, None]
-    return HaarExpansion._from_rows(
-        u.max_level, u.dimension, support, u.levels, u.positions, values
-    )
+    return _multiply_rows(_phi_rows(phi, u), u)

@@ -10,7 +10,15 @@ A is the smallest constant >= 1 with sum_i |I_i|^(1-p/2) ||u_i||_2^p
 <= A ||u||^p, which makes sum_I w_I <= 1 automatic and turns the multiplier
 bound ||phi.u|| <= A^(1/p) ||u|| (sum |phi_I|^s w_I)^(1/s) into a
 deterministic inequality rather than a statistical one. Per block, the sum
-of |x_I|^2 |I| is a `math.fsum` over the block's support rows.
+of |x_I|^2 |I| is a `math.fsum` over the block's support rows, and the weight
+constructors read the block rows and the norm from the verification that
+their `decompose` already ran.
+
+The multiplier check reads phi and the weights once per support row into
+arrays in support order, shares the factors with the product phi * u, and
+sums |phi_I|^s w_I with one `math.fsum`, which is exactly rounded, so the
+order of the terms does not matter. The powers are Python's float `pow`,
+which rounds differently from numpy's `**` in the last bit.
 """
 
 from __future__ import annotations
@@ -18,19 +26,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
-from .atomic import AtomicDecomposition, _block_rows, appendix_constant, decompose
+from .atomic import AtomicDecomposition, _decompose, appendix_constant
 from .dyadic import DyadicInterval
 from .errors import VerificationError, ZeroInputError
 from .haar import (
     HaarExpansion,
+    _multiply_rows,
+    _phi_rows,
     _square_measures,
     convexify,
     hp_norm,
     l2_norm,
-    multiply,
     tl_norm,
 )
 
@@ -72,23 +82,29 @@ class MultiplierReport:
 def validate_measure(m: PietschMeasure, u: HaarExpansion) -> bool:
     """Invariants: weights nonnegative, total <= 1, support inside u's; a NaN
     weight fails."""
-    if not all(w >= 0 for w in m.weights.values()):
+    weights = np.fromiter(m.weights.values(), float, len(m.weights))
+    if not (weights >= 0).all():
         return False
     if not m.total() <= 1.0 + _SUM_TOL:
         return False
-    return all(interval in u.coeffs for interval in m.weights)
+    return m.weights.keys() <= u.coeffs.keys()
 
 
 def _assemble(
-    u: HaarExpansion, p: float, dec: AtomicDecomposition, exponent: float
+    u: HaarExpansion,
+    p: float,
+    dec: AtomicDecomposition,
+    exponent: float,
+    block_rows: list[np.ndarray],
+    norm_p: float,
 ) -> PietschMeasure:
-    """Weights from a verified decomposition of u, written in support order."""
-    norm_p = hp_norm(u, p)
+    """Weights from a verified decomposition of u, its `_block_rows` and
+    `hp_norm(u, p)`, written in support order."""
     norm_p_p = norm_p**p
     terms = _square_measures(u)
-    factors = np.empty(len(u.coeffs))
+    factors = np.empty(len(u.support))
     total = 0.0
-    for rows, (_, top) in zip(_block_rows(u, dec), dec.pieces):
+    for rows, (_, top) in zip(block_rows, dec.pieces):
         l2_sq = math.fsum(terms[rows].tolist())
         top_measure = 2.0 ** (-top.level)
         factors[rows] = top_measure ** (1.0 - p / 2.0) * l2_sq ** ((p - 2.0) / 2.0)
@@ -100,7 +116,7 @@ def _assemble(
         scaled = factors / (normalizer * norm_p_p) * u.squares
         weights = scaled * np.ldexp(1.0, -u.levels)
     measure = PietschMeasure(
-        weights=dict(zip(u.coeffs, weights.tolist())),
+        weights=dict(zip(u.support, weights.tolist())),
         normalizer=normalizer,
         exponent=exponent,
     )
@@ -109,13 +125,20 @@ def _assemble(
     return measure
 
 
+def _weights(u: HaarExpansion, p: float, exponent: float) -> PietschMeasure:
+    """The weights of u's own decomposition; the block rows and the norm come
+    from the verification inside that decomposition."""
+    dec, report, block_rows = _decompose(u, p)
+    return _assemble(u, p, dec, exponent, block_rows, report.norm_p)
+
+
 def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:
     """Weights for a scalar multiplier into the p-Hardy space, 0 < p <= 2."""
     if u.is_zero:
         raise ZeroInputError("weights need a nonzero expansion")
     if u.dimension != 1:
         raise ValueError("weights_hp expects a scalar expansion")
-    return _assemble(u, p, decompose(u, p), exponent=2.0)
+    return _weights(u, p, 2.0)
 
 
 def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
@@ -131,8 +154,7 @@ def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
     if not 0 < p <= q:
         raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
     powered = convexify(u, q)
-    inner_p = 2.0 * p / q
-    return _assemble(powered, inner_p, decompose(powered, inner_p), exponent=q)
+    return _weights(powered, 2.0 * p / q, q)
 
 
 def weights_vector(u: HaarExpansion, p: float) -> PietschMeasure:
@@ -145,7 +167,7 @@ def weights_vector(u: HaarExpansion, p: float) -> PietschMeasure:
     """
     if u.is_zero:
         raise ZeroInputError("weights need a nonzero expansion")
-    return _assemble(u, p, decompose(u, p), exponent=2.0)
+    return _weights(u, p, 2.0)
 
 
 def h2_measure(u: HaarExpansion) -> dict[DyadicInterval, float]:
@@ -157,7 +179,7 @@ def h2_measure(u: HaarExpansion) -> dict[DyadicInterval, float]:
     if u.is_zero:
         raise ZeroInputError("h2_measure needs a nonzero expansion")
     denom = l2_norm(u) ** 2
-    return dict(zip(u.coeffs, (t / denom for t in _square_measures(u).tolist())))
+    return dict(zip(u.support, (t / denom for t in _square_measures(u).tolist())))
 
 
 def check_multiplier_bound(
@@ -174,19 +196,25 @@ def check_multiplier_bound(
     Triebel-Lizorkin bound with C = A^(1/p); a vector u checks the Euclidean
     vector bound with C = (A / a_p)^(1/p), where a_p is 1 for p <= 1 and the
     appendix constant (at Carleson constant 4) to the power -p otherwise.
+
+    phi and the weights are read once per support row (a missing entry
+    counts as 0), and the product phi * u is built from the same factors.
     """
-    if not all(interval in u.coeffs for interval in m.weights):
+    if not m.weights.keys() <= u.coeffs.keys():
         raise ValueError("measure does not match the expansion")
     s = m.exponent
     if q is not None and abs(s - q) > 1e-12:
         raise ValueError(f"measure exponent {s} does not match q={q}")
-    weighted = math.fsum(
-        abs(phi.get(interval, 0.0)) ** s * weight
-        for interval, weight in m.weights.items()
-    )
+    support = u.support
+    factors = _phi_rows(phi, u)
+    weights = np.fromiter(map(m.weights.get, support, repeat(0.0)), float, len(support))
+    powers = np.array(list(map(pow, np.abs(factors).tolist(), repeat(s))), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
+        terms = powers * weights
+    weighted = math.fsum(terms.tolist())
     tl_route = u.dimension == 1 and s != 2.0
     norm_of = partial(tl_norm, p=p, q=s) if tl_route else partial(hp_norm, p=p)
-    lhs = norm_of(multiply(phi, u))
+    lhs = norm_of(_multiply_rows(factors, u))
     norm = norm_of(u)
     lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
     constant = (m.normalizer / lower) ** (1.0 / p)

@@ -1,0 +1,64 @@
+"""Reference implementations of the multiplier check, the multiplier and the
+measure validator, kept from the per-interval code that the support-row
+arrays replaced: the weighted sum walks the measure's items and looks phi up
+once per weight, the product looks phi up once more per support interval,
+and the validator tests each weight and key in turn. The tests compare the
+library against them; they are slow and not part of the package.
+"""
+
+import math
+from functools import partial
+from itertools import repeat
+
+import numpy as np
+
+from haarmult import HaarExpansion, MultiplierReport, appendix_constant
+from haarmult.haar import hp_norm, tl_norm
+from haarmult.pietsch import _BOUND_RTOL, _SUM_TOL
+
+
+def multiply(phi, u):
+    """phi * u with the factors looked up per support interval."""
+    support = u.support
+    factors = np.array(list(map(phi.get, support, repeat(0.0))), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = u.values * factors[:, None]
+    return HaarExpansion._from_rows(
+        u.max_level, u.dimension, support, u.levels, u.positions, values
+    )
+
+
+def validate_measure(m, u):
+    """The verdict of `haarmult.validate_measure`."""
+    if not all(w >= 0 for w in m.weights.values()):
+        return False
+    if not m.total() <= 1.0 + _SUM_TOL:
+        return False
+    return all(interval in u.coeffs for interval in m.weights)
+
+
+def check_multiplier_bound(u, p, phi, m, q=None):
+    """The report of `haarmult.check_multiplier_bound`, field for field."""
+    if not all(interval in u.coeffs for interval in m.weights):
+        raise ValueError("measure does not match the expansion")
+    s = m.exponent
+    if q is not None and abs(s - q) > 1e-12:
+        raise ValueError(f"measure exponent {s} does not match q={q}")
+    weighted = math.fsum(
+        abs(phi.get(interval, 0.0)) ** s * weight
+        for interval, weight in m.weights.items()
+    )
+    tl_route = u.dimension == 1 and s != 2.0
+    norm_of = partial(tl_norm, p=p, q=s) if tl_route else partial(hp_norm, p=p)
+    lhs = norm_of(multiply(phi, u))
+    norm = norm_of(u)
+    lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
+    constant = (m.normalizer / lower) ** (1.0 / p)
+    rhs = constant * norm * weighted ** (1.0 / s)
+    return MultiplierReport(
+        lhs=lhs,
+        rhs=rhs,
+        constant=constant,
+        weighted_sum=weighted,
+        ok=lhs <= rhs * (1.0 + _BOUND_RTOL),
+    )

@@ -34,6 +34,7 @@ from haarmult import (
     generations,
     h2_measure,
     hp_norm,
+    is_block,
     l2_norm,
     multiply,
     tl_norm,
@@ -44,7 +45,7 @@ from haarmult import (
     weights_vector,
     x0_norm_estimate,
 )
-from haarmult.atomic import _stopping_time_pieces
+from haarmult.atomic import _block_rows, _stopping_time_pieces, _support_parents
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves
 from haarmult.haar import evaluate_haar, q_variation, square_leaf_sums
@@ -53,6 +54,7 @@ from haarmult.pietsch import _assemble
 import atomic_oracle
 import dyadic_oracle
 import haar_oracle
+import pietsch_oracle
 
 N_INSTANCES = 1000
 HP_PS = (0.5, 1.0, 1.5, 2.0)
@@ -100,6 +102,11 @@ def vector_pool():
     return pool
 
 
+def _assemble_from(u, p, dec, exponent):
+    """The weights of a given verified decomposition of u."""
+    return _assemble(u, p, dec, exponent, _block_rows(u, dec), hp_norm(u, p))
+
+
 @pytest.fixture(scope="module")
 def scalar_results(scalar_pool):
     """(dec, report, measure) per (instance, p); decompose verifies internally,
@@ -109,7 +116,7 @@ def scalar_results(scalar_pool):
         for p in HP_PS:
             dec = decompose(u, p)
             report = verify_decomposition(u, p, dec)
-            measure = _assemble(u, p, dec, exponent=2.0)
+            measure = _assemble_from(u, p, dec, exponent=2.0)
             results[i, p] = (dec, report, measure)
     return results
 
@@ -122,7 +129,7 @@ def tl_results(scalar_pool):
             powered = convexify(u, q)
             inner_p = 2.0 * p / q
             dec = decompose(powered, inner_p)
-            results[i, (p, q)] = _assemble(powered, inner_p, dec, exponent=q)
+            results[i, (p, q)] = _assemble_from(powered, inner_p, dec, exponent=q)
     return results
 
 
@@ -132,7 +139,7 @@ def vector_results(vector_pool):
     for i, u in enumerate(vector_pool):
         for p in HP_PS:
             dec = decompose(u, p)
-            results[i, p] = (dec, _assemble(u, p, dec, exponent=2.0))
+            results[i, p] = (dec, _assemble_from(u, p, dec, exponent=2.0))
     return results
 
 
@@ -780,3 +787,133 @@ class TestBlockRowOracles:
                 got = weights_hp(tiny, p) if u.dimension == 1 else weights_vector(tiny, p)
                 dec = decompose(tiny, p)
                 _assert_same_measure(got, atomic_oracle.assemble(tiny, p, dec, 2.0))
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or its exception's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _phi_variants(u, rng):
+    """Multipliers on u: uniform on the support; one with missing keys, a key
+    outside the support, exact zeros and subnormal factors; and the empty
+    one."""
+    support = u.support
+    factors = rng.uniform(-1.0, 1.0, len(support))
+    yield dict(zip(support, factors.tolist()))
+    draw = rng.random(len(support))
+    factors[draw < 0.15] = 0.0
+    factors[(draw >= 0.15) & (draw < 0.25)] = 5e-324
+    factors[(draw >= 0.25) & (draw < 0.35)] = -3.1e-310
+    phi = {i: f for i, f, keep in zip(support, factors.tolist(), draw < 0.85) if keep}
+    phi[DyadicInterval(7, 3)] = 0.5  # above every pool max level
+    yield phi
+    yield {}
+
+
+def _measure_variants(m, rng):
+    """The measure, and one keeping a strict subset of its keys (when it has
+    more than one)."""
+    yield m
+    keep = rng.random(len(m.weights)) < 0.7
+    if len(m.weights) > 1 and not keep.all():
+        weights = {k: w for (k, w), kept in zip(m.weights.items(), keep) if kept}
+        yield PietschMeasure(weights, m.normalizer, m.exponent)
+
+
+def _broken_measures(m, u):
+    """Measures that break one invariant each: doubled, a negative, a NaN
+    and a foreign weight."""
+    first = next(iter(m.weights))
+    yield PietschMeasure({k: 2.0 * w for k, w in m.weights.items()}, m.normalizer, m.exponent)
+    yield PietschMeasure({**m.weights, first: -0.25}, m.normalizer, m.exponent)
+    yield PietschMeasure({**m.weights, first: math.nan}, m.normalizer, m.exponent)
+    foreign = DyadicInterval(u.max_level + 1, 0)
+    yield PietschMeasure({**m.weights, foreign: 0.0}, m.normalizer, m.exponent)
+
+
+class TestMultiplierOracles:
+    """The multiplier check, the multiplier and the measure validator
+    against the per-interval code the support-row arrays replaced, on the
+    Hardy, Triebel-Lizorkin and vector routes."""
+
+    def _compare(self, u, p, m, rng, q=None):
+        for measure in _measure_variants(m, rng):
+            for phi in _phi_variants(u, rng):
+                got = _outcome(check_multiplier_bound, u, p, phi, measure, q=q)
+                want = _outcome(pietsch_oracle.check_multiplier_bound, u, p, phi, measure, q=q)
+                assert got == want
+                if isinstance(got, tuple):
+                    continue
+                assert [type(v) for v in vars(got).values()] == [
+                    type(v) for v in vars(want).values()
+                ]
+                product = multiply(phi, u)
+                reference = pietsch_oracle.multiply(phi, u)
+                assert list(product.coeffs.items()) == list(reference.coeffs.items())
+                assert np.array_equal(product.squares, reference.squares)
+        for measure in (m, *_measure_variants(m, rng), *_broken_measures(m, u)):
+            assert validate_measure(measure, u) == pietsch_oracle.validate_measure(measure, u)
+
+    def test_hardy_route(self, scalar_pool, scalar_results):
+        rng = np.random.default_rng(7070)
+        for i, u in enumerate(scalar_pool):
+            p = HP_PS[i % len(HP_PS)]
+            self._compare(u, p, scalar_results[i, p][2], rng)
+
+    def test_tl_route(self, scalar_pool, tl_results):
+        rng = np.random.default_rng(7171)
+        for i, u in enumerate(scalar_pool):
+            p, q = TL_PQS[i % len(TL_PQS)]
+            self._compare(u, p, tl_results[i, (p, q)], rng, q=q)
+
+    def test_vector_route(self, vector_pool, vector_results):
+        rng = np.random.default_rng(7272)
+        for i, u in enumerate(vector_pool):
+            p = HP_PS[i % len(HP_PS)]
+            self._compare(u, p, vector_results[i, p][1], rng)
+
+
+class TestSupportRowBlockCheck:
+    """The support parent rows and the block check built on them against
+    `IntervalFamily.parents()` and the reference predicate `is_block`."""
+
+    def test_parents_match_family(self, scalar_pool, vector_pool):
+        for u in scalar_pool + vector_pool:
+            assert _support_parents(u).tolist() == list(u.support_family().parents())
+
+    def test_blocks_ok_matches_is_block(self, scalar_pool, vector_pool):
+        # the pools' own blocks, a member moved, two blocks merged, a wrong
+        # or a shared top: the verdicts of those that keep the partition
+        rng = np.random.default_rng(7373)
+        verdicts = []
+        for u in scalar_pool[:300] + vector_pool[:300]:
+            dec = decompose(u, 1.0)
+            support = u.support_family()
+            candidates = [dec]
+            if len(dec.pieces) >= 2:
+                candidates += [
+                    bad for kind, bad in _corruptions(u, dec, rng)
+                    if kind in ("moved", "wrong top", "shared top")
+                ]
+                a, b = sorted(rng.choice(len(dec.pieces), 2, replace=False).tolist())
+                (block_a, top_a), (block_b, _) = dec.pieces[a], dec.pieces[b]
+                merged = AtomicPiece(
+                    IntervalFamily([*block_a, *block_b], max_level=u.max_level), top_a
+                )
+                rest = [piece for k, piece in enumerate(dec.pieces) if k not in (a, b)]
+                candidates.append(
+                    AtomicDecomposition((merged, *rest), dec.max_level, dec.dimension)
+                )
+            for candidate in candidates:
+                report = verify_decomposition(u, 1.0, candidate)
+                if not report.partition_ok:  # a moved single member empties its block
+                    assert report.blocks_ok is False
+                    continue
+                want = all(is_block(piece.block, support) for piece in candidate.pieces)
+                assert report.blocks_ok is want
+                verdicts.append(want)
+        assert verdicts.count(False) > 100 and verdicts.count(True) > 600

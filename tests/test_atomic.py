@@ -177,6 +177,34 @@ class TestVerifyDecomposition:
         assert not report.tops_ok
         assert report.top_bound_sum == 0.5
 
+    def test_repeated_nested_top_counted_with_multiplicity(self):
+        # tops 0/0, 1/0, 1/0 and 2/0: the multiset packs 2 * 1/2 + 1/4 inside
+        # 1/0, so the Carleson constant is (5/4) / (1/2) = 5/2
+        u = scalar(2, {(0, 0): 1.0, (1, 0): 0.5, (1, 1): -0.5, (2, 0): 0.25})
+        pieces = tuple(
+            AtomicPiece(IntervalFamily([member], max_level=2), top)
+            for member, top in [
+                (iv(0, 0), iv(0, 0)),
+                (iv(1, 0), iv(1, 0)),
+                (iv(1, 1), iv(1, 0)),
+                (iv(2, 0), iv(2, 0)),
+            ]
+        )
+        report = verify_decomposition(u, 1.0, AtomicDecomposition(pieces, 2, 1))
+        assert report.tops_carleson == Fraction(5, 2)
+        assert type(report.tops_carleson) is Fraction
+        assert report.partition_ok and not report.tops_ok
+
+    def test_top_above_max_level_rejected(self):
+        u = scalar(1, {(0, 0): 1.0})
+        bad = AtomicDecomposition(
+            pieces=(AtomicPiece(IntervalFamily([iv(0, 0)], max_level=1), iv(2, 1)),),
+            max_level=1,
+            dimension=1,
+        )
+        with pytest.raises(ValueError, match="interval 2/1 exceeds declared max level 1"):
+            verify_decomposition(u, 1.0, bad)
+
     def test_blocks_pass_block_predicate(self):
         rng = np.random.default_rng(43)
         for _ in range(30):

@@ -155,6 +155,22 @@ class TestCommands:
         assert main(["norm", "--p", "1", path]) == 2
         assert "malformed JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "route", ["missing input", "directory input", "gen out", "verify out"]
+    )
+    def test_file_errors_exit_two(self, tmp_path, capsys, route):
+        no_dir = str(tmp_path / "no_dir" / "out.json")
+        argv = {
+            "missing input": ["norm", "--p", "1", str(tmp_path / "missing.json")],
+            "directory input": ["norm", "--p", "1", str(tmp_path)],
+            "gen out": ["gen", "--max-level", "2", "--out", no_dir],
+            "verify out": ["verify", "--trials", "1", "--max-level", "3", "--out", no_dir],
+        }[route]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_decompose_single(self, tmp_path, capsys):
         path = write(tmp_path, "u.json", MINIMAL)
         assert main(["decompose", "--p", "1", path]) == 0

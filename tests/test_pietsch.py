@@ -19,12 +19,16 @@ from haarmult import (
     l2_norm,
     multiply,
     validate_measure,
+    verify_decomposition,
     weights_hp,
     weights_tl,
     weights_vector,
 )
 
+from haarmult import atomic, dyadic
+
 import haar_oracle
+import pietsch_oracle
 
 
 def iv(level, pos):
@@ -278,3 +282,40 @@ class TestExtremeScale:
         u = scalar(1, {(0, 0): 1e-160, (1, 0): 0.5e-160, (1, 1): -0.25e-160})
         with pytest.raises(VerificationError):
             weights_hp(u, 1.0)
+
+
+class _CountingDict(dict):
+    """A phi that counts its `get` calls."""
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+class TestSupportRowPaths:
+    """The verifier and the multiplier check read support rows: no block
+    predicate or support family per call, and one phi lookup per row."""
+
+    def test_no_family_and_one_lookup_per_row(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-interval path called")
+
+        rng = np.random.default_rng(61)
+        u = random_expansion(rng, 7)
+        v = random_expansion(rng, 5, dimension=2)
+        monkeypatch.setattr(dyadic, "is_block", refuse)
+        monkeypatch.setattr(atomic, "is_block", refuse, raising=False)
+        monkeypatch.setattr(HaarExpansion, "support_family", refuse)
+        for w, p in ((u, 1.0), (u, 0.5), (v, 1.5)):
+            assert verify_decomposition(w, p, decompose(w, p)).passed
+        routes = [
+            (u, 1.0, weights_hp(u, 1.0), None),
+            (u, 1.5, weights_tl(u, 1.5, 3.0), 3.0),
+            (v, 1.5, weights_vector(v, 1.5), None),
+        ]
+        for w, p, m, q in routes:
+            phi = _CountingDict(zip(w.support, rng.uniform(-1, 1, len(w.support)).tolist()))
+            phi.gets = 0
+            report = check_multiplier_bound(w, p, phi, m, q=q)
+            assert 0 < phi.gets <= len(w.support)
+            assert report == pietsch_oracle.check_multiplier_bound(w, p, dict(phi), m, q=q)
