@@ -16,6 +16,17 @@ still re-checked on every output; `decompose` refuses to return an
 unverified decomposition. `_block_rows` alone maps blocks onto the support
 rows; the verifier and the weights in `pietsch` read its rows.
 
+Every function of the square sums runs on the cell grid of `haar._cells`:
+the atoms cut out by the support's endpoints when the support is sparse for
+its depth, else the leaves. No path here allocates one entry per leaf when
+the grid is the atoms. A support row's anchor for Omega_k is its coarsest
+ancestor-or-self J with 2 |Omega_k ∩ J| > |J|. On the atoms |Omega_k ∩ J|
+comes from an int64 prefix sum of the lengths of the cells in Omega_k, read
+at J's endpoints; on the leaves the dense majority cover
+(`_majority_cover_levels`) is cheaper and gives the same anchors. A block's
+statistics are sums over the cells of its own square function inside its
+top.
+
 Containment inside the support is one array, each row's nearest support
 ancestor (`_support_parents`), found by a binary search over heap codes. The
 stopping time reads it to find block tops, and the verifier's block check is
@@ -31,13 +42,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dyadic import DyadicInterval, IntervalFamily, _packed_carleson
 from .errors import VerificationError, ZeroInputError
-from .haar import HaarExpansion, hp_norm, push_down, square_function, square_leaf_sums
+from .haar import HaarExpansion, _cell_sum, _cells, hp_norm
 
 # Relative slack for inequalities that are exact in real arithmetic and only
 # subject to floating-point rounding.
@@ -136,6 +147,81 @@ def _majority_cover_levels(omega: np.ndarray, max_level: int) -> np.ndarray:
     return cover
 
 
+def _majority_cover(
+    u: HaarExpansion, lengths: np.ndarray | None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """A function taking a mask omega on the cells with these lengths (in
+    leaves, None on the leaf grid) to the level of each support row's
+    maximal majority interval, -1 for a row with none.
+
+    A dyadic J has majority if more than half of its leaves lie in omega;
+    the maximal such intervals are pairwise disjoint and their union contains
+    every dyadic interval that is a subset of the union, so the maximal one
+    containing a row is its coarsest ancestor-or-self with majority.
+
+    On the leaf grid this reads `_majority_cover_levels`, which needs no
+    set-up. On the atoms, the ancestors of the support rows are laid out
+    once, level by level, with each one's parent; per mask, |omega ∩ J| is
+    an int64 prefix sum of the omega cell lengths read at J's endpoints (a
+    cell holding an endpoint counts up to the endpoint), and one top-down
+    pass per level hands each majority level down to the descendants.
+    """
+    max_level = u.max_level
+    if lengths is None:
+        heap = (1 << u.levels) - 1 + u.positions
+        return lambda omega: _majority_cover_levels(omega, max_level)[heap]
+    finest = int(u.levels[-1])
+    row_bounds = np.searchsorted(u.levels, np.arange(finest + 2)).tolist()
+    # The ancestors level by level, finest first: a level's nodes are its
+    # support rows and the parents of the nodes one level down, sorted and
+    # deduplicated. Each merged entry's index among them gives the node of
+    # a support row (rows_at) or the parent of a node below (parents_at).
+    layers = [np.zeros(0, dtype=np.int64)] * (finest + 2)
+    rows_at = layers[: finest + 1]
+    parents_at = [np.zeros(1, dtype=np.int64)] * (finest + 1)  # the root's is unread
+    for level in range(finest, -1, -1):
+        own = u.positions[row_bounds[level] : row_bounds[level + 1]]
+        merged = np.concatenate((own, layers[level + 1] >> 1))
+        order = np.argsort(merged)
+        new = np.diff(merged[order], prepend=-1) != 0
+        index = np.empty(len(merged), dtype=np.int64)
+        index[order] = np.cumsum(new) - 1
+        rows_at[level] = index[: len(own)]
+        if level < finest:
+            parents_at[level + 1] = index[len(own) :]
+        layers[level] = merged[order][new]
+    sizes = list(map(len, layers[:-1]))
+    offsets = np.cumsum([0] + sizes).tolist()
+    level = np.repeat(np.arange(finest + 1), sizes)
+    position = np.concatenate(layers)
+    parent = np.concatenate(
+        [up + offset for up, offset in zip(parents_at, [0] + offsets)]
+    )
+    row_node = np.concatenate([at + offset for at, offset in zip(rows_at, offsets)])
+    width = 1 << (max_level - level)
+    starts = position << (max_level - level)
+
+    # the cell holding each endpoint (the last cell for 2^N) and how many of
+    # its leaves lie before the endpoint; starts first, then ends
+    cell_bounds = np.concatenate(([0], np.cumsum(lengths)))
+    endpoints = np.concatenate((starts, starts + width))
+    cell = np.searchsorted(cell_bounds, endpoints, side="right") - 1
+    cell = np.minimum(cell, len(lengths) - 1)
+    into = endpoints - cell_bounds[cell]
+
+    def cover(omega: np.ndarray) -> np.ndarray:
+        before = np.concatenate(([0], np.cumsum(np.where(omega, lengths, 0))))
+        counted = before[cell] + np.where(omega[cell], into, 0)
+        inside = counted[len(level) :] - counted[: len(level)]
+        found = np.where(2 * inside > width, level, -1)
+        for lo, hi in zip(offsets[1:], offsets[2:]):
+            up = found[parent[lo:hi]]
+            found[lo:hi] = np.where(up >= 0, up, found[lo:hi])
+        return found[row_node]
+
+    return cover
+
+
 def _support_parents(u: HaarExpansion) -> np.ndarray:
     """Per support row, the row of its nearest strict ancestor in the
     support, -1 if it has none: `u.support_family().parents()` as an array.
@@ -160,7 +246,7 @@ def _support_parents(u: HaarExpansion) -> np.ndarray:
 
 def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
     max_level = u.max_level
-    sums = square_leaf_sums(u)
+    sums, lengths = _cells(max_level, u.levels, u.positions, u.squares)
     min_coeff = float(u.squares.min())
     max_val = float(sums.max())
     if not (min_coeff > 0.0 and max_val < math.inf):
@@ -173,9 +259,9 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
 
     # each row's anchor: the maximal member of Omega~_k containing it at the
     # largest k whose threshold covers it, as a heap index 2^level - 1 + pos
-    heap = (1 << u.levels) - 1 + u.positions
-    pending = np.arange(len(heap))
-    anchor_level = np.empty(len(heap), dtype=np.int64)
+    cover = _majority_cover(u, lengths)
+    pending = np.arange(len(u.support))
+    anchor_level = np.empty(len(u.support), dtype=np.int64)
     for k in range(k_start, k_stop - 1, -1):
         exponent = 2 * k
         if exponent > 1023:
@@ -187,7 +273,7 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
         omega = sums > threshold
         if not omega.any():
             continue
-        found = _majority_cover_levels(omega, max_level)[heap[pending]]
+        found = cover(omega)[pending]
         hit = found >= 0
         anchor_level[pending[hit]] = found[hit]
         pending = pending[~hit]
@@ -205,9 +291,9 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
     # the top is reached through parents with the row's anchor. Parents lie
     # on coarser levels, so one pass per level, coarsest first, sets them.
     parent = _support_parents(u)
-    top = np.arange(len(heap))
+    top = np.arange(len(u.support))
     bounds = np.searchsorted(u.levels, np.arange(1, max_level + 1))
-    for lo, hi in zip(bounds.tolist(), bounds[1:].tolist() + [len(heap)]):
+    for lo, hi in zip(bounds.tolist(), bounds[1:].tolist() + [len(top)]):
         up = parent[lo:hi]
         same = (up >= 0) & (anchor[up] == anchor[lo:hi])
         top[lo:hi][same] = top[up[same]]
@@ -225,13 +311,6 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
         )
         for block in np.split(order, starts)
     )
-
-
-def sup_square(u: HaarExpansion) -> float:
-    """Largest leaf value of the square function."""
-    if u.is_zero:
-        return 0.0
-    return square_function(u).sup()
 
 
 def appendix_constant(p: float, carleson: float | Fraction) -> float:
@@ -265,9 +344,10 @@ def _piece_stats(
     """(norm_p^p, sup of square function, whether every supported member
     lies inside the top) for one block, given its `_block_rows` entry.
 
-    The square function of a block vanishes outside its top, so the leaf sum
-    only runs over the top; members outside the top (a corrupt piece, caught
-    by `tops_ok`) and outside the support (whose square is 0) are left out.
+    The square function of a block vanishes outside its top, so the sums
+    run over the block's own cells inside the top; members outside the top (a
+    corrupt piece, caught by `tops_ok`) and outside the support (whose square
+    is 0) are left out.
     """
     rows = rows[rows >= 0]
     levels = u.levels[rows] - top.level
@@ -276,8 +356,8 @@ def _piece_stats(
     all_inside = bool(inside.all())
     rows, levels, positions = rows[inside], levels[inside], positions[inside]
     positions = positions - (top.position << levels)
-    local = push_down(u.max_level - top.level, levels, positions, u.squares[rows])
-    norm_p_p = float(np.sum(local ** (p / 2.0))) * 2.0 ** (-u.max_level)
+    local, lengths = _cells(u.max_level - top.level, levels, positions, u.squares[rows])
+    norm_p_p = float(_cell_sum(local ** (p / 2.0), lengths)) * 2.0 ** (-u.max_level)
     return norm_p_p, math.sqrt(float(local.max())), all_inside
 
 
@@ -336,6 +416,7 @@ def _verify(
         raise ValueError(f"p must lie in (0, 2], got {p}")
     if dec.max_level != u.max_level or dec.dimension != u.dimension:
         raise ValueError("decomposition does not match the expansion")
+    norm_p = hp_norm(u, p)  # first: it refuses a max level past int64 leaf arithmetic
 
     # the blocks partition the support iff none is empty and their support
     # rows, sorted, are 0..n-1
@@ -350,7 +431,6 @@ def _verify(
 
     blocks_ok = partition_ok and _blocks_closed(u, block_rows, covered)
 
-    norm_p = hp_norm(u, p)
     norm_p_p = norm_p**p
     block_sum = 0.0
     top_sum = 0.0

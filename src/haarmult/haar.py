@@ -3,20 +3,30 @@
 An expansion is a finite formal sum  u = sum_I x_I h_I  over dyadic intervals,
 with coefficient vectors x_I in R^d (d = 1 is the scalar case) and the
 L-infinity normalised Haar functions h_I. All square functions are step
-functions that are constant on the 2^N leaves of the finest level N, so every
-norm integral below is a finite leaf sum with no quadrature error.
+functions that are constant on the 2^N leaves of the finest level N, and
+also on the atoms cut out by the endpoints of the support (at most 2n + 1 of
+them for n support intervals), so every norm integral below is a finite sum
+with no quadrature error.
 
 Each expansion stores its support once, in support order ((level, position)
 sorted), as the `support` tuple and as read-only arrays: `levels`,
-`positions`, `values` and `squares`. The hot paths (leaf sums, multipliers,
+`positions`, `values` and `squares`. The hot paths (cell sums, multipliers,
 the stopping time, the block statistics, the weights, the multiplier check)
 read those arrays. The `coeffs` mapping is built from them on first access,
 so a product phi * u or a convexification builds no dict unless a caller
 reads it.
 
-Every leaf sum sum_I v_I 1_I goes through `push_down`; no other module knows
-the leaf layout. It is bit-identical to adding the intervals one by one in
-(level, position) order, and holds O(2^N) floats per batch row.
+Every sum sum_I v_I 1_I on a hot path goes through `_cells`, which picks a
+cell grid from the input: the atoms when (2n + 1)(N + 1) + 256 < 2^N, else
+the 2^N leaves (`push_down`); no other module knows either layout. The value on
+a cell is bit-identical to `push_down` at the cell's first leaf (each cell
+adds its intervals coarsest first, starting from 0.0), and norms are
+length-weighted sums over the cells, so on the atom grid they agree with
+the leaf sums to rounding. Leaf positions, heap codes and prefix counts are
+int64, so `_cells` refuses a max level above 61. `push_down`,
+`square_leaf_sums`, `square_function`, `q_variation` and `StepFunction` stay
+as dense leaf exports for small N; no hot path calls them, and `push_down`
+only as the leaf grid of `_cells`.
 """
 
 from __future__ import annotations
@@ -39,6 +49,12 @@ def _square_length(vector: list[float]) -> float:
         return math.fsum(c * c for c in vector)
     except OverflowError:
         return math.inf
+
+
+# The deepest max level `_cells` accepts: leaf positions up to 2^61, heap
+# codes 2^level - 1 + position and twice a prefix count of leaves all stay
+# below 2^63.
+_MAX_LEVEL = 61
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -147,6 +163,10 @@ class HaarExpansion:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HaarExpansion is immutable")
+
+    def __reduce__(self) -> tuple:
+        """Pickle and copy through the validating constructor."""
+        return HaarExpansion, (self.max_level, self.dimension, self.coeffs)
 
     @classmethod
     def scalar(cls, max_level: int, coeffs: CoeffMap) -> "HaarExpansion":
@@ -260,24 +280,93 @@ def square_function(u: HaarExpansion) -> StepFunction:
     return StepFunction(u.max_level, np.sqrt(square_leaf_sums(u)))
 
 
-def q_variation(u: HaarExpansion, q: float) -> StepFunction:
-    """t -> (sum_I |x_I|^q 1_I(t))^(1/q); scalar expansions only."""
+def _scalar_powers(u: HaarExpansion, q: float) -> list[float]:
+    """|x_I|^q per support row (Python's float pow); scalar expansions only."""
     if u.dimension != 1:
         raise ValueError("q-variation is defined for scalar expansions only")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    powers = [abs(value) ** q for value in u.values[:, 0].tolist()]
+    return [abs(value) ** q for value in u.values[:, 0].tolist()]
+
+
+def q_variation(u: HaarExpansion, q: float) -> StepFunction:
+    """t -> (sum_I |x_I|^q 1_I(t))^(1/q); scalar expansions only."""
+    powers = _scalar_powers(u, q)
     sums = push_down(u.max_level, u.levels, u.positions, powers)
     return StepFunction(u.max_level, sums ** (1.0 / q))
 
 
+def _cells(
+    max_level: int, levels: np.ndarray, positions: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """sum_j values[..., j] 1_{I_j} on a grid of cells: (the value on each
+    cell, each cell's length in leaves as int64), cells in left-to-right
+    order. The lengths are None on the leaf grid, where every cell is one
+    leaf.
+
+    I_j = (levels[j], positions[j]) are distinct and sorted by level, and
+    leading axes of `values` are batch axes. The cells are the atoms cut out
+    by the intervals' endpoints when (2n + 1)(N + 1) + 256 < 2^N, for n
+    intervals at max level N, and otherwise the 2^N leaves (`push_down`);
+    the 256 stands for the atoms' fixed cost. Either way a cell adds its
+    intervals coarsest first, starting from 0.0, so its value is
+    bit-identical to `push_down` at its first leaf. ValueError for N > 61,
+    where leaf positions, heap codes 2^level - 1 + position or twice a leaf
+    count would leave int64.
+    """
+    if max_level > _MAX_LEVEL:
+        raise ValueError(
+            f"max_level {max_level} exceeds {_MAX_LEVEL}, the deepest level "
+            f"whose leaf arithmetic fits in int64"
+        )
+    n = len(levels)
+    if (2 * n + 1) * (max_level + 1) + 256 >= 1 << max_level:
+        return push_down(max_level, levels, positions, values), None
+    # the atom boundaries: every endpoint, sorted and deduplicated, and the
+    # index among them of each interval's start and end
+    shift = max_level - levels
+    starts = positions << shift
+    endpoints = np.concatenate(
+        ([0, 1 << max_level], starts, starts + (np.int64(1) << shift))
+    )
+    order = np.argsort(endpoints)
+    ordered = endpoints[order]
+    new = np.diff(ordered, prepend=-1) != 0
+    bounds = ordered[new]
+    index = np.empty(len(endpoints), dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    first = index[2 : n + 2]
+    counts = index[n + 2 :] - first
+    # one (row, atom) pair per atom inside each interval, rows in support
+    # order; `np.add.at` adds them in that order, so coarsest first per atom
+    row = np.repeat(np.arange(n), counts)
+    atom = np.arange(len(row)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    values = np.asarray(values, dtype=float)
+    batch = values.shape[:-1]
+    flat = values.reshape(math.prod(batch), n)
+    width = len(bounds) - 1
+    acc = np.zeros(len(flat) * width)
+    cell = np.arange(len(flat))[:, None] * width + atom
+    np.add.at(acc, cell.ravel(), flat[:, row].ravel())
+    return acc.reshape(batch + (width,)), np.diff(bounds)
+
+
+def _cell_sum(terms: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
+    """Sum over the leaves of a function with the given cell values, along
+    the last axis: each cell counts with its length (`_cells`), and on the
+    leaf grid this is the plain `np.sum`."""
+    return np.sum(terms if lengths is None else lengths * terms, axis=-1)
+
+
 def hp_norm(u: HaarExpansion, p: float) -> float:
-    """L^p norm of the square function, 0 < p <= 2; OverflowError if the norm
-    of a nonzero expansion comes out 0 or inf (coefficients are not rescaled)."""
+    """L^p norm of the square function, 0 < p <= 2, summed over the cells of
+    `_cells`; OverflowError if the norm of a nonzero expansion comes out 0 or
+    inf (coefficients are not rescaled)."""
     if not 0 < p <= 2:
         raise ValueError(f"p must lie in (0, 2], got {p}")
-    sums = square_leaf_sums(u)
-    return _in_float_range(float(np.mean(sums ** (p / 2.0)) ** (1.0 / p)), u)
+    sums, lengths = _cells(u.max_level, u.levels, u.positions, u.squares)
+    mean = _cell_sum(sums ** (p / 2.0), lengths) / (1 << u.max_level)
+    return _in_float_range(float(mean ** (1.0 / p)), u)
 
 
 def tl_norm(u: HaarExpansion, p: float, q: float) -> float:
@@ -286,10 +375,12 @@ def tl_norm(u: HaarExpansion, p: float, q: float) -> float:
     if not 0 < p <= q:
         raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
     try:
-        value = q_variation(u, q).lp_norm(p)
+        powers = _scalar_powers(u, q)
     except OverflowError:  # a power |x_I|^q past the float range
-        value = math.inf
-    return _in_float_range(value, u)
+        return _in_float_range(math.inf, u)
+    sums, lengths = _cells(u.max_level, u.levels, u.positions, powers)
+    mean = _cell_sum((sums ** (1.0 / q)) ** p, lengths) / (1 << u.max_level)
+    return _in_float_range(float(mean ** (1.0 / p)), u)
 
 
 def _in_float_range(norm: float, u: HaarExpansion) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dyadic import DyadicInterval
 from .errors import DegenerateThetaError, VerificationError, ZeroInputError
-from .haar import HaarExpansion, push_down, tl_norm
+from .haar import HaarExpansion, _cell_sum, _cells, tl_norm
 from .pietsch import weights_tl
 
 _IDENTITY_RTOL = 1e-10
@@ -148,8 +148,9 @@ def x0_norm_estimate(
         raise VerificationError("multiplier argument exceeds the unit ball")
 
     mixed = x_vec ** (1.0 - th) * candidates**th
-    leaf_sums = push_down(u.max_level, u.levels, u.positions, mixed**q)
-    mixed_norms = np.mean(leaf_sums ** (p / q), axis=1) ** (1.0 / p)
+    sums, lengths = _cells(u.max_level, u.levels, u.positions, mixed**q)
+    means = _cell_sum(sums ** (p / q), lengths) / (1 << u.max_level)
+    mixed_norms = means ** (1.0 / p)
     worst = float(mixed_norms.max())
     if worst > cap * (1.0 + _CHAIN_RTOL):
         raise VerificationError(

@@ -1,9 +1,10 @@
 """Reference implementations of the decomposition verifier and the weight
 assembly, kept from the per-interval code that the block rows replaced: the
 set-based partition and tops loop, the block statistics with their own row
-lookup, and the weights written one interval at a time through the squared
-length of each coefficient. The tests compare the library against them; they
-are slow and not part of the package.
+lookup and their dense leaf sums, and the weights written one interval at a
+time through the squared length of each coefficient; and `sup_square`, the
+dense leaf maximum of the square function. The tests compare the library
+against them; they are slow and not part of the package.
 """
 
 import math
@@ -13,9 +14,16 @@ import numpy as np
 
 from haarmult import IntervalFamily, PietschMeasure, carleson_constant, is_block
 from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, appendix_constant
-from haarmult.haar import hp_norm, push_down
+from haarmult.haar import hp_norm, push_down, square_function
 
 import haar_oracle
+
+
+def sup_square(u):
+    """Largest leaf value of the square function, 0 for the zero expansion."""
+    if u.is_zero:
+        return 0.0
+    return square_function(u).sup()
 
 
 def _square(u, interval):

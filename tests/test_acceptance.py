@@ -45,10 +45,10 @@ from haarmult import (
     weights_vector,
     x0_norm_estimate,
 )
-from haarmult.atomic import _block_rows, _stopping_time_pieces, _support_parents
+from haarmult.atomic import _block_rows, _decompose, _stopping_time_pieces, _support_parents
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves
-from haarmult.haar import evaluate_haar, q_variation, square_leaf_sums
+from haarmult.haar import _cells, evaluate_haar, push_down, q_variation, square_leaf_sums
 from haarmult.pietsch import _assemble
 
 import atomic_oracle
@@ -570,6 +570,88 @@ class TestLeafSumOracles:
             assert x0_norm_estimate(f, u, 50, seed=i) == pytest.approx(
                 expected, rel=1e-12
             )
+
+
+# Levels added when a pool instance is re-embedded deeper: its square
+# function stays the same step function, and its support is then sparse
+# enough for its depth that every hot path runs on the atoms.
+_DEEPER = 12
+
+
+def _deeper(u):
+    return HaarExpansion(u.max_level + _DEEPER, u.dimension, u.coeffs)
+
+
+def _close(got, want):
+    return math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestCellGridOracles:
+    """Both pools re-embedded _DEEPER levels down, where the cell grid is the
+    atoms, against the dense leaf path at their own level: cell values bit
+    for bit, norms, weights and A to 1e-12, decompositions and verdicts
+    exactly."""
+
+    def test_cell_values_bit_identical_to_leaf_sums(self, scalar_pool, vector_pool):
+        for u in scalar_pool + vector_pool:
+            deep = _deeper(u)
+            batch = np.stack([u.squares, np.sqrt(u.squares), u.values[:, 0]])
+            values, lengths = _cells(deep.max_level, deep.levels, deep.positions, batch)
+            assert len(lengths) <= 2 * len(u.support) + 1
+            assert lengths.sum() == 1 << deep.max_level
+            first_leaf = (np.cumsum(lengths) - lengths) >> _DEEPER
+            leaves = push_down(u.max_level, u.levels, u.positions, batch)
+            assert np.array_equal(values, leaves[:, first_leaf])
+            assert np.array_equal(values[0], square_leaf_sums(u)[first_leaf])
+
+    def test_norms_match_leaf_path(self, scalar_pool, vector_pool):
+        for i, u in enumerate(scalar_pool + vector_pool):
+            deep = _deeper(u)
+            for p in HP_PS:
+                assert _close(hp_norm(deep, p), hp_norm(u, p))
+            if u.dimension == 1:
+                p, q = TL_PQS[i % len(TL_PQS)]
+                assert _close(tl_norm(deep, p, q), tl_norm(u, p, q))
+
+    def test_decompositions_and_weights_match_leaf_path(
+        self, scalar_pool, vector_pool, scalar_results, vector_results
+    ):
+        verdicts = ("partition_ok", "blocks_ok", "tops_ok", "tops_carleson",
+                    "tops_carleson_ok", "chain_lower_ok", "chain_middle_ok", "passed")
+        floats = ("lower_constant", "norm_p", "block_norm_sum_p", "top_bound_sum",
+                  "observed_ratio")
+        instances = [
+            (u, p, *scalar_results[i, p][::2])
+            for i, u in enumerate(scalar_pool)
+            for p in (HP_PS[i % len(HP_PS)],)
+        ] + [
+            (u, p, *vector_results[i, p])
+            for i, u in enumerate(vector_pool)
+            for p in (HP_PS[i % len(HP_PS)],)
+        ]
+        for u, p, dec, measure in instances:
+            report = verify_decomposition(u, p, dec)
+            deep = _deeper(u)
+            deep_dec, deep_report, rows = _decompose(deep, p)
+            assert deep_dec.pieces == dec.pieces
+            assert deep_dec.tops() == dec.tops()
+            got, want = deep_report.as_dict(), report.as_dict()
+            assert [got[k] for k in verdicts] == [want[k] for k in verdicts]
+            assert deep_report.tops_carleson == report.tops_carleson
+            assert all(_close(got[k], want[k]) for k in floats)
+            deep_measure = _assemble(deep, p, deep_dec, 2.0, rows, deep_report.norm_p)
+            assert list(deep_measure.weights) == list(measure.weights)
+            assert all(
+                _close(w, measure.weights[k]) for k, w in deep_measure.weights.items()
+            )
+            assert _close(deep_measure.normalizer, measure.normalizer)
+
+    def test_x0_matches_leaf_path(self, scalar_pool):
+        for i, u in enumerate(scalar_pool):
+            p, q = PISIER_PQS[i % len(PISIER_PQS)]
+            deep = _deeper(u)
+            want = x0_norm_estimate(factorize(u, p, q), u, 4, seed=i)
+            assert _close(x0_norm_estimate(factorize(deep, p, q), deep, 4, seed=i), want)
 
 
 def _mixed_raw(u, rng):

@@ -18,9 +18,11 @@ from haarmult import (
     hp_norm,
     is_block,
     multiply,
-    sup_square,
     verify_decomposition,
+    weights_hp,
 )
+
+from atomic_oracle import sup_square
 
 
 def iv(level, pos):
@@ -228,6 +230,39 @@ class TestVerifyDecomposition:
                 for block, _ in dec.pieces
             )
             assert lhs <= rhs * (1 + 1e-12)
+
+
+class TestDepthLimit:
+    """Leaf positions, heap codes and prefix counts are int64, so the deepest
+    max level is 61; past it every route raises ValueError."""
+
+    PAIRS = {(0, 0): 1.0, (30, 5): -0.5, (61, (1 << 61) - 1): 2.0}
+
+    def test_three_intervals_at_level_61(self):
+        u = scalar(61, self.PAIRS)
+        dec = decompose(u, 1.0)
+        assert verify_decomposition(u, 1.0, dec).passed
+        assert sorted(i for block, _ in dec.pieces for i in block) == list(u.support)
+        m = weights_hp(u, 1.0)
+        assert set(m.weights) == set(u.support)
+        assert 0 < m.total() <= 1 + 1e-12
+        # S(u)^2 is 1, plus 0.25 on 30/5 and 4 on the last leaf
+        small, leaf = 2.0**-30, 2.0**-61
+        exact = math.fsum([1 - small - leaf, small * math.sqrt(1.25), leaf * math.sqrt(5)])
+        assert hp_norm(u, 1.0) == pytest.approx(exact, rel=1e-12)
+
+    def test_level_62_raises(self):
+        u = scalar(62, self.PAIRS)
+        dec = decompose(scalar(61, self.PAIRS), 1.0)
+        routes = [
+            lambda: hp_norm(u, 1.0),
+            lambda: decompose(u, 1.0),
+            lambda: verify_decomposition(u, 1.0, AtomicDecomposition(dec.pieces, 62, 1)),
+            lambda: weights_hp(u, 1.0),
+        ]
+        for route in routes:
+            with pytest.raises(ValueError, match="max_level 62 exceeds 61"):
+                route()
 
 
 class TestSupSquare:

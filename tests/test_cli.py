@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +173,33 @@ class TestCommands:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_module_entry_point_missing_file_exit_two(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        missing = str(tmp_path / "missing.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "haarmult", "norm", "--p", "1", missing],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["norm", "decompose", "pietsch"])
+    def test_max_level_past_int64_limit_exit_two(self, tmp_path, capsys, command):
+        payload = {
+            "max_level": 62,
+            "dimension": 1,
+            "coefficients": [
+                {"level": 0, "pos": 0, "value": [1.0]},
+                {"level": 62, "pos": 7, "value": [0.5]},
+            ],
+        }
+        path = write(tmp_path, "deep.json", payload)
+        assert main([command, "--p", "1", path]) == 2
+        captured = capsys.readouterr()
+        assert "max_level 62 exceeds 61" in captured.err
         assert captured.out == ""
 
     def test_decompose_single(self, tmp_path, capsys):

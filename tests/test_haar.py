@@ -1,7 +1,9 @@
 """Expansions, square functions and norms, checked against direct pointwise
 evaluation of the Haar sums."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -112,6 +114,25 @@ class TestExpansion:
         assert v.squares.tolist() == [math.inf]
         with pytest.raises(OverflowError):
             hp_norm(v, 1.0)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda u: pickle.loads(pickle.dumps(u)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_pickle_and_copy_rebuild_an_equal_expansion(self, round_trip):
+        for u in (
+            scalar(3, {(0, 0): 1.0, (2, 3): -0.5, (3, 1): 2.0}),
+            HaarExpansion(2, 2, {iv(1, 1): (1.0, -2.0), iv(0, 0): (0.5, 0.0)}),
+            HaarExpansion.scalar(4, {}),
+        ):
+            got = round_trip(u)
+            assert got == u and got is not u
+            assert got.support == u.support
+            for name in ("levels", "positions", "values", "squares"):
+                array = getattr(got, name)
+                assert np.array_equal(array, getattr(u, name))
+                assert not array.flags.writeable
 
     def test_multiply_drops_zero_and_rejects_non_finite_products(self):
         u = scalar(2, {(0, 0): 1.0, (1, 0): 0.25, (1, 1): 2.0})

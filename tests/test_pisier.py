@@ -13,10 +13,14 @@ from haarmult import (
     Factorization,
     HaarExpansion,
     ZeroInputError,
+    check_multiplier_bound,
+    decompose,
     factorize,
     theta,
     tl_norm,
+    verify_decomposition,
     verify_factorization,
+    weights_hp,
     x0_norm_estimate,
 )
 
@@ -229,3 +233,31 @@ class TestLatticeNormEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 4 * (n_samples + 1) * (1 << 20) * 8
+
+    def test_memory_independent_of_leaves_on_atoms(self):
+        # 50 intervals at max level 40: the whole Hardy route runs on the
+        # atoms, so nothing holds one entry per leaf (2^40 of them)
+        rng = np.random.default_rng(40)
+        coeffs = {}
+        while len(coeffs) < 50:
+            level = int(rng.integers(0, 41))
+            coeffs[iv(level, int(rng.integers(0, 1 << level)))] = float(
+                rng.standard_normal()
+            )
+        u = HaarExpansion.scalar(40, coeffs)
+        phis = [
+            dict(zip(u.support, rng.uniform(-1.0, 1.0, len(u.support)).tolist()))
+            for _ in range(8)
+        ]
+        tracemalloc.start()
+        try:
+            dec = decompose(u, 1.0)
+            report = verify_decomposition(u, 1.0, dec)
+            m = weights_hp(u, 1.0)
+            checks = [check_multiplier_bound(u, 1.0, phi, m) for phi in phis]
+            norm = tl_norm(u, 1.5, 3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed and all(check.ok for check in checks) and norm > 0
+        assert peak < 8 << 20
