@@ -416,7 +416,7 @@ def _verify(
         raise ValueError(f"p must lie in (0, 2], got {p}")
     if dec.max_level != u.max_level or dec.dimension != u.dimension:
         raise ValueError("decomposition does not match the expansion")
-    norm_p = hp_norm(u, p)  # first: it refuses a max level past int64 leaf arithmetic
+    norm_p = hp_norm(u, p)
 
     # the blocks partition the support iff none is empty and their support
     # rows, sorted, are 0..n-1

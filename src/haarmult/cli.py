@@ -30,7 +30,7 @@ from .errors import (
     VerificationError,
     ZeroInputError,
 )
-from .haar import HaarExpansion, hp_norm, l2_norm, multiply, tl_norm
+from .haar import _MAX_LEVEL, HaarExpansion, hp_norm, l2_norm, multiply, tl_norm
 from .pietsch import (
     check_multiplier_bound,
     h2_measure,
@@ -40,6 +40,11 @@ from .pietsch import (
     weights_vector,
 )
 from .pisier import factorize, verify_factorization, x0_norm_estimate
+
+# random multipliers per trial and per multiplier-bound check, and sample
+# points of the lattice norm estimate per trial, in `run_verification`
+_PHI_PER_TRIAL = 20
+_Z_PER_TRIAL = 20
 
 
 def _format_number(value: float) -> str:
@@ -237,8 +242,6 @@ def run_verification(
     density: float,
     max_level: int,
     dimension: int,
-    phi_per_trial: int = 20,
-    z_per_trial: int = 20,
     mutant: str | None = None,
 ) -> dict:
     """Full randomized invariant suite; returns the report dictionary.
@@ -290,7 +293,7 @@ def run_verification(
         c.track("max_weight_sum", m.total())
         c = check("hp_multiplier_bound")
         c.track("constant", m.normalizer ** (1.0 / p))
-        for _ in range(phi_per_trial):
+        for _ in range(_PHI_PER_TRIAL):
             phi = {i: float(v) for i, v in zip(u.support, rng.uniform(-1, 1, len(u.support)))}
             c.record(check_multiplier_bound(u, p, phi, m).ok, seed, trial)
 
@@ -300,7 +303,7 @@ def run_verification(
             c.record(validate_measure(mt, u), seed, trial)
             c.track("max_weight_sum", mt.total())
             c = check("tl_multiplier_bound")
-            for _ in range(phi_per_trial):
+            for _ in range(_PHI_PER_TRIAL):
                 phi = {i: float(v) for i, v in zip(u.support, rng.uniform(-1, 1, len(u.support)))}
                 c.record(check_multiplier_bound(u, p, phi, mt, q=q).ok, seed, trial)
 
@@ -314,7 +317,7 @@ def run_verification(
             )
             c = check("factorization_sampling")
             try:
-                value = x0_norm_estimate(f, u, z_per_trial, seed=trial)
+                value = x0_norm_estimate(f, u, _Z_PER_TRIAL, seed=trial)
                 c.record(True, seed, trial)
                 c.track("max_lattice_candidate", value)
             except VerificationError as exc:
@@ -327,7 +330,7 @@ def run_verification(
             c.record(validate_measure(mv, uv), seed, trial)
             c.track("max_weight_sum", mv.total())
             c = check("vector_multiplier_bound")
-            for _ in range(phi_per_trial):
+            for _ in range(_PHI_PER_TRIAL):
                 phi = {i: float(v) for i, v in zip(uv.support, rng.uniform(-1, 1, len(uv.support)))}
                 c.record(check_multiplier_bound(uv, p, phi, mv).ok, seed, trial)
             dv = decompose(uv, p)
@@ -472,10 +475,10 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.command == "pietsch":
         u = load(args.file)
-        if u.dimension > 1:
-            m = weights_vector(u, args.p)
-        elif args.q is not None:
+        if args.q is not None:
             m = weights_tl(u, args.p, args.q)
+        elif u.dimension > 1:
+            m = weights_vector(u, args.p)
         else:
             m = weights_hp(u, args.p)
         payload = {
@@ -502,6 +505,9 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         }
         _emit(dump_json(payload), args.out)
         return 0 if ok else 1
+
+    if args.command in ("gen", "verify") and args.max_level > _MAX_LEVEL:
+        parser.error(f"--max-level must be at most {_MAX_LEVEL}, got {args.max_level}")
 
     if args.command == "gen":
         u = gen_random(args.max_level, args.dimension, args.density, args.seed)

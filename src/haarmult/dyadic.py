@@ -2,12 +2,14 @@
 
 A `DyadicInterval` is an immutable `(level, position)` tuple, so hashing,
 equality and ordering run in C. Every family query reads one table, each
-member's nearest strict ancestor (`IntervalFamily.parents`): depths are one
-top-down pass over it and packed measures one bottom-up pass, both O(n), and
-the generation decay verdicts of every member and layer one bottom-up pass in
-O(n L). Measures are exact integer counts of leaves of level `max_level`,
-made `fractions.Fraction` only on return; only the transcendental right side
-of the generation decay bound is a float.
+member's nearest strict ancestor (`IntervalFamily.parents`); the maximal
+members are those whose entry is -1. Depths are one top-down pass over it
+and packed measures one bottom-up pass, both O(n), and
+`generation_decay_verdicts` answers the decay bound for every member and
+layer at once from one bottom-up pass in O(n L). Measures are exact integer
+counts of leaves of level `max_level`, made `fractions.Fraction` only on
+return; only the transcendental right side of the generation decay bound is
+a float.
 """
 
 from __future__ import annotations
@@ -138,11 +140,6 @@ class IntervalFamily:
     def issubset(self, other: "IntervalFamily") -> bool:
         return self._set <= other._set
 
-    def restrict(self, interval: DyadicInterval) -> "IntervalFamily":
-        """Members contained in the given interval (the family I ∩ E)."""
-        members = [i for i in self.intervals if interval.contains(i)]
-        return IntervalFamily(members, max_level=self.max_level)
-
     def _table(self) -> tuple[dict[DyadicInterval, int], tuple[int, ...]]:
         """Member -> index map and `parents`, built on first use by a walk in
         left-endpoint order, coarsest first: a member's ancestors come before
@@ -210,12 +207,6 @@ def _packed_carleson(family: IntervalFamily, multiplicity: list[int]) -> Fractio
     return Fraction(best, 1 << top)
 
 
-def maximal_intervals(family: IntervalFamily) -> IntervalFamily:
-    """The pairwise-disjoint maximal members; they cover the same set."""
-    members = [i for i, up in zip(family, family.parents()) if up < 0]
-    return IntervalFamily(members, max_level=family.max_level)
-
-
 def generations(family: IntervalFamily) -> list[IntervalFamily]:
     """Layers obtained by repeatedly removing the maximal members.
 
@@ -254,47 +245,30 @@ def _layer_leaves(family: IntervalFamily) -> list[list[int]]:
     return leaves
 
 
-def _within_decay_bound(
-    leaves: list[int], max_level: int, interval: DyadicInterval, layer: int, packing: float
-) -> bool:
-    covered = leaves[layer] if layer < len(leaves) else 0
-    bound = 4.0 * 2.0 ** (-2.0 * layer / (4.0 * packing + 1.0)) * float(interval.measure)
-    return covered / (1 << max_level) <= bound
-
-
 def generation_decay_verdicts(family: IntervalFamily, layers: int) -> list[list[bool]]:
-    """Per member, in family order, `generation_decay_check` at every layer
-    0 .. layers - 1: one Carleson constant and one bottom-up pass for all."""
+    """Per member I, in family order, and per layer n in 0 .. layers - 1:
+    whether |G_n*(I, E)| <= 4 * 2^(-2n / (4[[E]] + 1)) * |I|.
+
+    The left side is the exact measure of layer n of the restricted family
+    {J in E : J ⊆ I}, the members inside I at depth depth(I) + n; the right
+    side is a float. One Carleson constant and one bottom-up pass give every
+    verdict.
+    """
     if layers < 0:
         raise ValueError("layers must be nonnegative")
     if not family:
         return []
     packing = float(carleson_constant(family))
     top = family.max_level
-    return [
-        [_within_decay_bound(leaves, top, interval, n, packing) for n in range(layers)]
-        for leaves, interval in zip(_layer_leaves(family), family)
-    ]
-
-
-def generation_decay_check(
-    family: IntervalFamily, interval: DyadicInterval, layer: int
-) -> bool:
-    """Check |G_layer*(I, E)| <= 4 * 2^(-2*layer / (4*[[E]] + 1)) * |I|.
-
-    The left side is the exact measure of the layer of the restricted family
-    {J in E : J ⊆ I}, the members inside I at depth depth(I) + layer; the
-    right side is a float. `generation_decay_verdicts` gives every verdict of
-    a family at once.
-    """
-    if layer < 0:
-        raise ValueError("layer must be nonnegative")
-    if interval not in family:
-        raise ValueError(f"interval {interval} is not a member of the family")
-    index, _ = family._table()
-    leaves = _layer_leaves(family)[index[interval]]
-    packing = float(carleson_constant(family))
-    return _within_decay_bound(leaves, family.max_level, interval, layer, packing)
+    verdicts = []
+    for leaves, interval in zip(_layer_leaves(family), family):
+        leaves += [0] * (layers - len(leaves))
+        verdicts.append([
+            leaves[n] / (1 << top)
+            <= 4.0 * 2.0 ** (-2.0 * n / (4.0 * packing + 1.0)) * float(interval.measure)
+            for n in range(layers)
+        ])
+    return verdicts
 
 
 def is_block(collection: IntervalFamily, ambient: IntervalFamily) -> bool:

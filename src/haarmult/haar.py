@@ -23,10 +23,11 @@ a cell is bit-identical to `push_down` at the cell's first leaf (each cell
 adds its intervals coarsest first, starting from 0.0), and norms are
 length-weighted sums over the cells, so on the atom grid they agree with
 the leaf sums to rounding. Leaf positions, heap codes and prefix counts are
-int64, so `_cells` refuses a max level above 61. `push_down`,
-`square_leaf_sums`, `square_function`, `q_variation` and `StepFunction` stay
-as dense leaf exports for small N; no hot path calls them, and `push_down`
-only as the leaf grid of `_cells`.
+int64, so the `HaarExpansion` constructor refuses a max level above 61 and
+no array is built for one. `push_down`, `square_leaf_sums`,
+`square_function`, `q_variation` and `StepFunction` (leaf values and their
+sup) stay as dense leaf exports for small N; no hot path calls them, and
+`push_down` only as the leaf grid of `_cells`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _square_length(vector: list[float]) -> float:
         return math.inf
 
 
-# The deepest max level `_cells` accepts: leaf positions up to 2^61, heap
+# The deepest max level of an expansion: leaf positions up to 2^61, heap
 # codes 2^level - 1 + position and twice a prefix count of leaves all stay
 # below 2^63.
 _MAX_LEVEL = 61
@@ -85,6 +86,11 @@ class HaarExpansion:
     def __init__(self, max_level: int, dimension: int, coeffs: CoeffMap) -> None:
         if max_level < 0:
             raise ValueError(f"max_level must be nonnegative, got {max_level}")
+        if max_level > _MAX_LEVEL:
+            raise ValueError(
+                f"max_level {max_level} exceeds {_MAX_LEVEL}, the deepest level "
+                f"whose leaf arithmetic fits in int64"
+            )
         if dimension < 1:
             raise ValueError(f"dimension must be positive, got {dimension}")
         intervals = sorted(coeffs)
@@ -222,16 +228,6 @@ class StepFunction:
                 f"got shape {self.values.shape}"
             )
 
-    def __call__(self, t: float) -> float:
-        if not 0.0 <= t < 1.0:
-            raise ValueError(f"point {t} outside [0, 1)")
-        return float(self.values[int(t * (1 << self.max_level))])
-
-    def lp_norm(self, p: float) -> float:
-        if p <= 0:
-            raise ValueError(f"p must be positive, got {p}")
-        return float(np.mean(np.abs(self.values) ** p) ** (1.0 / p))
-
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -260,14 +256,6 @@ def push_down(
 def square_leaf_sums(u: HaarExpansion) -> np.ndarray:
     """Leafwise values of S(u)^2, i.e. sum_I |x_I|^2 1_I."""
     return push_down(u.max_level, u.levels, u.positions, u.squares)
-
-
-def evaluate_haar(interval: DyadicInterval, t: float) -> int:
-    """+1 on the left half of the interval, -1 on the right half, 0 outside."""
-    if not interval.left <= t < interval.right:
-        return 0
-    midpoint = (interval.left + interval.right) / 2
-    return 1 if t < midpoint else -1
 
 
 def square_function(u: HaarExpansion) -> StepFunction:
@@ -310,15 +298,9 @@ def _cells(
     intervals at max level N, and otherwise the 2^N leaves (`push_down`);
     the 256 stands for the atoms' fixed cost. Either way a cell adds its
     intervals coarsest first, starting from 0.0, so its value is
-    bit-identical to `push_down` at its first leaf. ValueError for N > 61,
-    where leaf positions, heap codes 2^level - 1 + position or twice a leaf
-    count would leave int64.
+    bit-identical to `push_down` at its first leaf. N is at most
+    `_MAX_LEVEL`, as for every expansion.
     """
-    if max_level > _MAX_LEVEL:
-        raise ValueError(
-            f"max_level {max_level} exceeds {_MAX_LEVEL}, the deepest level "
-            f"whose leaf arithmetic fits in int64"
-        )
     n = len(levels)
     if (2 * n + 1) * (max_level + 1) + 256 >= 1 << max_level:
         return push_down(max_level, levels, positions, values), None

@@ -150,7 +150,9 @@ def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
     if u.is_zero:
         raise ZeroInputError("weights need a nonzero expansion")
     if u.dimension != 1:
-        raise ValueError("weights_tl expects a scalar expansion")
+        raise ValueError(
+            "weights_tl expects a scalar expansion: q applies to scalar expansions only"
+        )
     if not 0 < p <= q:
         raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
     powered = convexify(u, q)

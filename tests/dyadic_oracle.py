@@ -77,9 +77,15 @@ def generations(family):
     ]
 
 
+def restrict(family, interval):
+    """Members contained in the given interval (the family I ∩ E)."""
+    members = [i for i in family if interval.contains(i)]
+    return IntervalFamily(members, max_level=family.max_level)
+
+
 @lru_cache(maxsize=None)
 def _restricted_generations(family, interval):
-    return generations(family.restrict(interval))
+    return generations(restrict(family, interval))
 
 
 def layer_measures(family, interval):

@@ -1,8 +1,9 @@
 """Reference implementations of the expansion hot paths, kept from the
 per-coefficient loops that the support arrays replaced: the constructor's
 validation loop, the multiplier, and the set-based stopping-time
-assignment. The tests compare the library against them; they are slow and
-not part of the package.
+assignment; and the pointwise value of a Haar function, for direct
+evaluation of Haar sums. The tests compare the library against them; they
+are slow and not part of the package.
 """
 
 import math
@@ -38,6 +39,14 @@ def cleaned_coeffs(max_level, dimension, coeffs):
         if any(vector):
             cleaned[interval] = vector
     return cleaned
+
+
+def evaluate_haar(interval, t):
+    """+1 on the left half of the interval, -1 on the right half, 0 outside."""
+    if not interval.left <= t < interval.right:
+        return 0
+    midpoint = (interval.left + interval.right) / 2
+    return 1 if t < midpoint else -1
 
 
 def coefficient_square(u, interval):

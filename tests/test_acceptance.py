@@ -29,7 +29,6 @@ from haarmult import (
     convexify,
     decompose,
     factorize,
-    generation_decay_check,
     generation_decay_verdicts,
     generations,
     h2_measure,
@@ -48,7 +47,7 @@ from haarmult import (
 from haarmult.atomic import _block_rows, _decompose, _stopping_time_pieces, _support_parents
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves
-from haarmult.haar import _cells, evaluate_haar, push_down, q_variation, square_leaf_sums
+from haarmult.haar import _cells, push_down, q_variation, square_leaf_sums
 from haarmult.pietsch import _assemble
 
 import atomic_oracle
@@ -433,7 +432,8 @@ class TestCriterion6DecayBound:
             spot_checks.append((fam, *next(iter(layer_measure))))
         # the fast pass must agree with the library checker
         for fam, outer, layer in spot_checks[:100]:
-            assert generation_decay_check(fam, outer, layer)
+            row = fam.intervals.index(outer)
+            assert generation_decay_verdicts(fam, layer + 1)[row][layer]
         _report(
             6,
             violations == 0,
@@ -453,11 +453,12 @@ class TestCriterion6DecayBound:
             ]
         for fam in families[:100]:
             layers = len(generations(fam)) + 1
-            for interval in fam:
+            for row, interval in enumerate(fam):
                 for layer in range(layers):
-                    assert generation_decay_check(
+                    verdict = generation_decay_verdicts(fam, layer + 1)[row][layer]
+                    assert verdict == dyadic_oracle.generation_decay_check(
                         fam, interval, layer
-                    ) == dyadic_oracle.generation_decay_check(fam, interval, layer)
+                    )
 
     def test_whole_family_verdicts_match_reference(self):
         # one bottom-up pass per family against the per-call oracle, for every
@@ -497,7 +498,7 @@ class TestCriterion7OracleEquivalence:
                 for j in range(leaves):
                     for t in ((j + 0.25) / leaves, (j + 0.75) / leaves):
                         value = math.fsum(
-                            vec[0] * evaluate_haar(i, t)
+                            vec[0] * haar_oracle.evaluate_haar(i, t)
                             for i, vec in u.coeffs.items()
                         )
                         total += value * value / (2.0 * leaves)

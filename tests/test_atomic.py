@@ -234,7 +234,7 @@ class TestVerifyDecomposition:
 
 class TestDepthLimit:
     """Leaf positions, heap codes and prefix counts are int64, so the deepest
-    max level is 61; past it every route raises ValueError."""
+    max level is 61; past it the constructor raises ValueError."""
 
     PAIRS = {(0, 0): 1.0, (30, 5): -0.5, (61, (1 << 61) - 1): 2.0}
 
@@ -252,17 +252,17 @@ class TestDepthLimit:
         assert hp_norm(u, 1.0) == pytest.approx(exact, rel=1e-12)
 
     def test_level_62_raises(self):
-        u = scalar(62, self.PAIRS)
-        dec = decompose(scalar(61, self.PAIRS), 1.0)
-        routes = [
-            lambda: hp_norm(u, 1.0),
-            lambda: decompose(u, 1.0),
-            lambda: verify_decomposition(u, 1.0, AtomicDecomposition(dec.pieces, 62, 1)),
-            lambda: weights_hp(u, 1.0),
-        ]
-        for route in routes:
-            with pytest.raises(ValueError, match="max_level 62 exceeds 61"):
-                route()
+        with pytest.raises(ValueError, match="max_level 62 exceeds 61"):
+            scalar(62, self.PAIRS)
+        u = scalar(61, self.PAIRS)
+        dec = decompose(u, 1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            verify_decomposition(u, 1.0, AtomicDecomposition(dec.pieces, 62, 1))
+
+    def test_level_64_interval_raises_value_error(self):
+        # the limit fires before the int64 support arrays are built
+        with pytest.raises(ValueError, match="max_level 64 exceeds 61"):
+            scalar(64, {(64, (1 << 64) - 1): 1.0})
 
 
 class TestSupSquare:

@@ -202,6 +202,34 @@ class TestCommands:
         assert "max_level 62 exceeds 61" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    def test_max_level_flag_past_limit_usage_error(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # refused before the first of about 2^63 draws
+        def no_draws(*args):
+            raise AssertionError("drew an expansion")
+
+        monkeypatch.setattr("haarmult.cli._gen_with_rng", no_draws)
+        out = tmp_path / "x.json"
+        extra = ["--out", str(out)] if command == "gen" else ["--trials", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--max-level", "62", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--max-level must be at most 61, got 62" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_pietsch_q_on_vector_file_exit_two(self, tmp_path, capsys):
+        path = str(tmp_path / "v.json")
+        save(path, gen_random(3, 2, 0.5, seed=1))
+        assert main(["norm", "--p", "1", "--q", "3", path]) == 2
+        assert main(["pietsch", "--p", "1", "--q", "3", path]) == 2
+        captured = capsys.readouterr()
+        assert "q applies to scalar expansions only" in captured.err
+        assert captured.out == ""
+
     def test_decompose_single(self, tmp_path, capsys):
         path = write(tmp_path, "u.json", MINIMAL)
         assert main(["decompose", "--p", "1", path]) == 0

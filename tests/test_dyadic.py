@@ -14,11 +14,9 @@ from haarmult import (
     EmptyFamilyError,
     IntervalFamily,
     carleson_constant,
-    generation_decay_check,
     generation_decay_verdicts,
     generations,
     is_block,
-    maximal_intervals,
 )
 
 import dyadic_oracle
@@ -26,6 +24,18 @@ import dyadic_oracle
 
 def iv(level, pos):
     return DyadicInterval(level, pos)
+
+
+def maximal(fam):
+    """The maximal members: those without a parent in `parents()`."""
+    return [i for i, up in zip(fam, fam.parents()) if up < 0]
+
+
+def decay_verdict(fam, interval, layer):
+    """The decay verdict of one member at one layer, read from its row of
+    `generation_decay_verdicts`."""
+    row = fam.intervals.index(interval)
+    return generation_decay_verdicts(fam, layer + 1)[row][layer]
 
 
 def family(*pairs):
@@ -217,10 +227,10 @@ class TestAncestorTable:
 
 class TestMaximalAndGenerations:
     def test_nested_pair(self):
-        assert set(maximal_intervals(family((0, 0), (1, 0)))) == {iv(0, 0)}
+        assert set(maximal(family((0, 0), (1, 0)))) == {iv(0, 0)}
 
     def test_disjoint_pair(self):
-        got = maximal_intervals(family((1, 0), (1, 1)))
+        got = maximal(family((1, 0), (1, 1)))
         assert set(got) == {iv(1, 0), iv(1, 1)}
 
     def test_generations_singleton(self):
@@ -235,11 +245,11 @@ class TestMaximalAndGenerations:
 
     @given(families_st)
     def test_maximal_matches_bruteforce(self, fam):
-        assert set(maximal_intervals(fam)) == brute_maximal(fam.intervals)
+        assert set(maximal(fam)) == brute_maximal(fam.intervals)
 
     @given(families_st)
     def test_maximal_disjoint_and_covering(self, fam):
-        tops = list(maximal_intervals(fam))
+        tops = maximal(fam)
         for i, a in enumerate(tops):
             for b in tops[i + 1 :]:
                 assert not (a.contains(b) or b.contains(a))
@@ -262,23 +272,23 @@ class TestDecayBound:
     def test_layer_zero_always_true(self):
         fam = family((0, 0), (1, 0), (1, 1), (3, 2))
         for interval in fam:
-            assert generation_decay_check(fam, interval, 0)
+            assert decay_verdict(fam, interval, 0)
 
     def test_chain_layer_three(self):
         chain = family(*((j, 0) for j in range(6)))
-        assert generation_decay_check(chain, iv(0, 0), 3)
+        assert decay_verdict(chain, iv(0, 0), 3)
 
     def test_nonmember_rejected(self):
         with pytest.raises(ValueError):
-            generation_decay_check(family((1, 0)), iv(0, 0), 1)
+            dyadic_oracle.generation_decay_check(family((1, 0)), iv(0, 0), 1)
 
     def test_exhausted_layers_true(self):
-        assert generation_decay_check(family((0, 0)), iv(0, 0), 5)
+        assert decay_verdict(family((0, 0)), iv(0, 0), 5)
 
     def test_chain_layer_value(self):
         # layer 3 of the restricted family is the single interval [0, 2^-3)
         chain = family(*((j, 0) for j in range(6)))
-        layers = generations(chain.restrict(iv(0, 0)))
+        layers = generations(dyadic_oracle.restrict(chain, iv(0, 0)))
         assert set(layers[3]) == {iv(3, 0)}
 
     @given(families_st)
@@ -287,7 +297,7 @@ class TestDecayBound:
         depth = len(generations(fam))
         for interval in fam.intervals[:10]:
             for layer in range(depth + 1):
-                assert generation_decay_check(fam, interval, layer)
+                assert decay_verdict(fam, interval, layer)
 
 
 class TestDecayVerdicts:
@@ -295,7 +305,7 @@ class TestDecayVerdicts:
         fam = family((0, 0), (1, 0), (2, 0), (2, 1), (3, 2), (3, 7), (4, 15))
         layers = len(generations(fam)) + 2
         assert generation_decay_verdicts(fam, layers) == [
-            [generation_decay_check(fam, interval, n) for n in range(layers)]
+            [dyadic_oracle.generation_decay_check(fam, interval, n) for n in range(layers)]
             for interval in fam
         ]
 
