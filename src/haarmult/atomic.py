@@ -14,7 +14,7 @@ block condition holds by construction. The guarantees (partition, block
 property, tops' Carleson constant <= 4, and the two-sided norm chain) are
 still re-checked on every output; `decompose` refuses to return an
 unverified decomposition. `_block_rows` alone maps blocks onto the support
-rows; the verifier and the weights in `pietsch` read its rows.
+rows; the verifier, the weights in `pietsch` and the CLI's h2 check read them.
 
 Every function of the square sums runs on the cell grid of `haar._cells`:
 the atoms cut out by the support's endpoints when the support is sparse for
@@ -182,14 +182,10 @@ def _majority_cover(
     for level in range(finest, -1, -1):
         own = u.positions[row_bounds[level] : row_bounds[level + 1]]
         merged = np.concatenate((own, layers[level + 1] >> 1))
-        order = np.argsort(merged)
-        new = np.diff(merged[order], prepend=-1) != 0
-        index = np.empty(len(merged), dtype=np.int64)
-        index[order] = np.cumsum(new) - 1
+        layers[level], index = np.unique(merged, return_inverse=True)
         rows_at[level] = index[: len(own)]
         if level < finest:
             parents_at[level + 1] = index[len(own) :]
-        layers[level] = merged[order][new]
     sizes = list(map(len, layers[:-1]))
     offsets = np.cumsum([0] + sizes).tolist()
     level = np.repeat(np.arange(finest + 1), sizes)

@@ -17,12 +17,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
-from .atomic import decompose, verify_decomposition
-from .dyadic import DyadicInterval, generation_decay_verdicts, generations
+from .atomic import _decompose
+from .dyadic import DyadicInterval, generation_decay_verdicts
 from .errors import (
     DegenerateThetaError,
     EmptyFamilyError,
@@ -32,6 +33,8 @@ from .errors import (
 )
 from .haar import _MAX_LEVEL, HaarExpansion, hp_norm, l2_norm, multiply, tl_norm
 from .pietsch import (
+    PietschMeasure,
+    _assemble,
     check_multiplier_bound,
     h2_measure,
     validate_measure,
@@ -39,7 +42,8 @@ from .pietsch import (
     weights_tl,
     weights_vector,
 )
-from .pisier import factorize, verify_factorization, x0_norm_estimate
+from .pisier import _factorize, _x0_norm_estimate, factorize, theta
+from .pisier import verify_factorization, x0_norm_estimate
 
 # random multipliers per trial and per multiplier-bound check, and sample
 # points of the lattice norm estimate per trial, in `run_verification`
@@ -189,13 +193,13 @@ def _trial_expansion(
     seed: int, trial: int, max_level: int, dimension: int, density: float
 ) -> HaarExpansion:
     """Nonzero random expansion keyed by (seed, trial); empty draws retry
-    deterministically."""
+    deterministically, and ValueError follows 64 empty draws."""
     for attempt in range(64):
         rng = np.random.default_rng([seed, trial, attempt])
         u = _gen_with_rng(rng, max_level, dimension, density)
         if not u.is_zero:
             return u
-    raise RuntimeError("could not draw a nonzero expansion")
+    raise ValueError(f"no nonzero draw in 64 at density {density} and max level {max_level}")
 
 
 class _Check:
@@ -250,7 +254,9 @@ def run_verification(
     decomposition guarantees, the weight normalization and multiplier bound
     for the Hardy route (plus the Triebel-Lizorkin route when q is given and
     the factorization route when additionally 1 < p < q), and the vector
-    route when dimension > 1.
+    route when dimension > 1. Each trial decomposes u, |u|^(q/2) and uv
+    once, and every later step reads that decomposition's report, block
+    rows and weights.
     """
     checks: dict[str, _Check] = {}
 
@@ -259,6 +265,19 @@ def run_verification(
             checks[name] = _Check(name)
         return checks[name]
 
+    def check_weights(
+        route: str, w: HaarExpansion, m: PietschMeasure, q: float | None = None
+    ) -> _Check:
+        """The weight-sum check and, on fresh rng draws, the multiplier bound."""
+        c = check(f"{route}_weight_sum")
+        c.record(validate_measure(m, w), seed, trial)
+        c.track("max_weight_sum", m.total())
+        c = check(f"{route}_multiplier_bound")
+        for _ in range(_PHI_PER_TRIAL):
+            phi = {i: float(v) for i, v in zip(w.support, rng.uniform(-1, 1, len(w.support)))}
+            c.record(check_multiplier_bound(w, p, phi, m, q=q).ok, seed, trial)
+        return c
+
     run_tl = q is not None
     run_pisier = q is not None and 1 < p < q
     for trial in range(trials):
@@ -266,49 +285,31 @@ def run_verification(
         rng = np.random.default_rng([seed, trial, 10_000])
 
         family = u.support_family()
-        layers = len(generations(family)) + 1
+        layers = max(family.depths()) + 2
         verdicts = generation_decay_verdicts(family, layers)
         check("decay_bound").record(all(map(all, verdicts)), seed, trial)
 
         try:
-            dec = decompose(u, p)
+            dec, report, rows = _decompose(u, p)
         except VerificationError as exc:
             check("atomic_guarantees").record(False, seed, trial, str(exc))
             continue
-        report = verify_decomposition(u, p, dec)
         c = check("atomic_guarantees")
         c.record(report.passed, seed, trial)
         c.track("max_tops_carleson", float(report.tops_carleson))
         c.track("max_observed_ratio", report.observed_ratio)
 
-        m = weights_hp(u, p)
+        m = _assemble(u, p, dec, 2.0, rows, report.norm_p)
         if mutant == "scale-omega":
-            m = type(m)(
-                weights={k: 2.0 * w for k, w in m.weights.items()},
-                normalizer=m.normalizer,
-                exponent=m.exponent,
-            )
-        c = check("hp_weight_sum")
-        c.record(validate_measure(m, u), seed, trial)
-        c.track("max_weight_sum", m.total())
-        c = check("hp_multiplier_bound")
-        c.track("constant", m.normalizer ** (1.0 / p))
-        for _ in range(_PHI_PER_TRIAL):
-            phi = {i: float(v) for i, v in zip(u.support, rng.uniform(-1, 1, len(u.support)))}
-            c.record(check_multiplier_bound(u, p, phi, m).ok, seed, trial)
+            m = replace(m, weights={k: 2.0 * w for k, w in m.weights.items()})
+        check_weights("hp", u, m).track("constant", m.normalizer ** (1.0 / p))
 
         if run_tl:
             mt = weights_tl(u, p, q)
-            c = check("tl_weight_sum")
-            c.record(validate_measure(mt, u), seed, trial)
-            c.track("max_weight_sum", mt.total())
-            c = check("tl_multiplier_bound")
-            for _ in range(_PHI_PER_TRIAL):
-                phi = {i: float(v) for i, v in zip(u.support, rng.uniform(-1, 1, len(u.support)))}
-                c.record(check_multiplier_bound(u, p, phi, mt, q=q).ok, seed, trial)
+            check_weights("tl", u, mt, q)
 
         if run_pisier:
-            f = factorize(u, p, q)
+            f = _factorize(u, p, q, theta(p, q), mt)
             if mutant == "perturb-x":
                 first = next(iter(f.x))
                 f.x[first] += 1e-3
@@ -317,7 +318,7 @@ def run_verification(
             )
             c = check("factorization_sampling")
             try:
-                value = x0_norm_estimate(f, u, _Z_PER_TRIAL, seed=trial)
+                value = _x0_norm_estimate(f, u, _Z_PER_TRIAL, trial, mt)
                 c.record(True, seed, trial)
                 c.track("max_lattice_candidate", value)
             except VerificationError as exc:
@@ -325,18 +326,14 @@ def run_verification(
 
         if dimension > 1:
             uv = _trial_expansion(seed + 1_000_003, trial, max_level, dimension, density)
-            mv = weights_vector(uv, p)
-            c = check("vector_weight_sum")
-            c.record(validate_measure(mv, uv), seed, trial)
-            c.track("max_weight_sum", mv.total())
-            c = check("vector_multiplier_bound")
-            for _ in range(_PHI_PER_TRIAL):
-                phi = {i: float(v) for i, v in zip(uv.support, rng.uniform(-1, 1, len(uv.support)))}
-                c.record(check_multiplier_bound(uv, p, phi, mv).ok, seed, trial)
-            dv = decompose(uv, p)
+            dv, rv, rows_v = _decompose(uv, p)
+            check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rows_v, rv.norm_p))
             h2_ok = True
-            for block, _ in dv.pieces:
-                ui = uv.restrict(block)
+            for block in rows_v:  # a block's rows ascend, as in support order
+                ui = HaarExpansion._from_rows(
+                    uv.max_level, uv.dimension, [uv.support[r] for r in block.tolist()],
+                    uv.levels[block], uv.positions[block], uv.values[block],
+                )
                 mu = h2_measure(ui)
                 phi = {i: float(v) for i, v in zip(ui.support, rng.uniform(-1, 1, len(ui.support)))}
                 lhs = hp_norm(multiply(phi, ui), 2.0) ** 2
@@ -458,8 +455,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.command == "decompose":
         u = load(args.file)
-        dec = decompose(u, args.p)
-        report = verify_decomposition(u, args.p, dec)
+        dec, report, _ = _decompose(u, args.p)
         payload = {
             "pieces": [
                 {

@@ -193,11 +193,6 @@ class HaarExpansion:
     def support_family(self) -> IntervalFamily:
         return IntervalFamily._from_sorted(self.support, self.max_level)
 
-    def restrict(self, intervals: Iterable[DyadicInterval]) -> "HaarExpansion":
-        """Sub-expansion keeping only the given support intervals."""
-        kept = {i: self.coeffs[i] for i in intervals if i in self.coeffs}
-        return HaarExpansion(self.max_level, self.dimension, kept)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HaarExpansion):
             return NotImplemented
@@ -311,12 +306,7 @@ def _cells(
     endpoints = np.concatenate(
         ([0, 1 << max_level], starts, starts + (np.int64(1) << shift))
     )
-    order = np.argsort(endpoints)
-    ordered = endpoints[order]
-    new = np.diff(ordered, prepend=-1) != 0
-    bounds = ordered[new]
-    index = np.empty(len(endpoints), dtype=np.int64)
-    index[order] = np.cumsum(new) - 1
+    bounds, index = np.unique(endpoints, return_inverse=True)
     first = index[2 : n + 2]
     counts = index[n + 2 :] - first
     # one (row, atom) pair per atom inside each interval, rows in support
@@ -372,12 +362,18 @@ def _in_float_range(norm: float, u: HaarExpansion) -> float:
 
 
 def convexify(u: HaarExpansion, q: float) -> HaarExpansion:
-    """Coefficientwise power |x_I|^(q/2); support is preserved."""
+    """Coefficientwise power |x_I|^(q/2); support is preserved: OverflowError
+    if a power underflows to 0 or overflows (coefficients are not rescaled)."""
     if u.dimension != 1:
         raise ValueError("convexification is defined for scalar expansions only")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    powered = [abs(value) ** (q / 2.0) for value in u.values[:, 0].tolist()]
+    try:
+        powered = [abs(value) ** (q / 2.0) for value in u.values[:, 0].tolist()]
+        if 0.0 in powered:  # an underflow, which would drop its row
+            raise OverflowError
+    except OverflowError:  # Python's float pow raises on overflow
+        raise OverflowError(f"a power |x_I|^(q/2) at q={q} leaves the float range") from None
     values = np.array(powered, dtype=float).reshape(len(powered), 1)
     return HaarExpansion._from_rows(
         u.max_level, 1, u.support, u.levels, u.positions, values

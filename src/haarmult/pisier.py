@@ -17,7 +17,7 @@ import numpy as np
 from .dyadic import DyadicInterval
 from .errors import DegenerateThetaError, VerificationError, ZeroInputError
 from .haar import HaarExpansion, _cell_sum, _cells, tl_norm
-from .pietsch import weights_tl
+from .pietsch import PietschMeasure, weights_tl
 
 _IDENTITY_RTOL = 1e-10
 _CHAIN_RTOL = 1e-9
@@ -53,8 +53,13 @@ def factorize(u: HaarExpansion, p: float, q: float) -> Factorization:
         raise ZeroInputError("cannot factorize the zero expansion")
     if u.dimension != 1:
         raise ValueError("factorize expects a scalar expansion")
-    exponent = theta(p, q)
-    measure = weights_tl(u, p, q)
+    return _factorize(u, p, q, theta(p, q), weights_tl(u, p, q))
+
+
+def _factorize(
+    u: HaarExpansion, p: float, q: float, exponent: float, measure: PietschMeasure
+) -> Factorization:
+    """`factorize` from `theta(p, q)` and `weights_tl(u, p, q)`."""
     x: dict[DyadicInterval, float] = {}
     y: dict[DyadicInterval, float] = {}
     for interval, (value,) in u.coeffs.items():
@@ -111,7 +116,13 @@ def x0_norm_estimate(
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     if set(f.x) != set(u.coeffs) or set(f.y) != set(u.coeffs):
         raise ValueError("factorization does not match the expansion")
-    measure = weights_tl(u, f.p, f.q)
+    return _x0_norm_estimate(f, u, n_samples, seed, weights_tl(u, f.p, f.q))
+
+
+def _x0_norm_estimate(
+    f: Factorization, u: HaarExpansion, n_samples: int, seed: int, measure: PietschMeasure
+) -> float:
+    """`x0_norm_estimate` after its argument checks, on `weights_tl(u, f.p, f.q)`."""
     for interval, weight in measure.weights.items():
         expected = (weight * 2.0**interval.level) ** (1.0 / f.q)
         if not math.isclose(expected, f.y[interval], rel_tol=1e-9, abs_tol=1e-300):

@@ -1,16 +1,17 @@
 """Reference implementations of the expansion hot paths, kept from the
 per-coefficient loops that the support arrays replaced: the constructor's
 validation loop, the multiplier, and the set-based stopping-time
-assignment; and the pointwise value of a Haar function, for direct
-evaluation of Haar sums. The tests compare the library against them; they
-are slow and not part of the package.
+assignment; the pointwise value of a Haar function, for direct evaluation
+of Haar sums; and the sub-expansion on a set of intervals, which the
+library builds from support rows instead. The tests compare the library
+against them; they are slow and not part of the package.
 """
 
 import math
 
 import numpy as np
 
-from haarmult import IntervalFamily
+from haarmult import HaarExpansion, IntervalFamily
 from haarmult.atomic import AtomicPiece
 from haarmult.errors import VerificationError
 from haarmult.haar import square_leaf_sums
@@ -47,6 +48,12 @@ def evaluate_haar(interval, t):
         return 0
     midpoint = (interval.left + interval.right) / 2
     return 1 if t < midpoint else -1
+
+
+def restrict(u, intervals):
+    """Sub-expansion keeping only the given support intervals."""
+    kept = {i: u.coeffs[i] for i in intervals if i in u.coeffs}
+    return HaarExpansion(u.max_level, u.dimension, kept)
 
 
 def coefficient_square(u, interval):

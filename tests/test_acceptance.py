@@ -327,7 +327,7 @@ class TestCriterion4ExactIdentities:
         for u in vector_pool[:500]:
             dec = decompose(u, 1.0)
             for block, _ in dec.pieces:
-                ui = u.restrict(block)
+                ui = haar_oracle.restrict(u, block)
                 mu = h2_measure(ui)
                 phi = dict(zip(ui.support, rng.uniform(-1, 1, len(ui.support))))
                 lhs = hp_norm(multiply(phi, ui), 2.0) ** 2

@@ -22,6 +22,7 @@ from haarmult import (
     weights_hp,
 )
 
+import haar_oracle
 from atomic_oracle import sup_square
 
 
@@ -226,7 +227,7 @@ class TestVerifyDecomposition:
             phi = {i: float(rng.uniform(-1, 1)) for i in u.support}
             lhs = hp_norm(multiply(phi, u), p) ** p
             rhs = math.fsum(
-                hp_norm(multiply(phi, u.restrict(block)), p) ** p
+                hp_norm(multiply(phi, haar_oracle.restrict(u, block)), p) ** p
                 for block, _ in dec.pieces
             )
             assert lhs <= rhs * (1 + 1e-12)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from haarmult import DyadicInterval, ExpansionFormatError
+from haarmult import DyadicInterval, ExpansionFormatError, atomic
 from haarmult.cli import dump_json, gen_random, load, main, run_verification, save
 
 
@@ -21,6 +21,19 @@ def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name`; the returned list gets the arguments of each call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 MINIMAL = {
@@ -237,6 +250,13 @@ class TestCommands:
         assert payload["pieces"] == [{"top": "0/0", "block": ["0/0"]}]
         assert payload["report"]["passed"] is True
 
+    def test_decompose_verifies_once(self, tmp_path, capsys, monkeypatch):
+        verifies = count_calls(monkeypatch, atomic, "_verify")
+        path = write(tmp_path, "u.json", MINIMAL)
+        assert main(["decompose", "--p", "1", path]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
+        assert len(verifies) == 1
+
     def test_pietsch_single(self, tmp_path, capsys):
         path = write(tmp_path, "u.json", MINIMAL)
         assert main(["pietsch", "--p", "1", path]) == 0
@@ -317,6 +337,26 @@ class TestCommands:
         assert captured.err.startswith("error: ")
         assert "float range" in captured.err
 
+    @pytest.mark.parametrize(
+        "command", [["pietsch", "--p", "1.5"], ["factorize", "--p", "1.5"]]
+    )
+    def test_underflowing_convexification_exit_two(self, tmp_path, capsys, command):
+        # |1e-3|^(300/2) underflows to 0.0, which would drop the row 1/0
+        small = {
+            "max_level": 1,
+            "dimension": 1,
+            "coefficients": [
+                {"level": 0, "pos": 0, "value": [1.0]},
+                {"level": 1, "pos": 0, "value": [1e-3]},
+            ],
+        }
+        path = write(tmp_path, "u.json", small)
+        assert main(command + ["--q", "300", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "float range" in captured.err
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
@@ -361,6 +401,33 @@ class TestVerifyCommand:
         assert weight_sum["failure_count"] == 25
         assert len(weight_sum["failures"]) == 20
         assert "failure_count" not in payload["checks"]["decay_bound"]
+
+    def test_overflowing_convexification_exit_two(self, capsys):
+        code = main(["verify", "--p", "1.5", "--q", "1e6", "--trials", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "float range" in captured.err
+
+    def test_tiny_density_input_error(self, capsys):
+        code = main(["verify", "--density", "1e-9", "--max-level", "2", "--trials", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "density 1e-09" in err
+        assert "max level 2" in err
+
+    def test_each_expansion_decomposed_once_per_trial(self, monkeypatch):
+        stopping_times = count_calls(monkeypatch, atomic, "_stopping_time_pieces")
+        verifies = count_calls(monkeypatch, atomic, "_verify")
+        report = run_verification(
+            p=1.5, q=3.0, trials=1, seed=0, density=0.5, max_level=6, dimension=2
+        )
+        assert report["passed"] is True
+        # u, |u|^(q/2) and the vector expansion uv, once each
+        assert (len(stopping_times), len(verifies)) == (3, 3)
 
     def test_dimension_below_one_usage_error(self):
         with pytest.raises(SystemExit) as exc:

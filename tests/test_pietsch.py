@@ -135,6 +135,12 @@ class TestWeightsTl:
         with pytest.raises(ValueError):
             weights_tl(u, 3.0, 2.0)
 
+    def test_underflowing_convexification_fails_closed(self):
+        # |1e-3|^150 underflows; the weights must not leave the row 1/0 out
+        u = scalar(1, {(0, 0): 1.0, (1, 0): 1e-3})
+        with pytest.raises(OverflowError, match="float range"):
+            weights_tl(u, 1.5, 300.0)
+
 
 class TestWeightsVector:
     def test_axis_vector_single_interval(self):
@@ -149,7 +155,7 @@ class TestWeightsVector:
             u = random_expansion(rng, int(rng.integers(0, 7)), dimension=2)
             dec = decompose(u, 1.0)
             for block, _ in dec.pieces:
-                mu = h2_measure(u.restrict(block))
+                mu = h2_measure(haar_oracle.restrict(u, block))
                 assert math.fsum(mu.values()) == pytest.approx(1.0, rel=1e-12)
 
     def test_sum_at_most_one(self):

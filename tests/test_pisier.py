@@ -118,6 +118,11 @@ class TestFactorize:
         with pytest.raises(DegenerateThetaError):
             factorize(scalar(0, {(0, 0): 1.0}), 2.0, 2.0)
 
+    def test_underflowing_convexification_fails_closed(self):
+        u = scalar(1, {(0, 0): 1.0, (1, 0): 1e-3})
+        with pytest.raises(OverflowError, match="float range"):
+            factorize(u, 1.5, 300.0)
+
 
 class TestVerifyFactorization:
     def test_accepts_factorize_output(self):

@@ -82,6 +82,7 @@ def test_removed_name_gone(module, name):
 
 def test_removed_methods_gone():
     assert not hasattr(IntervalFamily, "restrict")
+    assert not hasattr(HaarExpansion, "restrict")
     assert not hasattr(StepFunction, "lp_norm")
     step = square_function(HaarExpansion.scalar(0, {DyadicInterval(0, 0): 1.0}))
     assert not callable(step)
