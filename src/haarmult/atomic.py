@@ -28,7 +28,7 @@ statistics are sums over the cells of its own square function inside its
 top.
 
 Containment inside the support is one array, each row's nearest support
-ancestor (`_support_parents`), found by a binary search over heap codes. The
+ancestor, from `dyadic._nearest_ancestors` on the support arrays. The
 stopping time reads it to find block tops, and the verifier's block check is
 one pass over it: a block passes iff exactly one of its rows has no parent
 in the same block. `dyadic.is_block` is the reference predicate for that
@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicInterval, IntervalFamily, _packed_carleson
+from .dyadic import DyadicInterval, IntervalFamily, _nearest_ancestors, _packed_carleson
 from .errors import VerificationError, ZeroInputError
 from .haar import HaarExpansion, _cell_sum, _cells, hp_norm
 
@@ -218,64 +218,34 @@ def _majority_cover(
     return cover
 
 
-def _support_parents(u: HaarExpansion) -> np.ndarray:
-    """Per support row, the row of its nearest strict ancestor in the
-    support, -1 if it has none: `u.support_family().parents()` as an array.
-
-    Rows are in heap order 2^level - 1 + position, so a binary search finds
-    the ancestor of a row at a given level among them; climbing one level at
-    a time, the first hit is the nearest."""
-    heap = (1 << u.levels) - 1 + u.positions
-    parent = np.full(len(heap), -1)
-    rows = np.flatnonzero(u.levels > 0)
-    up = 0
-    while len(rows):
-        up += 1
-        level = u.levels[rows] - up
-        code = (1 << level) - 1 + (u.positions[rows] >> up)
-        at = np.minimum(np.searchsorted(heap, code), len(heap) - 1)
-        hit = heap[at] == code
-        parent[rows[hit]] = at[hit]
-        rows = rows[~hit & (level > 0)]
-    return parent
-
-
 def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
     max_level = u.max_level
     sums, lengths = _cells(max_level, u.levels, u.positions, u.squares)
-    min_coeff = float(u.squares.min())
-    max_val = float(sums.max())
-    if not (min_coeff > 0.0 and max_val < math.inf):
+    if not (float(u.squares.min()) > 0.0 and float(sums.max()) < math.inf):
         raise OverflowError("the coefficient squares leave the float range")
-    # 4^k brackets: start above the largest square-function value, stop once
-    # the threshold undercuts every coefficient (then every support interval
-    # is fully covered and gets assigned).
-    k_start = min(math.ceil(0.5 * math.log2(max_val)) + 1, 550)
-    k_stop = max(math.floor(0.5 * math.log2(min_coeff)) - 1, -550)
 
     # each row's anchor: the maximal member of Omega~_k containing it at the
-    # largest k whose threshold covers it, as a heap index 2^level - 1 + pos
+    # largest k whose threshold covers it, as a heap index 2^level - 1 + pos.
+    # Only the k where Omega_k grows matter: the next is the power of 4 just
+    # below the largest cell value not yet in Omega.
     cover = _majority_cover(u, lengths)
     pending = np.arange(len(u.support))
     anchor_level = np.empty(len(u.support), dtype=np.int64)
-    for k in range(k_start, k_stop - 1, -1):
-        exponent = 2 * k
-        if exponent > 1023:
-            threshold = math.inf
-        elif exponent < -1074:
-            threshold = 0.0
-        else:
-            threshold = math.ldexp(1.0, exponent)
-        omega = sums > threshold
-        if not omega.any():
-            continue
+    omega = np.zeros(len(sums), dtype=bool)
+    while len(pending):
+        value = float(np.where(omega, 0.0, sums).max())
+        if not value:  # unreachable: the support's cells are positive
+            break
+        # 4^k < m 2^e iff 2k <= e - 1 - [m = 1/2]; ldexp is 0.0 below the
+        # subnormals, which selects the same cells as 4^k
+        mantissa, exponent = math.frexp(value)
+        k = (exponent - 1 - (mantissa == 0.5)) // 2
+        omega = sums > math.ldexp(1.0, 2 * k)
         found = cover(omega)[pending]
         hit = found >= 0
         anchor_level[pending[hit]] = found[hit]
         pending = pending[~hit]
-        if not len(pending):
-            break
-    if len(pending):  # unreachable: the k_stop threshold covers all coefficients
+    if len(pending):
         raise VerificationError(f"stopping time failed to assign {len(pending)} intervals")
     anchor = (1 << anchor_level) - 1 + (u.positions >> (u.levels - anchor_level))
 
@@ -286,7 +256,7 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
     # and every support row between two such rows has that anchor as well:
     # the top is reached through parents with the row's anchor. Parents lie
     # on coarser levels, so one pass per level, coarsest first, sets them.
-    parent = _support_parents(u)
+    parent = _nearest_ancestors(u.levels, u.positions)
     top = np.arange(len(u.support))
     bounds = np.searchsorted(u.levels, np.arange(1, max_level + 1))
     for lo, hi in zip(bounds.tolist(), bounds[1:].tolist() + [len(top)]):
@@ -366,7 +336,7 @@ def _blocks_closed(
     `covered` is the concatenation of `block_rows`."""
     block = np.empty(len(u.support), dtype=np.int64)
     block[covered] = np.repeat(np.arange(len(block_rows)), list(map(len, block_rows)))
-    parent = _support_parents(u)
+    parent = _nearest_ancestors(u.levels, u.positions)
     head = parent < 0
     child = ~head
     head[child] = block[parent[child]] != block[child]

@@ -219,9 +219,9 @@ class _Check:
                 entry["detail"] = detail
             self.failures.append(entry)
 
-    def track(self, key: str, value: float, largest: bool = True) -> None:
+    def track(self, key: str, value: float) -> None:
         current = self.extremes.get(key)
-        if current is None or (value > current if largest else value < current):
+        if current is None or value > current:
             self.extremes[key] = value
 
     @property

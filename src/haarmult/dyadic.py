@@ -3,7 +3,9 @@
 A `DyadicInterval` is an immutable `(level, position)` tuple, so hashing,
 equality and ordering run in C. Every family query reads one table, each
 member's nearest strict ancestor (`IntervalFamily.parents`); the maximal
-members are those whose entry is -1. Depths are one top-down pass over it
+members are those whose entry is -1. `_nearest_ancestors` builds it; it is
+the package's one nearest-ancestor search, which `atomic` also runs on
+support arrays. Depths are one top-down pass over the table
 and packed measures one bottom-up pass, both O(n), and
 `generation_decay_verdicts` answers the decay bound for every member and
 layer at once from one bottom-up pass in O(n L). Measures are exact integer
@@ -14,8 +16,12 @@ a float.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import EmptyFamilyError
 
@@ -73,6 +79,27 @@ class DyadicInterval(_LevelPosition):
 
     def __str__(self) -> str:
         return f"{self.level}/{self.position}"
+
+
+def _nearest_ancestors(levels: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Per interval (levels[k], positions[k]), distinct and sorted by
+    (level, position), the index of its nearest strict ancestor among them,
+    -1 if it has none. That order is the heap order 2^level - 1 + position,
+    so a binary search finds an interval's ancestor at a given level among
+    them; climbing one level at a time, the first hit is the nearest."""
+    heap = (1 << levels) - 1 + positions
+    parent = np.full(len(heap), -1)
+    rows = np.flatnonzero(levels > 0)
+    up = 0
+    while len(rows):
+        up += 1
+        level = levels[rows] - up
+        code = (1 << level) - 1 + (positions[rows] >> up)
+        at = np.minimum(np.searchsorted(heap, code), len(heap) - 1)
+        hit = heap[at] == code
+        parent[rows[hit]] = at[hit]
+        rows = rows[~hit & (level > 0)]
+    return parent
 
 
 class IntervalFamily:
@@ -140,34 +167,16 @@ class IntervalFamily:
     def issubset(self, other: "IntervalFamily") -> bool:
         return self._set <= other._set
 
-    def _table(self) -> tuple[dict[DyadicInterval, int], tuple[int, ...]]:
-        """Member -> index map and `parents`, built on first use by a walk in
-        left-endpoint order, coarsest first: a member's ancestors come before
-        it and all members between lie inside them, so they stay on the stack.
-
-        Endpoints are integer leaf counts; the stack top contains the next
-        member iff its right end lies past that member's left end."""
-        if self._ancestry is None:
-            members, top = self.intervals, self.max_level
-            index = dict(zip(members, range(len(members))))
-            parent = [-1] * len(members)
-            lefts = [m.position << (top - m.level) for m in members]
-            rights = [left + (1 << (top - m.level)) for left, m in zip(lefts, members)]
-            chain: list[int] = []
-            # a stable sort keeps the coarser of two members with one left end first
-            for k in sorted(range(len(members)), key=lefts.__getitem__):
-                while chain and rights[chain[-1]] <= lefts[k]:
-                    chain.pop()
-                if chain:
-                    parent[k] = chain[-1]
-                chain.append(k)
-            object.__setattr__(self, "_ancestry", (index, tuple(parent)))
-        return self._ancestry
-
     def parents(self) -> tuple[int, ...]:
         """Per member, the index of its nearest strict ancestor in the family,
         or -1 if it is maximal; a parent precedes its children."""
-        return self._table()[1]
+        if self._ancestry is None:
+            # heap codes past level 62 overflow int64: keep Python ints there
+            dtype = np.int64 if self.max_level <= 62 else object
+            flat = np.fromiter(chain.from_iterable(self), dtype, 2 * len(self))
+            parent = _nearest_ancestors(flat[0::2], flat[1::2])
+            object.__setattr__(self, "_ancestry", tuple(parent.tolist()))
+        return self._ancestry
 
     def depths(self) -> list[int]:
         """Per member, the number of members strictly containing it.
@@ -259,14 +268,14 @@ def generation_decay_verdicts(family: IntervalFamily, layers: int) -> list[list[
     if not family:
         return []
     packing = float(carleson_constant(family))
-    top = family.max_level
+    bounds = [4.0 * 2.0 ** (-2.0 * n / (4.0 * packing + 1.0)) for n in range(layers)]
+    scale = 1 << family.max_level
     verdicts = []
     for leaves, interval in zip(_layer_leaves(family), family):
         leaves += [0] * (layers - len(leaves))
+        measure = math.ldexp(1.0, -interval.level)
         verdicts.append([
-            leaves[n] / (1 << top)
-            <= 4.0 * 2.0 ** (-2.0 * n / (4.0 * packing + 1.0)) * float(interval.measure)
-            for n in range(layers)
+            count / scale <= bound * measure for count, bound in zip(leaves, bounds)
         ])
     return verdicts
 
@@ -283,6 +292,7 @@ def is_block(collection: IntervalFamily, ambient: IntervalFamily) -> bool:
     """
     if not collection.issubset(ambient):
         raise ValueError("collection must be a sub-collection of the ambient family")
-    index, parent = ambient._table()
+    index = dict(zip(ambient, range(len(ambient))))
+    parent = ambient.parents()
     ups = [parent[index[i]] for i in collection]
     return sum(up < 0 or ambient.intervals[up] not in collection for up in ups) == 1

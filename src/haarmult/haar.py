@@ -18,9 +18,11 @@ reads it.
 
 Every sum sum_I v_I 1_I on a hot path goes through `_cells`, which picks a
 cell grid from the input: the atoms when (2n + 1)(N + 1) + 256 < 2^N, else
-the 2^N leaves (`push_down`); no other module knows either layout. The value on
-a cell is bit-identical to `push_down` at the cell's first leaf (each cell
-adds its intervals coarsest first, starting from 0.0), and norms are
+the 2^N leaves (`push_down`). Only `atomic._majority_cover` reads the layout
+(the cells' lengths in left-to-right order); every other caller just sums
+over the cells. The value on a cell is bit-identical to `push_down` at the
+cell's first leaf (each cell adds its intervals coarsest first, starting
+from 0.0), and norms are
 length-weighted sums over the cells, so on the atom grid they agree with
 the leaf sums to rounding. Leaf positions, heap codes and prefix counts are
 int64, so the `HaarExpansion` constructor refuses a max level above 61 and

@@ -110,7 +110,8 @@ def x0_norm_estimate(
         value^(1-theta) <= A^(1/p) ||u||_{p,q}.
 
     All of these must hold for every candidate; a violation raises
-    VerificationError.
+    VerificationError. A sampled candidate whose q-norm leaves the float
+    range (raw magnitudes reach 10^3) raises OverflowError.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
@@ -144,7 +145,12 @@ def _x0_norm_estimate(
     candidates[0] = y_vec
     if n_samples:
         raw = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_samples, n_support))
-        scales = (raw**q @ m_vec) ** (1.0 / q)
+        with np.errstate(over="ignore"):
+            scales = (raw**q @ m_vec) ** (1.0 / q)
+        if not np.all((scales > 0.0) & (scales < math.inf)):
+            raise OverflowError(
+                f"a sampled candidate's q-norm leaves the float range at q = {q}"
+            )
         candidates[1:] = raw / scales[:, None]
 
     ratios = candidates / y_vec

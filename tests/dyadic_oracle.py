@@ -1,6 +1,7 @@
 """Reference implementations of the interval-family queries, kept from the
 per-level bisect scans and ancestor walks that the nearest-ancestor table
-replaced. The tests compare the library against them; they are slow
+replaced, and the stack walk that built that table before the heap-code
+search. The tests compare the library against them; they are slow
 (O(n^2 L) exact operations per decay sweep) and not part of the package.
 """
 
@@ -9,6 +10,29 @@ from fractions import Fraction
 from functools import lru_cache
 
 from haarmult import DyadicInterval, IntervalFamily
+
+
+def parents(family):
+    """Per member, the index of its nearest strict ancestor in the family, or
+    -1, by a walk in left-endpoint order, coarsest first: a member's
+    ancestors come before it and all members between lie inside them, so
+    they stay on the stack.
+
+    Endpoints are integer leaf counts; the stack top contains the next
+    member iff its right end lies past that member's left end."""
+    members, top = family.intervals, family.max_level
+    parent = [-1] * len(members)
+    lefts = [m.position << (top - m.level) for m in members]
+    rights = [left + (1 << (top - m.level)) for left, m in zip(lefts, members)]
+    chain = []
+    # a stable sort keeps the coarser of two members with one left end first
+    for k in sorted(range(len(members)), key=lefts.__getitem__):
+        while chain and rights[chain[-1]] <= lefts[k]:
+            chain.pop()
+        if chain:
+            parent[k] = chain[-1]
+        chain.append(k)
+    return tuple(parent)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Reference implementations of the expansion hot paths, kept from the
 per-coefficient loops that the support arrays replaced: the constructor's
 validation loop, the multiplier, and the set-based stopping-time
-assignment; the pointwise value of a Haar function, for direct evaluation
-of Haar sums; and the sub-expansion on a set of intervals, which the
-library builds from support rows instead. The tests compare the library
+assignment, which steps through every k and reads its parents from
+`dyadic_oracle`; the pointwise value of a Haar function, for direct
+evaluation of Haar sums; and the sub-expansion on a set of intervals, which
+the library builds from support rows instead. The tests compare the library
 against them; they are slow and not part of the package.
 """
 
@@ -15,6 +16,8 @@ from haarmult import HaarExpansion, IntervalFamily
 from haarmult.atomic import AtomicPiece
 from haarmult.errors import VerificationError
 from haarmult.haar import square_leaf_sums
+
+import dyadic_oracle
 
 
 def cleaned_coeffs(max_level, dimension, coeffs):
@@ -137,7 +140,7 @@ def stopping_time_pieces(u):
         family = IntervalFamily(members, max_level=max_level)
         root = []
         blocks = {}
-        for interval, up in zip(family, family.parents()):
+        for interval, up in zip(family, dyadic_oracle.parents(family)):
             root.append(interval if up < 0 else root[up])
             blocks.setdefault(root[-1], []).append(interval)
         for top, block in blocks.items():

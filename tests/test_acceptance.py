@@ -44,9 +44,9 @@ from haarmult import (
     weights_vector,
     x0_norm_estimate,
 )
-from haarmult.atomic import _block_rows, _decompose, _stopping_time_pieces, _support_parents
+from haarmult.atomic import _block_rows, _decompose, _stopping_time_pieces
 from haarmult.cli import _gen_with_rng, main
-from haarmult.dyadic import _layer_leaves
+from haarmult.dyadic import _layer_leaves, _nearest_ancestors
 from haarmult.haar import _cells, push_down, q_variation, square_leaf_sums
 from haarmult.pietsch import _assemble
 
@@ -965,8 +965,17 @@ class TestSupportRowBlockCheck:
     `IntervalFamily.parents()` and the reference predicate `is_block`."""
 
     def test_parents_match_family(self, scalar_pool, vector_pool):
+        # the heap-code search on support and member arrays, and the family
+        # table built from it, against the stack walk
         for u in scalar_pool + vector_pool:
-            assert _support_parents(u).tolist() == list(u.support_family().parents())
+            want = dyadic_oracle.parents(u.support_family())
+            assert _nearest_ancestors(u.levels, u.positions).tolist() == list(want)
+            assert u.support_family().parents() == want
+        for fam in TestCriterion6DecayBound._pool():
+            want = dyadic_oracle.parents(fam)
+            levels, positions = np.array(fam.intervals, dtype=np.int64).T
+            assert _nearest_ancestors(levels, positions).tolist() == list(want)
+            assert fam.parents() == want
 
     def test_blocks_ok_matches_is_block(self, scalar_pool, vector_pool):
         # the pools' own blocks, a member moved, two blocks merged, a wrong
@@ -1000,3 +1009,94 @@ class TestSupportRowBlockCheck:
                 assert report.blocks_ok is want
                 verdicts.append(want)
         assert verdicts.count(False) > 100 and verdicts.count(True) > 600
+
+
+def _scaled(u, j):
+    """2^j u, row by row."""
+    return HaarExpansion._from_rows(
+        u.max_level, u.dimension, u.support, u.levels, u.positions,
+        np.ldexp(u.values, j),
+    )
+
+
+def _normal_scales(u):
+    """The least and greatest j for which every nonzero coefficient entry of
+    2^j u has a normal square and every cell value of S(2^j u)^2 is finite;
+    in between, every square and cell value scales by 4^j exactly."""
+    entries = np.abs(u.values[u.values != 0.0])
+    smallest = math.frexp(float(entries.min()))[1]
+    sums, _ = _cells(u.max_level, u.levels, u.positions, u.squares)
+    largest = math.frexp(float(sums.max()))[1]
+    return -510 - smallest, (1024 - largest) // 2
+
+
+def _same_pieces(u):
+    assert _stopping_time_pieces(u) == haar_oracle.stopping_time_pieces(u)
+
+
+class TestThresholdDescent:
+    """The stopping time lowers its threshold to the next power of 4 below
+    the largest cell value outside Omega; the oracle steps through every k.
+    Both must give the same pieces at the edges of the float range."""
+
+    def test_power_of_four_squares(self):
+        # coefficients ±2^k put squares, and sums of nested squares, exactly
+        # on the thresholds 4^k
+        rng = np.random.default_rng(4141)
+        full = [DyadicInterval(n, k) for n in range(4) for k in range(1 << n)]
+        cases = [HaarExpansion.scalar(3, dict.fromkeys(full, 1.0))]
+        for _ in range(300):
+            max_level = int(rng.integers(0, 6))
+            coeffs = {
+                DyadicInterval(n, k): float(rng.choice([-1.0, 1.0]))
+                * 2.0 ** int(rng.integers(-3, 4))
+                for n in range(max_level + 1)
+                for k in range(1 << n)
+                if rng.random() < 0.6
+            }
+            cases.append(HaarExpansion.scalar(max_level, coeffs or {full[0]: 1.0}))
+        for u in cases:
+            _same_pieces(u)
+
+    @pytest.mark.parametrize("coeffs", [
+        {(0, 0): 1e-160},
+        {(0, 0): 1e-160, (1, 0): -2e-160, (2, 3): 3e-160, (3, 1): 1.5e-160},
+        {(0, 0): 1.0, (1, 1): 1e-160, (2, 0): 1e-3},
+        {(0, 0): 2.0**-537, (1, 0): 2.0**-537, (2, 3): -(2.0**-537)},
+    ])
+    def test_subnormal_squares(self, coeffs):
+        u = HaarExpansion.scalar(3, {DyadicInterval(*i): v for i, v in coeffs.items()})
+        assert 0.0 < float(u.squares.min()) < 2.0**-1022
+        _same_pieces(u)
+
+    @pytest.mark.parametrize("coeffs", [
+        {(0, 0): math.sqrt(1.7976931348623157e308)},
+        {(0, 0): 1e154, (1, 1): 5e153, (2, 0): -7e153, (3, 7): 6e153},
+        {(0, 0): 1e154, (1, 0): 1.0, (3, 2): 1e-150},
+    ])
+    def test_squares_near_float_max(self, coeffs):
+        u = HaarExpansion.scalar(3, {DyadicInterval(*i): v for i, v in coeffs.items()})
+        assert float(u.squares.max()) >= 1e307
+        _same_pieces(u)
+
+    def test_scaled_pools_match_oracle(self, scalar_pool, vector_pool):
+        # at the ends of the normal range, and below it, where the smallest
+        # squares are subnormal but not 0
+        checked = 0
+        for u in scalar_pool[:250] + vector_pool[:250]:
+            lo, hi = _normal_scales(u)
+            for j in (lo - 12, lo, hi):
+                scaled = _scaled(u, j)
+                if len(scaled.support) < len(u.support) or not scaled.squares.min() > 0:
+                    continue
+                _same_pieces(scaled)
+                checked += 1
+        assert checked > 1400
+
+    def test_power_of_two_scaling_keeps_pieces(self, scalar_pool, vector_pool):
+        rng = np.random.default_rng(4242)
+        for u in scalar_pool + vector_pool:
+            lo, hi = _normal_scales(u)
+            want = _stopping_time_pieces(u)
+            for j in (lo, int(rng.integers(lo, hi + 1)), hi):
+                assert _stopping_time_pieces(_scaled(u, j)) == want

@@ -358,6 +358,19 @@ class TestCommands:
         assert "float range" in captured.err
 
 
+    def test_overflowing_sample_norms_exit_two(self, tmp_path, capsys):
+        # at q = 150 the sampled candidates' q-norms overflow
+        path = str(tmp_path / "g4.json")
+        assert main(["gen", "--max-level", "4", "--seed", "1", "--out", path]) == 0
+        capsys.readouterr()
+        code = main(["factorize", "--p", "1.5", "--q", "150", "--samples", "4", path])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "float range" in captured.err
+
+
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
         code = main(

@@ -209,6 +209,16 @@ class TestAncestorTable:
         assert fam.parents() == (-1, 0, 0, 2)
         assert fam.depths() == [0, 1, 1, 2]
 
+    def test_deep_family_matches_stack_walk(self):
+        # heap codes past level 62 overflow int64, so the table is built on
+        # Python ints there
+        fam = family(
+            (0, 0), (1, 1), (62, (1 << 62) - 1), (63, 5), (64, 10), (64, 11),
+            (69, (1 << 69) - 1), (70, (1 << 70) - 1), (70, 0),
+        )
+        assert fam.parents() == dyadic_oracle.parents(fam)
+        assert fam.parents() == (-1, 0, 1, 0, 3, 3, 2, 0, 6)
+
     @given(families_st)
     def test_parents_are_nearest_ancestors(self, fam):
         members = fam.intervals

@@ -212,6 +212,15 @@ class TestLatticeNormEstimate:
         with pytest.raises(ValueError, match="factorization does not match"):
             x0_norm_estimate(f, u, 4)
 
+    def test_overflowing_sample_norms_fail_closed(self):
+        # raw magnitudes reach 10^3, so raw**q overflows at q = 150; the
+        # scales became inf and every sampled candidate the zero vector
+        u = scalar(2, {(0, 0): 1.0, (1, 0): 0.75, (1, 1): -1.25, (2, 1): 0.5, (2, 2): 1.5})
+        f = factorize(u, 1.5, 150.0)
+        with pytest.raises(OverflowError, match="float range"):
+            x0_norm_estimate(f, u, 4)
+        assert x0_norm_estimate(f, u, 0) > 0.0
+
     def test_negative_sample_count_rejected(self):
         u = scalar(1, {(0, 0): 1.0, (1, 0): 1.0})
         f = factorize(u, 1.5, 3.0)
