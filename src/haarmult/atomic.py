@@ -13,8 +13,12 @@ Generations are constant along containment chains inside a group, so the
 block condition holds by construction. The guarantees (partition, block
 property, tops' Carleson constant <= 4, and the two-sided norm chain) are
 still re-checked on every output; `decompose` refuses to return an
-unverified decomposition. `_block_rows` alone maps blocks onto the support
-rows; the verifier, the weights in `pietsch` and the CLI's h2 check read them.
+unverified decomposition. A decomposition built here is kept in row form:
+one block id per support row and the support row of each block's top.
+The verifier, the weights in `pietsch` and the CLI's h2 check read that
+form, and `pieces` is a view of it. `_verify_rows` is the one verification
+core: a decomposition given as pieces is mapped onto the support rows once
+(`_member_rows`) and checked the same way.
 
 Every function of the square sums runs on the cell grid of `haar._cells`:
 the atoms cut out by the support's endpoints when the support is sparse for
@@ -25,14 +29,17 @@ comes from an int64 prefix sum of the lengths of the cells in Omega_k, read
 at J's endpoints; on the leaves the dense majority cover
 (`_majority_cover_levels`) is cheaper and gives the same anchors. A block's
 statistics are sums over the cells of its own square function inside its
-top.
+top, on the grid `_cells` would pick for that block alone; one batched pass
+(`_block_stats`) computes them for every block, bit for bit as one `_cells`
+call per block would.
 
 Containment inside the support is one array, each row's nearest support
 ancestor, from `dyadic._nearest_ancestors` on the support arrays. The
-stopping time reads it to find block tops, and the verifier's block check is
-one pass over it: a block passes iff exactly one of its rows has no parent
-in the same block. `dyadic.is_block` is the reference predicate for that
-check; no path in the package calls it.
+stopping time reads it to find block tops and hands it to the verification
+inside `decompose`; the verifier's block check is one pass over it: a block
+passes iff exactly one of its rows has no parent in the same block.
+`dyadic.is_block` is the reference predicate for that check; no path in the
+package calls it.
 """
 
 from __future__ import annotations
@@ -41,14 +48,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Callable, NamedTuple
+from itertools import chain, repeat
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .dyadic import DyadicInterval, IntervalFamily, _nearest_ancestors, _packed_carleson
 from .errors import VerificationError, ZeroInputError
-from .haar import HaarExpansion, _cell_sum, _cells, hp_norm
+from .haar import HaarExpansion, _block_cells, _cells, hp_norm
 
 # Relative slack for inequalities that are exact in real arithmetic and only
 # subject to floating-point rounding.
@@ -60,16 +67,94 @@ class AtomicPiece(NamedTuple):
     top: DyadicInterval
 
 
-@dataclass(frozen=True)
 class AtomicDecomposition:
-    """Ordered blocks partitioning the Haar support, one dyadic top each."""
+    """Ordered blocks partitioning the Haar support, one dyadic top each.
 
-    pieces: tuple[AtomicPiece, ...]
-    max_level: int
-    dimension: int
+    `AtomicDecomposition(pieces, max_level, dimension)` keeps the given
+    pieces. `decompose` builds the row form instead: the support it was built
+    on, one block id per support row, and the support row of each block's
+    top, blocks ordered by their tops. There `pieces` is a view, built on
+    first access and kept. Two decompositions are equal when their pieces,
+    max levels and dimensions are.
+    """
+
+    __slots__ = ("max_level", "dimension", "_pieces", "_support", "_block", "_top_rows")
+
+    def __init__(
+        self, pieces: Iterable[AtomicPiece], max_level: int, dimension: int
+    ) -> None:
+        self._set(tuple(pieces), max_level, dimension, None, None, None)
+
+    @classmethod
+    def _from_rows(
+        cls, u: HaarExpansion, block: np.ndarray, top_rows: np.ndarray
+    ) -> "AtomicDecomposition":
+        """The row form on u's support: `block[j]` is the block of support
+        row j, `top_rows[b]` the support row of block b's top."""
+        dec = object.__new__(cls)
+        dec._set(None, u.max_level, u.dimension, u.support, block, top_rows)
+        return dec
+
+    def _set(self, pieces, max_level, dimension, support, block, top_rows) -> None:
+        set_attr = object.__setattr__
+        set_attr(self, "_pieces", pieces)
+        set_attr(self, "max_level", max_level)
+        set_attr(self, "dimension", dimension)
+        set_attr(self, "_support", support)
+        set_attr(self, "_block", block)
+        set_attr(self, "_top_rows", top_rows)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("AtomicDecomposition is immutable")
+
+    def __reduce__(self) -> tuple:
+        return AtomicDecomposition, (self.pieces, self.max_level, self.dimension)
+
+    def _rows(self) -> list[np.ndarray]:
+        """The support rows of each block, ascending; row form only."""
+        block = self._block
+        sizes = np.bincount(block, minlength=len(self._top_rows))
+        # distinct keys sort the rows by block, then ascending, as a stable
+        # sort of the block ids would, in a fraction of its time
+        order = np.argsort(block * len(block) + np.arange(len(block)))
+        return np.split(order, np.cumsum(sizes)[:-1])
+
+    @property
+    def pieces(self) -> tuple[AtomicPiece, ...]:
+        if self._pieces is None:
+            support = self._support
+            pieces = tuple(
+                AtomicPiece(
+                    IntervalFamily._from_sorted(
+                        tuple(map(support.__getitem__, rows.tolist())), self.max_level
+                    ),
+                    support[top],
+                )
+                for rows, top in zip(self._rows(), self._top_rows.tolist())
+            )
+            object.__setattr__(self, "_pieces", pieces)
+        return self._pieces
 
     def tops(self) -> list[DyadicInterval]:
-        return [piece.top for piece in self.pieces]
+        if self._support is not None:
+            return list(map(self._support.__getitem__, self._top_rows.tolist()))
+        return [piece.top for piece in self._pieces]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AtomicDecomposition):
+            return NotImplemented
+        return (self.pieces, self.max_level, self.dimension) == (
+            other.pieces, other.max_level, other.dimension
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.pieces, self.max_level, self.dimension))
+
+    def __repr__(self) -> str:
+        return (
+            f"AtomicDecomposition(pieces={self.pieces!r}, "
+            f"max_level={self.max_level!r}, dimension={self.dimension!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -218,7 +303,10 @@ def _majority_cover(
     return cover
 
 
-def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
+def _stopping_time(u: HaarExpansion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stopping-time blocks of u as (block id per support row, support
+    row of each block's top, each support row's nearest support ancestor);
+    blocks are ordered by their tops."""
     max_level = u.max_level
     sums, lengths = _cells(max_level, u.levels, u.positions, u.squares)
     if not (float(u.squares.min()) > 0.0 and float(sums.max()) < math.inf):
@@ -263,20 +351,10 @@ def _stopping_time_pieces(u: HaarExpansion) -> tuple[AtomicPiece, ...]:
         up = parent[lo:hi]
         same = (up >= 0) & (anchor[up] == anchor[lo:hi])
         top[lo:hi][same] = top[up[same]]
-    # tops in support order give the pieces sorted by top, and each block's
-    # rows ascending give its members sorted
-    order = np.argsort(top, kind="stable")
-    starts = np.flatnonzero(np.diff(top[order])) + 1
-    support = u.support
-    return tuple(
-        AtomicPiece(
-            IntervalFamily._from_sorted(
-                tuple(map(support.__getitem__, block.tolist())), max_level
-            ),
-            support[top[block[0]]],
-        )
-        for block in np.split(order, starts)
-    )
+    # tops in support order give the blocks ordered by top
+    is_top = top == np.arange(len(top))
+    block = (np.cumsum(is_top) - 1)[top]
+    return block, np.flatnonzero(is_top), parent
 
 
 def appendix_constant(p: float, carleson: float | Fraction) -> float:
@@ -294,53 +372,64 @@ def appendix_constant(p: float, carleson: float | Fraction) -> float:
     return 1.0 + 4.0 ** (1.0 / p) * ratio / (1.0 - ratio)
 
 
-def _block_rows(u: HaarExpansion, dec: AtomicDecomposition) -> list[np.ndarray]:
-    """For each piece, the support row of each block member in block order,
-    -1 for a member outside the support."""
-    row_of = dict(zip(u.support, range(len(u.support))))
-    return [
-        np.fromiter(map(row_of.get, block, repeat(-1)), np.int64, len(block))
-        for block, _ in dec.pieces
-    ]
-
-
-def _piece_stats(
-    u: HaarExpansion, top: DyadicInterval, rows: np.ndarray, p: float
-) -> tuple[float, float, bool]:
-    """(norm_p^p, sup of square function, whether every supported member
-    lies inside the top) for one block, given its `_block_rows` entry.
+def _block_stats(
+    u: HaarExpansion,
+    p: float,
+    rows: np.ndarray,
+    block: np.ndarray,
+    tops: list[DyadicInterval],
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Per block b: (norm_p^p, sup of square function, whether every
+    supported member lies inside the top `tops[b]`), for the members rows[j]
+    with block[j] == b, each block's rows ascending, -1 for a member outside
+    the support. No top is finer than `u.max_level`.
 
     The square function of a block vanishes outside its top, so the sums
     run over the block's own cells inside the top; members outside the top (a
     corrupt piece, caught by `tops_ok`) and outside the support (whose square
-    is 0) are left out.
+    is 0) are left out. The cells of every block come from one
+    `_block_cells` call, bit for bit those of one `_cells` call per block.
+    Each block's norm is an `np.sum` over its own cells, as `_cell_sum` sums
+    them (`np.add.reduceat` sums in another order), and the sups are one
+    `np.maximum.reduceat`.
     """
-    rows = rows[rows >= 0]
-    levels = u.levels[rows] - top.level
+    n_blocks = len(tops)
+    flat = np.fromiter(chain.from_iterable(tops), np.int64, 2 * n_blocks)
+    top_levels, top_positions = flat[0::2], flat[1::2]
+    known = rows >= 0
+    rows, block = rows[known], block[known]
+    levels = u.levels[rows] - top_levels[block]
     positions = u.positions[rows]
-    inside = (levels >= 0) & (positions >> np.maximum(levels, 0) == top.position)
-    all_inside = bool(inside.all())
-    rows, levels, positions = rows[inside], levels[inside], positions[inside]
-    positions = positions - (top.position << levels)
-    local, lengths = _cells(u.max_level - top.level, levels, positions, u.squares[rows])
-    norm_p_p = float(_cell_sum(local ** (p / 2.0), lengths)) * 2.0 ** (-u.max_level)
-    return norm_p_p, math.sqrt(float(local.max())), all_inside
+    inside = (levels >= 0) & (positions >> np.maximum(levels, 0) == top_positions[block])
+    all_inside = np.bincount(block[~inside], minlength=n_blocks) == 0
+    if not n_blocks:
+        return [], np.zeros(0), all_inside
+    rows, block, levels = rows[inside], block[inside], levels[inside]
+    positions = positions[inside] - (top_positions[block] << levels)
+    squares = u.squares[rows]
+    cells, lengths, offsets, sizes = _block_cells(
+        u.max_level - top_levels, block, levels, positions, squares
+    )
+    terms = lengths * cells ** (p / 2.0)
+    norms = terms[offsets]  # a sum over one cell is that cell
+    for b in np.flatnonzero(sizes > 1).tolist():
+        norms[b] = np.add.reduce(terms[offsets[b] : offsets[b] + sizes[b]])
+    runs = np.argsort(offsets)
+    sups = np.empty(n_blocks)
+    sups[runs] = np.sqrt(np.maximum.reduceat(cells, offsets[runs]))
+    return (norms * 2.0 ** (-u.max_level)).tolist(), sups, all_inside
 
 
-def _blocks_closed(
-    u: HaarExpansion, block_rows: list[np.ndarray], covered: np.ndarray
-) -> bool:
-    """Whether every block of a partition of the support rows is a block
-    relative to the support: exactly one of its rows has no support parent
-    or a parent in another block (`dyadic.is_block`, for all blocks at once).
-    `covered` is the concatenation of `block_rows`."""
-    block = np.empty(len(u.support), dtype=np.int64)
-    block[covered] = np.repeat(np.arange(len(block_rows)), list(map(len, block_rows)))
-    parent = _nearest_ancestors(u.levels, u.positions)
+def _blocks_closed(block: np.ndarray, n_blocks: int, parent: np.ndarray) -> bool:
+    """Whether every block of a partition of the support rows (`block[j]` the
+    block of row j) is a block relative to the support: exactly one of its
+    rows has no support parent (`parent`, from `dyadic._nearest_ancestors`)
+    or a parent in another block (`dyadic.is_block`, for all blocks at
+    once)."""
     head = parent < 0
     child = ~head
     head[child] = block[parent[child]] != block[child]
-    heads = np.bincount(block[head], minlength=len(block_rows))
+    heads = np.bincount(block[head], minlength=n_blocks)
     return bool((heads == 1).all())
 
 
@@ -371,41 +460,90 @@ def verify_decomposition(
     block relative to the support, read from the support parent rows, (f)
     the observed upper-chain ratio. Every call rechecks from scratch.
     """
-    return _verify(u, p, dec)[0]
+    return _verify(u, p, dec)
 
 
 def _verify(
-    u: HaarExpansion, p: float, dec: AtomicDecomposition
-) -> tuple[DecompositionReport, list[np.ndarray]]:
-    """`verify_decomposition` and the block rows it read."""
+    u: HaarExpansion, p: float, dec: AtomicDecomposition, parent: np.ndarray | None = None
+) -> DecompositionReport:
+    """`verify_decomposition`, reading u's support parent table `parent`
+    when the caller has it."""
     if not 0 < p <= 2:
         raise ValueError(f"p must lie in (0, 2], got {p}")
     if dec.max_level != u.max_level or dec.dimension != u.dimension:
         raise ValueError("decomposition does not match the expansion")
-    norm_p = hp_norm(u, p)
+    return _verify_rows(u, p, *_member_rows(u, dec), parent)
 
-    # the blocks partition the support iff none is empty and their support
-    # rows, sorted, are 0..n-1
-    block_rows = _block_rows(u, dec)
-    covered = np.concatenate([np.zeros(0, np.int64), *block_rows])
-    partition_ok = all(map(len, block_rows)) and np.array_equal(
-        np.sort(covered), np.arange(len(u.support))
+
+def _member_rows(
+    u: HaarExpansion, dec: AtomicDecomposition
+) -> tuple[np.ndarray, np.ndarray, list[DyadicInterval], bool]:
+    """dec on u's support rows, as `_verify_rows` reads it: its own row form
+    when it was built on u's support, else its pieces mapped onto the rows
+    once. Returns (the support row of each member, -1 outside the support;
+    each member's block; the tops; whether every top is a member of its
+    block and every member outside the support lies inside its top)."""
+    tops = dec.tops()
+    if dec._support is not None and dec._support == u.support:
+        block, top_rows = dec._block, dec._top_rows
+        tops_in_blocks = bool((block[top_rows] == np.arange(len(top_rows))).all())
+        return np.arange(len(u.support)), block, tops, tops_in_blocks
+    families = [family for family, _ in dec.pieces]
+    row_of = dict(zip(u.support, range(len(u.support))))
+    members = list(chain.from_iterable(families))
+    rows = np.fromiter(map(row_of.get, members, repeat(-1)), np.int64, len(members))
+    sizes = list(map(len, families))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    strays = np.flatnonzero(rows < 0).tolist()
+    tops_in_blocks = all(map(IntervalFamily.__contains__, families, tops)) and all(
+        tops[block[j]].contains(members[j]) for j in strays
     )
+    return rows, block, tops, tops_in_blocks
 
-    tops_carleson = _tops_carleson(dec.tops(), dec.max_level)
+
+def _verify_rows(
+    u: HaarExpansion,
+    p: float,
+    rows: np.ndarray,
+    block: np.ndarray,
+    tops: list[DyadicInterval],
+    tops_in_blocks: bool,
+    parent: np.ndarray | None,
+) -> DecompositionReport:
+    """The verification core on member rows: `rows[j]` is the support row of
+    member j, -1 outside the support, `block[j]` its block, each block's
+    rows ascending; `tops[b]` is block b's top, and `tops_in_blocks` says
+    whether every top is a member of its block and every member outside the
+    support lies inside its top."""
+    norm_p = hp_norm(u, p)
+    tops_carleson = _tops_carleson(tops, u.max_level)
     tops_carleson_ok = tops_carleson <= 4
 
-    blocks_ok = partition_ok and _blocks_closed(u, block_rows, covered)
+    # the blocks partition the support iff none is empty and the member
+    # rows are each support row once
+    n, n_blocks = len(u.support), len(tops)
+    partition_ok = bool(
+        np.bincount(block, minlength=n_blocks).all()
+        and len(rows) == n
+        and (rows >= 0).all()
+        and (np.bincount(rows, minlength=n) == 1).all()
+    )
+    blocks_ok = False
+    if partition_ok:
+        row_block = np.empty(n, dtype=np.int64)
+        row_block[rows] = block
+        if parent is None:
+            parent = _nearest_ancestors(u.levels, u.positions)
+        blocks_ok = _blocks_closed(row_block, n_blocks, parent)
+
+    norms, sups, inside = _block_stats(u, p, rows, block, tops)
+    tops_ok = tops_in_blocks and bool(inside.all())
 
     norm_p_p = norm_p**p
     block_sum = 0.0
     top_sum = 0.0
     chain_middle_ok = True
-    tops_ok = True
-    for (block, top), rows in zip(dec.pieces, block_rows):
-        piece_norm_p, piece_sup, inside = _piece_stats(u, top, rows, p)
-        strays = (block.intervals[j] for j in np.flatnonzero(rows < 0).tolist())
-        tops_ok &= inside and top in block and all(map(top.contains, strays))
+    for piece_norm_p, piece_sup, top in zip(norms, sups.tolist(), tops):
         top_measure = 2.0 ** (-top.level)
         piece_bound = top_measure * piece_sup**p
         if piece_norm_p > piece_bound * (1 + _ROUNDING_RTOL):
@@ -420,7 +558,7 @@ def _verify(
     chain_lower_ok = lower_constant * norm_p_p <= block_sum * (1 + _ROUNDING_RTOL)
     observed_ratio = top_sum / norm_p_p if norm_p_p else math.inf
 
-    report = DecompositionReport(
+    return DecompositionReport(
         partition_ok=partition_ok,
         blocks_ok=blocks_ok,
         tops_ok=tops_ok,
@@ -434,7 +572,6 @@ def _verify(
         top_bound_sum=top_sum,
         observed_ratio=observed_ratio,
     )
-    return report, block_rows
 
 
 def decompose(u: HaarExpansion, p: float) -> AtomicDecomposition:
@@ -448,21 +585,19 @@ def decompose(u: HaarExpansion, p: float) -> AtomicDecomposition:
 
 def _decompose(
     u: HaarExpansion, p: float
-) -> tuple[AtomicDecomposition, DecompositionReport, list[np.ndarray]]:
-    """`decompose` with the report and block rows of its verification, for
-    the weight constructors to reuse within one call."""
+) -> tuple[AtomicDecomposition, DecompositionReport]:
+    """`decompose` with the report of its verification, for the weight
+    constructors to reuse within one call; the verification reads the
+    stopping time's support parent table."""
     if u.is_zero:
         raise ZeroInputError("cannot decompose the zero expansion")
     if not 0 < p <= 2:
         raise ValueError(f"p must lie in (0, 2], got {p}")
-    dec = AtomicDecomposition(
-        pieces=_stopping_time_pieces(u),
-        max_level=u.max_level,
-        dimension=u.dimension,
-    )
-    report, block_rows = _verify(u, p, dec)
+    block, top_rows, parent = _stopping_time(u)
+    dec = AtomicDecomposition._from_rows(u, block, top_rows)
+    report = _verify(u, p, dec, parent)
     if not report.passed:
         raise VerificationError(
             f"decomposition failed verification: {report.as_dict()}"
         )
-    return dec, report, block_rows
+    return dec, report

@@ -42,8 +42,8 @@ from .pietsch import (
     weights_tl,
     weights_vector,
 )
-from .pisier import _factorize, _x0_norm_estimate, factorize, theta
-from .pisier import verify_factorization, x0_norm_estimate
+from .pisier import _factor_inputs, _factorize, _x0_norm_estimate, theta
+from .pisier import verify_factorization
 
 # random multipliers per trial and per multiplier-bound check, and sample
 # points of the lattice norm estimate per trial, in `run_verification`
@@ -290,7 +290,7 @@ def run_verification(
         check("decay_bound").record(all(map(all, verdicts)), seed, trial)
 
         try:
-            dec, report, rows = _decompose(u, p)
+            dec, report = _decompose(u, p)
         except VerificationError as exc:
             check("atomic_guarantees").record(False, seed, trial, str(exc))
             continue
@@ -299,7 +299,7 @@ def run_verification(
         c.track("max_tops_carleson", float(report.tops_carleson))
         c.track("max_observed_ratio", report.observed_ratio)
 
-        m = _assemble(u, p, dec, 2.0, rows, report.norm_p)
+        m = _assemble(u, p, dec, 2.0, report.norm_p)
         if mutant == "scale-omega":
             m = replace(m, weights={k: 2.0 * w for k, w in m.weights.items()})
         check_weights("hp", u, m).track("constant", m.normalizer ** (1.0 / p))
@@ -326,10 +326,10 @@ def run_verification(
 
         if dimension > 1:
             uv = _trial_expansion(seed + 1_000_003, trial, max_level, dimension, density)
-            dv, rv, rows_v = _decompose(uv, p)
-            check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rows_v, rv.norm_p))
+            dv, rv = _decompose(uv, p)
+            check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p))
             h2_ok = True
-            for block in rows_v:  # a block's rows ascend, as in support order
+            for block in dv._rows():  # a block's rows ascend, as in support order
                 ui = HaarExpansion._from_rows(
                     uv.max_level, uv.dimension, [uv.support[r] for r in block.tolist()],
                     uv.levels[block], uv.positions[block], uv.values[block],
@@ -455,7 +455,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.command == "decompose":
         u = load(args.file)
-        dec, report, _ = _decompose(u, args.p)
+        dec, report = _decompose(u, args.p)
         payload = {
             "pieces": [
                 {
@@ -490,14 +490,15 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.samples < 0:
             parser.error(f"--samples must be nonnegative, got {args.samples}")
         u = load(args.file)
-        f = factorize(u, args.p, args.q)
+        exponent, m = _factor_inputs(u, args.p, args.q)
+        f = _factorize(u, args.p, args.q, exponent, m)
         ok = verify_factorization(u, f)
         payload = {
             "theta": f.theta,
             "x": {_interval_key(i): v for i, v in sorted(f.x.items())},
             "y": {_interval_key(i): v for i, v in sorted(f.y.items())},
             "identity_verified": ok,
-            "lattice_candidate": x0_norm_estimate(f, u, args.samples, args.seed),
+            "lattice_candidate": _x0_norm_estimate(f, u, args.samples, args.seed, m),
         }
         _emit(dump_json(payload), args.out)
         return 0 if ok else 1

@@ -86,19 +86,27 @@ def _nearest_ancestors(levels: np.ndarray, positions: np.ndarray) -> np.ndarray:
     (level, position), the index of its nearest strict ancestor among them,
     -1 if it has none. That order is the heap order 2^level - 1 + position,
     so a binary search finds an interval's ancestor at a given level among
-    them; climbing one level at a time, the first hit is the nearest."""
+    them; climbing through the levels present, one at a time, the first hit
+    is the nearest."""
     heap = (1 << levels) - 1 + positions
+    first = np.ones(len(heap), dtype=bool)
+    first[1:] = levels[1:] != levels[:-1]
+    present = levels[first]
+    # each row's own level, then the next level to try, as an index into
+    # the levels present
+    below = np.cumsum(first) - 1
     parent = np.full(len(heap), -1)
-    rows = np.flatnonzero(levels > 0)
-    up = 0
+    rows = np.flatnonzero(below > 0)
+    below = below[rows]
     while len(rows):
-        up += 1
-        level = levels[rows] - up
-        code = (1 << level) - 1 + (positions[rows] >> up)
+        below -= 1
+        level = present[below]
+        code = (1 << level) - 1 + (positions[rows] >> (levels[rows] - level))
         at = np.minimum(np.searchsorted(heap, code), len(heap) - 1)
         hit = heap[at] == code
         parent[rows[hit]] = at[hit]
-        rows = rows[~hit & (level > 0)]
+        keep = ~hit & (below > 0)
+        rows, below = rows[keep], below[keep]
     return parent
 
 

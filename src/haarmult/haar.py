@@ -17,10 +17,12 @@ so a product phi * u or a convexification builds no dict unless a caller
 reads it.
 
 Every sum sum_I v_I 1_I on a hot path goes through `_cells`, which picks a
-cell grid from the input: the atoms when (2n + 1)(N + 1) + 256 < 2^N, else
-the 2^N leaves (`push_down`). Only `atomic._majority_cover` reads the layout
-(the cells' lengths in left-to-right order); every other caller just sums
-over the cells. The value on a cell is bit-identical to `push_down` at the
+cell grid from the input (`_on_atoms`): the atoms when
+(2n + 1)(N + 1) + 256 < 2^N, else the 2^N leaves (`push_down`). Only
+`atomic._majority_cover` reads the layout (the cells' lengths in
+left-to-right order); every other caller just sums over the cells.
+`_block_cells` is `_cells` for many blocks at once, each on its own grid,
+for the block statistics of a decomposition. The value on a cell is bit-identical to `push_down` at the
 cell's first leaf (each cell adds its intervals coarsest first, starting
 from 0.0), and norms are
 length-weighted sums over the cells, so on the atom grid they agree with
@@ -299,7 +301,7 @@ def _cells(
     `_MAX_LEVEL`, as for every expansion.
     """
     n = len(levels)
-    if (2 * n + 1) * (max_level + 1) + 256 >= 1 << max_level:
+    if not _on_atoms(n, max_level):
         return push_down(max_level, levels, positions, values), None
     # the atom boundaries: every endpoint, sorted and deduplicated, and the
     # index among them of each interval's start and end
@@ -323,6 +325,145 @@ def _cells(
     cell = np.arange(len(flat))[:, None] * width + atom
     np.add.at(acc, cell.ravel(), flat[:, row].ravel())
     return acc.reshape(batch + (width,)), np.diff(bounds)
+
+
+def _on_atoms(n: int | np.ndarray, max_level: int | np.ndarray) -> bool | np.ndarray:
+    """Whether `_cells` sums n intervals at max level N on the atoms:
+    (2n + 1)(N + 1) + 256 < 2^N, elementwise for arrays; the 256 stands for
+    the atoms' fixed cost."""
+    return (2 * n + 1) * (max_level + 1) + 256 < np.left_shift(1, max_level)
+
+
+def _leaf_cells(
+    depth: np.ndarray,
+    block: np.ndarray,
+    levels: np.ndarray,
+    positions: np.ndarray,
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`push_down` for many blocks at once: block b has 2^depth[b] leaves and
+    the intervals (levels[j], positions[j]) with block[j] == b, relative to
+    its root. Returns every block's leaf values, laid end to end, and where
+    each block's leaves start.
+
+    The blocks descend together, deepest first, so the blocks still
+    descending are a prefix of the array and node (k, position) of the k-th
+    of them sits at k 2^level + position; a block leaves the array at its
+    depth. Each leaf adds its intervals coarsest first, starting from 0.0,
+    as `push_down` does."""
+    if not len(depth):
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    order = np.argsort(-depth, kind="stable")
+    rank = np.empty(len(depth), dtype=np.int64)
+    rank[order] = np.arange(len(depth))
+    # the number of blocks at least 0, 1, ... levels deep
+    deepest = int(depth[order[0]])
+    active = np.searchsorted(-depth[order], -np.arange(deepest + 1), side="right").tolist()
+    by_level = np.argsort(levels)
+    k, levels = rank[block[by_level]], levels[by_level]
+    positions, values = positions[by_level], values[by_level]
+    bounds = np.searchsorted(levels, np.arange(deepest + 2)).tolist()
+    parts = []
+    acc = np.zeros(len(depth))
+    for level in range(deepest + 1):
+        if level:
+            descending = active[level] << (level - 1)
+            parts.append(acc[descending:])  # the blocks level - 1 deep
+            acc = np.repeat(acc[:descending], 2)
+        lo, hi = bounds[level], bounds[level + 1]
+        acc[(k[lo:hi] << level) + positions[lo:hi]] += values[lo:hi]
+    parts.append(acc)
+    # the parts hold the blocks by depth, then by their order in `order`
+    layout = np.argsort(depth, kind="stable")
+    sizes = np.left_shift(1, depth[layout])
+    start = np.empty(len(depth), dtype=np.int64)
+    start[layout] = np.cumsum(sizes) - sizes
+    return np.concatenate(parts), start
+
+
+def _atom_cells(
+    depth: np.ndarray,
+    block: np.ndarray,
+    firsts: np.ndarray,
+    shifts: np.ndarray,
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_cells` on the atoms for many blocks at once: block b spans
+    2^depth[b] leaves and holds the intervals [firsts[j], firsts[j] +
+    2^shifts[j]) in leaves with block[j] == b, relative to its root, each
+    block's in support order. Returns every block's atom values and lengths,
+    block after block, and the number of atoms of each block.
+
+    Each block's atoms are cut out by its own endpoints and its ends 0 and
+    2^depth. One `np.add.at` over the (interval, atom) pairs, in support
+    order, adds each atom's intervals coarsest first, starting from 0.0, as
+    `_cells` does."""
+    n_blocks, m = len(depth), len(block)
+    ends = np.concatenate((np.zeros(n_blocks, dtype=np.int64), np.left_shift(1, depth)))
+    points = np.concatenate((ends, firsts, firsts + np.left_shift(1, shifts)))
+    owner = np.concatenate((np.arange(n_blocks), np.arange(n_blocks), block, block))
+    # an endpoint reaches 2^61, so (block, endpoint) does not fit one int64
+    # key; (block, the endpoint's rank among all endpoints) does
+    by_point = np.argsort(points)
+    sorted_points = points[by_point]
+    distinct = np.ones(len(points), dtype=bool)
+    distinct[1:] = sorted_points[1:] != sorted_points[:-1]
+    rank = np.empty(len(points), dtype=np.int64)
+    rank[by_point] = np.cumsum(distinct) - 1
+    keys, index = np.unique((owner << 32) | rank, return_inverse=True)
+    bound_owner = keys >> 32
+    bound_point = sorted_points[distinct][keys & 0xFFFFFFFF]
+    # atom a lies between bounds a and a + 1 when both are of one block
+    first = index[2 * n_blocks : 2 * n_blocks + m]
+    counts = index[2 * n_blocks + m :] - first
+    row = np.repeat(np.arange(m), counts)
+    atom = np.arange(len(row)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    acc = np.zeros(len(keys))
+    np.add.at(acc, atom, values[row])
+    within = bound_owner[1:] == bound_owner[:-1]
+    atoms = np.bincount(bound_owner[:-1][within], minlength=n_blocks)
+    return acc[:-1][within], np.diff(bound_point)[within], atoms
+
+
+def _block_cells(
+    depth: np.ndarray,
+    block: np.ndarray,
+    levels: np.ndarray,
+    positions: np.ndarray,
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_cells` for many blocks at once, without batch axes: block b spans
+    2^depth[b] leaves and holds the intervals (levels[j], positions[j]) with
+    block[j] == b, relative to its own root, each block's in support order.
+    Returns (every cell's value, its length in leaves, each block's first
+    cell, each block's number of cells), the blocks' cells contiguous.
+
+    Each block gets the grid `_cells` picks for it alone, and every cell
+    value is bit for bit that of `_cells` on the block: the leaf-grid
+    blocks go through one `_leaf_cells`, the atom-grid blocks through one
+    `_atom_cells`."""
+    n_blocks = len(depth)
+    atoms = _on_atoms(np.bincount(block, minlength=n_blocks), depth)
+    leaf_blocks, atom_blocks = np.flatnonzero(~atoms), np.flatnonzero(atoms)
+    local = np.empty(n_blocks, dtype=np.int64)
+    local[leaf_blocks] = np.arange(len(leaf_blocks))
+    local[atom_blocks] = np.arange(len(atom_blocks))
+    on = atoms[block]  # the intervals of atom-grid blocks
+    leaf_values, leaf_start = _leaf_cells(
+        depth[leaf_blocks], local[block[~on]], levels[~on], positions[~on], values[~on]
+    )
+    shifts = depth[block[on]] - levels[on]
+    atom_values, atom_lengths, atom_count = _atom_cells(
+        depth[atom_blocks], local[block[on]], positions[on] << shifts, shifts, values[on]
+    )
+    first = np.empty(n_blocks, dtype=np.int64)
+    first[leaf_blocks] = leaf_start
+    first[atom_blocks] = len(leaf_values) + np.cumsum(atom_count) - atom_count
+    count = np.empty(n_blocks, dtype=np.int64)
+    count[leaf_blocks] = np.left_shift(1, depth[leaf_blocks])
+    count[atom_blocks] = atom_count
+    lengths = np.concatenate((np.ones(len(leaf_values), dtype=np.int64), atom_lengths))
+    return np.concatenate((leaf_values, atom_values)), lengths, first, count
 
 
 def _cell_sum(terms: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:

@@ -10,9 +10,9 @@ A is the smallest constant >= 1 with sum_i |I_i|^(1-p/2) ||u_i||_2^p
 <= A ||u||^p, which makes sum_I w_I <= 1 automatic and turns the multiplier
 bound ||phi.u|| <= A^(1/p) ||u|| (sum |phi_I|^s w_I)^(1/s) into a
 deterministic inequality rather than a statistical one. Per block, the sum
-of |x_I|^2 |I| is a `math.fsum` over the block's support rows, and the weight
-constructors read the block rows and the norm from the verification that
-their `decompose` already ran.
+of |x_I|^2 |I| is a `math.fsum` over the block's support rows, read from
+the decomposition's row form, and the weight constructors read the norm
+from the verification that their `decompose` already ran.
 
 The multiplier check reads phi and the weights once per support row into
 arrays in support order, shares the factors with the product phi * u, and
@@ -95,18 +95,17 @@ def _assemble(
     p: float,
     dec: AtomicDecomposition,
     exponent: float,
-    block_rows: list[np.ndarray],
     norm_p: float,
 ) -> PietschMeasure:
-    """Weights from a verified decomposition of u, its `_block_rows` and
-    `hp_norm(u, p)`, written in support order."""
+    """Weights from a verified decomposition of u built by `decompose` (its
+    row form) and `hp_norm(u, p)`, written in support order."""
     norm_p_p = norm_p**p
     terms = _square_measures(u)
     factors = np.empty(len(u.support))
     total = 0.0
-    for rows, (_, top) in zip(block_rows, dec.pieces):
+    for rows, top_level in zip(dec._rows(), u.levels[dec._top_rows].tolist()):
         l2_sq = math.fsum(terms[rows].tolist())
-        top_measure = 2.0 ** (-top.level)
+        top_measure = 2.0 ** (-top_level)
         factors[rows] = top_measure ** (1.0 - p / 2.0) * l2_sq ** ((p - 2.0) / 2.0)
         total += top_measure ** (1.0 - p / 2.0) * l2_sq ** (p / 2.0)
     normalizer = max(1.0, total / norm_p_p)
@@ -126,10 +125,10 @@ def _assemble(
 
 
 def _weights(u: HaarExpansion, p: float, exponent: float) -> PietschMeasure:
-    """The weights of u's own decomposition; the block rows and the norm come
-    from the verification inside that decomposition."""
-    dec, report, block_rows = _decompose(u, p)
-    return _assemble(u, p, dec, exponent, block_rows, report.norm_p)
+    """The weights of u's own decomposition; the norm comes from the
+    verification inside that decomposition."""
+    dec, report = _decompose(u, p)
+    return _assemble(u, p, dec, exponent, report.norm_p)
 
 
 def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:

@@ -49,11 +49,17 @@ def theta(p: float, q: float) -> float:
 
 def factorize(u: HaarExpansion, p: float, q: float) -> Factorization:
     """Split a nonzero scalar expansion, 1 < p < q, using its weights."""
+    return _factorize(u, p, q, *_factor_inputs(u, p, q))
+
+
+def _factor_inputs(u: HaarExpansion, p: float, q: float) -> tuple[float, PietschMeasure]:
+    """`theta(p, q)` and `weights_tl(u, p, q)` after the argument checks of
+    `factorize`."""
     if u.is_zero:
         raise ZeroInputError("cannot factorize the zero expansion")
     if u.dimension != 1:
         raise ValueError("factorize expects a scalar expansion")
-    return _factorize(u, p, q, theta(p, q), weights_tl(u, p, q))
+    return theta(p, q), weights_tl(u, p, q)
 
 
 def _factorize(

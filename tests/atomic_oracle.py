@@ -2,9 +2,11 @@
 assembly, kept from the per-interval code that the block rows replaced: the
 set-based partition and tops loop, the block statistics with their own row
 lookup and their dense leaf sums, and the weights written one interval at a
-time through the squared length of each coefficient; and `sup_square`, the
-dense leaf maximum of the square function. The tests compare the library
-against them; they are slow and not part of the package.
+time through the squared length of each coefficient; `block_stats`, the
+block statistics one `_cells` call per block, which the batched pass over
+all blocks replaced; and `sup_square`, the dense leaf maximum of the square
+function. The tests compare the library against them; they are slow and not
+part of the package.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from haarmult import IntervalFamily, PietschMeasure, carleson_constant, is_block
 from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, appendix_constant
-from haarmult.haar import hp_norm, push_down, square_function
+from haarmult.haar import _cell_sum, _cells, hp_norm, push_down, square_function
 
 import haar_oracle
 
@@ -47,6 +49,23 @@ def piece_stats(u, piece, p, rows):
     local = push_down(u.max_level - top.level, levels, positions, u.squares[index])
     norm_p_p = float(np.sum(local ** (p / 2.0))) * 2.0 ** (-u.max_level)
     return norm_p_p, math.sqrt(float(local.max()))
+
+
+def block_stats(u, top, rows, p):
+    """(norm_p^p, sup of square function, whether every supported member
+    lies inside the top) for one block, given the support row of each member
+    in block order (-1 outside the support): one `_cells` call per block, on
+    the grid `_cells` picks for the block alone."""
+    rows = rows[rows >= 0]
+    levels = u.levels[rows] - top.level
+    positions = u.positions[rows]
+    inside = (levels >= 0) & (positions >> np.maximum(levels, 0) == top.position)
+    all_inside = bool(inside.all())
+    rows, levels, positions = rows[inside], levels[inside], positions[inside]
+    positions = positions - (top.position << levels)
+    local, lengths = _cells(u.max_level - top.level, levels, positions, u.squares[rows])
+    norm_p_p = float(_cell_sum(local ** (p / 2.0), lengths)) * 2.0 ** (-u.max_level)
+    return norm_p_p, math.sqrt(float(local.max())), all_inside
 
 
 def verify_decomposition(u, p, dec):

@@ -44,7 +44,7 @@ from haarmult import (
     weights_vector,
     x0_norm_estimate,
 )
-from haarmult.atomic import _block_rows, _decompose, _stopping_time_pieces
+from haarmult.atomic import _block_stats, _decompose, _member_rows, _stopping_time
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves, _nearest_ancestors
 from haarmult.haar import _cells, push_down, q_variation, square_leaf_sums
@@ -103,7 +103,17 @@ def vector_pool():
 
 def _assemble_from(u, p, dec, exponent):
     """The weights of a given verified decomposition of u."""
-    return _assemble(u, p, dec, exponent, _block_rows(u, dec), hp_norm(u, p))
+    return _assemble(u, p, dec, exponent, hp_norm(u, p))
+
+
+def _row_decomposition(u):
+    """u's stopping-time blocks in row form, unverified."""
+    block, top_rows, _ = _stopping_time(u)
+    return AtomicDecomposition._from_rows(u, block, top_rows)
+
+
+def _stopping_time_pieces(u):
+    return _row_decomposition(u).pieces
 
 
 @pytest.fixture(scope="module")
@@ -633,14 +643,14 @@ class TestCellGridOracles:
         for u, p, dec, measure in instances:
             report = verify_decomposition(u, p, dec)
             deep = _deeper(u)
-            deep_dec, deep_report, rows = _decompose(deep, p)
+            deep_dec, deep_report = _decompose(deep, p)
             assert deep_dec.pieces == dec.pieces
             assert deep_dec.tops() == dec.tops()
             got, want = deep_report.as_dict(), report.as_dict()
             assert [got[k] for k in verdicts] == [want[k] for k in verdicts]
             assert deep_report.tops_carleson == report.tops_carleson
             assert all(_close(got[k], want[k]) for k in floats)
-            deep_measure = _assemble(deep, p, deep_dec, 2.0, rows, deep_report.norm_p)
+            deep_measure = _assemble(deep, p, deep_dec, 2.0, deep_report.norm_p)
             assert list(deep_measure.weights) == list(measure.weights)
             assert all(
                 _close(w, measure.weights[k]) for k, w in deep_measure.weights.items()
@@ -870,6 +880,73 @@ class TestBlockRowOracles:
                 got = weights_hp(tiny, p) if u.dimension == 1 else weights_vector(tiny, p)
                 dec = decompose(tiny, p)
                 _assert_same_measure(got, atomic_oracle.assemble(tiny, p, dec, 2.0))
+
+
+def _assert_stats_match_oracle(u, dec, p):
+    """The batched block statistics of dec against one `_cells` call per
+    block, exactly equal for every block."""
+    rows, block, tops, _ = _member_rows(u, dec)
+    norms, sups, inside = _block_stats(u, p, rows, block, tops)
+    want = [
+        atomic_oracle.block_stats(u, top, rows[block == b], p)
+        for b, top in enumerate(tops)
+    ]
+    assert list(zip(norms, sups.tolist(), inside.tolist())) == want
+
+
+class TestBlockStatsOracle:
+    """The one batched pass over all blocks against the per-block `_cells`
+    calls it replaced: norm_p^p, sup and the inside verdict of every block,
+    bit for bit, on the leaf grid and on the atoms."""
+
+    def test_pools(self, scalar_pool, vector_pool, scalar_results, vector_results):
+        for i, u in enumerate(scalar_pool):
+            p = HP_PS[i % len(HP_PS)]
+            _assert_stats_match_oracle(u, scalar_results[i, p][0], p)
+        for i, u in enumerate(vector_pool):
+            p = HP_PS[i % len(HP_PS)]
+            _assert_stats_match_oracle(u, vector_results[i, p][0], p)
+
+    def test_reembedded_and_scaled_pools(self, scalar_pool, vector_pool):
+        for i, u in enumerate(scalar_pool[:250] + vector_pool[:250]):
+            p = HP_PS[i % len(HP_PS)]
+            deep = _deeper(u)
+            _assert_stats_match_oracle(deep, _row_decomposition(deep), p)
+            # at the top of the range a block's sum of squares can overflow,
+            # so the scaled pools take p from 0.5 to 1.25
+            lo, hi = _normal_scales(u)
+            for j in (lo, hi):
+                scaled = _scaled(u, j)
+                _assert_stats_match_oracle(scaled, _row_decomposition(scaled), p / 2 + 0.25)
+
+    def test_corrupt_decompositions(self, scalar_pool, vector_pool):
+        # strays outside the support, an empty block, moved, dropped and
+        # duplicated members, wrong and shared tops, and two blocks merged;
+        # each also on u re-embedded, where the blocks' grid is the atoms
+        rng = np.random.default_rng(6161)
+        kinds = set()
+        for u in scalar_pool[:150] + vector_pool[:150]:
+            dec = decompose(u, 1.0)
+            if len(dec.pieces) < 2:
+                continue
+            a, b = sorted(rng.choice(len(dec.pieces), 2, replace=False).tolist())
+            (block_a, top_a), (block_b, _) = dec.pieces[a], dec.pieces[b]
+            merged = AtomicPiece(
+                IntervalFamily([*block_a, *block_b], max_level=u.max_level), top_a
+            )
+            rest = [piece for k, piece in enumerate(dec.pieces) if k not in (a, b)]
+            candidates = [
+                *_corruptions(u, dec, rng),
+                ("merged", AtomicDecomposition((merged, *rest), u.max_level, u.dimension)),
+            ]
+            deep = _deeper(u)
+            for kind, bad in candidates:
+                kinds.add(kind)
+                deep_bad = AtomicDecomposition(bad.pieces, deep.max_level, deep.dimension)
+                for p in (0.5, 1.5):
+                    _assert_stats_match_oracle(u, bad, p)
+                    _assert_stats_match_oracle(deep, deep_bad, p)
+        assert {"outside", "empty", "merged"} <= kinds
 
 
 def _outcome(fn, *args, **kwargs):

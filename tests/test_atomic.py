@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from haarmult import atomic, dyadic, haar
 from haarmult import (
     AtomicDecomposition,
     AtomicPiece,
@@ -22,6 +23,7 @@ from haarmult import (
     weights_hp,
 )
 
+import atomic_oracle
 import haar_oracle
 from atomic_oracle import sup_square
 
@@ -252,6 +254,27 @@ class TestDepthLimit:
         exact = math.fsum([1 - small - leaf, small * math.sqrt(1.25), leaf * math.sqrt(5)])
         assert hp_norm(u, 1.0) == pytest.approx(exact, rel=1e-12)
 
+    def test_atom_grid_blocks_at_level_61(self):
+        # a chain of growing coefficients gives one block per link; the
+        # blocks topped at levels 0 to 50 are on the atom grid, and their
+        # endpoints reach 2^61
+        right = (1 << 61) - 1
+        pairs = {(level, right >> (61 - level)): 10.0 ** (level // 5)
+                 for level in (0, 10, 30, 50, 61)}
+        pairs.update({(20, 3): 7.0, (40, 5): -3.0})
+        u = scalar(61, pairs)
+        dec = decompose(u, 1.0)
+        assert verify_decomposition(u, 1.0, dec).passed
+        depths = [61 - top.level for top in dec.tops()]
+        assert sum(depth >= 11 for depth in depths) >= 4
+        rows, block, tops, _ = atomic._member_rows(u, dec)
+        norms, sups, inside = atomic._block_stats(u, 1.0, rows, block, tops)
+        assert list(zip(norms, sups.tolist(), inside.tolist())) == [
+            atomic_oracle.block_stats(u, top, rows[block == b], 1.0)
+            for b, top in enumerate(tops)
+        ]
+        assert 0 < weights_hp(u, 1.0).total() <= 1 + 1e-12
+
     def test_level_62_raises(self):
         with pytest.raises(ValueError, match="max_level 62 exceeds 61"):
             scalar(62, self.PAIRS)
@@ -312,3 +335,34 @@ class TestAppendixConstant:
     def test_carleson_below_one_rejected(self):
         with pytest.raises(ValueError):
             appendix_constant(1.5, 0.5)
+
+
+class TestCallCounts:
+    def test_decompose_verify_and_weights(self, monkeypatch):
+        # the sequence of a bench op: the stopping time hands its support
+        # parent table to its own verification, and the block statistics are
+        # one pass, so neither count grows with the blocks
+        u = random_scalar(np.random.default_rng(46), 10, density=0.5)
+        ancestors, cells = [], []
+        for module in (atomic, dyadic):
+            search = module._nearest_ancestors
+            monkeypatch.setattr(
+                module, "_nearest_ancestors",
+                lambda levels, positions, search=search: (
+                    ancestors.append(levels is u.levels) or search(levels, positions)
+                ),
+            )
+        for module in (atomic, haar):
+            grid = module._cells
+            monkeypatch.setattr(
+                module, "_cells",
+                lambda *args, grid=grid: cells.append(args) or grid(*args),
+            )
+        dec = decompose(u, 1.0)
+        assert verify_decomposition(u, 1.0, dec).passed
+        weights_hp(u, 1.0)
+        assert len(dec.pieces) > 30
+        assert ancestors.count(True) == 3
+        assert not hasattr(atomic, "_block_rows")
+        # a stopping time per decomposition, hp_norm per verification
+        assert len(cells) == 5

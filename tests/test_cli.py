@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from haarmult import DyadicInterval, ExpansionFormatError, atomic
+from haarmult import DyadicInterval, ExpansionFormatError, atomic, pietsch
+from haarmult import factorize, x0_norm_estimate
 from haarmult.cli import dump_json, gen_random, load, main, run_verification, save
 
 
@@ -277,6 +278,17 @@ class TestCommands:
         assert payload["theta"] == pytest.approx(0.5, rel=1e-12)
         assert set(payload["x"]) == {f"{i.level}/{i.position}" for i in u.support}
 
+    def test_factorize_decomposes_once(self, tmp_path, capsys, monkeypatch):
+        # the factors and the lattice estimate share one weights_tl
+        u = gen_random(5, 1, 0.6, seed=6)
+        path = str(tmp_path / "u.json")
+        save(path, u)
+        decomposes = count_calls(monkeypatch, pietsch, "_decompose")
+        assert main(["factorize", "--p", "1.5", "--q", "3", "--samples", "8", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(decomposes) == 1
+        assert payload["lattice_candidate"] == x0_norm_estimate(factorize(u, 1.5, 3.0), u, 8, 0)
+
     def test_gen_writes_file(self, tmp_path, capsys):
         out = str(tmp_path / "gen.json")
         assert main(["gen", "--max-level", "3", "--seed", "2", "--out", out]) == 0
@@ -433,7 +445,7 @@ class TestVerifyCommand:
         assert "max level 2" in err
 
     def test_each_expansion_decomposed_once_per_trial(self, monkeypatch):
-        stopping_times = count_calls(monkeypatch, atomic, "_stopping_time_pieces")
+        stopping_times = count_calls(monkeypatch, atomic, "_stopping_time")
         verifies = count_calls(monkeypatch, atomic, "_verify")
         report = run_verification(
             p=1.5, q=3.0, trials=1, seed=0, density=0.5, max_level=6, dimension=2

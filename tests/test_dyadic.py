@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -218,6 +219,22 @@ class TestAncestorTable:
         )
         assert fam.parents() == dyadic_oracle.parents(fam)
         assert fam.parents() == (-1, 0, 1, 0, 3, 3, 2, 0, 6)
+
+    @pytest.mark.parametrize("levels", [(0, 20, 40), (0, 61, 70)])
+    def test_gapped_levels_match_stack_walk(self, levels):
+        # the search steps only through the levels present; past level 62 it
+        # runs on Python ints
+        rng = random.Random(levels[-1])
+        for _ in range(40):
+            members = set()
+            for _ in range(rng.randint(1, 12)):
+                # a chain down through the levels, some links left out
+                leaf = rng.randrange(1 << levels[-1])
+                for level in levels:
+                    if rng.random() < 0.7:
+                        members.add(iv(level, leaf >> (levels[-1] - level)))
+            fam = IntervalFamily(members or [iv(0, 0)])
+            assert fam.parents() == dyadic_oracle.parents(fam)
 
     @given(families_st)
     def test_parents_are_nearest_ancestors(self, fam):
