@@ -35,7 +35,7 @@ from .haar import _MAX_LEVEL, HaarExpansion, hp_norm, l2_norm, multiply, tl_norm
 from .pietsch import (
     PietschMeasure,
     _assemble,
-    check_multiplier_bound,
+    check_multiplier_bounds,
     h2_measure,
     validate_measure,
     weights_hp,
@@ -273,9 +273,9 @@ def run_verification(
         c.record(validate_measure(m, w), seed, trial)
         c.track("max_weight_sum", m.total())
         c = check(f"{route}_multiplier_bound")
-        for _ in range(_PHI_PER_TRIAL):
-            phi = {i: float(v) for i, v in zip(w.support, rng.uniform(-1, 1, len(w.support)))}
-            c.record(check_multiplier_bound(w, p, phi, m, q=q).ok, seed, trial)
+        phis = rng.uniform(-1, 1, (_PHI_PER_TRIAL, len(w.support)))
+        for report in check_multiplier_bounds(w, p, phis, m, q=q):
+            c.record(report.ok, seed, trial)
         return c
 
     run_tl = q is not None

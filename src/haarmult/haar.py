@@ -22,10 +22,11 @@ cell grid from the input (`_on_atoms`): the atoms when
 `atomic._majority_cover` reads the layout (the cells' lengths in
 left-to-right order); every other caller just sums over the cells.
 `_block_cells` is `_cells` for many blocks at once, each on its own grid,
-for the block statistics of a decomposition. The value on a cell is bit-identical to `push_down` at the
-cell's first leaf (each cell adds its intervals coarsest first, starting
-from 0.0), and norms are
-length-weighted sums over the cells, so on the atom grid they agree with
+for the block statistics of a decomposition, and `_product_norms` the norms
+of many products phi_k * u of one expansion, for the multiplier checks.
+The value on a cell is bit-identical to `push_down` at the cell's first
+leaf (each cell adds its intervals coarsest first, starting from 0.0), and
+norms are length-weighted sums over the cells, so on the atom grid they agree with
 the leaf sums to rounding. Leaf positions, heap codes and prefix counts are
 int64, so the `HaarExpansion` constructor refuses a max level above 61 and
 no array is built for one. `push_down`, `square_leaf_sums`,
@@ -56,6 +57,22 @@ def _square_length(vector: list[float]) -> float:
         return math.inf
 
 
+def _squares(values: np.ndarray) -> np.ndarray:
+    """Squared Euclidean lengths along the last axis, bit for bit
+    `_square_length`: at d = 1 and d = 2 in numpy (the sum a*a + b*b of the
+    two rounded squares rounds their exact sum once, as `math.fsum` does,
+    and is inf where `math.fsum` overflows), row by row at d >= 3."""
+    d = values.shape[-1]
+    if d > 2:
+        flat = values.reshape(-1, d).tolist()
+        return np.array(list(map(_square_length, flat)), dtype=float).reshape(values.shape[:-1])
+    with np.errstate(over="ignore"):
+        squares = values[..., 0] * values[..., 0]
+        if d == 2:
+            squares += values[..., 1] * values[..., 1]
+    return squares
+
+
 # The deepest max level of an expansion: leaf positions up to 2^61, heap
 # codes 2^level - 1 + position and twice a prefix count of leaves all stay
 # below 2^63.
@@ -77,9 +94,9 @@ class HaarExpansion:
     The support is kept once, row j for the j-th interval of ``support``: the
     ``support`` tuple and read-only arrays ``levels`` and ``positions``
     (int64), ``values`` of shape (n, dimension), and ``squares``, the squared
-    Euclidean lengths as `math.fsum` of the squared entries (inf where that
-    overflows). ``coeffs`` is built from ``support`` and ``values`` on first
-    access and kept.
+    Euclidean lengths, bit for bit `math.fsum` of the squared entries (inf
+    where that overflows; `_squares`). ``coeffs`` is built from ``support``
+    and ``values`` on first access and kept.
     """
 
     __slots__ = (
@@ -156,11 +173,7 @@ class HaarExpansion:
             levels, positions, values = (
                 levels[nonzero], positions[nonzero], values[nonzero]
             )
-        if dimension == 1:
-            with np.errstate(over="ignore"):
-                squares = values[:, 0] * values[:, 0]
-        else:
-            squares = np.array(list(map(_square_length, values.tolist())), dtype=float)
+        squares = _squares(values)
         set_attr = object.__setattr__
         set_attr(self, "max_level", max_level)
         set_attr(self, "dimension", dimension)
@@ -473,33 +486,54 @@ def _cell_sum(terms: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
     return np.sum(terms if lengths is None else lengths * terms, axis=-1)
 
 
+def _check_exponents(p: float, q: float | None = None) -> None:
+    """The exponent ranges of `hp_norm` (q None) and of `tl_norm`."""
+    if q is None and not 0 < p <= 2:
+        raise ValueError(f"p must lie in (0, 2], got {p}")
+    if q is not None and not 0 < p <= q:
+        raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
+
+
+def _norm_means(
+    max_level: int,
+    levels: np.ndarray,
+    positions: np.ndarray,
+    terms: np.ndarray,
+    p: float,
+    q: float | None = None,
+) -> np.ndarray:
+    """The leaf mean of F^p per batch row of `terms`, F = (sum_j terms[..., j]
+    1_{I_j})^(1/2) for q None (terms are the squares |x_I|^2) and ^(1/q)
+    otherwise (terms are the powers |x_I|^q), summed over the cells of
+    `_cells`."""
+    sums, lengths = _cells(max_level, levels, positions, terms)
+    powers = sums ** (p / 2.0) if q is None else (sums ** (1.0 / q)) ** p
+    return _cell_sum(powers, lengths) / (1 << max_level)
+
+
 def hp_norm(u: HaarExpansion, p: float) -> float:
     """L^p norm of the square function, 0 < p <= 2, summed over the cells of
     `_cells`; OverflowError if the norm of a nonzero expansion comes out 0 or
     inf (coefficients are not rescaled)."""
-    if not 0 < p <= 2:
-        raise ValueError(f"p must lie in (0, 2], got {p}")
-    sums, lengths = _cells(u.max_level, u.levels, u.positions, u.squares)
-    mean = _cell_sum(sums ** (p / 2.0), lengths) / (1 << u.max_level)
-    return _in_float_range(float(mean ** (1.0 / p)), u)
+    _check_exponents(p)
+    mean = _norm_means(u.max_level, u.levels, u.positions, u.squares, p)
+    return _in_float_range(float(mean ** (1.0 / p)), not u.is_zero)
 
 
 def tl_norm(u: HaarExpansion, p: float, q: float) -> float:
     """L^p norm of the q-variation, 0 < p <= q < infinity; OverflowError
     like `hp_norm`."""
-    if not 0 < p <= q:
-        raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
+    _check_exponents(p, q)
     try:
         powers = _scalar_powers(u, q)
     except OverflowError:  # a power |x_I|^q past the float range
-        return _in_float_range(math.inf, u)
-    sums, lengths = _cells(u.max_level, u.levels, u.positions, powers)
-    mean = _cell_sum((sums ** (1.0 / q)) ** p, lengths) / (1 << u.max_level)
-    return _in_float_range(float(mean ** (1.0 / p)), u)
+        return _in_float_range(math.inf, not u.is_zero)
+    mean = _norm_means(u.max_level, u.levels, u.positions, powers, p, q)
+    return _in_float_range(float(mean ** (1.0 / p)), not u.is_zero)
 
 
-def _in_float_range(norm: float, u: HaarExpansion) -> float:
-    if not u.is_zero and not 0.0 < norm < math.inf:
+def _in_float_range(norm: float, nonzero: bool) -> float:
+    if nonzero and not 0.0 < norm < math.inf:
         raise OverflowError(f"norm {norm} of a nonzero u leaves the float range")
     return norm
 
@@ -536,16 +570,62 @@ def l2_norm(u: HaarExpansion) -> float:
 def _phi_rows(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> np.ndarray:
     """phi at each support row of u, 0.0 where phi has no entry: one `get`
     per row."""
-    return np.array(list(map(phi.get, u.support, repeat(0.0))), dtype=float)
+    return np.fromiter(map(phi.get, u.support, repeat(0.0)), float, len(u.support))
 
 
-def _multiply_rows(factors: np.ndarray, u: HaarExpansion) -> HaarExpansion:
-    """phi * u from the factor of each support row (`_phi_rows`)."""
+def _product_norms(
+    u: HaarExpansion, factors: np.ndarray, p: float, q: float | None = None
+) -> list[float]:
+    """The norm of phi_k * u for each row k of the (K, n) array `factors`
+    (phi_k at u's support rows): `hp_norm` for q None, else `tl_norm` with q
+    (scalar u only). Each is bit for bit the norm of `multiply(phi_k, u)`,
+    with the same exception, and no expansion is built.
+
+    The products without zero rows sum on u's grid, all in one batched
+    `_cells` call. A product with zero rows sums on the grid of its nonzero
+    rows, the grid of its own expansion: other atoms would round the sum
+    differently.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        values = u.values * factors[:, None]
-    return HaarExpansion._from_rows(
-        u.max_level, u.dimension, u.support, u.levels, u.positions, values
-    )
+        values = u.values * factors[..., None]
+    finite = np.isfinite(values).all(axis=-1)
+    if not finite.all():
+        bad = u.support[int(np.argwhere(~finite)[0, 1])]
+        raise ValueError(f"coefficient at {bad} is not finite")
+    _check_exponents(p, q)
+    nonzero = values.any(axis=-1)
+    if q is None:
+        terms = _squares(values)
+    else:
+        terms = np.empty(nonzero.shape)
+        for k, row in enumerate(np.abs(values[..., 0])):
+            try:  # Python's float pow, as in `_scalar_powers`
+                terms[k] = np.fromiter(map(pow, row.tolist(), repeat(q)), float, len(row))
+            except OverflowError:  # raises as `tl_norm` does
+                _in_float_range(math.inf, True)
+    means = np.empty(len(terms))
+    full = nonzero.all(axis=-1)
+    if full.any():
+        means[full] = _norm_means(u.max_level, u.levels, u.positions, terms[full], p, q)
+    for k in np.flatnonzero(~full).tolist():
+        keep = nonzero[k]
+        means[k] = _norm_means(
+            u.max_level, u.levels[keep], u.positions[keep], terms[k, keep], p, q
+        )
+    # the root of each numpy scalar, as in `hp_norm`: an array `**` may
+    # round differently in the last bit
+    return [
+        _in_float_range(float(mean ** (1.0 / p)), any_row)
+        for mean, any_row in zip(means, nonzero.any(axis=-1).tolist())
+    ]
+
+
+def _cell_entries(n: int, max_level: int) -> int:
+    """An upper bound on the entries `_cells` builds per batch row for n
+    intervals at max level N: the 2^N leaves, or on the atoms one per
+    (interval, atom) pair, at most (2n + 1)(N + 1) as an atom lies in at
+    most one interval per level."""
+    return (2 * n + 1) * (max_level + 1) if _on_atoms(n, max_level) else 1 << max_level
 
 
 def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:
@@ -554,4 +634,8 @@ def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpan
     Zero products are dropped and a non-finite product raises ValueError,
     as on construction.
     """
-    return _multiply_rows(_phi_rows(phi, u), u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = u.values * _phi_rows(phi, u)[:, None]
+    return HaarExpansion._from_rows(
+        u.max_level, u.dimension, u.support, u.levels, u.positions, values
+    )

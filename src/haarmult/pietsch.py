@@ -14,18 +14,21 @@ of |x_I|^2 |I| is a `math.fsum` over the block's support rows, read from
 the decomposition's row form, and the weight constructors read the norm
 from the verification that their `decompose` already ran.
 
-The multiplier check reads phi and the weights once per support row into
-arrays in support order, shares the factors with the product phi * u, and
-sums |phi_I|^s w_I with one `math.fsum`, which is exactly rounded, so the
-order of the terms does not matter. The powers are Python's float `pow`,
-which rounds differently from numpy's `**` in the last bit.
+The multiplier check is batched: `check_multiplier_bounds` takes K
+multipliers as a (K, n) array in support order, and `check_multiplier_bound`
+is its K = 1 case on the row read from a phi dict. Per batch it checks the
+measure's keys, reads the weights into a support-order array, and computes
+||u|| and C once; the norms of the K products phi_k * u come from batched
+`_cells` calls (`haar._product_norms`), with no expansion built. Each row's
+|phi_I|^s w_I is summed with one `math.fsum`, which is exactly rounded, so
+the order of the terms does not matter. The powers are Python's float
+`pow`, which rounds differently from numpy's `**` in the last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -35,8 +38,9 @@ from .dyadic import DyadicInterval
 from .errors import VerificationError, ZeroInputError
 from .haar import (
     HaarExpansion,
-    _multiply_rows,
+    _cell_entries,
     _phi_rows,
+    _product_norms,
     _square_measures,
     convexify,
     hp_norm,
@@ -46,6 +50,9 @@ from .haar import (
 
 _SUM_TOL = 1e-12
 _BOUND_RTOL = 1e-9
+# batch rows times `_cell_entries` per batched `_cells` call in
+# `check_multiplier_bounds`: 2 MB per float array
+_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -198,32 +205,83 @@ def check_multiplier_bound(
     vector bound with C = (A / a_p)^(1/p), where a_p is 1 for p <= 1 and the
     appendix constant (at Carleson constant 4) to the power -p otherwise.
 
-    phi and the weights are read once per support row (a missing entry
-    counts as 0), and the product phi * u is built from the same factors.
+    phi is read once per support row (a missing entry counts as 0); this is
+    `check_multiplier_bounds` on that one row.
+    """
+    return check_multiplier_bounds(u, p, _phi_rows(phi, u)[None], m, q)[0]
+
+
+def check_multiplier_bounds(
+    u: HaarExpansion,
+    p: float,
+    phis: np.ndarray,
+    m: PietschMeasure,
+    q: float | None = None,
+) -> list[MultiplierReport]:
+    """`check_multiplier_bound` for K multipliers at once: row k of the
+    (K, n) array `phis` holds phi_k at u's n support rows, in support order.
+    Returns the K reports, each bit for bit that of the single check; K = 0
+    gives [] after the argument checks.
+
+    The key check, the weights, ||u|| and C are computed once per batch. The
+    products phi_k * u are summed in batched `_cells` calls with no
+    expansion built, `_BATCH_ENTRIES // _cell_entries` rows per call. A
+    failing row raises what its single check raises, the first such row in
+    order.
     """
     if not m.weights.keys() <= u.coeffs.keys():
         raise ValueError("measure does not match the expansion")
     s = m.exponent
     if q is not None and abs(s - q) > 1e-12:
         raise ValueError(f"measure exponent {s} does not match q={q}")
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 2 or phis.shape[1] != len(u.support):
+        raise ValueError(f"phis has shape {phis.shape}, expected (K, {len(u.support)})")
+    if not len(phis):
+        return []
+    try:
+        return _check_rows(u, p, phis, m)
+    except (ArithmeticError, ValueError):
+        if len(phis) > 1:  # raise what the first failing row raises alone
+            for k in range(len(phis)):
+                _check_rows(u, p, phis[k : k + 1], m)
+        raise
+
+
+def _check_rows(
+    u: HaarExpansion, p: float, phis: np.ndarray, m: PietschMeasure
+) -> list[MultiplierReport]:
+    """The reports of `check_multiplier_bounds` after its argument checks,
+    in the order of a single check: the weighted sums, the products' norms,
+    ||u||, C."""
     support = u.support
-    factors = _phi_rows(phi, u)
+    s = m.exponent
     weights = np.fromiter(map(m.weights.get, support, repeat(0.0)), float, len(support))
-    powers = np.array(list(map(pow, np.abs(factors).tolist(), repeat(s))), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
-        terms = powers * weights
-    weighted = math.fsum(terms.tolist())
+    weighted = []
+    for row in np.abs(phis):
+        powers = np.fromiter(map(pow, row.tolist(), repeat(s)), float, len(row))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
+            terms = powers * weights
+        weighted.append(math.fsum(terms.tolist()))
     tl_route = u.dimension == 1 and s != 2.0
-    norm_of = partial(tl_norm, p=p, q=s) if tl_route else partial(hp_norm, p=p)
-    lhs = norm_of(_multiply_rows(factors, u))
-    norm = norm_of(u)
+    q_tl = s if tl_route else None
+    step = max(1, _BATCH_ENTRIES // _cell_entries(len(support), u.max_level))
+    lhs = []
+    for lo in range(0, len(phis), step):
+        lhs += _product_norms(u, phis[lo : lo + step], p, q_tl)
+    norm = tl_norm(u, p, s) if tl_route else hp_norm(u, p)
     lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
     constant = (m.normalizer / lower) ** (1.0 / p)
-    rhs = constant * norm * weighted ** (1.0 / s)
-    return MultiplierReport(
-        lhs=lhs,
-        rhs=rhs,
-        constant=constant,
-        weighted_sum=weighted,
-        ok=lhs <= rhs * (1.0 + _BOUND_RTOL),
-    )
+    reports = []
+    for left, w in zip(lhs, weighted):
+        rhs = constant * norm * w ** (1.0 / s)
+        reports.append(
+            MultiplierReport(
+                lhs=left,
+                rhs=rhs,
+                constant=constant,
+                weighted_sum=w,
+                ok=left <= rhs * (1.0 + _BOUND_RTOL),
+            )
+        )
+    return reports

@@ -26,6 +26,7 @@ from haarmult import (
     VerificationError,
     carleson_constant,
     check_multiplier_bound,
+    check_multiplier_bounds,
     convexify,
     decompose,
     factorize,
@@ -47,7 +48,7 @@ from haarmult import (
 from haarmult.atomic import _block_stats, _decompose, _member_rows, _stopping_time
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves, _nearest_ancestors
-from haarmult.haar import _cells, push_down, q_variation, square_leaf_sums
+from haarmult.haar import _cells, _phi_rows, push_down, q_variation, square_leaf_sums
 from haarmult.pietsch import _assemble
 
 import atomic_oracle
@@ -1002,10 +1003,13 @@ class TestMultiplierOracles:
 
     def _compare(self, u, p, m, rng, q=None):
         for measure in _measure_variants(m, rng):
-            for phi in _phi_variants(u, rng):
+            phis = list(_phi_variants(u, rng))
+            wants = []
+            for phi in phis:
                 got = _outcome(check_multiplier_bound, u, p, phi, measure, q=q)
                 want = _outcome(pietsch_oracle.check_multiplier_bound, u, p, phi, measure, q=q)
                 assert got == want
+                wants.append(want)
                 if isinstance(got, tuple):
                     continue
                 assert [type(v) for v in vars(got).values()] == [
@@ -1015,6 +1019,13 @@ class TestMultiplierOracles:
                 reference = pietsch_oracle.multiply(phi, u)
                 assert list(product.coeffs.items()) == list(reference.coeffs.items())
                 assert np.array_equal(product.squares, reference.squares)
+            # the variants as one batch: row k's report, or the first
+            # failing row's exception
+            rows = np.array([_phi_rows(phi, u) for phi in phis])
+            errors = [want for want in wants if isinstance(want, tuple)]
+            batch = _outcome(check_multiplier_bounds, u, p, rows, measure, q=q)
+            assert batch == (errors[0] if errors else wants)
+            assert _outcome(check_multiplier_bounds, u, p, rows[:0], measure, q=q) == []
         for measure in (m, *_measure_variants(m, rng), *_broken_measures(m, u)):
             assert validate_measure(measure, u) == pietsch_oracle.validate_measure(measure, u)
 

@@ -1,5 +1,6 @@
 """Expansion files, random generation, and the command-line drivers."""
 
+import hashlib
 import json
 import math
 import os
@@ -475,6 +476,32 @@ class TestVerifyCommand:
         first = dump_json(run_verification(**kwargs))
         second = dump_json(run_verification(**kwargs))
         assert first == second
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                dict(p=0.5, q=None, dimension=1, max_level=6, density=0.5, seed=11),
+                "8e7ede1677609946707ffd177a90153c4c9ad4a85d9fb7a8d976d4dc36479d50",
+            ),
+            (  # the atom grid
+                dict(p=1.5, q=None, dimension=2, max_level=12, density=0.01, seed=12),
+                "10599e8d1bbd52610aa0fe8f4b462aa91c045c5af7b412855e3b96703ebdabb1",
+            ),
+            (  # the atom grid
+                dict(p=0.5, q=3.0, dimension=1, max_level=12, density=0.01, seed=13),
+                "b38e53ccebfb972a7ba7bb8a6c79aefb9e45821a927872a4f5d5c310e93a8e75",
+            ),
+            (
+                dict(p=1.5, q=3.0, dimension=2, max_level=6, density=0.5, seed=14),
+                "2fdb598ddd211cc8bf6c92b19f060568eb62c90c53598376f6acfbdbaf240fd5",
+            ),
+        ],
+    )
+    def test_reports_pinned(self, flags, digest):
+        # every byte of these reports is fixed, on the leaf and the atom grid
+        report = dump_json(run_verification(trials=3, **flags))
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")

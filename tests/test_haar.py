@@ -2,6 +2,7 @@
 evaluation of the Haar sums."""
 
 import copy
+import itertools
 import math
 import pickle
 
@@ -19,7 +20,7 @@ from haarmult import (
     square_function,
     tl_norm,
 )
-from haarmult.haar import square_leaf_sums
+from haarmult.haar import _square_length, _squares, square_leaf_sums
 
 import haar_oracle
 from haar_oracle import evaluate_haar
@@ -380,6 +381,41 @@ class TestMultiply:
             phi = {i: float(rng.uniform(-1, 1)) for i in u.support}
             bound = max(abs(v) for v in phi.values()) if phi else 0.0
             assert hp_norm(multiply(phi, u), p) <= bound * hp_norm(u, p) * (1 + 1e-12)
+
+
+class TestSquares:
+    """The numpy squared lengths against the `math.fsum` ones they replace."""
+
+    EXTREMES = [
+        0.0, 1.0, -3.5, 1e300, -1e300, 1e-300, 5e-324, -3.1e-310, 2.2e-308,
+        1.3407807929942596e154, 9.48e153, 1e154, 1e200, math.ulp(1.0),
+    ]
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_bit_for_bit_square_length(self, dimension):
+        rng = np.random.default_rng(5151)
+        # every combination of extremes, and random rows spanning the exponents
+        extremes = np.array(list(itertools.product(self.EXTREMES, repeat=dimension)))
+        spread = np.ldexp(
+            rng.standard_normal((5000, dimension)),
+            rng.integers(-1080, 1021, (5000, dimension)),
+        )
+        values = np.concatenate((extremes, spread))
+        want = np.array([_square_length(row) for row in values.tolist()])
+        assert np.array_equal(_squares(values), want)
+        assert np.isinf(want).any() and (want == 0.0).any()
+        # a leading batch axis reads the same lengths
+        batch = values[: len(values) // 4 * 4].reshape(4, -1, dimension)
+        assert np.array_equal(_squares(batch).ravel(), want[: len(values) // 4 * 4])
+
+    def test_overflowing_rows_are_inf(self):
+        # a square past the float range, a finite pair whose sum is past it,
+        # and a sum just inside it
+        values = np.array([[1e200, 0.0], [1e154, 1e154], [1e154, 1e153]])
+        assert _squares(values).tolist() == [math.inf, math.inf, 1e154**2 + 1e153**2]
+        assert _square_length([1e154, 1e154]) == math.inf
+        u = HaarExpansion(1, 2, {iv(0, 0): (1e200, 1e200), iv(1, 0): (3e-320, 0.0)})
+        assert u.squares.tolist() == [math.inf, 0.0]
 
 
 class TestLeafSums:

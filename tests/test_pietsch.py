@@ -2,6 +2,7 @@
 level-2 block measures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from haarmult import (
     VerificationError,
     ZeroInputError,
     check_multiplier_bound,
+    check_multiplier_bounds,
     decompose,
     h2_measure,
     hp_norm,
@@ -25,7 +27,8 @@ from haarmult import (
     weights_vector,
 )
 
-from haarmult import atomic, dyadic
+from haarmult import atomic, dyadic, pietsch
+from haarmult.haar import _on_atoms
 
 import haar_oracle
 import pietsch_oracle
@@ -325,3 +328,174 @@ class TestSupportRowPaths:
             report = check_multiplier_bound(w, p, phi, m, q=q)
             assert 0 < phi.gets <= len(w.support)
             assert report == pietsch_oracle.check_multiplier_bound(w, p, dict(phi), m, q=q)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or its exception's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _rows(phis, u):
+    """The (K, n) batch of the multipliers phis on u's support rows."""
+    return np.array([[phi.get(i, 0.0) for i in u.support] for phi in phis]).reshape(
+        len(phis), len(u.support)
+    )
+
+
+def _sparse_expansion(rng, max_level, draws, dimension=1):
+    """Random intervals at every level up to max_level, few enough for the
+    atom grid when max_level is large."""
+    levels = rng.integers(0, max_level + 1, draws)
+    positions = rng.integers(0, np.left_shift(1, levels))
+    coeffs = {
+        iv(level, pos): tuple(rng.standard_normal(dimension).tolist())
+        for level, pos in zip(levels.tolist(), positions.tolist())
+    }
+    return HaarExpansion(max_level, dimension, coeffs)
+
+
+class TestBatchedMultiplierChecks:
+    """`check_multiplier_bounds` row by row against the single check and its
+    oracle: identical reports, the same exceptions, and bounded memory."""
+
+    def _routes(self):
+        rng = np.random.default_rng(8181)
+        u = random_expansion(rng, 6)
+        deep = _sparse_expansion(rng, 14, 40)  # the atom grid
+        v = random_expansion(rng, 5, dimension=2)
+        w = random_expansion(rng, 4, dimension=3)
+        return [
+            (u, 1.0, weights_hp(u, 1.0), None),
+            (u, 1.5, weights_tl(u, 1.5, 3.0), 3.0),
+            (deep, 0.5, weights_hp(deep, 0.5), None),
+            (deep, 1.0, weights_tl(deep, 1.0, 4.0), 4.0),
+            (v, 1.5, weights_vector(v, 1.5), None),
+            (w, 0.5, weights_vector(w, 0.5), None),
+        ]
+
+    def _phis(self, u, rng):
+        """Uniform draws, exact zeros, subnormal factors, all-zero rows."""
+        phis = rng.uniform(-1.0, 1.0, (12, len(u.support)))
+        phis[1, ::3] = 0.0
+        phis[2, 1::2] = 5e-324
+        phis[3] = 0.0
+        phis[4, : len(u.support) // 2] = -3.1e-310
+        return phis
+
+    def test_rows_match_single_and_oracle(self):
+        rng = np.random.default_rng(8282)
+        for u, p, m, q in self._routes():
+            phis = self._phis(u, rng)
+            reports = check_multiplier_bounds(u, p, phis, m, q=q)
+            for row, report in zip(phis, reports):
+                phi = dict(zip(u.support, row.tolist()))
+                assert report == check_multiplier_bound(u, p, phi, m, q=q)
+                assert report == pietsch_oracle.check_multiplier_bound(u, p, phi, m, q=q)
+            assert len(reports) == len(phis)
+            assert reports[3].lhs == 0.0 and reports[3].weighted_sum == 0.0
+
+    def test_empty_batch(self):
+        u = scalar(2, {(0, 0): 1.0, (2, 1): -0.5})
+        m = weights_hp(u, 1.0)
+        assert check_multiplier_bounds(u, 1.0, np.empty((0, 2)), m) == []
+        other = weights_hp(scalar(2, {(1, 1): 1.0}), 1.0)
+        with pytest.raises(ValueError, match="does not match the expansion"):
+            check_multiplier_bounds(u, 1.0, np.empty((0, 2)), other)
+        with pytest.raises(ValueError, match="expected"):
+            check_multiplier_bounds(u, 1.0, np.zeros((1, 3)), m)
+
+    def test_exceptions_match_single(self):
+        ones = scalar(2, {(0, 0): 1.0, (2, 1): 1.0})
+        m = weights_hp(ones, 1.0)
+        huge = scalar(2, {(0, 0): 1e200, (2, 1): 1.0})
+        tl_u = scalar(1, {(0, 0): 1e100, (1, 0): 1.0})
+        fine = {iv(0, 0): 0.5, iv(2, 1): -0.5}
+        pow_overflow = {iv(0, 0): 1e200}  # |phi|^2 past the float range
+        cases = [
+            # a non-finite product
+            (huge, m, None, [{iv(0, 0): 1e150}, fine], ValueError),
+            # a nonzero product whose norm is below the float range
+            (ones, m, None, [fine, {iv(2, 1): 1e-170}, fine], OverflowError),
+            (ones, m, None, [fine, pow_overflow, fine], OverflowError),
+            (ones, weights_hp(scalar(2, {(1, 1): 1.0}), 1.0), None, [fine], ValueError),
+            (ones, m, 3.0, [fine], ValueError),
+            # |phi_I x_I|^q past the float range on the Triebel-Lizorkin route
+            (tl_u, weights_tl(tl_u, 1.0, 3.0), 3.0, [fine, {iv(0, 0): 1e10}], OverflowError),
+            # two failing rows: the first one's exception
+            (ones, m, None, [fine, pow_overflow, {iv(2, 1): 1e-170}], OverflowError),
+        ]
+        for w, measure, q, phis, kind in cases:
+            want = None
+            for phi in phis:  # the first exception of one check per row
+                single = _outcome(check_multiplier_bound, w, 1.0, phi, measure, q=q)
+                oracle = _outcome(pietsch_oracle.check_multiplier_bound, w, 1.0, phi, measure, q=q)
+                assert single == oracle
+                if isinstance(single, tuple):
+                    want = single
+                    break
+            assert want is not None and want[0] is kind
+            rows = _rows(phis, w)
+            assert _outcome(check_multiplier_bounds, w, 1.0, rows, measure, q=q) == want
+
+    def test_all_zero_product_has_norm_zero(self):
+        u = scalar(3, {(0, 0): 1.0, (3, 5): 2.0})
+        for m, q in ((weights_hp(u, 1.0), None), (weights_tl(u, 1.0, 3.0), 3.0)):
+            (report,) = check_multiplier_bounds(u, 1.0, np.zeros((1, 2)), m, q=q)
+            assert report.lhs == 0.0 and report.ok
+            assert report == pietsch_oracle.check_multiplier_bound(u, 1.0, {}, m, q=q)
+
+    def test_chunking_changes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(8383)
+        for u, p, m, q in self._routes():
+            phis = self._phis(u, rng)
+            whole = check_multiplier_bounds(u, p, phis, m, q=q)
+            monkeypatch.setattr(pietsch, "_BATCH_ENTRIES", 3)
+            calls = []
+            product_norms = pietsch._product_norms
+            monkeypatch.setattr(
+                pietsch, "_product_norms", lambda *a: calls.append(a) or product_norms(*a)
+            )
+            assert check_multiplier_bounds(u, p, phis, m, q=q) == whole
+            assert [len(call[1]) for call in calls] == [1] * len(phis)
+            monkeypatch.undo()
+
+    def test_once_per_batch_and_no_expansion_per_row(self, monkeypatch):
+        rng = np.random.default_rng(8484)
+        for u, p, m, q in self._routes():
+            phis = self._phis(u, rng)
+            want = check_multiplier_bounds(u, p, phis, m, q=q)
+            norms = []
+            for name in ("hp_norm", "tl_norm"):
+                fn = getattr(pietsch, name)
+                monkeypatch.setattr(
+                    pietsch, name, lambda *a, fn=fn: norms.append(a) or fn(*a)
+                )
+            built = []
+            from_rows = HaarExpansion._from_rows.__func__
+            monkeypatch.setattr(
+                HaarExpansion,
+                "_from_rows",
+                classmethod(lambda cls, *a: built.append(a) or from_rows(cls, *a)),
+            )
+            assert check_multiplier_bounds(u, p, phis, m, q=q) == want
+            assert [call[0] for call in norms] == [u] and built == []
+            monkeypatch.undo()
+
+    def test_leaf_grid_memory_bounded(self):
+        rng = np.random.default_rng(8585)
+        u = _sparse_expansion(rng, 16, 6000)
+        assert not _on_atoms(len(u.support), u.max_level)
+        m = weights_hp(u, 1.0)
+        phis = rng.uniform(-1.0, 1.0, (64, len(u.support)))
+        tracemalloc.start()
+        try:
+            reports = check_multiplier_bounds(u, 1.0, phis, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(report.ok for report in reports)
+        # one K x 2^N float array would take 32 MB; the batch stays below half
+        assert peak < 64 * (1 << 16) * 8 // 2, peak

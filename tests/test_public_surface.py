@@ -35,6 +35,7 @@ PUBLIC = [
     "appendix_constant",
     "carleson_constant",
     "check_multiplier_bound",
+    "check_multiplier_bounds",
     "convexify",
     "decompose",
     "factorize",
