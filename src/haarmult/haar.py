@@ -33,6 +33,12 @@ no array is built for one. `push_down`, `square_leaf_sums`,
 `square_function`, `q_variation` and `StepFunction` (leaf values and their
 sup) stay as dense leaf exports for small N; no hot path calls them, and
 `push_down` only as the leaf grid of `_cells`.
+
+A mapping keyed by intervals (a multiplier phi, summing weights) is read at
+the support rows by `_support_rows`: a plain dict keyed by the support in
+support order in one pass over its values, with no key hashed
+(`_support_order`), and any other mapping with one `get` per row
+(`_rows_by_key`).
 """
 
 from __future__ import annotations
@@ -567,10 +573,33 @@ def l2_norm(u: HaarExpansion) -> float:
     return math.sqrt(math.fsum(_square_measures(u).tolist()))
 
 
-def _phi_rows(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> np.ndarray:
-    """phi at each support row of u, 0.0 where phi has no entry: one `get`
-    per row."""
-    return np.fromiter(map(phi.get, u.support, repeat(0.0)), float, len(u.support))
+def _support_order(mapping: Mapping[DyadicInterval, object], u: HaarExpansion) -> bool:
+    """Whether `mapping` is a plain dict whose keys are u's support in support
+    order. Then its values are u's rows in order and its keys lie in the
+    support, and no key is hashed: the tuple comparison runs in C and stops
+    at identity for keys that are u's own support objects. A dict subclass
+    or any other mapping answers False."""
+    support = u.support
+    return type(mapping) is dict and len(mapping) == len(support) and tuple(mapping) == support
+
+
+def _support_rows(
+    mapping: Mapping[DyadicInterval, float], u: HaarExpansion, ordered: bool | None = None
+) -> np.ndarray:
+    """mapping at each support row of u, in support order, 0.0 where it has
+    no entry: one pass over its values when `_support_order(mapping, u)`
+    (`ordered`, computed here when None), else `_rows_by_key`."""
+    if ordered is None:
+        ordered = _support_order(mapping, u)
+    if not ordered:
+        return _rows_by_key(mapping, u)
+    return np.fromiter(mapping.values(), float, len(u.support))
+
+
+def _rows_by_key(mapping: Mapping[DyadicInterval, float], u: HaarExpansion) -> np.ndarray:
+    """`_support_rows` for any mapping, one `get` per row: the path for
+    mappings not in support order, and the reference for the one-pass read."""
+    return np.fromiter(map(mapping.get, u.support, repeat(0.0)), float, len(u.support))
 
 
 def _product_norms(
@@ -635,7 +664,7 @@ def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpan
     as on construction.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        values = u.values * _phi_rows(phi, u)[:, None]
+        values = u.values * _support_rows(phi, u)[:, None]
     return HaarExpansion._from_rows(
         u.max_level, u.dimension, u.support, u.levels, u.positions, values
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dyadic import DyadicInterval
 from .errors import DegenerateThetaError, VerificationError, ZeroInputError
-from .haar import HaarExpansion, _cell_sum, _cells, tl_norm
+from .haar import HaarExpansion, _cell_sum, _cells, _support_order, _support_rows, tl_norm
 from .pietsch import PietschMeasure, weights_tl
 
 _IDENTITY_RTOL = 1e-10
@@ -83,10 +83,18 @@ def _fqq_norm(coeffs: dict[DyadicInterval, float], q: float) -> float:
     ) ** (1.0 / q)
 
 
+def _matches(f: Factorization, u: HaarExpansion) -> bool:
+    """Whether both factors are keyed by u's support: no key is hashed for a
+    plain dict in support order (`haar._support_order`)."""
+    return all(
+        _support_order(factor, u) or set(factor) == set(u.coeffs) for factor in (f.x, f.y)
+    )
+
+
 def verify_factorization(u: HaarExpansion, f: Factorization) -> bool:
     """Product identity |u_I| = |x_I|^(1-theta) |y_I|^theta on the support
     (relative tolerance 1e-10) and the unit bound on the y factor."""
-    if set(f.x) != set(u.coeffs) or set(f.y) != set(u.coeffs):
+    if not _matches(f, u):
         return False
     for interval, (value,) in u.coeffs.items():
         product = abs(f.x[interval]) ** (1.0 - f.theta) * abs(f.y[interval]) ** f.theta
@@ -121,7 +129,7 @@ def x0_norm_estimate(
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
-    if set(f.x) != set(u.coeffs) or set(f.y) != set(u.coeffs):
+    if not _matches(f, u):
         raise ValueError("factorization does not match the expansion")
     return _x0_norm_estimate(f, u, n_samples, seed, weights_tl(u, f.p, f.q))
 
@@ -139,11 +147,10 @@ def _x0_norm_estimate(
     norm_u = tl_norm(u, p, q)
     cap = measure.normalizer ** (1.0 / p) * norm_u
 
-    support = list(u.coeffs)
-    n_support = len(support)
-    y_vec = np.array([f.y[i] for i in support])
-    x_vec = np.array([abs(f.x[i]) for i in support])
-    w_vec = np.array(list(measure.weights.values()))  # in support order
+    n_support = len(u.support)
+    y_vec = _support_rows(f.y, u)
+    x_vec = np.abs(_support_rows(f.x, u))
+    w_vec = _support_rows(measure.weights, u)
     m_vec = np.ldexp(1.0, -u.levels)
 
     rng = np.random.default_rng(seed)

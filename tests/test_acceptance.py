@@ -48,7 +48,7 @@ from haarmult import (
 from haarmult.atomic import _block_stats, _decompose, _member_rows, _stopping_time
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves, _nearest_ancestors
-from haarmult.haar import _cells, _phi_rows, push_down, q_variation, square_leaf_sums
+from haarmult.haar import _cells, _support_rows, push_down, q_variation, square_leaf_sums
 from haarmult.pietsch import _assemble
 
 import atomic_oracle
@@ -1021,7 +1021,7 @@ class TestMultiplierOracles:
                 assert np.array_equal(product.squares, reference.squares)
             # the variants as one batch: row k's report, or the first
             # failing row's exception
-            rows = np.array([_phi_rows(phi, u) for phi in phis])
+            rows = np.array([_support_rows(phi, u) for phi in phis])
             errors = [want for want in wants if isinstance(want, tuple)]
             batch = _outcome(check_multiplier_bounds, u, p, rows, measure, q=q)
             assert batch == (errors[0] if errors else wants)

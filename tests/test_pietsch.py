@@ -27,7 +27,8 @@ from haarmult import (
     weights_vector,
 )
 
-from haarmult import atomic, dyadic, pietsch
+from haarmult import atomic, dyadic, haar, pietsch
+from haarmult.cli import gen_random
 from haarmult.haar import _on_atoms
 
 import haar_oracle
@@ -499,3 +500,156 @@ class TestBatchedMultiplierChecks:
         assert all(report.ok for report in reports)
         # one K x 2^N float array would take 32 MB; the batch stays below half
         assert peak < 64 * (1 << 16) * 8 // 2, peak
+
+
+def _any_outcome(fn, *args, **kwargs):
+    """`_outcome`, also for the TypeError of a complex root: a negative
+    weighted sum has one."""
+    try:
+        return _outcome(fn, *args, **kwargs)
+    except TypeError as exc:
+        return type(exc), str(exc)
+
+
+def _keyed(mapping, keys):
+    """mapping with each key replaced by an equal but distinct object."""
+    return dict(zip(keys, mapping.values()))
+
+
+def _orders(mapping, u, foreign=0.25):
+    """mapping in support order; reversed; with a third of its keys left out;
+    with a foreign key added, of value `foreign`; and with its keys as plain
+    (level, position) tuples and as rebuilt intervals, equal to u's support
+    but distinct."""
+    items = list(mapping.items())
+    yield mapping
+    yield dict(reversed(items))
+    yield dict(items[i] for i in range(len(items)) if i % 3)
+    yield {**mapping, iv(u.max_level + 1, 0): foreign}
+    yield _keyed(mapping, [tuple(key) for key in mapping])
+    yield _keyed(mapping, [iv(*key) for key in mapping])
+
+
+class TestSupportOrderReads:
+    """A plain dict keyed by u's support in support order is read in one
+    pass over its values; every other mapping by key. Both paths give the
+    reports and verdicts of the per-interval oracle."""
+
+    def _routes(self):
+        rng = np.random.default_rng(9191)
+        u = random_expansion(rng, 6)
+        deep = _sparse_expansion(rng, 14, 40)
+        v = random_expansion(rng, 5, dimension=2)
+        deep_v = _sparse_expansion(rng, 14, 40, dimension=2)
+        assert not _on_atoms(len(u.support), u.max_level)
+        assert _on_atoms(len(deep.support), deep.max_level)
+        assert _on_atoms(len(deep_v.support), deep_v.max_level)
+        return [
+            (u, 1.0, weights_hp(u, 1.0), None),
+            (deep, 0.5, weights_hp(deep, 0.5), None),
+            (u, 1.5, weights_tl(u, 1.5, 3.0), 3.0),
+            (deep, 1.0, weights_tl(deep, 1.0, 4.0), 4.0),
+            (v, 1.5, weights_vector(v, 1.5), None),
+            (deep_v, 0.5, weights_vector(deep_v, 0.5), None),
+        ]
+
+    def _measures(self, m, u):
+        """m in every order of `_orders`, doubled (the scale-omega mutant),
+        and with a NaN and a negative weight."""
+        for weights in _orders(m.weights, u, foreign=0.0):
+            yield PietschMeasure(weights, m.normalizer, m.exponent)
+        first = next(iter(m.weights))
+        for weights in (
+            {k: 2.0 * w for k, w in m.weights.items()},
+            {**m.weights, first: math.nan},
+            {**m.weights, first: -0.25},
+        ):
+            yield PietschMeasure(weights, m.normalizer, m.exponent)
+
+    def _by_key(self, monkeypatch):
+        """Send every read down the by-key path."""
+        for module in (haar, pietsch):
+            monkeypatch.setattr(module, "_support_order", lambda mapping, u: False)
+
+    def test_reports_match_by_key_and_oracle(self, monkeypatch):
+        rng = np.random.default_rng(9292)
+        for u, p, m, q in self._routes():
+            phi = dict(zip(u.support, rng.uniform(-1.0, 1.0, len(u.support)).tolist()))
+            cases = [
+                (phi_k, measure)
+                for measure in self._measures(m, u)
+                for phi_k in _orders(phi, u)
+            ]
+            # repr: a NaN weight gives NaN fields, and repr tells floats apart
+            # bit for bit where == does not
+            got = [repr(_any_outcome(check_multiplier_bound, u, p, *case, q=q)) for case in cases]
+            want = [
+                repr(_any_outcome(pietsch_oracle.check_multiplier_bound, u, p, *case, q=q))
+                for case in cases
+            ]
+            assert got == want
+            self._by_key(monkeypatch)
+            by_key = [
+                repr(_any_outcome(check_multiplier_bound, u, p, *case, q=q)) for case in cases
+            ]
+            assert by_key == got
+            monkeypatch.undo()
+            foreign = [
+                report for (_, measure), report in zip(cases, got)
+                if not measure.weights.keys() <= set(u.support)
+            ]
+            assert foreign and all(
+                report == repr((ValueError, "measure does not match the expansion"))
+                for report in foreign
+            )
+
+    def test_validate_matches_by_key_and_oracle(self, monkeypatch):
+        for u, _, m, _ in self._routes():
+            measures = list(self._measures(m, u))
+            got = [validate_measure(measure, u) for measure in measures]
+            assert got == [pietsch_oracle.validate_measure(measure, u) for measure in measures]
+            self._by_key(monkeypatch)
+            assert [validate_measure(measure, u) for measure in measures] == got
+            monkeypatch.undo()
+            # in order, reversed, missing and rebuilt keys pass; the foreign
+            # key, the doubled, the NaN and the negative weights fail
+            assert got == [True, True, True, False, True, True, False, False, False]
+
+    def test_support_order_never_reads_by_key(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("by-key path called")
+
+        rng = np.random.default_rng(9393)
+        routes = self._routes()
+        expected = []
+        for u, p, m, q in routes:
+            phi = dict(zip(u.support, rng.uniform(-1.0, 1.0, len(u.support)).tolist()))
+            expected.append((phi, check_multiplier_bound(u, p, phi, m, q=q)))
+        monkeypatch.setattr(haar, "_rows_by_key", refuse)
+        monkeypatch.setattr(HaarExpansion, "coeffs", property(refuse))
+        for (u, p, m, q), (phi, report) in zip(routes, expected):
+            assert haar._support_order(phi, u) and haar._support_order(m.weights, u)
+            assert check_multiplier_bound(u, p, phi, m, q=q) == report
+            assert check_multiplier_bound(u, p, _keyed(phi, [iv(*k) for k in phi]), m, q=q) == report
+            assert validate_measure(m, u)
+            with pytest.raises(AssertionError, match="by-key path"):
+                check_multiplier_bound(u, p, dict(reversed(phi.items())), m, q=q)
+
+
+class TestClosedFormAtTwo:
+    """At p = 2 the Hardy weights of u are |x_I|^2 |I| / ||u||_2^2 and A = 1
+    in exact arithmetic, so the constant multiplier 1 meets the bound with
+    equality. The computed A is 1 up to a few ulps (1 + 2^-51 at seed 3)."""
+
+    def test_identity_multiplier_is_equality(self):
+        for seed in range(8):
+            u = gen_random(8, 1, 0.5, seed)
+            m = weights_hp(u, 2.0)
+            assert m.normalizer == pytest.approx(1.0, rel=1e-12)
+            phi = dict.fromkeys(u.support, 1.0)
+            assert haar._support_order(phi, u)
+            report = check_multiplier_bound(u, 2.0, phi, m)
+            assert report.ok
+            assert report.lhs == pytest.approx(hp_norm(u, 2.0), rel=1e-12)
+            assert report.lhs == pytest.approx(l2_norm(u), rel=1e-12)
+            assert report.weighted_sum == pytest.approx(m.total(), rel=1e-12)

@@ -23,6 +23,7 @@ from haarmult import (
     weights_hp,
     x0_norm_estimate,
 )
+from haarmult import haar, pisier
 
 
 def iv(level, pos):
@@ -275,3 +276,51 @@ class TestLatticeNormEstimate:
             tracemalloc.stop()
         assert report.passed and all(check.ok for check in checks) and norm > 0
         assert peak < 8 << 20
+
+
+class TestSupportOrderKeys:
+    """The key checks and reads of `verify_factorization` and
+    `x0_norm_estimate` give the same answers for factors in support order,
+    in another order, and keyed by equal but distinct intervals, and on the
+    by-key path."""
+
+    def _variants(self, f):
+        """f; its factors reversed; and keyed by rebuilt intervals."""
+        for rekey in (
+            lambda factor: factor,
+            lambda factor: dict(reversed(factor.items())),
+            lambda factor: {iv(*k): v for k, v in factor.items()},
+        ):
+            yield Factorization(x=rekey(f.x), y=rekey(f.y), theta=f.theta, p=f.p, q=f.q)
+
+    def _answers(self, u, f):
+        return [
+            (verify_factorization(u, g), x0_norm_estimate(g, u, 8, seed=1))
+            for g in self._variants(f)
+        ]
+
+    def test_orders_and_paths_agree(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        for _ in range(6):
+            u = random_scalar(rng, int(rng.integers(1, 7)))
+            f = factorize(u, 1.5, 3.0)
+            answers = self._answers(u, f)
+            assert answers == [answers[0]] * 3 and answers[0][0]
+            monkeypatch.setattr(pisier, "_support_order", lambda mapping, u: False)
+            monkeypatch.setattr(haar, "_support_order", lambda mapping, u: False)
+            assert self._answers(u, f) == answers
+            monkeypatch.undo()
+
+    def test_missing_or_foreign_keys_rejected(self):
+        u = scalar(2, {(0, 0): 1.0, (1, 0): 0.5, (2, 3): -0.75})
+        f = factorize(u, 1.5, 3.0)
+        first = iv(0, 0)
+        for x, y in (
+            ({k: v for k, v in f.x.items() if k != first}, f.y),
+            (f.x, {**f.y, iv(2, 0): 0.5}),
+            ({**f.x, iv(2, 0): 0.5}, {k: v for k, v in f.y.items() if k != first}),
+        ):
+            bad = Factorization(x=x, y=y, theta=f.theta, p=f.p, q=f.q)
+            assert not verify_factorization(u, bad)
+            with pytest.raises(ValueError, match="factorization does not match"):
+                x0_norm_estimate(bad, u, 2)
