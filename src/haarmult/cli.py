@@ -31,7 +31,16 @@ from .errors import (
     VerificationError,
     ZeroInputError,
 )
-from .haar import _MAX_LEVEL, HaarExpansion, hp_norm, l2_norm, multiply, tl_norm
+from .haar import (
+    _MAX_LEVEL,
+    HaarExpansion,
+    _pow,
+    _support_rows,
+    hp_norm,
+    l2_norm,
+    multiply,
+    tl_norm,
+)
 from .pietsch import (
     PietschMeasure,
     _assemble,
@@ -334,12 +343,11 @@ def run_verification(
                     uv.max_level, uv.dimension, [uv.support[r] for r in block.tolist()],
                     uv.levels[block], uv.positions[block], uv.values[block],
                 )
-                mu = h2_measure(ui)
-                phi = {i: float(v) for i, v in zip(ui.support, rng.uniform(-1, 1, len(ui.support)))}
-                lhs = hp_norm(multiply(phi, ui), 2.0) ** 2
-                rhs = l2_norm(ui) ** 2 * sum(
-                    phi[i] ** 2 * mu[i] for i in mu
-                )
+                mu = _support_rows(h2_measure(ui), ui)
+                phis = rng.uniform(-1, 1, len(ui.support))
+                lhs = hp_norm(multiply(dict(zip(ui.support, phis.tolist())), ui), 2.0) ** 2
+                # Python's sum in support order: np.sum's pairwise order rounds differently
+                rhs = l2_norm(ui) ** 2 * sum((_pow(np.abs(phis), 2.0) * mu).tolist())
                 if abs(lhs - rhs) > 1e-12 * max(lhs, rhs, 1e-300):
                     h2_ok = False
             check("vector_h2_identity").record(h2_ok, seed, trial)

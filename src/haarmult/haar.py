@@ -39,11 +39,23 @@ the support rows by `_support_rows`: a plain dict keyed by the support in
 support order in one pass over its values, with no key hashed
 (`_support_order`), and any other mapping with one `get` per row
 (`_rows_by_key`).
+
+Every power of support rows goes through `_pow`, which is `np.float_power`:
+numpy's generic loop for it calls libm `pow` once per float64 element, with
+no SIMD dispatch, so each power is bit for bit Python's float `pow`.
+numpy's `**` and `np.power` are not: on an AVX-512 host they dispatch to
+SVML and differ from libm in the last bit for some inputs, even at
+exponent 2. numpy's `**` is used only on cell sums (`_norm_means`) and on
+the sampled candidates of `pisier._x0_norm_estimate`: `_pow` there would
+change the last bits of their outputs, and runs about 5x slower than the
+SIMD loop.
 """
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
@@ -286,13 +298,33 @@ def square_function(u: HaarExpansion) -> StepFunction:
     return StepFunction(u.max_level, np.sqrt(square_leaf_sums(u)))
 
 
-def _scalar_powers(u: HaarExpansion, q: float) -> list[float]:
-    """|x_I|^q per support row (Python's float pow); scalar expansions only."""
+def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
+    """values ** exponent elementwise, bit for bit Python's float `pow` on
+    each element: `np.float_power` calls libm `pow` once per element (see
+    the module docstring). Raises as `pow` does, at the first failing
+    element in C order: OverflowError where a finite base gives inf (for a
+    finite exponent), ZeroDivisionError for 0.0 to a negative power. Bases
+    are nonnegative or NaN: a negative base to a non-integer power gives
+    NaN where `pow` gives a complex number. No RuntimeWarning is issued."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(all="ignore"):
+        powers = np.float_power(values, exponent)
+    failed = np.isinf(powers) & np.isfinite(values)
+    if math.isfinite(exponent) and failed.any():
+        if values.flat[np.argmax(failed)] == 0.0:
+            raise ZeroDivisionError("0.0 cannot be raised to a negative power")
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return powers
+
+
+def _scalar_powers(u: HaarExpansion, q: float) -> np.ndarray:
+    """|x_I|^q per support row (`_pow`, Python's float pow per element);
+    scalar expansions only."""
     if u.dimension != 1:
         raise ValueError("q-variation is defined for scalar expansions only")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    return [abs(value) ** q for value in u.values[:, 0].tolist()]
+    return _pow(np.abs(u.values[:, 0]), q)
 
 
 def q_variation(u: HaarExpansion, q: float) -> StepFunction:
@@ -545,21 +577,21 @@ def _in_float_range(norm: float, nonzero: bool) -> float:
 
 
 def convexify(u: HaarExpansion, q: float) -> HaarExpansion:
-    """Coefficientwise power |x_I|^(q/2); support is preserved: OverflowError
-    if a power underflows to 0 or overflows (coefficients are not rescaled)."""
+    """Coefficientwise power |x_I|^(q/2) (`_pow`, Python's float pow per
+    element); support is preserved: OverflowError if a power underflows to 0
+    or overflows (coefficients are not rescaled)."""
     if u.dimension != 1:
         raise ValueError("convexification is defined for scalar expansions only")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
     try:
-        powered = [abs(value) ** (q / 2.0) for value in u.values[:, 0].tolist()]
-        if 0.0 in powered:  # an underflow, which would drop its row
+        powered = _pow(np.abs(u.values[:, 0]), q / 2.0)
+        if (powered == 0.0).any():  # an underflow, which would drop its row
             raise OverflowError
-    except OverflowError:  # Python's float pow raises on overflow
+    except OverflowError:  # `_pow` raises on overflow, as Python's pow does
         raise OverflowError(f"a power |x_I|^(q/2) at q={q} leaves the float range") from None
-    values = np.array(powered, dtype=float).reshape(len(powered), 1)
     return HaarExpansion._from_rows(
-        u.max_level, 1, u.support, u.levels, u.positions, values
+        u.max_level, 1, u.support, u.levels, u.positions, powered[:, None]
     )
 
 
@@ -626,12 +658,10 @@ def _product_norms(
     if q is None:
         terms = _squares(values)
     else:
-        terms = np.empty(nonzero.shape)
-        for k, row in enumerate(np.abs(values[..., 0])):
-            try:  # Python's float pow, as in `_scalar_powers`
-                terms[k] = np.fromiter(map(pow, row.tolist(), repeat(q)), float, len(row))
-            except OverflowError:  # raises as `tl_norm` does
-                _in_float_range(math.inf, True)
+        try:  # Python's float pow per element, as in `_scalar_powers`
+            terms = _pow(np.abs(values[..., 0]), q)
+        except OverflowError:  # raises as `tl_norm` does
+            _in_float_range(math.inf, True)
     means = np.empty(len(terms))
     full = nonzero.all(axis=-1)
     if full.any():

@@ -33,18 +33,19 @@ the support, so the key checks of `check_multiplier_bounds` and
 same floats. `_assemble` validates its support-order array before it
 builds the dict.
 
-The powers are Python's float `pow`; do not replace them with array
-arithmetic. On glibc 2.36 with numpy 2.4.6, over 2,000,000 uniform draws
-x in [0, 1), `x * x` (and numpy's `x ** 2.0`, which squares) differs from
-`pow(x, 2.0)` in the last bit on 1,667 of them, and numpy's `power` at
-exponent 3.0, or with an array of exponents, on about 107,000.
+The powers |phi_I|^s of a batch are one `haar._pow` call: `np.float_power`,
+which calls libm `pow` once per element, so each is bit for bit Python's
+float `pow`. Do not replace it with numpy's `**` or `np.power`. On glibc
+2.36 with numpy 2.4.6, over 2,000,000 uniform draws x in [0, 1), `x * x`
+(and numpy's `x ** 2.0`, which squares) differs from `pow(x, 2.0)` in the
+last bit on 1,667 of them, and numpy's `power` at exponent 3.0, or with an
+array of exponents, on about 107,000; `np.float_power` on none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .errors import VerificationError, ZeroInputError
 from .haar import (
     HaarExpansion,
     _cell_entries,
+    _pow,
     _product_norms,
     _square_measures,
     _support_order,
@@ -275,15 +277,14 @@ def _check_rows(
 ) -> list[MultiplierReport]:
     """The reports of `check_multiplier_bounds` after its argument checks,
     on the weights at u's support rows, in the order of a single check: the
-    weighted sums, the products' norms, ||u||, C."""
+    weighted sums, the products' norms, ||u||, C, and ValueError for a
+    negative weighted sum (whose root 1/s may not be real)."""
     support = u.support
     s = m.exponent
-    weighted = []
-    for row in np.abs(phis):
-        powers = np.fromiter(map(pow, row.tolist(), repeat(s)), float, len(row))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
-            terms = powers * weights
-        weighted.append(math.fsum(terms.tolist()))
+    powers = _pow(np.abs(phis), s)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
+        terms = powers * weights
+    weighted = list(map(math.fsum, terms.tolist()))
     tl_route = u.dimension == 1 and s != 2.0
     q_tl = s if tl_route else None
     step = max(1, _BATCH_ENTRIES // _cell_entries(len(support), u.max_level))
@@ -295,6 +296,8 @@ def _check_rows(
     constant = (m.normalizer / lower) ** (1.0 / p)
     reports = []
     for left, w in zip(lhs, weighted):
+        if w < 0.0:
+            raise ValueError(f"weighted sum {w} is negative: the measure has negative weights")
         rhs = constant * norm * w ** (1.0 / s)
         reports.append(
             MultiplierReport(

@@ -5,6 +5,13 @@ With theta = (q/(q-1)) * ((p-1)/p) and weights w from the multiplier bound,
 the factors are y_I = (w_I/|I|)^(1/q) and x_I = (|u_I| |y_I|^-theta)^(1/(1-theta))
 on the support (0 elsewhere). The product identity is algebraic; the norm
 bound on x is certified sample-by-sample through an exact Hoelder chain.
+
+Factors, weights and coefficients are read as support-row arrays
+(`haar._support_rows`: one pass over a dict in support order, no key
+hashed), and every per-row power is `haar._pow`, Python's float `pow` per
+element through `np.float_power` (numpy's `**` may differ from it in the
+last bit). The per-row tolerance tests are `_isclose`, `math.isclose` on
+arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +23,15 @@ import numpy as np
 
 from .dyadic import DyadicInterval
 from .errors import DegenerateThetaError, VerificationError, ZeroInputError
-from .haar import HaarExpansion, _cell_sum, _cells, _support_order, _support_rows, tl_norm
+from .haar import (
+    HaarExpansion,
+    _cell_sum,
+    _cells,
+    _pow,
+    _support_order,
+    _support_rows,
+    tl_norm,
+)
 from .pietsch import PietschMeasure, weights_tl
 
 _IDENTITY_RTOL = 1e-10
@@ -66,21 +81,37 @@ def _factorize(
     u: HaarExpansion, p: float, q: float, exponent: float, measure: PietschMeasure
 ) -> Factorization:
     """`factorize` from `theta(p, q)` and `weights_tl(u, p, q)`."""
-    x: dict[DyadicInterval, float] = {}
-    y: dict[DyadicInterval, float] = {}
-    for interval, (value,) in u.coeffs.items():
-        weight = measure.weights[interval]
-        y_val = (weight * 2.0**interval.level) ** (1.0 / q)
-        y[interval] = y_val
-        x[interval] = (abs(value) * y_val ** (-exponent)) ** (1.0 / (1.0 - exponent))
-    return Factorization(x=x, y=y, theta=exponent, p=p, q=q)
+    y = _pow(_support_rows(measure.weights, u) * np.ldexp(1.0, u.levels), 1.0 / q)
+    with np.errstate(over="ignore"):  # inf as in Python
+        base = np.abs(u.values[:, 0]) * _pow(y, -exponent)
+    x = _pow(base, 1.0 / (1.0 - exponent))
+    return Factorization(
+        x=dict(zip(u.support, x.tolist())),
+        y=dict(zip(u.support, y.tolist())),
+        theta=exponent,
+        p=p,
+        q=q,
+    )
 
 
-def _fqq_norm(coeffs: dict[DyadicInterval, float], q: float) -> float:
-    return math.fsum(
-        abs(value) ** q * 2.0 ** (-interval.level)
-        for interval, value in coeffs.items()
-    ) ** (1.0 / q)
+def _fqq_norm(values: np.ndarray, u: HaarExpansion, q: float) -> float:
+    """(sum_I |values_I|^q |I|)^(1/q) over u's support rows."""
+    terms = _pow(np.abs(values), q) * np.ldexp(1.0, -u.levels)
+    return math.fsum(terms.tolist()) ** (1.0 / q)
+
+
+def _isclose(
+    a: np.ndarray, b: np.ndarray, rel_tol: float, abs_tol: float = 0.0
+) -> np.ndarray:
+    """`math.isclose` elementwise, with its exact semantics: equal values
+    pass, inf is close only to itself, NaN to nothing, and otherwise
+    |b - a| <= max(rel_tol |a|, rel_tol |b|, abs_tol)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(b - a)
+        close = (
+            (diff <= np.abs(rel_tol * b)) | (diff <= np.abs(rel_tol * a)) | (diff <= abs_tol)
+        )
+    return (a == b) | (close & ~np.isinf(a) & ~np.isinf(b))
 
 
 def _matches(f: Factorization, u: HaarExpansion) -> bool:
@@ -93,14 +124,20 @@ def _matches(f: Factorization, u: HaarExpansion) -> bool:
 
 def verify_factorization(u: HaarExpansion, f: Factorization) -> bool:
     """Product identity |u_I| = |x_I|^(1-theta) |y_I|^theta on the support
-    (relative tolerance 1e-10) and the unit bound on the y factor."""
+    (relative tolerance 1e-10) and the unit bound on the y factor. A power
+    past the float range (a theta outside (0, 1) can make one) fails the
+    check: its side would be infinite."""
     if not _matches(f, u):
         return False
-    for interval, (value,) in u.coeffs.items():
-        product = abs(f.x[interval]) ** (1.0 - f.theta) * abs(f.y[interval]) ** f.theta
-        if not math.isclose(product, abs(value), rel_tol=_IDENTITY_RTOL):
+    x, y = (np.abs(_support_rows(factor, u)) for factor in (f.x, f.y))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
+            products = _pow(x, 1.0 - f.theta) * _pow(y, f.theta)
+        if not _isclose(products, np.abs(u.values[:, 0]), _IDENTITY_RTOL).all():
             return False
-    return _fqq_norm(f.y, f.q) <= 1.0 + 1e-12
+        return _fqq_norm(y, u, f.q) <= 1.0 + 1e-12
+    except (OverflowError, ZeroDivisionError):
+        return False
 
 
 def x0_norm_estimate(
@@ -138,19 +175,18 @@ def _x0_norm_estimate(
     f: Factorization, u: HaarExpansion, n_samples: int, seed: int, measure: PietschMeasure
 ) -> float:
     """`x0_norm_estimate` after its argument checks, on `weights_tl(u, f.p, f.q)`."""
-    for interval, weight in measure.weights.items():
-        expected = (weight * 2.0**interval.level) ** (1.0 / f.q)
-        if not math.isclose(expected, f.y[interval], rel_tol=1e-9, abs_tol=1e-300):
-            raise ValueError("factorization does not match the expansion")
+    y_vec = _support_rows(f.y, u)
+    w_vec = _support_rows(measure.weights, u)
+    expected = _pow(w_vec * np.ldexp(1.0, u.levels), 1.0 / f.q)
+    if not _isclose(expected, y_vec, 1e-9, 1e-300).all():
+        raise ValueError("factorization does not match the expansion")
     p, q, th = f.p, f.q, f.theta
     r = p * (q - 1.0) / (p - 1.0)
     norm_u = tl_norm(u, p, q)
     cap = measure.normalizer ** (1.0 / p) * norm_u
 
     n_support = len(u.support)
-    y_vec = _support_rows(f.y, u)
     x_vec = np.abs(_support_rows(f.x, u))
-    w_vec = _support_rows(measure.weights, u)
     m_vec = np.ldexp(1.0, -u.levels)
 
     rng = np.random.default_rng(seed)

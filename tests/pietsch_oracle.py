@@ -54,6 +54,8 @@ def check_multiplier_bound(u, p, phi, m, q=None):
     norm = norm_of(u)
     lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
     constant = (m.normalizer / lower) ** (1.0 / p)
+    if weighted < 0.0:
+        raise ValueError(f"weighted sum {weighted} is negative: the measure has negative weights")
     rhs = constant * norm * weighted ** (1.0 / s)
     return MultiplierReport(
         lhs=lhs,

@@ -5,6 +5,7 @@ import copy
 import itertools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from haarmult import (
     square_function,
     tl_norm,
 )
-from haarmult.haar import _square_length, _squares, square_leaf_sums
+from haarmult.haar import _pow, _square_length, _squares, square_leaf_sums
+from haarmult.pisier import theta
 
 import haar_oracle
 from haar_oracle import evaluate_haar
@@ -416,6 +418,96 @@ class TestSquares:
         assert _square_length([1e154, 1e154]) == math.inf
         u = HaarExpansion(1, 2, {iv(0, 0): (1e200, 1e200), iv(1, 0): (3e-320, 0.0)})
         assert u.squares.tolist() == [math.inf, 0.0]
+
+
+def _python_pow(bases, exponent):
+    """Python's float pow per element of a 1-d array; raises what the first
+    failing element raises."""
+    return np.fromiter(map(pow, bases.tolist(), itertools.repeat(exponent)), float, len(bases))
+
+
+def _pow_outcome(fn, bases, exponent):
+    """fn(bases, exponent), or the repr of the ArithmeticError it raises."""
+    try:
+        return fn(bases, exponent)
+    except ArithmeticError as exc:
+        return repr(exc)
+
+
+class TestPow:
+    """`_pow` is Python's float pow per element, bit for bit: it relies on
+    `np.float_power` calling libm `pow` per element with no SIMD loop."""
+
+    # every (p, q) of the test pools
+    PQS = ((0.5, 1.0), (1.0, 3.0), (1.5, 2.0), (2.0, 4.0), (4.0 / 3.0, 2.0), (1.5, 3.0),
+           (1.25, 7.5), (1.5, 150.0), (1.5, 300.0), (1.0, 4.0), (0.7, 0.7))
+
+    def _exponents(self):
+        """Every exponent the library raises support rows to: 2 and s = q,
+        q/2 (convexify), 1/q (the y factor), and -theta, 1/(1-theta), theta
+        and 1-theta (the x factor and its check)."""
+        exponents = {2.0}
+        for p, q in self.PQS:
+            exponents |= {q, q / 2.0, 1.0 / q}
+            if 1.0 < p < q:
+                th = theta(p, q)
+                exponents |= {-th, 1.0 / (1.0 - th), th, 1.0 - th}
+        return sorted(exponents)
+
+    def _bases(self):
+        rng = np.random.default_rng(4242)
+        special = [0.0, -0.0, 1.0, math.inf, math.nan, 5e-324, 1e-310, 2.2250738585072014e-308,
+                   1e-300, 1e300, 1.7976931348623157e308, 0.5, 2.0, 10.0]
+        spread = np.ldexp(rng.uniform(0.5, 1.0, 20_000), rng.integers(-1074, 1025, 20_000))
+        return np.concatenate((special, rng.uniform(0.0, 1.0, 100_000), spread))
+
+    def test_bit_for_bit_python_pow(self):
+        bases = self._bases()
+        for exponent in self._exponents():
+            outcomes = [_pow_outcome(pow, b, exponent) for b in bases.tolist()]
+            ok = np.array([isinstance(o, float) for o in outcomes])
+            want = _python_pow(bases[ok], exponent)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _pow(bases[ok], exponent)
+            same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+            assert same.all(), (
+                f"numpy {np.__version__}: np.float_power differs from Python's pow at "
+                f"exponent {exponent!r} on {int((~same).sum())} of {len(want)} bases, "
+                f"first {bases[ok][~same][:3].tolist()}"
+            )
+            # each failing base raises what Python's pow raises for it
+            for base in bases[~ok].tolist()[:200]:
+                got = _pow_outcome(_pow, np.array([1.0, base, 0.5]), exponent)
+                assert got == _pow_outcome(pow, base, exponent)
+
+    def test_exceptions_at_first_failing_element(self):
+        for bases, exponent in (
+            ([0.5, 5e-324, 0.0], -2.0),
+            ([0.5, 0.0, 5e-324], -2.0),
+            ([1e300, 1.0, 0.0], 2.0),
+            ([[1.0, 2.0], [0.0, 1e300]], -0.5),
+            ([[1.0, 1e300], [0.0, 1.0]], 1.5),
+            ([1e300], 1.0 / (1.0 - theta(1.5, 3.0))),
+            ([0.0, 1.0], -theta(1.5, 3.0)),
+        ):
+            array = np.array(bases)
+            want = _pow_outcome(_python_pow, array.ravel(), exponent)
+            assert isinstance(want, str)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _pow_outcome(_pow, array, exponent) == want
+
+    def test_no_exception_where_python_has_none(self):
+        # inf bases and infinite exponents are special cases of pow, not errors
+        bases = np.array([0.0, 0.5, 1.0, 2.0, math.inf, math.nan, 1e300])
+        for exponent in (math.inf, -math.inf, math.nan, 0.0, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _pow(bases, exponent)
+            assert np.array_equal(got, _python_pow(bases, exponent), equal_nan=True)
+        assert _pow(np.array([math.inf, 0.0]), 2.0).tolist() == [math.inf, 0.0]
+        assert _pow(np.zeros((0, 3)), -1.0).shape == (0, 3)
 
 
 class TestLeafSums:

@@ -502,15 +502,6 @@ class TestBatchedMultiplierChecks:
         assert peak < 64 * (1 << 16) * 8 // 2, peak
 
 
-def _any_outcome(fn, *args, **kwargs):
-    """`_outcome`, also for the TypeError of a complex root: a negative
-    weighted sum has one."""
-    try:
-        return _outcome(fn, *args, **kwargs)
-    except TypeError as exc:
-        return type(exc), str(exc)
-
-
 def _keyed(mapping, keys):
     """mapping with each key replaced by an equal but distinct object."""
     return dict(zip(keys, mapping.values()))
@@ -582,15 +573,15 @@ class TestSupportOrderReads:
             ]
             # repr: a NaN weight gives NaN fields, and repr tells floats apart
             # bit for bit where == does not
-            got = [repr(_any_outcome(check_multiplier_bound, u, p, *case, q=q)) for case in cases]
+            got = [repr(_outcome(check_multiplier_bound, u, p, *case, q=q)) for case in cases]
             want = [
-                repr(_any_outcome(pietsch_oracle.check_multiplier_bound, u, p, *case, q=q))
+                repr(_outcome(pietsch_oracle.check_multiplier_bound, u, p, *case, q=q))
                 for case in cases
             ]
             assert got == want
             self._by_key(monkeypatch)
             by_key = [
-                repr(_any_outcome(check_multiplier_bound, u, p, *case, q=q)) for case in cases
+                repr(_outcome(check_multiplier_bound, u, p, *case, q=q)) for case in cases
             ]
             assert by_key == got
             monkeypatch.undo()
@@ -634,6 +625,34 @@ class TestSupportOrderReads:
             assert validate_measure(m, u)
             with pytest.raises(AssertionError, match="by-key path"):
                 check_multiplier_bound(u, p, dict(reversed(phi.items())), m, q=q)
+
+
+class TestNegativeWeightedSum:
+    """A measure with negative weights can make the weighted sum negative,
+    whose root 1/s is not real: the check raises a ValueError that names the
+    sum, as the oracle does, not a TypeError from a complex root."""
+
+    def _case(self):
+        u = HaarExpansion.scalar(1, {iv(0, 0): 1.0, iv(1, 0): 0.5})
+        m = PietschMeasure({iv(0, 0): -0.5, iv(1, 0): 0.1}, 1.0, 2.0)
+        return u, m
+
+    def test_single_check_names_the_sum(self):
+        u, m = self._case()
+        phi = {iv(0, 0): 1.0}
+        with pytest.raises(ValueError, match=r"weighted sum -0\.5 is negative"):
+            check_multiplier_bound(u, 1.0, phi, m)
+        assert _outcome(check_multiplier_bound, u, 1.0, phi, m) == _outcome(
+            pietsch_oracle.check_multiplier_bound, u, 1.0, phi, m
+        )
+        # the other row's weight is positive: that multiplier passes
+        assert check_multiplier_bound(u, 1.0, {iv(1, 0): 1.0}, m).weighted_sum == 0.1
+
+    def test_batch_raises_at_the_negative_row(self):
+        u, m = self._case()
+        for phis in ([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match=r"weighted sum -0\.5 is negative"):
+                check_multiplier_bounds(u, 1.0, np.array(phis), m)
 
 
 class TestClosedFormAtTwo:

@@ -1,6 +1,7 @@
 """Lattice factorization: exactness of the split, the unit bound on the
 second factor, and the sampled lattice-norm machinery."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -23,7 +24,9 @@ from haarmult import (
     weights_hp,
     x0_norm_estimate,
 )
-from haarmult import haar, pisier
+from haarmult import VerificationError, haar, pisier
+
+import pisier_oracle
 
 
 def iv(level, pos):
@@ -324,3 +327,172 @@ class TestSupportOrderKeys:
             assert not verify_factorization(u, bad)
             with pytest.raises(ValueError, match="factorization does not match"):
                 x0_norm_estimate(bad, u, 2)
+
+
+def _outcome(fn, *args):
+    """A call's result, or its exception's type and message, as a repr:
+    repr tells floats apart bit for bit where == does not."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, ArithmeticError, VerificationError) as exc:
+        return repr((type(exc), str(exc)))
+
+
+def _sparse_scalar(rng, max_level, draws):
+    coeffs = {}
+    for _ in range(draws):
+        level = int(rng.integers(0, max_level + 1))
+        coeffs[iv(level, int(rng.integers(0, 1 << level)))] = float(rng.standard_normal())
+    return HaarExpansion.scalar(max_level, coeffs)
+
+
+class TestArrayFormOracle:
+    """`factorize`, `verify_factorization` and `x0_norm_estimate` on
+    support-row arrays against the per-interval loops they replaced
+    (`pisier_oracle`): equal factors, verdicts, values and exceptions."""
+
+    PQS = ((4.0 / 3.0, 2.0), (1.5, 3.0), (2.0, 4.0), (1.25, 7.5))
+
+    def _pool(self):
+        """Dense expansions on the leaf grid, sparse deep ones on the atom
+        grid, and both scaled by powers of two."""
+        rng = np.random.default_rng(1414)
+        for k in range(12):
+            u = (
+                random_scalar(rng, int(rng.integers(0, 7)))
+                if k % 2
+                else _sparse_scalar(rng, 30, 40)
+            )
+            scale = 2.0 ** int(rng.integers(-60, 61))
+            yield u
+            yield HaarExpansion.scalar(u.max_level, {i: v * scale for i, (v,) in u.coeffs.items()})
+
+    def _cases(self):
+        for k, u in enumerate(self._pool()):
+            p, q = self.PQS[k % len(self.PQS)]
+            yield u, p, q, theta(p, q), pisier.weights_tl(u, p, q)
+
+    def _tampered(self, f, u):
+        """f; reversed; a foreign key; a missing key; x and y perturbed by
+        +-1e-10 and +-2e-10 relative; and a NaN, an inf and a zero in each
+        factor, at the first and the last support row."""
+        def factor(x, y):
+            return Factorization(x=x, y=y, theta=f.theta, p=f.p, q=f.q)
+
+        first, last = u.support[0], u.support[-1]
+        yield f
+        yield factor(dict(reversed(f.x.items())), dict(reversed(f.y.items())))
+        yield factor({**f.x, iv(u.max_level + 1, 0): 1.0}, f.y)
+        yield factor(f.x, {k: v for k, v in f.y.items() if k != last})
+        for rel in (1e-10, -1e-10, 2e-10, -2e-10, 5e-11):
+            for at in (first, last):
+                yield factor({**f.x, at: f.x[at] * (1.0 + rel)}, f.y)
+                yield factor(f.x, {**f.y, at: f.y[at] * (1.0 + rel)})
+        for bad in (math.nan, math.inf, 0.0):
+            for at in (first, last):
+                yield factor({**f.x, at: bad}, f.y)
+                yield factor(f.x, {**f.y, at: bad})
+
+    def test_factors_match(self):
+        for u, p, q, th, m in self._cases():
+            got = pisier._factorize(u, p, q, th, m)
+            want = pisier_oracle.factorize(u, p, q, th, m)
+            assert repr(list(got.x.items())) == repr(list(want.x.items()))
+            assert repr(list(got.y.items())) == repr(list(want.y.items()))
+            assert got == want
+
+    def test_verdicts_match(self):
+        verdicts = []
+        for u, p, q, th, m in self._cases():
+            f = pisier._factorize(u, p, q, th, m)
+            for g in self._tampered(f, u):
+                got = _outcome(verify_factorization, u, g)
+                assert got == _outcome(pisier_oracle.verify_factorization, u, g)
+                verdicts.append(got)
+        # the perturbations straddle the tolerance: some pass, some fail
+        assert "True" in verdicts and "False" in verdicts
+
+    def test_theta_outside_unit_interval_fails_closed(self):
+        # a zero y to a negative power, or a huge x or y past the float
+        # range, is a failed identity: False, where the per-row oracle
+        # raises when that row comes before the first mismatch
+        u = scalar(2, {(0, 0): 1.0, (1, 0): 0.5, (2, 3): -0.75})
+        f = factorize(u, 1.5, 3.0)
+        first = u.support[0]
+        raised = 0
+        for th in (-0.5, 0.0, 1.0, 1.5, 40.0, -40.0):
+            for x, y in (
+                (f.x, f.y),
+                (f.x, {**f.y, first: 0.0}),
+                ({**f.x, first: 1e300}, f.y),
+                (f.x, {**f.y, first: 1e300}),
+            ):
+                g = Factorization(x=x, y=y, theta=th, p=f.p, q=f.q)
+                got = verify_factorization(u, g)
+                try:
+                    assert got == pisier_oracle.verify_factorization(u, g) is False
+                except ArithmeticError:
+                    raised += 1
+                    assert got is False
+        assert raised
+
+    def test_estimates_match(self):
+        def oracle(g, u, n_samples, seed, m):
+            if not pisier_oracle._matches(g, u):
+                raise ValueError("factorization does not match the expansion")
+            return pisier_oracle.x0_norm_estimate(g, u, n_samples, seed, m)
+
+        outcomes = []
+        for k, (u, p, q, th, m) in enumerate(self._cases()):
+            f = pisier._factorize(u, p, q, th, m)
+            for g in self._tampered(f, u) if k < 8 else (f,):
+                got = _outcome(x0_norm_estimate, g, u, 8, k)
+                assert got == _outcome(oracle, g, u, 8, k, m)
+                outcomes.append(got)
+        assert any("ValueError" in o for o in outcomes)
+        assert any("VerificationError" in o for o in outcomes)
+        assert any(not o.startswith("(") for o in outcomes)
+
+
+class TestIsClose:
+    def test_matches_math_isclose(self):
+        values = [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-10, 1.0 + 2e-10, 1.0 - 1e-10, 1e-300,
+                  2e-300, 5e-324, 1e-310, 1e300, -1e300, 1.7976931348623157e308,
+                  math.inf, -math.inf, math.nan]
+        a, b = (np.array(pair) for pair in zip(*itertools.product(values, repeat=2)))
+        for rel_tol, abs_tol in ((1e-10, 0.0), (1e-9, 1e-300), (0.5, 0.0), (0.0, 1e-300)):
+            want = [
+                math.isclose(x, y, rel_tol=rel_tol, abs_tol=abs_tol)
+                for x, y in zip(a.tolist(), b.tolist())
+            ]
+            assert pisier._isclose(a, b, rel_tol, abs_tol).tolist() == want
+
+
+class TestNoKeyHashed:
+    """Factors and measures in support order are read as arrays: `pisier`
+    never reaches `HaarExpansion.coeffs` or the by-key read for them."""
+
+    def test_support_order_never_reads_by_key(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("by-key path called")
+
+        rng = np.random.default_rng(1515)
+        cases = []
+        for u in (random_scalar(rng, 6), _sparse_scalar(rng, 30, 40)):
+            th, m = theta(1.5, 3.0), pisier.weights_tl(u, 1.5, 3.0)
+            f = factorize(u, 1.5, 3.0)
+            cases.append((u, th, m, f, verify_factorization(u, f), x0_norm_estimate(f, u, 8)))
+        monkeypatch.setattr(haar, "_rows_by_key", refuse)
+        monkeypatch.setattr(HaarExpansion, "coeffs", property(refuse))
+        for u, th, m, f, verdict, estimate in cases:
+            assert haar._support_order(m.weights, u)
+            assert pisier._factorize(u, 1.5, 3.0, th, m) == f
+            assert factorize(u, 1.5, 3.0) == f
+            assert verify_factorization(u, f) is verdict is True
+            assert x0_norm_estimate(f, u, 8) == estimate
+            assert pisier._x0_norm_estimate(f, u, 8, 0, m) == estimate
+            reversed_f = Factorization(
+                x=dict(reversed(f.x.items())), y=f.y, theta=f.theta, p=f.p, q=f.q
+            )
+            with pytest.raises(AssertionError, match="by-key path"):
+                verify_factorization(u, reversed_f)
