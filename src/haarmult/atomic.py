@@ -20,26 +20,28 @@ form, and `pieces` is a view of it. `_verify_rows` is the one verification
 core: a decomposition given as pieces is mapped onto the support rows once
 (`_member_rows`) and checked the same way.
 
-Every function of the square sums runs on the cell grid of `haar._cells`:
-the atoms cut out by the support's endpoints when the support is sparse for
-its depth, else the leaves. No path here allocates one entry per leaf when
-the grid is the atoms. A support row's anchor for Omega_k is its coarsest
-ancestor-or-self J with 2 |Omega_k ∩ J| > |J|. On the atoms |Omega_k ∩ J|
-comes from an int64 prefix sum of the lengths of the cells in Omega_k, read
-at J's endpoints; on the leaves the dense majority cover
-(`_majority_cover_levels`) is cheaper and gives the same anchors. A block's
-statistics are sums over the cells of its own square function inside its
-top, on the grid `_cells` would pick for that block alone; one batched pass
-(`_block_stats`) computes them for every block, bit for bit as one `_cells`
-call per block would.
+Every function of the square sums runs on the grid of u's support
+(`haar._Grid`), built once per public call and shared by the stopping time,
+the majority cover and the verification: the atoms cut out by the support's
+endpoints when the support is sparse for its depth, else the leaves. No
+path here allocates one entry per leaf when the grid is the atoms. A
+support row's anchor for Omega_k is its coarsest ancestor-or-self J with
+2 |Omega_k ∩ J| > |J|. On the atoms |Omega_k ∩ J| comes from an int64
+prefix sum of the lengths of the cells in Omega_k, read at J's endpoints;
+on the leaves the dense majority cover (`_majority_cover_levels`) is
+cheaper and gives the same anchors. A block's statistics are sums over the
+cells of its own square function inside its top, on the grid `_cells`
+would pick for that block alone; one batched pass (`_block_stats`)
+computes them for every block, bit for bit as one `_cells` call per block
+would.
 
 Containment inside the support is one array, each row's nearest support
-ancestor, from `dyadic._nearest_ancestors` on the support arrays. The
-stopping time reads it to find block tops and hands it to the verification
-inside `decompose`; the verifier's block check is one pass over it: a block
-passes iff exactly one of its rows has no parent in the same block.
-`dyadic.is_block` is the reference predicate for that check; no path in the
-package calls it.
+ancestor: the grid's parent table, from `dyadic._nearest_ancestors` on the
+support arrays. The stopping time reads it to find block tops, and the
+verification inside `decompose` reads the same table; the verifier's block
+check is one pass over it: a block passes iff exactly one of its rows has
+no parent in the same block. `dyadic.is_block` is the reference predicate
+for that check; no path in the package calls it.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicInterval, IntervalFamily, _nearest_ancestors, _packed_carleson
+from .dyadic import DyadicInterval, IntervalFamily, _packed_carleson
 from .errors import VerificationError, ZeroInputError
-from .haar import HaarExpansion, _block_cells, _cells, hp_norm
+from .haar import HaarExpansion, _block_cells, _cells, _Grid, _hp_norm, _support_grid
 
 # Relative slack for inequalities that are exact in real arithmetic and only
 # subject to floating-point rounding.
@@ -232,12 +234,10 @@ def _majority_cover_levels(omega: np.ndarray, max_level: int) -> np.ndarray:
     return cover
 
 
-def _majority_cover(
-    u: HaarExpansion, lengths: np.ndarray | None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """A function taking a mask omega on the cells with these lengths (in
-    leaves, None on the leaf grid) to the level of each support row's
-    maximal majority interval, -1 for a row with none.
+def _majority_cover(u: HaarExpansion, grid: _Grid) -> Callable[[np.ndarray], np.ndarray]:
+    """A function taking a mask omega on the cells of the grid of u's
+    support to the level of each support row's maximal majority interval,
+    -1 for a row with none.
 
     A dyadic J has majority if more than half of its leaves lie in omega;
     the maximal such intervals are pairwise disjoint and their union contains
@@ -251,12 +251,11 @@ def _majority_cover(
     cell holding an endpoint counts up to the endpoint), and one top-down
     pass per level hands each majority level down to the descendants.
     """
-    max_level = u.max_level
+    max_level, lengths, row_bounds = u.max_level, grid.lengths, grid.bounds
     if lengths is None:
         heap = (1 << u.levels) - 1 + u.positions
         return lambda omega: _majority_cover_levels(omega, max_level)[heap]
     finest = int(u.levels[-1])
-    row_bounds = np.searchsorted(u.levels, np.arange(finest + 2)).tolist()
     # The ancestors level by level, finest first: a level's nodes are its
     # support rows and the parents of the nodes one level down, sorted and
     # deduplicated. Each merged entry's index among them gives the node of
@@ -284,7 +283,7 @@ def _majority_cover(
 
     # the cell holding each endpoint (the last cell for 2^N) and how many of
     # its leaves lie before the endpoint; starts first, then ends
-    cell_bounds = np.concatenate(([0], np.cumsum(lengths)))
+    cell_bounds = grid.edges
     endpoints = np.concatenate((starts, starts + width))
     cell = np.searchsorted(cell_bounds, endpoints, side="right") - 1
     cell = np.minimum(cell, len(lengths) - 1)
@@ -303,12 +302,11 @@ def _majority_cover(
     return cover
 
 
-def _stopping_time(u: HaarExpansion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stopping-time blocks of u as (block id per support row, support
-    row of each block's top, each support row's nearest support ancestor);
-    blocks are ordered by their tops."""
-    max_level = u.max_level
-    sums, lengths = _cells(max_level, u.levels, u.positions, u.squares)
+def _stopping_time(u: HaarExpansion, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The stopping-time blocks of u, on the grid of its support, as (block
+    id per support row, support row of each block's top); blocks are ordered
+    by their tops."""
+    sums, _ = _cells(grid, u.squares)
     if not (float(u.squares.min()) > 0.0 and float(sums.max()) < math.inf):
         raise OverflowError("the coefficient squares leave the float range")
 
@@ -316,7 +314,7 @@ def _stopping_time(u: HaarExpansion) -> tuple[np.ndarray, np.ndarray, np.ndarray
     # largest k whose threshold covers it, as a heap index 2^level - 1 + pos.
     # Only the k where Omega_k grows matter: the next is the power of 4 just
     # below the largest cell value not yet in Omega.
-    cover = _majority_cover(u, lengths)
+    cover = _majority_cover(u, grid)
     pending = np.arange(len(u.support))
     anchor_level = np.empty(len(u.support), dtype=np.int64)
     omega = np.zeros(len(sums), dtype=bool)
@@ -344,17 +342,16 @@ def _stopping_time(u: HaarExpansion) -> tuple[np.ndarray, np.ndarray, np.ndarray
     # and every support row between two such rows has that anchor as well:
     # the top is reached through parents with the row's anchor. Parents lie
     # on coarser levels, so one pass per level, coarsest first, sets them.
-    parent = _nearest_ancestors(u.levels, u.positions)
+    parent, bounds = grid.parent, grid.bounds
     top = np.arange(len(u.support))
-    bounds = np.searchsorted(u.levels, np.arange(1, max_level + 1))
-    for lo, hi in zip(bounds.tolist(), bounds[1:].tolist() + [len(top)]):
+    for lo, hi in zip(bounds[1:], bounds[2:]):
         up = parent[lo:hi]
         same = (up >= 0) & (anchor[up] == anchor[lo:hi])
         top[lo:hi][same] = top[up[same]]
     # tops in support order give the blocks ordered by top
     is_top = top == np.arange(len(top))
     block = (np.cumsum(is_top) - 1)[top]
-    return block, np.flatnonzero(is_top), parent
+    return block, np.flatnonzero(is_top)
 
 
 def appendix_constant(p: float, carleson: float | Fraction) -> float:
@@ -423,7 +420,7 @@ def _block_stats(
 def _blocks_closed(block: np.ndarray, n_blocks: int, parent: np.ndarray) -> bool:
     """Whether every block of a partition of the support rows (`block[j]` the
     block of row j) is a block relative to the support: exactly one of its
-    rows has no support parent (`parent`, from `dyadic._nearest_ancestors`)
+    rows has no support parent (`parent`, the grid's parent table)
     or a parent in another block (`dyadic.is_block`, for all blocks at
     once)."""
     head = parent < 0
@@ -460,19 +457,18 @@ def verify_decomposition(
     block relative to the support, read from the support parent rows, (f)
     the observed upper-chain ratio. Every call rechecks from scratch.
     """
-    return _verify(u, p, dec)
+    return _verify(u, p, dec, _support_grid(u))
 
 
 def _verify(
-    u: HaarExpansion, p: float, dec: AtomicDecomposition, parent: np.ndarray | None = None
+    u: HaarExpansion, p: float, dec: AtomicDecomposition, grid: _Grid
 ) -> DecompositionReport:
-    """`verify_decomposition`, reading u's support parent table `parent`
-    when the caller has it."""
+    """`verify_decomposition` on the grid of u's support."""
     if not 0 < p <= 2:
         raise ValueError(f"p must lie in (0, 2], got {p}")
     if dec.max_level != u.max_level or dec.dimension != u.dimension:
         raise ValueError("decomposition does not match the expansion")
-    return _verify_rows(u, p, *_member_rows(u, dec), parent)
+    return _verify_rows(u, p, *_member_rows(u, dec), grid)
 
 
 def _member_rows(
@@ -508,14 +504,14 @@ def _verify_rows(
     block: np.ndarray,
     tops: list[DyadicInterval],
     tops_in_blocks: bool,
-    parent: np.ndarray | None,
+    grid: _Grid,
 ) -> DecompositionReport:
     """The verification core on member rows: `rows[j]` is the support row of
     member j, -1 outside the support, `block[j]` its block, each block's
     rows ascending; `tops[b]` is block b's top, and `tops_in_blocks` says
     whether every top is a member of its block and every member outside the
-    support lies inside its top."""
-    norm_p = hp_norm(u, p)
+    support lies inside its top. `grid` is the grid of u's support."""
+    norm_p = _hp_norm(u, p, grid)
     tops_carleson = _tops_carleson(tops, u.max_level)
     tops_carleson_ok = tops_carleson <= 4
 
@@ -532,9 +528,7 @@ def _verify_rows(
     if partition_ok:
         row_block = np.empty(n, dtype=np.int64)
         row_block[rows] = block
-        if parent is None:
-            parent = _nearest_ancestors(u.levels, u.positions)
-        blocks_ok = _blocks_closed(row_block, n_blocks, parent)
+        blocks_ok = _blocks_closed(row_block, n_blocks, grid.parent)
 
     norms, sups, inside = _block_stats(u, p, rows, block, tops)
     tops_ok = tops_in_blocks and bool(inside.all())
@@ -580,22 +574,23 @@ def decompose(u: HaarExpansion, p: float) -> AtomicDecomposition:
     The output always passes `verify_decomposition`; a verification failure
     raises instead of returning a bad decomposition.
     """
-    return _decompose(u, p)[0]
+    return _decompose(u, p, _support_grid(u))[0]
 
 
 def _decompose(
-    u: HaarExpansion, p: float
+    u: HaarExpansion, p: float, grid: _Grid
 ) -> tuple[AtomicDecomposition, DecompositionReport]:
-    """`decompose` with the report of its verification, for the weight
-    constructors to reuse within one call; the verification reads the
-    stopping time's support parent table."""
+    """`decompose` on the grid of u's support, with the report of its
+    verification, for the weight constructors to reuse within one call; the
+    stopping time and the verification share the grid and its parent
+    table."""
     if u.is_zero:
         raise ZeroInputError("cannot decompose the zero expansion")
     if not 0 < p <= 2:
         raise ValueError(f"p must lie in (0, 2], got {p}")
-    block, top_rows, parent = _stopping_time(u)
+    block, top_rows = _stopping_time(u, grid)
     dec = AtomicDecomposition._from_rows(u, block, top_rows)
-    report = _verify(u, p, dec, parent)
+    report = _verify(u, p, dec, grid)
     if not report.passed:
         raise VerificationError(
             f"decomposition failed verification: {report.as_dict()}"

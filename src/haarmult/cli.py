@@ -35,6 +35,7 @@ from .haar import (
     _MAX_LEVEL,
     HaarExpansion,
     _pow,
+    _support_grid,
     _support_rows,
     hp_norm,
     l2_norm,
@@ -44,6 +45,7 @@ from .haar import (
 from .pietsch import (
     PietschMeasure,
     _assemble,
+    _weights_tl,
     check_multiplier_bounds,
     h2_measure,
     validate_measure,
@@ -298,8 +300,9 @@ def run_verification(
         verdicts = generation_decay_verdicts(family, layers)
         check("decay_bound").record(all(map(all, verdicts)), seed, trial)
 
+        grid = _support_grid(u)
         try:
-            dec, report = _decompose(u, p)
+            dec, report = _decompose(u, p, grid)
         except VerificationError as exc:
             check("atomic_guarantees").record(False, seed, trial, str(exc))
             continue
@@ -314,7 +317,7 @@ def run_verification(
         check_weights("hp", u, m).track("constant", m.normalizer ** (1.0 / p))
 
         if run_tl:
-            mt = weights_tl(u, p, q)
+            mt = _weights_tl(u, p, q, grid)
             check_weights("tl", u, mt, q)
 
         if run_pisier:
@@ -327,7 +330,7 @@ def run_verification(
             )
             c = check("factorization_sampling")
             try:
-                value = _x0_norm_estimate(f, u, _Z_PER_TRIAL, trial, mt)
+                value = _x0_norm_estimate(f, u, _Z_PER_TRIAL, trial, mt, grid)
                 c.record(True, seed, trial)
                 c.track("max_lattice_candidate", value)
             except VerificationError as exc:
@@ -335,7 +338,7 @@ def run_verification(
 
         if dimension > 1:
             uv = _trial_expansion(seed + 1_000_003, trial, max_level, dimension, density)
-            dv, rv = _decompose(uv, p)
+            dv, rv = _decompose(uv, p, _support_grid(uv))
             check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p))
             h2_ok = True
             for block in dv._rows():  # a block's rows ascend, as in support order
@@ -463,7 +466,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.command == "decompose":
         u = load(args.file)
-        dec, report = _decompose(u, args.p)
+        dec, report = _decompose(u, args.p, _support_grid(u))
         payload = {
             "pieces": [
                 {
@@ -498,7 +501,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.samples < 0:
             parser.error(f"--samples must be nonnegative, got {args.samples}")
         u = load(args.file)
-        exponent, m = _factor_inputs(u, args.p, args.q)
+        grid = _support_grid(u)
+        exponent, m = _factor_inputs(u, args.p, args.q, grid)
         f = _factorize(u, args.p, args.q, exponent, m)
         ok = verify_factorization(u, f)
         payload = {
@@ -506,7 +510,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "x": {_interval_key(i): v for i, v in sorted(f.x.items())},
             "y": {_interval_key(i): v for i, v in sorted(f.y.items())},
             "identity_verified": ok,
-            "lattice_candidate": _x0_norm_estimate(f, u, args.samples, args.seed, m),
+            "lattice_candidate": _x0_norm_estimate(f, u, args.samples, args.seed, m, grid),
         }
         _emit(dump_json(payload), args.out)
         return 0 if ok else 1

@@ -3,9 +3,11 @@
 A `DyadicInterval` is an immutable `(level, position)` tuple, so hashing,
 equality and ordering run in C. Every family query reads one table, each
 member's nearest strict ancestor (`IntervalFamily.parents`); the maximal
-members are those whose entry is -1. `_nearest_ancestors` builds it; it is
-the package's one nearest-ancestor search, which `atomic` also runs on
-support arrays. Depths are one top-down pass over the table
+members are those whose entry is -1. `_nearest_ancestors` builds it, by
+pointer jumps in preorder (left end, then coarsest first) from each
+member's predecessor; it is the package's one parent-table function, which
+the support grid of `haar` also runs on support arrays. Depths are one
+top-down pass over the table
 and packed measures one bottom-up pass, both O(n), and
 `generation_decay_verdicts` answers the decay bound for every member and
 layer at once from one bottom-up pass in O(n L). Measures are exact integer
@@ -84,29 +86,37 @@ class DyadicInterval(_LevelPosition):
 def _nearest_ancestors(levels: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Per interval (levels[k], positions[k]), distinct and sorted by
     (level, position), the index of its nearest strict ancestor among them,
-    -1 if it has none. That order is the heap order 2^level - 1 + position,
-    so a binary search finds an interval's ancestor at a given level among
-    them; climbing through the levels present, one at a time, the first hit
-    is the nearest."""
-    heap = (1 << levels) - 1 + positions
-    first = np.ones(len(heap), dtype=bool)
-    first[1:] = levels[1:] != levels[:-1]
-    present = levels[first]
-    # each row's own level, then the next level to try, as an index into
-    # the levels present
-    below = np.cumsum(first) - 1
-    parent = np.full(len(heap), -1)
-    rows = np.flatnonzero(below > 0)
-    below = below[rows]
+    -1 if it has none.
+
+    In preorder, by left end and then coarsest first, an interval's
+    ancestors come before it, and its nearest one is the first interval on
+    the chain of its predecessor's ancestors-or-self whose right end reaches
+    its own; the intervals on that chain below it lie to its left. Every row
+    climbs at once: from the row it stands on it steps to that row's current
+    candidate, which lies on the same chain no higher than that row's
+    parent, so no step passes the answer. This is the stack walk of
+    `tests/dyadic_oracle.py::parents` for all rows together. Endpoints are
+    integer leaf counts at the finest level present; `levels` and
+    `positions` are int64, or object arrays of Python ints past level 62."""
+    n = len(levels)
+    if n < 2:
+        return np.full(n, -1)
+    shift = levels[-1] - levels
+    starts = positions << shift
+    # a stable sort keeps the coarser of two intervals with one left end first
+    order = np.argsort(starts, kind="stable")
+    ends = (starts + np.left_shift(1, shift))[order]
+    # candidates by preorder index: first each row's predecessor
+    candidate = np.arange(-1, n - 1)
+    rows = np.arange(1, n)
     while len(rows):
-        below -= 1
-        level = present[below]
-        code = (1 << level) - 1 + (positions[rows] >> (levels[rows] - level))
-        at = np.minimum(np.searchsorted(heap, code), len(heap) - 1)
-        hit = heap[at] == code
-        parent[rows[hit]] = at[hit]
-        keep = ~hit & (below > 0)
-        rows, below = rows[keep], below[keep]
+        at = candidate[rows]
+        rows = rows[ends[at] < ends[rows]]
+        up = candidate[candidate[rows]]
+        candidate[rows] = up
+        rows = rows[up >= 0]
+    parent = np.full(n, -1)
+    parent[order] = np.where(candidate >= 0, order[candidate], -1)
     return parent
 
 
@@ -179,7 +189,7 @@ class IntervalFamily:
         """Per member, the index of its nearest strict ancestor in the family,
         or -1 if it is maximal; a parent precedes its children."""
         if self._ancestry is None:
-            # heap codes past level 62 overflow int64: keep Python ints there
+            # leaf endpoints past level 62 overflow int64: keep Python ints there
             dtype = np.int64 if self.max_level <= 62 else object
             flat = np.fromiter(chain.from_iterable(self), dtype, 2 * len(self))
             parent = _nearest_ancestors(flat[0::2], flat[1::2])

@@ -16,20 +16,27 @@ read those arrays. The `coeffs` mapping is built from them on first access,
 so a product phi * u or a convexification builds no dict unless a caller
 reads it.
 
-Every sum sum_I v_I 1_I on a hot path goes through `_cells`, which picks a
-cell grid from the input (`_on_atoms`): the atoms when
-(2n + 1)(N + 1) + 256 < 2^N, else the 2^N leaves (`push_down`). Only
-`atomic._majority_cover` reads the layout (the cells' lengths in
+Every sum sum_I v_I 1_I on a hot path goes through `_cells`, on the grid
+of the support (`_Grid`), which each public call builds once from
+(max_level, levels, positions) and passes down as an argument; no grid is
+kept on an expansion, in the module or in a cache. The grid holds the level
+bounds of the support rows and their parent table, and picks the cells
+(`_on_atoms`): the atoms when (2n + 1)(N + 1) + 256 < 2^N, with each atom's
+length and its owner, the deepest support row containing it, else the 2^N
+leaves (`push_down`). On the atoms `_cells` is a tree prefix sum, coarsest
+level first: each row's running sum is its parent's plus its own value, and
+each atom reads its owner's, in K (n + cells) work for K batch rows. Only
+`atomic._majority_cover` reads the layout (the cells' edges in
 left-to-right order); every other caller just sums over the cells.
 `_block_cells` is `_cells` for many blocks at once, each on its own grid,
 for the block statistics of a decomposition, and `_product_norms` the norms
 of many products phi_k * u of one expansion, for the multiplier checks.
 The value on a cell is bit-identical to `push_down` at the cell's first
 leaf (each cell adds its intervals coarsest first, starting from 0.0), and
-norms are length-weighted sums over the cells, so on the atom grid they agree with
-the leaf sums to rounding. Leaf positions, heap codes and prefix counts are
-int64, so the `HaarExpansion` constructor refuses a max level above 61 and
-no array is built for one. `push_down`, `square_leaf_sums`,
+norms are length-weighted sums over the cells, so on the atom grid they
+agree with the leaf sums to rounding. Leaf positions, heap codes and prefix
+counts are int64, so the `HaarExpansion` constructor refuses a max level
+above 61 and no array is built for one. `push_down`, `square_leaf_sums`,
 `square_function`, `q_variation` and `StepFunction` (leaf values and their
 sup) stay as dense leaf exports for small N; no hot path calls them, and
 `push_down` only as the leaf grid of `_cells`.
@@ -62,7 +69,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicInterval, IntervalFamily
+from .dyadic import DyadicInterval, IntervalFamily, _nearest_ancestors
 
 CoeffMap = Mapping[DyadicInterval, "float | Iterable[float]"]
 
@@ -322,7 +329,7 @@ def _scalar_powers(u: HaarExpansion, q: float) -> np.ndarray:
     scalar expansions only."""
     if u.dimension != 1:
         raise ValueError("q-variation is defined for scalar expansions only")
-    if q <= 0:
+    if not q > 0:  # NaN included
         raise ValueError(f"q must be positive, got {q}")
     return _pow(np.abs(u.values[:, 0]), q)
 
@@ -334,48 +341,96 @@ def q_variation(u: HaarExpansion, q: float) -> StepFunction:
     return StepFunction(u.max_level, sums ** (1.0 / q))
 
 
-def _cells(
-    max_level: int, levels: np.ndarray, positions: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """sum_j values[..., j] 1_{I_j} on a grid of cells: (the value on each
-    cell, each cell's length in leaves as int64), cells in left-to-right
-    order. The lengths are None on the leaf grid, where every cell is one
-    leaf.
+class _Grid:
+    """The cell grid of one support, built once per public call from
+    (max_level, levels, positions) and passed down to every sum over that
+    support; nothing keeps it after the call.
 
-    I_j = (levels[j], positions[j]) are distinct and sorted by level, and
-    leading axes of `values` are batch axes. The cells are the atoms cut out
-    by the intervals' endpoints when (2n + 1)(N + 1) + 256 < 2^N, for n
-    intervals at max level N, and otherwise the 2^N leaves (`push_down`);
-    the 256 stands for the atoms' fixed cost. Either way a cell adds its
-    intervals coarsest first, starting from 0.0, so its value is
-    bit-identical to `push_down` at its first leaf. N is at most
-    `_MAX_LEVEL`, as for every expansion.
+    `bounds[l]:bounds[l + 1]` are the support rows of level l, l = 0 .. N
+    (int list). On the leaf grid, where `_cells` calls `push_down`, `edges`,
+    `lengths` and `owner` are None. On the atom grid (`_on_atoms`), `edges`
+    holds the atom boundaries in leaves (every support endpoint, 0 and 2^N,
+    sorted and distinct), `lengths` their differences, and `owner[a]` the
+    deepest support row containing atom a, -1 for none. `parent` is each
+    row's nearest support ancestor (`dyadic._nearest_ancestors`): the atoms
+    need it at once, and on the leaves it is found on first read.
     """
-    n = len(levels)
-    if not _on_atoms(n, max_level):
-        return push_down(max_level, levels, positions, values), None
-    # the atom boundaries: every endpoint, sorted and deduplicated, and the
-    # index among them of each interval's start and end
-    shift = max_level - levels
-    starts = positions << shift
-    endpoints = np.concatenate(
-        ([0, 1 << max_level], starts, starts + (np.int64(1) << shift))
+
+    __slots__ = (
+        "max_level", "levels", "positions", "bounds", "edges", "lengths", "owner",
+        "_parent",
     )
-    bounds, index = np.unique(endpoints, return_inverse=True)
-    first = index[2 : n + 2]
-    counts = index[n + 2 :] - first
-    # one (row, atom) pair per atom inside each interval, rows in support
-    # order; `np.add.at` adds them in that order, so coarsest first per atom
-    row = np.repeat(np.arange(n), counts)
-    atom = np.arange(len(row)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+
+    def __init__(self, max_level: int, levels: np.ndarray, positions: np.ndarray) -> None:
+        self.max_level, self.levels, self.positions = max_level, levels, positions
+        self.bounds = np.searchsorted(levels, np.arange(max_level + 2)).tolist()
+        self.edges = self.lengths = self.owner = self._parent = None
+        n = len(levels)
+        if not _on_atoms(n, max_level):
+            return
+        parent = self.parent
+        shift = max_level - levels
+        starts = positions << shift
+        ends = starts + (np.int64(1) << shift)
+        self.edges, index = np.unique(
+            np.concatenate(([0, 1 << max_level], starts, ends)), return_inverse=True
+        )
+        self.lengths = np.diff(self.edges)
+        # Each atom starts at an edge. The rows starting at one edge are
+        # nested, each the parent of the next finer one, and the atom there
+        # lies in the finest, whose start no child shares. So are the rows
+        # ending at one edge; where none starts, a row containing the atom
+        # contains the coarsest of them, whose parent ends elsewhere, so the
+        # atom lies in that row's parent, or in no row. Each edge gets one
+        # row of each kind, and the finest starting row wins.
+        child = np.flatnonzero(parent >= 0)
+        up = parent[child]
+        finest = np.ones(n, dtype=bool)
+        finest[up[starts[up] == starts[child]]] = False
+        coarsest = np.ones(n, dtype=bool)
+        coarsest[child[ends[up] == ends[child]]] = False
+        at = np.full(len(self.edges), -1)
+        at[index[n + 2 :][coarsest]] = parent[coarsest]
+        at[index[2 : n + 2][finest]] = np.flatnonzero(finest)
+        self.owner = at[:-1]
+
+    @property
+    def parent(self) -> np.ndarray:
+        if self._parent is None:
+            self._parent = _nearest_ancestors(self.levels, self.positions)
+        return self._parent
+
+
+def _support_grid(u: HaarExpansion) -> _Grid:
+    """The cell grid of u's support."""
+    return _Grid(u.max_level, u.levels, u.positions)
+
+
+def _cells(grid: _Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """sum_j values[..., j] 1_{I_j} over the support rows I_j of the grid,
+    on its cells: (the value on each cell, C-contiguous, and each cell's
+    length in leaves as int64), cells in left-to-right order. The lengths
+    are None on the leaf grid, where every cell is one leaf. Leading axes of
+    `values` are batch axes.
+
+    On the leaves this is `push_down`. On the atoms it is a tree prefix sum,
+    coarsest level first: each row's sum of its ancestors-or-self, its
+    parent's sum plus its value, from one trailing 0.0 slot that index -1
+    (no parent, no owner) reads; then each atom reads its owner's sum. So a
+    cell adds its intervals coarsest first, starting from 0.0, and its value
+    is bit-identical to `push_down` at its first leaf. `np.take` keeps the
+    result C-contiguous, so `np.sum` over it adds in the order of one row
+    alone.
+    """
     values = np.asarray(values, dtype=float)
-    batch = values.shape[:-1]
-    flat = values.reshape(math.prod(batch), n)
-    width = len(bounds) - 1
-    acc = np.zeros(len(flat) * width)
-    cell = np.arange(len(flat))[:, None] * width + atom
-    np.add.at(acc, cell.ravel(), flat[:, row].ravel())
-    return acc.reshape(batch + (width,)), np.diff(bounds)
+    if grid.owner is None:
+        return push_down(grid.max_level, grid.levels, grid.positions, values), None
+    acc = np.zeros(values.shape[:-1] + (len(grid.levels) + 1,))
+    parent, bounds = grid.parent, grid.bounds
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo < hi:
+            acc[..., lo:hi] = np.take(acc, parent[lo:hi], axis=-1) + values[..., lo:hi]
+    return np.take(acc, grid.owner, axis=-1), grid.lengths
 
 
 def _on_atoms(n: int | np.ndarray, max_level: int | np.ndarray) -> bool | np.ndarray:
@@ -533,40 +588,45 @@ def _check_exponents(p: float, q: float | None = None) -> None:
 
 
 def _norm_means(
-    max_level: int,
-    levels: np.ndarray,
-    positions: np.ndarray,
-    terms: np.ndarray,
-    p: float,
-    q: float | None = None,
+    grid: _Grid, terms: np.ndarray, p: float, q: float | None = None
 ) -> np.ndarray:
     """The leaf mean of F^p per batch row of `terms`, F = (sum_j terms[..., j]
     1_{I_j})^(1/2) for q None (terms are the squares |x_I|^2) and ^(1/q)
     otherwise (terms are the powers |x_I|^q), summed over the cells of
-    `_cells`."""
-    sums, lengths = _cells(max_level, levels, positions, terms)
+    `_cells` on the grid of the rows I_j."""
+    sums, lengths = _cells(grid, terms)
     powers = sums ** (p / 2.0) if q is None else (sums ** (1.0 / q)) ** p
-    return _cell_sum(powers, lengths) / (1 << max_level)
+    return _cell_sum(powers, lengths) / (1 << grid.max_level)
 
 
 def hp_norm(u: HaarExpansion, p: float) -> float:
     """L^p norm of the square function, 0 < p <= 2, summed over the cells of
     `_cells`; OverflowError if the norm of a nonzero expansion comes out 0 or
     inf (coefficients are not rescaled)."""
+    return _hp_norm(u, p, _support_grid(u))
+
+
+def _hp_norm(u: HaarExpansion, p: float, grid: _Grid) -> float:
+    """`hp_norm` on the grid of u's support."""
     _check_exponents(p)
-    mean = _norm_means(u.max_level, u.levels, u.positions, u.squares, p)
+    mean = _norm_means(grid, u.squares, p)
     return _in_float_range(float(mean ** (1.0 / p)), not u.is_zero)
 
 
 def tl_norm(u: HaarExpansion, p: float, q: float) -> float:
     """L^p norm of the q-variation, 0 < p <= q < infinity; OverflowError
     like `hp_norm`."""
+    return _tl_norm(u, p, q, _support_grid(u))
+
+
+def _tl_norm(u: HaarExpansion, p: float, q: float, grid: _Grid) -> float:
+    """`tl_norm` on the grid of u's support."""
     _check_exponents(p, q)
     try:
         powers = _scalar_powers(u, q)
     except OverflowError:  # a power |x_I|^q past the float range
         return _in_float_range(math.inf, not u.is_zero)
-    mean = _norm_means(u.max_level, u.levels, u.positions, powers, p, q)
+    mean = _norm_means(grid, powers, p, q)
     return _in_float_range(float(mean ** (1.0 / p)), not u.is_zero)
 
 
@@ -582,7 +642,7 @@ def convexify(u: HaarExpansion, q: float) -> HaarExpansion:
     or overflows (coefficients are not rescaled)."""
     if u.dimension != 1:
         raise ValueError("convexification is defined for scalar expansions only")
-    if q <= 0:
+    if not q > 0:  # NaN included
         raise ValueError(f"q must be positive, got {q}")
     try:
         powered = _pow(np.abs(u.values[:, 0]), q / 2.0)
@@ -635,17 +695,17 @@ def _rows_by_key(mapping: Mapping[DyadicInterval, float], u: HaarExpansion) -> n
 
 
 def _product_norms(
-    u: HaarExpansion, factors: np.ndarray, p: float, q: float | None = None
+    u: HaarExpansion, factors: np.ndarray, p: float, q: float | None, grid: _Grid
 ) -> list[float]:
     """The norm of phi_k * u for each row k of the (K, n) array `factors`
     (phi_k at u's support rows): `hp_norm` for q None, else `tl_norm` with q
     (scalar u only). Each is bit for bit the norm of `multiply(phi_k, u)`,
     with the same exception, and no expansion is built.
 
-    The products without zero rows sum on u's grid, all in one batched
-    `_cells` call. A product with zero rows sums on the grid of its nonzero
-    rows, the grid of its own expansion: other atoms would round the sum
-    differently.
+    The products without zero rows sum on u's grid `grid`, all in one
+    batched `_cells` call. A product with zero rows sums on the grid of its
+    nonzero rows, the grid of its own expansion: other atoms would round the
+    sum differently.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = u.values * factors[..., None]
@@ -665,12 +725,11 @@ def _product_norms(
     means = np.empty(len(terms))
     full = nonzero.all(axis=-1)
     if full.any():
-        means[full] = _norm_means(u.max_level, u.levels, u.positions, terms[full], p, q)
+        means[full] = _norm_means(grid, terms[full], p, q)
     for k in np.flatnonzero(~full).tolist():
         keep = nonzero[k]
-        means[k] = _norm_means(
-            u.max_level, u.levels[keep], u.positions[keep], terms[k, keep], p, q
-        )
+        own = _Grid(u.max_level, u.levels[keep], u.positions[keep])
+        means[k] = _norm_means(own, terms[k, keep], p, q)
     # the root of each numpy scalar, as in `hp_norm`: an array `**` may
     # round differently in the last bit
     return [
@@ -680,11 +739,10 @@ def _product_norms(
 
 
 def _cell_entries(n: int, max_level: int) -> int:
-    """An upper bound on the entries `_cells` builds per batch row for n
-    intervals at max level N: the 2^N leaves, or on the atoms one per
-    (interval, atom) pair, at most (2n + 1)(N + 1) as an atom lies in at
-    most one interval per level."""
-    return (2 * n + 1) * (max_level + 1) if _on_atoms(n, max_level) else 1 << max_level
+    """An upper bound on the floats `_cells` builds per batch row for n
+    intervals at max level N: the 2^N leaves, or on the atoms the n + 1
+    tree sums and at most 2n + 1 atoms."""
+    return 3 * n + 2 if _on_atoms(n, max_level) else 1 << max_level
 
 
 def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:

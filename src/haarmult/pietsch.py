@@ -17,9 +17,11 @@ from the verification that their `decompose` already ran.
 The multiplier check is batched: `check_multiplier_bounds` takes K
 multipliers as a (K, n) array in support order, and `check_multiplier_bound`
 is its K = 1 case on the row read from a phi dict. Per batch it checks the
-measure's keys, reads the weights into a support-order array, and computes
-||u|| and C once; the norms of the K products phi_k * u come from batched
-`_cells` calls (`haar._product_norms`), with no expansion built. Each row's
+measure's keys, reads the weights into a support-order array, builds the
+grid of u's support (`haar._Grid`) and computes ||u|| and C once; the norms
+of the K products phi_k * u come from batched `_cells` calls on that grid
+(`haar._product_norms`), with no expansion built. The weight constructors
+build one grid too, which the decomposition inside them shares. Each row's
 |phi_I|^s w_I is summed with one `math.fsum`, which is exactly rounded, so
 the order of the terms does not matter.
 
@@ -55,15 +57,17 @@ from .errors import VerificationError, ZeroInputError
 from .haar import (
     HaarExpansion,
     _cell_entries,
+    _Grid,
+    _hp_norm,
     _pow,
     _product_norms,
     _square_measures,
+    _support_grid,
     _support_order,
     _support_rows,
+    _tl_norm,
     convexify,
-    hp_norm,
     l2_norm,
-    tl_norm,
 )
 
 _SUM_TOL = 1e-12
@@ -149,10 +153,10 @@ def _assemble(
     )
 
 
-def _weights(u: HaarExpansion, p: float, exponent: float) -> PietschMeasure:
-    """The weights of u's own decomposition; the norm comes from the
-    verification inside that decomposition."""
-    dec, report = _decompose(u, p)
+def _weights(u: HaarExpansion, p: float, exponent: float, grid: _Grid) -> PietschMeasure:
+    """The weights of u's own decomposition, on the grid of u's support; the
+    norm comes from the verification inside that decomposition."""
+    dec, report = _decompose(u, p, grid)
     return _assemble(u, p, dec, exponent, report.norm_p)
 
 
@@ -162,7 +166,7 @@ def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:
         raise ZeroInputError("weights need a nonzero expansion")
     if u.dimension != 1:
         raise ValueError("weights_hp expects a scalar expansion")
-    return _weights(u, p, 2.0)
+    return _weights(u, p, 2.0, _support_grid(u))
 
 
 def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
@@ -171,6 +175,11 @@ def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
     Obtained by decomposing the q/2-convexification |u|^(q/2) in the Hardy
     space with exponent 2p/q; the summing exponent is q.
     """
+    return _weights_tl(u, p, q, _support_grid(u))
+
+
+def _weights_tl(u: HaarExpansion, p: float, q: float, grid: _Grid) -> PietschMeasure:
+    """`weights_tl` on the grid of u's support, which |u|^(q/2) shares."""
     if u.is_zero:
         raise ZeroInputError("weights need a nonzero expansion")
     if u.dimension != 1:
@@ -180,7 +189,7 @@ def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
     if not 0 < p <= q:
         raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
     powered = convexify(u, q)
-    return _weights(powered, 2.0 * p / q, q)
+    return _weights(powered, 2.0 * p / q, q, grid)
 
 
 def weights_vector(u: HaarExpansion, p: float) -> PietschMeasure:
@@ -193,7 +202,7 @@ def weights_vector(u: HaarExpansion, p: float) -> PietschMeasure:
     """
     if u.is_zero:
         raise ZeroInputError("weights need a nonzero expansion")
-    return _weights(u, p, 2.0)
+    return _weights(u, p, 2.0, _support_grid(u))
 
 
 def h2_measure(u: HaarExpansion) -> dict[DyadicInterval, float]:
@@ -246,8 +255,9 @@ def check_multiplier_bounds(
     The key check, the weights, ||u|| and C are computed once per batch;
     weights in support order are read in one pass with no key hashed
     (`haar._support_rows`), and any other measure by key. The
-    products phi_k * u are summed in batched `_cells` calls with no
-    expansion built, `_BATCH_ENTRIES // _cell_entries` rows per call. A
+    products phi_k * u are summed in batched `_cells` calls on the grid of
+    u's support, which ||u|| shares, with no expansion built,
+    `_BATCH_ENTRIES // _cell_entries` rows per call. A
     failing row raises what its single check raises, the first such row in
     order.
     """
@@ -263,22 +273,29 @@ def check_multiplier_bounds(
     if not len(phis):
         return []
     weights = _support_rows(m.weights, u, ordered)
+    grid = _support_grid(u)
     try:
-        return _check_rows(u, p, phis, m, weights)
+        return _check_rows(u, p, phis, m, weights, grid)
     except (ArithmeticError, ValueError):
         if len(phis) > 1:  # raise what the first failing row raises alone
             for k in range(len(phis)):
-                _check_rows(u, p, phis[k : k + 1], m, weights)
+                _check_rows(u, p, phis[k : k + 1], m, weights, grid)
         raise
 
 
 def _check_rows(
-    u: HaarExpansion, p: float, phis: np.ndarray, m: PietschMeasure, weights: np.ndarray
+    u: HaarExpansion,
+    p: float,
+    phis: np.ndarray,
+    m: PietschMeasure,
+    weights: np.ndarray,
+    grid: _Grid,
 ) -> list[MultiplierReport]:
     """The reports of `check_multiplier_bounds` after its argument checks,
-    on the weights at u's support rows, in the order of a single check: the
-    weighted sums, the products' norms, ||u||, C, and ValueError for a
-    negative weighted sum (whose root 1/s may not be real)."""
+    on the weights at u's support rows and the grid of u's support, in the
+    order of a single check: the weighted sums, the products' norms, ||u||,
+    C, and ValueError for a negative weighted sum (whose root 1/s may not be
+    real)."""
     support = u.support
     s = m.exponent
     powers = _pow(np.abs(phis), s)
@@ -290,8 +307,8 @@ def _check_rows(
     step = max(1, _BATCH_ENTRIES // _cell_entries(len(support), u.max_level))
     lhs = []
     for lo in range(0, len(phis), step):
-        lhs += _product_norms(u, phis[lo : lo + step], p, q_tl)
-    norm = tl_norm(u, p, s) if tl_route else hp_norm(u, p)
+        lhs += _product_norms(u, phis[lo : lo + step], p, q_tl, grid)
+    norm = _tl_norm(u, p, s, grid) if tl_route else _hp_norm(u, p, grid)
     lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
     constant = (m.normalizer / lower) ** (1.0 / p)
     reports = []

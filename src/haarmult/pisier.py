@@ -27,12 +27,14 @@ from .haar import (
     HaarExpansion,
     _cell_sum,
     _cells,
+    _Grid,
     _pow,
+    _support_grid,
     _support_order,
     _support_rows,
-    tl_norm,
+    _tl_norm,
 )
-from .pietsch import PietschMeasure, weights_tl
+from .pietsch import PietschMeasure, _weights_tl
 
 _IDENTITY_RTOL = 1e-10
 _CHAIN_RTOL = 1e-9
@@ -51,9 +53,9 @@ class Factorization:
 
 def theta(p: float, q: float) -> float:
     """(q/(q-1)) * ((p-1)/p); lies in (0,1) exactly when 1 < p < q."""
-    if p <= 1:
+    if not p > 1:  # NaN included
         raise ValueError(f"p must exceed 1, got {p}")
-    if q < p:
+    if not q >= p:
         raise ValueError(f"need p <= q, got p={p}, q={q}")
     if p == q:
         raise DegenerateThetaError(
@@ -64,17 +66,19 @@ def theta(p: float, q: float) -> float:
 
 def factorize(u: HaarExpansion, p: float, q: float) -> Factorization:
     """Split a nonzero scalar expansion, 1 < p < q, using its weights."""
-    return _factorize(u, p, q, *_factor_inputs(u, p, q))
+    return _factorize(u, p, q, *_factor_inputs(u, p, q, _support_grid(u)))
 
 
-def _factor_inputs(u: HaarExpansion, p: float, q: float) -> tuple[float, PietschMeasure]:
+def _factor_inputs(
+    u: HaarExpansion, p: float, q: float, grid: _Grid
+) -> tuple[float, PietschMeasure]:
     """`theta(p, q)` and `weights_tl(u, p, q)` after the argument checks of
-    `factorize`."""
+    `factorize`, on the grid of u's support."""
     if u.is_zero:
         raise ZeroInputError("cannot factorize the zero expansion")
     if u.dimension != 1:
         raise ValueError("factorize expects a scalar expansion")
-    return theta(p, q), weights_tl(u, p, q)
+    return theta(p, q), _weights_tl(u, p, q, grid)
 
 
 def _factorize(
@@ -168,13 +172,20 @@ def x0_norm_estimate(
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     if not _matches(f, u):
         raise ValueError("factorization does not match the expansion")
-    return _x0_norm_estimate(f, u, n_samples, seed, weights_tl(u, f.p, f.q))
+    grid = _support_grid(u)
+    return _x0_norm_estimate(f, u, n_samples, seed, _weights_tl(u, f.p, f.q, grid), grid)
 
 
 def _x0_norm_estimate(
-    f: Factorization, u: HaarExpansion, n_samples: int, seed: int, measure: PietschMeasure
+    f: Factorization,
+    u: HaarExpansion,
+    n_samples: int,
+    seed: int,
+    measure: PietschMeasure,
+    grid: _Grid,
 ) -> float:
-    """`x0_norm_estimate` after its argument checks, on `weights_tl(u, f.p, f.q)`."""
+    """`x0_norm_estimate` after its argument checks, on `weights_tl(u, f.p,
+    f.q)` and the grid of u's support."""
     y_vec = _support_rows(f.y, u)
     w_vec = _support_rows(measure.weights, u)
     expected = _pow(w_vec * np.ldexp(1.0, u.levels), 1.0 / f.q)
@@ -182,7 +193,7 @@ def _x0_norm_estimate(
         raise ValueError("factorization does not match the expansion")
     p, q, th = f.p, f.q, f.theta
     r = p * (q - 1.0) / (p - 1.0)
-    norm_u = tl_norm(u, p, q)
+    norm_u = _tl_norm(u, p, q, grid)
     cap = measure.normalizer ** (1.0 / p) * norm_u
 
     n_support = len(u.support)
@@ -214,7 +225,7 @@ def _x0_norm_estimate(
         raise VerificationError("multiplier argument exceeds the unit ball")
 
     mixed = x_vec ** (1.0 - th) * candidates**th
-    sums, lengths = _cells(u.max_level, u.levels, u.positions, mixed**q)
+    sums, lengths = _cells(grid, mixed**q)
     means = _cell_sum(sums ** (p / q), lengths) / (1 << u.max_level)
     mixed_norms = means ** (1.0 / p)
     worst = float(mixed_norms.max())

@@ -16,7 +16,7 @@ import numpy as np
 
 from haarmult import IntervalFamily, PietschMeasure, carleson_constant, is_block
 from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, appendix_constant
-from haarmult.haar import _cell_sum, _cells, hp_norm, push_down, square_function
+from haarmult.haar import _cell_sum, hp_norm, push_down, square_function
 
 import haar_oracle
 
@@ -54,8 +54,8 @@ def piece_stats(u, piece, p, rows):
 def block_stats(u, top, rows, p):
     """(norm_p^p, sup of square function, whether every supported member
     lies inside the top) for one block, given the support row of each member
-    in block order (-1 outside the support): one `_cells` call per block, on
-    the grid `_cells` picks for the block alone."""
+    in block order (-1 outside the support): one cell sum per block
+    (`haar_oracle.cells`), on the grid `_cells` picks for the block alone."""
     rows = rows[rows >= 0]
     levels = u.levels[rows] - top.level
     positions = u.positions[rows]
@@ -63,7 +63,9 @@ def block_stats(u, top, rows, p):
     all_inside = bool(inside.all())
     rows, levels, positions = rows[inside], levels[inside], positions[inside]
     positions = positions - (top.position << levels)
-    local, lengths = _cells(u.max_level - top.level, levels, positions, u.squares[rows])
+    local, lengths = haar_oracle.cells(
+        u.max_level - top.level, levels, positions, u.squares[rows]
+    )
     norm_p_p = float(_cell_sum(local ** (p / 2.0), lengths)) * 2.0 ** (-u.max_level)
     return norm_p_p, math.sqrt(float(local.max())), all_inside
 

@@ -1,13 +1,17 @@
 """Reference implementations of the interval-family queries, kept from the
 per-level bisect scans and ancestor walks that the nearest-ancestor table
-replaced, and the stack walk that built that table before the heap-code
-search. The tests compare the library against them; they are slow
-(O(n^2 L) exact operations per decay sweep) and not part of the package.
+replaced, the stack walk that built that table before the heap-code
+search, and the heap-code search itself (`heap_ancestors`), which the
+preorder pointer jumps of `dyadic._nearest_ancestors` replaced. The tests
+compare the library against them; they are slow (O(n^2 L) exact operations
+per decay sweep) and not part of the package.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from haarmult import DyadicInterval, IntervalFamily
 
@@ -33,6 +37,33 @@ def parents(family):
             parent[k] = chain[-1]
         chain.append(k)
     return tuple(parent)
+
+
+def heap_ancestors(levels, positions):
+    """`dyadic._nearest_ancestors` by heap code: intervals sorted by (level,
+    position) are in heap order 2^level - 1 + position, so a binary search
+    finds an interval's ancestor at a given level; climbing through the
+    levels present, one at a time, the first hit is the nearest."""
+    heap = (1 << levels) - 1 + positions
+    first = np.ones(len(heap), dtype=bool)
+    first[1:] = levels[1:] != levels[:-1]
+    present = levels[first]
+    # each row's own level, then the next level to try, as an index into
+    # the levels present
+    below = np.cumsum(first) - 1
+    parent = np.full(len(heap), -1)
+    rows = np.flatnonzero(below > 0)
+    below = below[rows]
+    while len(rows):
+        below -= 1
+        level = present[below]
+        code = (1 << level) - 1 + (positions[rows] >> (levels[rows] - level))
+        at = np.minimum(np.searchsorted(heap, code), len(heap) - 1)
+        hit = heap[at] == code
+        parent[rows[hit]] = at[hit]
+        keep = ~hit & (below > 0)
+        rows, below = rows[keep], below[keep]
+    return parent
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,11 @@ per-coefficient loops that the support arrays replaced: the constructor's
 validation loop, the multiplier, and the set-based stopping-time
 assignment, which steps through every k and reads its parents from
 `dyadic_oracle`; the pointwise value of a Haar function, for direct
-evaluation of Haar sums; and the sub-expansion on a set of intervals, which
-the library builds from support rows instead. The tests compare the library
-against them; they are slow and not part of the package.
+evaluation of Haar sums; the sub-expansion on a set of intervals, which
+the library builds from support rows instead; and `cells`, the cell sums
+over every (interval, atom) pair that the tree prefix sum of `haar._cells`
+replaced. The tests compare the library against them; they are slow and
+not part of the package.
 """
 
 import math
@@ -15,9 +17,37 @@ import numpy as np
 from haarmult import HaarExpansion, IntervalFamily
 from haarmult.atomic import AtomicPiece
 from haarmult.errors import VerificationError
-from haarmult.haar import square_leaf_sums
+from haarmult.haar import _on_atoms, push_down, square_leaf_sums
 
 import dyadic_oracle
+
+
+def cells(max_level, levels, positions, values):
+    """`haar._cells` on the grid of the intervals (levels[j], positions[j]),
+    sorted by level, from their arrays: on the atoms, one (interval, atom)
+    pair per atom inside each interval, in support order, summed with
+    `np.add.at`, so each atom adds its intervals coarsest first."""
+    n = len(levels)
+    if not _on_atoms(n, max_level):
+        return push_down(max_level, levels, positions, values), None
+    shift = max_level - levels
+    starts = positions << shift
+    endpoints = np.concatenate(
+        ([0, 1 << max_level], starts, starts + (np.int64(1) << shift))
+    )
+    bounds, index = np.unique(endpoints, return_inverse=True)
+    first = index[2 : n + 2]
+    counts = index[n + 2 :] - first
+    row = np.repeat(np.arange(n), counts)
+    atom = np.arange(len(row)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    values = np.asarray(values, dtype=float)
+    batch = values.shape[:-1]
+    flat = values.reshape(math.prod(batch), n)
+    width = len(bounds) - 1
+    acc = np.zeros(len(flat) * width)
+    cell = np.arange(len(flat))[:, None] * width + atom
+    np.add.at(acc, cell.ravel(), flat[:, row].ravel())
+    return acc.reshape(batch + (width,)), np.diff(bounds)
 
 
 def cleaned_coeffs(max_level, dimension, coeffs):

@@ -11,8 +11,10 @@ import math
 import numpy as np
 
 from haarmult import Factorization, VerificationError, tl_norm
-from haarmult.haar import _cell_sum, _cells
+from haarmult.haar import _cell_sum
 from haarmult.pisier import _CHAIN_RTOL, _IDENTITY_RTOL
+
+import haar_oracle
 
 
 def factorize(u, p, q, exponent, measure):
@@ -90,7 +92,7 @@ def x0_norm_estimate(f, u, n_samples, seed, measure):
         raise VerificationError("multiplier argument exceeds the unit ball")
 
     mixed = x_vec ** (1.0 - th) * candidates**th
-    sums, lengths = _cells(u.max_level, u.levels, u.positions, mixed**q)
+    sums, lengths = haar_oracle.cells(u.max_level, u.levels, u.positions, mixed**q)
     means = _cell_sum(sums ** (p / q), lengths) / (1 << u.max_level)
     worst = float((means ** (1.0 / p)).max())
     if worst > cap * (1.0 + _CHAIN_RTOL):

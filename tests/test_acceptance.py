@@ -48,7 +48,14 @@ from haarmult import (
 from haarmult.atomic import _block_stats, _decompose, _member_rows, _stopping_time
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves, _nearest_ancestors
-from haarmult.haar import _cells, _support_rows, push_down, q_variation, square_leaf_sums
+from haarmult.haar import (
+    _cells,
+    _support_grid,
+    _support_rows,
+    push_down,
+    q_variation,
+    square_leaf_sums,
+)
 from haarmult.pietsch import _assemble
 
 import atomic_oracle
@@ -109,7 +116,7 @@ def _assemble_from(u, p, dec, exponent):
 
 def _row_decomposition(u):
     """u's stopping-time blocks in row form, unverified."""
-    block, top_rows, _ = _stopping_time(u)
+    block, top_rows = _stopping_time(u, _support_grid(u))
     return AtomicDecomposition._from_rows(u, block, top_rows)
 
 
@@ -608,7 +615,7 @@ class TestCellGridOracles:
         for u in scalar_pool + vector_pool:
             deep = _deeper(u)
             batch = np.stack([u.squares, np.sqrt(u.squares), u.values[:, 0]])
-            values, lengths = _cells(deep.max_level, deep.levels, deep.positions, batch)
+            values, lengths = _cells(_support_grid(deep), batch)
             assert len(lengths) <= 2 * len(u.support) + 1
             assert lengths.sum() == 1 << deep.max_level
             first_leaf = (np.cumsum(lengths) - lengths) >> _DEEPER
@@ -644,7 +651,7 @@ class TestCellGridOracles:
         for u, p, dec, measure in instances:
             report = verify_decomposition(u, p, dec)
             deep = _deeper(u)
-            deep_dec, deep_report = _decompose(deep, p)
+            deep_dec, deep_report = _decompose(deep, p, _support_grid(deep))
             assert deep_dec.pieces == dec.pieces
             assert deep_dec.tops() == dec.tops()
             got, want = deep_report.as_dict(), report.as_dict()
@@ -1053,7 +1060,7 @@ class TestSupportRowBlockCheck:
     `IntervalFamily.parents()` and the reference predicate `is_block`."""
 
     def test_parents_match_family(self, scalar_pool, vector_pool):
-        # the heap-code search on support and member arrays, and the family
+        # the preorder search on support and member arrays, and the family
         # table built from it, against the stack walk
         for u in scalar_pool + vector_pool:
             want = dyadic_oracle.parents(u.support_family())
@@ -1113,7 +1120,7 @@ def _normal_scales(u):
     in between, every square and cell value scales by 4^j exactly."""
     entries = np.abs(u.values[u.values != 0.0])
     smallest = math.frexp(float(entries.min()))[1]
-    sums, _ = _cells(u.max_level, u.levels, u.positions, u.squares)
+    sums, _ = _cells(_support_grid(u), u.squares)
     largest = math.frexp(float(sums.max()))[1]
     return -510 - smallest, (1024 - largest) // 2
 

@@ -339,12 +339,13 @@ class TestAppendixConstant:
 
 class TestCallCounts:
     def test_decompose_verify_and_weights(self, monkeypatch):
-        # the sequence of a bench op: the stopping time hands its support
-        # parent table to its own verification, and the block statistics are
-        # one pass, so neither count grows with the blocks
+        # the sequence of a bench op: each public call builds one grid of
+        # u's support, whose parent table its stopping time and verification
+        # share, and the block statistics are one pass, so neither count
+        # grows with the blocks
         u = random_scalar(np.random.default_rng(46), 10, density=0.5)
         ancestors, cells = [], []
-        for module in (atomic, dyadic):
+        for module in (haar, dyadic):
             search = module._nearest_ancestors
             monkeypatch.setattr(
                 module, "_nearest_ancestors",
@@ -364,5 +365,6 @@ class TestCallCounts:
         assert len(dec.pieces) > 30
         assert ancestors.count(True) == 3
         assert not hasattr(atomic, "_block_rows")
+        assert not hasattr(atomic, "_nearest_ancestors")
         # a stopping time per decomposition, hp_norm per verification
         assert len(cells) == 5

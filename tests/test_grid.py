@@ -1,0 +1,233 @@
+"""The support grid of `haar`: its parent table and its tree prefix cell sums
+against the search and the pair sums they replaced (`dyadic_oracle`,
+`haar_oracle`), the layout of the cell sums, and one grid per public call."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from haarmult import (
+    DyadicInterval,
+    HaarExpansion,
+    IntervalFamily,
+    check_multiplier_bound,
+    check_multiplier_bounds,
+    decompose,
+    factorize,
+    hp_norm,
+    tl_norm,
+    verify_decomposition,
+    weights_hp,
+    weights_tl,
+    x0_norm_estimate,
+)
+from haarmult import haar
+from haarmult.dyadic import _nearest_ancestors
+from haarmult.haar import _cell_sum, _cells, _Grid, _support_grid
+
+import dyadic_oracle
+import haar_oracle
+
+
+@st.composite
+def supports(draw, max_level=st.integers(0, 61), size=st.integers(0, 40)):
+    """(max_level, levels, positions) of distinct intervals sorted by
+    (level, position). Most intervals are ancestors of a few anchor leaves,
+    so they nest deeply; the rest lie anywhere."""
+    top = draw(max_level)
+    anchors = draw(st.lists(st.integers(0, (1 << top) - 1), min_size=1, max_size=3))
+    rows = set()
+    for _ in range(draw(size)):
+        level = draw(st.integers(0, top))
+        if draw(st.booleans()):
+            position = draw(st.sampled_from(anchors)) >> (top - level)
+        else:
+            position = draw(st.integers(0, (1 << level) - 1))
+        rows.add((level, position))
+    array = np.array(sorted(rows), dtype=np.int64).reshape(len(rows), 2)
+    levels, positions = array.T.copy()
+    return top, levels, positions
+
+
+def _values(seed, batch, n):
+    """Normal draws of shape batch + (n,), with exact zeros and -0.0."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(batch + (n,))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.05] = -0.0
+    return values
+
+
+def _assert_cells_match(top, levels, positions, values):
+    grid = _Grid(top, levels, positions)
+    got, lengths = _cells(grid, values)
+    want, want_lengths = haar_oracle.cells(top, levels, positions, values)
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if want_lengths is None:
+        assert lengths is None and grid.owner is None
+    else:
+        assert np.array_equal(lengths, want_lengths)
+    return grid
+
+
+class TestParentTable:
+    @settings(max_examples=300, deadline=None)
+    @given(supports())
+    def test_matches_heap_search_and_stack_walk(self, support):
+        top, levels, positions = support
+        got = _nearest_ancestors(levels, positions)
+        assert got.tolist() == dyadic_oracle.heap_ancestors(levels, positions).tolist()
+        family = IntervalFamily(
+            [DyadicInterval(*row) for row in zip(levels.tolist(), positions.tolist())],
+            max_level=top,
+        )
+        assert got.tolist() == list(dyadic_oracle.parents(family))
+
+    def test_family_past_level_62(self):
+        # Python ints there: the endpoints overflow int64
+        members = [(0, 0), (63, 5), (70, 640), (70, 641), (100, 640 << 30), (100, 1 << 99)]
+        family = IntervalFamily([DyadicInterval(*m) for m in members])
+        assert family.parents() == dyadic_oracle.parents(family)
+        assert family.parents() == (-1, 0, 1, 1, 2, 0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny(self, n):
+        levels = np.zeros(n, dtype=np.int64)
+        assert _nearest_ancestors(levels, levels).tolist() == [-1] * n
+
+
+class TestTreeCellSums:
+    """`_cells` on both grids against the (interval, atom) pairs summed with
+    `np.add.at`, bit for bit, batched and not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(supports(), st.sampled_from([(), (1,), (8,), (65,)]), st.integers(0, 2**32))
+    def test_deep_supports(self, support, batch, seed):
+        top, levels, positions = support
+        _assert_cells_match(top, levels, positions, _values(seed, batch, len(levels)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        supports(max_level=st.integers(0, 11), size=st.integers(0, 80)),
+        st.sampled_from([(1,), (8,), (65,)]),
+        st.integers(0, 2**32),
+    )
+    def test_shallow_supports_on_both_grids(self, support, batch, seed):
+        top, levels, positions = support
+        _assert_cells_match(top, levels, positions, _values(seed, batch, len(levels)))
+
+    @pytest.mark.parametrize("top, n", [(3, 0), (3, 1), (40, 0), (40, 1), (61, 1)])
+    def test_empty_and_single_supports(self, top, n):
+        levels = np.full(n, top // 2, dtype=np.int64)
+        positions = np.full(n, 1, dtype=np.int64)
+        for batch in ((), (1,), (8,), (65,)):
+            _assert_cells_match(top, levels, positions, _values(n, batch, n))
+
+    def test_both_grids_reached(self):
+        rng = np.random.default_rng(4)
+        dense = _sparse(rng, 6, 60)
+        sparse = _sparse(rng, 40, 60)
+        assert _support_grid(dense).owner is None
+        assert _support_grid(sparse).owner is not None
+
+    def test_owner_is_deepest_containing_row(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            u = _sparse(rng, int(rng.integers(20, 62)), int(rng.integers(1, 60)))
+            grid = _support_grid(u)
+            shift = u.max_level - u.levels
+            starts = u.positions << shift
+            ends = starts + (np.int64(1) << shift)
+            for atom, edge in enumerate(grid.edges[:-1].tolist()):
+                inside = np.flatnonzero((starts <= edge) & (edge < ends))
+                deepest = inside[np.argmax(u.levels[inside])] if len(inside) else -1
+                assert grid.owner[atom] == deepest
+
+
+class TestLayout:
+    def test_batch_rows_sum_as_one_row_alone(self):
+        # `np.sum` over a batch row adds in the order of that row alone only
+        # when the cells are C-contiguous
+        rng = np.random.default_rng(6)
+        for u in (_sparse(rng, 40, 300), _sparse(rng, 8, 300)):
+            grid = _support_grid(u)
+            values = rng.uniform(0.0, 1.0, (65, len(u.support)))
+            sums, lengths = _cells(grid, values)
+            assert sums.flags.c_contiguous
+            batch = _cell_sum(sums**0.75, lengths)
+            for k in range(65):
+                row, _ = _cells(grid, values[k])
+                assert row.flags.c_contiguous
+                assert row.tobytes() == sums[k].tobytes()
+                assert _cell_sum(row**0.75, lengths).tobytes() == batch[k].tobytes()
+
+
+def _sparse(rng, max_level, draws):
+    levels = rng.integers(0, max_level + 1, draws)
+    positions = rng.integers(0, np.left_shift(1, levels))
+    values = rng.standard_normal(draws)
+    coeffs = {}
+    for level, position, value in zip(levels.tolist(), positions.tolist(), values.tolist()):
+        coeffs.setdefault(DyadicInterval(level, position), value)
+    return HaarExpansion(max_level, 1, coeffs)
+
+
+class TestOneGridPerCall:
+    """Each public call builds at most one grid per distinct support, and
+    one in all unless a product has zero rows, which sums on its own
+    support's grid."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        init = _Grid.__init__
+
+        def counting(grid, max_level, levels, positions):
+            built.append((max_level, levels.tobytes(), positions.tobytes()))
+            init(grid, max_level, levels, positions)
+
+        monkeypatch.setattr(_Grid, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("max_level", [8, 40])
+    def test_public_calls(self, builds, max_level):
+        rng = np.random.default_rng(max_level)
+        u = _sparse(rng, max_level, 300)
+        assert (_support_grid(u).owner is None) == (max_level == 8)
+        n = len(u.support)
+        phis = rng.uniform(-1.0, 1.0, (8, n))
+        holes = phis[0].copy()
+        holes[::3] = 0.0
+        m, mt = weights_hp(u, 1.0), weights_tl(u, 1.5, 3.0)
+        dec, f = decompose(u, 1.0), factorize(u, 1.5, 3.0)
+        calls = [
+            (decompose, (u, 1.0)),
+            (verify_decomposition, (u, 1.0, dec)),
+            (weights_hp, (u, 1.0)),
+            (weights_tl, (u, 1.5, 3.0)),
+            (hp_norm, (u, 1.0)),
+            (tl_norm, (u, 1.5, 3.0)),
+            (check_multiplier_bound, (u, 1.0, dict(zip(u.support, phis[0].tolist())), m)),
+            (check_multiplier_bounds, (u, 1.0, phis, m)),
+            (check_multiplier_bounds, (u, 1.5, phis, mt, 3.0)),
+            (factorize, (u, 1.5, 3.0)),
+            (x0_norm_estimate, (f, u, 4, 0)),
+        ]
+        for fn, args in calls:
+            builds.clear()
+            fn(*args)
+            assert len(builds) == 1, fn.__name__
+        builds.clear()
+        check_multiplier_bound(u, 1.0, dict(zip(u.support, holes.tolist())), m)
+        assert len(builds) == 2 and max(Counter(builds).values()) == 1
+
+    def test_no_grid_kept(self, builds):
+        u = _sparse(np.random.default_rng(9), 30, 200)
+        decompose(u, 1.0)
+        assert not [name for name in vars(haar) if isinstance(vars(haar)[name], _Grid)]
+        assert not hasattr(u, "__dict__")
+        assert len(builds) == 1

@@ -204,6 +204,12 @@ class TestQVariation:
         with pytest.raises(ValueError):
             q_variation(u, 2.0)
 
+    def test_nan_q_rejected(self):
+        u = scalar(1, {(0, 0): 1.0, (1, 0): 0.5})
+        for q in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="q must be positive"):
+                q_variation(u, q)
+
     def test_pointwise_nonincreasing_in_q(self):
         # the q-aggregate of the per-leaf coefficient multiset shrinks as q
         # grows, so the step functions are ordered pointwise
@@ -343,6 +349,13 @@ class TestConvexify:
         # Python's float pow raises its own OverflowError for 1e10 ** 50
         with pytest.raises(OverflowError, match="float range"):
             convexify(scalar(0, {(0, 0): 1e10}), 100.0)
+
+    def test_nan_q_rejected(self):
+        # the exponent is named, not a coefficient
+        u = scalar(1, {(0, 0): 1.0, (1, 0): 0.5})
+        for q in (float("nan"), 0.0, -2.0):
+            with pytest.raises(ValueError, match=f"q must be positive, got {q}"):
+                convexify(u, q)
 
     def test_subnormal_power_kept(self):
         got = convexify(scalar(0, {(0, 0): 1e-160}), 4.0)

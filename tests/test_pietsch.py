@@ -469,7 +469,7 @@ class TestBatchedMultiplierChecks:
             phis = self._phis(u, rng)
             want = check_multiplier_bounds(u, p, phis, m, q=q)
             norms = []
-            for name in ("hp_norm", "tl_norm"):
+            for name in ("_hp_norm", "_tl_norm"):
                 fn = getattr(pietsch, name)
                 monkeypatch.setattr(
                     pietsch, name, lambda *a, fn=fn: norms.append(a) or fn(*a)

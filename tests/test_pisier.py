@@ -24,7 +24,7 @@ from haarmult import (
     weights_hp,
     x0_norm_estimate,
 )
-from haarmult import VerificationError, haar, pisier
+from haarmult import VerificationError, haar, pietsch, pisier
 
 import pisier_oracle
 
@@ -77,6 +77,16 @@ class TestTheta:
     def test_p_above_q_rejected(self):
         with pytest.raises(ValueError):
             theta(3.0, 2.0)
+
+    def test_nan_exponents_rejected(self):
+        # a NaN fails every comparison, so it meets the exponents' own errors
+        nan = float("nan")
+        with pytest.raises(ValueError, match="p must exceed 1, got nan"):
+            theta(nan, 3.0)
+        with pytest.raises(ValueError, match="need p <= q, got p=1.5, q=nan"):
+            theta(1.5, nan)
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            theta(nan, nan)
 
 
 class TestFactorize:
@@ -370,7 +380,7 @@ class TestArrayFormOracle:
     def _cases(self):
         for k, u in enumerate(self._pool()):
             p, q = self.PQS[k % len(self.PQS)]
-            yield u, p, q, theta(p, q), pisier.weights_tl(u, p, q)
+            yield u, p, q, theta(p, q), pietsch.weights_tl(u, p, q)
 
     def _tampered(self, f, u):
         """f; reversed; a foreign key; a missing key; x and y perturbed by
@@ -479,7 +489,7 @@ class TestNoKeyHashed:
         rng = np.random.default_rng(1515)
         cases = []
         for u in (random_scalar(rng, 6), _sparse_scalar(rng, 30, 40)):
-            th, m = theta(1.5, 3.0), pisier.weights_tl(u, 1.5, 3.0)
+            th, m = theta(1.5, 3.0), pietsch.weights_tl(u, 1.5, 3.0)
             f = factorize(u, 1.5, 3.0)
             cases.append((u, th, m, f, verify_factorization(u, f), x0_norm_estimate(f, u, 8)))
         monkeypatch.setattr(haar, "_rows_by_key", refuse)
@@ -490,7 +500,8 @@ class TestNoKeyHashed:
             assert factorize(u, 1.5, 3.0) == f
             assert verify_factorization(u, f) is verdict is True
             assert x0_norm_estimate(f, u, 8) == estimate
-            assert pisier._x0_norm_estimate(f, u, 8, 0, m) == estimate
+            grid = haar._support_grid(u)
+            assert pisier._x0_norm_estimate(f, u, 8, 0, m, grid) == estimate
             reversed_f = Factorization(
                 x=dict(reversed(f.x.items())), y=f.y, theta=f.theta, p=f.p, q=f.q
             )
