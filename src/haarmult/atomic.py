@@ -36,12 +36,12 @@ computes them for every block, bit for bit as one `_cells` call per block
 would.
 
 Containment inside the support is one array, each row's nearest support
-ancestor: the grid's parent table, from `dyadic._nearest_ancestors` on the
-support arrays. The stopping time reads it to find block tops, and the
-verification inside `decompose` reads the same table; the verifier's block
-check is one pass over it: a block passes iff exactly one of its rows has
-no parent in the same block. `dyadic.is_block` is the reference predicate
-for that check; no path in the package calls it.
+ancestor: the grid's parent table, painted on the leaf grid and from
+`dyadic._nearest_ancestors` on the atoms. The stopping time reads it to
+find block tops, and the verification inside `decompose` reads the same
+table; the verifier's block check is one pass over it: a block passes iff
+exactly one of its rows has no parent in the same block. `dyadic.is_block`
+is the reference predicate for that check; no path in the package calls it.
 """
 
 from __future__ import annotations
@@ -361,9 +361,9 @@ def appendix_constant(p: float, carleson: float | Fraction) -> float:
     sum of blocks can exceed the p-sum of the block norms; increasing in both
     p and the Carleson constant.
     """
-    if p < 1:
+    if not p >= 1:  # NaN included
         raise ValueError(f"p must be at least 1, got {p}")
-    if carleson < 1:
+    if not carleson >= 1:
         raise ValueError(f"Carleson constant must be at least 1, got {carleson}")
     ratio = 2.0 ** (-2.0 / (p * (4.0 * float(carleson) + 1.0)))
     return 1.0 + 4.0 ** (1.0 / p) * ratio / (1.0 - ratio)
@@ -417,16 +417,21 @@ def _block_stats(
     return (norms * 2.0 ** (-u.max_level)).tolist(), sups, all_inside
 
 
-def _blocks_closed(block: np.ndarray, n_blocks: int, parent: np.ndarray) -> bool:
-    """Whether every block of a partition of the support rows (`block[j]` the
-    block of row j) is a block relative to the support: exactly one of its
-    rows has no support parent (`parent`, the grid's parent table)
-    or a parent in another block (`dyadic.is_block`, for all blocks at
-    once)."""
+def _blocks_closed(
+    rows: np.ndarray, block: np.ndarray, n_blocks: int, parent: np.ndarray
+) -> bool:
+    """Whether every block of a partition of the support rows (member j is
+    row rows[j], in block block[j]) is a block relative to the support:
+    exactly one of its rows has no support parent (`parent`, the grid's
+    parent table) or a parent in another block (`dyadic.is_block`, for all
+    blocks at once). The block of each row lives only here, so it is freed
+    before the block statistics."""
+    row_block = np.empty(len(parent), dtype=np.int64)
+    row_block[rows] = block
     head = parent < 0
     child = ~head
-    head[child] = block[parent[child]] != block[child]
-    heads = np.bincount(block[head], minlength=n_blocks)
+    head[child] = row_block[parent[child]] != row_block[child]
+    heads = np.bincount(row_block[head], minlength=n_blocks)
     return bool((heads == 1).all())
 
 
@@ -524,11 +529,7 @@ def _verify_rows(
         and (rows >= 0).all()
         and (np.bincount(rows, minlength=n) == 1).all()
     )
-    blocks_ok = False
-    if partition_ok:
-        row_block = np.empty(n, dtype=np.int64)
-        row_block[rows] = block
-        blocks_ok = _blocks_closed(row_block, n_blocks, grid.parent)
+    blocks_ok = partition_ok and _blocks_closed(rows, block, n_blocks, grid.parent)
 
     norms, sups, inside = _block_stats(u, p, rows, block, tops)
     tops_ok = tops_in_blocks and bool(inside.all())

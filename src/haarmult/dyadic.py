@@ -5,10 +5,10 @@ equality and ordering run in C. Every family query reads one table, each
 member's nearest strict ancestor (`IntervalFamily.parents`); the maximal
 members are those whose entry is -1. `_nearest_ancestors` builds it, by
 pointer jumps in preorder (left end, then coarsest first) from each
-member's predecessor; it is the package's one parent-table function, which
-the support grid of `haar` also runs on support arrays. Depths are one
-top-down pass over the table
-and packed measures one bottom-up pass, both O(n), and
+member's predecessor. The atom grid of `haar` also runs it on support
+arrays; the leaf grid paints its table level by level instead, and this
+search is the reference for that paint. Depths are one top-down pass over
+the table and packed measures one bottom-up pass, both O(n), and
 `generation_decay_verdicts` answers the decay bound for every member and
 layer at once from one bottom-up pass in O(n L). Measures are exact integer
 counts of leaves of level `max_level`, made `fractions.Fraction` only on

@@ -20,26 +20,26 @@ Every sum sum_I v_I 1_I on a hot path goes through `_cells`, on the grid
 of the support (`_Grid`), which each public call builds once from
 (max_level, levels, positions) and passes down as an argument; no grid is
 kept on an expansion, in the module or in a cache. The grid holds the level
-bounds of the support rows and their parent table, and picks the cells
-(`_on_atoms`): the atoms when (2n + 1)(N + 1) + 256 < 2^N, with each atom's
-length and its owner, the deepest support row containing it, else the 2^N
-leaves (`push_down`). On the atoms `_cells` is a tree prefix sum, coarsest
-level first: each row's running sum is its parent's plus its own value, and
-each atom reads its owner's, in K (n + cells) work for K batch rows. Only
+bounds of the support rows, their parent table and each cell's owner, the
+deepest support row containing it, and picks the cells (`_on_atoms`): the
+atoms when (2n + 1)(N + 1) + 256 < 2^N, with each atom's length, else the
+2^N leaves, whose parents and owners one level-by-level `_paint` gives.
+On both `_cells` is a tree prefix sum, coarsest level first: each row's
+running sum is its parent's plus its own value, and each cell reads its
+owner's, in K (n + cells) work for K batch rows. Only
 `atomic._majority_cover` reads the layout (the cells' edges in
 left-to-right order); every other caller just sums over the cells.
 `_block_cells` is `_cells` for many blocks at once, each on its own grid,
 for the block statistics of a decomposition, and `_product_norms` the norms
 of many products phi_k * u of one expansion, for the multiplier checks.
-The value on a cell is bit-identical to `push_down` at the cell's first
-leaf (each cell adds its intervals coarsest first, starting from 0.0), and
-norms are length-weighted sums over the cells, so on the atom grid they
-agree with the leaf sums to rounding. Leaf positions, heap codes and prefix
-counts are int64, so the `HaarExpansion` constructor refuses a max level
-above 61 and no array is built for one. `push_down`, `square_leaf_sums`,
-`square_function`, `q_variation` and `StepFunction` (leaf values and their
-sup) stay as dense leaf exports for small N; no hot path calls them, and
-`push_down` only as the leaf grid of `_cells`.
+A cell adds its intervals coarsest first, starting from 0.0, so its value
+is that of the leaf sums at its first leaf, and norms are length-weighted
+sums over the cells, so on the atom grid they agree with the leaf sums to
+rounding. Leaf positions, heap codes and prefix counts are int64, so the
+`HaarExpansion` constructor refuses a max level above 61 and no array is
+built for one. `square_leaf_sums`, `square_function`, `q_variation` and
+`StepFunction` (leaf values and their sup) stay as dense leaf exports for
+small N, on the leaf grid whatever the support; no hot path calls them.
 
 A mapping keyed by intervals (a multiplier phi, summing weights) is read at
 the support rows by `_support_rows`: a plain dict keyed by the support in
@@ -269,30 +269,16 @@ class StepFunction:
         return float(np.max(np.abs(self.values)))
 
 
-def push_down(
-    max_level: int, levels: np.ndarray, positions: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Leaf values of sum_j values[..., j] 1_{I_j} on the 2^max_level leaves,
-    where I_j = (levels[j], positions[j]) are distinct and sorted by level.
-
-    Leading axes of `values` are batch axes. Each level's values are added
-    onto a per-level array that is then doubled onto the next level, so a
-    leaf adds its intervals coarsest first, starting from 0.0.
-    """
-    values = np.asarray(values, dtype=float)
-    bounds = np.searchsorted(levels, np.arange(max_level + 2))
-    acc = np.zeros(values.shape[:-1] + (1,))
-    for level in range(max_level + 1):
-        if level:
-            acc = np.repeat(acc, 2, axis=-1)
-        lo, hi = bounds[level], bounds[level + 1]
-        acc[..., positions[lo:hi]] += values[..., lo:hi]
-    return acc
+def _leaf_sums(u: HaarExpansion, values: np.ndarray) -> np.ndarray:
+    """`_cells` of values at u's support rows on the leaf grid, whatever the
+    support."""
+    bounds = np.searchsorted(u.levels, np.arange(u.max_level + 2)).tolist()
+    return _tree_sums(bounds, *_paint(u.positions, bounds, [1] * (u.max_level + 1)), values)
 
 
 def square_leaf_sums(u: HaarExpansion) -> np.ndarray:
     """Leafwise values of S(u)^2, i.e. sum_I |x_I|^2 1_I."""
-    return push_down(u.max_level, u.levels, u.positions, u.squares)
+    return _leaf_sums(u, u.squares)
 
 
 def square_function(u: HaarExpansion) -> StepFunction:
@@ -336,8 +322,7 @@ def _scalar_powers(u: HaarExpansion, q: float) -> np.ndarray:
 
 def q_variation(u: HaarExpansion, q: float) -> StepFunction:
     """t -> (sum_I |x_I|^q 1_I(t))^(1/q); scalar expansions only."""
-    powers = _scalar_powers(u, q)
-    sums = push_down(u.max_level, u.levels, u.positions, powers)
+    sums = _leaf_sums(u, _scalar_powers(u, q))
     return StepFunction(u.max_level, sums ** (1.0 / q))
 
 
@@ -347,28 +332,25 @@ class _Grid:
     support; nothing keeps it after the call.
 
     `bounds[l]:bounds[l + 1]` are the support rows of level l, l = 0 .. N
-    (int list). On the leaf grid, where `_cells` calls `push_down`, `edges`,
-    `lengths` and `owner` are None. On the atom grid (`_on_atoms`), `edges`
+    (int list), `owner[c]` the deepest support row containing cell c and
+    `parent` each row's nearest support ancestor, -1 for none. On the leaf
+    grid, where `edges` and `lengths` are None, `_paint` gives both. On the
+    atom grid (`_on_atoms`) `parent` is `dyadic._nearest_ancestors`, `edges`
     holds the atom boundaries in leaves (every support endpoint, 0 and 2^N,
-    sorted and distinct), `lengths` their differences, and `owner[a]` the
-    deepest support row containing atom a, -1 for none. `parent` is each
-    row's nearest support ancestor (`dyadic._nearest_ancestors`): the atoms
-    need it at once, and on the leaves it is found on first read.
+    sorted and distinct), and `lengths` their differences.
     """
 
-    __slots__ = (
-        "max_level", "levels", "positions", "bounds", "edges", "lengths", "owner",
-        "_parent",
-    )
+    __slots__ = ("max_level", "bounds", "edges", "lengths", "owner", "parent")
 
     def __init__(self, max_level: int, levels: np.ndarray, positions: np.ndarray) -> None:
-        self.max_level, self.levels, self.positions = max_level, levels, positions
+        self.max_level = max_level
         self.bounds = np.searchsorted(levels, np.arange(max_level + 2)).tolist()
-        self.edges = self.lengths = self.owner = self._parent = None
+        self.edges = self.lengths = None
         n = len(levels)
         if not _on_atoms(n, max_level):
+            self.owner, self.parent = _paint(positions, self.bounds, [1] * (max_level + 1))
             return
-        parent = self.parent
+        self.parent = parent = _nearest_ancestors(levels, positions)
         shift = max_level - levels
         starts = positions << shift
         ends = starts + (np.int64(1) << shift)
@@ -394,11 +376,51 @@ class _Grid:
         at[index[2 : n + 2][finest]] = np.flatnonzero(finest)
         self.owner = at[:-1]
 
-    @property
-    def parent(self) -> np.ndarray:
-        if self._parent is None:
-            self._parent = _nearest_ancestors(self.levels, self.positions)
-        return self._parent
+
+def _paint(
+    index: np.ndarray, bounds: list[int], active: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(the deepest row containing each leaf, each row's nearest ancestor),
+    -1 for none, for rows on the leaves of many blocks: `active[l]` blocks
+    are at least l levels deep, deepest first, and row j of level l (rows
+    `bounds[l]:bounds[l + 1]`) is node index[j] = k 2^l + position of the
+    k-th of them. Level by level, each row reads its parent in `own`, the
+    deepest row over each node so far, and paints itself there; then the
+    blocks as deep as the level leave `own` and the rest double onto the
+    next level, so the leaves come by depth, then in block order. One block
+    has `active` = [1] * (N + 1) and `index` = its positions."""
+    parent = np.empty(len(index), dtype=np.int64)
+    own = np.full(active[0], -1)
+    parts = []
+    for level, count in enumerate(active):
+        if level:
+            descending = count << (level - 1)
+            if descending < len(own):  # the blocks level - 1 deep leave; a copy frees `own`
+                parts.append(own[descending:].copy())
+            own = np.repeat(own[:descending], 2)
+        lo, hi = bounds[level], bounds[level + 1]
+        if lo < hi:
+            parent[lo:hi] = own[index[lo:hi]]
+            own[index[lo:hi]] = np.arange(lo, hi)
+    return (np.concatenate(parts + [own]) if parts else own), parent
+
+
+def _tree_sums(
+    bounds: list[int], owner: np.ndarray, parent: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """sum_j values[..., j] 1_{I_j} at each cell's owner row (`_paint`), by
+    a tree prefix sum, coarsest level first: a row's running sum is its
+    parent's plus its value, from a trailing 0.0 slot that index -1 reads,
+    so a cell adds its intervals coarsest first, from 0.0. The gather keeps
+    the result C-contiguous, so `np.sum` over one batch row adds in the
+    order of that row alone. Leading axes of `values` are batch axes."""
+    values = np.asarray(values, dtype=float)
+    acc = np.zeros(values.shape[:-1] + (len(parent) + 1,))
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo < hi:
+            above = np.take(acc, parent[lo:hi], axis=-1)
+            np.add(above, values[..., lo:hi], out=acc[..., lo:hi])
+    return np.take(acc, owner, axis=-1)
 
 
 def _support_grid(u: HaarExpansion) -> _Grid:
@@ -408,29 +430,10 @@ def _support_grid(u: HaarExpansion) -> _Grid:
 
 def _cells(grid: _Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """sum_j values[..., j] 1_{I_j} over the support rows I_j of the grid,
-    on its cells: (the value on each cell, C-contiguous, and each cell's
-    length in leaves as int64), cells in left-to-right order. The lengths
-    are None on the leaf grid, where every cell is one leaf. Leading axes of
-    `values` are batch axes.
-
-    On the leaves this is `push_down`. On the atoms it is a tree prefix sum,
-    coarsest level first: each row's sum of its ancestors-or-self, its
-    parent's sum plus its value, from one trailing 0.0 slot that index -1
-    (no parent, no owner) reads; then each atom reads its owner's sum. So a
-    cell adds its intervals coarsest first, starting from 0.0, and its value
-    is bit-identical to `push_down` at its first leaf. `np.take` keeps the
-    result C-contiguous, so `np.sum` over it adds in the order of one row
-    alone.
-    """
-    values = np.asarray(values, dtype=float)
-    if grid.owner is None:
-        return push_down(grid.max_level, grid.levels, grid.positions, values), None
-    acc = np.zeros(values.shape[:-1] + (len(grid.levels) + 1,))
-    parent, bounds = grid.parent, grid.bounds
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo < hi:
-            acc[..., lo:hi] = np.take(acc, parent[lo:hi], axis=-1) + values[..., lo:hi]
-    return np.take(acc, grid.owner, axis=-1), grid.lengths
+    on its cells: (the value on each cell, `_tree_sums`, and each cell's
+    length in leaves as int64, None on the leaf grid), cells in
+    left-to-right order. Leading axes of `values` are batch axes."""
+    return _tree_sums(grid.bounds, grid.owner, grid.parent, values), grid.lengths
 
 
 def _on_atoms(n: int | np.ndarray, max_level: int | np.ndarray) -> bool | np.ndarray:
@@ -447,16 +450,11 @@ def _leaf_cells(
     positions: np.ndarray,
     values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`push_down` for many blocks at once: block b has 2^depth[b] leaves and
-    the intervals (levels[j], positions[j]) with block[j] == b, relative to
-    its root. Returns every block's leaf values, laid end to end, and where
-    each block's leaves start.
-
-    The blocks descend together, deepest first, so the blocks still
-    descending are a prefix of the array and node (k, position) of the k-th
-    of them sits at k 2^level + position; a block leaves the array at its
-    depth. Each leaf adds its intervals coarsest first, starting from 0.0,
-    as `push_down` does."""
+    """The leaf-grid `_cells` for many blocks at once, one `_paint` and one
+    `_tree_sums`: block b has 2^depth[b] leaves and the intervals
+    (levels[j], positions[j]) with block[j] == b, relative to its root.
+    Returns every block's leaf values, laid end to end, and where each
+    block's leaves start."""
     if not len(depth):
         return np.zeros(0), np.zeros(0, dtype=np.int64)
     order = np.argsort(-depth, kind="stable")
@@ -466,25 +464,16 @@ def _leaf_cells(
     deepest = int(depth[order[0]])
     active = np.searchsorted(-depth[order], -np.arange(deepest + 1), side="right").tolist()
     by_level = np.argsort(levels)
-    k, levels = rank[block[by_level]], levels[by_level]
-    positions, values = positions[by_level], values[by_level]
+    levels, values = levels[by_level], values[by_level]
     bounds = np.searchsorted(levels, np.arange(deepest + 2)).tolist()
-    parts = []
-    acc = np.zeros(len(depth))
-    for level in range(deepest + 1):
-        if level:
-            descending = active[level] << (level - 1)
-            parts.append(acc[descending:])  # the blocks level - 1 deep
-            acc = np.repeat(acc[:descending], 2)
-        lo, hi = bounds[level], bounds[level + 1]
-        acc[(k[lo:hi] << level) + positions[lo:hi]] += values[lo:hi]
-    parts.append(acc)
-    # the parts hold the blocks by depth, then by their order in `order`
+    painted = _paint((rank[block[by_level]] << levels) + positions[by_level], bounds, active)
+    del by_level, levels  # row arrays freed before the tree sums hold every leaf twice
+    # the leaves hold the blocks by depth, then by their order in `order`
     layout = np.argsort(depth, kind="stable")
     sizes = np.left_shift(1, depth[layout])
     start = np.empty(len(depth), dtype=np.int64)
     start[layout] = np.cumsum(sizes) - sizes
-    return np.concatenate(parts), start
+    return _tree_sums(bounds, *painted, values), start
 
 
 def _atom_cells(
@@ -505,6 +494,8 @@ def _atom_cells(
     order, adds each atom's intervals coarsest first, starting from 0.0, as
     `_cells` does."""
     n_blocks, m = len(depth), len(block)
+    if not n_blocks:
+        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     ends = np.concatenate((np.zeros(n_blocks, dtype=np.int64), np.left_shift(1, depth)))
     points = np.concatenate((ends, firsts, firsts + np.left_shift(1, shifts)))
     owner = np.concatenate((np.arange(n_blocks), np.arange(n_blocks), block, block))
@@ -740,9 +731,9 @@ def _product_norms(
 
 def _cell_entries(n: int, max_level: int) -> int:
     """An upper bound on the floats `_cells` builds per batch row for n
-    intervals at max level N: the 2^N leaves, or on the atoms the n + 1
-    tree sums and at most 2n + 1 atoms."""
-    return 3 * n + 2 if _on_atoms(n, max_level) else 1 << max_level
+    intervals at max level N: the n + 1 tree sums, and at most 2n + 1 atoms
+    or the 2^N leaves."""
+    return n + 1 + (2 * n + 1 if _on_atoms(n, max_level) else 1 << max_level)
 
 
 def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:

@@ -212,10 +212,12 @@ def _x0_norm_estimate(
                 f"a sampled candidate's q-norm leaves the float range at q = {q}"
             )
         candidates[1:] = raw / scales[:, None]
+        del raw  # freed, as `ratios` below, before the cell sums: a lower peak
 
     ratios = candidates / y_vec
     mean_q = ratios ** (q * th) @ w_vec
     mean_r = ratios ** (r * th) @ w_vec
+    del ratios
     z_norms_q = candidates**q @ m_vec
     if not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL):
         raise VerificationError("r-th weighted mean should equal ||z||^q exactly")

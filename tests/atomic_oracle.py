@@ -16,7 +16,7 @@ import numpy as np
 
 from haarmult import IntervalFamily, PietschMeasure, carleson_constant, is_block
 from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, appendix_constant
-from haarmult.haar import _cell_sum, hp_norm, push_down, square_function
+from haarmult.haar import _cell_sum, hp_norm, square_function
 
 import haar_oracle
 
@@ -46,7 +46,7 @@ def piece_stats(u, piece, p, rows):
     inside = (levels >= 0) & (positions >> np.maximum(levels, 0) == top.position)
     index, levels, positions = index[inside], levels[inside], positions[inside]
     positions = positions - (top.position << levels)
-    local = push_down(u.max_level - top.level, levels, positions, u.squares[index])
+    local = haar_oracle.push_down(u.max_level - top.level, levels, positions, u.squares[index])
     norm_p_p = float(np.sum(local ** (p / 2.0))) * 2.0 ** (-u.max_level)
     return norm_p_p, math.sqrt(float(local.max()))
 

@@ -4,8 +4,10 @@ validation loop, the multiplier, and the set-based stopping-time
 assignment, which steps through every k and reads its parents from
 `dyadic_oracle`; the pointwise value of a Haar function, for direct
 evaluation of Haar sums; the sub-expansion on a set of intervals, which
-the library builds from support rows instead; and `cells`, the cell sums
-over every (interval, atom) pair that the tree prefix sum of `haar._cells`
+the library builds from support rows instead; `push_down`, the per-level
+leaf accumulation that the painted leaf grid of `haar._Grid` replaced, and
+`leaf_owners`, one slice paint per row; and `cells`, the cell sums over
+every (interval, atom) pair that the tree prefix sum of `haar._cells`
 replaced. The tests compare the library against them; they are slow and
 not part of the package.
 """
@@ -17,9 +19,39 @@ import numpy as np
 from haarmult import HaarExpansion, IntervalFamily
 from haarmult.atomic import AtomicPiece
 from haarmult.errors import VerificationError
-from haarmult.haar import _on_atoms, push_down, square_leaf_sums
+from haarmult.haar import _on_atoms, square_leaf_sums
 
 import dyadic_oracle
+
+
+def push_down(max_level, levels, positions, values):
+    """Leaf values of sum_j values[..., j] 1_{I_j} on the 2^max_level leaves,
+    where I_j = (levels[j], positions[j]) are distinct and sorted by level.
+
+    Leading axes of `values` are batch axes. Each level's values are added
+    onto a per-level array that is then doubled onto the next level, so a
+    leaf adds its intervals coarsest first, starting from 0.0.
+    """
+    values = np.asarray(values, dtype=float)
+    bounds = np.searchsorted(levels, np.arange(max_level + 2))
+    acc = np.zeros(values.shape[:-1] + (1,))
+    for level in range(max_level + 1):
+        if level:
+            acc = np.repeat(acc, 2, axis=-1)
+        lo, hi = bounds[level], bounds[level + 1]
+        acc[..., positions[lo:hi]] += values[..., lo:hi]
+    return acc
+
+
+def leaf_owners(max_level, levels, positions):
+    """The deepest of the intervals (levels[j], positions[j]), sorted by
+    level, containing each of the 2^max_level leaves, -1 for none: each row
+    paints its slice of leaves in turn, so a deeper row paints last."""
+    owner = np.full(1 << max_level, -1)
+    for row, (level, position) in enumerate(zip(levels.tolist(), positions.tolist())):
+        width = 1 << (max_level - level)
+        owner[position * width : (position + 1) * width] = row
+    return owner
 
 
 def cells(max_level, levels, positions, values):

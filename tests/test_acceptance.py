@@ -52,7 +52,6 @@ from haarmult.haar import (
     _cells,
     _support_grid,
     _support_rows,
-    push_down,
     q_variation,
     square_leaf_sums,
 )
@@ -619,7 +618,7 @@ class TestCellGridOracles:
             assert len(lengths) <= 2 * len(u.support) + 1
             assert lengths.sum() == 1 << deep.max_level
             first_leaf = (np.cumsum(lengths) - lengths) >> _DEEPER
-            leaves = push_down(u.max_level, u.levels, u.positions, batch)
+            leaves = haar_oracle.push_down(u.max_level, u.levels, u.positions, batch)
             assert np.array_equal(values, leaves[:, first_leaf])
             assert np.array_equal(values[0], square_leaf_sums(u)[first_leaf])
 

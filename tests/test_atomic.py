@@ -336,14 +336,16 @@ class TestAppendixConstant:
         with pytest.raises(ValueError):
             appendix_constant(1.5, 0.5)
 
+    @pytest.mark.parametrize("p, carleson", [(math.nan, 4), (1.5, math.nan), (math.nan, math.nan)])
+    def test_nan_rejected(self, p, carleson):
+        with pytest.raises(ValueError):
+            appendix_constant(p, carleson)
+
 
 class TestCallCounts:
-    def test_decompose_verify_and_weights(self, monkeypatch):
-        # the sequence of a bench op: each public call builds one grid of
-        # u's support, whose parent table its stopping time and verification
-        # share, and the block statistics are one pass, so neither count
-        # grows with the blocks
-        u = random_scalar(np.random.default_rng(46), 10, density=0.5)
+    def _counts(self, monkeypatch, u):
+        """(ancestor searches on u's support arrays, `_cells` calls) of the
+        sequence of a bench op: decompose, verify and weights."""
         ancestors, cells = [], []
         for module in (haar, dyadic):
             search = module._nearest_ancestors
@@ -363,8 +365,24 @@ class TestCallCounts:
         assert verify_decomposition(u, 1.0, dec).passed
         weights_hp(u, 1.0)
         assert len(dec.pieces) > 30
-        assert ancestors.count(True) == 3
         assert not hasattr(atomic, "_block_rows")
         assert not hasattr(atomic, "_nearest_ancestors")
+        return ancestors.count(True), len(cells)
+
+    def test_decompose_verify_and_weights(self, monkeypatch):
+        # each public call builds one grid of u's support, whose parent
+        # table its stopping time and verification share, and the block
+        # statistics are one pass, so neither count grows with the blocks;
+        # the leaf grid paints its parents with no ancestor search
+        u = random_scalar(np.random.default_rng(46), 10, density=0.5)
+        assert haar._support_grid(u).lengths is None
         # a stopping time per decomposition, hp_norm per verification
-        assert len(cells) == 5
+        assert self._counts(monkeypatch, u) == (0, 5)
+
+    def test_decompose_verify_and_weights_on_atoms(self, monkeypatch):
+        # the same u 12 levels deeper, on the atoms: one ancestor search per
+        # grid of u's support, 3 in all
+        leaf = random_scalar(np.random.default_rng(46), 10, density=0.5)
+        u = HaarExpansion(22, 1, leaf.coeffs)
+        assert haar._support_grid(u).lengths is not None
+        assert self._counts(monkeypatch, u) == (3, 5)

@@ -63,6 +63,7 @@ REMOVED = [
     ("dyadic", "generation_decay_check"),
     ("dyadic", "maximal_intervals"),
     ("haar", "evaluate_haar"),
+    ("haar", "push_down"),
 ]
 
 
