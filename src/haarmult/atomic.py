@@ -359,13 +359,16 @@ def appendix_constant(p: float, carleson: float | Fraction) -> float:
 
     Closed form of the geometric series controlling how much the norm of a
     sum of blocks can exceed the p-sum of the block norms; increasing in both
-    p and the Carleson constant.
+    p and the Carleson constant. Both must be finite; where r rounds to 1.0
+    the series exceeds every float and the constant is inf.
     """
-    if not p >= 1:  # NaN included
-        raise ValueError(f"p must be at least 1, got {p}")
-    if not carleson >= 1:
-        raise ValueError(f"Carleson constant must be at least 1, got {carleson}")
+    if not 1 <= p < math.inf:  # NaN included
+        raise ValueError(f"p must be finite and at least 1, got {p}")
+    if not 1 <= carleson < math.inf:
+        raise ValueError(f"Carleson constant must be finite and at least 1, got {carleson}")
     ratio = 2.0 ** (-2.0 / (p * (4.0 * float(carleson) + 1.0)))
+    if ratio == 1.0:
+        return math.inf
     return 1.0 + 4.0 ** (1.0 / p) * ratio / (1.0 - ratio)
 
 

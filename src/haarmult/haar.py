@@ -736,6 +736,17 @@ def _cell_entries(n: int, max_level: int) -> int:
     return n + 1 + (2 * n + 1 if _on_atoms(n, max_level) else 1 << max_level)
 
 
+# batch rows times `_cell_entries` per batched `_cells` call (the multiplier
+# check's products, the lattice estimate's candidates): 512 KB per float array
+_BATCH_ENTRIES = 1 << 16
+
+
+def _batch_rows(n: int, max_level: int) -> int:
+    """Rows per batched `_cells` call for n intervals at max level N: as many
+    as `_BATCH_ENTRIES` entries hold, and at least one."""
+    return max(1, _BATCH_ENTRIES // _cell_entries(n, max_level))
+
+
 def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:
     """Coefficientwise multiplier phi * u; missing phi entries count as 0.
 

@@ -56,7 +56,7 @@ from .dyadic import DyadicInterval
 from .errors import VerificationError, ZeroInputError
 from .haar import (
     HaarExpansion,
-    _cell_entries,
+    _batch_rows,
     _Grid,
     _hp_norm,
     _pow,
@@ -72,9 +72,6 @@ from .haar import (
 
 _SUM_TOL = 1e-12
 _BOUND_RTOL = 1e-9
-# batch rows times `_cell_entries` per batched `_cells` call in
-# `check_multiplier_bounds`: 2 MB per float array
-_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -257,7 +254,7 @@ def check_multiplier_bounds(
     (`haar._support_rows`), and any other measure by key. The
     products phi_k * u are summed in batched `_cells` calls on the grid of
     u's support, which ||u|| shares, with no expansion built,
-    `_BATCH_ENTRIES // _cell_entries` rows per call. A
+    `haar._batch_rows` rows per call. A
     failing row raises what its single check raises, the first such row in
     order.
     """
@@ -304,7 +301,7 @@ def _check_rows(
     weighted = list(map(math.fsum, terms.tolist()))
     tl_route = u.dimension == 1 and s != 2.0
     q_tl = s if tl_route else None
-    step = max(1, _BATCH_ENTRIES // _cell_entries(len(support), u.max_level))
+    step = _batch_rows(len(support), u.max_level)
     lhs = []
     for lo in range(0, len(phis), step):
         lhs += _product_norms(u, phis[lo : lo + step], p, q_tl, grid)

@@ -12,6 +12,12 @@ hashed), and every per-row power is `haar._pow`, Python's float `pow` per
 element through `np.float_power` (numpy's `**` may differ from it in the
 last bit). The per-row tolerance tests are `_isclose`, `math.isclose` on
 arrays.
+
+`x0_norm_estimate` runs its candidates in blocks of `haar._batch_rows`
+rows, drawn one block after another from the same generator, so its memory
+does not grow with the sample count. A check that fails in any block is
+raised after the last block, in the order of the unblocked chain; the
+value and the exception are those of one block holding every candidate.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .dyadic import DyadicInterval
 from .errors import DegenerateThetaError, VerificationError, ZeroInputError
 from .haar import (
     HaarExpansion,
+    _batch_rows,
     _cell_sum,
     _cells,
     _Grid,
@@ -167,6 +174,12 @@ def x0_norm_estimate(
     All of these must hold for every candidate; a violation raises
     VerificationError. A sampled candidate whose q-norm leaves the float
     range (raw magnitudes reach 10^3) raises OverflowError.
+
+    The candidates run in blocks of rows sized by `haar._BATCH_ENTRIES`,
+    drawn block by block from one stream, so memory stays bounded however
+    large `n_samples` is. Errors keep their order: OverflowError before the
+    r-th mean, comparison, unit-ball and cap VerificationErrors, whichever
+    block each failure came from.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
@@ -197,40 +210,52 @@ def _x0_norm_estimate(
     cap = measure.normalizer ** (1.0 / p) * norm_u
 
     n_support = len(u.support)
-    x_vec = np.abs(_support_rows(f.x, u))
+    x_power = np.abs(_support_rows(f.x, u)) ** (1.0 - th)
     m_vec = np.ldexp(1.0, -u.levels)
 
+    # candidate 0 is y, then the samples, drawn block by block from one
+    # stream; each check's failure is kept until every block is drawn
     rng = np.random.default_rng(seed)
-    candidates = np.empty((n_samples + 1, n_support))
-    candidates[0] = y_vec
-    if n_samples:
-        raw = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_samples, n_support))
-        with np.errstate(over="ignore"):
-            scales = (raw**q @ m_vec) ** (1.0 / q)
-        if not np.all((scales > 0.0) & (scales < math.inf)):
-            raise OverflowError(
-                f"a sampled candidate's q-norm leaves the float range at q = {q}"
-            )
-        candidates[1:] = raw / scales[:, None]
-        del raw  # freed, as `ratios` below, before the cell sums: a lower peak
+    step = _batch_rows(n_support, u.max_level)
+    unequal = uncompared = unbounded = False
+    peaks = []
+    for lo in range(0, n_samples + 1, step):
+        candidates = np.empty((min(step, n_samples + 1 - lo), n_support))
+        drawn = candidates[1:] if lo == 0 else candidates
+        if lo == 0:
+            candidates[0] = y_vec
+        if len(drawn):
+            raw = 10.0 ** rng.uniform(-3.0, 3.0, size=drawn.shape)
+            with np.errstate(over="ignore"):
+                scales = (raw**q @ m_vec) ** (1.0 / q)
+            if not np.all((scales > 0.0) & (scales < math.inf)):
+                raise OverflowError(
+                    f"a sampled candidate's q-norm leaves the float range at q = {q}"
+                )
+            np.divide(raw, scales[:, None], out=drawn)
+            del raw  # freed, as `ratios` below, before the cell sums: a lower peak
 
-    ratios = candidates / y_vec
-    mean_q = ratios ** (q * th) @ w_vec
-    mean_r = ratios ** (r * th) @ w_vec
-    del ratios
-    z_norms_q = candidates**q @ m_vec
-    if not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL):
+        ratios = candidates / y_vec
+        mean_q = ratios ** (q * th) @ w_vec
+        mean_r = ratios ** (r * th) @ w_vec
+        del ratios
+        z_norms_q = candidates**q @ m_vec
+        unequal |= not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL)
+        uncompared |= np.any(mean_q ** (1.0 / q) > mean_r ** (1.0 / r) * (1.0 + _CHAIN_RTOL))
+        unbounded |= np.any(mean_q ** (1.0 / q) > 1.0 + _CHAIN_RTOL)
+
+        mixed = x_power * candidates**th
+        sums, lengths = _cells(grid, mixed**q)
+        means = _cell_sum(sums ** (p / q), lengths) / (1 << u.max_level)
+        peaks.append((means ** (1.0 / p)).max())
+
+    if unequal:
         raise VerificationError("r-th weighted mean should equal ||z||^q exactly")
-    if np.any(mean_q ** (1.0 / q) > mean_r ** (1.0 / r) * (1.0 + _CHAIN_RTOL)):
+    if uncompared:
         raise VerificationError("weighted mean comparison failed")
-    if np.any(mean_q ** (1.0 / q) > 1.0 + _CHAIN_RTOL):
+    if unbounded:
         raise VerificationError("multiplier argument exceeds the unit ball")
-
-    mixed = x_vec ** (1.0 - th) * candidates**th
-    sums, lengths = _cells(grid, mixed**q)
-    means = _cell_sum(sums ** (p / q), lengths) / (1 << u.max_level)
-    mixed_norms = means ** (1.0 / p)
-    worst = float(mixed_norms.max())
+    worst = float(np.max(peaks))  # keeps a NaN peak, which Python's `max` may drop
     if worst > cap * (1.0 + _CHAIN_RTOL):
         raise VerificationError(
             f"sampled candidate exceeds the multiplier cap: {worst} > {cap}"

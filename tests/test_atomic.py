@@ -341,6 +341,32 @@ class TestAppendixConstant:
         with pytest.raises(ValueError):
             appendix_constant(p, carleson)
 
+    @pytest.mark.parametrize("p, carleson", [(math.inf, 4), (1.5, math.inf), (math.inf, math.inf)])
+    def test_infinity_rejected(self, p, carleson):
+        with pytest.raises(ValueError, match="finite"):
+            appendix_constant(p, carleson)
+
+    @pytest.mark.parametrize(
+        "p, carleson", [(1e16, 4), (1.5, 1e16), (1.0, Fraction(10**17)), (1e300, 1e10)]
+    )
+    def test_saturated_ratio_gives_inf(self, p, carleson):
+        # 2^(-2 / (p (4K + 1))) rounds to 1.0: the series exceeds every float
+        assert appendix_constant(p, carleson) == math.inf
+
+    def test_closed_form_below_saturation(self):
+        # bit for bit the closed form wherever the ratio stays below 1.0,
+        # as at p = 1e15, where it is the float just below 1.0
+        pairs = [(1.0, 1e12), (1e3, 1e10), (1e15, 1)] + [
+            (p, carleson)
+            for p in (1.0, 1.25, 1.5, 2.0, 7.5, 1e3)
+            for carleson in (1, Fraction(5, 4), 4, 1e3)
+        ]
+        for p, carleson in pairs:
+            ratio = 2.0 ** (-2.0 / (p * (4.0 * float(carleson) + 1.0)))
+            assert ratio < 1.0
+            want = 1.0 + 4.0 ** (1.0 / p) * ratio / (1.0 - ratio)
+            assert repr(appendix_constant(p, carleson)) == repr(want)
+
 
 class TestCallCounts:
     def _counts(self, monkeypatch, u):

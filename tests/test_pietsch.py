@@ -453,7 +453,7 @@ class TestBatchedMultiplierChecks:
         for u, p, m, q in self._routes():
             phis = self._phis(u, rng)
             whole = check_multiplier_bounds(u, p, phis, m, q=q)
-            monkeypatch.setattr(pietsch, "_BATCH_ENTRIES", 3)
+            monkeypatch.setattr(haar, "_BATCH_ENTRIES", 3)
             calls = []
             product_norms = pietsch._product_norms
             monkeypatch.setattr(

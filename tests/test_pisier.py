@@ -25,6 +25,7 @@ from haarmult import (
     x0_norm_estimate,
 )
 from haarmult import VerificationError, haar, pietsch, pisier
+from haarmult.cli import gen_random
 
 import pisier_oracle
 
@@ -240,6 +241,64 @@ class TestLatticeNormEstimate:
         f = factorize(u, 1.5, 3.0)
         with pytest.raises(ValueError, match="n_samples"):
             x0_norm_estimate(f, u, -1)
+
+    def test_float_sample_count_raises_before_drawing(self, monkeypatch):
+        u = scalar(1, {(0, 0): 1.0, (1, 0): 1.0})
+        f = factorize(u, 1.5, 3.0)
+
+        class NoDraws:
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("a candidate was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        with pytest.raises(TypeError):
+            x0_norm_estimate(f, u, 2.5)
+
+    def test_later_overflow_outranks_earlier_chain_failure(self, monkeypatch):
+        # one candidate per block: at q = 104 seed 0's samples 1 to 5 fail the
+        # r-th mean test (theta is off), and sample 6's q-norm overflows
+        u = scalar(2, {(0, 0): 1.0, (1, 0): 0.75, (1, 1): -1.25, (2, 1): 0.5, (2, 2): 1.5})
+        f = factorize(u, 1.5, 104.0)
+        g = Factorization(x=f.x, y=f.y, theta=f.theta * 0.9, p=f.p, q=f.q)
+        monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1)
+        assert haar._batch_rows(len(u.support), u.max_level) == 1
+        with pytest.raises(VerificationError, match="r-th weighted mean"):
+            x0_norm_estimate(g, u, 5)
+        with pytest.raises(OverflowError, match="float range"):
+            x0_norm_estimate(g, u, 6)
+        assert x0_norm_estimate(f, u, 5) > 0.0
+
+    def test_nan_in_a_later_block_propagates(self, monkeypatch):
+        # a NaN peak in any block makes the estimate NaN, as the max over one
+        # array of every candidate does; Python's max would drop it
+        u = scalar(2, {(0, 0): 1.0, (1, 0): 0.75, (1, 1): -1.25, (2, 1): 0.5, (2, 2): 1.5})
+        f = factorize(u, 1.5, 3.0)
+        monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1)
+        calls = []
+        cells = pisier._cells
+
+        def nan_in_third_block(grid, values):
+            calls.append(None)
+            sums, lengths = cells(grid, values)
+            return (np.full_like(sums, math.nan) if len(calls) == 3 else sums), lengths
+
+        monkeypatch.setattr(pisier, "_cells", nan_in_third_block)
+        assert math.isnan(x0_norm_estimate(f, u, 4))
+        assert len(calls) == 5
+
+    def test_memory_independent_of_samples(self):
+        # candidates run in blocks of `haar._BATCH_ENTRIES` cell entries: at
+        # max level 12 (about 4k support) 4000 candidates in one array would
+        # need about 0.7 GB
+        u = gen_random(12, 1, 0.5, 3)
+        f = factorize(u, 1.5, 3.0)
+        tracemalloc.start()
+        try:
+            x0_norm_estimate(f, u, 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_memory_linear_in_leaves(self):
         # sparse deep expansion: the leaf sums may hold one 2^20 row per
@@ -462,6 +521,28 @@ class TestArrayFormOracle:
         assert any("ValueError" in o for o in outcomes)
         assert any("VerificationError" in o for o in outcomes)
         assert any(not o.startswith("(") for o in outcomes)
+
+    def test_one_row_blocks_change_nothing(self, monkeypatch):
+        # every candidate in its own block against all in one block: the
+        # same values, verdicts and exceptions, NaN, inf and zero included
+        def outcomes(budget):
+            monkeypatch.setattr(haar, "_BATCH_ENTRIES", budget)
+            calls = []
+            cells = pisier._cells
+            monkeypatch.setattr(pisier, "_cells", lambda *a: calls.append(a) or cells(*a))
+            got = [
+                _outcome(x0_norm_estimate, g, u, 8, k)
+                for k, (u, p, q, th, m) in enumerate(self._cases())
+                for g in self._tampered(pisier._factorize(u, p, q, th, m), u)
+            ]
+            monkeypatch.undo()
+            return got, [len(values) for _, values in calls]
+
+        whole, whole_rows = outcomes(1 << 40)
+        rows, row_rows = outcomes(1)
+        assert rows == whole
+        assert set(whole_rows) == {9} and set(row_rows) == {1}
+        assert len(row_rows) == 9 * len(whole_rows)
 
 
 class TestIsClose:
