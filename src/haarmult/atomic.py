@@ -57,7 +57,8 @@ import numpy as np
 
 from .dyadic import DyadicInterval, IntervalFamily, _packed_carleson
 from .errors import VerificationError, ZeroInputError
-from .haar import HaarExpansion, _block_cells, _cells, _Grid, _hp_norm, _support_grid
+from .haar import HaarExpansion, _block_cells, _cells, _check_exponents, _Grid, _hp_norm
+from .haar import _support_grid
 
 # Relative slack for inequalities that are exact in real arithmetic and only
 # subject to floating-point rounding.
@@ -360,13 +361,17 @@ def appendix_constant(p: float, carleson: float | Fraction) -> float:
     Closed form of the geometric series controlling how much the norm of a
     sum of blocks can exceed the p-sum of the block norms; increasing in both
     p and the Carleson constant. Both must be finite; where r rounds to 1.0
-    the series exceeds every float and the constant is inf.
+    (also past the float range) the series exceeds every float: inf.
     """
     if not 1 <= p < math.inf:  # NaN included
         raise ValueError(f"p must be finite and at least 1, got {p}")
     if not 1 <= carleson < math.inf:
         raise ValueError(f"Carleson constant must be finite and at least 1, got {carleson}")
-    ratio = 2.0 ** (-2.0 / (p * (4.0 * float(carleson) + 1.0)))
+    try:
+        p, carleson = float(p), float(carleson)
+    except OverflowError:  # an int or Fraction past the float range
+        return math.inf
+    ratio = 2.0 ** (-2.0 / (p * (4.0 * carleson + 1.0)))
     if ratio == 1.0:
         return math.inf
     return 1.0 + 4.0 ** (1.0 / p) * ratio / (1.0 - ratio)
@@ -472,8 +477,7 @@ def _verify(
     u: HaarExpansion, p: float, dec: AtomicDecomposition, grid: _Grid
 ) -> DecompositionReport:
     """`verify_decomposition` on the grid of u's support."""
-    if not 0 < p <= 2:
-        raise ValueError(f"p must lie in (0, 2], got {p}")
+    _check_exponents(p)
     if dec.max_level != u.max_level or dec.dimension != u.dimension:
         raise ValueError("decomposition does not match the expansion")
     return _verify_rows(u, p, *_member_rows(u, dec), grid)
@@ -590,8 +594,7 @@ def _decompose(
     table."""
     if u.is_zero:
         raise ZeroInputError("cannot decompose the zero expansion")
-    if not 0 < p <= 2:
-        raise ValueError(f"p must lie in (0, 2], got {p}")
+    _check_exponents(p)
     block, top_rows = _stopping_time(u, grid)
     dec = AtomicDecomposition._from_rows(u, block, top_rows)
     report = _verify(u, p, dec, grid)

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .atomic import _decompose
+from .atomic import AtomicDecomposition, _block_stats, _decompose, _member_rows
 from .dyadic import DyadicInterval, generation_decay_verdicts
 from .errors import (
     DegenerateThetaError,
@@ -35,10 +35,9 @@ from .haar import (
     _MAX_LEVEL,
     HaarExpansion,
     _pow,
+    _square_measures,
     _support_grid,
-    _support_rows,
     hp_norm,
-    l2_norm,
     multiply,
     tl_norm,
 )
@@ -47,7 +46,6 @@ from .pietsch import (
     _assemble,
     _weights_tl,
     check_multiplier_bounds,
-    h2_measure,
     validate_measure,
     weights_hp,
     weights_tl,
@@ -63,10 +61,6 @@ _Z_PER_TRIAL = 20
 
 
 def _format_number(value: float) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"cannot serialize non-finite number {value}")
     return format(float(value), ".17g")
@@ -88,15 +82,9 @@ def dump_json(obj: Any, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {dump_json(val, indent + 2)}" for val in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, int, float)):
+    if isinstance(obj, float):
         return _format_number(obj)
-    return json.dumps(obj)
-
-
-def _interval_key(interval: DyadicInterval) -> str:
-    return f"{interval.level}/{interval.position}"
+    return json.dumps(obj)  # strings, ints, booleans and None
 
 
 def _is_json_int(value: Any) -> bool:
@@ -190,6 +178,7 @@ def gen_random(
 def _gen_with_rng(
     rng: np.random.Generator, max_level: int, dimension: int, density: float
 ) -> HaarExpansion:
+    HaarExpansion(max_level, dimension, {})  # the constructor's checks, before any draw
     coeffs = {}
     for level in range(max_level + 1):
         for pos in range(1 << level):
@@ -211,6 +200,20 @@ def _trial_expansion(
         if not u.is_zero:
             return u
     raise ValueError(f"no nonzero draw in 64 at density {density} and max level {max_level}")
+
+
+def _h2_sides(
+    uv: HaarExpansion, dv: AtomicDecomposition, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of ||phi.u_i||_2^2 = sum_{I in G_i} |phi_I|^2 |x_I|^2 |I|
+    on every block of dv (built by `decompose` on uv), phi drawn block after
+    block; the left sides from the verifier's block pass over phi * uv."""
+    phi = np.empty(len(uv.support))
+    phi[np.concatenate(dv._rows())] = rng.uniform(-1, 1, len(phi))
+    product = multiply(dict(zip(uv.support, phi.tolist())), uv)
+    lhs = _block_stats(product, 2.0, *_member_rows(product, dv)[:3])[0]
+    terms = _pow(np.abs(phi), 2.0) * _square_measures(uv)
+    return np.array(lhs), np.bincount(dv._block, terms, len(dv._top_rows))
 
 
 class _Check:
@@ -267,7 +270,7 @@ def run_verification(
     the factorization route when additionally 1 < p < q), and the vector
     route when dimension > 1. Each trial decomposes u, |u|^(q/2) and uv
     once, and every later step reads that decomposition's report, block
-    rows and weights.
+    rows and weights, and the vector h2 identity its block pass (`_h2_sides`).
     """
     checks: dict[str, _Check] = {}
 
@@ -340,19 +343,9 @@ def run_verification(
             uv = _trial_expansion(seed + 1_000_003, trial, max_level, dimension, density)
             dv, rv = _decompose(uv, p, _support_grid(uv))
             check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p))
-            h2_ok = True
-            for block in dv._rows():  # a block's rows ascend, as in support order
-                ui = HaarExpansion._from_rows(
-                    uv.max_level, uv.dimension, [uv.support[r] for r in block.tolist()],
-                    uv.levels[block], uv.positions[block], uv.values[block],
-                )
-                mu = _support_rows(h2_measure(ui), ui)
-                phis = rng.uniform(-1, 1, len(ui.support))
-                lhs = hp_norm(multiply(dict(zip(ui.support, phis.tolist())), ui), 2.0) ** 2
-                # Python's sum in support order: np.sum's pairwise order rounds differently
-                rhs = l2_norm(ui) ** 2 * sum((_pow(np.abs(phis), 2.0) * mu).tolist())
-                if abs(lhs - rhs) > 1e-12 * max(lhs, rhs, 1e-300):
-                    h2_ok = False
+            lhs, rhs = _h2_sides(uv, dv, rng)
+            slack = 1e-12 * np.maximum(np.maximum(lhs, rhs), 1e-300)
+            h2_ok = not (np.abs(lhs - rhs) > slack).any()
             check("vector_h2_identity").record(h2_ok, seed, trial)
 
     passed = all(c.passed for c in checks.values())
@@ -470,8 +463,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         payload = {
             "pieces": [
                 {
-                    "top": _interval_key(top),
-                    "block": [_interval_key(i) for i in block],
+                    "top": str(top),
+                    "block": list(map(str, block)),
                 }
                 for block, top in dec.pieces
             ],
@@ -489,7 +482,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         else:
             m = weights_hp(u, args.p)
         payload = {
-            "weights": {_interval_key(i): w for i, w in m.weights.items()},
+            "weights": m.weights,  # `dump_json` writes each key as str(interval)
             "A": m.normalizer,
             "s": m.exponent,
             "total": m.total(),
@@ -507,8 +500,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         ok = verify_factorization(u, f)
         payload = {
             "theta": f.theta,
-            "x": {_interval_key(i): v for i, v in sorted(f.x.items())},
-            "y": {_interval_key(i): v for i, v in sorted(f.y.items())},
+            "x": dict(sorted(f.x.items())),
+            "y": dict(sorted(f.y.items())),
             "identity_verified": ok,
             "lattice_candidate": _x0_norm_estimate(f, u, args.samples, args.seed, m, grid),
         }

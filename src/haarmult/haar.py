@@ -31,7 +31,8 @@ owner's, in K (n + cells) work for K batch rows. Only
 left-to-right order); every other caller just sums over the cells.
 `_block_cells` is `_cells` for many blocks at once, each on its own grid,
 for the block statistics of a decomposition, and `_product_norms` the norms
-of many products phi_k * u of one expansion, for the multiplier checks.
+of many products phi_k * u of one expansion, for the multiplier checks,
+in batches of `_batch_rows(grid)` rows.
 A cell adds its intervals coarsest first, starting from 0.0, so its value
 is that of the leaf sums at its first leaf, and norms are length-weighted
 sums over the cells, so on the atom grid they agree with the leaf sums to
@@ -315,9 +316,16 @@ def _scalar_powers(u: HaarExpansion, q: float) -> np.ndarray:
     scalar expansions only."""
     if u.dimension != 1:
         raise ValueError("q-variation is defined for scalar expansions only")
+    _check_q(q)
+    return _pow(np.abs(u.values[:, 0]), q)
+
+
+def _check_q(q: float) -> None:
+    """The range of a q-variation exponent, 0 < q < inf."""
     if not q > 0:  # NaN included
         raise ValueError(f"q must be positive, got {q}")
-    return _pow(np.abs(u.values[:, 0]), q)
+    if q == math.inf:
+        raise ValueError(f"q must be finite, got {q}")
 
 
 def q_variation(u: HaarExpansion, q: float) -> StepFunction:
@@ -571,11 +579,14 @@ def _cell_sum(terms: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
 
 
 def _check_exponents(p: float, q: float | None = None) -> None:
-    """The exponent ranges of `hp_norm` (q None) and of `tl_norm`."""
+    """The exponent ranges of `hp_norm` (q None), 0 < p <= 2, and of
+    `tl_norm`, 0 < p <= q < inf (q = inf, the sup, is not computed)."""
     if q is None and not 0 < p <= 2:
         raise ValueError(f"p must lie in (0, 2], got {p}")
     if q is not None and not 0 < p <= q:
         raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
+    if q is not None:
+        _check_q(q)
 
 
 def _norm_means(
@@ -633,8 +644,7 @@ def convexify(u: HaarExpansion, q: float) -> HaarExpansion:
     or overflows (coefficients are not rescaled)."""
     if u.dimension != 1:
         raise ValueError("convexification is defined for scalar expansions only")
-    if not q > 0:  # NaN included
-        raise ValueError(f"q must be positive, got {q}")
+    _check_q(q)
     try:
         powered = _pow(np.abs(u.values[:, 0]), q / 2.0)
         if (powered == 0.0).any():  # an underflow, which would drop its row
@@ -729,22 +739,15 @@ def _product_norms(
     ]
 
 
-def _cell_entries(n: int, max_level: int) -> int:
-    """An upper bound on the floats `_cells` builds per batch row for n
-    intervals at max level N: the n + 1 tree sums, and at most 2n + 1 atoms
-    or the 2^N leaves."""
-    return n + 1 + (2 * n + 1 if _on_atoms(n, max_level) else 1 << max_level)
-
-
-# batch rows times `_cell_entries` per batched `_cells` call (the multiplier
-# check's products, the lattice estimate's candidates): 512 KB per float array
+# batch rows times the n + 1 tree sums and the cells of each row per batched
+# `_cells` call (`_batch_rows`): 512 KB per float array
 _BATCH_ENTRIES = 1 << 16
 
 
-def _batch_rows(n: int, max_level: int) -> int:
-    """Rows per batched `_cells` call for n intervals at max level N: as many
-    as `_BATCH_ENTRIES` entries hold, and at least one."""
-    return max(1, _BATCH_ENTRIES // _cell_entries(n, max_level))
+def _batch_rows(grid: _Grid) -> int:
+    """Rows per batched `_cells` call on the grid: as many as
+    `_BATCH_ENTRIES` entries hold, and at least one."""
+    return max(1, _BATCH_ENTRIES // (len(grid.parent) + 1 + len(grid.owner)))
 
 
 def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:

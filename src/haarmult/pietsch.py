@@ -57,6 +57,7 @@ from .errors import VerificationError, ZeroInputError
 from .haar import (
     HaarExpansion,
     _batch_rows,
+    _check_exponents,
     _Grid,
     _hp_norm,
     _pow,
@@ -167,7 +168,7 @@ def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:
 
 
 def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
-    """Weights for the Triebel-Lizorkin multiplier bound, 0 < p <= q.
+    """Weights for the Triebel-Lizorkin multiplier bound, 0 < p <= q < inf.
 
     Obtained by decomposing the q/2-convexification |u|^(q/2) in the Hardy
     space with exponent 2p/q; the summing exponent is q.
@@ -183,8 +184,7 @@ def _weights_tl(u: HaarExpansion, p: float, q: float, grid: _Grid) -> PietschMea
         raise ValueError(
             "weights_tl expects a scalar expansion: q applies to scalar expansions only"
         )
-    if not 0 < p <= q:
-        raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
+    _check_exponents(p, q)
     powered = convexify(u, q)
     return _weights(powered, 2.0 * p / q, q, grid)
 
@@ -253,10 +253,9 @@ def check_multiplier_bounds(
     weights in support order are read in one pass with no key hashed
     (`haar._support_rows`), and any other measure by key. The
     products phi_k * u are summed in batched `_cells` calls on the grid of
-    u's support, which ||u|| shares, with no expansion built,
-    `haar._batch_rows` rows per call. A
-    failing row raises what its single check raises, the first such row in
-    order.
+    u's support, which ||u|| shares, with no expansion built, in batches of
+    `haar._batch_rows(grid)` rows. A failing row raises what its single
+    check raises, the first such row in order.
     """
     ordered = _support_order(m.weights, u)
     if not (ordered or m.weights.keys() <= u.coeffs.keys()):
@@ -293,7 +292,6 @@ def _check_rows(
     order of a single check: the weighted sums, the products' norms, ||u||,
     C, and ValueError for a negative weighted sum (whose root 1/s may not be
     real)."""
-    support = u.support
     s = m.exponent
     powers = _pow(np.abs(phis), s)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
@@ -301,7 +299,7 @@ def _check_rows(
     weighted = list(map(math.fsum, terms.tolist()))
     tl_route = u.dimension == 1 and s != 2.0
     q_tl = s if tl_route else None
-    step = _batch_rows(len(support), u.max_level)
+    step = _batch_rows(grid)
     lhs = []
     for lo in range(0, len(phis), step):
         lhs += _product_norms(u, phis[lo : lo + step], p, q_tl, grid)

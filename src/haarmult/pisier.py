@@ -34,6 +34,7 @@ from .haar import (
     _batch_rows,
     _cell_sum,
     _cells,
+    _check_q,
     _Grid,
     _pow,
     _support_grid,
@@ -59,7 +60,7 @@ class Factorization:
 
 
 def theta(p: float, q: float) -> float:
-    """(q/(q-1)) * ((p-1)/p); lies in (0,1) exactly when 1 < p < q."""
+    """(q/(q-1)) * ((p-1)/p); lies in (0,1) exactly when 1 < p < q < inf."""
     if not p > 1:  # NaN included
         raise ValueError(f"p must exceed 1, got {p}")
     if not q >= p:
@@ -68,6 +69,7 @@ def theta(p: float, q: float) -> float:
         raise DegenerateThetaError(
             "p = q forces theta = 1 and the factor exponent 1/(1-theta) degenerates"
         )
+    _check_q(q)  # finite; the checks above give q > 1
     return (q / (q - 1.0)) * ((p - 1.0) / p)
 
 
@@ -175,7 +177,7 @@ def x0_norm_estimate(
     VerificationError. A sampled candidate whose q-norm leaves the float
     range (raw magnitudes reach 10^3) raises OverflowError.
 
-    The candidates run in blocks of rows sized by `haar._BATCH_ENTRIES`,
+    The candidates run in blocks of `haar._batch_rows` rows on u's grid,
     drawn block by block from one stream, so memory stays bounded however
     large `n_samples` is. Errors keep their order: OverflowError before the
     r-th mean, comparison, unit-ball and cap VerificationErrors, whichever
@@ -216,7 +218,7 @@ def _x0_norm_estimate(
     # candidate 0 is y, then the samples, drawn block by block from one
     # stream; each check's failure is kept until every block is drawn
     rng = np.random.default_rng(seed)
-    step = _batch_rows(n_support, u.max_level)
+    step = _batch_rows(grid)
     unequal = uncompared = unbounded = False
     peaks = []
     for lo in range(0, n_samples + 1, step):

@@ -353,6 +353,13 @@ class TestAppendixConstant:
         # 2^(-2 / (p (4K + 1))) rounds to 1.0: the series exceeds every float
         assert appendix_constant(p, carleson) == math.inf
 
+    @pytest.mark.parametrize(
+        "p, carleson", [(1.5, Fraction(10**400)), (1.5, 10**400), (10**400, 4)]
+    )
+    def test_past_float_range_gives_inf(self, p, carleson):
+        # no float holds the constant, and the ratio would round to 1.0
+        assert appendix_constant(p, carleson) == math.inf
+
     def test_closed_form_below_saturation(self):
         # bit for bit the closed form wherever the ratio stays below 1.0,
         # as at p = 1e15, where it is the float just below 1.0

@@ -8,11 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from haarmult import DyadicInterval, ExpansionFormatError, atomic, pietsch
-from haarmult import factorize, x0_norm_estimate
-from haarmult.cli import dump_json, gen_random, load, main, run_verification, save
+from haarmult import DyadicInterval, ExpansionFormatError, HaarExpansion, atomic
+from haarmult import factorize, h2_measure, hp_norm, l2_norm, multiply, pietsch
+from haarmult import x0_norm_estimate
+from haarmult.atomic import _decompose
+from haarmult.cli import _h2_sides, _trial_expansion, dump_json, gen_random, load, main
+from haarmult.cli import run_verification, save
+from haarmult.haar import _pow, _support_grid, _support_rows
 
 
 def iv(level, pos):
@@ -135,6 +140,22 @@ class TestGenRandom:
         with pytest.raises(ValueError):
             gen_random(2, 1, 0.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "max_level, message",
+        [(62, "max_level 62 exceeds 61"), (-1, "max_level must be nonnegative")],
+    )
+    def test_level_outside_range_rejected_before_drawing(self, monkeypatch, max_level, message):
+        # level 62 would take 2^63 - 1 draws before the constructor refused it
+        class NoDraws:
+            def random(self):
+                raise AssertionError("a coefficient was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        with pytest.raises(ValueError, match=message):
+            gen_random(max_level, 1, 0.5, seed=0)
+        with pytest.raises(ValueError, match=message):
+            _trial_expansion(0, 0, max_level, 1, 0.5)
+
     def test_support_size_statistics(self):
         # 7 slots at density 0.5: per-trial mean 3.5, variance 7/4
         trials = 10_000
@@ -168,6 +189,21 @@ class TestCommands:
         path = write(tmp_path, "u.json", MINIMAL)
         assert main(["norm", "--p", "1", "--q", "3", path]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--p", "1"],
+            ["pietsch", "--p", "1"],
+            ["factorize", "--p", "1.5"],
+        ],
+    )
+    def test_infinite_q_exit_two(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "u.json", MINIMAL)
+        assert main(argv + ["--q", "inf", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: q must be finite, got inf\n"
 
     def test_norm_bad_file_exit_two(self, tmp_path, capsys):
         path = write(tmp_path, "u.json", "{broken")
@@ -436,6 +472,13 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: ")
         assert "float range" in captured.err
 
+    def test_infinite_q_exit_two(self, capsys):
+        code = main(["verify", "--p", "1", "--q", "inf", "--trials", "1", "--max-level", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: q must be finite, got inf\n"
+
     def test_tiny_density_input_error(self, capsys):
         code = main(["verify", "--density", "1e-9", "--max-level", "2", "--trials", "1"])
         assert code == 2
@@ -511,3 +554,87 @@ class TestVerifyCommand:
         assert code == 0
         on_disk = (tmp_path / "report.json").read_text()
         assert json.loads(on_disk)["passed"] is True
+
+
+def _per_block_h2(uv, dv, rng):
+    """The vector h2 identity one block at a time, each block rebuilt as its
+    own expansion and its phi drawn from rng in block order, as the verify
+    suite checked it before the block pass: (the left sides, the right
+    sides, the verdict)."""
+    lhs, rhs, ok = [], [], True
+    for block in dv._rows():
+        ui = HaarExpansion._from_rows(
+            uv.max_level, uv.dimension, [uv.support[r] for r in block.tolist()],
+            uv.levels[block], uv.positions[block], uv.values[block],
+        )
+        mu = _support_rows(h2_measure(ui), ui)
+        phis = rng.uniform(-1, 1, len(ui.support))
+        left = hp_norm(multiply(dict(zip(ui.support, phis.tolist())), ui), 2.0) ** 2
+        right = l2_norm(ui) ** 2 * sum((_pow(np.abs(phis), 2.0) * mu).tolist())
+        ok &= not abs(left - right) > 1e-12 * max(left, right, 1e-300)
+        lhs.append(left)
+        rhs.append(right)
+    return lhs, rhs, ok
+
+
+class _Stream:
+    """A generator stand-in whose `uniform` hands out a fixed array in order."""
+
+    def __init__(self, values):
+        self._values, self._at = values, 0
+
+    def uniform(self, low, high, size):
+        self._at += size
+        return self._values[self._at - size : self._at]
+
+
+class TestVectorH2Identity:
+    """The verify suite's h2 identity on the verifier's block pass against
+    the per-block reference: the same phi, sides within 1e-13 and the same
+    verdicts, on the leaf and the atom grid and with exact-zero phi."""
+
+    CONFIGS = [(d, level, 0.5) for d in (2, 3) for level in (4, 5, 6, 7, 8)] + [
+        (d, 12, 0.01) for d in (2, 3)
+    ]
+
+    def _compare(self, uv, dv, rngs):
+        lhs_ref, rhs_ref, ok_ref = _per_block_h2(uv, dv, rngs[0])
+        lhs, rhs = _h2_sides(uv, dv, rngs[1])
+        assert len(lhs) == len(rhs) == len(lhs_ref)
+        np.testing.assert_allclose(lhs, lhs_ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rhs, rhs_ref, rtol=1e-13, atol=0)
+        slack = 1e-12 * np.maximum(np.maximum(lhs, rhs), 1e-300)
+        assert (not (np.abs(lhs - rhs) > slack).any()) == ok_ref
+        return ok_ref
+
+    def test_same_draws_as_per_block(self):
+        # one draw of n doubles is the per-block draws laid end to end
+        rng = np.random.default_rng([3, 1, 10_000])
+        blocks = [rng.uniform(-1, 1, size) for size in (5, 1, 17, 2)]
+        flat = np.random.default_rng([3, 1, 10_000]).uniform(-1, 1, 25)
+        assert np.concatenate(blocks).tobytes() == flat.tobytes()
+
+    def test_matches_per_block_reference(self):
+        trials = 0
+        for k, (d, level, density) in enumerate(self.CONFIGS):
+            for trial in range(20 if level < 12 else 10):
+                uv = _trial_expansion(k, trial, level, d, density)
+                dv, _ = _decompose(uv, 1.5, _support_grid(uv))
+                seed = [k, trial, 10_000]
+                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert self._compare(uv, dv, rngs)
+                trials += 1
+        assert trials >= 200
+
+    def test_exact_zero_phi(self):
+        # a zero phi drops its row from the product, and then the product's
+        # rows map onto the decomposition through its pieces
+        rng = np.random.default_rng(19)
+        for k, (d, level, density) in enumerate(self.CONFIGS):
+            uv = _trial_expansion(100 + k, 0, level, d, density)
+            dv, _ = _decompose(uv, 1.0, _support_grid(uv))
+            n = len(uv.support)
+            draws = rng.uniform(-1, 1, n)
+            draws[: len(dv._rows()[0])] = 0.0  # the first block, drawn first
+            draws[rng.choice(n, n // 3, replace=False)] = 0.0
+            assert self._compare(uv, dv, (_Stream(draws), _Stream(draws)))

@@ -25,7 +25,7 @@ from haarmult import (
     weights_tl,
     x0_norm_estimate,
 )
-from haarmult import haar
+from haarmult import haar, pietsch
 from haarmult.dyadic import _nearest_ancestors
 from haarmult.haar import _cell_sum, _cells, _Grid, _leaf_cells, _paint, _support_grid
 
@@ -209,6 +209,39 @@ class TestLayout:
                 assert row.flags.c_contiguous
                 assert row.tobytes() == sums[k].tobytes()
                 assert _cell_sum(row**0.75, lengths).tobytes() == batch[k].tobytes()
+
+
+class TestBatchRows:
+    """Batch sizes come from the grid: the tree sums and the cells it
+    holds. On the atoms that is the exact atom count, so a deep sparse
+    support splits K = 20 checks and the lattice estimate's candidates into
+    several batches, and every output is bit for bit that of one batch."""
+
+    def test_atom_grid_batches_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        u = _sparse(rng, 20, 3000)
+        n, grid = len(u.support), _support_grid(u)
+        assert grid.edges is not None  # the atoms
+        step = haar._batch_rows(grid)
+        assert step == (1 << 16) // (n + 1 + len(grid.owner)) < 20
+        phis = rng.uniform(-1.0, 1.0, (20, n))
+        f = factorize(u, 1.5, 3.0)
+        routes = [(weights_hp(u, 1.0), 1.0, None), (weights_tl(u, 1.5, 3.0), 1.5, 3.0)]
+
+        def outputs():
+            # 41 candidates: at least three blocks of the estimate
+            reports = [check_multiplier_bounds(u, p, phis, m, q=q) for m, p, q in routes]
+            return repr(reports), repr(x0_norm_estimate(f, u, 40, 5))
+
+        calls = []
+        product_norms = pietsch._product_norms
+        monkeypatch.setattr(
+            pietsch, "_product_norms", lambda *a: calls.append(len(a[1])) or product_norms(*a)
+        )
+        batched = outputs()
+        assert calls == [step, 20 - step] * 2
+        monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1 << 40)
+        assert outputs() == batched
 
 
 def _sparse(rng, max_level, draws):

@@ -11,15 +11,22 @@ import numpy as np
 import pytest
 
 from haarmult import (
+    DegenerateThetaError,
     DyadicInterval,
+    Factorization,
     HaarExpansion,
+    PietschMeasure,
+    check_multiplier_bounds,
     convexify,
+    factorize,
     hp_norm,
     l2_norm,
     multiply,
     q_variation,
     square_function,
     tl_norm,
+    weights_tl,
+    x0_norm_estimate,
 )
 from haarmult.haar import _pow, _square_length, _squares, square_leaf_sums
 from haarmult.pisier import theta
@@ -296,6 +303,52 @@ class TestTlNorm:
             lhs = tl_norm(u, p, q)
             rhs = hp_norm(convexify(u, q), 2.0 * p / q) ** (2.0 / q)
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestInfiniteQ:
+    """Every entry that takes q rejects q = inf with "q must be finite"; at
+    the limit the q-variation is the sup, which no entry computes."""
+
+    U = scalar(3, {(0, 0): 0.5, (2, 1): 0.75})
+
+    def test_norms_and_powers(self):
+        for call in (
+            lambda: tl_norm(self.U, 1.0, math.inf),
+            lambda: q_variation(self.U, math.inf),
+            lambda: convexify(self.U, math.inf),
+            lambda: weights_tl(self.U, 1.0, math.inf),
+            lambda: theta(1.5, math.inf),
+            lambda: factorize(self.U, 1.5, math.inf),
+        ):
+            with pytest.raises(ValueError, match="q must be finite, got inf"):
+                call()
+
+    def test_multiplier_checks(self):
+        m = weights_tl(self.U, 1.0, 3.0)
+        phis = np.ones((1, 2))
+        with pytest.raises(ValueError, match="does not match q=inf"):
+            check_multiplier_bounds(self.U, 1.0, phis, m, q=math.inf)
+        infinite = PietschMeasure(m.weights, m.normalizer, math.inf)
+        with pytest.raises(ValueError, match="q must be finite"):
+            check_multiplier_bounds(self.U, 1.0, phis, infinite, q=math.inf)
+
+    def test_lattice_estimate(self):
+        f = factorize(self.U, 1.5, 3.0)
+        g = Factorization(x=f.x, y=f.y, theta=f.theta, p=f.p, q=math.inf)
+        with pytest.raises(ValueError, match="q must be finite"):
+            x0_norm_estimate(g, self.U, 4)
+
+    def test_earlier_messages_kept(self):
+        # q = inf meets the range check only after every check it passed before
+        nan = math.nan
+        with pytest.raises(ValueError, match="need 0 < p <= q"):
+            tl_norm(self.U, nan, math.inf)
+        with pytest.raises(ValueError, match="scalar expansions only"):
+            q_variation(HaarExpansion(0, 2, {iv(0, 0): (1.0, 1.0)}), math.inf)
+        with pytest.raises(DegenerateThetaError):
+            theta(math.inf, math.inf)
+        with pytest.raises(ValueError, match="q must be positive, got -inf"):
+            convexify(self.U, -math.inf)
 
 
 class TestFloatRange:

@@ -261,7 +261,7 @@ class TestLatticeNormEstimate:
         f = factorize(u, 1.5, 104.0)
         g = Factorization(x=f.x, y=f.y, theta=f.theta * 0.9, p=f.p, q=f.q)
         monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1)
-        assert haar._batch_rows(len(u.support), u.max_level) == 1
+        assert haar._batch_rows(haar._support_grid(u)) == 1
         with pytest.raises(VerificationError, match="r-th weighted mean"):
             x0_norm_estimate(g, u, 5)
         with pytest.raises(OverflowError, match="float range"):
