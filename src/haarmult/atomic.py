@@ -29,11 +29,16 @@ support row's anchor for Omega_k is its coarsest ancestor-or-self J with
 2 |Omega_k ∩ J| > |J|. On the atoms |Omega_k ∩ J| comes from an int64
 prefix sum of the lengths of the cells in Omega_k, read at J's endpoints;
 on the leaves the dense majority cover (`_majority_cover_levels`) is
-cheaper and gives the same anchors. A block's statistics are sums over the
-cells of its own square function inside its top, on the grid `_cells`
-would pick for that block alone; one batched pass (`_block_stats`)
-computes them for every block, bit for bit as one `_cells` call per block
-would.
+cheaper and gives the same anchors. A block's statistics are sums of its
+own square function over the cells inside its top. For a clean
+decomposition, as `decompose` builds, they run on the grid of u's support
+(`_block_stats`): the parent table cut at the block tops makes each block
+one tree, one `_tree_sums` on it gives every row its block's running sum,
+and each cell walks up through its blocks, one step per block. Sups are
+then bit for bit those of one `_cells` call per block on the block's own
+grid, and so are norms where the block's own grid is of the kind of u's
+(leaves or atoms); elsewhere they agree to rounding. Any other
+decomposition still takes one `_cells` call per block.
 
 Containment inside the support is one array, each row's nearest support
 ancestor: the grid's parent table, painted on the leaf grid and from
@@ -57,8 +62,8 @@ import numpy as np
 
 from .dyadic import DyadicInterval, IntervalFamily, _packed_carleson
 from .errors import VerificationError, ZeroInputError
-from .haar import HaarExpansion, _block_cells, _cells, _check_exponents, _Grid, _hp_norm
-from .haar import _support_grid
+from .haar import HaarExpansion, _cells, _check_exponents, _Grid, _hp_norm, _support_grid
+from .haar import _tree_sums
 
 # Relative slack for inequalities that are exact in real arithmetic and only
 # subject to floating-point rounding.
@@ -383,22 +388,47 @@ def _block_stats(
     rows: np.ndarray,
     block: np.ndarray,
     tops: list[DyadicInterval],
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Per block b: (norm_p^p, sup of square function, whether every
-    supported member lies inside the top `tops[b]`), for the members rows[j]
-    with block[j] == b, each block's rows ascending, -1 for a member outside
-    the support. No top is finer than `u.max_level`.
+    tops_in_blocks: bool,
+    grid: _Grid,
+) -> tuple[bool, bool, list[float], np.ndarray, np.ndarray]:
+    """The blocks of a decomposition on u's support rows, as `_member_rows`
+    gives them, checked and measured on `grid`, the grid of u's support:
+    (whether the blocks partition the support, whether each is also a block
+    relative to the support, and per block b: norm_p^p, the sup of its
+    square function, whether every supported member lies inside its top
+    `tops[b]`). No top is finer than `u.max_level`.
 
-    The square function of a block vanishes outside its top, so the sums
-    run over the block's own cells inside the top; members outside the top (a
-    corrupt piece, caught by `tops_ok`) and outside the support (whose square
-    is 0) are left out. The cells of every block come from one
-    `_block_cells` call, bit for bit those of one `_cells` call per block.
-    Each block's norm is an `np.sum` over its own cells, as `_cell_sum` sums
-    them (`np.add.reduceat` sums in another order), and the sups are one
-    `np.maximum.reduceat`.
+    A block relative to the support has exactly one row with no support
+    parent (`grid.parent`) or a parent in another block (`dyadic.is_block`,
+    for all blocks at once). The square function of a block vanishes
+    outside its top, so the sums run over the cells inside the top; members
+    outside the top (a corrupt piece, caught by `tops_ok`) and outside the
+    support (whose square is 0) are left out. A clean decomposition (its
+    blocks partition the support and pass the block check, and each top is
+    a member of its block and contains it) sums on `grid` (`_tree_cells`);
+    any other sums each block on the grid `_cells` picks for it alone
+    (`_own_cells`). Each block's norm is an `np.sum` over its cells, as
+    `_cell_sum` sums them (`np.add.reduceat` sums in another order), and
+    the sups are one `np.maximum.reduceat`.
     """
-    n_blocks = len(tops)
+    # the blocks partition the support iff none is empty and the member
+    # rows are each support row once
+    n, n_blocks = len(u.support), len(tops)
+    partition_ok = bool(
+        np.bincount(block, minlength=n_blocks).all()
+        and len(rows) == n
+        and (rows >= 0).all()
+        and (np.bincount(rows, minlength=n) == 1).all()
+    )
+    blocks_ok = False
+    if partition_ok:
+        row_block = np.empty(n, dtype=np.int64)
+        row_block[rows] = block
+        head = grid.parent < 0
+        child = ~head
+        head[child] = row_block[grid.parent[child]] != row_block[child]
+        blocks_ok = bool((np.bincount(row_block[head], minlength=n_blocks) == 1).all())
+
     flat = np.fromiter(chain.from_iterable(tops), np.int64, 2 * n_blocks)
     top_levels, top_positions = flat[0::2], flat[1::2]
     known = rows >= 0
@@ -408,39 +438,90 @@ def _block_stats(
     inside = (levels >= 0) & (positions >> np.maximum(levels, 0) == top_positions[block])
     all_inside = np.bincount(block[~inside], minlength=n_blocks) == 0
     if not n_blocks:
-        return [], np.zeros(0), all_inside
-    rows, block, levels = rows[inside], block[inside], levels[inside]
-    positions = positions[inside] - (top_positions[block] << levels)
-    squares = u.squares[rows]
-    cells, lengths, offsets, sizes = _block_cells(
-        u.max_level - top_levels, block, levels, positions, squares
-    )
-    terms = lengths * cells ** (p / 2.0)
+        return partition_ok, blocks_ok, [], np.zeros(0), all_inside
+    if blocks_ok and tops_in_blocks and inside.all():
+        cells, lengths, sizes = _tree_cells(grid, row_block, head, u.squares)
+    else:
+        rows, block, levels = rows[inside], block[inside], levels[inside]
+        positions = positions[inside] - (top_positions[block] << levels)
+        cells, lengths, sizes = _own_cells(
+            u.max_level - top_levels, block, levels, positions, u.squares[rows]
+        )
+    offsets = np.cumsum(sizes) - sizes
+    terms = cells ** (p / 2.0)
+    if lengths is not None:
+        terms = lengths * terms
     norms = terms[offsets]  # a sum over one cell is that cell
     for b in np.flatnonzero(sizes > 1).tolist():
         norms[b] = np.add.reduce(terms[offsets[b] : offsets[b] + sizes[b]])
-    runs = np.argsort(offsets)
-    sups = np.empty(n_blocks)
-    sups[runs] = np.sqrt(np.maximum.reduceat(cells, offsets[runs]))
-    return (norms * 2.0 ** (-u.max_level)).tolist(), sups, all_inside
+    sups = np.sqrt(np.maximum.reduceat(cells, offsets))
+    return partition_ok, blocks_ok, (norms * 2.0 ** (-u.max_level)).tolist(), sups, all_inside
 
 
-def _blocks_closed(
-    rows: np.ndarray, block: np.ndarray, n_blocks: int, parent: np.ndarray
-) -> bool:
-    """Whether every block of a partition of the support rows (member j is
-    row rows[j], in block block[j]) is a block relative to the support:
-    exactly one of its rows has no support parent (`parent`, the grid's
-    parent table) or a parent in another block (`dyadic.is_block`, for all
-    blocks at once). The block of each row lives only here, so it is freed
-    before the block statistics."""
-    row_block = np.empty(len(parent), dtype=np.int64)
-    row_block[rows] = block
-    head = parent < 0
-    child = ~head
-    head[child] = row_block[parent[child]] != row_block[child]
-    heads = np.bincount(row_block[head], minlength=n_blocks)
-    return bool((heads == 1).all())
+def _tree_cells(
+    grid: _Grid, row_block: np.ndarray, head: np.ndarray, squares: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Every block's square function on the cells inside its top, for a
+    clean decomposition: `row_block[j]` is the block of support row j and
+    `head[j]` whether j is its block's top. Returns (the cell values, block
+    after block and left to right in each, their lengths in leaves, None on
+    the leaf grid, and each block's number of cells).
+
+    A block's rows are one tree of the parent table cut at the heads, so one
+    `_tree_sums` on that table gives each row the sum of its block's
+    squares from the top down, in the additions of `_cells` on the block
+    alone. A cell's rows, its owner and the owner's ancestors, pass through
+    its blocks one after another, so each cell walks up from its owner: it
+    takes the deepest row of each block on the way, then steps to the
+    parent of that block's top. On the leaf grid a block's cells are its
+    leaves. On the atoms the cells of `grid` are cut by every block's
+    endpoints, so a block's run of cells with one deepest row is merged
+    into one: the atom of the block alone, with fewer terms to round."""
+    n = len(row_block)
+    sums = _tree_sums(grid.bounds, np.arange(n), np.where(head, -1, grid.parent), squares)
+    heads = np.flatnonzero(head)
+    top_row = np.empty(len(heads), dtype=np.int64)
+    top_row[row_block[heads]] = heads
+    cell, row = np.arange(len(grid.owner)), grid.owner
+    parts = []
+    while True:
+        keep = row >= 0
+        cell, row = cell[keep], row[keep]
+        if not len(row):
+            break
+        parts.append((cell, row))
+        row = grid.parent[top_row[row_block[row]]]
+    cell, row = map(np.concatenate, zip(*parts))
+    # distinct keys, in ascending runs of cells: a merging sort is fastest
+    order = np.argsort(row_block[row] * len(grid.owner) + cell, kind="stable")
+    cell, row = cell[order], row[order]
+    lengths = None
+    if grid.lengths is not None:
+        runs = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+        lengths, row = np.add.reduceat(grid.lengths[cell], runs), row[runs]
+    return sums[row], lengths, np.bincount(row_block[row], minlength=len(heads))
+
+
+def _own_cells(
+    depth: np.ndarray,
+    block: np.ndarray,
+    levels: np.ndarray,
+    positions: np.ndarray,
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One `_cells` call per block, each on the grid of the block alone:
+    block b spans 2^depth[b] leaves and holds the intervals (levels[j],
+    positions[j]) with block[j] == b, relative to its top, each block's in
+    support order. Returns (the cell values, block after block, their
+    lengths in leaves, each block's number of cells)."""
+    order = np.argsort(block, kind="stable")
+    bounds = np.cumsum(np.bincount(block, minlength=len(depth)))[:-1]
+    cells, lengths = [], []
+    for own, rows in zip(depth.tolist(), np.split(order, bounds)):
+        values_b, lengths_b = _cells(_Grid(own, levels[rows], positions[rows]), values[rows])
+        cells.append(values_b)
+        lengths.append(np.ones(len(values_b), dtype=np.int64) if lengths_b is None else lengths_b)
+    return np.concatenate(cells), np.concatenate(lengths), np.array(list(map(len, cells)))
 
 
 def _tops_carleson(tops: list[DyadicInterval], max_level: int) -> Fraction:
@@ -527,18 +608,9 @@ def _verify_rows(
     tops_carleson = _tops_carleson(tops, u.max_level)
     tops_carleson_ok = tops_carleson <= 4
 
-    # the blocks partition the support iff none is empty and the member
-    # rows are each support row once
-    n, n_blocks = len(u.support), len(tops)
-    partition_ok = bool(
-        np.bincount(block, minlength=n_blocks).all()
-        and len(rows) == n
-        and (rows >= 0).all()
-        and (np.bincount(rows, minlength=n) == 1).all()
+    partition_ok, blocks_ok, norms, sups, inside = _block_stats(
+        u, p, rows, block, tops, tops_in_blocks, grid
     )
-    blocks_ok = partition_ok and _blocks_closed(rows, block, n_blocks, grid.parent)
-
-    norms, sups, inside = _block_stats(u, p, rows, block, tops)
     tops_ok = tops_in_blocks and bool(inside.all())
 
     norm_p_p = norm_p**p

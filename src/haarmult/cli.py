@@ -34,6 +34,7 @@ from .errors import (
 from .haar import (
     _MAX_LEVEL,
     HaarExpansion,
+    _check_q,
     _pow,
     _square_measures,
     _support_grid,
@@ -207,11 +208,13 @@ def _h2_sides(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of ||phi.u_i||_2^2 = sum_{I in G_i} |phi_I|^2 |x_I|^2 |I|
     on every block of dv (built by `decompose` on uv), phi drawn block after
-    block; the left sides from the verifier's block pass over phi * uv."""
+    block; the left sides from the verifier's block pass over phi * uv, on
+    the product's grid. A zero phi drops its row from the product, so dv no
+    longer partitions its support and each block sums on its own grid."""
     phi = np.empty(len(uv.support))
     phi[np.concatenate(dv._rows())] = rng.uniform(-1, 1, len(phi))
     product = multiply(dict(zip(uv.support, phi.tolist())), uv)
-    lhs = _block_stats(product, 2.0, *_member_rows(product, dv)[:3])[0]
+    lhs = _block_stats(product, 2.0, *_member_rows(product, dv), _support_grid(product))[2]
     terms = _pow(np.abs(phi), 2.0) * _square_measures(uv)
     return np.array(lhs), np.bincount(dv._block, terms, len(dv._top_rows))
 
@@ -219,8 +222,7 @@ def _h2_sides(
 class _Check:
     """Aggregates one named check across trials."""
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.trials = 0
         self.failures: list[dict] = []
         self.extremes: dict[str, float] = {}
@@ -271,12 +273,15 @@ def run_verification(
     route when dimension > 1. Each trial decomposes u, |u|^(q/2) and uv
     once, and every later step reads that decomposition's report, block
     rows and weights, and the vector h2 identity its block pass (`_h2_sides`).
+    A q outside (0, inf) raises ValueError before the first trial.
     """
+    if q is not None:
+        _check_q(q)
     checks: dict[str, _Check] = {}
 
     def check(name: str) -> _Check:
         if name not in checks:
-            checks[name] = _Check(name)
+            checks[name] = _Check()
         return checks[name]
 
     def check_weights(

@@ -28,11 +28,12 @@ On both `_cells` is a tree prefix sum, coarsest level first: each row's
 running sum is its parent's plus its own value, and each cell reads its
 owner's, in K (n + cells) work for K batch rows. Only
 `atomic._majority_cover` reads the layout (the cells' edges in
-left-to-right order); every other caller just sums over the cells.
-`_block_cells` is `_cells` for many blocks at once, each on its own grid,
-for the block statistics of a decomposition, and `_product_norms` the norms
-of many products phi_k * u of one expansion, for the multiplier checks,
-in batches of `_batch_rows(grid)` rows.
+left-to-right order); every other caller just sums over the cells. The
+block statistics of a decomposition run `_tree_sums` on the same grid
+with each block's own parent table (`atomic._block_stats`), and
+`_product_norms` gives the norms of many products phi_k * u of one
+expansion, for the multiplier checks, in batches of `_batch_rows(grid)`
+rows.
 A cell adds its intervals coarsest first, starting from 0.0, so its value
 is that of the leaf sums at its first leaf, and norms are length-weighted
 sums over the cells, so on the atom grid they agree with the leaf sums to
@@ -274,7 +275,7 @@ def _leaf_sums(u: HaarExpansion, values: np.ndarray) -> np.ndarray:
     """`_cells` of values at u's support rows on the leaf grid, whatever the
     support."""
     bounds = np.searchsorted(u.levels, np.arange(u.max_level + 2)).tolist()
-    return _tree_sums(bounds, *_paint(u.positions, bounds, [1] * (u.max_level + 1)), values)
+    return _tree_sums(bounds, *_paint(u.positions, bounds), values)
 
 
 def square_leaf_sums(u: HaarExpansion) -> np.ndarray:
@@ -356,7 +357,7 @@ class _Grid:
         self.edges = self.lengths = None
         n = len(levels)
         if not _on_atoms(n, max_level):
-            self.owner, self.parent = _paint(positions, self.bounds, [1] * (max_level + 1))
+            self.owner, self.parent = _paint(positions, self.bounds)
             return
         self.parent = parent = _nearest_ancestors(levels, positions)
         shift = max_level - levels
@@ -385,32 +386,22 @@ class _Grid:
         self.owner = at[:-1]
 
 
-def _paint(
-    index: np.ndarray, bounds: list[int], active: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
+def _paint(positions: np.ndarray, bounds: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """(the deepest row containing each leaf, each row's nearest ancestor),
-    -1 for none, for rows on the leaves of many blocks: `active[l]` blocks
-    are at least l levels deep, deepest first, and row j of level l (rows
-    `bounds[l]:bounds[l + 1]`) is node index[j] = k 2^l + position of the
-    k-th of them. Level by level, each row reads its parent in `own`, the
-    deepest row over each node so far, and paints itself there; then the
-    blocks as deep as the level leave `own` and the rest double onto the
-    next level, so the leaves come by depth, then in block order. One block
-    has `active` = [1] * (N + 1) and `index` = its positions."""
-    parent = np.empty(len(index), dtype=np.int64)
-    own = np.full(active[0], -1)
-    parts = []
-    for level, count in enumerate(active):
+    -1 for none, on the 2^N leaves of rows sorted by level: row j of level l
+    (rows `bounds[l]:bounds[l + 1]`, l = 0 .. N) is node positions[j] of its
+    level. Level by level, each row reads its parent in `own`, the deepest
+    row over each node so far, and paints itself there; then `own` doubles
+    onto the next level."""
+    parent = np.empty(len(positions), dtype=np.int64)
+    own = np.full(1, -1)
+    for level, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if level:
-            descending = count << (level - 1)
-            if descending < len(own):  # the blocks level - 1 deep leave; a copy frees `own`
-                parts.append(own[descending:].copy())
-            own = np.repeat(own[:descending], 2)
-        lo, hi = bounds[level], bounds[level + 1]
+            own = np.repeat(own, 2)
         if lo < hi:
-            parent[lo:hi] = own[index[lo:hi]]
-            own[index[lo:hi]] = np.arange(lo, hi)
-    return (np.concatenate(parts + [own]) if parts else own), parent
+            parent[lo:hi] = own[positions[lo:hi]]
+            own[positions[lo:hi]] = np.arange(lo, hi)
+    return own, parent
 
 
 def _tree_sums(
@@ -444,131 +435,10 @@ def _cells(grid: _Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | No
     return _tree_sums(grid.bounds, grid.owner, grid.parent, values), grid.lengths
 
 
-def _on_atoms(n: int | np.ndarray, max_level: int | np.ndarray) -> bool | np.ndarray:
+def _on_atoms(n: int, max_level: int) -> bool:
     """Whether `_cells` sums n intervals at max level N on the atoms:
-    (2n + 1)(N + 1) + 256 < 2^N, elementwise for arrays; the 256 stands for
-    the atoms' fixed cost."""
-    return (2 * n + 1) * (max_level + 1) + 256 < np.left_shift(1, max_level)
-
-
-def _leaf_cells(
-    depth: np.ndarray,
-    block: np.ndarray,
-    levels: np.ndarray,
-    positions: np.ndarray,
-    values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The leaf-grid `_cells` for many blocks at once, one `_paint` and one
-    `_tree_sums`: block b has 2^depth[b] leaves and the intervals
-    (levels[j], positions[j]) with block[j] == b, relative to its root.
-    Returns every block's leaf values, laid end to end, and where each
-    block's leaves start."""
-    if not len(depth):
-        return np.zeros(0), np.zeros(0, dtype=np.int64)
-    order = np.argsort(-depth, kind="stable")
-    rank = np.empty(len(depth), dtype=np.int64)
-    rank[order] = np.arange(len(depth))
-    # the number of blocks at least 0, 1, ... levels deep
-    deepest = int(depth[order[0]])
-    active = np.searchsorted(-depth[order], -np.arange(deepest + 1), side="right").tolist()
-    by_level = np.argsort(levels)
-    levels, values = levels[by_level], values[by_level]
-    bounds = np.searchsorted(levels, np.arange(deepest + 2)).tolist()
-    painted = _paint((rank[block[by_level]] << levels) + positions[by_level], bounds, active)
-    del by_level, levels  # row arrays freed before the tree sums hold every leaf twice
-    # the leaves hold the blocks by depth, then by their order in `order`
-    layout = np.argsort(depth, kind="stable")
-    sizes = np.left_shift(1, depth[layout])
-    start = np.empty(len(depth), dtype=np.int64)
-    start[layout] = np.cumsum(sizes) - sizes
-    return _tree_sums(bounds, *painted, values), start
-
-
-def _atom_cells(
-    depth: np.ndarray,
-    block: np.ndarray,
-    firsts: np.ndarray,
-    shifts: np.ndarray,
-    values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_cells` on the atoms for many blocks at once: block b spans
-    2^depth[b] leaves and holds the intervals [firsts[j], firsts[j] +
-    2^shifts[j]) in leaves with block[j] == b, relative to its root, each
-    block's in support order. Returns every block's atom values and lengths,
-    block after block, and the number of atoms of each block.
-
-    Each block's atoms are cut out by its own endpoints and its ends 0 and
-    2^depth. One `np.add.at` over the (interval, atom) pairs, in support
-    order, adds each atom's intervals coarsest first, starting from 0.0, as
-    `_cells` does."""
-    n_blocks, m = len(depth), len(block)
-    if not n_blocks:
-        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    ends = np.concatenate((np.zeros(n_blocks, dtype=np.int64), np.left_shift(1, depth)))
-    points = np.concatenate((ends, firsts, firsts + np.left_shift(1, shifts)))
-    owner = np.concatenate((np.arange(n_blocks), np.arange(n_blocks), block, block))
-    # an endpoint reaches 2^61, so (block, endpoint) does not fit one int64
-    # key; (block, the endpoint's rank among all endpoints) does
-    by_point = np.argsort(points)
-    sorted_points = points[by_point]
-    distinct = np.ones(len(points), dtype=bool)
-    distinct[1:] = sorted_points[1:] != sorted_points[:-1]
-    rank = np.empty(len(points), dtype=np.int64)
-    rank[by_point] = np.cumsum(distinct) - 1
-    keys, index = np.unique((owner << 32) | rank, return_inverse=True)
-    bound_owner = keys >> 32
-    bound_point = sorted_points[distinct][keys & 0xFFFFFFFF]
-    # atom a lies between bounds a and a + 1 when both are of one block
-    first = index[2 * n_blocks : 2 * n_blocks + m]
-    counts = index[2 * n_blocks + m :] - first
-    row = np.repeat(np.arange(m), counts)
-    atom = np.arange(len(row)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    acc = np.zeros(len(keys))
-    np.add.at(acc, atom, values[row])
-    within = bound_owner[1:] == bound_owner[:-1]
-    atoms = np.bincount(bound_owner[:-1][within], minlength=n_blocks)
-    return acc[:-1][within], np.diff(bound_point)[within], atoms
-
-
-def _block_cells(
-    depth: np.ndarray,
-    block: np.ndarray,
-    levels: np.ndarray,
-    positions: np.ndarray,
-    values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_cells` for many blocks at once, without batch axes: block b spans
-    2^depth[b] leaves and holds the intervals (levels[j], positions[j]) with
-    block[j] == b, relative to its own root, each block's in support order.
-    Returns (every cell's value, its length in leaves, each block's first
-    cell, each block's number of cells), the blocks' cells contiguous.
-
-    Each block gets the grid `_cells` picks for it alone, and every cell
-    value is bit for bit that of `_cells` on the block: the leaf-grid
-    blocks go through one `_leaf_cells`, the atom-grid blocks through one
-    `_atom_cells`."""
-    n_blocks = len(depth)
-    atoms = _on_atoms(np.bincount(block, minlength=n_blocks), depth)
-    leaf_blocks, atom_blocks = np.flatnonzero(~atoms), np.flatnonzero(atoms)
-    local = np.empty(n_blocks, dtype=np.int64)
-    local[leaf_blocks] = np.arange(len(leaf_blocks))
-    local[atom_blocks] = np.arange(len(atom_blocks))
-    on = atoms[block]  # the intervals of atom-grid blocks
-    leaf_values, leaf_start = _leaf_cells(
-        depth[leaf_blocks], local[block[~on]], levels[~on], positions[~on], values[~on]
-    )
-    shifts = depth[block[on]] - levels[on]
-    atom_values, atom_lengths, atom_count = _atom_cells(
-        depth[atom_blocks], local[block[on]], positions[on] << shifts, shifts, values[on]
-    )
-    first = np.empty(n_blocks, dtype=np.int64)
-    first[leaf_blocks] = leaf_start
-    first[atom_blocks] = len(leaf_values) + np.cumsum(atom_count) - atom_count
-    count = np.empty(n_blocks, dtype=np.int64)
-    count[leaf_blocks] = np.left_shift(1, depth[leaf_blocks])
-    count[atom_blocks] = atom_count
-    lengths = np.concatenate((np.ones(len(leaf_values), dtype=np.int64), atom_lengths))
-    return np.concatenate((leaf_values, atom_values)), lengths, first, count
+    (2n + 1)(N + 1) + 256 < 2^N; the 256 stands for the atoms' fixed cost."""
+    return (2 * n + 1) * (max_level + 1) + 256 < 1 << max_level
 
 
 def _cell_sum(terms: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:

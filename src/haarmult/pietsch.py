@@ -58,6 +58,7 @@ from .haar import (
     HaarExpansion,
     _batch_rows,
     _check_exponents,
+    _check_q,
     _Grid,
     _hp_norm,
     _pow,
@@ -107,8 +108,11 @@ class MultiplierReport:
 
 
 def validate_measure(m: PietschMeasure, u: HaarExpansion) -> bool:
-    """Invariants: weights nonnegative, total <= 1, support inside u's; a NaN
-    weight fails."""
+    """Invariants: normalizer in [1, inf), exponent in (0, inf), weights
+    nonnegative, total <= 1, support inside u's; a NaN weight, normalizer or
+    exponent fails."""
+    if not (1.0 <= m.normalizer < math.inf and 0.0 < m.exponent < math.inf):
+        return False
     weights = np.fromiter(m.weights.values(), float, len(m.weights))
     if not (weights >= 0).all():
         return False
@@ -249,6 +253,8 @@ def check_multiplier_bounds(
     Returns the K reports, each bit for bit that of the single check; K = 0
     gives [] after the argument checks.
 
+    A measure with a normalizer outside [1, inf) or an exponent outside
+    (0, inf) raises ValueError right after the key check, before any work.
     The key check, the weights, ||u|| and C are computed once per batch;
     weights in support order are read in one pass with no key hashed
     (`haar._support_rows`), and any other measure by key. The
@@ -260,6 +266,9 @@ def check_multiplier_bounds(
     ordered = _support_order(m.weights, u)
     if not (ordered or m.weights.keys() <= u.coeffs.keys()):
         raise ValueError("measure does not match the expansion")
+    if not 1.0 <= m.normalizer < math.inf:  # NaN included
+        raise ValueError(f"measure normalizer must lie in [1, inf), got {m.normalizer}")
+    _check_q(m.exponent)  # the summing exponent, 2 or the q of the route
     s = m.exponent
     if q is not None and abs(s - q) > 1e-12:
         raise ValueError(f"measure exponent {s} does not match q={q}")

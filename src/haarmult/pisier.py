@@ -139,8 +139,9 @@ def verify_factorization(u: HaarExpansion, f: Factorization) -> bool:
     """Product identity |u_I| = |x_I|^(1-theta) |y_I|^theta on the support
     (relative tolerance 1e-10) and the unit bound on the y factor. A power
     past the float range (a theta outside (0, 1) can make one) fails the
-    check: its side would be infinite."""
-    if not _matches(f, u):
+    check: its side would be infinite. So does a q outside (0, inf), where
+    the unit bound is no norm (`haar._check_q`)."""
+    if not (_matches(f, u) and 0.0 < f.q < math.inf):
         return False
     x, y = (np.abs(_support_rows(factor, u)) for factor in (f.x, f.y))
     try:
@@ -175,7 +176,8 @@ def x0_norm_estimate(
 
     All of these must hold for every candidate; a violation raises
     VerificationError. A sampled candidate whose q-norm leaves the float
-    range (raw magnitudes reach 10^3) raises OverflowError.
+    range (raw magnitudes reach 10^3) raises OverflowError. r needs
+    f.p > 1: a smaller p raises ValueError after the other argument checks.
 
     The candidates run in blocks of `haar._batch_rows` rows on u's grid,
     drawn block by block from one stream, so memory stays bounded however
@@ -207,6 +209,8 @@ def _x0_norm_estimate(
     if not _isclose(expected, y_vec, 1e-9, 1e-300).all():
         raise ValueError("factorization does not match the expansion")
     p, q, th = f.p, f.q, f.theta
+    if not p > 1:  # NaN included; r below needs it
+        raise ValueError(f"p must exceed 1, got {p}")
     r = p * (q - 1.0) / (p - 1.0)
     norm_u = _tl_norm(u, p, q, grid)
     cap = measure.normalizer ** (1.0 / p) * norm_u

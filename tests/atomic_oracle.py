@@ -3,10 +3,12 @@ assembly, kept from the per-interval code that the block rows replaced: the
 set-based partition and tops loop, the block statistics with their own row
 lookup and their dense leaf sums, and the weights written one interval at a
 time through the squared length of each coefficient; `block_stats`, the
-block statistics one `_cells` call per block, which the batched pass over
-all blocks replaced; and `sup_square`, the dense leaf maximum of the square
-function. The tests compare the library against them; they are slow and not
-part of the package.
+block statistics one `_cells` call per block, each block on its own grid,
+which the pass on the support's grid replaced for clean decompositions and
+which stays the library's path for every other; `is_clean`, which
+decompositions take that pass; and `sup_square`, the dense leaf maximum of
+the square function. The tests compare the library against them; they are
+slow and not part of the package.
 """
 
 import math
@@ -15,8 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from haarmult import IntervalFamily, PietschMeasure, carleson_constant, is_block
-from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, appendix_constant
-from haarmult.haar import _cell_sum, hp_norm, square_function
+from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, _block_stats, _member_rows
+from haarmult.atomic import appendix_constant
+from haarmult.haar import _cell_sum, _support_grid, hp_norm, square_function
 
 import haar_oracle
 
@@ -68,6 +71,47 @@ def block_stats(u, top, rows, p):
     )
     norm_p_p = float(_cell_sum(local ** (p / 2.0), lengths)) * 2.0 ** (-u.max_level)
     return norm_p_p, math.sqrt(float(local.max())), all_inside
+
+
+# The relative tolerance of a block norm summed on the support's grid
+# against the block's own grid: where one is the leaves and the other the
+# atoms, the same values sum over other cells, so only the rounding
+# differs; twice the pairwise-sum bound 61 * 2^-53 at 2^61 cells.
+BLOCK_NORM_RTOL = 122 * 2.0**-53
+
+
+def is_clean(u, dec):
+    """Whether dec's blocks partition u's support, each a block relative to
+    it (`is_block`) whose top is a member containing it: the decompositions
+    whose statistics the library sums on the support's grid."""
+    members = [interval for block, _ in dec.pieces for interval in block]
+    if sorted(members) != list(u.support):
+        return False
+    support = u.support_family()
+    return all(
+        top in block and all(map(top.contains, block)) and is_block(block, support)
+        for block, top in dec.pieces
+    )
+
+
+def assert_block_stats(u, dec, p):
+    """`atomic._block_stats` of dec against `block_stats` per block: sups
+    and inside verdicts exactly equal, and norms too on the per-block path;
+    on a clean decomposition, summed on u's grid, the norms within
+    BLOCK_NORM_RTOL. Returns `is_clean(u, dec)`."""
+    rows, block, tops, tops_in_blocks = _member_rows(u, dec)
+    grid = _support_grid(u)
+    _, _, norms, sups, inside = _block_stats(u, p, rows, block, tops, tops_in_blocks, grid)
+    want = [block_stats(u, top, rows[block == b], p) for b, top in enumerate(tops)]
+    assert sups.tolist() == [sup for _, sup, _ in want]
+    assert inside.tolist() == [verdict for _, _, verdict in want]
+    want_norms = [norm for norm, _, _ in want]
+    clean = is_clean(u, dec)
+    if clean:
+        np.testing.assert_allclose(norms, want_norms, rtol=BLOCK_NORM_RTOL, atol=0)
+    else:
+        assert norms == want_norms
+    return clean
 
 
 def verify_decomposition(u, p, dec):

@@ -30,6 +30,8 @@ def multiply(phi, u):
 
 def validate_measure(m, u):
     """The verdict of `haarmult.validate_measure`."""
+    if not (1 <= m.normalizer < math.inf and 0 < m.exponent < math.inf):
+        return False
     if not all(w >= 0 for w in m.weights.values()):
         return False
     if not m.total() <= 1.0 + _SUM_TOL:
@@ -41,6 +43,12 @@ def check_multiplier_bound(u, p, phi, m, q=None):
     """The report of `haarmult.check_multiplier_bound`, field for field."""
     if not all(interval in u.coeffs for interval in m.weights):
         raise ValueError("measure does not match the expansion")
+    if not 1 <= m.normalizer < math.inf:
+        raise ValueError(f"measure normalizer must lie in [1, inf), got {m.normalizer}")
+    if not m.exponent > 0:
+        raise ValueError(f"q must be positive, got {m.exponent}")
+    if m.exponent == math.inf:
+        raise ValueError(f"q must be finite, got {m.exponent}")
     s = m.exponent
     if q is not None and abs(s - q) > 1e-12:
         raise ValueError(f"measure exponent {s} does not match q={q}")

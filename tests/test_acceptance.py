@@ -45,7 +45,7 @@ from haarmult import (
     weights_vector,
     x0_norm_estimate,
 )
-from haarmult.atomic import _block_stats, _decompose, _member_rows, _stopping_time
+from haarmult.atomic import _decompose, _stopping_time
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves, _nearest_ancestors
 from haarmult.haar import (
@@ -889,49 +889,52 @@ class TestBlockRowOracles:
                 _assert_same_measure(got, atomic_oracle.assemble(tiny, p, dec, 2.0))
 
 
-def _assert_stats_match_oracle(u, dec, p):
-    """The batched block statistics of dec against one `_cells` call per
-    block, exactly equal for every block."""
-    rows, block, tops, _ = _member_rows(u, dec)
-    norms, sups, inside = _block_stats(u, p, rows, block, tops)
-    want = [
-        atomic_oracle.block_stats(u, top, rows[block == b], p)
-        for b, top in enumerate(tops)
-    ]
-    assert list(zip(norms, sups.tolist(), inside.tolist())) == want
-
-
 class TestBlockStatsOracle:
-    """The one batched pass over all blocks against the per-block `_cells`
-    calls it replaced: norm_p^p, sup and the inside verdict of every block,
-    bit for bit, on the leaf grid and on the atoms."""
+    """The block statistics against one `_cells` call per block on the
+    block's own grid: the sup and the inside verdict of every block bit for
+    bit, and norm_p^p too on the per-block path of a corrupt decomposition;
+    on a clean one, summed on the support's grid, norm_p^p within
+    `atomic_oracle.BLOCK_NORM_RTOL`. On the leaf grid and on the atoms."""
 
     def test_pools(self, scalar_pool, vector_pool, scalar_results, vector_results):
         for i, u in enumerate(scalar_pool):
             p = HP_PS[i % len(HP_PS)]
-            _assert_stats_match_oracle(u, scalar_results[i, p][0], p)
+            atomic_oracle.assert_block_stats(u, scalar_results[i, p][0], p)
         for i, u in enumerate(vector_pool):
             p = HP_PS[i % len(HP_PS)]
-            _assert_stats_match_oracle(u, vector_results[i, p][0], p)
+            atomic_oracle.assert_block_stats(u, vector_results[i, p][0], p)
 
     def test_reembedded_and_scaled_pools(self, scalar_pool, vector_pool):
         for i, u in enumerate(scalar_pool[:250] + vector_pool[:250]):
             p = HP_PS[i % len(HP_PS)]
             deep = _deeper(u)
-            _assert_stats_match_oracle(deep, _row_decomposition(deep), p)
+            atomic_oracle.assert_block_stats(deep, _row_decomposition(deep), p)
             # at the top of the range a block's sum of squares can overflow,
             # so the scaled pools take p from 0.5 to 1.25
             lo, hi = _normal_scales(u)
             for j in (lo, hi):
                 scaled = _scaled(u, j)
-                _assert_stats_match_oracle(scaled, _row_decomposition(scaled), p / 2 + 0.25)
+                atomic_oracle.assert_block_stats(scaled, _row_decomposition(scaled), p / 2 + 0.25)
+
+    def test_pieces_copy_of_clean_decomposition(self, scalar_pool, vector_pool):
+        # pieces that pass the clean conditions take the pass on the
+        # support's grid, as the row form does, with the same report
+        for i, u in enumerate(scalar_pool[:100] + vector_pool[:100]):
+            p = HP_PS[i % len(HP_PS)]
+            for v in (u, _deeper(u)):
+                dec = decompose(v, p)
+                copy = AtomicDecomposition(dec.pieces, dec.max_level, dec.dimension)
+                assert copy._support is None and dec._support is not None
+                assert atomic_oracle.assert_block_stats(v, copy, p)
+                report = verify_decomposition(v, p, dec)
+                _assert_same_report(verify_decomposition(v, p, copy), report)
 
     def test_corrupt_decompositions(self, scalar_pool, vector_pool):
         # strays outside the support, an empty block, moved, dropped and
         # duplicated members, wrong and shared tops, and two blocks merged;
         # each also on u re-embedded, where the blocks' grid is the atoms
         rng = np.random.default_rng(6161)
-        kinds = set()
+        kinds = {}
         for u in scalar_pool[:150] + vector_pool[:150]:
             dec = decompose(u, 1.0)
             if len(dec.pieces) < 2:
@@ -948,12 +951,15 @@ class TestBlockStatsOracle:
             ]
             deep = _deeper(u)
             for kind, bad in candidates:
-                kinds.add(kind)
                 deep_bad = AtomicDecomposition(bad.pieces, deep.max_level, deep.dimension)
                 for p in (0.5, 1.5):
-                    _assert_stats_match_oracle(u, bad, p)
-                    _assert_stats_match_oracle(deep, deep_bad, p)
-        assert {"outside", "empty", "merged"} <= kinds
+                    clean = atomic_oracle.assert_block_stats(u, bad, p)
+                    assert atomic_oracle.assert_block_stats(deep, deep_bad, p) == clean
+                    kinds.setdefault(kind, set()).add(clean)
+        # a broken partition or top always takes the per-block path
+        broken = {"outside", "empty", "dropped", "duplicated", "wrong top", "shared top"}
+        assert all(kinds[kind] == {False} for kind in broken)
+        assert False in kinds["merged"]
 
 
 def _outcome(fn, *args, **kwargs):

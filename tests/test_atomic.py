@@ -267,12 +267,11 @@ class TestDepthLimit:
         assert verify_decomposition(u, 1.0, dec).passed
         depths = [61 - top.level for top in dec.tops()]
         assert sum(depth >= 11 for depth in depths) >= 4
-        rows, block, tops, _ = atomic._member_rows(u, dec)
-        norms, sups, inside = atomic._block_stats(u, 1.0, rows, block, tops)
-        assert list(zip(norms, sups.tolist(), inside.tolist())) == [
-            atomic_oracle.block_stats(u, top, rows[block == b], 1.0)
-            for b, top in enumerate(tops)
-        ]
+        assert atomic_oracle.assert_block_stats(u, dec, 1.0)
+        # without its first block dec no longer partitions the support, so
+        # the rest take the per-block path, each on its own grid
+        rest = AtomicDecomposition(dec.pieces[1:], 61, 1)
+        assert not atomic_oracle.assert_block_stats(u, rest, 1.0)
         assert 0 < weights_hp(u, 1.0).total() <= 1 + 1e-12
 
     def test_level_62_raises(self):
@@ -411,6 +410,33 @@ class TestCallCounts:
         assert haar._support_grid(u).lengths is None
         # a stopping time per decomposition, hp_norm per verification
         assert self._counts(monkeypatch, u) == (0, 5)
+
+    @pytest.mark.parametrize("max_level", [10, 22])
+    def test_one_grid_per_verification(self, monkeypatch, max_level):
+        # a clean decomposition, in row form or as pieces, sums its blocks
+        # on the one grid of u's support: no grid and no `_cells` call per
+        # block; a corrupt one sums each block on its own grid
+        leaf = random_scalar(np.random.default_rng(46), 10, density=0.5)
+        u = HaarExpansion(max_level, 1, leaf.coeffs)
+        dec = decompose(u, 1.0)
+        copy = AtomicDecomposition(dec.pieces, max_level, 1)
+        corrupt = AtomicDecomposition(dec.pieces[1:], max_level, 1)
+        grids, own = [], []
+        init = haar._Grid.__init__
+        monkeypatch.setattr(
+            haar._Grid, "__init__", lambda grid, *args: grids.append(args) or init(grid, *args)
+        )
+        own_cells = atomic._own_cells
+        monkeypatch.setattr(
+            atomic, "_own_cells", lambda *args: own.append(args) or own_cells(*args)
+        )
+        for clean in (dec, copy):
+            grids.clear()
+            assert verify_decomposition(u, 1.0, clean).passed
+            assert (len(grids), own) == (1, [])
+        grids.clear()
+        assert not verify_decomposition(u, 1.0, corrupt).passed
+        assert len(own) == 1 and len(grids) == 1 + len(corrupt.pieces)
 
     def test_decompose_verify_and_weights_on_atoms(self, monkeypatch):
         # the same u 12 levels deeper, on the atoms: one ancestor search per

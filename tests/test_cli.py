@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarmult import DyadicInterval, ExpansionFormatError, HaarExpansion, atomic
+from haarmult import DyadicInterval, ExpansionFormatError, HaarExpansion, atomic, cli
 from haarmult import factorize, h2_measure, hp_norm, l2_norm, multiply, pietsch
 from haarmult import x0_norm_estimate
 from haarmult.atomic import _decompose
@@ -479,6 +479,15 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: q must be finite, got inf\n"
 
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_bad_q_refused_before_first_trial(self, capsys, monkeypatch, q):
+        drawn = count_calls(monkeypatch, cli, "_trial_expansion")
+        code = main(["verify", "--p", "1", "--q", q, "--trials", "1", "--max-level", "3"])
+        assert code == 2
+        assert drawn == []
+        message = "finite" if q == "inf" else "positive"
+        assert capsys.readouterr().err == f"error: q must be {message}, got {q}\n"
+
     def test_tiny_density_input_error(self, capsys):
         code = main(["verify", "--density", "1e-9", "--max-level", "2", "--trials", "1"])
         assert code == 2
@@ -638,3 +647,18 @@ class TestVectorH2Identity:
             draws[: len(dv._rows()[0])] = 0.0  # the first block, drawn first
             draws[rng.choice(n, n // 3, replace=False)] = 0.0
             assert self._compare(uv, dv, (_Stream(draws), _Stream(draws)))
+
+    def test_exact_zero_phi_sums_each_block_alone(self, monkeypatch):
+        # with every phi nonzero the product's blocks are dv's, clean, and
+        # sum on the product's grid; a zero phi takes the per-block path
+        own = count_calls(monkeypatch, atomic, "_own_cells")
+        for k, (d, level, density) in enumerate(self.CONFIGS):
+            uv = _trial_expansion(200 + k, 0, level, d, density)
+            dv, _ = _decompose(uv, 1.0, _support_grid(uv))
+            draws = np.random.default_rng(k).uniform(0.5, 1.0, len(uv.support))
+            assert self._compare(uv, dv, (_Stream(draws), _Stream(draws)))
+            assert own == []
+            draws[k % len(draws)] = 0.0
+            assert self._compare(uv, dv, (_Stream(draws), _Stream(draws)))
+            assert len(own) == 1
+            own.clear()

@@ -1,7 +1,7 @@
 """The support grid of `haar`: its parent tables, searched and painted, and
 its tree prefix cell sums against the search, the slice paint and the sums
-they replaced (`dyadic_oracle`, `haar_oracle`), the layout of the cell sums
-and of the leaf-grid blocks, and one grid per public call."""
+they replaced (`dyadic_oracle`, `haar_oracle`), the layout of the cell sums,
+and one grid per public call."""
 
 from collections import Counter
 
@@ -27,7 +27,7 @@ from haarmult import (
 )
 from haarmult import haar, pietsch
 from haarmult.dyadic import _nearest_ancestors
-from haarmult.haar import _cell_sum, _cells, _Grid, _leaf_cells, _paint, _support_grid
+from haarmult.haar import _cell_sum, _cells, _Grid, _paint, _support_grid
 
 import dyadic_oracle
 import haar_oracle
@@ -103,15 +103,14 @@ class TestParentTable:
 
 class TestPaint:
     """The leaf grid's one level-by-level paint against the ancestor search
-    and the per-row slice paint, and the multi-block layout of
-    `_leaf_cells`."""
+    and the per-row slice paint."""
 
     @settings(max_examples=300, deadline=None)
     @given(supports(max_level=st.integers(0, 11), size=st.integers(0, 80)))
     def test_matches_search_and_slice_paint(self, support):
         top, levels, positions = support
         bounds = np.searchsorted(levels, np.arange(top + 2)).tolist()
-        owner, parent = _paint(positions, bounds, [1] * (top + 1))
+        owner, parent = _paint(positions, bounds)
         assert parent.tolist() == _nearest_ancestors(levels, positions).tolist()
         assert parent.tolist() == dyadic_oracle.heap_ancestors(levels, positions).tolist()
         assert owner.tolist() == haar_oracle.leaf_owners(top, levels, positions).tolist()
@@ -124,25 +123,6 @@ class TestPaint:
         assert np.array_equal(
             grid.owner, haar_oracle.leaf_owners(u.max_level, u.levels, u.positions)
         )
-
-    def test_multi_block_layout(self):
-        # blocks of depths 2, 0, 3, 2: laid out by depth, then in block
-        # order, so block 1 (1 leaf) comes first, then blocks 0 and 3 (4
-        # leaves each), then block 2 (8 leaves)
-        depth = np.array([2, 0, 3, 2])
-        rows = [(0, 0, 0, 1.0), (0, 2, 1, 0.5), (1, 0, 0, 2.0), (2, 1, 1, 3.0),
-                (2, 3, 6, 0.25), (3, 1, 0, -1.0), (3, 2, 3, 4.0)]
-        block, levels, positions, values = (np.array(c) for c in zip(*rows))
-        cells, start = _leaf_cells(depth, block, levels, positions, values)
-        assert start.tolist() == [1, 0, 9, 5]
-        assert len(cells) == 17
-        for b in range(len(depth)):
-            mine = block == b
-            want = haar_oracle.push_down(
-                int(depth[b]), levels[mine], positions[mine], values[mine]
-            )
-            got = cells[start[b] : start[b] + (1 << int(depth[b]))]
-            assert got.tobytes() == want.tobytes()
 
 
 class TestTreeCellSums:

@@ -3,6 +3,7 @@ level-2 block measures."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,6 +284,49 @@ class TestValidateMeasure:
         u = scalar(1, {(0, 0): 1.0})
         bad = PietschMeasure(weights={iv(1, 1): 0.5}, normalizer=1.0, exponent=2.0)
         assert not validate_measure(bad, u)
+
+
+class TestMeasureParameters:
+    """A measure's normalizer must lie in [1, inf) and its exponent in
+    (0, inf): otherwise `validate_measure` is False and the multiplier
+    checks raise ValueError after the key check, before any work."""
+
+    U = scalar(1, {(0, 0): 1.0, (1, 0): 0.5})
+
+    def _refused(self, monkeypatch, m, message):
+        assert not validate_measure(m, self.U)
+        grids = []
+        monkeypatch.setattr(pietsch, "_support_grid", lambda u: grids.append(u))
+        phi = dict(zip(self.U.support, [0.5, -1.0]))
+        with pytest.raises(ValueError, match=message):
+            check_multiplier_bound(self.U, 1.5, phi, m)
+        with pytest.raises(ValueError, match=message):
+            check_multiplier_bounds(self.U, 1.5, np.ones((3, 2)), m)
+        assert grids == []
+
+    @pytest.mark.parametrize("normalizer", [-1.0, 0.0, 0.5, math.inf, math.nan])
+    def test_normalizer(self, monkeypatch, normalizer):
+        m = replace(weights_hp(self.U, 1.5), normalizer=normalizer)
+        self._refused(monkeypatch, m, r"normalizer must lie in \[1, inf\)")
+
+    @pytest.mark.parametrize(
+        "exponent, message",
+        [(0.0, "positive"), (-2.0, "positive"), (math.nan, "positive"), (math.inf, "finite")],
+    )
+    def test_exponent(self, monkeypatch, exponent, message):
+        m = replace(weights_hp(self.U, 1.5), exponent=exponent)
+        self._refused(monkeypatch, m, f"q must be {message}")
+
+    def test_key_check_comes_first(self):
+        m = replace(weights_hp(self.U, 1.5), normalizer=-1.0)
+        foreign = replace(m, weights={**m.weights, iv(1, 1): 0.0})
+        with pytest.raises(ValueError, match="does not match the expansion"):
+            check_multiplier_bounds(self.U, 1.5, np.ones((1, 2)), foreign)
+
+    def test_range_ends(self):
+        m = weights_hp(self.U, 1.5)
+        for normalizer, exponent in [(1.0, 2.0), (1e300, 2.0), (1.0, 1e-300), (1.0, 1e300)]:
+            assert validate_measure(replace(m, normalizer=normalizer, exponent=exponent), self.U)
 
 
 class TestExtremeScale:

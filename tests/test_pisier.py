@@ -4,6 +4,7 @@ second factor, and the sampled lattice-norm machinery."""
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from haarmult import (
     verify_decomposition,
     verify_factorization,
     weights_hp,
+    weights_tl,
     x0_norm_estimate,
 )
 from haarmult import VerificationError, haar, pietsch, pisier
@@ -170,6 +172,33 @@ class TestVerifyFactorization:
             q=f.q,
         )
         assert not verify_factorization(u, bad)
+
+
+class TestFactorizationExponents:
+    """A hand-built factorization with q outside (0, inf) fails
+    `verify_factorization`, and the lattice estimate refuses p <= 1 after
+    its other argument checks."""
+
+    U = scalar(0, {(0, 0): 1.0})
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan, 0.0, -3.0])
+    def test_q_outside_range_fails(self, q):
+        f = Factorization(x={iv(0, 0): 0.2}, y={iv(0, 0): 5.0}, theta=0.5, p=1.5, q=q)
+        assert not verify_factorization(self.U, f)
+        assert not verify_factorization(self.U, replace(f, y={iv(0, 0): 1.0}, x={iv(0, 0): 1.0}))
+        assert not verify_factorization(self.U, replace(f, q=3.0))  # y breaks the unit bound
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_p_at_most_one_refused(self, p):
+        # y matches the weights at p, so only r = p(q-1)/(p-1) is left
+        u = scalar(1, {(0, 0): 1.0, (1, 0): 0.5})
+        f = factorize(u, 1.5, 3.0)
+        m = weights_tl(u, p, 3.0)
+        y = {i: (w * 2.0**i.level) ** (1.0 / 3.0) for i, w in m.weights.items()}
+        with pytest.raises(ValueError, match=f"p must exceed 1, got {p}"):
+            x0_norm_estimate(replace(f, y=y, p=p), u, 4)
+        with pytest.raises(ValueError, match="q must be finite"):
+            x0_norm_estimate(replace(f, y=y, p=p, q=math.inf), u, 4)
 
 
 class TestLatticeNormEstimate:

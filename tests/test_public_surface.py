@@ -62,6 +62,9 @@ PUBLIC = [
 REMOVED = [
     ("dyadic", "generation_decay_check"),
     ("dyadic", "maximal_intervals"),
+    ("haar", "_atom_cells"),
+    ("haar", "_block_cells"),
+    ("haar", "_leaf_cells"),
     ("haar", "evaluate_haar"),
     ("haar", "push_down"),
 ]
