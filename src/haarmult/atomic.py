@@ -16,9 +16,12 @@ still re-checked on every output; `decompose` refuses to return an
 unverified decomposition. A decomposition built here is kept in row form:
 one block id per support row and the support row of each block's top.
 The verifier, the weights in `pietsch` and the CLI's h2 check read that
-form, and `pieces` is a view of it. `_verify_rows` is the one verification
-core: a decomposition given as pieces is mapped onto the support rows once
-(`_member_rows`) and checked the same way.
+form, and `pieces` is a view of it; each that needs a block's rows
+together takes them from one sort, `_block_order`. The h2 check passes
+the squares of phi * u to the verifier's block pass on u's own grid.
+`_verify_rows` is the one verification core: a decomposition given as
+pieces is mapped onto the support rows once (`_member_rows`) and checked
+the same way.
 
 Every function of the square sums runs on the grid of u's support
 (`haar._Grid`), built once per public call and shared by the stopping time,
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple
@@ -73,6 +76,16 @@ _ROUNDING_RTOL = 1e-12
 class AtomicPiece(NamedTuple):
     block: IntervalFamily
     top: DyadicInterval
+
+
+def _block_order(block: np.ndarray, n_blocks: int) -> tuple[np.ndarray, list[int]]:
+    """The indices of `block` sorted by block, ascending within each, and
+    where each of the `n_blocks` blocks' runs ends in that order: block b's
+    indices are `order[ends[b - 1]:ends[b]]` (from 0 for b = 0)."""
+    # distinct keys sort as a stable sort of the block ids would, in a
+    # fraction of its time
+    order = np.argsort(block * len(block) + np.arange(len(block)))
+    return order, np.cumsum(np.bincount(block, minlength=n_blocks)).tolist()
 
 
 class AtomicDecomposition:
@@ -118,27 +131,18 @@ class AtomicDecomposition:
     def __reduce__(self) -> tuple:
         return AtomicDecomposition, (self.pieces, self.max_level, self.dimension)
 
-    def _rows(self) -> list[np.ndarray]:
-        """The support rows of each block, ascending; row form only."""
-        block = self._block
-        sizes = np.bincount(block, minlength=len(self._top_rows))
-        # distinct keys sort the rows by block, then ascending, as a stable
-        # sort of the block ids would, in a fraction of its time
-        order = np.argsort(block * len(block) + np.arange(len(block)))
-        return np.split(order, np.cumsum(sizes)[:-1])
-
     @property
     def pieces(self) -> tuple[AtomicPiece, ...]:
         if self._pieces is None:
             support = self._support
+            order, ends = _block_order(self._block, len(self._top_rows))
+            members = list(map(support.__getitem__, order.tolist()))
             pieces = tuple(
                 AtomicPiece(
-                    IntervalFamily._from_sorted(
-                        tuple(map(support.__getitem__, rows.tolist())), self.max_level
-                    ),
+                    IntervalFamily._from_sorted(tuple(members[lo:hi]), self.max_level),
                     support[top],
                 )
-                for rows, top in zip(self._rows(), self._top_rows.tolist())
+                for lo, hi, top in zip([0] + ends, ends, self._top_rows.tolist())
             )
             object.__setattr__(self, "_pieces", pieces)
         return self._pieces
@@ -194,21 +198,12 @@ class DecompositionReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "partition_ok": self.partition_ok,
-            "blocks_ok": self.blocks_ok,
-            "tops_ok": self.tops_ok,
-            "tops_carleson": float(self.tops_carleson),
-            "tops_carleson_ok": self.tops_carleson_ok,
-            "chain_lower_ok": self.chain_lower_ok,
-            "chain_middle_ok": self.chain_middle_ok,
-            "lower_constant": self.lower_constant,
-            "norm_p": self.norm_p,
-            "block_norm_sum_p": self.block_norm_sum_p,
-            "top_bound_sum": self.top_bound_sum,
-            "observed_ratio": self.observed_ratio,
-            "passed": self.passed,
-        }
+        """The fields in order, the Carleson constant as a float, then
+        `passed`."""
+        out = {field.name: getattr(self, field.name) for field in fields(self)}
+        out["tops_carleson"] = float(self.tops_carleson)
+        out["passed"] = self.passed
+        return out
 
 
 def _majority_cover_levels(omega: np.ndarray, max_level: int) -> np.ndarray:
@@ -390,13 +385,16 @@ def _block_stats(
     tops: list[DyadicInterval],
     tops_in_blocks: bool,
     grid: _Grid,
+    squares: np.ndarray,
 ) -> tuple[bool, bool, list[float], np.ndarray, np.ndarray]:
     """The blocks of a decomposition on u's support rows, as `_member_rows`
-    gives them, checked and measured on `grid`, the grid of u's support:
-    (whether the blocks partition the support, whether each is also a block
-    relative to the support, and per block b: norm_p^p, the sup of its
-    square function, whether every supported member lies inside its top
-    `tops[b]`). No top is finer than `u.max_level`.
+    gives them, checked and measured on `grid`, the grid of u's support,
+    with `squares[j]` as the coefficient square of support row j (u.squares,
+    or those of a product phi * u, zero rows kept): (whether the blocks
+    partition the support, whether each is also a block relative to the
+    support, and per block b: norm_p^p, the sup of its square function,
+    whether every supported member lies inside its top `tops[b]`). No top
+    is finer than `u.max_level`.
 
     A block relative to the support has exactly one row with no support
     parent (`grid.parent`) or a parent in another block (`dyadic.is_block`,
@@ -440,12 +438,12 @@ def _block_stats(
     if not n_blocks:
         return partition_ok, blocks_ok, [], np.zeros(0), all_inside
     if blocks_ok and tops_in_blocks and inside.all():
-        cells, lengths, sizes = _tree_cells(grid, row_block, head, u.squares)
+        cells, lengths, sizes = _tree_cells(grid, row_block, head, squares)
     else:
         rows, block, levels = rows[inside], block[inside], levels[inside]
         positions = positions[inside] - (top_positions[block] << levels)
         cells, lengths, sizes = _own_cells(
-            u.max_level - top_levels, block, levels, positions, u.squares[rows]
+            u.max_level - top_levels, block, levels, positions, squares[rows]
         )
     offsets = np.cumsum(sizes) - sizes
     terms = cells ** (p / 2.0)
@@ -514,10 +512,10 @@ def _own_cells(
     positions[j]) with block[j] == b, relative to its top, each block's in
     support order. Returns (the cell values, block after block, their
     lengths in leaves, each block's number of cells)."""
-    order = np.argsort(block, kind="stable")
-    bounds = np.cumsum(np.bincount(block, minlength=len(depth)))[:-1]
+    order, ends = _block_order(block, len(depth))
     cells, lengths = [], []
-    for own, rows in zip(depth.tolist(), np.split(order, bounds)):
+    for own, lo, hi in zip(depth.tolist(), [0] + ends, ends):
+        rows = order[lo:hi]
         values_b, lengths_b = _cells(_Grid(own, levels[rows], positions[rows]), values[rows])
         cells.append(values_b)
         lengths.append(np.ones(len(values_b), dtype=np.int64) if lengths_b is None else lengths_b)
@@ -609,7 +607,7 @@ def _verify_rows(
     tops_carleson_ok = tops_carleson <= 4
 
     partition_ok, blocks_ok, norms, sups, inside = _block_stats(
-        u, p, rows, block, tops, tops_in_blocks, grid
+        u, p, rows, block, tops, tops_in_blocks, grid, u.squares
     )
     tops_ok = tops_in_blocks and bool(inside.all())
 
@@ -671,7 +669,6 @@ def _decompose(
     dec = AtomicDecomposition._from_rows(u, block, top_rows)
     report = _verify(u, p, dec, grid)
     if not report.passed:
-        raise VerificationError(
-            f"decomposition failed verification: {report.as_dict()}"
-        )
+        message = f"decomposition failed verification: {report.as_dict()}"
+        raise VerificationError(message, report)
     return dec, report

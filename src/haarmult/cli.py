@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .atomic import AtomicDecomposition, _block_stats, _decompose, _member_rows
+from .atomic import AtomicDecomposition, _block_order, _block_stats, _decompose, _member_rows
 from .dyadic import DyadicInterval, generation_decay_verdicts
 from .errors import (
     DegenerateThetaError,
@@ -35,11 +35,12 @@ from .haar import (
     _MAX_LEVEL,
     HaarExpansion,
     _check_q,
+    _Grid,
     _pow,
     _square_measures,
+    _squares,
     _support_grid,
     hp_norm,
-    multiply,
     tl_norm,
 )
 from .pietsch import (
@@ -204,17 +205,17 @@ def _trial_expansion(
 
 
 def _h2_sides(
-    uv: HaarExpansion, dv: AtomicDecomposition, rng: np.random.Generator
+    uv: HaarExpansion, dv: AtomicDecomposition, grid: _Grid, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of ||phi.u_i||_2^2 = sum_{I in G_i} |phi_I|^2 |x_I|^2 |I|
     on every block of dv (built by `decompose` on uv), phi drawn block after
-    block; the left sides from the verifier's block pass over phi * uv, on
-    the product's grid. A zero phi drops its row from the product, so dv no
-    longer partitions its support and each block sums on its own grid."""
+    block; the left sides from the verifier's block pass on `grid`, the grid
+    of uv's support, over the squares of phi * uv. A zero phi leaves a zero
+    square in its row, so dv still partitions the rows summed."""
     phi = np.empty(len(uv.support))
-    phi[np.concatenate(dv._rows())] = rng.uniform(-1, 1, len(phi))
-    product = multiply(dict(zip(uv.support, phi.tolist())), uv)
-    lhs = _block_stats(product, 2.0, *_member_rows(product, dv), _support_grid(product))[2]
+    phi[_block_order(dv._block, len(dv._top_rows))[0]] = rng.uniform(-1, 1, len(phi))
+    squares = _squares(uv.values * phi[:, None])
+    lhs = _block_stats(uv, 2.0, *_member_rows(uv, dv), grid, squares)[2]
     terms = _pow(np.abs(phi), 2.0) * _square_measures(uv)
     return np.array(lhs), np.bincount(dv._block, terms, len(dv._top_rows))
 
@@ -346,9 +347,10 @@ def run_verification(
 
         if dimension > 1:
             uv = _trial_expansion(seed + 1_000_003, trial, max_level, dimension, density)
-            dv, rv = _decompose(uv, p, _support_grid(uv))
+            grid_v = _support_grid(uv)
+            dv, rv = _decompose(uv, p, grid_v)
             check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p))
-            lhs, rhs = _h2_sides(uv, dv, rng)
+            lhs, rhs = _h2_sides(uv, dv, grid_v, rng)
             slack = 1e-12 * np.maximum(np.maximum(lhs, rhs), 1e-300)
             h2_ok = not (np.abs(lhs - rhs) > slack).any()
             check("vector_h2_identity").record(h2_ok, seed, trial)

@@ -14,7 +14,15 @@ class DegenerateThetaError(ValueError):
 
 
 class VerificationError(RuntimeError):
-    """A constructed object failed its mandatory post-hoc verification."""
+    """A constructed object failed its mandatory post-hoc verification.
+
+    `report` is the failed report object where there is one (the
+    `DecompositionReport` of a decomposition `decompose` refused), else None.
+    """
+
+    def __init__(self, message: str, report: object = None) -> None:
+        super().__init__(message)
+        self.report = report
 
 
 class ExpansionFormatError(ValueError):

@@ -116,7 +116,8 @@ class HaarExpansion:
 
     Zero coefficient vectors are dropped on construction, so the key set of
     ``coeffs`` equals the Haar support. Values are tuples of floats of length
-    ``dimension`` and must be finite.
+    ``dimension`` and must be finite; a number given as a value (a Python or
+    numpy scalar, or any 0-d array) is the vector of length 1.
 
     The support is kept once, row j for the j-th interval of ``support``: the
     ``support`` tuple and read-only arrays ``levels`` and ``positions``
@@ -151,7 +152,7 @@ class HaarExpansion:
             raw = coeffs[interval]
             vector = (
                 (float(raw),)
-                if isinstance(raw, (int, float))
+                if isinstance(raw, (int, float)) or getattr(raw, "ndim", None) == 0
                 else tuple(float(c) for c in raw)
             )
             if len(vector) != dimension:

@@ -47,11 +47,11 @@ array of exponents, on about 107,000; `np.float_power` on none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .atomic import AtomicDecomposition, _decompose, appendix_constant
+from .atomic import AtomicDecomposition, _block_order, _decompose, appendix_constant
 from .dyadic import DyadicInterval
 from .errors import VerificationError, ZeroInputError
 from .haar import (
@@ -98,13 +98,7 @@ class MultiplierReport:
     ok: bool
 
     def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "weighted_sum": self.weighted_sum,
-            "ok": self.ok,
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 def validate_measure(m: PietschMeasure, u: HaarExpansion) -> bool:
@@ -133,19 +127,20 @@ def _assemble(
     array is validated as `validate_measure` would validate the measure
     (nonnegative, total at most 1) before the dict is built."""
     norm_p_p = norm_p**p
-    terms = _square_measures(u)
-    factors = np.empty(len(u.support))
+    order, ends = _block_order(dec._block, len(dec._top_rows))
+    terms = _square_measures(u)[order].tolist()
+    per_block = []
     total = 0.0
-    for rows, top_level in zip(dec._rows(), u.levels[dec._top_rows].tolist()):
-        l2_sq = math.fsum(terms[rows].tolist())
+    for lo, hi, top_level in zip([0] + ends, ends, u.levels[dec._top_rows].tolist()):
+        l2_sq = math.fsum(terms[lo:hi])
         top_measure = 2.0 ** (-top_level)
-        factors[rows] = top_measure ** (1.0 - p / 2.0) * l2_sq ** ((p - 2.0) / 2.0)
+        per_block.append(top_measure ** (1.0 - p / 2.0) * l2_sq ** ((p - 2.0) / 2.0))
         total += top_measure ** (1.0 - p / 2.0) * l2_sq ** (p / 2.0)
     normalizer = max(1.0, total / norm_p_p)
     # scale * square * 2^-level per row, scale = factor / (A ||u||^p); an
     # overflow gives inf or nan as float arithmetic does, and fails validation
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = factors / (normalizer * norm_p_p) * u.squares
+        scaled = np.array(per_block)[dec._block] / (normalizer * norm_p_p) * u.squares
         weights = scaled * np.ldexp(1.0, -u.levels)
     rows = weights.tolist()
     if not ((weights >= 0).all() and math.fsum(rows) <= 1.0 + _SUM_TOL):

@@ -246,7 +246,7 @@ def _x0_norm_estimate(
         mean_r = ratios ** (r * th) @ w_vec
         del ratios
         z_norms_q = candidates**q @ m_vec
-        unequal |= not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL)
+        unequal |= not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL, atol=0.0)
         uncompared |= np.any(mean_q ** (1.0 / q) > mean_r ** (1.0 / r) * (1.0 + _CHAIN_RTOL))
         unbounded |= np.any(mean_q ** (1.0 / q) > 1.0 + _CHAIN_RTOL)
 

@@ -101,7 +101,9 @@ def assert_block_stats(u, dec, p):
     BLOCK_NORM_RTOL. Returns `is_clean(u, dec)`."""
     rows, block, tops, tops_in_blocks = _member_rows(u, dec)
     grid = _support_grid(u)
-    _, _, norms, sups, inside = _block_stats(u, p, rows, block, tops, tops_in_blocks, grid)
+    _, _, norms, sups, inside = _block_stats(
+        u, p, rows, block, tops, tops_in_blocks, grid, u.squares
+    )
     want = [block_stats(u, top, rows[block == b], p) for b, top in enumerate(tops)]
     assert sups.tolist() == [sup for _, sup, _ in want]
     assert inside.tolist() == [verdict for _, _, verdict in want]

@@ -84,7 +84,7 @@ def x0_norm_estimate(f, u, n_samples, seed, measure):
     mean_q = ratios ** (q * th) @ w_vec
     mean_r = ratios ** (r * th) @ w_vec
     z_norms_q = candidates**q @ m_vec
-    if not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL):
+    if not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL, atol=0.0):
         raise VerificationError("r-th weighted mean should equal ||z||^q exactly")
     if np.any(mean_q ** (1.0 / q) > mean_r ** (1.0 / r) * (1.0 + _CHAIN_RTOL)):
         raise VerificationError("weighted mean comparison failed")

@@ -445,3 +445,35 @@ class TestCallCounts:
         u = HaarExpansion(22, 1, leaf.coeffs)
         assert haar._support_grid(u).lengths is not None
         assert self._counts(monkeypatch, u) == (3, 5)
+
+
+class TestBlockOrder:
+    """`_block_order` is a stable sort of the block ids and the ends of the
+    blocks' runs in it, empty blocks included."""
+
+    @pytest.mark.parametrize(
+        "block, n_blocks",
+        [
+            ([], 0),
+            ([], 3),
+            ([0], 1),
+            ([2, 0, 2, 2, 0, 4], 6),  # blocks 1, 3 and 5 empty
+            ([1, 1, 1], 2),
+        ],
+    )
+    def test_small_cases(self, block, n_blocks):
+        block = np.array(block, dtype=np.int64)
+        order, ends = atomic._block_order(block, n_blocks)
+        assert order.tolist() == np.argsort(block, kind="stable").tolist()
+        assert ends == np.cumsum(np.bincount(block, minlength=n_blocks)).tolist()
+        assert len(ends) == n_blocks
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 17, 500):
+            n_blocks = int(rng.integers(1, n + 4))
+            block = rng.integers(0, n_blocks, n)
+            order, ends = atomic._block_order(block, n_blocks)
+            assert order.tolist() == np.argsort(block, kind="stable").tolist()
+            for b, (lo, hi) in enumerate(zip([0] + ends, ends)):
+                assert order[lo:hi].tolist() == np.flatnonzero(block == b).tolist()

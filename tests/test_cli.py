@@ -6,15 +6,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from haarmult import DyadicInterval, ExpansionFormatError, HaarExpansion, atomic, cli
+from haarmult import DyadicInterval, ExpansionFormatError, HaarExpansion, atomic, cli, haar
 from haarmult import factorize, h2_measure, hp_norm, l2_norm, multiply, pietsch
-from haarmult import x0_norm_estimate
-from haarmult.atomic import _decompose
+from haarmult import VerificationError, x0_norm_estimate
+from haarmult.atomic import _block_order, _decompose
 from haarmult.cli import _h2_sides, _trial_expansion, dump_json, gen_random, load, main
 from haarmult.cli import run_verification, save
 from haarmult.haar import _pow, _support_grid, _support_rows
@@ -507,6 +508,62 @@ class TestVerifyCommand:
         # u, |u|^(q/2) and the vector expansion uv, once each
         assert (len(stopping_times), len(verifies)) == (3, 3)
 
+    def test_grids_per_trial(self, monkeypatch):
+        # one grid of u (shared by |u|^(q/2)) and one per Hardy and TL
+        # multiplier check; one of uv, which the h2 identity reads too, and
+        # one per vector multiplier check
+        grids = []
+        init = haar._Grid.__init__
+        monkeypatch.setattr(
+            haar._Grid, "__init__", lambda grid, *args: grids.append(args) or init(grid, *args)
+        )
+        report = run_verification(
+            p=1.5, q=3.0, trials=2, seed=0, density=0.5, max_level=6, dimension=2
+        )
+        assert report["passed"] is True
+        assert len(grids) == 2 * 5
+
+    def test_refused_decomposition_carries_its_report(self, monkeypatch, capsys):
+        # a vector decomposition that fails its verification escapes the
+        # trial: exit 1 and its report on stderr, in the fields' order with
+        # the Carleson constant as a float; the error carries the report
+        verify, refused = atomic._verify, []
+
+        def failing(u, *args):
+            report = verify(u, *args)
+            if u.dimension == 1:
+                return report
+            refused.append(replace(report, chain_middle_ok=False))
+            return refused[-1]
+
+        monkeypatch.setattr(atomic, "_verify", failing)
+        code = main(["verify", "--trials", "1", "--max-level", "4", "--dimension", "2"])
+        r = refused[0]
+        fields = {
+            "partition_ok": r.partition_ok,
+            "blocks_ok": r.blocks_ok,
+            "tops_ok": r.tops_ok,
+            "tops_carleson": float(r.tops_carleson),
+            "tops_carleson_ok": r.tops_carleson_ok,
+            "chain_lower_ok": r.chain_lower_ok,
+            "chain_middle_ok": False,
+            "lower_constant": r.lower_constant,
+            "norm_p": r.norm_p,
+            "block_norm_sum_p": r.block_norm_sum_p,
+            "top_bound_sum": r.top_bound_sum,
+            "observed_ratio": r.observed_ratio,
+            "passed": False,
+        }
+        message = f"decomposition failed verification: {fields}"
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"verification failed: {message}\n"
+        uv = cli._trial_expansion(1_000_003, 0, 4, 2, 0.5)
+        with pytest.raises(VerificationError) as exc:
+            _decompose(uv, 1.0, _support_grid(uv))
+        assert exc.value.report == refused[-1]
+        assert str(exc.value) == message
+
     def test_dimension_below_one_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--p", "1", "--dimension", "0"])
@@ -571,7 +628,9 @@ def _per_block_h2(uv, dv, rng):
     suite checked it before the block pass: (the left sides, the right
     sides, the verdict)."""
     lhs, rhs, ok = [], [], True
-    for block in dv._rows():
+    order, ends = _block_order(dv._block, len(dv._top_rows))
+    for lo, hi in zip([0] + ends, ends):
+        block = order[lo:hi]
         ui = HaarExpansion._from_rows(
             uv.max_level, uv.dimension, [uv.support[r] for r in block.tolist()],
             uv.levels[block], uv.positions[block], uv.values[block],
@@ -608,7 +667,7 @@ class TestVectorH2Identity:
 
     def _compare(self, uv, dv, rngs):
         lhs_ref, rhs_ref, ok_ref = _per_block_h2(uv, dv, rngs[0])
-        lhs, rhs = _h2_sides(uv, dv, rngs[1])
+        lhs, rhs = _h2_sides(uv, dv, _support_grid(uv), rngs[1])
         assert len(lhs) == len(rhs) == len(lhs_ref)
         np.testing.assert_allclose(lhs, lhs_ref, rtol=1e-13, atol=0)
         np.testing.assert_allclose(rhs, rhs_ref, rtol=1e-13, atol=0)
@@ -636,21 +695,20 @@ class TestVectorH2Identity:
         assert trials >= 200
 
     def test_exact_zero_phi(self):
-        # a zero phi drops its row from the product, and then the product's
-        # rows map onto the decomposition through its pieces
+        # a zero phi leaves a zero square in its row, on uv's grid
         rng = np.random.default_rng(19)
         for k, (d, level, density) in enumerate(self.CONFIGS):
             uv = _trial_expansion(100 + k, 0, level, d, density)
             dv, _ = _decompose(uv, 1.0, _support_grid(uv))
             n = len(uv.support)
             draws = rng.uniform(-1, 1, n)
-            draws[: len(dv._rows()[0])] = 0.0  # the first block, drawn first
+            draws[: _block_order(dv._block, len(dv._top_rows))[1][0]] = 0.0  # the first block
             draws[rng.choice(n, n // 3, replace=False)] = 0.0
             assert self._compare(uv, dv, (_Stream(draws), _Stream(draws)))
 
-    def test_exact_zero_phi_sums_each_block_alone(self, monkeypatch):
-        # with every phi nonzero the product's blocks are dv's, clean, and
-        # sum on the product's grid; a zero phi takes the per-block path
+    def test_exact_zero_phi_sums_on_the_support_grid(self, monkeypatch):
+        # with or without a zero phi, dv's blocks are clean on uv's rows and
+        # sum on uv's grid: no grid and no `_cells` call per block
         own = count_calls(monkeypatch, atomic, "_own_cells")
         for k, (d, level, density) in enumerate(self.CONFIGS):
             uv = _trial_expansion(200 + k, 0, level, d, density)
@@ -660,5 +718,4 @@ class TestVectorH2Identity:
             assert own == []
             draws[k % len(draws)] = 0.0
             assert self._compare(uv, dv, (_Stream(draws), _Stream(draws)))
-            assert len(own) == 1
-            own.clear()
+            assert own == []

@@ -88,6 +88,33 @@ class TestExpansion:
         with pytest.raises(ValueError):
             scalar(1, {(0, 0): math.inf})
 
+    @pytest.mark.parametrize(
+        "raw, want",
+        [
+            (np.float32(1.5), 1.5),
+            (np.int64(2), 2.0),
+            (np.array(2.0), 2.0),
+            (np.array(-3, dtype=np.int8), -3.0),
+            (True, 1.0),
+            (np.bool_(True), 1.0),
+        ],
+    )
+    def test_zero_dimensional_values_are_scalars(self, raw, want):
+        u = HaarExpansion(2, 1, {iv(0, 0): raw})
+        assert u.coeffs == {iv(0, 0): (want,)}
+        assert type(u.coeffs[iv(0, 0)][0]) is float
+
+    def test_vector_and_string_values_iterate(self):
+        assert HaarExpansion(2, 2, {iv(0, 0): np.array([1.0, 2.0])}).coeffs == {
+            iv(0, 0): (1.0, 2.0)
+        }
+        assert HaarExpansion(2, 1, {iv(0, 0): np.array([4])}).coeffs == {iv(0, 0): (4.0,)}
+        assert HaarExpansion(2, 2, {iv(0, 0): "12"}).coeffs == {iv(0, 0): (1.0, 2.0)}
+        with pytest.raises(ValueError, match="length 2"):
+            HaarExpansion(2, 1, {iv(0, 0): "12"})
+        with pytest.raises(TypeError):
+            HaarExpansion(2, 1, {iv(0, 0): None})
+
     def test_restrict(self):
         u = scalar(2, {(0, 0): 1.0, (1, 0): 2.0})
         assert haar_oracle.restrict(u, [iv(1, 0)]).support == (iv(1, 0),)

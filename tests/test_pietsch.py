@@ -203,6 +203,19 @@ class TestMultiplierBound:
             assert report.ok
             assert report.lhs == pytest.approx(hp_norm(u, p), rel=1e-14)
 
+    def test_report_as_dict(self):
+        u = random_expansion(np.random.default_rng(9), 3)
+        phi = {i: 0.5 for i in u.support}
+        report = check_multiplier_bound(u, 1.0, phi, weights_hp(u, 1.0))
+        assert report.as_dict() == {
+            "lhs": report.lhs,
+            "rhs": report.rhs,
+            "constant": report.constant,
+            "weighted_sum": report.weighted_sum,
+            "ok": report.ok,
+        }
+        assert list(report.as_dict()) == ["lhs", "rhs", "constant", "weighted_sum", "ok"]
+
     def test_p_two_is_equality(self):
         rng = np.random.default_rng(10)
         u = random_expansion(rng, 5)

@@ -229,6 +229,23 @@ class TestLatticeNormEstimate:
                 1 - 1e-12
             )
 
+    def test_chain_tolerance_is_relative_only(self):
+        # the r-th mean equals ||z||^q up to _CHAIN_RTOL relative, with no
+        # absolute slack: weights 2e-9 too large fail it, in the library and
+        # in the oracle, though the chain's values are near 1
+        p, q = 1.5, 3.0
+        for seed in range(4):
+            u = random_scalar(np.random.default_rng([22, seed]), 6)
+            grid = haar._support_grid(u)
+            m = pietsch._weights_tl(u, p, q, grid)
+            f = pisier._factorize(u, p, q, theta(p, q), m)
+            off = replace(m, weights={k: w * (1 + 2e-9) for k, w in m.weights.items()})
+            assert pisier._x0_norm_estimate(f, u, 4, seed, m, grid) > 0.0
+            with pytest.raises(VerificationError, match="r-th weighted mean"):
+                pisier._x0_norm_estimate(f, u, 4, seed, off, grid)
+            with pytest.raises(VerificationError, match="r-th weighted mean"):
+                pisier_oracle.x0_norm_estimate(f, u, 4, seed, off)
+
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(6)
         u = random_scalar(rng, 5)
