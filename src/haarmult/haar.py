@@ -49,6 +49,13 @@ support order in one pass over its values, with no key hashed
 (`_support_order`), and any other mapping with one `get` per row
 (`_rows_by_key`).
 
+Every sum over whole support rows (`l2_norm`, the weights' totals, the
+weighted sums of the multiplier check, `pisier._fqq_norm`) is `_fsum_rows`:
+exactly rounded, so bit for bit `math.fsum` of the row, which it calls for
+rows shorter than `_FSUM_MIN_ROW` and for non-finite or huge entries. Longer
+rows are binned by exponent and summed in integers, with no Python float
+per entry.
+
 Every power of support rows goes through `_pow`, which is `np.float_power`:
 numpy's generic loop for it calls libm `pow` once per float64 element, with
 no SIMD dispatch, so each power is bit for bit Python's float `pow`.
@@ -533,8 +540,9 @@ def _square_measures(u: HaarExpansion) -> np.ndarray:
 
 
 def l2_norm(u: HaarExpansion) -> float:
-    """(sum_I |x_I|^2 |I|)^(1/2), the H^2 norm computed from coefficients."""
-    return math.sqrt(math.fsum(_square_measures(u).tolist()))
+    """(sum_I |x_I|^2 |I|)^(1/2), the H^2 norm computed from coefficients;
+    OverflowError like `hp_norm`."""
+    return _in_float_range(math.sqrt(_fsum(_square_measures(u))), not u.is_zero)
 
 
 def _support_order(mapping: Mapping[DyadicInterval, object], u: HaarExpansion) -> bool:
@@ -619,6 +627,68 @@ def _batch_rows(grid: _Grid) -> int:
     """Rows per batched `_cells` call on the grid: as many as
     `_BATCH_ENTRIES` entries hold, and at least one."""
     return max(1, _BATCH_ENTRIES // (len(grid.parent) + 1 + len(grid.owner)))
+
+
+# the row length from which `_fsum_rows` bins by exponent instead of calling
+# `math.fsum` (the timing table is in CHANGES.md)
+_FSUM_MIN_ROW = 1500
+# the frexp exponents of floats up to 2^1000 in magnitude, -1073 (for 2^-1074)
+# to 1001, one bin each
+_LOW_EXPONENT, _EXPONENTS = -1073, 2075
+# entries binned per step: 32 KB float arrays, which malloc reuses from its
+# heap; binning a deep-hardy row of 16k entries at once raised the bench
+# worker's peak RSS by about 0.5 MB
+_BIN_ENTRIES = 1 << 12
+
+
+def _fsum_rows(a: np.ndarray) -> list[float]:
+    """`math.fsum` of each row of the (K, n) float array a, bit for bit.
+
+    Both are exactly rounded. Each finite value is an integer mantissa
+    below 2^53 times 2^(e - 53) (`np.frexp`); its halves, at most 2^27 and
+    2^25, are summed per exponent e by `np.bincount`, exactly while
+    n < 2^26, and a row's bins are added in Python ints and rounded once by
+    int true division (R. M. Neal, "Fast exact summation using small and
+    large superaccumulators", arXiv:1505.05571). `math.fsum` itself sums
+    rows shorter than `_FSUM_MIN_ROW`, rows of 2^20 or more, every row of
+    an array with an entry that is not finite or exceeds 2^1000 (so its
+    values, and its exceptions, are fsum's: inf, nan, the ValueError of
+    -inf + inf, the OverflowError of an intermediate overflow), and a row
+    whose exact sum is 0 (so the sign of a zero sum is fsum's)."""
+    a = np.asarray(a, dtype=float)
+    k, n = a.shape
+    big = 2.0**1000
+    if not k or n < _FSUM_MIN_ROW or n >= 1 << 20 or not -big <= a.min() <= a.max() <= big:
+        return list(map(math.fsum, a.tolist()))
+    return list(map(_binned_sum, a))
+
+
+def _binned_sum(row: np.ndarray) -> float:
+    """The exponent-binned sum of `_fsum_rows` of one row, `_BIN_ENTRIES`
+    entries at a time."""
+    high_sums = low_sums = np.zeros(_EXPONENTS)
+    for lo in range(0, len(row), _BIN_ENTRIES):
+        mantissas, exponents = np.frexp(row[lo : lo + _BIN_ENTRIES])
+        bins = exponents.astype(np.intp)
+        bins -= _LOW_EXPONENT
+        # mantissa * 2^27 = high + low * 2^-26 with integers |high| <= 2^27
+        # and |low| <= 2^25, each step exact; `low` overwrites the mantissas
+        low = np.ldexp(mantissas, 27, out=mantissas)
+        high = np.rint(low)
+        low -= high
+        low *= 2.0**26
+        high_sums = high_sums + np.bincount(bins, high, _EXPONENTS)
+        low_sums = low_sums + np.bincount(bins, low, _EXPONENTS)
+    used = np.flatnonzero((high_sums != 0) | (low_sums != 0))
+    exact = 0
+    for b, h, l in zip(used.tolist(), high_sums[used].tolist(), low_sums[used].tolist()):
+        exact += ((int(h) << 26) + int(l)) << b
+    return exact / (1 << 53 - _LOW_EXPONENT) if exact else math.fsum(row.tolist())
+
+
+def _fsum(values: np.ndarray) -> float:
+    """`math.fsum` of a float vector, through `_fsum_rows`."""
+    return _fsum_rows(np.asarray(values, dtype=float)[None])[0]
 
 
 def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:

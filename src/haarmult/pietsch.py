@@ -10,9 +10,20 @@ A is the smallest constant >= 1 with sum_i |I_i|^(1-p/2) ||u_i||_2^p
 <= A ||u||^p, which makes sum_I w_I <= 1 automatic and turns the multiplier
 bound ||phi.u|| <= A^(1/p) ||u|| (sum |phi_I|^s w_I)^(1/s) into a
 deterministic inequality rather than a statistical one. Per block, the sum
-of |x_I|^2 |I| is a `math.fsum` over the block's support rows, read from
-the decomposition's row form, and the weight constructors read the norm
-from the verification that their `decompose` already ran.
+of |x_I|^2 |I| is exactly rounded over the block's support rows, read from
+the decomposition's row form (`math.fsum`, or `haar._fsum` for a block as
+long as a row it bins), and the weight constructors read the norm from the
+verification that their `decompose` already ran.
+
+The weight constructors return a measure that keeps its weights as a
+read-only array in support order, with the support tuple they belong to
+(`PietschMeasure._from_rows`); the `weights` dict is built on first read,
+and from then on it is the measure and the array is gone. The multiplier
+checks, `validate_measure`, `PietschMeasure.total` and `pisier` take the
+array as it is when its support is u's (`PietschMeasure._own_rows`: an
+identity test, then the tuple comparison in C), with no dict, no key check
+and no `np.fromiter`. Nothing is cached: each constructor call builds a
+fresh measure.
 
 The multiplier check is batched: `check_multiplier_bounds` takes K
 multipliers as a (K, n) array in support order, and `check_multiplier_bound`
@@ -22,18 +33,19 @@ grid of u's support (`haar._Grid`) and computes ||u|| and C once; the norms
 of the K products phi_k * u come from batched `_cells` calls on that grid
 (`haar._product_norms`), with no expansion built. The weight constructors
 build one grid too, which the decomposition inside them shares. Each row's
-|phi_I|^s w_I is summed with one `math.fsum`, which is exactly rounded, so
-the order of the terms does not matter.
+|phi_I|^s w_I is summed by `haar._fsum_rows`, exactly rounded and bit for
+bit `math.fsum`, so the order of the terms does not matter; so are the
+weights' totals.
 
-Dicts are read at u's support rows through `haar._support_rows`. A plain
-dict whose keys are u's support in support order (`haar._support_order`:
-what the weight constructors build, and any dict zipped from `u.support`)
-is read in one pass over its values, and its keys are then known to lie in
-the support, so the key checks of `check_multiplier_bounds` and
-`validate_measure` hash no interval. Any other mapping is read with one
-`get` per row and checked with a key-set comparison; both paths give the
-same floats. `_assemble` validates its support-order array before it
-builds the dict.
+A weight dict and phi are read at u's support rows through
+`haar._support_rows`. A plain dict whose keys are u's support in support
+order (`haar._support_order`: the `weights` a constructor's measure builds,
+and any dict zipped from `u.support`) is read in one pass over its values,
+and its keys are then known to lie in the support, so the key checks of
+`check_multiplier_bounds` and `validate_measure` hash no interval. Any
+other mapping is read with one `get` per row and checked with a key-set
+comparison; both paths give the same floats. `_assemble` validates its support-order array before it
+returns the measure.
 
 The powers |phi_I|^s of a batch are one `haar._pow` call: `np.float_power`,
 which calls libm `pow` once per element, so each is bit for bit Python's
@@ -59,10 +71,14 @@ from .haar import (
     _batch_rows,
     _check_exponents,
     _check_q,
+    _FSUM_MIN_ROW,
+    _fsum,
+    _fsum_rows,
     _Grid,
     _hp_norm,
     _pow,
     _product_norms,
+    _read_only,
     _square_measures,
     _support_grid,
     _support_order,
@@ -76,17 +92,63 @@ _SUM_TOL = 1e-12
 _BOUND_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PietschMeasure:
     """Nonnegative weights per interval, their normalizer A, and the summing
-    exponent s (2 for Hardy-space weights, q for Triebel-Lizorkin ones)."""
+    exponent s (2 for Hardy-space weights, q for Triebel-Lizorkin ones).
+
+    A measure from the weight constructors keeps its weights as a read-only
+    array in support order, with the support tuple it belongs to, and builds
+    the `weights` dict from them on first read. From then on the dict is the
+    measure: the array is dropped, so a change a caller makes to the dict is
+    what every later check sees. A measure built from a dict keeps that dict.
+    """
 
     weights: dict[DyadicInterval, float]
     normalizer: float
     exponent: float
 
+    def __init__(
+        self, weights: dict[DyadicInterval, float], normalizer: float, exponent: float
+    ) -> None:
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "normalizer", normalizer)
+        object.__setattr__(self, "exponent", exponent)
+
+    @classmethod
+    def _from_rows(
+        cls,
+        support: tuple[DyadicInterval, ...],
+        rows: np.ndarray,
+        normalizer: float,
+        exponent: float,
+    ) -> "PietschMeasure":
+        """The measure with weight rows[j] at support[j]; rows is kept as it is."""
+        m = object.__new__(cls)
+        vars(m).update(_support=support, _rows=rows, normalizer=normalizer, exponent=exponent)
+        return m
+
+    def __getattr__(self, name: str) -> object:
+        """`weights`, built from the kept rows on first read; the rows go."""
+        state = vars(self)
+        if name != "weights" or "_rows" not in state:
+            raise AttributeError(name)
+        weights = dict(zip(state.pop("_support"), state.pop("_rows").tolist()))
+        state["weights"] = weights
+        return weights
+
+    def _own_rows(self, u: HaarExpansion) -> np.ndarray | None:
+        """The kept rows when they belong to u's support (an identity test,
+        then the tuple comparison, with no key hashed), else None."""
+        state = vars(self)
+        if "_rows" not in state:
+            return None
+        support = state["_support"]
+        return state["_rows"] if support is u.support or support == u.support else None
+
     def total(self) -> float:
-        return math.fsum(self.weights.values())
+        rows = vars(self).get("_rows")
+        return math.fsum(self.weights.values()) if rows is None else _fsum(rows)
 
 
 @dataclass(frozen=True)
@@ -101,18 +163,31 @@ class MultiplierReport:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
+def _weight_rows(m: PietschMeasure, u: HaarExpansion) -> np.ndarray:
+    """m's weights at u's support rows in support order: its kept rows when
+    they belong to u's support, else read from `weights` (`haar._support_rows`)."""
+    rows = m._own_rows(u)
+    return _support_rows(m.weights, u) if rows is None else rows
+
+
 def validate_measure(m: PietschMeasure, u: HaarExpansion) -> bool:
     """Invariants: normalizer in [1, inf), exponent in (0, inf), weights
     nonnegative, total <= 1, support inside u's; a NaN weight, normalizer or
-    exponent fails."""
+    exponent fails. A measure that keeps its rows for u's support is checked
+    on them, with no dict built."""
     if not (1.0 <= m.normalizer < math.inf and 0.0 < m.exponent < math.inf):
         return False
-    weights = np.fromiter(m.weights.values(), float, len(m.weights))
+    rows = m._own_rows(u)
+    weights = np.fromiter(m.weights.values(), float, len(m.weights)) if rows is None else rows
     if not (weights >= 0).all():
         return False
     if not m.total() <= 1.0 + _SUM_TOL:
         return False
-    return _support_order(m.weights, u) or m.weights.keys() <= u.coeffs.keys()
+    return (
+        rows is not None
+        or _support_order(m.weights, u)
+        or m.weights.keys() <= u.coeffs.keys()
+    )
 
 
 def _assemble(
@@ -123,16 +198,19 @@ def _assemble(
     norm_p: float,
 ) -> PietschMeasure:
     """Weights from a verified decomposition of u built by `decompose` (its
-    row form) and `hp_norm(u, p)`, written in support order. The support-order
-    array is validated as `validate_measure` would validate the measure
-    (nonnegative, total at most 1) before the dict is built."""
+    row form) and `hp_norm(u, p)`, kept in support order. The array is
+    validated as `validate_measure` would validate the measure (nonnegative,
+    total at most 1)."""
     norm_p_p = norm_p**p
     order, ends = _block_order(dec._block, len(dec._top_rows))
-    terms = _square_measures(u)[order].tolist()
+    terms = _square_measures(u)[order]
+    listed = terms.tolist()
     per_block = []
     total = 0.0
     for lo, hi, top_level in zip([0] + ends, ends, u.levels[dec._top_rows].tolist()):
-        l2_sq = math.fsum(terms[lo:hi])
+        # `_fsum` on long blocks only: on a short one its fixed cost per call
+        # exceeds the `math.fsum` of a list slice
+        l2_sq = math.fsum(listed[lo:hi]) if hi - lo < _FSUM_MIN_ROW else _fsum(terms[lo:hi])
         top_measure = 2.0 ** (-top_level)
         per_block.append(top_measure ** (1.0 - p / 2.0) * l2_sq ** ((p - 2.0) / 2.0))
         total += top_measure ** (1.0 - p / 2.0) * l2_sq ** (p / 2.0)
@@ -142,12 +220,10 @@ def _assemble(
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.array(per_block)[dec._block] / (normalizer * norm_p_p) * u.squares
         weights = scaled * np.ldexp(1.0, -u.levels)
-    rows = weights.tolist()
-    if not ((weights >= 0).all() and math.fsum(rows) <= 1.0 + _SUM_TOL):
-        raise VerificationError(f"weights failed validation: total {math.fsum(rows)}")
-    return PietschMeasure(
-        weights=dict(zip(u.support, rows)), normalizer=normalizer, exponent=exponent
-    )
+    weight_total = _fsum(weights)
+    if not ((weights >= 0).all() and weight_total <= 1.0 + _SUM_TOL):
+        raise VerificationError(f"weights failed validation: total {weight_total}")
+    return PietschMeasure._from_rows(u.support, _read_only(weights), normalizer, exponent)
 
 
 def _weights(u: HaarExpansion, p: float, exponent: float, grid: _Grid) -> PietschMeasure:
@@ -250,15 +326,17 @@ def check_multiplier_bounds(
 
     A measure with a normalizer outside [1, inf) or an exponent outside
     (0, inf) raises ValueError right after the key check, before any work.
-    The key check, the weights, ||u|| and C are computed once per batch;
-    weights in support order are read in one pass with no key hashed
-    (`haar._support_rows`), and any other measure by key. The
-    products phi_k * u are summed in batched `_cells` calls on the grid of
-    u's support, which ||u|| shares, with no expansion built, in batches of
-    `haar._batch_rows(grid)` rows. A failing row raises what its single
+    The key check, the weights, ||u|| and C are computed once per batch: a
+    constructor's measure gives its support-order array as it is
+    (`PietschMeasure._own_rows`), a weight dict in support order is read in
+    one pass with no key hashed (`haar._support_rows`), and any other by
+    key. The products phi_k * u are summed in batched `_cells` calls on the
+    grid of u's support, which ||u|| shares, with no expansion built, in
+    batches of `haar._batch_rows(grid)` rows. A failing row raises what its single
     check raises, the first such row in order.
     """
-    ordered = _support_order(m.weights, u)
+    weights = m._own_rows(u)
+    ordered = weights is not None or _support_order(m.weights, u)
     if not (ordered or m.weights.keys() <= u.coeffs.keys()):
         raise ValueError("measure does not match the expansion")
     if not 1.0 <= m.normalizer < math.inf:  # NaN included
@@ -272,7 +350,8 @@ def check_multiplier_bounds(
         raise ValueError(f"phis has shape {phis.shape}, expected (K, {len(u.support)})")
     if not len(phis):
         return []
-    weights = _support_rows(m.weights, u, ordered)
+    if weights is None:
+        weights = _support_rows(m.weights, u, ordered)
     grid = _support_grid(u)
     try:
         return _check_rows(u, p, phis, m, weights, grid)
@@ -300,7 +379,7 @@ def _check_rows(
     powers = _pow(np.abs(phis), s)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
         terms = powers * weights
-    weighted = list(map(math.fsum, terms.tolist()))
+    weighted = _fsum_rows(terms)
     tl_route = u.dimension == 1 and s != 2.0
     q_tl = s if tl_route else None
     step = _batch_rows(grid)

@@ -6,12 +6,13 @@ the factors are y_I = (w_I/|I|)^(1/q) and x_I = (|u_I| |y_I|^-theta)^(1/(1-theta
 on the support (0 elsewhere). The product identity is algebraic; the norm
 bound on x is certified sample-by-sample through an exact Hoelder chain.
 
-Factors, weights and coefficients are read as support-row arrays
+Factors and coefficients are read as support-row arrays
 (`haar._support_rows`: one pass over a dict in support order, no key
-hashed), and every per-row power is `haar._pow`, Python's float `pow` per
-element through `np.float_power` (numpy's `**` may differ from it in the
-last bit). The per-row tolerance tests are `_isclose`, `math.isclose` on
-arrays.
+hashed), the weights as the measure's own support-order array
+(`pietsch._weight_rows`), and every per-row power is `haar._pow`,
+Python's float `pow` per element through `np.float_power` (numpy's `**`
+may differ from it in the last bit). The per-row tolerance tests are
+`_isclose`, `math.isclose` on arrays.
 
 `x0_norm_estimate` runs its candidates in blocks of `haar._batch_rows`
 rows, drawn one block after another from the same generator, so its memory
@@ -35,6 +36,7 @@ from .haar import (
     _cell_sum,
     _cells,
     _check_q,
+    _fsum,
     _Grid,
     _pow,
     _support_grid,
@@ -42,7 +44,7 @@ from .haar import (
     _support_rows,
     _tl_norm,
 )
-from .pietsch import PietschMeasure, _weights_tl
+from .pietsch import PietschMeasure, _weight_rows, _weights_tl
 
 _IDENTITY_RTOL = 1e-10
 _CHAIN_RTOL = 1e-9
@@ -94,7 +96,7 @@ def _factorize(
     u: HaarExpansion, p: float, q: float, exponent: float, measure: PietschMeasure
 ) -> Factorization:
     """`factorize` from `theta(p, q)` and `weights_tl(u, p, q)`."""
-    y = _pow(_support_rows(measure.weights, u) * np.ldexp(1.0, u.levels), 1.0 / q)
+    y = _pow(_weight_rows(measure, u) * np.ldexp(1.0, u.levels), 1.0 / q)
     with np.errstate(over="ignore"):  # inf as in Python
         base = np.abs(u.values[:, 0]) * _pow(y, -exponent)
     x = _pow(base, 1.0 / (1.0 - exponent))
@@ -110,7 +112,7 @@ def _factorize(
 def _fqq_norm(values: np.ndarray, u: HaarExpansion, q: float) -> float:
     """(sum_I |values_I|^q |I|)^(1/q) over u's support rows."""
     terms = _pow(np.abs(values), q) * np.ldexp(1.0, -u.levels)
-    return math.fsum(terms.tolist()) ** (1.0 / q)
+    return _fsum(terms) ** (1.0 / q)
 
 
 def _isclose(
@@ -204,7 +206,7 @@ def _x0_norm_estimate(
     """`x0_norm_estimate` after its argument checks, on `weights_tl(u, f.p,
     f.q)` and the grid of u's support."""
     y_vec = _support_rows(f.y, u)
-    w_vec = _support_rows(measure.weights, u)
+    w_vec = _weight_rows(measure, u)
     expected = _pow(w_vec * np.ldexp(1.0, u.levels), 1.0 / f.q)
     if not _isclose(expected, y_vec, 1e-9, 1e-300).all():
         raise ValueError("factorization does not match the expansion")

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarmult import (
     DegenerateThetaError,
@@ -19,6 +21,7 @@ from haarmult import (
     check_multiplier_bounds,
     convexify,
     factorize,
+    h2_measure,
     hp_norm,
     l2_norm,
     multiply,
@@ -28,7 +31,16 @@ from haarmult import (
     weights_tl,
     x0_norm_estimate,
 )
-from haarmult.haar import _pow, _square_length, _squares, square_leaf_sums
+from haarmult.haar import (
+    _BIN_ENTRIES,
+    _FSUM_MIN_ROW,
+    _binned_sum,
+    _fsum_rows,
+    _pow,
+    _square_length,
+    _squares,
+    square_leaf_sums,
+)
 from haarmult.pisier import theta
 
 import haar_oracle
@@ -456,6 +468,135 @@ class TestL2Norm:
         for _ in range(1000):
             u = random_scalar(rng, int(rng.integers(0, 6)))
             assert l2_norm(u) == pytest.approx(hp_norm(u, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-200])
+    def test_out_of_range_fails_closed(self, scale):
+        # the squares overflow to inf at 1e160 and underflow to 0 at 1e-200:
+        # the norm of a nonzero u would be inf or 0, and h2_measure's weights
+        # all NaN or a ZeroDivisionError
+        u = scalar(1, {(0, 0): scale, (1, 0): 0.5 * scale, (1, 1): -0.25 * scale})
+        with pytest.raises(OverflowError, match="leaves the float range"):
+            l2_norm(u)
+        with pytest.raises(OverflowError, match="leaves the float range"):
+            h2_measure(u)
+        assert l2_norm(scalar(0, {})) == 0.0
+
+
+def _fsum_outcome(fn, rows):
+    """Each row's sum as `float.hex`, or the exception's type and message."""
+    try:
+        return [value.hex() for value in fn(rows)]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _fsum_each(rows):
+    return [math.fsum(row) for row in np.asarray(rows, dtype=float).tolist()]
+
+
+def _binned(rows):
+    return [_binned_sum(row) for row in np.asarray(rows, dtype=float)]
+
+
+# finite floats of any exponent up to 2^1000, subnormals included
+_summands = st.floats(min_value=-(2.0**1000), max_value=2.0**1000, allow_nan=False)
+
+
+def _cancelling(values):
+    """values, their negatives and a small remainder: the sum cancels all
+    but the remainder."""
+    return values + [-v for v in reversed(values)] + [2.0**-1060]
+
+
+class TestFsumRows:
+    """`haar._fsum_rows` is `math.fsum` of each row, bit for bit (compared
+    by `float.hex`), with fsum's values and exceptions, on both sides of the
+    crossover `_FSUM_MIN_ROW`; `_binned_sum` is its binned path on rows of
+    any length."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_summands, min_size=1, max_size=40), min_size=1, max_size=4))
+    def test_binned_matches_fsum(self, rows):
+        width = max(map(len, rows))
+        a = np.array([row + [0.0] * (width - len(row)) for row in rows])
+        assert _fsum_outcome(_binned, a) == _fsum_outcome(_fsum_each, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_summands, min_size=1, max_size=30), st.randoms(use_true_random=False))
+    def test_catastrophic_cancellation(self, values, random):
+        row = _cancelling(values)
+        random.shuffle(row)
+        a = np.array([row])
+        assert _fsum_outcome(_binned, a) == _fsum_outcome(_fsum_each, a)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.0, 2.0**-53],  # a tie, kept at the even 1.0
+            [1.0, 2.0**-53, 2.0**-105],  # past the tie: up
+            [1.0, -(2.0**-54), -(2.0**-106)],  # below the tie: down
+            [1.0 + 2.0**-52, 2.0**-53],  # a tie at an odd last bit: up to even
+            [2.0**-1074, 2.0**-1074, -(2.0**-1073)],  # subnormals to 0
+            [2.0**-1022, -(2.0**-1074)],  # a normal minus a subnormal
+            [5e-324] * 3,
+            [1e300, -1e300, 1e-300],
+            [-1.5, -2.25, -(2.0**-60)],
+            [0.0, -0.0, 0.0],
+            [-0.0],
+            [1.0, -1.0],
+        ],
+    )
+    def test_ties_and_edges(self, row):
+        for length in (len(row), _FSUM_MIN_ROW, _FSUM_MIN_ROW + 1):
+            a = np.array([row + [0.0] * (length - len(row))])
+            want = _fsum_outcome(_fsum_each, a)
+            assert _fsum_outcome(_binned, a) == want
+            assert _fsum_outcome(_fsum_rows, a) == want
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_around_the_crossover(self, k):
+        rng = np.random.default_rng([31, k])
+        for n in (_FSUM_MIN_ROW - 1, _FSUM_MIN_ROW, _FSUM_MIN_ROW + 1):
+            wide = rng.standard_normal((k, n)) * np.ldexp(1.0, rng.integers(-1074, 990, (k, n)))
+            signed = rng.uniform(-1.0, 1.0, (k, n)) * np.ldexp(1.0, rng.integers(-60, 0, (k, n)))
+            cancelling = np.concatenate([signed, -signed[:, ::-1]], axis=1)
+            cancelling[:, 0] += 2.0**-80
+            for a in (wide, signed, cancelling, np.zeros((k, n)), np.full((k, n), -0.0), -signed):
+                assert _fsum_outcome(_fsum_rows, a) == _fsum_outcome(_fsum_each, a)
+
+    def test_rows_of_several_steps(self):
+        rng = np.random.default_rng(32)
+        n = 2 * _BIN_ENTRIES + 17
+        for k in (1, 3):
+            wide = rng.standard_normal((k, n)) * np.ldexp(1.0, rng.integers(-1074, 990, (k, n)))
+            cancelling = np.concatenate([wide, -wide[:, ::-1]], axis=1)
+            cancelling[:, n] = 2.0**-1070
+            for a in (wide, cancelling):
+                assert _fsum_outcome(_fsum_rows, a) == _fsum_outcome(_fsum_each, a)
+
+    def test_empty(self):
+        for shape in ((3, 0), (0, 0), (0, _FSUM_MIN_ROW)):
+            assert _fsum_rows(np.zeros(shape)) == [0.0] * shape[0]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.0, math.inf],
+            [1.0, math.nan],
+            [math.inf, 1.0, -math.inf],  # fsum's ValueError
+            [-math.inf, -math.inf],
+            [2.0**1023, 2.0**1023, -(2.0**1023)],  # fsum's intermediate overflow
+            [2.0**1010] * 4,  # above 2^1000 but no overflow
+            [1.7976931348623157e308, -1.7976931348623157e308],
+        ],
+    )
+    def test_non_finite_and_huge_as_fsum(self, row):
+        for k in (1, 3):
+            a = np.zeros((k, _FSUM_MIN_ROW + 5))
+            a[k - 1, : len(row)] = row
+            a[0, -1] += 1.0
+            want = _fsum_outcome(_fsum_each, a)
+            assert _fsum_outcome(_fsum_rows, a) == want
 
 
 class TestMultiply:

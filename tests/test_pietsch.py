@@ -1,7 +1,9 @@
 """Summing weights: normalization, the multiplier bound, and exactness of the
 level-2 block measures."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -30,7 +32,7 @@ from haarmult import (
 
 from haarmult import atomic, dyadic, haar, pietsch
 from haarmult.cli import gen_random
-from haarmult.haar import _on_atoms
+from haarmult.haar import _FSUM_MIN_ROW, _on_atoms
 
 import haar_oracle
 import pietsch_oracle
@@ -729,3 +731,167 @@ class TestClosedFormAtTwo:
             assert report.lhs == pytest.approx(hp_norm(u, 2.0), rel=1e-12)
             assert report.lhs == pytest.approx(l2_norm(u), rel=1e-12)
             assert report.weighted_sum == pytest.approx(m.total(), rel=1e-12)
+
+
+def _kept(m):
+    """Whether m still keeps its support-order rows and has built no dict."""
+    return "weights" not in vars(m) and "_rows" in vars(m)
+
+
+class TestMeasureStorage:
+    """A constructor's measure keeps its weights in support order and builds
+    the `weights` dict on first read; from then on the dict is the measure.
+    Measures built from dicts, `replace`, `==`, `repr`, pickling and copies
+    behave as for a dict-valued dataclass."""
+
+    def _cases(self):
+        rng = np.random.default_rng(4242)
+        u = random_expansion(rng, 6)
+        v = random_expansion(rng, 5, dimension=2)
+        return [
+            (u, 1.0, lambda: weights_hp(u, 1.0), None),
+            (u, 1.5, lambda: weights_tl(u, 1.5, 3.0), 3.0),
+            (v, 1.5, lambda: weights_vector(v, 1.5), None),
+        ]
+
+    def test_checks_read_the_rows_and_build_no_dict(self):
+        rng = np.random.default_rng(4343)
+        for u, p, build, q in self._cases():
+            m = build()
+            phis = rng.uniform(-1.0, 1.0, (3, len(u.support)))
+            phi = dict(zip(u.support, phis[0].tolist()))
+            got = (
+                validate_measure(m, u),
+                m.total(),
+                check_multiplier_bounds(u, p, phis, m, q=q),
+                check_multiplier_bound(u, p, phi, m, q=q),
+            )
+            assert _kept(m)
+            plain = PietschMeasure(dict(build().weights), m.normalizer, m.exponent)
+            assert got == (
+                validate_measure(plain, u),
+                plain.total(),
+                check_multiplier_bounds(u, p, phis, plain, q=q),
+                check_multiplier_bound(u, p, phi, plain, q=q),
+            )
+            assert got[1] == math.fsum(m.weights.values()) and not _kept(m)
+
+    def test_dataclass_surface(self):
+        for u, _, build, _ in self._cases():
+            m = build()
+            plain = PietschMeasure(
+                weights=dict(build().weights), normalizer=m.normalizer, exponent=m.exponent
+            )
+            for measure in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+                assert _kept(measure) and measure == plain
+            assert _kept(m)
+            assert repr(build()) == repr(plain)
+            assert m == plain and plain == build() and m != replace(plain, exponent=1.0)
+            for measure in (build(), plain):
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(measure)
+                rescaled = replace(measure, normalizer=2.0)
+                assert rescaled.weights is measure.weights and rescaled.normalizer == 2.0
+                doubled = replace(measure, weights={k: 2 * w for k, w in measure.weights.items()})
+                assert not validate_measure(doubled, u)
+                for shared in (pickle.loads(pickle.dumps(measure)), copy.deepcopy(measure)):
+                    assert shared == measure and not _kept(shared)
+
+    def test_a_read_dict_is_the_measure(self):
+        rng = np.random.default_rng(4444)
+        for u, p, build, q in self._cases():
+            phi = dict(zip(u.support, rng.uniform(-1.0, 1.0, len(u.support)).tolist()))
+            first = u.support[0]
+            for change in (
+                lambda w: w.update({k: 2.0 * x for k, x in w.items()}),
+                lambda w: w.update({first: math.nan}),
+                lambda w: w.update({first: -0.25}),
+                lambda w: w.pop(first),
+                lambda w: w.update({iv(u.max_level + 1, 0): 0.0}),
+            ):
+                m = build()
+                change(m.weights)
+                plain = PietschMeasure(dict(m.weights), m.normalizer, m.exponent)
+                assert not _kept(m)
+                assert validate_measure(m, u) == validate_measure(plain, u)
+                assert m.total() == plain.total() or math.isnan(m.total())
+                assert repr(_outcome(check_multiplier_bound, u, p, phi, m, q=q)) == repr(
+                    _outcome(check_multiplier_bound, u, p, phi, plain, q=q)
+                )
+            assert not validate_measure(m, u)  # the foreign key
+
+    def test_foreign_and_nan_keys_refused(self):
+        u = scalar(2, {(0, 0): 1.0, (1, 0): 0.5, (2, 3): -0.25})
+        weights = weights_hp(u, 1.0).weights
+        for key in (iv(3, 0), iv(1, 1), math.nan, (0, 0, 0)):
+            bad = PietschMeasure(weights={**weights, key: 0.0}, normalizer=1.0, exponent=2.0)
+            assert not validate_measure(bad, u)
+            with pytest.raises(ValueError, match="does not match the expansion"):
+                check_multiplier_bound(u, 1.0, {}, bad)
+        nan_weight = PietschMeasure({**weights, iv(0, 0): math.nan}, 1.0, 2.0)
+        assert not validate_measure(nan_weight, u)
+
+    def test_other_supports(self):
+        rng = np.random.default_rng(4545)
+        u = random_expansion(rng, 5)
+        m = weights_hp(u, 1.0)
+        # an equal support of other objects still reads the rows
+        twin = HaarExpansion(u.max_level, 1, {iv(*key): value for key, value in u.coeffs.items()})
+        assert twin.support is not u.support and m._own_rows(twin) is not None
+        assert validate_measure(m, twin) and _kept(m)
+        # a larger support reads the dict by key; a smaller one refuses it
+        wider = HaarExpansion(u.max_level + 1, 1, {**u.coeffs, iv(u.max_level + 1, 0): 1.0})
+        assert validate_measure(m, wider) and not _kept(m)
+        narrower = HaarExpansion(u.max_level, 1, dict(list(u.coeffs.items())[1:]))
+        assert not validate_measure(weights_hp(u, 1.0), narrower)
+        with pytest.raises(ValueError, match="does not match the expansion"):
+            check_multiplier_bound(narrower, 1.0, {}, weights_hp(u, 1.0))
+
+
+class TestDeepHardyPath:
+    """`weights_hp` and 8 `check_multiplier_bound` calls at max level 14, as
+    the deep-hardy bench op makes them: no weights dict, no `np.fromiter`
+    but the 8 phi reads, no `math.fsum` over a row the kernel bins, and a
+    lower memory peak than the constructor that built the dict."""
+
+    def test_no_dict_no_weight_reads_no_long_fsum(self, monkeypatch):
+        u = gen_random(14, 1, 0.5, 3)
+        phis = np.random.default_rng([3, 8]).uniform(-1.0, 1.0, (8, len(u.support)))
+        phis = [dict(zip(u.support, row)) for row in phis.tolist()]
+        want = [check_multiplier_bound(u, 1.0, phi, weights_hp(u, 1.0)) for phi in phis]
+        reads, sums = [], []
+        fromiter, fsum = np.fromiter, math.fsum
+
+        def counted_fromiter(it, *args, **kwargs):
+            reads.append(type(it).__name__)
+            return fromiter(it, *args, **kwargs)
+
+        def counted_fsum(it):
+            sums.append(len(it) if hasattr(it, "__len__") else -1)
+            return fsum(it)
+
+        monkeypatch.setattr(np, "fromiter", counted_fromiter)
+        monkeypatch.setattr(math, "fsum", counted_fsum)
+        m = weights_hp(u, 1.0)
+        got = [check_multiplier_bound(u, 1.0, phi, m) for phi in phis]
+        monkeypatch.undo()
+        assert got == want and all(report.ok for report in got)
+        assert _kept(m)
+        assert reads.count("dict_values") == 8
+        assert len(u.support) > _FSUM_MIN_ROW and sums and max(sums) < _FSUM_MIN_ROW
+
+    def test_weights_peak(self):
+        u = gen_random(14, 1, 0.5, 0)
+        weights_hp(u, 1.0)
+        tracemalloc.start()
+        try:
+            m = weights_hp(u, 1.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the constructor that built the dict peaked at 2,738,529 bytes and
+        # kept 986,729 on this input (Python 3.11.7, numpy 2.4.6); the
+        # measure keeps one float array of 16,402 rows
+        assert peak <= 2_738_529, peak
+        assert kept < 10 * len(u.support), kept
+        assert _kept(m)
