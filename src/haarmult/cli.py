@@ -274,10 +274,15 @@ def run_verification(
     route when dimension > 1. Each trial decomposes u, |u|^(q/2) and uv
     once, and every later step reads that decomposition's report, block
     rows and weights, and the vector h2 identity its block pass (`_h2_sides`).
-    A q outside (0, inf) raises ValueError before the first trial.
+    A q outside (0, inf) raises ValueError before the first trial, and so
+    does the perturb-x mutant without the factorization route it corrupts.
     """
     if q is not None:
         _check_q(q)
+    run_tl = q is not None
+    run_pisier = run_tl and 1 < p < q
+    if mutant == "perturb-x" and not run_pisier:
+        raise ValueError(f"--inject-mutant perturb-x needs --q with 1 < p < q, got p={p}, q={q}")
     checks: dict[str, _Check] = {}
 
     def check(name: str) -> _Check:
@@ -298,8 +303,6 @@ def run_verification(
             c.record(report.ok, seed, trial)
         return c
 
-    run_tl = q is not None
-    run_pisier = q is not None and 1 < p < q
     for trial in range(trials):
         u = _trial_expansion(seed, trial, max_level, 1, density)
         rng = np.random.default_rng([seed, trial, 10_000])

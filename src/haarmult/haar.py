@@ -43,11 +43,17 @@ built for one. `square_leaf_sums`, `square_function`, `q_variation` and
 `StepFunction` (leaf values and their sup) stay as dense leaf exports for
 small N, on the leaf grid whatever the support; no hot path calls them.
 
-A mapping keyed by intervals (a multiplier phi, summing weights) is read at
-the support rows by `_support_rows`: a plain dict keyed by the support in
-support order in one pass over its values, with no key hashed
-(`_support_order`), and any other mapping with one `get` per row
-(`_rows_by_key`).
+A mapping keyed by intervals (a multiplier phi, summing weights, lattice
+factors) is read at the support rows by `_support_rows`: a plain dict keyed
+by the support in support order in one pass over its values, with no key
+hashed (`_support_order`), and any other mapping with one `get` per row
+(`_rows_by_key`). Results that hold one value per support interval (a
+`pietsch.PietschMeasure`'s weights, a `pisier.Factorization`'s factors)
+share one storage, `_KeptRows`: a constructor's object keeps them as
+read-only support-order arrays and builds a dict only when a caller reads
+the field. Every read of such a field at the support rows and every check
+of its keys goes through that base, so `_support_order` is called in this
+module only.
 
 Every sum over whole support rows (`l2_norm`, the weights' totals, the
 weighted sums of the multiplier check, `pisier._fqq_norm`) is `_fsum_rows`:
@@ -555,15 +561,11 @@ def _support_order(mapping: Mapping[DyadicInterval, object], u: HaarExpansion) -
     return type(mapping) is dict and len(mapping) == len(support) and tuple(mapping) == support
 
 
-def _support_rows(
-    mapping: Mapping[DyadicInterval, float], u: HaarExpansion, ordered: bool | None = None
-) -> np.ndarray:
+def _support_rows(mapping: Mapping[DyadicInterval, float], u: HaarExpansion) -> np.ndarray:
     """mapping at each support row of u, in support order, 0.0 where it has
-    no entry: one pass over its values when `_support_order(mapping, u)`
-    (`ordered`, computed here when None), else `_rows_by_key`."""
-    if ordered is None:
-        ordered = _support_order(mapping, u)
-    if not ordered:
+    no entry: one pass over its values when `_support_order(mapping, u)`,
+    else `_rows_by_key`."""
+    if not _support_order(mapping, u):
         return _rows_by_key(mapping, u)
     return np.fromiter(mapping.values(), float, len(u.support))
 
@@ -572,6 +574,76 @@ def _rows_by_key(mapping: Mapping[DyadicInterval, float], u: HaarExpansion) -> n
     """`_support_rows` for any mapping, one `get` per row: the path for
     mappings not in support order, and the reference for the one-pass read."""
     return np.fromiter(map(mapping.get, u.support, repeat(0.0)), float, len(u.support))
+
+
+class _KeptRows:
+    """The storage of a frozen dataclass whose dict fields hold one value per
+    support interval: `pietsch.PietschMeasure`'s weights and
+    `pisier.Factorization`'s factors.
+
+    An object built by `_from_rows` keeps each such field as a read-only
+    array in support order, with the support tuple the arrays belong to,
+    and builds the field's dict on its first read. From then on the dict is
+    the field and its array is gone, so a change a caller makes to the dict
+    is what every later read sees. An object built from dicts keeps them.
+    Reads at u's support rows (`_field_rows`) and key checks (`_keyed_by`)
+    take a kept array as it is when its support is u's, with no dict built
+    and no key hashed.
+    """
+
+    @classmethod
+    def _from_rows(
+        cls, support: tuple[DyadicInterval, ...], rows: dict[str, np.ndarray], **fields: object
+    ) -> "_KeptRows":
+        """The object whose field `name` has value rows[name][j] at support[j]
+        for each name in rows, the arrays kept as they are; the other fields
+        are `fields`."""
+        obj = object.__new__(cls)
+        vars(obj).update(fields, _support=support, _rows=rows)
+        return obj
+
+    def __getattr__(self, name: str) -> object:
+        """A kept field's dict, built on its first read; its array goes. The
+        mapping of kept arrays is replaced, never changed in place: a
+        `copy.copy` shares it."""
+        state = vars(self)
+        rows = state.get("_rows", {})
+        if name not in rows:
+            raise AttributeError(name)
+        state[name] = value = dict(zip(state["_support"], rows[name].tolist()))
+        state["_rows"] = {key: kept for key, kept in rows.items() if key != name}
+        return value
+
+    def _kept(self, name: str) -> np.ndarray | None:
+        """Field `name`'s kept array; None once its dict is built, and for an
+        object built from dicts."""
+        return vars(self).get("_rows", {}).get(name)
+
+    def _own_rows(self, name: str, u: HaarExpansion) -> np.ndarray | None:
+        """Field `name`'s kept array when it belongs to u's support (an
+        identity test, then the tuple comparison in C), else None."""
+        rows, support = self._kept(name), vars(self).get("_support")
+        own = rows is not None and (support is u.support or support == u.support)
+        return rows if own else None
+
+    def _field_rows(self, name: str, u: HaarExpansion) -> np.ndarray:
+        """Field `name` at u's support rows in support order: its own rows,
+        else its dict read by `_support_rows`."""
+        rows = self._own_rows(name, u)
+        return _support_rows(getattr(self, name), u) if rows is None else rows
+
+    def _keyed_by(self, name: str, u: HaarExpansion, subset: bool) -> bool:
+        """Whether field `name`'s keys lie in u's support (`subset`) or are
+        exactly u's support. Own rows and a dict in support order
+        (`_support_order`) answer with no key hashed; any other mapping is
+        compared by key set."""
+        if self._own_rows(name, u) is not None:
+            return True
+        mapping = getattr(self, name)
+        if _support_order(mapping, u):
+            return True
+        keys, support = mapping.keys(), u.coeffs.keys()
+        return keys <= support if subset else keys == support
 
 
 def _product_norms(

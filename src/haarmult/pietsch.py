@@ -17,13 +17,13 @@ verification that their `decompose` already ran.
 
 The weight constructors return a measure that keeps its weights as a
 read-only array in support order, with the support tuple they belong to
-(`PietschMeasure._from_rows`); the `weights` dict is built on first read,
-and from then on it is the measure and the array is gone. The multiplier
-checks, `validate_measure`, `PietschMeasure.total` and `pisier` take the
-array as it is when its support is u's (`PietschMeasure._own_rows`: an
-identity test, then the tuple comparison in C), with no dict, no key check
-and no `np.fromiter`. Nothing is cached: each constructor call builds a
-fresh measure.
+(`haar._KeptRows`, the storage `pisier.Factorization` shares); the
+`weights` dict is built on first read, and from then on it is the measure
+and the array is gone. The multiplier checks, `validate_measure`,
+`PietschMeasure.total` and `pisier` take the array as it is when its
+support is u's (`_KeptRows._field_rows`: an identity test, then the tuple
+comparison in C), with no dict, no key check and no `np.fromiter`. Nothing
+is cached: each constructor call builds a fresh measure.
 
 The multiplier check is batched: `check_multiplier_bounds` takes K
 multipliers as a (K, n) array in support order, and `check_multiplier_bound`
@@ -38,14 +38,15 @@ bit `math.fsum`, so the order of the terms does not matter; so are the
 weights' totals.
 
 A weight dict and phi are read at u's support rows through
-`haar._support_rows`. A plain dict whose keys are u's support in support
-order (`haar._support_order`: the `weights` a constructor's measure builds,
-and any dict zipped from `u.support`) is read in one pass over its values,
-and its keys are then known to lie in the support, so the key checks of
-`check_multiplier_bounds` and `validate_measure` hash no interval. Any
-other mapping is read with one `get` per row and checked with a key-set
-comparison; both paths give the same floats. `_assemble` validates its support-order array before it
-returns the measure.
+`haar._support_rows`: a plain dict whose keys are u's support in support
+order (the `weights` a constructor's measure builds, and any dict zipped
+from `u.support`) in one pass over its values, any other mapping with one
+`get` per row; both paths give the same floats. One key check,
+`_KeptRows._keyed_by`, serves `check_multiplier_bounds` and
+`validate_measure`: kept rows of u's support and a dict in support order
+pass with no interval hashed, any other mapping by key-set comparison.
+`_assemble` validates its support-order array before it returns the
+measure.
 
 The powers |phi_I|^s of a batch are one `haar._pow` call: `np.float_power`,
 which calls libm `pow` once per element, so each is bit for bit Python's
@@ -76,12 +77,12 @@ from .haar import (
     _fsum_rows,
     _Grid,
     _hp_norm,
+    _KeptRows,
     _pow,
     _product_norms,
     _read_only,
     _square_measures,
     _support_grid,
-    _support_order,
     _support_rows,
     _tl_norm,
     convexify,
@@ -92,62 +93,23 @@ _SUM_TOL = 1e-12
 _BOUND_RTOL = 1e-9
 
 
-@dataclass(frozen=True, init=False)
-class PietschMeasure:
+@dataclass(frozen=True)
+class PietschMeasure(_KeptRows):
     """Nonnegative weights per interval, their normalizer A, and the summing
     exponent s (2 for Hardy-space weights, q for Triebel-Lizorkin ones).
 
     A measure from the weight constructors keeps its weights as a read-only
-    array in support order, with the support tuple it belongs to, and builds
-    the `weights` dict from them on first read. From then on the dict is the
-    measure: the array is dropped, so a change a caller makes to the dict is
-    what every later check sees. A measure built from a dict keeps that dict.
+    array in support order and builds the `weights` dict on first read; from
+    then on the dict is the measure (`haar._KeptRows`). A measure built from
+    a dict keeps that dict.
     """
 
     weights: dict[DyadicInterval, float]
     normalizer: float
     exponent: float
 
-    def __init__(
-        self, weights: dict[DyadicInterval, float], normalizer: float, exponent: float
-    ) -> None:
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "normalizer", normalizer)
-        object.__setattr__(self, "exponent", exponent)
-
-    @classmethod
-    def _from_rows(
-        cls,
-        support: tuple[DyadicInterval, ...],
-        rows: np.ndarray,
-        normalizer: float,
-        exponent: float,
-    ) -> "PietschMeasure":
-        """The measure with weight rows[j] at support[j]; rows is kept as it is."""
-        m = object.__new__(cls)
-        vars(m).update(_support=support, _rows=rows, normalizer=normalizer, exponent=exponent)
-        return m
-
-    def __getattr__(self, name: str) -> object:
-        """`weights`, built from the kept rows on first read; the rows go."""
-        state = vars(self)
-        if name != "weights" or "_rows" not in state:
-            raise AttributeError(name)
-        weights = dict(zip(state.pop("_support"), state.pop("_rows").tolist()))
-        state["weights"] = weights
-        return weights
-
-    def _own_rows(self, u: HaarExpansion) -> np.ndarray | None:
-        """The kept rows when they belong to u's support (an identity test,
-        then the tuple comparison, with no key hashed), else None."""
-        state = vars(self)
-        if "_rows" not in state:
-            return None
-        support = state["_support"]
-        return state["_rows"] if support is u.support or support == u.support else None
-
     def total(self) -> float:
-        rows = vars(self).get("_rows")
+        rows = self._kept("weights")
         return math.fsum(self.weights.values()) if rows is None else _fsum(rows)
 
 
@@ -163,31 +125,20 @@ class MultiplierReport:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
-def _weight_rows(m: PietschMeasure, u: HaarExpansion) -> np.ndarray:
-    """m's weights at u's support rows in support order: its kept rows when
-    they belong to u's support, else read from `weights` (`haar._support_rows`)."""
-    rows = m._own_rows(u)
-    return _support_rows(m.weights, u) if rows is None else rows
-
-
 def validate_measure(m: PietschMeasure, u: HaarExpansion) -> bool:
     """Invariants: normalizer in [1, inf), exponent in (0, inf), weights
     nonnegative, total <= 1, support inside u's; a NaN weight, normalizer or
-    exponent fails. A measure that keeps its rows for u's support is checked
-    on them, with no dict built."""
+    exponent fails. A measure that keeps its rows is checked on them, with
+    no dict built when they belong to u's support."""
     if not (1.0 <= m.normalizer < math.inf and 0.0 < m.exponent < math.inf):
         return False
-    rows = m._own_rows(u)
+    rows = m._kept("weights")
     weights = np.fromiter(m.weights.values(), float, len(m.weights)) if rows is None else rows
     if not (weights >= 0).all():
         return False
     if not m.total() <= 1.0 + _SUM_TOL:
         return False
-    return (
-        rows is not None
-        or _support_order(m.weights, u)
-        or m.weights.keys() <= u.coeffs.keys()
-    )
+    return m._keyed_by("weights", u, subset=True)
 
 
 def _assemble(
@@ -223,7 +174,8 @@ def _assemble(
     weight_total = _fsum(weights)
     if not ((weights >= 0).all() and weight_total <= 1.0 + _SUM_TOL):
         raise VerificationError(f"weights failed validation: total {weight_total}")
-    return PietschMeasure._from_rows(u.support, _read_only(weights), normalizer, exponent)
+    rows = {"weights": _read_only(weights)}
+    return PietschMeasure._from_rows(u.support, rows, normalizer=normalizer, exponent=exponent)
 
 
 def _weights(u: HaarExpansion, p: float, exponent: float, grid: _Grid) -> PietschMeasure:
@@ -328,16 +280,14 @@ def check_multiplier_bounds(
     (0, inf) raises ValueError right after the key check, before any work.
     The key check, the weights, ||u|| and C are computed once per batch: a
     constructor's measure gives its support-order array as it is
-    (`PietschMeasure._own_rows`), a weight dict in support order is read in
-    one pass with no key hashed (`haar._support_rows`), and any other by
+    (`haar._KeptRows._field_rows`), a weight dict in support order is read
+    in one pass with no key hashed (`haar._support_rows`), and any other by
     key. The products phi_k * u are summed in batched `_cells` calls on the
     grid of u's support, which ||u|| shares, with no expansion built, in
     batches of `haar._batch_rows(grid)` rows. A failing row raises what its single
     check raises, the first such row in order.
     """
-    weights = m._own_rows(u)
-    ordered = weights is not None or _support_order(m.weights, u)
-    if not (ordered or m.weights.keys() <= u.coeffs.keys()):
+    if not m._keyed_by("weights", u, subset=True):
         raise ValueError("measure does not match the expansion")
     if not 1.0 <= m.normalizer < math.inf:  # NaN included
         raise ValueError(f"measure normalizer must lie in [1, inf), got {m.normalizer}")
@@ -350,8 +300,7 @@ def check_multiplier_bounds(
         raise ValueError(f"phis has shape {phis.shape}, expected (K, {len(u.support)})")
     if not len(phis):
         return []
-    if weights is None:
-        weights = _support_rows(m.weights, u, ordered)
+    weights = m._field_rows("weights", u)
     grid = _support_grid(u)
     try:
         return _check_rows(u, p, phis, m, weights, grid)

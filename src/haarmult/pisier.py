@@ -6,13 +6,16 @@ the factors are y_I = (w_I/|I|)^(1/q) and x_I = (|u_I| |y_I|^-theta)^(1/(1-theta
 on the support (0 elsewhere). The product identity is algebraic; the norm
 bound on x is certified sample-by-sample through an exact Hoelder chain.
 
-Factors and coefficients are read as support-row arrays
-(`haar._support_rows`: one pass over a dict in support order, no key
-hashed), the weights as the measure's own support-order array
-(`pietsch._weight_rows`), and every per-row power is `haar._pow`,
-Python's float `pow` per element through `np.float_power` (numpy's `**`
-may differ from it in the last bit). The per-row tolerance tests are
-`_isclose`, `math.isclose` on arrays.
+`factorize` returns its factors as read-only arrays in support order,
+with the support tuple they belong to, through the storage the weights use
+(`haar._KeptRows`): the `x` and `y` dicts are built only when a caller
+reads them, and from then on each dict is its factor. Factors and weights
+are read at u's support rows through that base (`_field_rows`: the kept
+array as it is, else one pass over a dict in support order, else one `get`
+per row), and the factors' keys are checked by it (`_keyed_by`). Every
+per-row power is `haar._pow`, Python's float `pow` per element through
+`np.float_power` (numpy's `**` may differ from it in the last bit). The
+per-row tolerance tests are `_isclose`, `math.isclose` on arrays.
 
 `x0_norm_estimate` runs its candidates in blocks of `haar._batch_rows`
 rows, drawn one block after another from the same generator, so its memory
@@ -38,21 +41,27 @@ from .haar import (
     _check_q,
     _fsum,
     _Grid,
+    _KeptRows,
     _pow,
+    _read_only,
     _support_grid,
-    _support_order,
-    _support_rows,
     _tl_norm,
 )
-from .pietsch import PietschMeasure, _weight_rows, _weights_tl
+from .pietsch import PietschMeasure, _weights_tl
 
 _IDENTITY_RTOL = 1e-10
 _CHAIN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Factorization:
-    """Coefficient factors and the interpolation exponent used."""
+class Factorization(_KeptRows):
+    """Coefficient factors and the interpolation exponent used.
+
+    A factorization from `factorize` keeps its factors as read-only arrays
+    in support order and builds the `x` and `y` dicts on first read; from
+    then on each dict is its factor (`haar._KeptRows`). One built from dicts
+    keeps them.
+    """
 
     x: dict[DyadicInterval, float]
     y: dict[DyadicInterval, float]
@@ -96,16 +105,12 @@ def _factorize(
     u: HaarExpansion, p: float, q: float, exponent: float, measure: PietschMeasure
 ) -> Factorization:
     """`factorize` from `theta(p, q)` and `weights_tl(u, p, q)`."""
-    y = _pow(_weight_rows(measure, u) * np.ldexp(1.0, u.levels), 1.0 / q)
+    y = _pow(measure._field_rows("weights", u) * np.ldexp(1.0, u.levels), 1.0 / q)
     with np.errstate(over="ignore"):  # inf as in Python
         base = np.abs(u.values[:, 0]) * _pow(y, -exponent)
     x = _pow(base, 1.0 / (1.0 - exponent))
-    return Factorization(
-        x=dict(zip(u.support, x.tolist())),
-        y=dict(zip(u.support, y.tolist())),
-        theta=exponent,
-        p=p,
-        q=q,
+    return Factorization._from_rows(
+        u.support, {"x": _read_only(x), "y": _read_only(y)}, theta=exponent, p=p, q=q
     )
 
 
@@ -130,11 +135,8 @@ def _isclose(
 
 
 def _matches(f: Factorization, u: HaarExpansion) -> bool:
-    """Whether both factors are keyed by u's support: no key is hashed for a
-    plain dict in support order (`haar._support_order`)."""
-    return all(
-        _support_order(factor, u) or set(factor) == set(u.coeffs) for factor in (f.x, f.y)
-    )
+    """Whether both factors are keyed by u's support (`haar._KeptRows._keyed_by`)."""
+    return all(f._keyed_by(name, u, subset=False) for name in ("x", "y"))
 
 
 def verify_factorization(u: HaarExpansion, f: Factorization) -> bool:
@@ -145,7 +147,7 @@ def verify_factorization(u: HaarExpansion, f: Factorization) -> bool:
     the unit bound is no norm (`haar._check_q`)."""
     if not (_matches(f, u) and 0.0 < f.q < math.inf):
         return False
-    x, y = (np.abs(_support_rows(factor, u)) for factor in (f.x, f.y))
+    x, y = (np.abs(f._field_rows(name, u)) for name in ("x", "y"))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
             products = _pow(x, 1.0 - f.theta) * _pow(y, f.theta)
@@ -205,8 +207,8 @@ def _x0_norm_estimate(
 ) -> float:
     """`x0_norm_estimate` after its argument checks, on `weights_tl(u, f.p,
     f.q)` and the grid of u's support."""
-    y_vec = _support_rows(f.y, u)
-    w_vec = _weight_rows(measure, u)
+    y_vec = f._field_rows("y", u)
+    w_vec = measure._field_rows("weights", u)
     expected = _pow(w_vec * np.ldexp(1.0, u.levels), 1.0 / f.q)
     if not _isclose(expected, y_vec, 1e-9, 1e-300).all():
         raise ValueError("factorization does not match the expansion")
@@ -218,7 +220,7 @@ def _x0_norm_estimate(
     cap = measure.normalizer ** (1.0 / p) * norm_u
 
     n_support = len(u.support)
-    x_power = np.abs(_support_rows(f.x, u)) ** (1.0 - th)
+    x_power = np.abs(f._field_rows("x", u)) ** (1.0 - th)
     m_vec = np.ldexp(1.0, -u.levels)
 
     # candidate 0 is y, then the samples, drawn block by block from one

@@ -24,6 +24,7 @@ from haarmult import (
     IntervalFamily,
     PietschMeasure,
     VerificationError,
+    appendix_constant,
     carleson_constant,
     check_multiplier_bound,
     check_multiplier_bounds,
@@ -55,7 +56,7 @@ from haarmult.haar import (
     q_variation,
     square_leaf_sums,
 )
-from haarmult.pietsch import _assemble
+from haarmult.pietsch import _BOUND_RTOL, _assemble
 
 import atomic_oracle
 import dyadic_oracle
@@ -138,14 +139,23 @@ def scalar_results(scalar_pool):
 
 
 @pytest.fixture(scope="module")
-def tl_results(scalar_pool):
+def tl_decompositions(scalar_pool):
+    """(dec, report) per (instance, (p, q)): the verified decomposition of
+    |u|^(q/2) in the Hardy space with exponent 2p/q."""
     results = {}
     for i, u in enumerate(scalar_pool):
         for p, q in TL_PQS:
             powered = convexify(u, q)
-            inner_p = 2.0 * p / q
-            dec = decompose(powered, inner_p)
-            results[i, (p, q)] = _assemble_from(powered, inner_p, dec, exponent=q)
+            results[i, (p, q)] = _decompose(powered, 2.0 * p / q, _support_grid(powered))
+    return results
+
+
+@pytest.fixture(scope="module")
+def tl_results(scalar_pool, tl_decompositions):
+    results = {}
+    for (i, (p, q)), (dec, _) in tl_decompositions.items():
+        powered = convexify(scalar_pool[i], q)
+        results[i, (p, q)] = _assemble_from(powered, 2.0 * p / q, dec, exponent=q)
     return results
 
 
@@ -566,6 +576,69 @@ class TestCriterion8MutationSensitivity:
             )
         caught &= exit_code == 1
         _report(8, caught, "perturbed factor rejected, mutant verify exits 1")
+
+
+class TestCriterion9BoundConsequences:
+    """Two exact consequences of the paper's bound, on every instance of
+    both pools and on the Hardy, Triebel-Lizorkin and vector routes.
+
+    (a) A <= max(1, observed_ratio), A from the weights and the ratio from
+    the report of the same decomposition (for Triebel-Lizorkin that of
+    |u|^(q/2) at exponent 2p/q): ||u_i||_2 <= |I_i|^(1/2) sup S(u_i) bounds
+    each block's term by the ratio.
+
+    (b) The single-interval multipliers e_I: ||x_I h_I|| = |x_I| |I|^(1/p),
+    so the bound forces w_I >= (|x_I| |I|^(1/p) / (C ||u||))^s on every row,
+    to the check's own relative tolerance (equality holds at p = 2 on
+    one-interval blocks, so no tighter one is possible).
+    """
+
+    @staticmethod
+    def _routes(scalar_pool, vector_pool, scalar_results, tl_decompositions,
+                tl_results, vector_results):
+        """(u, p, measure, report, ||u||) on each route."""
+        for i, u in enumerate(scalar_pool):
+            for p in HP_PS:
+                _, report, measure = scalar_results[i, p]
+                yield u, p, measure, report, hp_norm(u, p)
+            for p, q in TL_PQS:
+                report = tl_decompositions[i, (p, q)][1]
+                yield u, p, tl_results[i, (p, q)], report, tl_norm(u, p, q)
+        for i, u in enumerate(vector_pool):
+            for p in HP_PS:
+                dec, measure = vector_results[i, p]
+                yield u, p, measure, verify_decomposition(u, p, dec), hp_norm(u, p)
+
+    def test_normalizer_and_single_interval_bounds(
+        self, scalar_pool, vector_pool, scalar_results, tl_decompositions, tl_results,
+        vector_results,
+    ):
+        worst_a = worst_need = 0.0
+        ok = True
+        cases = 0
+        for u, p, m, report, norm in self._routes(
+            scalar_pool, vector_pool, scalar_results, tl_decompositions, tl_results,
+            vector_results,
+        ):
+            a_ratio = m.normalizer / max(1.0, report.observed_ratio)
+            lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
+            constant = (m.normalizer / lower) ** (1.0 / p)
+            lhs = np.sqrt(u.squares) * np.ldexp(1.0, -u.levels) ** (1.0 / p)
+            need = (lhs / (constant * norm)) ** m.exponent
+            weights = m._field_rows("weights", u)
+            ok &= a_ratio <= 1.0 + 1e-12
+            ok &= bool((need <= weights * (1.0 + _BOUND_RTOL)).all())
+            worst_a = max(worst_a, a_ratio)
+            worst_need = max(worst_need, float((need / weights).max()))
+            cases += 1
+        assert cases == N_INSTANCES * (2 * len(HP_PS) + len(TL_PQS))
+        _report(
+            9,
+            ok,
+            f"A <= max(1, observed ratio) (max quotient {worst_a:.4f}) and "
+            f"w_I >= (|x_I| |I|^(1/p) / (C ||u||))^s (max quotient {worst_need!r}) "
+            f"on {cases} (instance, route) cases",
+        )
 
 
 class TestLeafSumOracles:

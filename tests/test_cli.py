@@ -282,6 +282,14 @@ class TestCommands:
         assert "q applies to scalar expansions only" in captured.err
         assert captured.out == ""
 
+    def test_pietsch_vector_file(self, tmp_path, capsys):
+        path = str(tmp_path / "v.json")
+        save(path, gen_random(4, 2, 0.5, seed=3))
+        assert main(["pietsch", "--p", "1.5", path]) == 0
+        m = pietsch.weights_vector(load(path), 1.5)
+        payload = {"weights": m.weights, "A": m.normalizer, "s": m.exponent, "total": m.total()}
+        assert capsys.readouterr().out == dump_json(payload) + "\n"
+
     def test_decompose_single(self, tmp_path, capsys):
         path = write(tmp_path, "u.json", MINIMAL)
         assert main(["decompose", "--p", "1", path]) == 0
@@ -563,6 +571,38 @@ class TestVerifyCommand:
             _decompose(uv, 1.0, _support_grid(uv))
         assert exc.value.report == refused[-1]
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "1.5", "--q", "1"], "--q must be >= --p"),
+            (["--trials", "0"], "--trials must be positive"),
+            (["--seed", "-1"], "--seed must be nonnegative"),
+        ],
+    )
+    def test_flag_usage_errors(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("flags", [["--p", "1"], ["--p", "1.5", "--q", "1.5"]])
+    def test_x_mutant_without_factorization_route_refused(self, capsys, monkeypatch, flags):
+        drawn = count_calls(monkeypatch, cli, "_trial_expansion")
+        code = main(["verify", "--trials", "2", *flags, "--inject-mutant", "perturb-x"])
+        assert code == 2 and drawn == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "perturb-x needs --q with 1 < p < q" in captured.err
+        with pytest.raises(ValueError, match="perturb-x needs --q with 1 < p < q"):
+            run_verification(
+                p=1.0, q=None, trials=1, seed=0, density=0.5, max_level=3, dimension=1,
+                mutant="perturb-x",
+            )
+        # the weight mutant needs no factorization route: it is caught
+        assert main(["verify", "--trials", "2", *flags, "--inject-mutant", "scale-omega"]) == 1
+        assert drawn
 
     def test_dimension_below_one_usage_error(self):
         with pytest.raises(SystemExit) as exc:

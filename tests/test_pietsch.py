@@ -618,8 +618,7 @@ class TestSupportOrderReads:
 
     def _by_key(self, monkeypatch):
         """Send every read down the by-key path."""
-        for module in (haar, pietsch):
-            monkeypatch.setattr(module, "_support_order", lambda mapping, u: False)
+        monkeypatch.setattr(haar, "_support_order", lambda mapping, u: False)
 
     def test_reports_match_by_key_and_oracle(self, monkeypatch):
         rng = np.random.default_rng(9292)
@@ -820,6 +819,13 @@ class TestMeasureStorage:
                 )
             assert not validate_measure(m, u)  # the foreign key
 
+    def test_a_copy_keeps_its_rows(self):
+        for u, _, build, _ in self._cases():
+            m = build()
+            twin = copy.copy(m)
+            assert m.weights and not _kept(m)
+            assert _kept(twin) and validate_measure(twin, u) and _kept(twin)
+
     def test_foreign_and_nan_keys_refused(self):
         u = scalar(2, {(0, 0): 1.0, (1, 0): 0.5, (2, 3): -0.25})
         weights = weights_hp(u, 1.0).weights
@@ -837,7 +843,7 @@ class TestMeasureStorage:
         m = weights_hp(u, 1.0)
         # an equal support of other objects still reads the rows
         twin = HaarExpansion(u.max_level, 1, {iv(*key): value for key, value in u.coeffs.items()})
-        assert twin.support is not u.support and m._own_rows(twin) is not None
+        assert twin.support is not u.support and m._own_rows("weights", twin) is not None
         assert validate_measure(m, twin) and _kept(m)
         # a larger support reads the dict by key; a smaller one refuses it
         wider = HaarExpansion(u.max_level + 1, 1, {**u.coeffs, iv(u.max_level + 1, 0): 1.0})

@@ -1,8 +1,10 @@
 """Lattice factorization: exactness of the split, the unit bound on the
 second factor, and the sampled lattice-norm machinery."""
 
+import copy
 import itertools
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -424,7 +426,6 @@ class TestSupportOrderKeys:
             f = factorize(u, 1.5, 3.0)
             answers = self._answers(u, f)
             assert answers == [answers[0]] * 3 and answers[0][0]
-            monkeypatch.setattr(pisier, "_support_order", lambda mapping, u: False)
             monkeypatch.setattr(haar, "_support_order", lambda mapping, u: False)
             assert self._answers(u, f) == answers
             monkeypatch.undo()
@@ -634,3 +635,87 @@ class TestNoKeyHashed:
             )
             with pytest.raises(AssertionError, match="by-key path"):
                 verify_factorization(u, reversed_f)
+
+
+def _kept(f):
+    """Whether f still keeps both factors as support-order arrays and has
+    built neither dict."""
+    return not {"x", "y"} & vars(f).keys() and all(f._kept(name) is not None for name in "xy")
+
+
+class TestFactorStorage:
+    """`factorize` keeps its factors in support order and builds the `x` and
+    `y` dicts on first read; from then on each dict is its factor.
+    Factorizations built from dicts, `replace`, `==`, `repr`, pickling and
+    copies behave as for a dict-valued dataclass."""
+
+    def _cases(self):
+        rng = np.random.default_rng(5151)
+        return [
+            (random_scalar(rng, 6), 1.5, 3.0),
+            (_sparse_scalar(rng, 30, 40), 1.25, 4.0),
+        ]
+
+    def _plain(self, f):
+        return Factorization(x=dict(f.x), y=dict(f.y), theta=f.theta, p=f.p, q=f.q)
+
+    def test_checks_read_the_rows_and_build_no_dict(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dict read")
+
+        for u, p, q in self._cases():
+            plain = self._plain(factorize(u, p, q))
+            want = (verify_factorization(u, plain), x0_norm_estimate(plain, u, 8, seed=2))
+            f = factorize(u, p, q)
+            assert _kept(f)
+            assert isinstance(f._kept("x"), np.ndarray) and not f._kept("y").flags.writeable
+            monkeypatch.setattr(haar, "_support_rows", refuse)
+            got = (verify_factorization(u, f), x0_norm_estimate(f, u, 8, seed=2))
+            monkeypatch.undo()
+            assert got == want and got[0] is True
+            assert _kept(f)
+            assert f == plain and not _kept(f)
+
+    def test_dataclass_surface(self):
+        for u, p, q in self._cases():
+            f = factorize(u, p, q)
+            plain = self._plain(factorize(u, p, q))
+            for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+                assert _kept(g) and g == plain
+            assert _kept(f)
+            assert repr(factorize(u, p, q)) == repr(plain)
+            assert f == plain and plain == factorize(u, p, q) and f != replace(plain, p=2.0)
+            for g in (factorize(u, p, q), plain):
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(g)
+                moved = replace(g, q=q + 1.0)
+                assert moved.x is g.x and moved.y is g.y and moved.q == q + 1.0
+                for shared in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+                    assert shared == g and not _kept(shared)
+
+    def test_a_read_dict_is_the_factor(self):
+        for u, p, q in self._cases():
+            first = u.support[0]
+            for name, change in (
+                ("x", lambda d: d.update({first: d[first] + 1e-3})),  # the perturb-x mutant
+                ("y", lambda d: d.update({first: 2.0 * d[first]})),
+                ("x", lambda d: d.pop(first)),
+                ("y", lambda d: d.update({iv(u.max_level + 1, 0): 1.0})),
+            ):
+                f = factorize(u, p, q)
+                change(getattr(f, name))
+                assert name in vars(f) and f._kept(name) is None
+                plain = self._plain(f)
+                assert verify_factorization(u, f) is verify_factorization(u, plain) is False
+                assert _outcome(x0_norm_estimate, f, u, 4) == _outcome(
+                    x0_norm_estimate, plain, u, 4
+                )
+
+    def test_a_copy_keeps_its_rows(self):
+        u, p, q = self._cases()[0]
+        f = factorize(u, p, q)
+        g = copy.copy(f)
+        assert f.x is not None and f._kept("x") is None and f._kept("y") is not None
+        assert _kept(g) and g._own_rows("x", u) is not None
+        assert verify_factorization(u, g) and _kept(g)
+        assert g.y == f.y and f._kept("y") is None and g._kept("x") is not None
