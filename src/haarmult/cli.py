@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .atomic import AtomicDecomposition, _block_order, _block_stats, _decompose, _member_rows
-from .dyadic import DyadicInterval, generation_decay_verdicts
+from .dyadic import DyadicInterval, _decay_verdicts
 from .errors import (
     DegenerateThetaError,
     EmptyFamilyError,
@@ -60,6 +60,8 @@ from .pisier import verify_factorization
 # points of the lattice norm estimate per trial, in `run_verification`
 _PHI_PER_TRIAL = 20
 _Z_PER_TRIAL = 20
+# the corruptions `run_verification` can inject, one object each
+_MUTANTS = ("scale-omega", "perturb-x")
 
 
 def _format_number(value: float) -> str:
@@ -181,14 +183,16 @@ def _gen_with_rng(
     rng: np.random.Generator, max_level: int, dimension: int, density: float
 ) -> HaarExpansion:
     HaarExpansion(max_level, dimension, {})  # the constructor's checks, before any draw
-    coeffs = {}
+    intervals, rows = [], []
     for level in range(max_level + 1):
         for pos in range(1 << level):
             if rng.random() < density:
-                coeffs[DyadicInterval(level, pos)] = tuple(
-                    rng.standard_normal(dimension).tolist()
-                )
-    return HaarExpansion(max_level, dimension, coeffs)
+                intervals.append(DyadicInterval(level, pos))
+                rows.append(rng.standard_normal(dimension))
+    # drawn in support order, so the rows go in as they are
+    levels, positions = np.array(intervals, dtype=np.int64).reshape(-1, 2).T.copy()
+    values = np.array(rows).reshape(len(rows), dimension)
+    return HaarExpansion._from_rows(max_level, dimension, intervals, levels, positions, values)
 
 
 def _trial_expansion(
@@ -267,16 +271,22 @@ def run_verification(
 ) -> dict:
     """Full randomized invariant suite; returns the report dictionary.
 
-    Per trial: the generation decay bound on the support family, the block
+    Per trial: the generation decay bound on the support, the block
     decomposition guarantees, the weight normalization and multiplier bound
     for the Hardy route (plus the Triebel-Lizorkin route when q is given and
     the factorization route when additionally 1 < p < q), and the vector
-    route when dimension > 1. Each trial decomposes u, |u|^(q/2) and uv
-    once, and every later step reads that decomposition's report, block
-    rows and weights, and the vector h2 identity its block pass (`_h2_sides`).
-    A q outside (0, inf) raises ValueError before the first trial, and so
-    does the perturb-x mutant without the factorization route it corrupts.
+    route when dimension > 1. A trial draws u straight into support rows
+    and builds u's grid once; the decay bound reads that grid's parent
+    table (`dyadic._decay_verdicts`), so no support family is built. Each
+    trial decomposes u, |u|^(q/2) and uv once, and every later step reads
+    that decomposition's report, block rows and weights, and the vector h2
+    identity its block pass (`_h2_sides`). A mutant other than None or one
+    of `_MUTANTS`, and a q outside (0, inf), raise ValueError before the
+    first trial, and so does the perturb-x mutant without the factorization
+    route it corrupts.
     """
+    if mutant is not None and mutant not in _MUTANTS:
+        raise ValueError(f"mutant must be None or one of {', '.join(_MUTANTS)}, got {mutant!r}")
     if q is not None:
         _check_q(q)
     run_tl = q is not None
@@ -307,12 +317,12 @@ def run_verification(
         u = _trial_expansion(seed, trial, max_level, 1, density)
         rng = np.random.default_rng([seed, trial, 10_000])
 
-        family = u.support_family()
-        layers = max(family.depths()) + 2
-        verdicts = generation_decay_verdicts(family, layers)
-        check("decay_bound").record(all(map(all, verdicts)), seed, trial)
-
+        # a member's depth is at most max_level, and past the deepest
+        # generation every verdict holds
         grid = _support_grid(u)
+        decay = _decay_verdicts(u.levels, grid.parent, max_level, max_level + 1)
+        check("decay_bound").record(bool(decay.all()), seed, trial)
+
         try:
             dec, report = _decompose(u, p, grid)
         except VerificationError as exc:
@@ -435,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--dimension", type=int, default=1)
     ver.add_argument(
         "--inject-mutant",
-        choices=["scale-omega", "perturb-x"],
+        choices=_MUTANTS,
         default=None,
         help="deliberately corrupt one object to prove the verifier catches it",
     )

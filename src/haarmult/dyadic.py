@@ -8,17 +8,19 @@ pointer jumps in preorder (left end, then coarsest first) from each
 member's predecessor. The atom grid of `haar` also runs it on support
 arrays; the leaf grid paints its table level by level instead, and this
 search is the reference for that paint. Depths are one top-down pass over
-the table and packed measures one bottom-up pass, both O(n), and
+the table and packed measures one bottom-up pass, both O(n).
 `generation_decay_verdicts` answers the decay bound for every member and
-layer at once from one bottom-up pass in O(n L). Measures are exact integer
-counts of leaves of level `max_level`, made `fractions.Fraction` only on
-return; only the transcendental right side of the generation decay bound is
-a float.
+layer at once from one (member, relative depth) count array, built by
+climbing the table one generation at a time (`_layer_leaves`), whose row
+sums also give the Carleson constant. Its core, `_decay_verdicts`, takes
+any parent table: a `verify` trial passes its support grid's, so no family
+is built there. Measures are exact integer counts of leaves of level
+`max_level`, made `fractions.Fraction` only on return; only the
+transcendental right side of the generation decay bound is a float.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
@@ -250,26 +252,50 @@ def generations(family: IntervalFamily) -> list[IntervalFamily]:
     ]
 
 
-def _layer_leaves(family: IntervalFamily) -> list[list[int]]:
-    """Per member I, entry n: the leaves of level max_level in the members
-    inside I at depth depth(I) + n, gathered bottom-up over the parent table.
+def _layer_leaves(
+    levels: np.ndarray, parent: np.ndarray, max_level: int, layers: int = 0
+) -> np.ndarray:
+    """The (n, max(depth + 1, layers)) array whose entry (k, m) counts the
+    leaves of level max_level in the members m generations below member k:
+    the members inside I_k at depth depth(I_k) + m, for the members
+    (levels[k], ...) with parent table `parent` (a parent precedes its
+    children), `depth` the deepest member's.
 
     The members inside I are I and its descendants in the table (an ancestor
-    of J ⊆ I lies in [J, I] or contains I), so each list is a histogram of
-    relative depths, and merging every child into its parent costs O(n L).
+    of J ⊆ I lies in [J, I] or contains I), so climbing the table one
+    generation at a time, every member adds its leaves to its m-th ancestor
+    in column m, in O(n depth). `levels` and `parent` are int64 arrays.
     """
-    top = family.max_level
-    leaves = [[1 << (top - i.level)] for i in family]
-    parent = family.parents()
-    for k in range(len(leaves) - 1, -1, -1):
-        if parent[k] >= 0:
-            target = leaves[parent[k]]
-            for n, count in enumerate(leaves[k], 1):
-                if n < len(target):
-                    target[n] += count
-                else:
-                    target.append(count)
-    return leaves
+    # counts up to 2^N, past int64 beyond level 62: Python ints there, as in
+    # `IntervalFamily.parents`
+    leaves = np.left_shift(1, (max_level - levels).astype(np.int64 if max_level <= 62 else object))
+    columns = [leaves]
+    rows, up = np.flatnonzero(parent >= 0), parent[parent >= 0]
+    while len(rows):
+        columns.append(np.zeros(len(levels), leaves.dtype))
+        np.add.at(columns[-1], up, leaves[rows])
+        up = parent[up]
+        rows, up = rows[up >= 0], up[up >= 0]
+    columns += [np.zeros(len(levels), leaves.dtype)] * (layers - len(columns))
+    return np.stack(columns, axis=1)
+
+
+def _decay_verdicts(
+    levels: np.ndarray, parent: np.ndarray, max_level: int, layers: int
+) -> np.ndarray:
+    """The (n, layers) verdicts of `generation_decay_verdicts` for the
+    non-empty family of members (levels[k], ...) with parent table `parent`.
+
+    One count array (`_layer_leaves`) gives both sides: its row sums, taken
+    relative to |I|, give the Carleson constant, and each count over 2^N is
+    compared with the float bound times 2^-level, bit for bit the Python
+    `count / scale <= bound * measure`.
+    """
+    counts = _layer_leaves(levels, parent, max_level, layers)
+    # in Python ints: a row sum reaches (depth + 1) 2^N, past int64 at level 61
+    packing = (counts.sum(axis=1, dtype=object) << levels.astype(object)).max() / (1 << max_level)
+    bounds = [4.0 * 2.0 ** (-2.0 * n / (4.0 * packing + 1.0)) for n in range(layers)]
+    return counts[:, :layers] / (1 << max_level) <= np.outer(np.ldexp(1.0, -levels), bounds)
 
 
 def generation_decay_verdicts(family: IntervalFamily, layers: int) -> list[list[bool]]:
@@ -278,24 +304,15 @@ def generation_decay_verdicts(family: IntervalFamily, layers: int) -> list[list[
 
     The left side is the exact measure of layer n of the restricted family
     {J in E : J ⊆ I}, the members inside I at depth depth(I) + n; the right
-    side is a float. One Carleson constant and one bottom-up pass give every
-    verdict.
+    side is a float. One count array over the parent table gives the
+    Carleson constant and every verdict (`_decay_verdicts`).
     """
     if layers < 0:
         raise ValueError("layers must be nonnegative")
     if not family:
         return []
-    packing = float(carleson_constant(family))
-    bounds = [4.0 * 2.0 ** (-2.0 * n / (4.0 * packing + 1.0)) for n in range(layers)]
-    scale = 1 << family.max_level
-    verdicts = []
-    for leaves, interval in zip(_layer_leaves(family), family):
-        leaves += [0] * (layers - len(leaves))
-        measure = math.ldexp(1.0, -interval.level)
-        verdicts.append([
-            count / scale <= bound * measure for count, bound in zip(leaves, bounds)
-        ])
-    return verdicts
+    levels = np.fromiter((i.level for i in family), np.int64, len(family))
+    return _decay_verdicts(levels, np.array(family.parents()), family.max_level, layers).tolist()
 
 
 def is_block(collection: IntervalFamily, ambient: IntervalFamily) -> bool:

@@ -41,7 +41,10 @@ rounding. Leaf positions, heap codes and prefix counts are int64, so the
 `HaarExpansion` constructor refuses a max level above 61 and no array is
 built for one. `square_leaf_sums`, `square_function`, `q_variation` and
 `StepFunction` (leaf values and their sup) stay as dense leaf exports for
-small N, on the leaf grid whatever the support; no hot path calls them.
+small N. They sum on the support's own grid (`_leaf_sums`) and on the
+atoms repeat each cell's value over its leaves, which gives the leaf sums
+bit for bit; no hot path calls them. So every tree over a support is a
+`_Grid`'s, and `_paint` runs only inside `_Grid`.
 
 A mapping keyed by intervals (a multiplier phi, summing weights, lattice
 factors) is read at the support rows by `_support_rows`: a plain dict keyed
@@ -286,10 +289,10 @@ class StepFunction:
 
 
 def _leaf_sums(u: HaarExpansion, values: np.ndarray) -> np.ndarray:
-    """`_cells` of values at u's support rows on the leaf grid, whatever the
-    support."""
-    bounds = np.searchsorted(u.levels, np.arange(u.max_level + 2)).tolist()
-    return _tree_sums(bounds, *_paint(u.positions, bounds), values)
+    """The 2^N leaf values of sum_j values[j] 1_{I_j} over u's support rows:
+    `_cells` on u's grid, each cell's value repeated over its leaves."""
+    sums, lengths = _cells(_support_grid(u), values)
+    return sums if lengths is None else np.repeat(sums, lengths)
 
 
 def square_leaf_sums(u: HaarExpansion) -> np.ndarray:

@@ -43,6 +43,7 @@ from haarmult import (
     verify_decomposition,
     verify_factorization,
     weights_hp,
+    weights_tl,
     weights_vector,
     x0_norm_estimate,
 )
@@ -51,6 +52,7 @@ from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves, _nearest_ancestors
 from haarmult.haar import (
     _cells,
+    _on_atoms,
     _support_grid,
     _support_rows,
     q_variation,
@@ -493,7 +495,11 @@ class TestCriterion6DecayBound:
         # layer measures too, since the bound leaves every verdict true
         for fam in self._pool():
             scale = 1 << fam.max_level
-            for interval, leaves in zip(fam, _layer_leaves(fam)):
+            levels = np.array([i.level for i in fam], dtype=np.int64)
+            counts = _layer_leaves(levels, np.array(fam.parents()), fam.max_level)
+            for interval, leaves in zip(fam, counts.tolist()):
+                while not leaves[-1]:  # the columns past this member's depth
+                    leaves.pop()
                 assert [Fraction(n, scale) for n in leaves] == (
                     dyadic_oracle.layer_measures(fam, interval)
                 )
@@ -1273,3 +1279,124 @@ class TestThresholdDescent:
             want = _stopping_time_pieces(u)
             for j in (lo, int(rng.integers(lo, hi + 1)), hi):
                 assert _stopping_time_pieces(_scaled(u, j)) == want
+
+
+# Maps of the dyadic tree, applied to expansions. Every object the library
+# builds commutes with them, exactly in real arithmetic: tops and blocks
+# move with the map, Carleson constants and verdicts stay, and so do the
+# weights and A; norms stay, or scale by |J|^(1/p) under a dilation into J.
+def _mirror_interval(interval):
+    """t -> 1 - t: the interval (l, 2^l - 1 - k)."""
+    return DyadicInterval(interval.level, (1 << interval.level) - 1 - interval.position)
+
+
+def _mirror(u):
+    """(u(1 - t), the interval map): each coefficient at the mirrored
+    interval, with x -> -x, since a mirrored Haar function changes sign."""
+    coeffs = {_mirror_interval(i): tuple(-c for c in x) for i, x in u.coeffs.items()}
+    return HaarExpansion(u.max_level, u.dimension, coeffs), _mirror_interval
+
+
+def _dilate(j_level, j_position, u):
+    """(u carried into J = (j_level, j_position) and 0 outside it, the
+    interval map): (l, k) -> (l + j_level, j_position 2^l + k), at max level
+    N + j_level."""
+    def interval_map(interval):
+        position = (j_position << interval.level) + interval.position
+        return DyadicInterval(interval.level + j_level, position)
+
+    coeffs = {interval_map(i): x for i, x in u.coeffs.items()}
+    return HaarExpansion(u.max_level + j_level, u.dimension, coeffs), interval_map
+
+
+# (the map, the factor |J| its norms scale by to the power 1/p): the mirror,
+# and dilations into J = (3, 5) and J = (8, 173); the second puts every
+# pool instance on the atom grid, whose cell sums then meet the leaf sums
+_MAPS = [
+    pytest.param(_mirror, 1.0, id="mirror"),
+    pytest.param(partial(_dilate, 3, 5), 2.0**-3, id="dilate-3-5"),
+    pytest.param(partial(_dilate, 8, 173), 2.0**-8, id="dilate-8-173"),
+]
+
+# how far a weight, A or norm of a mapped expansion may move, relative: the
+# map changes the order of the float sums, not their terms
+_SYMMETRY_RTOL = 32 * 2.0**-53
+
+_VERDICTS = ("partition_ok", "blocks_ok", "tops_ok", "tops_carleson",
+             "tops_carleson_ok", "chain_lower_ok", "chain_middle_ok", "passed")
+
+
+def _near(got, want):
+    return abs(got - want) <= _SYMMETRY_RTOL * abs(want)
+
+
+def _pieces(dec, interval_map=lambda i: i):
+    return {
+        (interval_map(piece.top), frozenset(map(interval_map, piece.block)))
+        for piece in dec.pieces
+    }
+
+
+class TestExactSymmetries:
+    """The maps of `_MAPS` over both pools, one p per instance, against the
+    pools' own decompositions and weights; random sign flips of the
+    coefficients leave the weights bit for bit."""
+
+    def _check_map(self, u, p, dec, report, measure, mapped, interval_map, scale):
+        got = decompose(mapped, p)
+        assert _pieces(got) == _pieces(dec, interval_map)
+        assert set(got.tops()) == set(map(interval_map, dec.tops()))
+        got_report = verify_decomposition(mapped, p, got).as_dict()
+        want_report = report.as_dict()
+        assert [got_report[k] for k in _VERDICTS] == [want_report[k] for k in _VERDICTS]
+        weights = (weights_hp if u.dimension == 1 else weights_vector)(mapped, p)
+        assert weights.weights.keys() == set(map(interval_map, measure.weights))
+        for interval, w in measure.weights.items():
+            assert _near(weights.weights[interval_map(interval)], w)
+        assert _near(weights.normalizer, measure.normalizer)
+        assert weights.exponent == measure.exponent
+        assert _near(hp_norm(mapped, p), hp_norm(u, p) * scale ** (1.0 / p))
+
+    @pytest.mark.parametrize("mapping, scale", _MAPS)
+    def test_scalar_pool(self, scalar_pool, scalar_results, mapping, scale):
+        for i, u in enumerate(scalar_pool):
+            p = HP_PS[i % len(HP_PS)]
+            mapped, interval_map = mapping(u)
+            dec, report, measure = scalar_results[i, p]
+            self._check_map(u, p, dec, report, measure, mapped, interval_map, scale)
+            p, q = TL_PQS[i % len(TL_PQS)]
+            assert _near(tl_norm(mapped, p, q), tl_norm(u, p, q) * scale ** (1.0 / p))
+            got, want = weights_tl(mapped, p, q), weights_tl(u, p, q)
+            assert all(_near(got.weights[interval_map(k)], w) for k, w in want.weights.items())
+            assert _near(got.normalizer, want.normalizer)
+
+    @pytest.mark.parametrize("mapping, scale", _MAPS)
+    def test_vector_pool(self, vector_pool, vector_results, mapping, scale):
+        for i, u in enumerate(vector_pool):
+            p = HP_PS[i % len(HP_PS)]
+            mapped, interval_map = mapping(u)
+            dec, measure = vector_results[i, p]
+            report = verify_decomposition(u, p, dec)
+            self._check_map(u, p, dec, report, measure, mapped, interval_map, scale)
+
+    def test_deep_dilation_reaches_the_atom_grid(self, scalar_pool, vector_pool):
+        # every pool instance sums on the leaves, and on the atoms once
+        # dilated 8 levels down
+        for u in scalar_pool + vector_pool:
+            assert not _on_atoms(len(u.support), u.max_level)
+            assert _on_atoms(len(u.support), u.max_level + 8)
+
+    def test_sign_flips_keep_weights(self, scalar_pool, vector_pool):
+        rng = np.random.default_rng(1313)
+        for i, u in enumerate(scalar_pool + vector_pool):
+            p = HP_PS[i % len(HP_PS)]
+            signs = rng.choice([-1.0, 1.0], len(u.support))
+            flipped = HaarExpansion(u.max_level, u.dimension, {
+                interval: tuple(s * c for c in x)
+                for s, (interval, x) in zip(signs.tolist(), u.coeffs.items())
+            })
+            weights = weights_hp if u.dimension == 1 else weights_vector
+            got, want = weights(flipped, p), weights(u, p)
+            assert got.weights == want.weights
+            assert got.normalizer == want.normalizer
+            assert decompose(flipped, p).tops() == decompose(u, p).tops()

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarmult import DyadicInterval, ExpansionFormatError, HaarExpansion, atomic, cli, haar
+from haarmult import DyadicInterval, ExpansionFormatError, HaarExpansion, atomic, cli, dyadic, haar
 from haarmult import factorize, h2_measure, hp_norm, l2_norm, multiply, pietsch
 from haarmult import VerificationError, x0_norm_estimate
 from haarmult.atomic import _block_order, _decompose
@@ -129,7 +129,45 @@ class TestLoadSave:
         assert load(write(tmp_path, "u.json", ok)).coeffs == {iv(0, 0): (2.0,)}
 
 
+def dict_draw(max_level, dimension, density, seed):
+    """`gen_random` as it drew before its rows went in as they are: each
+    drawn coefficient into a dict, which the constructor sorts and checks."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for level in range(max_level + 1):
+        for pos in range(1 << level):
+            if rng.random() < density:
+                coeffs[DyadicInterval(level, pos)] = tuple(
+                    rng.standard_normal(dimension).tolist()
+                )
+    return HaarExpansion(max_level, dimension, coeffs)
+
+
 class TestGenRandom:
+    @pytest.mark.parametrize("max_level, dimension", [(0, 1), (6, 1), (6, 2), (8, 3)])
+    @pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+    def test_matches_dict_draw(self, max_level, dimension, density):
+        for seed in range(3):
+            got = gen_random(max_level, dimension, density, seed)
+            want = dict_draw(max_level, dimension, density, seed)
+            assert got.support == want.support
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.squares.tobytes() == want.squares.tobytes()
+            assert np.array_equal(got.levels, want.levels)
+            assert np.array_equal(got.positions, want.positions)
+            assert got.coeffs == want.coeffs
+
+    def test_draw_builds_no_dict(self, monkeypatch):
+        # the constructor runs once, on no coefficients, for its checks
+        given = []
+        init = HaarExpansion.__init__
+        monkeypatch.setattr(
+            HaarExpansion, "__init__",
+            lambda u, *args: given.append(dict(args[2])) or init(u, *args),
+        )
+        assert len(gen_random(5, 2, 0.5, seed=2).support) > 0
+        assert given == [{}]
+
     def test_full_density_counts(self):
         u = gen_random(2, 1, 1.0, seed=0)
         assert len(u.support) == 7
@@ -531,6 +569,45 @@ class TestVerifyCommand:
         assert report["passed"] is True
         assert len(grids) == 2 * 5
 
+    def test_one_tree_per_support(self, monkeypatch):
+        # at the bench's flags: no support family, its depths or its parent
+        # table; the decay bound reads u's grid. The 3 ancestor tables are
+        # the tops' Carleson constants, one per verified decomposition
+        def refuse(*args):
+            raise AssertionError("a support family was built")
+
+        monkeypatch.setattr(HaarExpansion, "support_family", refuse)
+        monkeypatch.setattr(dyadic.IntervalFamily, "depths", refuse)
+        tables = []
+        for module in (dyadic, haar):
+            tables.append(count_calls(monkeypatch, module, "_nearest_ancestors"))
+        grids = count_calls(monkeypatch, cli, "_support_grid")
+        builds = []
+        init = haar._Grid.__init__
+        monkeypatch.setattr(
+            haar._Grid, "__init__", lambda grid, *args: builds.append(args) or init(grid, *args)
+        )
+        report = run_verification(
+            p=1.5, q=3.0, trials=1, seed=0, density=0.5, max_level=6, dimension=2
+        )
+        assert report["checks"]["decay_bound"] == {"passed": True, "trials": 1}
+        assert sum(map(len, tables)) == 3
+        assert len(builds) == 5
+        assert len(grids) == 2
+
+    def test_decay_verdicts_match_support_family(self):
+        # the trial's verdicts from u's grid against those of u's family
+        for max_level, density in ((6, 0.5), (10, 0.05), (14, 0.001)):
+            for seed in range(4):
+                u = _trial_expansion(seed, 0, max_level, 1, density)
+                family = u.support_family()
+                grid = _support_grid(u)
+                got = dyadic._decay_verdicts(u.levels, grid.parent, max_level, max_level + 1)
+                want = dyadic.generation_decay_verdicts(family, max(family.depths()) + 2)
+                assert got.all() == all(map(all, want))
+                depth = max(family.depths()) + 1
+                assert got[:, :depth].tolist() == [row[:depth] for row in want]
+
     def test_refused_decomposition_carries_its_report(self, monkeypatch, capsys):
         # a vector decomposition that fails its verification escapes the
         # trial: exit 1 and its report on stderr, in the fields' order with
@@ -603,6 +680,31 @@ class TestVerifyCommand:
         # the weight mutant needs no factorization route: it is caught
         assert main(["verify", "--trials", "2", *flags, "--inject-mutant", "scale-omega"]) == 1
         assert drawn
+
+    def test_unknown_mutant_refused_before_first_trial(self, capsys, monkeypatch):
+        drawn = count_calls(monkeypatch, cli, "_trial_expansion")
+        message = "mutant must be None or one of scale-omega, perturb-x, got 'scale-omgea'"
+        with pytest.raises(ValueError, match=message):
+            run_verification(
+                p=1.0, q=None, trials=1, seed=0, density=0.5, max_level=3, dimension=1,
+                mutant="scale-omgea",
+            )
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", "1", "--inject-mutant", "scale-omgea"])
+        assert exc.value.code == 2
+        assert "scale-omega" in capsys.readouterr().err
+        assert drawn == []
+
+    @pytest.mark.parametrize("mutant", cli._MUTANTS)
+    def test_each_mutant_caught_at_bench_flags(self, capsys, mutant):
+        code = main(
+            ["verify", "--trials", "1", "--seed", "0", "--p", "1.5", "--q", "3",
+             "--max-level", "6", "--dimension", "2", "--inject-mutant", mutant]
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flags"]["inject_mutant"] == mutant
+        assert payload["passed"] is False
 
     def test_dimension_below_one_usage_error(self):
         with pytest.raises(SystemExit) as exc:

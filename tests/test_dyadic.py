@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from haarmult import (
     generations,
     is_block,
 )
+from haarmult.dyadic import _layer_leaves
 
 import dyadic_oracle
 
@@ -350,6 +352,41 @@ class TestDecayVerdicts:
             [dyadic_oracle.generation_decay_check(fam, i, n) for n in range(layers)]
             for i in fam
         ]
+
+
+def deep_family(rng, max_level):
+    """A few chains of nested members down to random leaves of level
+    max_level, at random levels, so that members nest many deep."""
+    members = set()
+    for _ in range(rng.randint(1, 5)):
+        leaf = iv(max_level, rng.randrange(1 << max_level))
+        for level in rng.sample(range(max_level + 1), rng.randint(1, 8)):
+            members.add(leaf.ancestor(level))
+    return IntervalFamily(members, max_level)
+
+
+class TestDecayVerdictsDeep:
+    """Leaf counts are int64 up to max level 62 and Python ints past it."""
+
+    @pytest.mark.parametrize("max_level", [61, 62, 63, 90])
+    def test_matches_reference(self, max_level):
+        rng = random.Random(max_level)
+        for _ in range(15):
+            fam = deep_family(rng, max_level)
+            layers = len(generations(fam)) + 1
+            assert generation_decay_verdicts(fam, layers) == [
+                [dyadic_oracle.generation_decay_check(fam, i, n) for n in range(layers)]
+                for i in fam
+            ]
+            levels = np.array([i.level for i in fam], dtype=np.int64)
+            counts = _layer_leaves(levels, np.array(fam.parents()), max_level, layers)
+            assert counts.dtype == (np.int64 if max_level <= 62 else object)
+            assert counts.shape == (len(fam), layers)
+            scale = 1 << max_level
+            for interval, row in zip(fam, counts.tolist()):
+                measures = dyadic_oracle.layer_measures(fam, interval)
+                padded = measures + [0] * (layers - len(measures))
+                assert [Fraction(n, scale) for n in row] == padded
 
 
 class TestIsBlock:

@@ -27,7 +27,8 @@ from haarmult import (
 )
 from haarmult import haar, pietsch
 from haarmult.dyadic import _nearest_ancestors
-from haarmult.haar import _cell_sum, _cells, _Grid, _paint, _support_grid
+from haarmult.haar import _cell_sum, _cells, _Grid, _paint, _pow, _support_grid
+from haarmult.haar import q_variation, square_leaf_sums
 
 import dyadic_oracle
 import haar_oracle
@@ -173,6 +174,28 @@ class TestTreeCellSums:
                 assert grid.owner[atom] == deepest
 
 
+class TestDenseLeafExports:
+    """`square_leaf_sums` and `q_variation` on sparse supports, whose grid is
+    the atoms: each cell's value over its leaves, bit for bit the leaf sums
+    of `haar_oracle.push_down`."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_atom_grid_matches_leaf_oracle(self, seed):
+        u = _sparse(np.random.default_rng(seed), 16, 20)
+        assert _support_grid(u).lengths is not None
+        want = haar_oracle.push_down(16, u.levels, u.positions, u.squares)
+        assert square_leaf_sums(u).tobytes() == want.tobytes()
+        for q in (0.7, 2.0, 3.0):
+            powers = _pow(np.abs(u.values[:, 0]), q)
+            want = haar_oracle.push_down(16, u.levels, u.positions, powers) ** (1.0 / q)
+            assert q_variation(u, q).values.tobytes() == want.tobytes()
+
+    def test_empty_support(self):
+        u = HaarExpansion(16, 1, {})
+        assert _support_grid(u).lengths is not None
+        assert square_leaf_sums(u).tobytes() == np.zeros(1 << 16).tobytes()
+
+
 class TestLayout:
     def test_batch_rows_sum_as_one_row_alone(self):
         # `np.sum` over a batch row adds in the order of that row alone only
@@ -282,6 +305,15 @@ class TestOneGridPerCall:
         builds.clear()
         check_multiplier_bound(u, 1.0, dict(zip(u.support, holes.tolist())), m)
         assert len(builds) == 2 and max(Counter(builds).values()) == 1
+
+    @pytest.mark.parametrize("max_level", [8, 16])
+    def test_dense_leaf_exports(self, builds, max_level):
+        # one grid each, the leaves or the atoms: `_paint` runs only there
+        u = _sparse(np.random.default_rng(max_level), max_level, 20)
+        for export in (square_leaf_sums, lambda u: q_variation(u, 3.0)):
+            builds.clear()
+            export(u)
+            assert len(builds) == 1
 
     def test_no_grid_kept(self, builds):
         u = _sparse(np.random.default_rng(9), 30, 200)
