@@ -132,7 +132,6 @@ def load(path: str) -> HaarExpansion:
                 f"{path}: each coefficient needs integer level and pos and a "
                 f"list of numbers as value"
             )
-        value = [float(v) for v in raw]
         if not 0 <= level <= max_level:
             raise ExpansionFormatError(
                 f"{path}: level {level} outside [0, {max_level}]"
@@ -141,16 +140,24 @@ def load(path: str) -> HaarExpansion:
             raise ExpansionFormatError(
                 f"{path}: position {pos} outside [0, 2^{level}) at level {level}"
             )
-        if len(value) != dimension:
+        if len(raw) != dimension:
             raise ExpansionFormatError(
-                f"{path}: value length {len(value)} != dimension {dimension}"
+                f"{path}: value length {len(raw)} != dimension {dimension}"
             )
         interval = DyadicInterval(level, pos)
+        try:
+            value = tuple(map(float, raw))
+        except OverflowError:  # a JSON integer past the float range
+            value = (math.inf,)
+        if not all(map(math.isfinite, value)):
+            raise ExpansionFormatError(
+                f"{path}: coefficient at {interval} is not a finite float"
+            )
         if interval in coeffs:
             raise ExpansionFormatError(
                 f"{path}: duplicate coefficient for interval {interval}"
             )
-        coeffs[interval] = tuple(value)
+        coeffs[interval] = value
     return HaarExpansion(max_level, dimension, coeffs)
 
 
@@ -333,7 +340,7 @@ def run_verification(
         c.track("max_tops_carleson", float(report.tops_carleson))
         c.track("max_observed_ratio", report.observed_ratio)
 
-        m = _assemble(u, p, dec, 2.0, report.norm_p)
+        m = _assemble(u, p, dec, 2.0, report.norm_p, grid)
         if mutant == "scale-omega":
             m = replace(m, weights={k: 2.0 * w for k, w in m.weights.items()})
         check_weights("hp", u, m).track("constant", m.normalizer ** (1.0 / p))
@@ -362,7 +369,7 @@ def run_verification(
             uv = _trial_expansion(seed + 1_000_003, trial, max_level, dimension, density)
             grid_v = _support_grid(uv)
             dv, rv = _decompose(uv, p, grid_v)
-            check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p))
+            check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p, grid_v))
             lhs, rhs = _h2_sides(uv, dv, grid_v, rng)
             slack = 1e-12 * np.maximum(np.maximum(lhs, rhs), 1e-300)
             h2_ok = not (np.abs(lhs - rhs) > slack).any()

@@ -17,9 +17,13 @@ so a product phi * u or a convexification builds no dict unless a caller
 reads it.
 
 Every sum sum_I v_I 1_I on a hot path goes through `_cells`, on the grid
-of the support (`_Grid`), which each public call builds once from
-(max_level, levels, positions) and passes down as an argument; no grid is
-kept on an expansion, in the module or in a cache. The grid holds the level
+of the support (`_Grid`), which each public call builds at most once from
+(max_level, levels, positions) and passes down as an argument. No grid is
+kept on an expansion, in the module or in a cache; a weight constructor's
+measure keeps the grid it was built on when that grid is the atoms, and a
+multiplier check on u of the same support and max level sums on it
+(`_KeptRows._grid_for`). An atom grid is read-only, as one may be
+shared. The grid holds the level
 bounds of the support rows, their parent table and each cell's owner, the
 deepest support row containing it, and picks the cells (`_on_atoms`): the
 atoms when (2n + 1)(N + 1) + 256 < 2^N, with each atom's length, else the
@@ -122,6 +126,20 @@ def _squares(values: np.ndarray) -> np.ndarray:
 _MAX_LEVEL = 61
 
 
+# text a float conversion would parse, or iterate into characters or bytes
+_TEXT = (str, bytes, bytearray)
+
+
+def _is_text(value: object) -> bool:
+    """Whether a coefficient entry is text: a str, bytes or bytearray (numpy
+    string scalars included), a numpy string array, or a 0-d array holding
+    text."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value.item()
+    dtype = getattr(value, "dtype", None)
+    return isinstance(value, _TEXT) or isinstance(dtype, np.dtype) and dtype.kind in "SU"
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -131,9 +149,12 @@ class HaarExpansion:
     """Sparse Haar coefficients up to a fixed maximum level.
 
     Zero coefficient vectors are dropped on construction, so the key set of
-    ``coeffs`` equals the Haar support. Values are tuples of floats of length
-    ``dimension`` and must be finite; a number given as a value (a Python or
-    numpy scalar, or any 0-d array) is the vector of length 1.
+    ``coeffs`` equals the Haar support. Keys must be `DyadicInterval`s.
+    Values are tuples of floats of length ``dimension`` and must be finite;
+    a number given as a value (a Python or numpy scalar, or any 0-d array)
+    is the vector of length 1. Text is refused, never parsed: a key that is
+    not an interval, and a str, bytes or numpy string value or entry, raise
+    TypeError naming it.
 
     The support is kept once, row j for the j-th interval of ``support``: the
     ``support`` tuple and read-only arrays ``levels`` and ``positions``
@@ -158,6 +179,9 @@ class HaarExpansion:
             )
         if dimension < 1:
             raise ValueError(f"dimension must be positive, got {dimension}")
+        for key in coeffs:
+            if not isinstance(key, DyadicInterval):
+                raise TypeError(f"coefficient key {key!r} is not a DyadicInterval")
         intervals = sorted(coeffs)
         rows = []
         for interval in intervals:
@@ -166,11 +190,15 @@ class HaarExpansion:
                     f"interval {interval} exceeds max level {max_level}"
                 )
             raw = coeffs[interval]
-            vector = (
-                (float(raw),)
-                if isinstance(raw, (int, float)) or getattr(raw, "ndim", None) == 0
-                else tuple(float(c) for c in raw)
-            )
+            if isinstance(raw, (int, float)):
+                vector = (float(raw),)
+            else:
+                # a 0-d array, or text to refuse below, is one entry
+                single = isinstance(raw, _TEXT) or getattr(raw, "ndim", None) == 0
+                entries = (raw,) if single else tuple(raw)
+                if any(map(_is_text, entries)):
+                    raise TypeError(f"coefficient at {interval} is text, {raw!r}, not numbers")
+                vector = tuple(map(float, entries))
             if len(vector) != dimension:
                 raise ValueError(
                     f"coefficient at {interval} has length {len(vector)}, "
@@ -353,24 +381,26 @@ def q_variation(u: HaarExpansion, q: float) -> StepFunction:
 
 
 class _Grid:
-    """The cell grid of one support, built once per public call from
-    (max_level, levels, positions) and passed down to every sum over that
-    support; nothing keeps it after the call.
+    """The cell grid of one support, built from (max_level, levels,
+    positions) and passed down to every sum over that support. `bounds` is
+    a tuple, and on the atoms every array is read-only, so a measure that
+    keeps its atom grid (`_KeptRows._grid_for`) shares it with its copies
+    and with every check (`_freeze`).
 
-    `bounds[l]:bounds[l + 1]` are the support rows of level l, l = 0 .. N
-    (int list), `owner[c]` the deepest support row containing cell c and
-    `parent` each row's nearest support ancestor, -1 for none. On the leaf
-    grid, where `edges` and `lengths` are None, `_paint` gives both. On the
-    atom grid (`_on_atoms`) `parent` is `dyadic._nearest_ancestors`, `edges`
-    holds the atom boundaries in leaves (every support endpoint, 0 and 2^N,
-    sorted and distinct), and `lengths` their differences.
+    `bounds[l]:bounds[l + 1]` are the support rows of level l, l = 0 .. N,
+    `owner[c]` the deepest support row containing cell c and `parent` each
+    row's nearest support ancestor, -1 for none. On the leaf grid, where
+    `edges` and `lengths` are None, `_paint` gives both. On the atom grid
+    (`_on_atoms`) `parent` is `dyadic._nearest_ancestors`, `edges` holds the
+    atom boundaries in leaves (every support endpoint, 0 and 2^N, sorted and
+    distinct), and `lengths` their differences.
     """
 
     __slots__ = ("max_level", "bounds", "edges", "lengths", "owner", "parent")
 
     def __init__(self, max_level: int, levels: np.ndarray, positions: np.ndarray) -> None:
         self.max_level = max_level
-        self.bounds = np.searchsorted(levels, np.arange(max_level + 2)).tolist()
+        self.bounds = tuple(np.searchsorted(levels, np.arange(max_level + 2)).tolist())
         self.edges = self.lengths = None
         n = len(levels)
         if not _on_atoms(n, max_level):
@@ -401,9 +431,25 @@ class _Grid:
         at[index[n + 2 :][coarsest]] = parent[coarsest]
         at[index[2 : n + 2][finest]] = np.flatnonzero(finest)
         self.owner = at[:-1]
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Make the arrays of an atom grid read-only: a measure may keep it
+        and share it with its copies and every check. A leaf grid is never
+        kept, and `np.take` copies a read-only index array, which would slow
+        every sum over its 2^N leaf owners."""
+        if self.lengths is not None:
+            for array in (self.owner, self.parent, self.edges, self.lengths):
+                _read_only(array)
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        """A deep copy or an unpickled atom grid is read-only too."""
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._freeze()
 
 
-def _paint(positions: np.ndarray, bounds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _paint(positions: np.ndarray, bounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(the deepest row containing each leaf, each row's nearest ancestor),
     -1 for none, on the 2^N leaves of rows sorted by level: row j of level l
     (rows `bounds[l]:bounds[l + 1]`, l = 0 .. N) is node positions[j] of its
@@ -422,7 +468,7 @@ def _paint(positions: np.ndarray, bounds: list[int]) -> tuple[np.ndarray, np.nda
 
 
 def _tree_sums(
-    bounds: list[int], owner: np.ndarray, parent: np.ndarray, values: np.ndarray
+    bounds: Sequence[int], owner: np.ndarray, parent: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """sum_j values[..., j] 1_{I_j} at each cell's owner row (`_paint`), by
     a tree prefix sum, coarsest level first: a row's running sum is its
@@ -592,17 +638,28 @@ class _KeptRows:
     Reads at u's support rows (`_field_rows`) and key checks (`_keyed_by`)
     take a kept array as it is when its support is u's, with no dict built
     and no key hashed.
+
+    `_from_rows` may also keep the grid of that support, which depends on
+    the support and the max level alone, never on the field values.
+    `_grid_for(u)` hands it to a check on u of the same support and max
+    level; any other u, and an object built from dicts (a
+    `dataclasses.replace` copy included), gets a fresh grid. A `copy.copy`
+    shares the grid; a deep copy or a pickle round trip carries its own.
     """
 
     @classmethod
     def _from_rows(
-        cls, support: tuple[DyadicInterval, ...], rows: dict[str, np.ndarray], **fields: object
+        cls,
+        support: tuple[DyadicInterval, ...],
+        rows: dict[str, np.ndarray],
+        grid: _Grid | None = None,
+        **fields: object,
     ) -> "_KeptRows":
         """The object whose field `name` has value rows[name][j] at support[j]
-        for each name in rows, the arrays kept as they are; the other fields
-        are `fields`."""
+        for each name in rows, the arrays kept as they are, with `grid`, the
+        grid of the support or None; the other fields are `fields`."""
         obj = object.__new__(cls)
-        vars(obj).update(fields, _support=support, _rows=rows)
+        vars(obj).update(fields, _support=support, _rows=rows, _grid=grid)
         return obj
 
     def __getattr__(self, name: str) -> object:
@@ -622,12 +679,26 @@ class _KeptRows:
         object built from dicts."""
         return vars(self).get("_rows", {}).get(name)
 
+    def _of_support(self, u: HaarExpansion) -> bool:
+        """Whether the kept support is u's: an identity test, then the tuple
+        comparison in C. An object built from dicts keeps none."""
+        support = vars(self).get("_support")
+        return support is u.support or support == u.support
+
     def _own_rows(self, name: str, u: HaarExpansion) -> np.ndarray | None:
-        """Field `name`'s kept array when it belongs to u's support (an
-        identity test, then the tuple comparison in C), else None."""
-        rows, support = self._kept(name), vars(self).get("_support")
-        own = rows is not None and (support is u.support or support == u.support)
-        return rows if own else None
+        """Field `name`'s kept array when it belongs to u's support, else
+        None."""
+        rows = self._kept(name)
+        return rows if rows is not None and self._of_support(u) else None
+
+    def _grid_for(self, u: HaarExpansion) -> _Grid:
+        """The grid of u's support: the kept one when there is one, it
+        belongs to u's support and its max level is u's, else a fresh
+        `_support_grid(u)`. Either sums bit for bit alike."""
+        grid = vars(self).get("_grid")
+        if grid is not None and grid.max_level == u.max_level and self._of_support(u):
+            return grid
+        return _support_grid(u)
 
     def _field_rows(self, name: str, u: HaarExpansion) -> np.ndarray:
         """Field `name` at u's support rows in support order: its own rows,

@@ -25,11 +25,22 @@ support is u's (`_KeptRows._field_rows`: an identity test, then the tuple
 comparison in C), with no dict, no key check and no `np.fromiter`. Nothing
 is cached: each constructor call builds a fresh measure.
 
+A constructor's measure also keeps the grid of u's support that it was
+built on (`_assemble`), when that grid is the atoms: an atom grid needs
+an ancestor search and a sort of the endpoints to build and holds about
+45 bytes per row, while a leaf grid holds one int64 per leaf and is
+repainted in one pass per level. The grid depends only on the max level
+and the support, so a check on u of the measure's support and max level
+sums on the kept grid (`haar._KeptRows._grid_for`) with no lookup, bit for
+bit as on a fresh one. A measure built from a dict, a `dataclasses.replace`
+copy, and a u of another max level get a fresh grid.
+
 The multiplier check is batched: `check_multiplier_bounds` takes K
 multipliers as a (K, n) array in support order, and `check_multiplier_bound`
 is its K = 1 case on the row read from a phi dict. Per batch it checks the
-measure's keys, reads the weights into a support-order array, builds the
-grid of u's support (`haar._Grid`) and computes ||u|| and C once; the norms
+measure's keys, reads the weights into a support-order array, takes the
+grid of u's support (`haar._Grid`: the measure's own, else built) and
+computes ||u|| and C once; the norms
 of the K products phi_k * u come from batched `_cells` calls on that grid
 (`haar._product_norms`), with no expansion built. The weight constructors
 build one grid too, which the decomposition inside them shares. Each row's
@@ -147,11 +158,13 @@ def _assemble(
     dec: AtomicDecomposition,
     exponent: float,
     norm_p: float,
+    grid: _Grid,
 ) -> PietschMeasure:
     """Weights from a verified decomposition of u built by `decompose` (its
-    row form) and `hp_norm(u, p)`, kept in support order. The array is
-    validated as `validate_measure` would validate the measure (nonnegative,
-    total at most 1)."""
+    row form) and `hp_norm(u, p)`, kept in support order, with `grid`, the
+    grid of u's support, when it is the atoms. The array is validated as
+    `validate_measure` would validate the measure (nonnegative, total at
+    most 1)."""
     norm_p_p = norm_p**p
     order, ends = _block_order(dec._block, len(dec._top_rows))
     terms = _square_measures(u)[order]
@@ -175,14 +188,17 @@ def _assemble(
     if not ((weights >= 0).all() and weight_total <= 1.0 + _SUM_TOL):
         raise VerificationError(f"weights failed validation: total {weight_total}")
     rows = {"weights": _read_only(weights)}
-    return PietschMeasure._from_rows(u.support, rows, normalizer=normalizer, exponent=exponent)
+    kept = None if grid.lengths is None else grid  # a leaf grid is cheaper to repaint than keep
+    return PietschMeasure._from_rows(
+        u.support, rows, kept, normalizer=normalizer, exponent=exponent
+    )
 
 
 def _weights(u: HaarExpansion, p: float, exponent: float, grid: _Grid) -> PietschMeasure:
     """The weights of u's own decomposition, on the grid of u's support; the
     norm comes from the verification inside that decomposition."""
     dec, report = _decompose(u, p, grid)
-    return _assemble(u, p, dec, exponent, report.norm_p)
+    return _assemble(u, p, dec, exponent, report.norm_p, grid)
 
 
 def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:
@@ -284,8 +300,11 @@ def check_multiplier_bounds(
     in one pass with no key hashed (`haar._support_rows`), and any other by
     key. The products phi_k * u are summed in batched `_cells` calls on the
     grid of u's support, which ||u|| shares, with no expansion built, in
-    batches of `haar._batch_rows(grid)` rows. A failing row raises what its single
-    check raises, the first such row in order.
+    batches of `haar._batch_rows(grid)` rows. That grid is the one a
+    constructor's measure keeps on the atoms when u has the measure's
+    support and max level, else it is built (`haar._KeptRows._grid_for`).
+    A failing row raises what its single check raises, the first such row
+    in order.
     """
     if not m._keyed_by("weights", u, subset=True):
         raise ValueError("measure does not match the expansion")
@@ -301,7 +320,7 @@ def check_multiplier_bounds(
     if not len(phis):
         return []
     weights = m._field_rows("weights", u)
-    grid = _support_grid(u)
+    grid = m._grid_for(u)
     try:
         return _check_rows(u, p, phis, m, weights, grid)
     except (ArithmeticError, ValueError):

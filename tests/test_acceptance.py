@@ -7,6 +7,7 @@ instances, and 1000 interval families whose Carleson constants reach 8.
 """
 
 import contextlib
+import copy
 import io
 import math
 from fractions import Fraction
@@ -113,7 +114,7 @@ def vector_pool():
 
 def _assemble_from(u, p, dec, exponent):
     """The weights of a given verified decomposition of u."""
-    return _assemble(u, p, dec, exponent, hp_norm(u, p))
+    return _assemble(u, p, dec, exponent, hp_norm(u, p), _support_grid(u))
 
 
 def _row_decomposition(u):
@@ -729,14 +730,15 @@ class TestCellGridOracles:
         for u, p, dec, measure in instances:
             report = verify_decomposition(u, p, dec)
             deep = _deeper(u)
-            deep_dec, deep_report = _decompose(deep, p, _support_grid(deep))
+            deep_grid = _support_grid(deep)
+            deep_dec, deep_report = _decompose(deep, p, deep_grid)
             assert deep_dec.pieces == dec.pieces
             assert deep_dec.tops() == dec.tops()
             got, want = deep_report.as_dict(), report.as_dict()
             assert [got[k] for k in verdicts] == [want[k] for k in verdicts]
             assert deep_report.tops_carleson == report.tops_carleson
             assert all(_close(got[k], want[k]) for k in floats)
-            deep_measure = _assemble(deep, p, deep_dec, 2.0, deep_report.norm_p)
+            deep_measure = _assemble(deep, p, deep_dec, 2.0, deep_report.norm_p, deep_grid)
             assert list(deep_measure.weights) == list(measure.weights)
             assert all(
                 _close(w, measure.weights[k]) for k, w in deep_measure.weights.items()
@@ -749,6 +751,37 @@ class TestCellGridOracles:
             deep = _deeper(u)
             want = x0_norm_estimate(factorize(u, p, q), u, 4, seed=i)
             assert _close(x0_norm_estimate(factorize(deep, p, q), deep, 4, seed=i), want)
+
+
+class TestKeptGridOracles:
+    """Both pools re-embedded _DEEPER levels down, where a constructor's
+    measure keeps its atom grid: each check report on the kept grid is, by
+    repr, the report on a grid built fresh, on the hp, tl and vector routes,
+    batched and single, and for a phi with zero rows."""
+
+    def test_reports_match_fresh_grid(self, scalar_pool, vector_pool):
+        rng = np.random.default_rng(2468)
+        for i, u in enumerate(scalar_pool + vector_pool):
+            deep = _deeper(u)
+            p = HP_PS[i % len(HP_PS)]
+            if u.dimension > 1:
+                routes = [(weights_vector(deep, p), p, None)]
+            else:
+                tl_p, q = TL_PQS[i % len(TL_PQS)]
+                routes = [(weights_hp(deep, p), p, None), (weights_tl(deep, tl_p, q), tl_p, q)]
+            phis = rng.uniform(-1.0, 1.0, (3, len(deep.support)))
+            phis[2, ::2] = 0.0
+            rows = [dict(zip(deep.support, row)) for row in phis.tolist()]
+            for m, p, q in routes:
+                fresh = copy.copy(m)
+                vars(fresh)["_grid"] = None
+                assert m._grid_for(deep) is vars(m)["_grid"] is not None
+                got, want = [
+                    [repr(check_multiplier_bounds(deep, p, phis, measure, q=q))]
+                    + [repr(check_multiplier_bound(deep, p, phi, measure, q=q)) for phi in rows]
+                    for measure in (m, fresh)
+                ]
+                assert got == want
 
 
 def _mixed_raw(u, rng):

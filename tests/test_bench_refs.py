@@ -38,3 +38,22 @@ def test_op_matches_reference(name):
     assert ok
     assert exact == want["exact"]
     assert workloads.floats_match(floats, want["floats"])
+
+
+# grids built per op: sparse-deep's checks reuse the atom grid its measure
+# keeps (decompose, verify and weights build one each); the other workloads
+# sum on leaf grids, which a measure does not keep
+GRIDS_PER_OP = {"sparse-deep": 3, "deep-hardy": 11, "factor-sampling": 2, "verify-suite": 5}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_grids_per_op(name, monkeypatch):
+    workload = workloads.WORKLOADS[name](haarmult)
+    args = workload.prepare(workload.make_input(0))
+    builds = []
+    init = haarmult.haar._Grid.__init__
+    monkeypatch.setattr(
+        haarmult.haar._Grid, "__init__", lambda grid, *a: builds.append(a) or init(grid, *a)
+    )
+    workload.op(*args)
+    assert len(builds) == GRIDS_PER_OP[name]

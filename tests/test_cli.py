@@ -128,6 +128,23 @@ class TestLoadSave:
         ok = dict(MINIMAL, coefficients=[{"level": 0, "pos": 0, "value": [2]}])
         assert load(write(tmp_path, "u.json", ok)).coeffs == {iv(0, 0): (2.0,)}
 
+    @pytest.mark.parametrize(
+        "literal", ["1" + "0" * 400, "-1" + "0" * 400, "NaN", "Infinity", "-Infinity", "1e400"]
+    )
+    def test_values_past_the_float_range_rejected(self, tmp_path, capsys, literal):
+        # a huge JSON integer used to escape as "int too large to convert to
+        # float" and NaN or inf as the constructor's message, without the path
+        text = json.dumps(dict(MINIMAL, max_level=1, dimension=2)).replace(
+            '"value": [1.0]', f'"value": [0.5, {literal}]'
+        )
+        path = write(tmp_path, "bad.json", text)
+        with pytest.raises(ExpansionFormatError, match="0/0 is not a finite float"):
+            load(path)
+        assert main(["norm", "--p", "1", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: coefficient at 0/0 is not a finite float\n"
+
 
 def dict_draw(max_level, dimension, density, seed):
     """`gen_random` as it drew before its rows went in as they are: each
@@ -594,6 +611,25 @@ class TestVerifyCommand:
         assert sum(map(len, tables)) == 3
         assert len(builds) == 5
         assert len(grids) == 2
+
+    def test_deep_sparse_checks_build_no_grid(self, monkeypatch):
+        # on the atoms the hp, tl and vector measures keep their grid: a
+        # trial builds u's and uv's grids and its checks build none, and
+        # the report is that of checks on fresh grids
+        flags = dict(p=1.5, q=3.0, trials=2, seed=0, density=0.01, max_level=12, dimension=2)
+        u = _trial_expansion(0, 0, 12, 1, 0.01)
+        assert _support_grid(u).lengths is not None
+        builds = []
+        init = haar._Grid.__init__
+        monkeypatch.setattr(
+            haar._Grid, "__init__", lambda grid, *args: builds.append(args) or init(grid, *args)
+        )
+        kept = dump_json(run_verification(**flags))
+        assert len(builds) == 2 * 2
+        monkeypatch.setattr(haar._KeptRows, "_grid_for", lambda m, u: _support_grid(u))
+        assert dump_json(run_verification(**flags)) == kept
+        assert len(builds) == 2 * 2 + 2 * 5
+        assert json.loads(kept)["passed"] is True
 
     def test_decay_verdicts_match_support_family(self):
         # the trial's verdicts from u's grid against those of u's family

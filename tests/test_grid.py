@@ -3,7 +3,10 @@ its tree prefix cell sums against the search, the slice paint and the sums
 they replaced (`dyadic_oracle`, `haar_oracle`), the layout of the cell sums,
 and one grid per public call."""
 
+import copy
+import pickle
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from haarmult import (
     DyadicInterval,
     HaarExpansion,
     IntervalFamily,
+    PietschMeasure,
     check_multiplier_bound,
     check_multiplier_bounds,
     decompose,
@@ -260,7 +264,8 @@ def _sparse(rng, max_level, draws):
 class TestOneGridPerCall:
     """Each public call builds at most one grid per distinct support, and
     one in all unless a product has zero rows, which sums on its own
-    support's grid."""
+    support's grid. A check with a constructor's measure on the atoms
+    builds none: the measure keeps the grid it was built on."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -298,13 +303,15 @@ class TestOneGridPerCall:
             (factorize, (u, 1.5, 3.0)),
             (x0_norm_estimate, (f, u, 4, 0)),
         ]
+        kept = max_level == 40  # the measures keep their atom grid
         for fn, args in calls:
             builds.clear()
             fn(*args)
-            assert len(builds) == 1, fn.__name__
+            checks = fn in (check_multiplier_bound, check_multiplier_bounds)
+            assert len(builds) == (0 if checks and kept else 1), fn.__name__
         builds.clear()
         check_multiplier_bound(u, 1.0, dict(zip(u.support, holes.tolist())), m)
-        assert len(builds) == 2 and max(Counter(builds).values()) == 1
+        assert len(builds) == (1 if kept else 2) and max(Counter(builds).values()) == 1
 
     @pytest.mark.parametrize("max_level", [8, 16])
     def test_dense_leaf_exports(self, builds, max_level):
@@ -321,3 +328,78 @@ class TestOneGridPerCall:
         assert not [name for name in vars(haar) if isinstance(vars(haar)[name], _Grid)]
         assert not hasattr(u, "__dict__")
         assert len(builds) == 1
+
+    def test_fresh_grids(self, builds):
+        # the kept grid serves only u's support at the measure's max level;
+        # every other measure and u sums on a grid of its own
+        rng = np.random.default_rng(41)
+        u = _sparse(rng, 40, 300)
+        m = weights_hp(u, 1.0)
+        phi = dict(zip(u.support, rng.uniform(-1.0, 1.0, len(u.support)).tolist()))
+        deeper = HaarExpansion(41, 1, u.coeffs)
+        wider = HaarExpansion(40, 1, {**u.coeffs, DyadicInterval(40, 5): 1.0})
+        phi = {**phi, DyadicInterval(40, 5): 0.5}
+        cases = [
+            (u, PietschMeasure(dict(m.weights), m.normalizer, m.exponent)),
+            (u, replace(weights_hp(u, 1.0), normalizer=2.0)),
+            (deeper, weights_hp(u, 1.0)),
+            (wider, weights_hp(u, 1.0)),
+        ]
+        for v, measure in cases:
+            builds.clear()
+            check_multiplier_bound(v, 1.0, phi, measure)
+            assert len(builds) == 1
+        assert deeper.support == u.support and _support_grid(deeper).lengths is not None
+
+    def test_copies(self, builds):
+        # a `copy.copy` shares the measure's grid, and a deep copy or a
+        # pickle round trip carries its own, read-only; all check alike
+        rng = np.random.default_rng(42)
+        u = _sparse(rng, 40, 300)
+        phis = rng.uniform(-1.0, 1.0, (3, len(u.support)))
+        m = weights_tl(u, 1.5, 3.0)
+        want = repr(check_multiplier_bounds(u, 1.5, phis, m, 3.0))
+        builds.clear()
+        shared = copy.copy(m)
+        assert shared._grid_for(u) is m._grid_for(u)
+        for twin in (shared, copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert repr(check_multiplier_bounds(u, 1.5, phis, twin, 3.0)) == want
+            _assert_read_only(twin._grid_for(u))
+        assert not builds
+
+    def test_leaf_measures_keep_no_grid(self, builds):
+        # a leaf grid is repainted in one pass per level, cheaper than kept
+        u = _sparse(np.random.default_rng(43), 8, 300)
+        m = weights_hp(u, 1.0)
+        builds.clear()
+        check_multiplier_bounds(u, 1.0, np.ones((2, len(u.support))), m)
+        assert len(builds) == 1 and vars(m)["_grid"] is None
+
+
+def _assert_read_only(grid):
+    assert isinstance(grid.bounds, tuple)
+    for array in (grid.owner, grid.parent, grid.edges, grid.lengths):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+class TestReadOnly:
+    """One atom grid serves a measure, its copies and every check, so no
+    caller may write to it: its arrays are read-only and its bounds a
+    tuple. A leaf grid is never kept, and stays writeable: `np.take` copies
+    a read-only index array."""
+
+    @pytest.mark.parametrize("max_level", [8, 40])
+    def test_writes_raise_on_the_atoms(self, max_level):
+        u = _sparse(np.random.default_rng(max_level), max_level, 300)
+        grid = _support_grid(u)
+        atoms = grid.lengths is not None
+        assert atoms == (max_level == 40)
+        for copied in (grid, copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+            if atoms:
+                _assert_read_only(copied)
+            else:
+                assert copied.owner.flags.writeable and copied.parent.flags.writeable
+            assert copied.bounds == grid.bounds and isinstance(copied.bounds, tuple)
+            assert np.array_equal(copied.owner, grid.owner)

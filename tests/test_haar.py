@@ -116,16 +116,40 @@ class TestExpansion:
         assert u.coeffs == {iv(0, 0): (want,)}
         assert type(u.coeffs[iv(0, 0)][0]) is float
 
-    def test_vector_and_string_values_iterate(self):
+    def test_vector_values_iterate(self):
         assert HaarExpansion(2, 2, {iv(0, 0): np.array([1.0, 2.0])}).coeffs == {
             iv(0, 0): (1.0, 2.0)
         }
         assert HaarExpansion(2, 1, {iv(0, 0): np.array([4])}).coeffs == {iv(0, 0): (4.0,)}
-        assert HaarExpansion(2, 2, {iv(0, 0): "12"}).coeffs == {iv(0, 0): (1.0, 2.0)}
-        with pytest.raises(ValueError, match="length 2"):
-            HaarExpansion(2, 1, {iv(0, 0): "12"})
         with pytest.raises(TypeError):
             HaarExpansion(2, 1, {iv(0, 0): None})
+
+    @pytest.mark.parametrize(
+        "dimension, raw",
+        [
+            (2, "15"),
+            (1, "7"),
+            (1, b"7"),
+            (1, bytearray(b"7")),
+            (2, ("1", "5")),
+            (2, [1.0, b"5"]),
+            (1, np.str_("7")),
+            (1, np.array("15")),
+            (2, np.array(["1", "5"])),
+            (1, np.array(b"7")),
+            (1, np.array("7", dtype=object)),
+        ],
+    )
+    def test_text_values_refused(self, dimension, raw):
+        # text was parsed ("15" stored (1.0, 5.0)) or read as bytes (b"7"
+        # stored 55.0); it is refused, naming the interval
+        with pytest.raises(TypeError, match="coefficient at 1/1 is text"):
+            HaarExpansion(3, dimension, {iv(0, 0): [1.0] * dimension, iv(1, 1): raw})
+
+    @pytest.mark.parametrize("key", [(0, 0), "0/0", 0, None])
+    def test_foreign_keys_refused(self, key):
+        with pytest.raises(TypeError, match=r"coefficient key .* is not a DyadicInterval"):
+            HaarExpansion(3, 1, {iv(1, 0): 1.0, key: 1.0})
 
     def test_restrict(self):
         u = scalar(2, {(0, 0): 1.0, (1, 0): 2.0})

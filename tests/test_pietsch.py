@@ -901,3 +901,25 @@ class TestDeepHardyPath:
         assert peak <= 2_738_529, peak
         assert kept < 10 * len(u.support), kept
         assert _kept(m)
+
+    def test_atom_grid_measure_kept_bytes(self):
+        # the sparse-deep input's shape: 4000 draws at max level 20, about
+        # 2.6k support rows; the measure keeps its weights and its atom grid
+        rng = np.random.default_rng(0)
+        levels = rng.integers(0, 21, 4000)
+        positions = rng.integers(0, 1 << levels)
+        coeffs = {}
+        for level, pos, value in zip(
+            levels.tolist(), positions.tolist(), rng.standard_normal(4000).tolist()
+        ):
+            coeffs.setdefault(iv(level, pos), value)
+        u = HaarExpansion(20, 1, coeffs)
+        weights_hp(u, 1.0)
+        tracemalloc.start()
+        try:
+            m = weights_hp(u, 1.0)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vars(m)["_grid"].lengths is not None and _kept(m)
+        assert kept <= 64 * len(u.support), (kept, len(u.support))
