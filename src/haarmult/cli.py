@@ -53,8 +53,14 @@ from .pietsch import (
     weights_tl,
     weights_vector,
 )
-from .pisier import _factor_inputs, _factorize, _x0_norm_estimate, theta
-from .pisier import verify_factorization
+from .pisier import (
+    _factorize,
+    _x0_norm_estimate,
+    factorize,
+    theta,
+    verify_factorization,
+    x0_norm_estimate,
+)
 
 # random multipliers per trial and per multiplier-bound check, and sample
 # points of the lattice norm estimate per trial, in `run_verification`
@@ -521,16 +527,14 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.samples < 0:
             parser.error(f"--samples must be nonnegative, got {args.samples}")
         u = load(args.file)
-        grid = _support_grid(u)
-        exponent, m = _factor_inputs(u, args.p, args.q, grid)
-        f = _factorize(u, args.p, args.q, exponent, m)
+        f = factorize(u, args.p, args.q)
         ok = verify_factorization(u, f)
         payload = {
             "theta": f.theta,
             "x": dict(sorted(f.x.items())),
             "y": dict(sorted(f.y.items())),
             "identity_verified": ok,
-            "lattice_candidate": _x0_norm_estimate(f, u, args.samples, args.seed, m, grid),
+            "lattice_candidate": x0_norm_estimate(f, u, args.samples, args.seed),
         }
         _emit(dump_json(payload), args.out)
         return 0 if ok else 1

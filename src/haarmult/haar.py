@@ -60,7 +60,9 @@ share one storage, `_KeptRows`: a constructor's object keeps them as
 read-only support-order arrays and builds a dict only when a caller reads
 the field. Every read of such a field at the support rows and every check
 of its keys goes through that base, so `_support_order` is called in this
-module only.
+module only. The base also keeps the expansion a constructor's object was
+built from, with what was verified on it (`_KeptRows._built_from`), so a
+later call on that same object reads it instead of computing it again.
 
 Every sum over whole support rows (`l2_norm`, the weights' totals, the
 weighted sums of the multiplier check, `pisier._fqq_norm`) is `_fsum_rows`:
@@ -645,6 +647,14 @@ class _KeptRows:
     level; any other u, and an object built from dicts (a
     `dataclasses.replace` copy included), gets a fresh grid. A `copy.copy`
     shares the grid; a deep copy or a pickle round trip carries its own.
+
+    It may also keep its source: the expansion the object was built from,
+    with what its constructor computed and verified on it (a measure's
+    `||u||_p`, a factorization's measure). `_built_from(u)` gives that
+    only for u the very same object, an identity test, so an equal
+    expansion does not match and nothing is looked up. A `copy.copy`
+    shares the source; a deep copy or a pickle round trip drops it, as no
+    identity survives either, and keeps its arrays read-only.
     """
 
     @classmethod
@@ -653,14 +663,34 @@ class _KeptRows:
         support: tuple[DyadicInterval, ...],
         rows: dict[str, np.ndarray],
         grid: _Grid | None = None,
+        source: tuple | None = None,
         **fields: object,
     ) -> "_KeptRows":
         """The object whose field `name` has value rows[name][j] at support[j]
         for each name in rows, the arrays kept as they are, with `grid`, the
-        grid of the support or None; the other fields are `fields`."""
+        grid of the support or None, and `source`, None or (the expansion
+        the object was built from, *what was verified on it)`; the other
+        fields are `fields`."""
         obj = object.__new__(cls)
-        vars(obj).update(fields, _support=support, _rows=rows, _grid=grid)
+        vars(obj).update(fields, _support=support, _rows=rows, _grid=grid, _source=source)
         return obj
+
+    def __copy__(self) -> "_KeptRows":
+        """A shallow copy shares every field, the source included."""
+        copied = object.__new__(type(self))
+        vars(copied).update(vars(self))
+        return copied
+
+    def __getstate__(self) -> dict[str, object]:
+        """The state of a deep copy or a pickle: all but the source."""
+        return {name: value for name, value in vars(self).items() if name != "_source"}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        """A deep copy or an unpickled object keeps its arrays read-only,
+        as `_Grid.__setstate__` does."""
+        vars(self).update(state)
+        for rows in state.get("_rows", {}).values():
+            _read_only(rows)
 
     def __getattr__(self, name: str) -> object:
         """A kept field's dict, built on its first read; its array goes. The
@@ -699,6 +729,12 @@ class _KeptRows:
         if grid is not None and grid.max_level == u.max_level and self._of_support(u):
             return grid
         return _support_grid(u)
+
+    def _built_from(self, u: HaarExpansion) -> tuple | None:
+        """What the constructor verified on u when u is the very expansion
+        the object was built from, else None."""
+        source = vars(self).get("_source")
+        return source[1:] if source is not None and source[0] is u else None
 
     def _field_rows(self, name: str, u: HaarExpansion) -> np.ndarray:
         """Field `name` at u's support rows in support order: its own rows,

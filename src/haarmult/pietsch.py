@@ -35,12 +35,22 @@ sums on the kept grid (`haar._KeptRows._grid_for`) with no lookup, bit for
 bit as on a fresh one. A measure built from a dict, a `dataclasses.replace`
 copy, and a u of another max level get a fresh grid.
 
+A Hardy or vector measure also keeps its source: the expansion it was
+built from, p and the `hp_norm(u, p)` its verification computed
+(`_assemble`). The checks on that very u at that p read this norm
+(`haar._KeptRows._built_from`, an identity test) instead of summing it
+again. A measure whose summing exponent is not 2 keeps none: its checks
+take the q-variation norm, and it was built on |u|^(q/2), an expansion no
+caller holds. Any other u, an equal one included, and a measure built from
+a dict, a `dataclasses.replace` copy, a deep copy or a pickle compute the
+norm, the same floats.
+
 The multiplier check is batched: `check_multiplier_bounds` takes K
 multipliers as a (K, n) array in support order, and `check_multiplier_bound`
 is its K = 1 case on the row read from a phi dict. Per batch it checks the
 measure's keys, reads the weights into a support-order array, takes the
-grid of u's support (`haar._Grid`: the measure's own, else built) and
-computes ||u|| and C once; the norms
+grid of u's support (`haar._Grid`: the measure's own, else built),
+||u|| (the measure's own, else computed) and C once; the norms
 of the K products phi_k * u come from batched `_cells` calls on that grid
 (`haar._product_norms`), with no expansion built. The weight constructors
 build one grid too, which the decomposition inside them shares. Each row's
@@ -162,7 +172,8 @@ def _assemble(
 ) -> PietschMeasure:
     """Weights from a verified decomposition of u built by `decompose` (its
     row form) and `hp_norm(u, p)`, kept in support order, with `grid`, the
-    grid of u's support, when it is the atoms. The array is validated as
+    grid of u's support, when it is the atoms, and with the source (u, p,
+    norm_p) when the summing exponent is 2. The array is validated as
     `validate_measure` would validate the measure (nonnegative, total at
     most 1)."""
     norm_p_p = norm_p**p
@@ -189,8 +200,10 @@ def _assemble(
         raise VerificationError(f"weights failed validation: total {weight_total}")
     rows = {"weights": _read_only(weights)}
     kept = None if grid.lengths is None else grid  # a leaf grid is cheaper to repaint than keep
+    # only a check with s = 2 reads ||u||_p; a TL measure would keep |u|^(q/2)
+    source = (u, p, norm_p) if exponent == 2.0 else None
     return PietschMeasure._from_rows(
-        u.support, rows, kept, normalizer=normalizer, exponent=exponent
+        u.support, rows, kept, source, normalizer=normalizer, exponent=exponent
     )
 
 
@@ -303,8 +316,11 @@ def check_multiplier_bounds(
     batches of `haar._batch_rows(grid)` rows. That grid is the one a
     constructor's measure keeps on the atoms when u has the measure's
     support and max level, else it is built (`haar._KeptRows._grid_for`).
-    A failing row raises what its single check raises, the first such row
-    in order.
+    On the Hardy and vector routes ||u|| is the norm a constructor's
+    measure kept from its verification when u is the very expansion it was
+    built from and p its p, else it is computed
+    (`haar._KeptRows._built_from`). A failing row raises what its single
+    check raises, the first such row in order.
     """
     if not m._keyed_by("weights", u, subset=True):
         raise ValueError("measure does not match the expansion")
@@ -354,7 +370,11 @@ def _check_rows(
     lhs = []
     for lo in range(0, len(phis), step):
         lhs += _product_norms(u, phis[lo : lo + step], p, q_tl, grid)
-    norm = _tl_norm(u, p, s, grid) if tl_route else _hp_norm(u, p, grid)
+    if tl_route:
+        norm = _tl_norm(u, p, s, grid)
+    else:  # the norm the measure's verification computed, when it is u's at p
+        kept = m._built_from(u)
+        norm = kept[1] if kept is not None and kept[0] == p else _hp_norm(u, p, grid)
     lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
     constant = (m.normalizer / lower) ** (1.0 / p)
     reports = []

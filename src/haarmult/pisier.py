@@ -17,6 +17,15 @@ per-row power is `haar._pow`, Python's float `pow` per element through
 `np.float_power` (numpy's `**` may differ from it in the last bit). The
 per-row tolerance tests are `_isclose`, `math.isclose` on arrays.
 
+`factorize` also keeps its source: u and the `weights_tl(u, p, q)` measure
+the factors came from (`haar._KeptRows._built_from`). `x0_norm_estimate`
+given that very u samples against that measure, on the grid it keeps on
+the atoms (else a fresh one), so a factor-sampling run decomposes |u|^(q/2)
+once. Any other u, an equal one included, and a factorization built from
+dicts, a `dataclasses.replace` copy, a deep copy or a pickle recompute the
+measure. It is the same measure either way, so the value and the
+exceptions are the same.
+
 `x0_norm_estimate` runs its candidates in blocks of `haar._batch_rows`
 rows, drawn one block after another from the same generator, so its memory
 does not grow with the sample count. A check that fails in any block is
@@ -85,32 +94,28 @@ def theta(p: float, q: float) -> float:
 
 
 def factorize(u: HaarExpansion, p: float, q: float) -> Factorization:
-    """Split a nonzero scalar expansion, 1 < p < q, using its weights."""
-    return _factorize(u, p, q, *_factor_inputs(u, p, q, _support_grid(u)))
-
-
-def _factor_inputs(
-    u: HaarExpansion, p: float, q: float, grid: _Grid
-) -> tuple[float, PietschMeasure]:
-    """`theta(p, q)` and `weights_tl(u, p, q)` after the argument checks of
-    `factorize`, on the grid of u's support."""
+    """Split a nonzero scalar expansion, 1 < p < q, using its weights. The
+    result keeps u and those weights, which `x0_norm_estimate` reads when
+    given that same u."""
     if u.is_zero:
         raise ZeroInputError("cannot factorize the zero expansion")
     if u.dimension != 1:
         raise ValueError("factorize expects a scalar expansion")
-    return theta(p, q), _weights_tl(u, p, q, grid)
+    return _factorize(u, p, q, theta(p, q), _weights_tl(u, p, q, _support_grid(u)))
 
 
 def _factorize(
     u: HaarExpansion, p: float, q: float, exponent: float, measure: PietschMeasure
 ) -> Factorization:
-    """`factorize` from `theta(p, q)` and `weights_tl(u, p, q)`."""
+    """`factorize` from `theta(p, q)` and `weights_tl(u, p, q)`, keeping the
+    source (u, measure)."""
     y = _pow(measure._field_rows("weights", u) * np.ldexp(1.0, u.levels), 1.0 / q)
     with np.errstate(over="ignore"):  # inf as in Python
         base = np.abs(u.values[:, 0]) * _pow(y, -exponent)
     x = _pow(base, 1.0 / (1.0 - exponent))
+    rows = {"x": _read_only(x), "y": _read_only(y)}
     return Factorization._from_rows(
-        u.support, {"x": _read_only(x), "y": _read_only(y)}, theta=exponent, p=p, q=q
+        u.support, rows, source=(u, measure), theta=exponent, p=p, q=q
     )
 
 
@@ -183,18 +188,27 @@ def x0_norm_estimate(
     range (raw magnitudes reach 10^3) raises OverflowError. r needs
     f.p > 1: a smaller p raises ValueError after the other argument checks.
 
-    The candidates run in blocks of `haar._batch_rows` rows on u's grid,
-    drawn block by block from one stream, so memory stays bounded however
-    large `n_samples` is. Errors keep their order: OverflowError before the
-    r-th mean, comparison, unit-ball and cap VerificationErrors, whichever
-    block each failure came from.
+    The weights w are those `factorize` kept when u is the very expansion
+    f was built from, else `weights_tl(u, f.p, f.q)` computed afresh; both
+    give the same floats. The candidates run in blocks of
+    `haar._batch_rows` rows on u's grid, drawn block by block from one
+    stream, so memory stays bounded however large `n_samples` is. Errors
+    keep their order: OverflowError before the r-th mean, comparison,
+    unit-ball and cap VerificationErrors, whichever block each failure came
+    from.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     if not _matches(f, u):
         raise ValueError("factorization does not match the expansion")
-    grid = _support_grid(u)
-    return _x0_norm_estimate(f, u, n_samples, seed, _weights_tl(u, f.p, f.q, grid), grid)
+    kept = f._built_from(u)
+    if kept is None:
+        grid = _support_grid(u)
+        measure = _weights_tl(u, f.p, f.q, grid)
+    else:  # the measure `factorize` built f from, on u's grid
+        (measure,) = kept
+        grid = measure._grid_for(u)
+    return _x0_norm_estimate(f, u, n_samples, seed, measure, grid)
 
 
 def _x0_norm_estimate(

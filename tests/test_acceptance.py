@@ -48,6 +48,7 @@ from haarmult import (
     weights_vector,
     x0_norm_estimate,
 )
+from haarmult import pisier
 from haarmult.atomic import _decompose, _stopping_time
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves, _nearest_ancestors
@@ -782,6 +783,65 @@ class TestKeptGridOracles:
                     for measure in (m, fresh)
                 ]
                 assert got == want
+
+
+class TestKeptSourceOracles:
+    """A constructor's result read on the very expansion it was built from,
+    against the recompute path: `x0_norm_estimate` on the measure
+    `factorize` kept, and the Hardy and vector checks on the norm the
+    measure's verification computed, each bit for bit the result (or the
+    exception) of a copy built from dicts, which recomputes them."""
+
+    @staticmethod
+    def _estimate(f, u, seed):
+        try:
+            return x0_norm_estimate(f, u, 8, seed=seed)
+        except (ValueError, ArithmeticError, VerificationError) as exc:
+            return type(exc), str(exc)
+
+    def test_x0_matches_recompute(self, scalar_pool, monkeypatch):
+        calls = []
+        weights_tl_core = pisier._weights_tl
+        monkeypatch.setattr(
+            pisier, "_weights_tl", lambda *a: calls.append(a[0]) or weights_tl_core(*a)
+        )
+        raised = 0
+        for i, u in enumerate(scalar_pool):
+            p, q = PISIER_PQS[i % len(PISIER_PQS)]
+            f = factorize(u, p, q)
+            if i % 4 == 0:  # a factor changed after the fact fails the y check
+                f.y[u.support[-1]] *= 1.0 + 1e-6
+            calls.clear()
+            got = self._estimate(f, u, i)
+            assert calls == []
+            plain = Factorization(x=f.x, y=f.y, theta=f.theta, p=f.p, q=f.q)
+            assert self._estimate(plain, u, i) == got and calls == [u]
+            # an equal expansion is another object: one recompute
+            twin = HaarExpansion(u.max_level, 1, u.coeffs)
+            calls.clear()
+            assert self._estimate(f, twin, i) == got and calls == [twin]
+            raised += isinstance(got, tuple)
+        assert raised == N_INSTANCES // 4
+
+    def test_reports_match_recompute(
+        self, scalar_pool, vector_pool, scalar_results, vector_results
+    ):
+        rng = np.random.default_rng(1357)
+        for i, u in enumerate(scalar_pool + vector_pool):
+            p = HP_PS[i % len(HP_PS)]
+            if i < N_INSTANCES:
+                m = scalar_results[i, p][2]
+            else:
+                m = vector_results[i - N_INSTANCES, p][1]
+            assert m._built_from(u) == (p, hp_norm(u, p))
+            weights = dict(zip(u.support, m._field_rows("weights", u).tolist()))
+            plain = PietschMeasure(weights, m.normalizer, m.exponent)
+            phis = rng.uniform(-1.0, 1.0, (3, len(u.support)))
+            phis[2, ::2] = 0.0
+            got, want = (
+                repr(check_multiplier_bounds(u, p, phis, measure)) for measure in (m, plain)
+            )
+            assert got == want
 
 
 def _mixed_raw(u, rng):

@@ -390,6 +390,29 @@ class TestCommands:
         assert len(decomposes) == 1
         assert payload["lattice_candidate"] == x0_norm_estimate(factorize(u, 1.5, 3.0), u, 8, 0)
 
+    @pytest.mark.parametrize(
+        "max_level, density, seed, digest",
+        [
+            (8, 0.5, 21, "749e39bc37cdae40913af63171de604e0cbb2243f33dde53511c22714ed008e2"),
+            (  # the atom grid
+                12,
+                0.01,
+                22,
+                "dc25be8fc3ed7824e70af04350c9a294f07b0b43e5f17469e392b46b658b3310",
+            ),
+        ],
+    )
+    def test_factorize_stdout_pinned(self, tmp_path, capsys, max_level, density, seed, digest):
+        # every byte of the factors, the verdict and the lattice estimate
+        u = gen_random(max_level, 1, density, seed)
+        assert (_support_grid(u).lengths is not None) == (max_level == 12)
+        path = str(tmp_path / "u.json")
+        save(path, u)
+        command = ["factorize", "--p", "1.5", "--q", "3", "--samples", "16", "--seed", "4"]
+        assert main(command + [path]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_gen_writes_file(self, tmp_path, capsys):
         out = str(tmp_path / "gen.json")
         assert main(["gen", "--max-level", "3", "--seed", "2", "--out", out]) == 0

@@ -523,8 +523,18 @@ class TestBatchedMultiplierChecks:
             monkeypatch.undo()
 
     def test_once_per_batch_and_no_expansion_per_row(self, monkeypatch):
+        # the Hardy and vector routes read ||u|| from the measure's own
+        # verification; the TL routes, whose measure was built on |u|^(q/2),
+        # a check at another p and a measure built from a dict compute it
+        # once per batch
         rng = np.random.default_rng(8484)
+        routes = []
         for u, p, m, q in self._routes():
+            copied = dict(zip(u.support, m._field_rows("weights", u).tolist()))
+            routes.append((u, p, m, q, [u] if q else []))
+            routes.append((u, p / 2.0, m, q, [u]))
+            routes.append((u, p, PietschMeasure(copied, m.normalizer, m.exponent), q, [u]))
+        for u, p, m, q, computed in routes:
             phis = self._phis(u, rng)
             want = check_multiplier_bounds(u, p, phis, m, q=q)
             norms = []
@@ -541,7 +551,7 @@ class TestBatchedMultiplierChecks:
                 classmethod(lambda cls, *a: built.append(a) or from_rows(cls, *a)),
             )
             assert check_multiplier_bounds(u, p, phis, m, q=q) == want
-            assert [call[0] for call in norms] == [u] and built == []
+            assert [call[0] for call in norms] == computed and built == []
             monkeypatch.undo()
 
     def test_leaf_grid_memory_bounded(self):
@@ -795,6 +805,34 @@ class TestMeasureStorage:
                 assert not validate_measure(doubled, u)
                 for shared in (pickle.loads(pickle.dumps(measure)), copy.deepcopy(measure)):
                     assert shared == measure and not _kept(shared)
+
+    def test_copies_read_only_and_without_source(self, monkeypatch):
+        # a deep copy or a pickle round trip keeps the weights read-only and
+        # drops the source: no identity survives either, so its checks
+        # compute ||u|| afresh, bit for bit; a `copy.copy` shares the source
+        rng = np.random.default_rng(4545)
+        for u, p, build, q in self._cases():
+            m = build()
+            phis = rng.uniform(-1.0, 1.0, (3, len(u.support)))
+            want = repr(check_multiplier_bounds(u, p, phis, m, q=q))
+            shared = copy.copy(m)
+            assert shared._built_from(u) is not None or q is not None
+            assert shared._built_from(u) == m._built_from(u)
+            twin, deep = copy.deepcopy((u, m))  # the memo keeps u's copy alike
+            norms = []
+            hp_norm_core = pietsch._hp_norm
+            monkeypatch.setattr(
+                pietsch, "_hp_norm", lambda *a: norms.append(a[0]) or hp_norm_core(*a)
+            )
+            for copied, v in ((deep, twin), (pickle.loads(pickle.dumps(m)), u)):
+                assert not copied._kept("weights").flags.writeable
+                assert copied._built_from(v) is copied._built_from(u) is None
+                assert repr(check_multiplier_bounds(v, p, phis, copied, q=q)) == want
+            assert len(norms) == (0 if q else 2)
+            norms.clear()
+            assert repr(check_multiplier_bounds(u, p, phis, shared, q=q)) == want
+            assert norms == []
+            monkeypatch.undo()
 
     def test_a_read_dict_is_the_measure(self):
         rng = np.random.default_rng(4444)

@@ -693,6 +693,29 @@ class TestFactorStorage:
                 for shared in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
                     assert shared == g and not _kept(shared)
 
+    def test_copies_read_only_and_without_source(self, monkeypatch):
+        # a deep copy or a pickle round trip keeps the factors read-only and
+        # drops u and its measure: no identity survives either, so its
+        # estimate recomputes the measure, bit for bit; a `copy.copy`
+        # shares them
+        for u, p, q in self._cases():
+            f = factorize(u, p, q)
+            want = repr(x0_norm_estimate(f, u, 8, seed=3))
+            calls = []
+            weights_tl_core = pisier._weights_tl
+            monkeypatch.setattr(
+                pisier, "_weights_tl", lambda *a: calls.append(a[0]) or weights_tl_core(*a)
+            )
+            shared = copy.copy(f)
+            (measure,) = f._built_from(u)
+            assert shared._built_from(u)[0] is measure
+            twin, deep = copy.deepcopy((u, f))  # the memo keeps u's copy alike
+            for g, v in ((deep, twin), (pickle.loads(pickle.dumps(f)), u), (shared, u)):
+                assert not any(g._kept(name).flags.writeable for name in "xy")
+                assert repr(x0_norm_estimate(g, v, 8, seed=3)) == want
+            assert calls == [twin, u]
+            monkeypatch.undo()
+
     def test_a_read_dict_is_the_factor(self):
         for u, p, q in self._cases():
             first = u.support[0]
