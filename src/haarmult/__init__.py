@@ -27,13 +27,9 @@ from .errors import (
 )
 from .haar import (
     HaarExpansion,
-    StepFunction,
     convexify,
     hp_norm,
     l2_norm,
-    multiply,
-    q_variation,
-    square_function,
     tl_norm,
 )
 from .pietsch import (
@@ -41,7 +37,6 @@ from .pietsch import (
     PietschMeasure,
     check_multiplier_bound,
     check_multiplier_bounds,
-    h2_measure,
     validate_measure,
     weights_hp,
     weights_tl,
@@ -68,7 +63,6 @@ __all__ = [
     "IntervalFamily",
     "MultiplierReport",
     "PietschMeasure",
-    "StepFunction",
     "VerificationError",
     "ZeroInputError",
     "appendix_constant",
@@ -80,13 +74,9 @@ __all__ = [
     "factorize",
     "generation_decay_verdicts",
     "generations",
-    "h2_measure",
     "hp_norm",
     "is_block",
     "l2_norm",
-    "multiply",
-    "q_variation",
-    "square_function",
     "theta",
     "tl_norm",
     "validate_measure",

@@ -43,12 +43,8 @@ is that of the leaf sums at its first leaf, and norms are length-weighted
 sums over the cells, so on the atom grid they agree with the leaf sums to
 rounding. Leaf positions, heap codes and prefix counts are int64, so the
 `HaarExpansion` constructor refuses a max level above 61 and no array is
-built for one. `square_leaf_sums`, `square_function`, `q_variation` and
-`StepFunction` (leaf values and their sup) stay as dense leaf exports for
-small N. They sum on the support's own grid (`_leaf_sums`) and on the
-atoms repeat each cell's value over its leaves, which gives the leaf sums
-bit for bit; no hot path calls them. So every tree over a support is a
-`_Grid`'s, and `_paint` runs only inside `_Grid`.
+built for one. No function returns a value per leaf: every tree over a
+support is a `_Grid`'s, and `_paint` runs only inside `_Grid`.
 
 A mapping keyed by intervals (a multiplier phi, summing weights, lattice
 factors) is read at the support rows by `_support_rows`: a plain dict keyed
@@ -87,13 +83,12 @@ from __future__ import annotations
 import errno
 import math
 import os
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicInterval, IntervalFamily, _nearest_ancestors
+from .dyadic import DyadicInterval, _nearest_ancestors
 
 CoeffMap = Mapping[DyadicInterval, "float | Iterable[float]"]
 
@@ -281,9 +276,6 @@ class HaarExpansion:
     def is_zero(self) -> bool:
         return not self.support
 
-    def support_family(self) -> IntervalFamily:
-        return IntervalFamily._from_sorted(self.support, self.max_level)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HaarExpansion):
             return NotImplemented
@@ -298,46 +290,6 @@ class HaarExpansion:
             f"HaarExpansion(max_level={self.max_level}, "
             f"dimension={self.dimension}, support={len(self.support)})"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class StepFunction:
-    """Function constant on each leaf [j*2^-N, (j+1)*2^-N) of level N."""
-
-    max_level: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (1 << self.max_level,):
-            raise ValueError(
-                f"expected {1 << self.max_level} leaf values, "
-                f"got shape {self.values.shape}"
-            )
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def _leaf_sums(u: HaarExpansion, values: np.ndarray) -> np.ndarray:
-    """The 2^N leaf values of sum_j values[j] 1_{I_j} over u's support rows:
-    `_cells` on u's grid, each cell's value repeated over its leaves."""
-    sums, lengths = _cells(_support_grid(u), values)
-    return sums if lengths is None else np.repeat(sums, lengths)
-
-
-def square_leaf_sums(u: HaarExpansion) -> np.ndarray:
-    """Leafwise values of S(u)^2, i.e. sum_I |x_I|^2 1_I."""
-    return _leaf_sums(u, u.squares)
-
-
-def square_function(u: HaarExpansion) -> StepFunction:
-    """t -> (sum_I |x_I|^2 1_I(t))^(1/2) with Euclidean coefficient norms.
-
-    For d > 1 this is the Hilbert-space closed form of the randomised square
-    function: averaging independent signs in L^2 reproduces the square sum
-    exactly, so no sampling is involved.
-    """
-    return StepFunction(u.max_level, np.sqrt(square_leaf_sums(u)))
 
 
 def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -359,27 +311,12 @@ def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
     return powers
 
 
-def _scalar_powers(u: HaarExpansion, q: float) -> np.ndarray:
-    """|x_I|^q per support row (`_pow`, Python's float pow per element);
-    scalar expansions only."""
-    if u.dimension != 1:
-        raise ValueError("q-variation is defined for scalar expansions only")
-    _check_q(q)
-    return _pow(np.abs(u.values[:, 0]), q)
-
-
 def _check_q(q: float) -> None:
     """The range of a q-variation exponent, 0 < q < inf."""
     if not q > 0:  # NaN included
         raise ValueError(f"q must be positive, got {q}")
     if q == math.inf:
         raise ValueError(f"q must be finite, got {q}")
-
-
-def q_variation(u: HaarExpansion, q: float) -> StepFunction:
-    """t -> (sum_I |x_I|^q 1_I(t))^(1/q); scalar expansions only."""
-    sums = _leaf_sums(u, _scalar_powers(u, q))
-    return StepFunction(u.max_level, sums ** (1.0 / q))
 
 
 class _Grid:
@@ -559,8 +496,10 @@ def tl_norm(u: HaarExpansion, p: float, q: float) -> float:
 def _tl_norm(u: HaarExpansion, p: float, q: float, grid: _Grid) -> float:
     """`tl_norm` on the grid of u's support."""
     _check_exponents(p, q)
+    if u.dimension != 1:
+        raise ValueError("q-variation is defined for scalar expansions only")
     try:
-        powers = _scalar_powers(u, q)
+        powers = _pow(np.abs(u.values[:, 0]), q)
     except OverflowError:  # a power |x_I|^q past the float range
         return _in_float_range(math.inf, not u.is_zero)
     mean = _norm_means(grid, powers, p, q)
@@ -761,8 +700,9 @@ def _product_norms(
 ) -> list[float]:
     """The norm of phi_k * u for each row k of the (K, n) array `factors`
     (phi_k at u's support rows): `hp_norm` for q None, else `tl_norm` with q
-    (scalar u only). Each is bit for bit the norm of `multiply(phi_k, u)`,
-    with the same exception, and no expansion is built.
+    (scalar u only). Each is bit for bit the norm of the product expansion
+    phi_k * u (`tests/pietsch_oracle.multiply`), with the same exception,
+    and no expansion is built.
 
     The products without zero rows sum on u's grid `grid`, all in one
     batched `_cells` call. A product with zero rows sums on the grid of its
@@ -780,7 +720,7 @@ def _product_norms(
     if q is None:
         terms = _squares(values)
     else:
-        try:  # Python's float pow per element, as in `_scalar_powers`
+        try:  # Python's float pow per element, as in `_tl_norm`
             terms = _pow(np.abs(values[..., 0]), q)
         except OverflowError:  # raises as `tl_norm` does
             _in_float_range(math.inf, True)
@@ -872,15 +812,3 @@ def _fsum(values: np.ndarray) -> float:
     """`math.fsum` of a float vector, through `_fsum_rows`."""
     return _fsum_rows(np.asarray(values, dtype=float)[None])[0]
 
-
-def multiply(phi: Mapping[DyadicInterval, float], u: HaarExpansion) -> HaarExpansion:
-    """Coefficientwise multiplier phi * u; missing phi entries count as 0.
-
-    Zero products are dropped and a non-finite product raises ValueError,
-    as on construction.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = u.values * _support_rows(phi, u)[:, None]
-    return HaarExpansion._from_rows(
-        u.max_level, u.dimension, u.support, u.levels, u.positions, values
-    )

@@ -107,7 +107,6 @@ from .haar import (
     _support_rows,
     _tl_norm,
     convexify,
-    l2_norm,
 )
 
 _SUM_TOL = 1e-12
@@ -256,18 +255,6 @@ def weights_vector(u: HaarExpansion, p: float) -> PietschMeasure:
     if u.is_zero:
         raise ZeroInputError("weights need a nonzero expansion")
     return _weights(u, p, 2.0, _support_grid(u))
-
-
-def h2_measure(u: HaarExpansion) -> dict[DyadicInterval, float]:
-    """The exact probability weights |x_I|^2 |I| / ||u||_2^2 of one block.
-
-    For a multiplier into the level-2 space these weights witness the bound
-    ||phi.u||_2^2 = ||u||_2^2 * sum |phi_I|^2 mu_I with equality.
-    """
-    if u.is_zero:
-        raise ZeroInputError("h2_measure needs a nonzero expansion")
-    denom = l2_norm(u) ** 2
-    return dict(zip(u.support, (t / denom for t in _square_measures(u).tolist())))
 
 
 def check_multiplier_bound(

@@ -19,7 +19,7 @@ import numpy as np
 from haarmult import IntervalFamily, PietschMeasure, carleson_constant, is_block
 from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, _block_stats, _member_rows
 from haarmult.atomic import appendix_constant
-from haarmult.haar import _cell_sum, _support_grid, hp_norm, square_function
+from haarmult.haar import _cell_sum, _support_grid, hp_norm
 
 import haar_oracle
 
@@ -28,7 +28,8 @@ def sup_square(u):
     """Largest leaf value of the square function, 0 for the zero expansion."""
     if u.is_zero:
         return 0.0
-    return square_function(u).sup()
+    leaves = haar_oracle.push_down(u.max_level, u.levels, u.positions, u.squares)
+    return math.sqrt(leaves.max())
 
 
 def _square(u, interval):
@@ -87,7 +88,7 @@ def is_clean(u, dec):
     members = [interval for block, _ in dec.pieces for interval in block]
     if sorted(members) != list(u.support):
         return False
-    support = u.support_family()
+    support = IntervalFamily(u.support, u.max_level)
     return all(
         top in block and all(map(top.contains, block)) and is_block(block, support)
         for block, top in dec.pieces
@@ -155,9 +156,9 @@ def verify_decomposition(u, p, dec):
         )
     tops_carleson_ok = tops_carleson <= 4
 
-    support_family = u.support_family()
+    family = IntervalFamily(u.support, u.max_level)
     blocks_ok = partition_ok and all(
-        is_block(piece.block, support_family) for piece in dec.pieces
+        is_block(piece.block, family) for piece in dec.pieces
     )
 
     norm_p = hp_norm(u, p)

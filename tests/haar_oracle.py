@@ -9,7 +9,8 @@ leaf accumulation that the painted leaf grid of `haar._Grid` replaced, and
 `leaf_owners`, one slice paint per row; and `cells`, the cell sums over
 every (interval, atom) pair that the tree prefix sum of `haar._cells`
 replaced. The tests compare the library against them; they are slow and
-not part of the package.
+not part of the package. `leaf_values` is not a reference: it spreads the
+library's own cell sums onto the leaves, for the tests to compare.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 from haarmult import HaarExpansion, IntervalFamily
 from haarmult.atomic import AtomicPiece
 from haarmult.errors import VerificationError
-from haarmult.haar import _on_atoms, square_leaf_sums
+from haarmult.haar import _cells, _on_atoms, _support_grid
 
 import dyadic_oracle
 
@@ -41,6 +42,14 @@ def push_down(max_level, levels, positions, values):
         lo, hi = bounds[level], bounds[level + 1]
         acc[..., positions[lo:hi]] += values[..., lo:hi]
     return acc
+
+
+def leaf_values(u, terms):
+    """The library's sums of `terms` over u's support rows on the 2^N leaves:
+    `haar._cells` on u's grid, each cell's value repeated over its leaves.
+    Leaf-level tests compare these with `push_down` and the step functions."""
+    sums, lengths = _cells(_support_grid(u), terms)
+    return sums if lengths is None else np.repeat(sums, lengths, axis=-1)
 
 
 def leaf_owners(max_level, levels, positions):
@@ -158,7 +167,7 @@ def _majority_cover_levels(omega, max_level):
 def stopping_time_pieces(u):
     """The stopping-time pieces, assigning one pending interval at a time."""
     max_level = u.max_level
-    sums = square_leaf_sums(u)
+    sums = push_down(max_level, u.levels, u.positions, u.squares)
     min_coeff = min(coefficient_square(u, i) for i in u.coeffs)
     max_val = float(sums.max())
     if not (min_coeff > 0.0 and max_val < math.inf):

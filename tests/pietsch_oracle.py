@@ -2,8 +2,10 @@
 measure validator, kept from the per-interval code that the support-row
 arrays replaced: the weighted sum walks the measure's items and looks phi up
 once per weight, the product looks phi up once more per support interval,
-and the validator tests each weight and key in turn. The tests compare the
-library against them; they are slow and not part of the package.
+and the validator tests each weight and key in turn; and `h2_weights`, the
+exact level-2 weights of one block, one interval at a time. The tests
+compare the library against them; they are slow and not part of the
+package.
 """
 
 import math
@@ -13,7 +15,7 @@ from itertools import repeat
 import numpy as np
 
 from haarmult import HaarExpansion, MultiplierReport, appendix_constant
-from haarmult.haar import hp_norm, tl_norm
+from haarmult.haar import hp_norm, l2_norm, tl_norm
 from haarmult.pietsch import _BOUND_RTOL, _SUM_TOL
 
 
@@ -26,6 +28,17 @@ def multiply(phi, u):
     return HaarExpansion._from_rows(
         u.max_level, u.dimension, support, u.levels, u.positions, values
     )
+
+
+def h2_weights(u):
+    """The probability weights |x_I|^2 |I| / ||u||_2^2 of a nonzero u, which
+    witness the level-2 multiplier bound ||phi.u||_2^2 = ||u||_2^2 sum
+    |phi_I|^2 mu_I with equality."""
+    denom = l2_norm(u) ** 2
+    return {
+        interval: math.fsum(c * c for c in vector) * 2.0 ** -interval.level / denom
+        for interval, vector in u.coeffs.items()
+    }
 
 
 def validate_measure(m, u):

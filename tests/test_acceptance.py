@@ -34,11 +34,9 @@ from haarmult import (
     factorize,
     generation_decay_verdicts,
     generations,
-    h2_measure,
     hp_norm,
     is_block,
     l2_norm,
-    multiply,
     tl_norm,
     validate_measure,
     verify_decomposition,
@@ -52,14 +50,7 @@ from haarmult import pisier
 from haarmult.atomic import _decompose, _stopping_time
 from haarmult.cli import _gen_with_rng, main
 from haarmult.dyadic import _layer_leaves, _nearest_ancestors
-from haarmult.haar import (
-    _cells,
-    _on_atoms,
-    _support_grid,
-    _support_rows,
-    q_variation,
-    square_leaf_sums,
-)
+from haarmult.haar import _cells, _on_atoms, _pow, _product_norms, _support_grid, _support_rows
 from haarmult.pietsch import _BOUND_RTOL, _assemble
 
 import atomic_oracle
@@ -359,9 +350,9 @@ class TestCriterion4ExactIdentities:
             dec = decompose(u, 1.0)
             for block, _ in dec.pieces:
                 ui = haar_oracle.restrict(u, block)
-                mu = h2_measure(ui)
+                mu = pietsch_oracle.h2_weights(ui)
                 phi = dict(zip(ui.support, rng.uniform(-1, 1, len(ui.support))))
-                lhs = hp_norm(multiply(phi, ui), 2.0) ** 2
+                lhs = hp_norm(pietsch_oracle.multiply(phi, ui), 2.0) ** 2
                 rhs = l2_norm(ui) ** 2 * math.fsum(
                     phi[i] ** 2 * mu[i] for i in mu
                 )
@@ -651,14 +642,17 @@ class TestCriterion9BoundConsequences:
 
 class TestLeafSumOracles:
     def test_leaf_sums_bit_identical_to_slice_loop(self, scalar_pool, vector_pool):
+        # the library's cell sums on the leaves, of the squares and of the
+        # powers |x_I|^q that `tl_norm` sums
         for u in scalar_pool + vector_pool:
             square = partial(haar_oracle.coefficient_square, u)
             expected = _slice_loop_leaf_sums(u, square)
-            assert np.array_equal(square_leaf_sums(u), expected)
+            assert np.array_equal(haar_oracle.leaf_values(u, u.squares), expected)
         for u in scalar_pool:
             for q in (0.7, 2.0, 3.0):
                 powers = _slice_loop_leaf_sums(u, lambda i: abs(u.coeffs[i][0]) ** q)
-                assert np.array_equal(q_variation(u, q).values, powers ** (1.0 / q))
+                got = haar_oracle.leaf_values(u, _pow(np.abs(u.values[:, 0]), q))
+                assert np.array_equal(got, powers)
 
     def test_x0_matches_dense_cover(self, scalar_pool):
         for i in (0, 1, 250, 999):
@@ -701,7 +695,6 @@ class TestCellGridOracles:
             first_leaf = (np.cumsum(lengths) - lengths) >> _DEEPER
             leaves = haar_oracle.push_down(u.max_level, u.levels, u.positions, batch)
             assert np.array_equal(values, leaves[:, first_leaf])
-            assert np.array_equal(values[0], square_leaf_sums(u)[first_leaf])
 
     def test_norms_match_leaf_path(self, scalar_pool, vector_pool):
         for i, u in enumerate(scalar_pool + vector_pool):
@@ -895,13 +888,14 @@ class TestExpansionOracles:
                 if keep
             }
             phi[outside] = 1.0
-            got = multiply(phi, u)
+            # the support-row product through `HaarExpansion._from_rows`
+            got = pietsch_oracle.multiply(phi, u)
             assert list(got.coeffs.items()) == list(haar_oracle.multiply(phi, u).items())
             assert got.squares.tolist() == [
                 haar_oracle.coefficient_square(got, i) for i in got.coeffs
             ]
             assert np.array_equal(
-                square_leaf_sums(got),
+                haar_oracle.leaf_values(got, got.squares),
                 _slice_loop_leaf_sums(
                     got, partial(haar_oracle.coefficient_square, got)
                 ),
@@ -919,9 +913,18 @@ class TestExpansionOracles:
             phi[largest] = factor
             with pytest.raises(ValueError) as want:
                 haar_oracle.multiply(phi, u)
+            # the multiplier checks' product norms refuse it as the
+            # constructor does; the check itself, unless |phi_I|^2 overflows
+            # first
+            factors = _support_rows(phi, u)[None]
             with pytest.raises(ValueError) as got:
-                multiply(phi, u)
+                _product_norms(u, factors, 1.0, None, _support_grid(u))
             assert str(got.value) == str(want.value)
+            if not math.isfinite(factor):
+                m = (weights_hp if u.dimension == 1 else weights_vector)(u, 1.0)
+                with pytest.raises(ValueError) as got:
+                    check_multiplier_bound(u, 1.0, phi, m)
+                assert str(got.value) == str(want.value)
         assert checked > 50
 
     def test_decomposition_pieces_match_set_assignment(
@@ -1199,10 +1202,6 @@ class TestMultiplierOracles:
                 assert [type(v) for v in vars(got).values()] == [
                     type(v) for v in vars(want).values()
                 ]
-                product = multiply(phi, u)
-                reference = pietsch_oracle.multiply(phi, u)
-                assert list(product.coeffs.items()) == list(reference.coeffs.items())
-                assert np.array_equal(product.squares, reference.squares)
             # the variants as one batch: row k's report, or the first
             # failing row's exception
             rows = np.array([_support_rows(phi, u) for phi in phis])
@@ -1240,9 +1239,10 @@ class TestSupportRowBlockCheck:
         # the preorder search on support and member arrays, and the family
         # table built from it, against the stack walk
         for u in scalar_pool + vector_pool:
-            want = dyadic_oracle.parents(u.support_family())
+            family = IntervalFamily(u.support, u.max_level)
+            want = dyadic_oracle.parents(family)
             assert _nearest_ancestors(u.levels, u.positions).tolist() == list(want)
-            assert u.support_family().parents() == want
+            assert family.parents() == want
         for fam in TestCriterion6DecayBound._pool():
             want = dyadic_oracle.parents(fam)
             levels, positions = np.array(fam.intervals, dtype=np.int64).T
@@ -1256,7 +1256,7 @@ class TestSupportRowBlockCheck:
         verdicts = []
         for u in scalar_pool[:300] + vector_pool[:300]:
             dec = decompose(u, 1.0)
-            support = u.support_family()
+            support = IntervalFamily(u.support, u.max_level)
             candidates = [dec]
             if len(dec.pieces) >= 2:
                 candidates += [

@@ -32,7 +32,6 @@ from haarmult import (
 from haarmult import haar, pietsch
 from haarmult.dyadic import _nearest_ancestors
 from haarmult.haar import _cell_sum, _cells, _Grid, _paint, _pow, _support_grid
-from haarmult.haar import q_variation, square_leaf_sums
 
 import dyadic_oracle
 import haar_oracle
@@ -179,25 +178,27 @@ class TestTreeCellSums:
 
 
 class TestDenseLeafExports:
-    """`square_leaf_sums` and `q_variation` on sparse supports, whose grid is
-    the atoms: each cell's value over its leaves, bit for bit the leaf sums
-    of `haar_oracle.push_down`."""
+    """`_cells` on sparse supports, whose grid is the atoms: each cell's
+    value repeated over its leaves (`haar_oracle.leaf_values`), for the
+    squares and the q-th powers, is bit for bit the leaf sums of
+    `haar_oracle.push_down`."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_atom_grid_matches_leaf_oracle(self, seed):
         u = _sparse(np.random.default_rng(seed), 16, 20)
         assert _support_grid(u).lengths is not None
         want = haar_oracle.push_down(16, u.levels, u.positions, u.squares)
-        assert square_leaf_sums(u).tobytes() == want.tobytes()
+        assert haar_oracle.leaf_values(u, u.squares).tobytes() == want.tobytes()
         for q in (0.7, 2.0, 3.0):
             powers = _pow(np.abs(u.values[:, 0]), q)
-            want = haar_oracle.push_down(16, u.levels, u.positions, powers) ** (1.0 / q)
-            assert q_variation(u, q).values.tobytes() == want.tobytes()
+            want = haar_oracle.push_down(16, u.levels, u.positions, powers)
+            assert haar_oracle.leaf_values(u, powers).tobytes() == want.tobytes()
 
     def test_empty_support(self):
         u = HaarExpansion(16, 1, {})
         assert _support_grid(u).lengths is not None
-        assert square_leaf_sums(u).tobytes() == np.zeros(1 << 16).tobytes()
+        want = np.zeros(1 << 16).tobytes()
+        assert haar_oracle.leaf_values(u, u.squares).tobytes() == want
 
 
 class TestLayout:
@@ -313,15 +314,6 @@ class TestOneGridPerCall:
         builds.clear()
         check_multiplier_bound(u, 1.0, dict(zip(u.support, holes.tolist())), m)
         assert len(builds) == (1 if kept else 2) and max(Counter(builds).values()) == 1
-
-    @pytest.mark.parametrize("max_level", [8, 16])
-    def test_dense_leaf_exports(self, builds, max_level):
-        # one grid each, the leaves or the atoms: `_paint` runs only there
-        u = _sparse(np.random.default_rng(max_level), max_level, 20)
-        for export in (square_leaf_sums, lambda u: q_variation(u, 3.0)):
-            builds.clear()
-            export(u)
-            assert len(builds) == 1
 
     def test_no_grid_kept(self, builds):
         u = _sparse(np.random.default_rng(9), 30, 200)

@@ -18,15 +18,12 @@ from haarmult import (
     Factorization,
     HaarExpansion,
     PietschMeasure,
+    check_multiplier_bound,
     check_multiplier_bounds,
     convexify,
     factorize,
-    h2_measure,
     hp_norm,
     l2_norm,
-    multiply,
-    q_variation,
-    square_function,
     tl_norm,
     weights_tl,
     x0_norm_estimate,
@@ -37,13 +34,15 @@ from haarmult.haar import (
     _binned_sum,
     _fsum_rows,
     _pow,
+    _product_norms,
     _square_length,
     _squares,
-    square_leaf_sums,
+    _support_grid,
 )
 from haarmult.pisier import theta
 
 import haar_oracle
+import pietsch_oracle
 from haar_oracle import evaluate_haar
 
 
@@ -68,9 +67,20 @@ def random_scalar(rng, max_level, density=0.6):
     return HaarExpansion.scalar(max_level, coeffs)
 
 
-def at(step, t):
+def at(values, t):
     """A step function's value at t in [0, 1), read from its leaf values."""
-    return step.values[int(t * (1 << step.max_level))]
+    return values[int(t * len(values))]
+
+
+def square_leaves(u):
+    """The square function on the leaves, from the library's cell sums."""
+    return np.sqrt(haar_oracle.leaf_values(u, u.squares))
+
+
+def q_leaves(u, q):
+    """The q-variation on the leaves, from the library's cell sums of the
+    powers |x_I|^q that `tl_norm` sums."""
+    return haar_oracle.leaf_values(u, _pow(np.abs(u.values[:, 0]), q)) ** (1.0 / q)
 
 
 def pointwise_haar_sum(u, t):
@@ -166,7 +176,7 @@ class TestExpansion:
 
     def test_support_arrays_read_only(self):
         u = scalar(2, {(0, 0): 1.0, (1, 1): 2.0})
-        for product in (u, multiply({iv(1, 1): 3.0}, u), convexify(u, 3.0)):
+        for product in (u, pietsch_oracle.multiply({iv(1, 1): 3.0}, u), convexify(u, 3.0)):
             for array in (product.levels, product.positions, product.values, product.squares):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -213,11 +223,16 @@ class TestExpansion:
                 assert not array.flags.writeable
 
     def test_multiply_drops_zero_and_rejects_non_finite_products(self):
+        # the product norm is that of the expansion of the nonzero products
+        # alone, and a non-finite product is refused as on construction
         u = scalar(2, {(0, 0): 1.0, (1, 0): 0.25, (1, 1): 2.0})
-        product = multiply({iv(0, 0): 0.0, iv(1, 0): 5e-324, iv(1, 1): 3.0}, u)
-        assert product.coeffs == {iv(1, 1): (6.0,)}
+        factors = np.array([[0.0, 5e-324, 3.0]])
+        want = hp_norm(scalar(2, {(1, 1): 6.0}), 1.0)
+        assert _product_norms(u, factors, 1.0, None, _support_grid(u)) == [want]
+        # at q = 1 the weighted sum |phi_I| w_I stays finite
+        m = weights_tl(u, 1.0, 1.0)
         with pytest.raises(ValueError, match="coefficient at 1/1 is not finite"):
-            multiply({iv(1, 1): 1e308}, u)
+            check_multiplier_bound(u, 1.0, {iv(1, 1): 1e308}, m, q=1.0)
 
 
 class TestEvaluateHaar:
@@ -238,47 +253,45 @@ class TestEvaluateHaar:
 
 class TestSquareFunction:
     def test_single_interval_constant_one(self):
-        s = square_function(scalar(0, {(0, 0): 1.0}))
+        s = square_leaves(scalar(0, {(0, 0): 1.0}))
         assert at(s, 0.3) == 1.0
 
     def test_two_intervals(self):
-        s = square_function(scalar(1, {(0, 0): 1.0, (1, 0): 1.0}))
+        s = square_leaves(scalar(1, {(0, 0): 1.0, (1, 0): 1.0}))
         assert at(s, 0.25) == pytest.approx(math.sqrt(2), rel=1e-15)
         assert at(s, 0.75) == 1.0
 
     def test_vector_euclidean(self):
         u = HaarExpansion(0, 2, {iv(0, 0): (3.0, 4.0)})
-        assert at(square_function(u), 0.5) == 5.0
+        assert at(square_leaves(u), 0.5) == 5.0
 
 
 class TestQVariation:
     def test_q_two_matches_square_function(self):
         rng = np.random.default_rng(5)
         u = random_scalar(rng, 4)
-        np.testing.assert_allclose(
-            q_variation(u, 2.0).values, square_function(u).values, rtol=1e-14
-        )
+        np.testing.assert_allclose(q_leaves(u, 2.0), square_leaves(u), rtol=1e-14)
 
     def test_q_one_sums_magnitudes(self):
-        s = q_variation(scalar(1, {(0, 0): 1.0, (1, 0): 1.0}), 1.0)
+        s = q_leaves(scalar(1, {(0, 0): 1.0, (1, 0): 1.0}), 1.0)
         assert at(s, 0.25) == 2.0
         assert at(s, 0.75) == 1.0
 
     def test_single_interval_any_q(self):
-        s = q_variation(scalar(1, {(1, 0): -2.5}), 0.7)
+        s = q_leaves(scalar(1, {(1, 0): -2.5}), 0.7)
         assert at(s, 0.1) == pytest.approx(2.5, rel=1e-15)
         assert at(s, 0.6) == 0.0
 
     def test_vector_rejected(self):
         u = HaarExpansion(0, 2, {iv(0, 0): (1.0, 1.0)})
-        with pytest.raises(ValueError):
-            q_variation(u, 2.0)
+        with pytest.raises(ValueError, match="scalar expansions only"):
+            tl_norm(u, 1.0, 2.0)
 
     def test_nan_q_rejected(self):
         u = scalar(1, {(0, 0): 1.0, (1, 0): 0.5})
         for q in (float("nan"), 0.0, -1.0):
-            with pytest.raises(ValueError, match="q must be positive"):
-                q_variation(u, q)
+            with pytest.raises(ValueError, match="need 0 < p <= q"):
+                tl_norm(u, 1.0, q)
 
     def test_pointwise_nonincreasing_in_q(self):
         # the q-aggregate of the per-leaf coefficient multiset shrinks as q
@@ -287,7 +300,7 @@ class TestQVariation:
         for _ in range(100):
             u = random_scalar(rng, int(rng.integers(0, 6)))
             qs = sorted(rng.uniform(0.4, 5.0, size=3))
-            steps = [q_variation(u, q).values for q in qs]
+            steps = [q_leaves(u, q) for q in qs]
             assert np.all(steps[0] >= steps[1] * (1 - 1e-12))
             assert np.all(steps[1] >= steps[2] * (1 - 1e-12))
 
@@ -377,7 +390,6 @@ class TestInfiniteQ:
     def test_norms_and_powers(self):
         for call in (
             lambda: tl_norm(self.U, 1.0, math.inf),
-            lambda: q_variation(self.U, math.inf),
             lambda: convexify(self.U, math.inf),
             lambda: weights_tl(self.U, 1.0, math.inf),
             lambda: theta(1.5, math.inf),
@@ -407,7 +419,7 @@ class TestInfiniteQ:
         with pytest.raises(ValueError, match="need 0 < p <= q"):
             tl_norm(self.U, nan, math.inf)
         with pytest.raises(ValueError, match="scalar expansions only"):
-            q_variation(HaarExpansion(0, 2, {iv(0, 0): (1.0, 1.0)}), math.inf)
+            convexify(HaarExpansion(0, 2, {iv(0, 0): (1.0, 1.0)}), math.inf)
         with pytest.raises(DegenerateThetaError):
             theta(math.inf, math.inf)
         with pytest.raises(ValueError, match="q must be positive, got -inf"):
@@ -496,13 +508,10 @@ class TestL2Norm:
     @pytest.mark.parametrize("scale", [1e160, 1e-200])
     def test_out_of_range_fails_closed(self, scale):
         # the squares overflow to inf at 1e160 and underflow to 0 at 1e-200:
-        # the norm of a nonzero u would be inf or 0, and h2_measure's weights
-        # all NaN or a ZeroDivisionError
+        # the norm of a nonzero u would be inf or 0
         u = scalar(1, {(0, 0): scale, (1, 0): 0.5 * scale, (1, 1): -0.25 * scale})
         with pytest.raises(OverflowError, match="leaves the float range"):
             l2_norm(u)
-        with pytest.raises(OverflowError, match="leaves the float range"):
-            h2_measure(u)
         assert l2_norm(scalar(0, {})) == 0.0
 
 
@@ -624,23 +633,28 @@ class TestFsumRows:
 
 
 class TestMultiply:
+    """The multiplier checks' product norms (`_product_norms`), which build
+    no product expansion."""
+
     def test_identity_multiplier(self):
         u = scalar(2, {(0, 0): 1.0, (2, 3): -2.0})
-        phi = {i: 1.0 for i in u.support}
-        assert multiply(phi, u) == u
+        ones = np.ones((1, len(u.support)))
+        for p in (0.5, 1.0, 2.0):
+            assert _product_norms(u, ones, p, None, _support_grid(u)) == [hp_norm(u, p)]
 
     def test_zero_multiplier(self):
         u = scalar(2, {(0, 0): 1.0})
-        assert multiply({}, u).is_zero
+        assert _product_norms(u, np.zeros((1, 1)), 1.0, None, _support_grid(u)) == [0.0]
 
     def test_contraction_property(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             u = random_scalar(rng, int(rng.integers(0, 7)))
             p = float(rng.uniform(0.3, 2.0))
-            phi = {i: float(rng.uniform(-1, 1)) for i in u.support}
-            bound = max(abs(v) for v in phi.values()) if phi else 0.0
-            assert hp_norm(multiply(phi, u), p) <= bound * hp_norm(u, p) * (1 + 1e-12)
+            phi = rng.uniform(-1, 1, (1, len(u.support)))
+            bound = float(np.abs(phi).max(initial=0.0))
+            [norm] = _product_norms(u, phi, p, None, _support_grid(u))
+            assert norm <= bound * hp_norm(u, p) * (1 + 1e-12)
 
 
 class TestSquares:
@@ -771,4 +785,4 @@ class TestPow:
 class TestLeafSums:
     def test_accumulates_squares(self):
         u = HaarExpansion(1, 2, {iv(0, 0): (1.0, 2.0), iv(1, 1): (2.0, 0.0)})
-        np.testing.assert_allclose(square_leaf_sums(u), [5.0, 9.0])
+        np.testing.assert_allclose(haar_oracle.leaf_values(u, u.squares), [5.0, 9.0])

@@ -1,19 +1,16 @@
-"""The package's public surface: the exact export list, and the names removed
-because no library path or benchmark workload called them."""
+"""The package's public surface: the exact export list, the names removed
+because no library path or benchmark workload called them, and a README
+that names only public identifiers."""
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 import haarmult
-from haarmult import (
-    DyadicInterval,
-    HaarExpansion,
-    IntervalFamily,
-    StepFunction,
-    square_function,
-)
+from haarmult import HaarExpansion, IntervalFamily
 from haarmult.cli import run_verification
 
 PUBLIC = [
@@ -29,7 +26,6 @@ PUBLIC = [
     "IntervalFamily",
     "MultiplierReport",
     "PietschMeasure",
-    "StepFunction",
     "VerificationError",
     "ZeroInputError",
     "appendix_constant",
@@ -41,13 +37,9 @@ PUBLIC = [
     "factorize",
     "generation_decay_verdicts",
     "generations",
-    "h2_measure",
     "hp_norm",
     "is_block",
     "l2_norm",
-    "multiply",
-    "q_variation",
-    "square_function",
     "theta",
     "tl_norm",
     "validate_measure",
@@ -62,11 +54,18 @@ PUBLIC = [
 REMOVED = [
     ("dyadic", "generation_decay_check"),
     ("dyadic", "maximal_intervals"),
+    ("haar", "StepFunction"),
     ("haar", "_atom_cells"),
     ("haar", "_block_cells"),
     ("haar", "_leaf_cells"),
+    ("haar", "_leaf_sums"),
     ("haar", "evaluate_haar"),
+    ("haar", "multiply"),
     ("haar", "push_down"),
+    ("haar", "q_variation"),
+    ("haar", "square_function"),
+    ("haar", "square_leaf_sums"),
+    ("pietsch", "h2_measure"),
 ]
 
 
@@ -88,9 +87,26 @@ def test_removed_name_gone(module, name):
 def test_removed_methods_gone():
     assert not hasattr(IntervalFamily, "restrict")
     assert not hasattr(HaarExpansion, "restrict")
-    assert not hasattr(StepFunction, "lp_norm")
-    step = square_function(HaarExpansion.scalar(0, {DyadicInterval(0, 0): 1.0}))
-    assert not callable(step)
+    assert not hasattr(HaarExpansion, "support_family")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# `_name` at the start of a word, or `module._name`; `||S||_inf` is notation
+PRIVATE = re.compile(r"(?:^|[\s(\[,=])_\w|\w\._\w")
+
+
+def test_readme_names_public_identifiers_only():
+    # the public contract; the module docstrings hold the mechanisms
+    assert len(README.read_bytes()) <= 17_000
+    text = README.read_text(encoding="utf-8")
+    fences = text.split("```")
+    code = fences[1::2]  # the fenced blocks, then the backticked spans
+    code += [span for prose in fences[::2] for span in re.findall(r"`([^`]+)`", prose)]
+    assert code
+    assert [span for span in code if PRIVATE.search(span)] == []
+    removed = {name for _, name in REMOVED} | {"support_family"}
+    for name in sorted(removed):
+        assert not re.search(rf"(?<![\w.]){name}\b", text), name
 
 
 def test_run_verification_has_no_per_trial_options():
