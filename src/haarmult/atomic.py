@@ -13,19 +13,23 @@ Generations are constant along containment chains inside a group, so the
 block condition holds by construction. The guarantees (partition, block
 property, tops' Carleson constant <= 4, and the two-sided norm chain) are
 still re-checked on every output; `decompose` refuses to return an
-unverified decomposition. A decomposition built here is kept in row form:
-one block id per support row and the support row of each block's top.
-The verifier, the weights in `pietsch` and the CLI's h2 check read that
-form, and `pieces` is a view of it; each that needs a block's rows
-together takes them from one sort, `_block_order`. The h2 check passes
-the squares of phi * u to the verifier's block pass on u's own grid.
-`_verify_rows` is the one verification core: a decomposition given as
-pieces is mapped onto the support rows once (`_member_rows`) and checked
-the same way.
+unverified decomposition. A decomposition built here is kept in row form,
+through the storage the weights use (`haar._KeptRows`): one block id per
+support row and the support row of each block's top, with the support
+they belong to and its grid when that is the atoms. The verifier, the
+weights in `pietsch` and the CLI's h2 check read that form when it is on
+u's support (`_KeptRows._of_support`), and `pieces` is built from it on
+first read; each that needs a block's rows together takes them from one
+sort, `_block_order`. The h2 check passes the squares of phi * u to the
+verifier's block pass on u's own grid. `_verify_rows` is the one
+verification core: a decomposition given as pieces is mapped onto the
+support rows once (`_member_rows`) and checked the same way.
 
 Every function of the square sums runs on the grid of u's support
 (`haar._Grid`), built once per public call and shared by the stopping time,
-the majority cover and the verification: the atoms cut out by the support's
+the majority cover and the verification, and `verify_decomposition` given
+a decomposition of u's support sums on the atom grid it keeps
+(`_KeptRows._grid_for`): the atoms cut out by the support's
 endpoints when the support is sparse for its depth, else the leaves. No
 path here allocates one entry per leaf when the grid is the atoms. A
 support row's anchor for Omega_k is its coarsest ancestor-or-self J with
@@ -59,14 +63,14 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dyadic import DyadicInterval, IntervalFamily, _packed_carleson
 from .errors import VerificationError, ZeroInputError
-from .haar import HaarExpansion, _cells, _check_exponents, _Grid, _hp_norm, _support_grid
-from .haar import _tree_sums
+from .haar import HaarExpansion, _cells, _check_exponents, _Grid, _hp_norm, _KeptRows
+from .haar import _support_grid, _tree_sums
 
 # Relative slack for inequalities that are exact in real arithmetic and only
 # subject to floating-point rounding.
@@ -88,85 +92,61 @@ def _block_order(block: np.ndarray, n_blocks: int) -> tuple[np.ndarray, list[int
     return order, np.cumsum(np.bincount(block, minlength=n_blocks)).tolist()
 
 
-class AtomicDecomposition:
+@dataclass(frozen=True)
+class AtomicDecomposition(_KeptRows):
     """Ordered blocks partitioning the Haar support, one dyadic top each.
 
     `AtomicDecomposition(pieces, max_level, dimension)` keeps the given
-    pieces. `decompose` builds the row form instead: the support it was built
-    on, one block id per support row, and the support row of each block's
-    top, blocks ordered by their tops. There `pieces` is a view, built on
-    first access and kept. Two decompositions are equal when their pieces,
+    pieces as a tuple. `decompose` builds the row form instead
+    (`haar._KeptRows`): the support it was built on, one block id per
+    support row, the support row of each block's top, blocks ordered by
+    their tops, and the atom grid of the support. There `pieces` is built
+    on first read and kept. Two decompositions are equal when their pieces,
     max levels and dimensions are.
     """
 
-    __slots__ = ("max_level", "dimension", "_pieces", "_support", "_block", "_top_rows")
+    pieces: tuple[AtomicPiece, ...]
+    max_level: int
+    dimension: int
 
-    def __init__(
-        self, pieces: Iterable[AtomicPiece], max_level: int, dimension: int
-    ) -> None:
-        self._set(tuple(pieces), max_level, dimension, None, None, None)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pieces", tuple(self.pieces))
 
     @classmethod
     def _from_rows(
-        cls, u: HaarExpansion, block: np.ndarray, top_rows: np.ndarray
+        cls, u: HaarExpansion, block: np.ndarray, top_rows: np.ndarray, grid: _Grid
     ) -> "AtomicDecomposition":
         """The row form on u's support: `block[j]` is the block of support
-        row j, `top_rows[b]` the support row of block b's top."""
-        dec = object.__new__(cls)
-        dec._set(None, u.max_level, u.dimension, u.support, block, top_rows)
-        return dec
+        row j, `top_rows[b]` the support row of block b's top; `grid`, the
+        grid of u's support, is kept when it is the atoms."""
+        kept = None if grid.lengths is None else grid  # a leaf grid is cheaper to repaint than keep
+        return super()._from_rows(
+            u.support, {}, kept, _block=block, _top_rows=top_rows,
+            max_level=u.max_level, dimension=u.dimension,
+        )
 
-    def _set(self, pieces, max_level, dimension, support, block, top_rows) -> None:
-        set_attr = object.__setattr__
-        set_attr(self, "_pieces", pieces)
-        set_attr(self, "max_level", max_level)
-        set_attr(self, "dimension", dimension)
-        set_attr(self, "_support", support)
-        set_attr(self, "_block", block)
-        set_attr(self, "_top_rows", top_rows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("AtomicDecomposition is immutable")
-
-    def __reduce__(self) -> tuple:
-        return AtomicDecomposition, (self.pieces, self.max_level, self.dimension)
-
-    @property
-    def pieces(self) -> tuple[AtomicPiece, ...]:
-        if self._pieces is None:
-            support = self._support
-            order, ends = _block_order(self._block, len(self._top_rows))
-            members = list(map(support.__getitem__, order.tolist()))
-            pieces = tuple(
-                AtomicPiece(
-                    IntervalFamily._from_sorted(tuple(members[lo:hi]), self.max_level),
-                    support[top],
-                )
-                for lo, hi, top in zip([0] + ends, ends, self._top_rows.tolist())
+    def __getattr__(self, name: str) -> object:
+        """The row form's `pieces`, built on first read and kept."""
+        state = vars(self)
+        if name != "pieces" or "_block" not in state:
+            return super().__getattr__(name)
+        support, top_rows = state["_support"], state["_top_rows"]
+        order, ends = _block_order(state["_block"], len(top_rows))
+        members = list(map(support.__getitem__, order.tolist()))
+        state["pieces"] = pieces = tuple(
+            AtomicPiece(
+                IntervalFamily._from_sorted(tuple(members[lo:hi]), self.max_level),
+                support[top],
             )
-            object.__setattr__(self, "_pieces", pieces)
-        return self._pieces
+            for lo, hi, top in zip([0] + ends, ends, top_rows.tolist())
+        )
+        return pieces
 
     def tops(self) -> list[DyadicInterval]:
-        if self._support is not None:
-            return list(map(self._support.__getitem__, self._top_rows.tolist()))
-        return [piece.top for piece in self._pieces]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AtomicDecomposition):
-            return NotImplemented
-        return (self.pieces, self.max_level, self.dimension) == (
-            other.pieces, other.max_level, other.dimension
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.pieces, self.max_level, self.dimension))
-
-    def __repr__(self) -> str:
-        return (
-            f"AtomicDecomposition(pieces={self.pieces!r}, "
-            f"max_level={self.max_level!r}, dimension={self.dimension!r})"
-        )
+        top_rows = vars(self).get("_top_rows")
+        if top_rows is None:
+            return [piece.top for piece in self.pieces]
+        return list(map(self._support.__getitem__, top_rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -547,19 +527,14 @@ def verify_decomposition(
     the appendix constant otherwise), (d) the middle inequality
     sum ||u_i||^p <= sum |I_i| * sup S(u_i)^p holds, (e) every block is a
     block relative to the support, read from the support parent rows, (f)
-    the observed upper-chain ratio. Every call rechecks from scratch.
+    the observed upper-chain ratio. Every call rechecks from scratch; a
+    decomposition built by `decompose` on u's support sums on the atom grid
+    it keeps (`haar._KeptRows._grid_for`).
     """
-    return _verify(u, p, dec, _support_grid(u))
-
-
-def _verify(
-    u: HaarExpansion, p: float, dec: AtomicDecomposition, grid: _Grid
-) -> DecompositionReport:
-    """`verify_decomposition` on the grid of u's support."""
     _check_exponents(p)
     if dec.max_level != u.max_level or dec.dimension != u.dimension:
         raise ValueError("decomposition does not match the expansion")
-    return _verify_rows(u, p, *_member_rows(u, dec), grid)
+    return _verify_rows(u, p, *_member_rows(u, dec), dec._grid_for(u))
 
 
 def _member_rows(
@@ -571,7 +546,7 @@ def _member_rows(
     each member's block; the tops; whether every top is a member of its
     block and every member outside the support lies inside its top)."""
     tops = dec.tops()
-    if dec._support is not None and dec._support == u.support:
+    if dec._of_support(u):
         block, top_rows = dec._block, dec._top_rows
         tops_in_blocks = bool((block[top_rows] == np.arange(len(top_rows))).all())
         return np.arange(len(u.support)), block, tops, tops_in_blocks
@@ -666,8 +641,8 @@ def _decompose(
         raise ZeroInputError("cannot decompose the zero expansion")
     _check_exponents(p)
     block, top_rows = _stopping_time(u, grid)
-    dec = AtomicDecomposition._from_rows(u, block, top_rows)
-    report = _verify(u, p, dec, grid)
+    dec = AtomicDecomposition._from_rows(u, block, top_rows, grid)
+    report = _verify_rows(u, p, *_member_rows(u, dec), grid)
     if not report.passed:
         message = f"decomposition failed verification: {report.as_dict()}"
         raise VerificationError(message, report)

@@ -19,9 +19,10 @@ reads it.
 Every sum sum_I v_I 1_I on a hot path goes through `_cells`, on the grid
 of the support (`_Grid`), which each public call builds at most once from
 (max_level, levels, positions) and passes down as an argument. No grid is
-kept on an expansion, in the module or in a cache; a weight constructor's
-measure keeps the grid it was built on when that grid is the atoms, and a
-multiplier check on u of the same support and max level sums on it
+kept on an expansion, in the module or in a cache; a decomposition from
+`decompose` and a weight constructor's measure keep the grid they were
+built on when that grid is the atoms, and a verification or a multiplier
+check on u of the same support and max level sums on it
 (`_KeptRows._grid_for`). An atom grid is read-only, as one may be
 shared. The grid holds the level
 bounds of the support rows, their parent table and each cell's owner, the
@@ -72,10 +73,11 @@ numpy's generic loop for it calls libm `pow` once per float64 element, with
 no SIMD dispatch, so each power is bit for bit Python's float `pow`.
 numpy's `**` and `np.power` are not: on an AVX-512 host they dispatch to
 SVML and differ from libm in the last bit for some inputs, even at
-exponent 2. numpy's `**` is used only on cell sums (`_norm_means`) and on
-the sampled candidates of `pisier._x0_norm_estimate`: `_pow` there would
-change the last bits of their outputs, and runs about 5x slower than the
-SIMD loop.
+exponent 2. numpy's `**` is used only on cell sums (`_norm_means`), on
+the sampled candidates of `pisier._x0_norm_estimate` and, there, on one
+per-row power, |x|^(1 - theta): `_pow` there would change the last bits of
+their outputs (of `max_lattice_candidate` and the pinned `verify`
+digests), and runs about 5x slower than the SIMD loop.
 """
 
 from __future__ import annotations
@@ -256,6 +258,9 @@ class HaarExpansion:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HaarExpansion is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("HaarExpansion is immutable")
+
     def __reduce__(self) -> tuple:
         """Pickle and copy through the validating constructor."""
         return HaarExpansion, (self.max_level, self.dimension, self.coeffs)
@@ -322,7 +327,7 @@ def _check_q(q: float) -> None:
 class _Grid:
     """The cell grid of one support, built from (max_level, levels,
     positions) and passed down to every sum over that support. `bounds` is
-    a tuple, and on the atoms every array is read-only, so a measure that
+    a tuple, and on the atoms every array is read-only, so a result that
     keeps its atom grid (`_KeptRows._grid_for`) shares it with its copies
     and with every check (`_freeze`).
 
@@ -569,7 +574,9 @@ def _rows_by_key(mapping: Mapping[DyadicInterval, float], u: HaarExpansion) -> n
 class _KeptRows:
     """The storage of a frozen dataclass whose dict fields hold one value per
     support interval: `pietsch.PietschMeasure`'s weights and
-    `pisier.Factorization`'s factors.
+    `pisier.Factorization`'s factors. `atomic.AtomicDecomposition` keeps
+    its block rows here too, as plain fields of `_from_rows`, with the
+    support and grid they belong to, and builds its `pieces` itself.
 
     An object built by `_from_rows` keeps each such field as a read-only
     array in support order, with the support tuple the arrays belong to,

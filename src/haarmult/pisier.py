@@ -14,7 +14,10 @@ are read at u's support rows through that base (`_field_rows`: the kept
 array as it is, else one pass over a dict in support order, else one `get`
 per row), and the factors' keys are checked by it (`_keyed_by`). Every
 per-row power is `haar._pow`, Python's float `pow` per element through
-`np.float_power` (numpy's `**` may differ from it in the last bit). The
+`np.float_power` (numpy's `**` may differ from it in the last bit), but
+one: `_x0_norm_estimate` takes |x|^(1 - theta) with `**`, as it does the
+powers of its sampled candidates, since `_pow` there could move the last
+bits of `max_lattice_candidate` and of the pinned `verify` output. The
 per-row tolerance tests are `_isclose`, `math.isclose` on arrays.
 
 `factorize` also keeps its source: u and the `weights_tl(u, p, q)` measure

@@ -1,6 +1,9 @@
 """Block decomposition guarantees and the appendix constant."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -374,6 +377,64 @@ class TestAppendixConstant:
             assert repr(appendix_constant(p, carleson)) == repr(want)
 
 
+class TestStorage:
+    """A decomposition is a frozen dataclass on `haar._KeptRows`: `decompose`
+    keeps its row form and its atom grid, copies and pickles keep them, and
+    equality, hashing and repr are those of (pieces, max_level, dimension)."""
+
+    def _small(self):
+        u = scalar(3, {(0, 0): 1.0, (1, 0): 0.5, (2, 3): -2.0, (3, 1): 0.25})
+        return u, decompose(u, 1.5)
+
+    def test_repr_and_hash_pinned(self):
+        u, dec = self._small()
+        assert repr(dec) == (
+            "AtomicDecomposition(pieces=(AtomicPiece(block=IntervalFamily({0/0, 1/0, 3/1}), "
+            "top=DyadicInterval(level=0, position=0)), "
+            "AtomicPiece(block=IntervalFamily({2/3}), top=DyadicInterval(level=2, position=3))), "
+            "max_level=3, dimension=1)"
+        )
+        assert hash(dec) == hash((dec.pieces, dec.max_level, dec.dimension))
+        rebuilt = AtomicDecomposition(list(dec.pieces), 3, 1)
+        assert rebuilt == dec and hash(rebuilt) == hash(dec) and repr(rebuilt) == repr(dec)
+        assert isinstance(rebuilt.pieces, tuple)
+
+    @pytest.mark.parametrize("max_level", [10, 22])
+    def test_pickle_and_deep_copy_keep_the_row_form(self, max_level):
+        leaf = random_scalar(np.random.default_rng(46), 10, density=0.5)
+        u = HaarExpansion(max_level, 1, leaf.coeffs)
+        dec = decompose(u, 1.5)
+        on_atoms = haar._support_grid(u).lengths is not None
+        assert (vars(dec)["_grid"] is not None) == on_atoms == (max_level == 22)
+        report = repr(verify_decomposition(u, 1.5, dec))
+        for kept in (pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec)):
+            assert kept._of_support(u) and "pieces" not in vars(kept)
+            assert np.array_equal(kept._block, dec._block)
+            assert np.array_equal(kept._top_rows, dec._top_rows)
+            assert (vars(kept)["_grid"] is not None) == on_atoms
+            assert repr(verify_decomposition(u, 1.5, kept)) == report
+            assert kept == dec and kept.tops() == dec.tops()
+        shared = copy.copy(dec)
+        assert shared._block is dec._block and shared._grid is dec._grid
+
+    def test_assignment_and_deletion_refused(self):
+        _, dec = self._small()
+        for obj in (dec, AtomicDecomposition(dec.pieces, 3, 1)):
+            for name in ("pieces", "max_level", "dimension", "_block"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(obj, name)
+            assert obj == dec and obj.max_level == 3 and obj.dimension == 1
+
+    def test_replace_builds_from_pieces(self):
+        u, dec = self._small()
+        again = dataclasses.replace(dec, max_level=dec.max_level)
+        assert again == dec and hash(again) == hash(dec)
+        assert not again._of_support(u) and again.tops() == dec.tops()
+        assert repr(verify_decomposition(u, 1.5, again)) == repr(verify_decomposition(u, 1.5, dec))
+
+
 class TestCallCounts:
     def _counts(self, monkeypatch, u):
         """(ancestor searches on u's support arrays, `_cells` calls) of the
@@ -415,9 +476,12 @@ class TestCallCounts:
     def test_one_grid_per_verification(self, monkeypatch, max_level):
         # a clean decomposition, in row form or as pieces, sums its blocks
         # on the one grid of u's support: no grid and no `_cells` call per
-        # block; a corrupt one sums each block on its own grid
+        # block, and the row form builds none on the atoms, where it keeps
+        # its grid; a corrupt one sums each block on its own grid
         leaf = random_scalar(np.random.default_rng(46), 10, density=0.5)
         u = HaarExpansion(max_level, 1, leaf.coeffs)
+        on_atoms = haar._support_grid(u).lengths is not None
+        assert on_atoms == (max_level == 22)
         dec = decompose(u, 1.0)
         copy = AtomicDecomposition(dec.pieces, max_level, 1)
         corrupt = AtomicDecomposition(dec.pieces[1:], max_level, 1)
@@ -433,18 +497,19 @@ class TestCallCounts:
         for clean in (dec, copy):
             grids.clear()
             assert verify_decomposition(u, 1.0, clean).passed
-            assert (len(grids), own) == (1, [])
+            assert (len(grids), own) == (0 if clean is dec and on_atoms else 1, [])
         grids.clear()
         assert not verify_decomposition(u, 1.0, corrupt).passed
         assert len(own) == 1 and len(grids) == 1 + len(corrupt.pieces)
 
     def test_decompose_verify_and_weights_on_atoms(self, monkeypatch):
         # the same u 12 levels deeper, on the atoms: one ancestor search per
-        # grid of u's support, 3 in all
+        # grid of u's support, 2 in all, as the verification sums on the
+        # atom grid the decomposition keeps
         leaf = random_scalar(np.random.default_rng(46), 10, density=0.5)
         u = HaarExpansion(22, 1, leaf.coeffs)
         assert haar._support_grid(u).lengths is not None
-        assert self._counts(monkeypatch, u) == (3, 5)
+        assert self._counts(monkeypatch, u) == (2, 5)
 
 
 class TestBlockOrder:

@@ -41,10 +41,10 @@ def test_op_matches_reference(name):
     assert workloads.floats_match(floats, want["floats"])
 
 
-# grids built per op: sparse-deep's checks reuse the atom grid its measure
-# keeps (decompose, verify and weights build one each); the other workloads
-# sum on leaf grids, which a measure does not keep
-GRIDS_PER_OP = {"sparse-deep": 3, "deep-hardy": 11, "factor-sampling": 2, "verify-suite": 5}
+# grids built per op: sparse-deep's verification and checks reuse the atom
+# grid its decomposition and measure keep (decompose and weights build one
+# each); the other workloads sum on leaf grids, which no result keeps
+GRIDS_PER_OP = {"sparse-deep": 2, "deep-hardy": 11, "factor-sampling": 2, "verify-suite": 5}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

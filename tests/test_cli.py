@@ -355,7 +355,7 @@ class TestCommands:
         assert payload["report"]["passed"] is True
 
     def test_decompose_verifies_once(self, tmp_path, capsys, monkeypatch):
-        verifies = count_calls(monkeypatch, atomic, "_verify")
+        verifies = count_calls(monkeypatch, atomic, "_verify_rows")
         path = write(tmp_path, "u.json", MINIMAL)
         assert main(["decompose", "--p", "1", path]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
@@ -588,7 +588,7 @@ class TestVerifyCommand:
 
     def test_each_expansion_decomposed_once_per_trial(self, monkeypatch):
         stopping_times = count_calls(monkeypatch, atomic, "_stopping_time")
-        verifies = count_calls(monkeypatch, atomic, "_verify")
+        verifies = count_calls(monkeypatch, atomic, "_verify_rows")
         report = run_verification(
             p=1.5, q=3.0, trials=1, seed=0, density=0.5, max_level=6, dimension=2
         )
@@ -672,7 +672,7 @@ class TestVerifyCommand:
         # a vector decomposition that fails its verification escapes the
         # trial: exit 1 and its report on stderr, in the fields' order with
         # the Carleson constant as a float; the error carries the report
-        verify, refused = atomic._verify, []
+        verify, refused = atomic._verify_rows, []
 
         def failing(u, *args):
             report = verify(u, *args)
@@ -681,7 +681,7 @@ class TestVerifyCommand:
             refused.append(replace(report, chain_middle_ok=False))
             return refused[-1]
 
-        monkeypatch.setattr(atomic, "_verify", failing)
+        monkeypatch.setattr(atomic, "_verify_rows", failing)
         code = main(["verify", "--trials", "1", "--max-level", "4", "--dimension", "2"])
         r = refused[0]
         fields = {

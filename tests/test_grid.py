@@ -304,12 +304,16 @@ class TestOneGridPerCall:
             (factorize, (u, 1.5, 3.0)),
             (x0_norm_estimate, (f, u, 4, 0)),
         ]
-        # the measures keep their atom grid, and f the measure it was built from
+        # dec and the measures keep their atom grid, and f the measure it
+        # was built from
         kept = max_level == 40
         for fn, args in calls:
             builds.clear()
             fn(*args)
-            reads = fn in (check_multiplier_bound, check_multiplier_bounds, x0_norm_estimate)
+            reads = fn in (
+                verify_decomposition, check_multiplier_bound, check_multiplier_bounds,
+                x0_norm_estimate,
+            )
             assert len(builds) == (0 if reads and kept else 1), fn.__name__
         builds.clear()
         check_multiplier_bound(u, 1.0, dict(zip(u.support, holes.tolist())), m)

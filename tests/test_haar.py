@@ -184,6 +184,15 @@ class TestExpansion:
         with pytest.raises(AttributeError):
             u.values = np.zeros((2, 1))
 
+    def test_attributes_cannot_be_deleted(self):
+        # every slot, the unbuilt coeffs cache included, survives a `del`
+        u = scalar(2, {(0, 0): 1.0, (1, 1): 2.0})
+        for name in HaarExpansion.__slots__:
+            with pytest.raises(AttributeError, match="HaarExpansion is immutable"):
+                delattr(u, name)
+            assert hasattr(u, name)
+        assert u.coeffs == {iv(0, 0): (1.0,), iv(1, 1): (2.0,)}
+
     def test_empty_support_arrays(self):
         u = HaarExpansion(3, 2, {iv(1, 0): (0.0, 0.0)})
         assert u.is_zero
