@@ -13,10 +13,10 @@ Generations are constant along containment chains inside a group, so the
 block condition holds by construction. The guarantees (partition, block
 property, tops' Carleson constant <= 4, and the two-sided norm chain) are
 still re-checked on every output; `decompose` refuses to return an
-unverified decomposition. A decomposition built here is kept in row form,
-through the storage the weights use (`haar._KeptRows`): one block id per
-support row and the support row of each block's top, with the support
-they belong to and its grid when that is the atoms. The verifier, the
+unverified decomposition. A decomposition built here is kept in row form
+by `haar._KeptRows._from_rows`, whose docstring states what a result
+keeps: one block id per support row and the support row of each block's
+top, with the support they belong to and the grid. The verifier, the
 weights in `pietsch` and the CLI's h2 check read that form when it is on
 u's support (`_KeptRows._of_support`), and `pieces` is built from it on
 first read; each that needs a block's rows together takes them from one
@@ -111,19 +111,6 @@ class AtomicDecomposition(_KeptRows):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pieces", tuple(self.pieces))
-
-    @classmethod
-    def _from_rows(
-        cls, u: HaarExpansion, block: np.ndarray, top_rows: np.ndarray, grid: _Grid
-    ) -> "AtomicDecomposition":
-        """The row form on u's support: `block[j]` is the block of support
-        row j, `top_rows[b]` the support row of block b's top; `grid`, the
-        grid of u's support, is kept when it is the atoms."""
-        kept = None if grid.lengths is None else grid  # a leaf grid is cheaper to repaint than keep
-        return super()._from_rows(
-            u.support, {}, kept, _block=block, _top_rows=top_rows,
-            max_level=u.max_level, dimension=u.dimension,
-        )
 
     def __getattr__(self, name: str) -> object:
         """The row form's `pieces`, built on first read and kept."""
@@ -641,7 +628,9 @@ def _decompose(
         raise ZeroInputError("cannot decompose the zero expansion")
     _check_exponents(p)
     block, top_rows = _stopping_time(u, grid)
-    dec = AtomicDecomposition._from_rows(u, block, top_rows, grid)
+    dec = AtomicDecomposition._from_rows(
+        u, {}, grid, _block=block, _top_rows=top_rows, max_level=u.max_level, dimension=u.dimension
+    )
     report = _verify_rows(u, p, *_member_rows(u, dec), grid)
     if not report.passed:
         message = f"decomposition failed verification: {report.as_dict()}"

@@ -122,11 +122,25 @@ def _nearest_ancestors(levels: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return parent
 
 
-class IntervalFamily:
+class _Immutable:
+    """A slotted base whose attributes are set once, with
+    `object.__setattr__`, and never assigned or deleted after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class IntervalFamily(_Immutable):
     """A finite, duplicate-free collection of dyadic intervals.
 
     Intervals are kept sorted by (level, position) so iteration order is
     canonical. ``max_level`` is the declared cap; every member must respect it.
+    A family is immutable, and copies and pickles through its constructor.
     """
 
     __slots__ = ("intervals", "max_level", "_set", "_ancestry")
@@ -159,6 +173,10 @@ class IntervalFamily:
         object.__setattr__(self, "max_level", max_level)
         object.__setattr__(self, "_set", frozenset(ordered))
         object.__setattr__(self, "_ancestry", None)
+
+    def __reduce__(self) -> tuple:
+        """Pickle and copy through the validating constructor."""
+        return IntervalFamily, (self.intervals, self.max_level)
 
     def __iter__(self) -> Iterator[DyadicInterval]:
         return iter(self.intervals)

@@ -16,8 +16,10 @@ class DegenerateThetaError(ValueError):
 class VerificationError(RuntimeError):
     """A constructed object failed its mandatory post-hoc verification.
 
-    `report` is the failed report object where there is one (the
-    `DecompositionReport` of a decomposition `decompose` refused), else None.
+    `report` is the refused object where there is one: the
+    `DecompositionReport` of a decomposition `decompose` refused, or the
+    `PietschMeasure` a weight constructor built and `validate_measure`
+    refused; else None.
     """
 
     def __init__(self, message: str, report: object = None) -> None:

@@ -19,12 +19,10 @@ reads it.
 Every sum sum_I v_I 1_I on a hot path goes through `_cells`, on the grid
 of the support (`_Grid`), which each public call builds at most once from
 (max_level, levels, positions) and passes down as an argument. No grid is
-kept on an expansion, in the module or in a cache; a decomposition from
-`decompose` and a weight constructor's measure keep the grid they were
-built on when that grid is the atoms, and a verification or a multiplier
-check on u of the same support and max level sums on it
-(`_KeptRows._grid_for`). An atom grid is read-only, as one may be
-shared. The grid holds the level
+kept on an expansion, in the module or in a cache; a constructor's result
+may keep one (`_KeptRows`), and a verification or a multiplier check on u
+of its support and max level sums on it (`_KeptRows._grid_for`). An atom
+grid is read-only, as one may be shared. The grid holds the level
 bounds of the support rows, their parent table and each cell's owner, the
 deepest support row containing it, and picks the cells (`_on_atoms`): the
 atoms when (2n + 1)(N + 1) + 256 < 2^N, with each atom's length, else the
@@ -51,15 +49,11 @@ A mapping keyed by intervals (a multiplier phi, summing weights, lattice
 factors) is read at the support rows by `_support_rows`: a plain dict keyed
 by the support in support order in one pass over its values, with no key
 hashed (`_support_order`), and any other mapping with one `get` per row
-(`_rows_by_key`). Results that hold one value per support interval (a
-`pietsch.PietschMeasure`'s weights, a `pisier.Factorization`'s factors)
-share one storage, `_KeptRows`: a constructor's object keeps them as
-read-only support-order arrays and builds a dict only when a caller reads
-the field. Every read of such a field at the support rows and every check
-of its keys goes through that base, so `_support_order` is called in this
-module only. The base also keeps the expansion a constructor's object was
-built from, with what was verified on it (`_KeptRows._built_from`), so a
-later call on that same object reads it instead of computing it again.
+(`_rows_by_key`). The constructors' results (a decomposition, a measure,
+a factorization) share one storage, `_KeptRows`, whose docstring states
+what a result keeps: its rows, its grid and its source. Every read of a
+kept field at the support rows and every check of its keys goes through
+that base, so `_support_order` is called in this module only.
 
 Every sum over whole support rows (`l2_norm`, the weights' totals, the
 weighted sums of the multiplier check, `pisier._fqq_norm`) is `_fsum_rows`:
@@ -85,12 +79,12 @@ from __future__ import annotations
 import errno
 import math
 import os
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicInterval, _nearest_ancestors
+from .dyadic import DyadicInterval, _Immutable, _nearest_ancestors
 
 CoeffMap = Mapping[DyadicInterval, "float | Iterable[float]"]
 
@@ -144,7 +138,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class HaarExpansion:
+class HaarExpansion(_Immutable):
     """Sparse Haar coefficients up to a fixed maximum level.
 
     Zero coefficient vectors are dropped on construction, so the key set of
@@ -254,12 +248,6 @@ class HaarExpansion:
         set_attr(self, "positions", _read_only(positions))
         set_attr(self, "values", _read_only(values))
         set_attr(self, "squares", _read_only(squares))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HaarExpansion is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("HaarExpansion is immutable")
 
     def __reduce__(self) -> tuple:
         """Pickle and copy through the validating constructor."""
@@ -378,7 +366,7 @@ class _Grid:
         self._freeze()
 
     def _freeze(self) -> None:
-        """Make the arrays of an atom grid read-only: a measure may keep it
+        """Make the arrays of an atom grid read-only: a result may keep it
         and share it with its copies and every check. A leaf grid is never
         kept, and `np.take` copies a read-only index array, which would slow
         every sum over its 2^N leaf owners."""
@@ -572,53 +560,62 @@ def _rows_by_key(mapping: Mapping[DyadicInterval, float], u: HaarExpansion) -> n
 
 
 class _KeptRows:
-    """The storage of a frozen dataclass whose dict fields hold one value per
-    support interval: `pietsch.PietschMeasure`'s weights and
-    `pisier.Factorization`'s factors. `atomic.AtomicDecomposition` keeps
-    its block rows here too, as plain fields of `_from_rows`, with the
-    support and grid they belong to, and builds its `pieces` itself.
+    """The storage of the constructors' results: `pietsch.PietschMeasure`'s
+    weights, `pisier.Factorization`'s factors and
+    `atomic.AtomicDecomposition`'s block rows, each a frozen dataclass.
+    `_from_rows(u, ...)` builds every such result, and it alone decides what
+    the result keeps.
 
-    An object built by `_from_rows` keeps each such field as a read-only
-    array in support order, with the support tuple the arrays belong to,
-    and builds the field's dict on its first read. From then on the dict is
-    the field and its array is gone, so a change a caller makes to the dict
-    is what every later read sees. An object built from dicts keeps them.
-    Reads at u's support rows (`_field_rows`) and key checks (`_keyed_by`)
-    take a kept array as it is when its support is u's, with no dict built
-    and no key hashed.
+    Rows: the result keeps each field of `rows` as an array in support order,
+    with u's support tuple, and builds the field's dict on its first read.
+    From then on the dict is the field and its array is gone, so a change a
+    caller makes to the dict is what every later read sees. An object built
+    from dicts keeps them. Reads at u's support rows (`_field_rows`) and key
+    checks (`_keyed_by`) take a kept array as it is when its support is u's,
+    with no dict built and no key hashed. A decomposition keeps its block
+    rows as plain array fields and builds its `pieces` itself.
 
-    `_from_rows` may also keep the grid of that support, which depends on
-    the support and the max level alone, never on the field values.
-    `_grid_for(u)` hands it to a check on u of the same support and max
-    level; any other u, and an object built from dicts (a
-    `dataclasses.replace` copy included), gets a fresh grid. A `copy.copy`
-    shares the grid; a deep copy or a pickle round trip carries its own.
+    Grid: the result keeps the grid of u's support only when that grid is
+    the atoms: an atom grid needs an ancestor search and a sort of the
+    endpoints to build and holds about 45 bytes per row, while a leaf grid
+    holds one int64 per leaf and is repainted in one pass per level. The
+    grid depends on the support and the max level alone, never on the
+    field values. `_grid_for(u)` hands it to a check on u of
+    the same support and max level; any other u, and an object built from
+    dicts (a `dataclasses.replace` copy included), gets a fresh grid.
 
-    It may also keep its source: the expansion the object was built from,
-    with what its constructor computed and verified on it (a measure's
-    `||u||_p`, a factorization's measure). `_built_from(u)` gives that
-    only for u the very same object, an identity test, so an equal
-    expansion does not match and nothing is looked up. A `copy.copy`
-    shares the source; a deep copy or a pickle round trip drops it, as no
-    identity survives either, and keeps its arrays read-only.
+    Source: given `verified`, what its constructor computed and verified on
+    u (a measure's `||u||_p`, a factorization's measure), the result keeps
+    (u, *verified). `_built_from(u)` gives that only for u the very same
+    object, an identity test, so an equal expansion does not match and
+    nothing is looked up.
+
+    Read-only: every array the result keeps, field rows and array fields
+    alike, is read-only. `_from_rows`, a deep copy and an unpickling all
+    build the object through `__setstate__`, which freezes them. A
+    `copy.copy` shares every field, the grid and the source; a deep copy or
+    a pickle round trip carries its own grid and drops the source, as no
+    identity survives either.
     """
 
     @classmethod
     def _from_rows(
         cls,
-        support: tuple[DyadicInterval, ...],
+        u: HaarExpansion,
         rows: dict[str, np.ndarray],
         grid: _Grid | None = None,
-        source: tuple | None = None,
+        verified: tuple | None = None,
         **fields: object,
     ) -> "_KeptRows":
-        """The object whose field `name` has value rows[name][j] at support[j]
-        for each name in rows, the arrays kept as they are, with `grid`, the
-        grid of the support or None, and `source`, None or (the expansion
-        the object was built from, *what was verified on it)`; the other
-        fields are `fields`."""
+        """The object whose field `name` has value rows[name][j] at u's j-th
+        support interval for each name in rows, keeping the arrays as they
+        are, the grid `grid` of u's support and the source (u, *verified),
+        each as the class docstring says; the other fields are `fields`."""
         obj = object.__new__(cls)
-        vars(obj).update(fields, _support=support, _rows=rows, _grid=grid, _source=source)
+        # a leaf grid is cheaper to repaint than keep
+        kept = None if grid is None or grid.lengths is None else grid
+        source = None if verified is None else (u, *verified)
+        obj.__setstate__(dict(fields, _support=u.support, _rows=rows, _grid=kept, _source=source))
         return obj
 
     def __copy__(self) -> "_KeptRows":
@@ -632,11 +629,12 @@ class _KeptRows:
         return {name: value for name, value in vars(self).items() if name != "_source"}
 
     def __setstate__(self, state: dict[str, object]) -> None:
-        """A deep copy or an unpickled object keeps its arrays read-only,
-        as `_Grid.__setstate__` does."""
+        """Set the state and make every array in it read-only, as
+        `_Grid.__setstate__` does: the field rows and any array field."""
         vars(self).update(state)
-        for rows in state.get("_rows", {}).values():
-            _read_only(rows)
+        for value in chain(state.values(), state.get("_rows", {}).values()):
+            if isinstance(value, np.ndarray):
+                _read_only(value)
 
     def __getattr__(self, name: str) -> object:
         """A kept field's dict, built on its first read; its array goes. The

@@ -15,35 +15,19 @@ the decomposition's row form (`math.fsum`, or `haar._fsum` for a block as
 long as a row it bins), and the weight constructors read the norm from the
 verification that their `decompose` already ran.
 
-The weight constructors return a measure that keeps its weights as a
-read-only array in support order, with the support tuple they belong to
-(`haar._KeptRows`, the storage `pisier.Factorization` shares); the
-`weights` dict is built on first read, and from then on it is the measure
-and the array is gone. The multiplier checks, `validate_measure`,
+The weight constructors build their measure with
+`haar._KeptRows._from_rows`, whose docstring states what a result keeps:
+the weights as a read-only array in support order (the `weights` dict is
+built on first read), the grid of u's support when that is the atoms, and,
+for a Hardy or vector measure, its source: u, p and the `hp_norm(u, p)`
+its verification computed. The multiplier checks, `validate_measure`,
 `PietschMeasure.total` and `pisier` take the array as it is when its
-support is u's (`_KeptRows._field_rows`: an identity test, then the tuple
-comparison in C), with no dict, no key check and no `np.fromiter`. Nothing
-is cached: each constructor call builds a fresh measure.
-
-A constructor's measure also keeps the grid of u's support that it was
-built on (`_assemble`), when that grid is the atoms: an atom grid needs
-an ancestor search and a sort of the endpoints to build and holds about
-45 bytes per row, while a leaf grid holds one int64 per leaf and is
-repainted in one pass per level. The grid depends only on the max level
-and the support, so a check on u of the measure's support and max level
-sums on the kept grid (`haar._KeptRows._grid_for`) with no lookup, bit for
-bit as on a fresh one. A measure built from a dict, a `dataclasses.replace`
-copy, and a u of another max level get a fresh grid.
-
-A Hardy or vector measure also keeps its source: the expansion it was
-built from, p and the `hp_norm(u, p)` its verification computed
-(`_assemble`). The checks on that very u at that p read this norm
-(`haar._KeptRows._built_from`, an identity test) instead of summing it
-again. A measure whose summing exponent is not 2 keeps none: its checks
-take the q-variation norm, and it was built on |u|^(q/2), an expansion no
-caller holds. Any other u, an equal one included, and a measure built from
-a dict, a `dataclasses.replace` copy, a deep copy or a pickle compute the
-norm, the same floats.
+support is u's (`_KeptRows._field_rows`), sum on the kept grid
+(`_grid_for`), and read the kept norm for that very u at that p
+(`_built_from`). A measure whose summing exponent is not 2 keeps no
+source: its checks take the q-variation norm, and it was built on
+|u|^(q/2), an expansion no caller holds. Nothing is cached: each
+constructor call builds a fresh measure.
 
 The multiplier check is batched: `check_multiplier_bounds` takes K
 multipliers as a (K, n) array in support order, and `check_multiplier_bound`
@@ -66,8 +50,8 @@ from `u.support`) in one pass over its values, any other mapping with one
 `_KeptRows._keyed_by`, serves `check_multiplier_bounds` and
 `validate_measure`: kept rows of u's support and a dict in support order
 pass with no interval hashed, any other mapping by key-set comparison.
-`_assemble` validates its support-order array before it returns the
-measure.
+`_assemble` checks the measure it built with `validate_measure`, and a
+refused one raises VerificationError carrying the measure as its report.
 
 The powers |phi_I|^s of a batch are one `haar._pow` call: `np.float_power`,
 which calls libm `pow` once per element, so each is bit for bit Python's
@@ -101,7 +85,6 @@ from .haar import (
     _KeptRows,
     _pow,
     _product_norms,
-    _read_only,
     _square_measures,
     _support_grid,
     _support_rows,
@@ -154,9 +137,7 @@ def validate_measure(m: PietschMeasure, u: HaarExpansion) -> bool:
         return False
     rows = m._kept("weights")
     weights = np.fromiter(m.weights.values(), float, len(m.weights)) if rows is None else rows
-    if not (weights >= 0).all():
-        return False
-    if not m.total() <= 1.0 + _SUM_TOL:
+    if not ((weights >= 0).all() and m.total() <= 1.0 + _SUM_TOL):
         return False
     return m._keyed_by("weights", u, subset=True)
 
@@ -170,11 +151,10 @@ def _assemble(
     grid: _Grid,
 ) -> PietschMeasure:
     """Weights from a verified decomposition of u built by `decompose` (its
-    row form) and `hp_norm(u, p)`, kept in support order, with `grid`, the
-    grid of u's support, when it is the atoms, and with the source (u, p,
-    norm_p) when the summing exponent is 2. The array is validated as
-    `validate_measure` would validate the measure (nonnegative, total at
-    most 1)."""
+    row form) and `hp_norm(u, p)`, on `grid`, the grid of u's support, kept
+    by `haar._KeptRows._from_rows` with the source (u, p, norm_p) when the
+    summing exponent is 2. A measure that `validate_measure` refuses raises
+    VerificationError carrying it as the report."""
     norm_p_p = norm_p**p
     order, ends = _block_order(dec._block, len(dec._top_rows))
     terms = _square_measures(u)[order]
@@ -194,16 +174,15 @@ def _assemble(
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.array(per_block)[dec._block] / (normalizer * norm_p_p) * u.squares
         weights = scaled * np.ldexp(1.0, -u.levels)
-    weight_total = _fsum(weights)
-    if not ((weights >= 0).all() and weight_total <= 1.0 + _SUM_TOL):
-        raise VerificationError(f"weights failed validation: total {weight_total}")
-    rows = {"weights": _read_only(weights)}
-    kept = None if grid.lengths is None else grid  # a leaf grid is cheaper to repaint than keep
     # only a check with s = 2 reads ||u||_p; a TL measure would keep |u|^(q/2)
-    source = (u, p, norm_p) if exponent == 2.0 else None
-    return PietschMeasure._from_rows(
-        u.support, rows, kept, source, normalizer=normalizer, exponent=exponent
+    verified = (p, norm_p) if exponent == 2.0 else None
+    m = PietschMeasure._from_rows(
+        u, {"weights": weights}, grid, verified, normalizer=normalizer, exponent=exponent
     )
+    if not validate_measure(m, u):
+        message = f"weights failed validation: total {m.total()}, normalizer {normalizer}"
+        raise VerificationError(message, m)
+    return m
 
 
 def _weights(u: HaarExpansion, p: float, exponent: float, grid: _Grid) -> PietschMeasure:

@@ -6,28 +6,26 @@ the factors are y_I = (w_I/|I|)^(1/q) and x_I = (|u_I| |y_I|^-theta)^(1/(1-theta
 on the support (0 elsewhere). The product identity is algebraic; the norm
 bound on x is certified sample-by-sample through an exact Hoelder chain.
 
-`factorize` returns its factors as read-only arrays in support order,
-with the support tuple they belong to, through the storage the weights use
-(`haar._KeptRows`): the `x` and `y` dicts are built only when a caller
-reads them, and from then on each dict is its factor. Factors and weights
-are read at u's support rows through that base (`_field_rows`: the kept
-array as it is, else one pass over a dict in support order, else one `get`
-per row), and the factors' keys are checked by it (`_keyed_by`). Every
-per-row power is `haar._pow`, Python's float `pow` per element through
-`np.float_power` (numpy's `**` may differ from it in the last bit), but
-one: `_x0_norm_estimate` takes |x|^(1 - theta) with `**`, as it does the
-powers of its sampled candidates, since `_pow` there could move the last
-bits of `max_lattice_candidate` and of the pinned `verify` output. The
-per-row tolerance tests are `_isclose`, `math.isclose` on arrays.
-
-`factorize` also keeps its source: u and the `weights_tl(u, p, q)` measure
-the factors came from (`haar._KeptRows._built_from`). `x0_norm_estimate`
-given that very u samples against that measure, on the grid it keeps on
-the atoms (else a fresh one), so a factor-sampling run decomposes |u|^(q/2)
-once. Any other u, an equal one included, and a factorization built from
-dicts, a `dataclasses.replace` copy, a deep copy or a pickle recompute the
-measure. It is the same measure either way, so the value and the
+`factorize` builds its result with `haar._KeptRows._from_rows`, whose
+docstring states what a result keeps: the factors as read-only arrays in
+support order (the `x` and `y` dicts are built on first read), and the
+source, u and the `weights_tl(u, p, q)` measure the factors came from.
+Factors and weights are read at u's support rows through that base
+(`_field_rows`: the kept array as it is, else one pass over a dict in
+support order, else one `get` per row), and the factors' keys are checked
+by it (`_keyed_by`). `x0_norm_estimate` given that very u samples against
+the kept measure (`_built_from`), on the grid it keeps on the atoms (else
+a fresh one), so a factor-sampling run decomposes |u|^(q/2) once; for any
+other u it recomputes the measure, the same floats, so the value and the
 exceptions are the same.
+
+Every per-row power is `haar._pow`, Python's float `pow` per element
+through `np.float_power` (numpy's `**` may differ from it in the last
+bit), but one: `_x0_norm_estimate` takes |x|^(1 - theta) with `**`, as it
+does the powers of its sampled candidates, since `_pow` there could move
+the last bits of `max_lattice_candidate` and of the pinned `verify`
+output. The per-row tolerance tests are `_isclose`, `math.isclose` on
+arrays.
 
 `x0_norm_estimate` runs its candidates in blocks of `haar._batch_rows`
 rows, drawn one block after another from the same generator, so its memory
@@ -55,7 +53,6 @@ from .haar import (
     _Grid,
     _KeptRows,
     _pow,
-    _read_only,
     _support_grid,
     _tl_norm,
 )
@@ -116,9 +113,8 @@ def _factorize(
     with np.errstate(over="ignore"):  # inf as in Python
         base = np.abs(u.values[:, 0]) * _pow(y, -exponent)
     x = _pow(base, 1.0 / (1.0 - exponent))
-    rows = {"x": _read_only(x), "y": _read_only(y)}
     return Factorization._from_rows(
-        u.support, rows, source=(u, measure), theta=exponent, p=p, q=q
+        u, {"x": x, "y": y}, verified=(measure,), theta=exponent, p=p, q=q
     )
 
 

@@ -10,12 +10,14 @@ leaf accumulation that the painted leaf grid of `haar._Grid` replaced, and
 every (interval, atom) pair that the tree prefix sum of `haar._cells`
 replaced. The tests compare the library against them; they are slow and
 not part of the package. `leaf_values` is not a reference: it spreads the
-library's own cell sums onto the leaves, for the tests to compare.
+library's own cell sums onto the leaves, for the tests to compare; nor is
+`assert_read_only`, which checks that a result keeps no writable array.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from haarmult import HaarExpansion, IntervalFamily
 from haarmult.atomic import AtomicPiece
@@ -61,6 +63,19 @@ def leaf_owners(max_level, levels, positions):
         width = 1 << (max_level - level)
         owner[position * width : (position + 1) * width] = row
     return owner
+
+
+def assert_read_only(result):
+    """Every array a constructor's result keeps, as a field or as field
+    rows (`haar._KeptRows`), refuses a write with ValueError; returns them."""
+    state = vars(result)
+    kept = [*state.values(), *state.get("_rows", {}).values()]
+    arrays = [value for value in kept if isinstance(value, np.ndarray)]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    return arrays
 
 
 def cells(max_level, levels, positions, values):

@@ -111,8 +111,11 @@ def _assemble_from(u, p, dec, exponent):
 
 def _row_decomposition(u):
     """u's stopping-time blocks in row form, unverified."""
-    block, top_rows = _stopping_time(u, _support_grid(u))
-    return AtomicDecomposition._from_rows(u, block, top_rows, _support_grid(u))
+    grid = _support_grid(u)
+    block, top_rows = _stopping_time(u, grid)
+    return AtomicDecomposition._from_rows(
+        u, {}, grid, _block=block, _top_rows=top_rows, max_level=u.max_level, dimension=u.dimension
+    )
 
 
 def _stopping_time_pieces(u):

@@ -407,7 +407,9 @@ class TestStorage:
         on_atoms = haar._support_grid(u).lengths is not None
         assert (vars(dec)["_grid"] is not None) == on_atoms == (max_level == 22)
         report = repr(verify_decomposition(u, 1.5, dec))
+        assert len(haar_oracle.assert_read_only(dec)) == 2  # `_block` and `_top_rows`
         for kept in (pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec)):
+            assert len(haar_oracle.assert_read_only(kept)) == 2
             assert kept._of_support(u) and "pieces" not in vars(kept)
             assert np.array_equal(kept._block, dec._block)
             assert np.array_equal(kept._top_rows, dec._top_rows)
@@ -416,6 +418,7 @@ class TestStorage:
             assert kept == dec and kept.tops() == dec.tops()
         shared = copy.copy(dec)
         assert shared._block is dec._block and shared._grid is dec._grid
+        assert shared._top_rows is dec._top_rows
 
     def test_assignment_and_deletion_refused(self):
         _, dec = self._small()
@@ -426,6 +429,25 @@ class TestStorage:
                 with pytest.raises(AttributeError):
                     delattr(obj, name)
             assert obj == dec and obj.max_level == 3 and obj.dimension == 1
+
+    def test_block_rows_refuse_writes(self):
+        # a written block id would change what the verifier and the weights
+        # read, while already built `pieces` would still show the clean blocks
+        u, dec = self._small()
+        for kept in (dec, pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec)):
+            with pytest.raises(ValueError, match="read-only"):
+                kept._block[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                kept._top_rows[0] = 1
+            assert verify_decomposition(u, 1.5, kept).passed
+
+    def test_deep_copy_of_pieces_verifies_alike(self):
+        # the pieces' families copy through their constructor
+        u, dec = self._small()
+        built = AtomicDecomposition(dec.pieces, 3, 1)
+        twin = copy.deepcopy(built)
+        assert twin == built and twin.pieces[0].block is not built.pieces[0].block
+        assert repr(verify_decomposition(u, 1.5, twin)) == repr(verify_decomposition(u, 1.5, dec))
 
     def test_replace_builds_from_pieces(self):
         u, dec = self._small()

@@ -168,6 +168,43 @@ class TestDyadicInterval:
         assert a.contains(b) == (a.left <= b.left and b.right <= a.right)
 
 
+class TestIntervalFamily:
+    """A family is hashable and sits in every `AtomicPiece`, so its members,
+    cap and ancestor table are set once: assignment and deletion raise, and
+    copies and pickles go through the validating constructor."""
+
+    def _family(self):
+        family = IntervalFamily([iv(0, 0), iv(1, 0)], 3)
+        assert family.parents() == (-1, 0)
+        return family
+
+    def _assert_refused(self, family):
+        for name in ("intervals", "max_level", "_set", "_ancestry", "extra"):
+            with pytest.raises(AttributeError, match="IntervalFamily is immutable"):
+                setattr(family, name, (iv(1, 0),))
+            with pytest.raises(AttributeError, match="IntervalFamily is immutable"):
+                delattr(family, name)
+
+    def test_assignment_and_deletion_refused(self):
+        family = self._family()
+        self._assert_refused(family)
+        assert len(family) == 2 and iv(0, 0) in family and family.max_level == 3
+        assert family.parents() == (-1, 0)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_pickle_and_copy_rebuild_an_equal_family(self, round_trip):
+        family = self._family()
+        clone = round_trip(family)
+        assert type(clone) is IntervalFamily and clone == family
+        assert clone.intervals == family.intervals and clone.max_level == 3
+        assert clone.parents() == (-1, 0) and hash(clone) == hash(family)
+        self._assert_refused(clone)
+
+
 class TestCarleson:
     def test_singleton(self):
         assert carleson_constant(family((0, 0))) == 1

@@ -352,6 +352,19 @@ class TestExtremeScale:
         with pytest.raises(VerificationError):
             weights_hp(u, 1.0)
 
+    def test_refused_measure_is_the_report(self):
+        # ||u||_2^2 = 1e-320 is subnormal, so the normalizer is inf and every
+        # weight 0.0: the total passes, the normalizer does not, and the
+        # constructor raises with the measure `validate_measure` refused
+        u = scalar(3, {(0, 0): 1.0, (1, 0): 0.5, (2, 3): -2.0, (3, 1): 0.25})
+        grid = haar._support_grid(u)
+        dec, _ = atomic._decompose(u, 2.0, grid)
+        with pytest.raises(VerificationError, match="normalizer inf") as caught:
+            pietsch._assemble(u, 2.0, dec, 2.0, 1e-160, grid)
+        m = caught.value.report
+        assert isinstance(m, PietschMeasure) and not validate_measure(m, u)
+        assert m.normalizer == math.inf and m.total() == 0.0
+
 
 class _CountingDict(dict):
     """A phi that counts its `get` calls."""
@@ -823,8 +836,10 @@ class TestMeasureStorage:
             monkeypatch.setattr(
                 pietsch, "_hp_norm", lambda *a: norms.append(a[0]) or hp_norm_core(*a)
             )
+            haar_oracle.assert_read_only(m)
+            assert shared._kept("weights") is m._kept("weights")
             for copied, v in ((deep, twin), (pickle.loads(pickle.dumps(m)), u)):
-                assert not copied._kept("weights").flags.writeable
+                assert len(haar_oracle.assert_read_only(copied)) == 1
                 assert copied._built_from(v) is copied._built_from(u) is None
                 assert repr(check_multiplier_bounds(v, p, phis, copied, q=q)) == want
             assert len(norms) == (0 if q else 2)

@@ -31,6 +31,7 @@ from haarmult import (
 from haarmult import VerificationError, haar, pietsch, pisier
 from haarmult.cli import gen_random
 
+import haar_oracle
 import pisier_oracle
 
 
@@ -709,9 +710,10 @@ class TestFactorStorage:
             shared = copy.copy(f)
             (measure,) = f._built_from(u)
             assert shared._built_from(u)[0] is measure
+            assert all(shared._kept(name) is f._kept(name) for name in "xy")
             twin, deep = copy.deepcopy((u, f))  # the memo keeps u's copy alike
-            for g, v in ((deep, twin), (pickle.loads(pickle.dumps(f)), u), (shared, u)):
-                assert not any(g._kept(name).flags.writeable for name in "xy")
+            for g, v in ((f, u), (deep, twin), (pickle.loads(pickle.dumps(f)), u), (shared, u)):
+                assert len(haar_oracle.assert_read_only(g)) == 2
                 assert repr(x0_norm_estimate(g, v, 8, seed=3)) == want
             assert calls == [twin, u]
             monkeypatch.undo()
