@@ -26,12 +26,12 @@ verification core: a decomposition given as pieces is mapped onto the
 support rows once (`_member_rows`) and checked the same way.
 
 Every function of the square sums runs on the grid of u's support
-(`haar._Grid`), built once per public call and shared by the stopping time,
-the majority cover and the verification, and `verify_decomposition` given
-a decomposition of u's support sums on the atom grid it keeps
-(`_KeptRows._grid_for`): the atoms cut out by the support's
-endpoints when the support is sparse for its depth, else the leaves. No
-path here allocates one entry per leaf when the grid is the atoms. A
+(`haar._Grid`): the atoms cut out by the support's endpoints when the
+support is sparse for its depth, else the leaves. `decompose` builds it
+once and shares it between the stopping time, the majority cover and the
+verification, and the decomposition keeps it, so `verify_decomposition`
+given a decomposition of u's support builds none (`_KeptRows._grid_for`).
+No path here allocates one entry per leaf when the grid is the atoms. A
 support row's anchor for Omega_k is its coarsest ancestor-or-self J with
 2 |Omega_k ∩ J| > |J|. On the atoms |Omega_k ∩ J| comes from an int64
 prefix sum of the lengths of the cells in Omega_k, read at J's endpoints;
@@ -100,7 +100,7 @@ class AtomicDecomposition(_KeptRows):
     pieces as a tuple. `decompose` builds the row form instead
     (`haar._KeptRows`): the support it was built on, one block id per
     support row, the support row of each block's top, blocks ordered by
-    their tops, and the atom grid of the support. There `pieces` is built
+    their tops, and the grid of the support. There `pieces` is built
     on first read and kept. Two decompositions are equal when their pieces,
     max levels and dimensions are.
     """
@@ -515,8 +515,8 @@ def verify_decomposition(
     sum ||u_i||^p <= sum |I_i| * sup S(u_i)^p holds, (e) every block is a
     block relative to the support, read from the support parent rows, (f)
     the observed upper-chain ratio. Every call rechecks from scratch; a
-    decomposition built by `decompose` on u's support sums on the atom grid
-    it keeps (`haar._KeptRows._grid_for`).
+    decomposition built by `decompose` on u's support sums on the grid it
+    keeps (`haar._KeptRows._grid_for`).
     """
     _check_exponents(p)
     if dec.max_level != u.max_level or dec.dimension != u.dimension:

@@ -34,6 +34,7 @@ from .errors import (
 from .haar import (
     _MAX_LEVEL,
     HaarExpansion,
+    _check_exponents,
     _check_q,
     _Grid,
     _pow,
@@ -46,7 +47,6 @@ from .haar import (
 from .pietsch import (
     PietschMeasure,
     _assemble,
-    _weights_tl,
     check_multiplier_bounds,
     validate_measure,
     weights_hp,
@@ -55,7 +55,6 @@ from .pietsch import (
 )
 from .pisier import (
     _factorize,
-    _x0_norm_estimate,
     factorize,
     theta,
     verify_factorization,
@@ -293,15 +292,25 @@ def run_verification(
     table (`dyadic._decay_verdicts`), so no support family is built. Each
     trial decomposes u, |u|^(q/2) and uv once, and every later step reads
     that decomposition's report, block rows and weights, and the vector h2
-    identity its block pass (`_h2_sides`). A mutant other than None or one
-    of `_MUTANTS`, and a q outside (0, inf), raise ValueError before the
-    first trial, and so does the perturb-x mutant without the factorization
-    route it corrupts.
+    identity its block pass (`_h2_sides`).
+
+    These raise ValueError before the first draw: a mutant other than None
+    or one of `_MUTANTS`, trials or dimension below 1, a density outside
+    (0, 1], a p outside (0, 2], a q outside (0, inf) or below p, and the
+    perturb-x mutant without the factorization route it corrupts.
     """
     if mutant is not None and mutant not in _MUTANTS:
         raise ValueError(f"mutant must be None or one of {', '.join(_MUTANTS)}, got {mutant!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if dimension < 1:
+        raise ValueError(f"dimension must be positive, got {dimension}")
+    if not 0 < density <= 1:  # NaN included
+        raise ValueError(f"density must lie in (0, 1], got {density}")
+    _check_exponents(p)
     if q is not None:
-        _check_q(q)
+        _check_q(q)  # first, so that a NaN q is named as one
+        _check_exponents(p, q)
     run_tl = q is not None
     run_pisier = run_tl and 1 < p < q
     if mutant == "perturb-x" and not run_pisier:
@@ -346,13 +355,13 @@ def run_verification(
         c.track("max_tops_carleson", float(report.tops_carleson))
         c.track("max_observed_ratio", report.observed_ratio)
 
-        m = _assemble(u, p, dec, 2.0, report.norm_p, grid)
+        m = _assemble(u, p, dec, 2.0, report.norm_p)
         if mutant == "scale-omega":
             m = replace(m, weights={k: 2.0 * w for k, w in m.weights.items()})
         check_weights("hp", u, m).track("constant", m.normalizer ** (1.0 / p))
 
         if run_tl:
-            mt = _weights_tl(u, p, q, grid)
+            mt = weights_tl(u, p, q)
             check_weights("tl", u, mt, q)
 
         if run_pisier:
@@ -365,7 +374,7 @@ def run_verification(
             )
             c = check("factorization_sampling")
             try:
-                value = _x0_norm_estimate(f, u, _Z_PER_TRIAL, trial, mt, grid)
+                value = x0_norm_estimate(f, u, _Z_PER_TRIAL, trial)
                 c.record(True, seed, trial)
                 c.track("max_lattice_candidate", value)
             except VerificationError as exc:
@@ -375,7 +384,7 @@ def run_verification(
             uv = _trial_expansion(seed + 1_000_003, trial, max_level, dimension, density)
             grid_v = _support_grid(uv)
             dv, rv = _decompose(uv, p, grid_v)
-            check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p, grid_v))
+            check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p))
             lhs, rhs = _h2_sides(uv, dv, grid_v, rng)
             slack = 1e-12 * np.maximum(np.maximum(lhs, rhs), 1e-300)
             h2_ok = not (np.abs(lhs - rhs) > slack).any()

@@ -20,13 +20,14 @@ Every sum sum_I v_I 1_I on a hot path goes through `_cells`, on the grid
 of the support (`_Grid`), which each public call builds at most once from
 (max_level, levels, positions) and passes down as an argument. No grid is
 kept on an expansion, in the module or in a cache; a constructor's result
-may keep one (`_KeptRows`), and a verification or a multiplier check on u
-of its support and max level sums on it (`_KeptRows._grid_for`). An atom
-grid is read-only, as one may be shared. The grid holds the level
-bounds of the support rows, their parent table and each cell's owner, the
-deepest support row containing it, and picks the cells (`_on_atoms`): the
-atoms when (2n + 1)(N + 1) + 256 < 2^N, with each atom's length, else the
-2^N leaves, whose parents and owners one level-by-level `_paint` gives.
+keeps the grid it was built on (`_KeptRows`), and a verification or a
+multiplier check on u of its support and max level sums on it
+(`_KeptRows._grid_for`). A grid is read-only, as one may be shared. It
+holds the level bounds of the support rows, their parent table and each
+cell's owner, the deepest support row containing it, and picks the cells
+(`_on_atoms`): the atoms when (2n + 1)(N + 1) + 256 < 2^N, with each
+atom's length, else the 2^N leaves, whose parents and owners one
+level-by-level `_paint` gives.
 On both `_cells` is a tree prefix sum, coarsest level first: each row's
 running sum is its parent's plus its own value, and each cell reads its
 owner's, in K (n + cells) work for K batch rows. Only
@@ -315,9 +316,9 @@ def _check_q(q: float) -> None:
 class _Grid:
     """The cell grid of one support, built from (max_level, levels,
     positions) and passed down to every sum over that support. `bounds` is
-    a tuple, and on the atoms every array is read-only, so a result that
-    keeps its atom grid (`_KeptRows._grid_for`) shares it with its copies
-    and with every check (`_freeze`).
+    a tuple and every array is read-only, so a result that keeps its grid
+    (`_KeptRows._grid_for`) shares it with its copies and with every check
+    (`_freeze`).
 
     `bounds[l]:bounds[l + 1]` are the support rows of level l, l = 0 .. N,
     `owner[c]` the deepest support row containing cell c and `parent` each
@@ -337,6 +338,7 @@ class _Grid:
         n = len(levels)
         if not _on_atoms(n, max_level):
             self.owner, self.parent = _paint(positions, self.bounds)
+            self._freeze()
             return
         self.parent = parent = _nearest_ancestors(levels, positions)
         shift = max_level - levels
@@ -366,16 +368,14 @@ class _Grid:
         self._freeze()
 
     def _freeze(self) -> None:
-        """Make the arrays of an atom grid read-only: a result may keep it
-        and share it with its copies and every check. A leaf grid is never
-        kept, and `np.take` copies a read-only index array, which would slow
-        every sum over its 2^N leaf owners."""
-        if self.lengths is not None:
-            for array in (self.owner, self.parent, self.edges, self.lengths):
+        """Make the grid's arrays read-only: a result keeps the grid and
+        shares it with its copies and every check."""
+        for array in (self.owner, self.parent, self.edges, self.lengths):
+            if array is not None:  # the leaf grid has no edges or lengths
                 _read_only(array)
 
     def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
-        """A deep copy or an unpickled atom grid is read-only too."""
+        """A deep copy or an unpickled grid is read-only too."""
         for name, value in state[1].items():
             setattr(self, name, value)
         self._freeze()
@@ -575,14 +575,18 @@ class _KeptRows:
     with no dict built and no key hashed. A decomposition keeps its block
     rows as plain array fields and builds its `pieces` itself.
 
-    Grid: the result keeps the grid of u's support only when that grid is
-    the atoms: an atom grid needs an ancestor search and a sort of the
-    endpoints to build and holds about 45 bytes per row, while a leaf grid
-    holds one int64 per leaf and is repainted in one pass per level. The
-    grid depends on the support and the max level alone, never on the
-    field values. `_grid_for(u)` hands it to a check on u of
-    the same support and max level; any other u, and an object built from
-    dicts (a `dataclasses.replace` copy included), gets a fresh grid.
+    Grid: the result keeps the grid of u's support it was built on, the
+    atoms or the leaves alike. The grid depends on the support and the max
+    level alone, never on the field values, and it holds O(n N) entries
+    for n rows at max level N: the leaves are picked only when 2^N <=
+    (2n + 1)(N + 1) + 256 (`_on_atoms`). Keeping a leaf grid is cheaper
+    than repainting it: on a 2-vCPU Intel Xeon (Python 3.11, numpy 2.4),
+    one `_paint` of `gen_random(14, 1, 0.5, 0)` (16,402 rows) took a
+    median 0.13 ms, while its read-only owner array, which `np.take`
+    copies, added about 4 us to each sum over its 16,384 leaves.
+    `_grid_for(u)` hands the grid to a check on u of the same
+    support and max level; any other u, and an object built from dicts (a
+    `dataclasses.replace` copy included), gets a fresh grid.
 
     Source: given `verified`, what its constructor computed and verified on
     u (a measure's `||u||_p`, a factorization's measure), the result keeps
@@ -612,10 +616,8 @@ class _KeptRows:
         are, the grid `grid` of u's support and the source (u, *verified),
         each as the class docstring says; the other fields are `fields`."""
         obj = object.__new__(cls)
-        # a leaf grid is cheaper to repaint than keep
-        kept = None if grid is None or grid.lengths is None else grid
         source = None if verified is None else (u, *verified)
-        obj.__setstate__(dict(fields, _support=u.support, _rows=rows, _grid=kept, _source=source))
+        obj.__setstate__(dict(fields, _support=u.support, _rows=rows, _grid=grid, _source=source))
         return obj
 
     def __copy__(self) -> "_KeptRows":

@@ -18,16 +18,15 @@ verification that their `decompose` already ran.
 The weight constructors build their measure with
 `haar._KeptRows._from_rows`, whose docstring states what a result keeps:
 the weights as a read-only array in support order (the `weights` dict is
-built on first read), the grid of u's support when that is the atoms, and,
-for a Hardy or vector measure, its source: u, p and the `hp_norm(u, p)`
-its verification computed. The multiplier checks, `validate_measure`,
-`PietschMeasure.total` and `pisier` take the array as it is when its
-support is u's (`_KeptRows._field_rows`), sum on the kept grid
-(`_grid_for`), and read the kept norm for that very u at that p
-(`_built_from`). A measure whose summing exponent is not 2 keeps no
-source: its checks take the q-variation norm, and it was built on
-|u|^(q/2), an expansion no caller holds. Nothing is cached: each
-constructor call builds a fresh measure.
+built on first read), the grid of u's support, and, for a Hardy or
+vector measure, its source: u, p and the `hp_norm(u, p)` its verification
+computed. The multiplier checks, `validate_measure`, `PietschMeasure.total`
+and `pisier` take the array as it is when its support is u's
+(`_KeptRows._field_rows`), sum on the kept grid (`_grid_for`), and read
+the kept norm for that very u at that p (`_built_from`). A measure whose
+summing exponent is not 2 keeps no source: its checks take the q-variation
+norm, and it was built on |u|^(q/2), an expansion no caller holds. Nothing
+is cached: each constructor call builds a fresh measure.
 
 The multiplier check is batched: `check_multiplier_bounds` takes K
 multipliers as a (K, n) array in support order, and `check_multiplier_bound`
@@ -37,10 +36,10 @@ grid of u's support (`haar._Grid`: the measure's own, else built),
 ||u|| (the measure's own, else computed) and C once; the norms
 of the K products phi_k * u come from batched `_cells` calls on that grid
 (`haar._product_norms`), with no expansion built. The weight constructors
-build one grid too, which the decomposition inside them shares. Each row's
-|phi_I|^s w_I is summed by `haar._fsum_rows`, exactly rounded and bit for
-bit `math.fsum`, so the order of the terms does not matter; so are the
-weights' totals.
+build one grid too, which the decomposition inside them and the measure
+keep. Each row's |phi_I|^s w_I is summed by `haar._fsum_rows`, exactly
+rounded and bit for bit `math.fsum`, so the order of the terms does not
+matter; so are the weights' totals.
 
 A weight dict and phi are read at u's support rows through
 `haar._support_rows`: a plain dict whose keys are u's support in support
@@ -148,13 +147,12 @@ def _assemble(
     dec: AtomicDecomposition,
     exponent: float,
     norm_p: float,
-    grid: _Grid,
 ) -> PietschMeasure:
     """Weights from a verified decomposition of u built by `decompose` (its
-    row form) and `hp_norm(u, p)`, on `grid`, the grid of u's support, kept
-    by `haar._KeptRows._from_rows` with the source (u, p, norm_p) when the
-    summing exponent is 2. A measure that `validate_measure` refuses raises
-    VerificationError carrying it as the report."""
+    row form) and `hp_norm(u, p)`, kept by `haar._KeptRows._from_rows` with
+    the decomposition's grid of u's support and, when the summing exponent
+    is 2, the source (u, p, norm_p). A measure that `validate_measure`
+    refuses raises VerificationError carrying it as the report."""
     norm_p_p = norm_p**p
     order, ends = _block_order(dec._block, len(dec._top_rows))
     terms = _square_measures(u)[order]
@@ -176,6 +174,7 @@ def _assemble(
         weights = scaled * np.ldexp(1.0, -u.levels)
     # only a check with s = 2 reads ||u||_p; a TL measure would keep |u|^(q/2)
     verified = (p, norm_p) if exponent == 2.0 else None
+    grid = dec._grid_for(u)
     m = PietschMeasure._from_rows(
         u, {"weights": weights}, grid, verified, normalizer=normalizer, exponent=exponent
     )
@@ -185,11 +184,11 @@ def _assemble(
     return m
 
 
-def _weights(u: HaarExpansion, p: float, exponent: float, grid: _Grid) -> PietschMeasure:
-    """The weights of u's own decomposition, on the grid of u's support; the
+def _weights(u: HaarExpansion, p: float, exponent: float) -> PietschMeasure:
+    """The weights of u's own decomposition, on one grid of u's support; the
     norm comes from the verification inside that decomposition."""
-    dec, report = _decompose(u, p, grid)
-    return _assemble(u, p, dec, exponent, report.norm_p, grid)
+    dec, report = _decompose(u, p, _support_grid(u))
+    return _assemble(u, p, dec, exponent, report.norm_p)
 
 
 def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:
@@ -198,20 +197,17 @@ def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:
         raise ZeroInputError("weights need a nonzero expansion")
     if u.dimension != 1:
         raise ValueError("weights_hp expects a scalar expansion")
-    return _weights(u, p, 2.0, _support_grid(u))
+    return _weights(u, p, 2.0)
 
 
 def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
     """Weights for the Triebel-Lizorkin multiplier bound, 0 < p <= q < inf.
 
     Obtained by decomposing the q/2-convexification |u|^(q/2) in the Hardy
-    space with exponent 2p/q; the summing exponent is q.
+    space with exponent 2p/q; the summing exponent is q. |u|^(q/2) shares
+    u's support arrays, so the grid the measure keeps is that of u's
+    support too.
     """
-    return _weights_tl(u, p, q, _support_grid(u))
-
-
-def _weights_tl(u: HaarExpansion, p: float, q: float, grid: _Grid) -> PietschMeasure:
-    """`weights_tl` on the grid of u's support, which |u|^(q/2) shares."""
     if u.is_zero:
         raise ZeroInputError("weights need a nonzero expansion")
     if u.dimension != 1:
@@ -220,7 +216,7 @@ def _weights_tl(u: HaarExpansion, p: float, q: float, grid: _Grid) -> PietschMea
         )
     _check_exponents(p, q)
     powered = convexify(u, q)
-    return _weights(powered, 2.0 * p / q, q, grid)
+    return _weights(powered, 2.0 * p / q, q)
 
 
 def weights_vector(u: HaarExpansion, p: float) -> PietschMeasure:
@@ -233,7 +229,7 @@ def weights_vector(u: HaarExpansion, p: float) -> PietschMeasure:
     """
     if u.is_zero:
         raise ZeroInputError("weights need a nonzero expansion")
-    return _weights(u, p, 2.0, _support_grid(u))
+    return _weights(u, p, 2.0)
 
 
 def check_multiplier_bound(
@@ -280,8 +276,8 @@ def check_multiplier_bounds(
     key. The products phi_k * u are summed in batched `_cells` calls on the
     grid of u's support, which ||u|| shares, with no expansion built, in
     batches of `haar._batch_rows(grid)` rows. That grid is the one a
-    constructor's measure keeps on the atoms when u has the measure's
-    support and max level, else it is built (`haar._KeptRows._grid_for`).
+    constructor's measure keeps when u has the measure's support and max
+    level, else it is built (`haar._KeptRows._grid_for`).
     On the Hardy and vector routes ||u|| is the norm a constructor's
     measure kept from its verification when u is the very expansion it was
     built from and p its p, else it is computed

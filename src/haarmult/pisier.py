@@ -14,8 +14,8 @@ Factors and weights are read at u's support rows through that base
 (`_field_rows`: the kept array as it is, else one pass over a dict in
 support order, else one `get` per row), and the factors' keys are checked
 by it (`_keyed_by`). `x0_norm_estimate` given that very u samples against
-the kept measure (`_built_from`), on the grid it keeps on the atoms (else
-a fresh one), so a factor-sampling run decomposes |u|^(q/2) once; for any
+the kept measure (`_built_from`), on the grid that measure keeps, so a
+factor-sampling run decomposes |u|^(q/2) once and builds one grid; for any
 other u it recomputes the measure, the same floats, so the value and the
 exceptions are the same.
 
@@ -50,13 +50,11 @@ from .haar import (
     _cells,
     _check_q,
     _fsum,
-    _Grid,
     _KeptRows,
     _pow,
-    _support_grid,
     _tl_norm,
 )
-from .pietsch import PietschMeasure, _weights_tl
+from .pietsch import PietschMeasure, weights_tl
 
 _IDENTITY_RTOL = 1e-10
 _CHAIN_RTOL = 1e-9
@@ -101,7 +99,7 @@ def factorize(u: HaarExpansion, p: float, q: float) -> Factorization:
         raise ZeroInputError("cannot factorize the zero expansion")
     if u.dimension != 1:
         raise ValueError("factorize expects a scalar expansion")
-    return _factorize(u, p, q, theta(p, q), _weights_tl(u, p, q, _support_grid(u)))
+    return _factorize(u, p, q, theta(p, q), weights_tl(u, p, q))
 
 
 def _factorize(
@@ -200,26 +198,17 @@ def x0_norm_estimate(
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     if not _matches(f, u):
         raise ValueError("factorization does not match the expansion")
-    kept = f._built_from(u)
-    if kept is None:
-        grid = _support_grid(u)
-        measure = _weights_tl(u, f.p, f.q, grid)
-    else:  # the measure `factorize` built f from, on u's grid
-        (measure,) = kept
-        grid = measure._grid_for(u)
-    return _x0_norm_estimate(f, u, n_samples, seed, measure, grid)
+    kept = f._built_from(u)  # the measure `factorize` built f from
+    measure = weights_tl(u, f.p, f.q) if kept is None else kept[0]
+    return _x0_norm_estimate(f, u, n_samples, seed, measure)
 
 
 def _x0_norm_estimate(
-    f: Factorization,
-    u: HaarExpansion,
-    n_samples: int,
-    seed: int,
-    measure: PietschMeasure,
-    grid: _Grid,
+    f: Factorization, u: HaarExpansion, n_samples: int, seed: int, measure: PietschMeasure
 ) -> float:
     """`x0_norm_estimate` after its argument checks, on `weights_tl(u, f.p,
-    f.q)` and the grid of u's support."""
+    f.q)`, summing on the grid that measure keeps for u (`_grid_for`)."""
+    grid = measure._grid_for(u)
     y_vec = f._field_rows("y", u)
     w_vec = measure._field_rows("weights", u)
     expected = _pow(w_vec * np.ldexp(1.0, u.levels), 1.0 / f.q)

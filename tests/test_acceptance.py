@@ -106,7 +106,7 @@ def vector_pool():
 
 def _assemble_from(u, p, dec, exponent):
     """The weights of a given verified decomposition of u."""
-    return _assemble(u, p, dec, exponent, hp_norm(u, p), _support_grid(u))
+    return _assemble(u, p, dec, exponent, hp_norm(u, p))
 
 
 def _row_decomposition(u):
@@ -735,7 +735,7 @@ class TestCellGridOracles:
             assert [got[k] for k in verdicts] == [want[k] for k in verdicts]
             assert deep_report.tops_carleson == report.tops_carleson
             assert all(_close(got[k], want[k]) for k in floats)
-            deep_measure = _assemble(deep, p, deep_dec, 2.0, deep_report.norm_p, deep_grid)
+            deep_measure = _assemble(deep, p, deep_dec, 2.0, deep_report.norm_p)
             assert list(deep_measure.weights) == list(measure.weights)
             assert all(
                 _close(w, measure.weights[k]) for k, w in deep_measure.weights.items()
@@ -751,31 +751,32 @@ class TestCellGridOracles:
 
 
 class TestKeptGridOracles:
-    """Both pools re-embedded _DEEPER levels down, where a constructor's
-    measure keeps its atom grid: each check report on the kept grid is, by
-    repr, the report on a grid built fresh, on the hp, tl and vector routes,
-    batched and single, and for a phi with zero rows."""
+    """Both pools as drawn, where a constructor's measure keeps its leaf
+    grid, and re-embedded _DEEPER levels down, where it keeps its atom grid:
+    each check report on the kept grid is, by repr, the report on a grid
+    built fresh, on the hp, tl and vector routes, batched and single, and
+    for a phi with zero rows."""
 
     def test_reports_match_fresh_grid(self, scalar_pool, vector_pool):
         rng = np.random.default_rng(2468)
-        for i, u in enumerate(scalar_pool + vector_pool):
-            deep = _deeper(u)
+        pools = enumerate(scalar_pool + vector_pool)
+        for i, v in [(i, v) for i, u in pools for v in (u, _deeper(u))]:
             p = HP_PS[i % len(HP_PS)]
-            if u.dimension > 1:
-                routes = [(weights_vector(deep, p), p, None)]
+            if v.dimension > 1:
+                routes = [(weights_vector(v, p), p, None)]
             else:
                 tl_p, q = TL_PQS[i % len(TL_PQS)]
-                routes = [(weights_hp(deep, p), p, None), (weights_tl(deep, tl_p, q), tl_p, q)]
-            phis = rng.uniform(-1.0, 1.0, (3, len(deep.support)))
+                routes = [(weights_hp(v, p), p, None), (weights_tl(v, tl_p, q), tl_p, q)]
+            phis = rng.uniform(-1.0, 1.0, (3, len(v.support)))
             phis[2, ::2] = 0.0
-            rows = [dict(zip(deep.support, row)) for row in phis.tolist()]
+            rows = [dict(zip(v.support, row)) for row in phis.tolist()]
             for m, p, q in routes:
                 fresh = copy.copy(m)
                 vars(fresh)["_grid"] = None
-                assert m._grid_for(deep) is vars(m)["_grid"] is not None
+                assert m._grid_for(v) is vars(m)["_grid"] is not None
                 got, want = [
-                    [repr(check_multiplier_bounds(deep, p, phis, measure, q=q))]
-                    + [repr(check_multiplier_bound(deep, p, phi, measure, q=q)) for phi in rows]
+                    [repr(check_multiplier_bounds(v, p, phis, measure, q=q))]
+                    + [repr(check_multiplier_bound(v, p, phi, measure, q=q)) for phi in rows]
                     for measure in (m, fresh)
                 ]
                 assert got == want
@@ -797,9 +798,9 @@ class TestKeptSourceOracles:
 
     def test_x0_matches_recompute(self, scalar_pool, monkeypatch):
         calls = []
-        weights_tl_core = pisier._weights_tl
+        weights_tl_core = pisier.weights_tl
         monkeypatch.setattr(
-            pisier, "_weights_tl", lambda *a: calls.append(a[0]) or weights_tl_core(*a)
+            pisier, "weights_tl", lambda *a: calls.append(a[0]) or weights_tl_core(*a)
         )
         raised = 0
         for i, u in enumerate(scalar_pool):

@@ -379,7 +379,7 @@ class TestAppendixConstant:
 
 class TestStorage:
     """A decomposition is a frozen dataclass on `haar._KeptRows`: `decompose`
-    keeps its row form and its atom grid, copies and pickles keep them, and
+    keeps its row form and its grid, copies and pickles keep them, and
     equality, hashing and repr are those of (pieces, max_level, dimension)."""
 
     def _small(self):
@@ -404,8 +404,10 @@ class TestStorage:
         leaf = random_scalar(np.random.default_rng(46), 10, density=0.5)
         u = HaarExpansion(max_level, 1, leaf.coeffs)
         dec = decompose(u, 1.5)
-        on_atoms = haar._support_grid(u).lengths is not None
-        assert (vars(dec)["_grid"] is not None) == on_atoms == (max_level == 22)
+        # the decomposition keeps its grid, the leaves or the atoms, and so
+        # do its copies
+        grid = vars(dec)["_grid"]
+        assert (grid.lengths is not None) == (max_level == 22)
         report = repr(verify_decomposition(u, 1.5, dec))
         assert len(haar_oracle.assert_read_only(dec)) == 2  # `_block` and `_top_rows`
         for kept in (pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec)):
@@ -413,7 +415,7 @@ class TestStorage:
             assert kept._of_support(u) and "pieces" not in vars(kept)
             assert np.array_equal(kept._block, dec._block)
             assert np.array_equal(kept._top_rows, dec._top_rows)
-            assert (vars(kept)["_grid"] is not None) == on_atoms
+            assert np.array_equal(vars(kept)["_grid"].owner, grid.owner)
             assert repr(verify_decomposition(u, 1.5, kept)) == report
             assert kept == dec and kept.tops() == dec.tops()
         shared = copy.copy(dec)
@@ -495,11 +497,11 @@ class TestCallCounts:
         assert self._counts(monkeypatch, u) == (0, 5)
 
     @pytest.mark.parametrize("max_level", [10, 22])
-    def test_one_grid_per_verification(self, monkeypatch, max_level):
+    def test_one_grid_per_verification(self, monkeypatch, grid_builds, max_level):
         # a clean decomposition, in row form or as pieces, sums its blocks
         # on the one grid of u's support: no grid and no `_cells` call per
-        # block, and the row form builds none on the atoms, where it keeps
-        # its grid; a corrupt one sums each block on its own grid
+        # block, and the row form builds none, on the leaves or the atoms,
+        # as it keeps its grid; a corrupt one sums each block on its own grid
         leaf = random_scalar(np.random.default_rng(46), 10, density=0.5)
         u = HaarExpansion(max_level, 1, leaf.coeffs)
         on_atoms = haar._support_grid(u).lengths is not None
@@ -507,22 +509,18 @@ class TestCallCounts:
         dec = decompose(u, 1.0)
         copy = AtomicDecomposition(dec.pieces, max_level, 1)
         corrupt = AtomicDecomposition(dec.pieces[1:], max_level, 1)
-        grids, own = [], []
-        init = haar._Grid.__init__
-        monkeypatch.setattr(
-            haar._Grid, "__init__", lambda grid, *args: grids.append(args) or init(grid, *args)
-        )
+        own = []
         own_cells = atomic._own_cells
         monkeypatch.setattr(
             atomic, "_own_cells", lambda *args: own.append(args) or own_cells(*args)
         )
         for clean in (dec, copy):
-            grids.clear()
+            grid_builds.clear()
             assert verify_decomposition(u, 1.0, clean).passed
-            assert (len(grids), own) == (0 if clean is dec and on_atoms else 1, [])
-        grids.clear()
+            assert (len(grid_builds), own) == (0 if clean is dec else 1, [])
+        grid_builds.clear()
         assert not verify_decomposition(u, 1.0, corrupt).passed
-        assert len(own) == 1 and len(grids) == 1 + len(corrupt.pieces)
+        assert len(own) == 1 and len(grid_builds) == 1 + len(corrupt.pieces)
 
     def test_decompose_verify_and_weights_on_atoms(self, monkeypatch):
         # the same u 12 levels deeper, on the atoms: one ancestor search per

@@ -41,23 +41,22 @@ def test_op_matches_reference(name):
     assert workloads.floats_match(floats, want["floats"])
 
 
-# grids built per op: sparse-deep's verification and checks reuse the atom
-# grid its decomposition and measure keep (decompose and weights build one
-# each); the other workloads sum on leaf grids, which no result keeps
-GRIDS_PER_OP = {"sparse-deep": 2, "deep-hardy": 11, "factor-sampling": 2, "verify-suite": 5}
+# grids built per op: each result keeps the grid it was built on, leaves
+# or atoms, and every later check on u sums on it. deep-hardy and
+# sparse-deep: decompose and weights build one each; factor-sampling: the
+# measure inside factorize builds the one its factors, checks and samples
+# read; verify-suite: u's grid (its decomposition and Hardy measure keep
+# it), the TL measure's and uv's
+GRIDS_PER_OP = {"sparse-deep": 2, "deep-hardy": 2, "factor-sampling": 1, "verify-suite": 3}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_grids_per_op(name, monkeypatch):
+def test_grids_per_op(name, grid_builds):
     workload = workloads.WORKLOADS[name](haarmult)
     args = workload.prepare(workload.make_input(0))
-    builds = []
-    init = haarmult.haar._Grid.__init__
-    monkeypatch.setattr(
-        haarmult.haar._Grid, "__init__", lambda grid, *a: builds.append(a) or init(grid, *a)
-    )
+    grid_builds.clear()
     workload.op(*args)
-    assert len(builds) == GRIDS_PER_OP[name]
+    assert len(grid_builds) == GRIDS_PER_OP[name]
 
 
 # calls per op of the stopping time, the verification core and the Hardy

@@ -596,22 +596,18 @@ class TestVerifyCommand:
         # u, |u|^(q/2) and the vector expansion uv, once each
         assert (len(stopping_times), len(verifies)) == (3, 3)
 
-    def test_grids_per_trial(self, monkeypatch):
-        # one grid of u (shared by |u|^(q/2)) and one per Hardy and TL
-        # multiplier check; one of uv, which the h2 identity reads too, and
-        # one per vector multiplier check
-        grids = []
-        init = haar._Grid.__init__
-        monkeypatch.setattr(
-            haar._Grid, "__init__", lambda grid, *args: grids.append(args) or init(grid, *args)
-        )
+    def test_grids_per_trial(self, grid_builds):
+        # one grid of u, which its decomposition and Hardy measure keep for
+        # the Hardy checks; one of |u|^(q/2), which the TL measure keeps for
+        # the TL checks and the sampling; one of uv, which its decomposition
+        # and vector measure keep for the h2 identity and the vector checks
         report = run_verification(
             p=1.5, q=3.0, trials=2, seed=0, density=0.5, max_level=6, dimension=2
         )
         assert report["passed"] is True
-        assert len(grids) == 2 * 5
+        assert len(grid_builds) == 2 * 3
 
-    def test_one_tree_per_support(self, monkeypatch):
+    def test_one_tree_per_support(self, monkeypatch, grid_builds):
         # at the bench's flags: no support family, its depths or its parent
         # table; the decay bound reads u's grid. The 3 ancestor tables are
         # the tops' Carleson constants, one per verified decomposition
@@ -623,36 +619,28 @@ class TestVerifyCommand:
         for module in (dyadic, haar):
             tables.append(count_calls(monkeypatch, module, "_nearest_ancestors"))
         grids = count_calls(monkeypatch, cli, "_support_grid")
-        builds = []
-        init = haar._Grid.__init__
-        monkeypatch.setattr(
-            haar._Grid, "__init__", lambda grid, *args: builds.append(args) or init(grid, *args)
-        )
         report = run_verification(
             p=1.5, q=3.0, trials=1, seed=0, density=0.5, max_level=6, dimension=2
         )
         assert report["checks"]["decay_bound"] == {"passed": True, "trials": 1}
         assert sum(map(len, tables)) == 3
-        assert len(builds) == 5
+        assert len(grid_builds) == 3
         assert len(grids) == 2
 
-    def test_deep_sparse_checks_build_no_grid(self, monkeypatch):
-        # on the atoms the hp, tl and vector measures keep their grid: a
-        # trial builds u's and uv's grids and its checks build none, and
-        # the report is that of checks on fresh grids
+    def test_deep_sparse_checks_build_no_grid(self, monkeypatch, grid_builds):
+        # on the atoms, as on the leaves, the hp, tl and vector measures
+        # keep their grid: a trial builds u's, |u|^(q/2)'s and uv's grids
+        # and its checks build none, and the report is that of checks on
+        # fresh grids
         flags = dict(p=1.5, q=3.0, trials=2, seed=0, density=0.01, max_level=12, dimension=2)
         u = _trial_expansion(0, 0, 12, 1, 0.01)
         assert _support_grid(u).lengths is not None
-        builds = []
-        init = haar._Grid.__init__
-        monkeypatch.setattr(
-            haar._Grid, "__init__", lambda grid, *args: builds.append(args) or init(grid, *args)
-        )
+        grid_builds.clear()
         kept = dump_json(run_verification(**flags))
-        assert len(builds) == 2 * 2
+        assert len(grid_builds) == 2 * 3
         monkeypatch.setattr(haar._KeptRows, "_grid_for", lambda m, u: _support_grid(u))
         assert dump_json(run_verification(**flags)) == kept
-        assert len(builds) == 2 * 2 + 2 * 5
+        assert len(grid_builds) == 2 * 3 + 2 * 10
         assert json.loads(kept)["passed"] is True
 
     def test_decay_verdicts_match_support_family(self):
@@ -753,6 +741,34 @@ class TestVerifyCommand:
             main(["verify", "--trials", "1", "--inject-mutant", "scale-omgea"])
         assert exc.value.code == 2
         assert "scale-omega" in capsys.readouterr().err
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ({"trials": 0}, "trials must be positive, got 0"),
+            ({"trials": -2}, "trials must be positive, got -2"),
+            ({"dimension": 0}, "dimension must be positive, got 0"),
+            ({"density": 3.0}, r"density must lie in \(0, 1\], got 3.0"),
+            ({"density": 0.0}, r"density must lie in \(0, 1\], got 0.0"),
+            ({"density": math.nan}, r"density must lie in \(0, 1\], got nan"),
+            ({"p": 2.5}, r"p must lie in \(0, 2\], got 2.5"),
+            ({"p": 0.0, "q": 3.0}, r"p must lie in \(0, 2\], got 0.0"),
+            ({"p": 1.5, "q": 1.0}, "need 0 < p <= q, got p=1.5, q=1.0"),
+        ],
+        ids=[
+            "trials-0", "trials-negative", "dimension-0", "density-3", "density-0",
+            "density-nan", "p-2.5", "p-0", "q-below-p",
+        ],
+    )
+    def test_bad_arguments_refused_before_first_draw(self, monkeypatch, flags, message):
+        # the library refuses what the CLI refuses as a usage error, where it
+        # used to pass with no checks (trials below 1), with scalar checks
+        # only (dimension 0) or on any density, or raise inside a trial
+        drawn = count_calls(monkeypatch, cli, "_trial_expansion")
+        args = dict(p=1.0, q=None, trials=1, seed=0, density=0.5, max_level=4, dimension=1)
+        with pytest.raises(ValueError, match=message):
+            run_verification(**{**args, **flags})
         assert drawn == []
 
     @pytest.mark.parametrize("mutant", cli._MUTANTS)

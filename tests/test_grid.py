@@ -265,23 +265,11 @@ def _sparse(rng, max_level, draws):
 class TestOneGridPerCall:
     """Each public call builds at most one grid per distinct support, and
     one in all unless a product has zero rows, which sums on its own
-    support's grid. A check with a constructor's measure on the atoms
-    builds none: the measure keeps the grid it was built on."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        built = []
-        init = _Grid.__init__
-
-        def counting(grid, max_level, levels, positions):
-            built.append((max_level, levels.tobytes(), positions.tobytes()))
-            init(grid, max_level, levels, positions)
-
-        monkeypatch.setattr(_Grid, "__init__", counting)
-        return built
+    support's grid. A check with a constructor's result, on the leaves or
+    the atoms, builds none: the result keeps the grid it was built on."""
 
     @pytest.mark.parametrize("max_level", [8, 40])
-    def test_public_calls(self, builds, max_level):
+    def test_public_calls(self, grid_builds, max_level):
         rng = np.random.default_rng(max_level)
         u = _sparse(rng, max_level, 300)
         assert (_support_grid(u).lengths is None) == (max_level == 8)
@@ -304,29 +292,28 @@ class TestOneGridPerCall:
             (factorize, (u, 1.5, 3.0)),
             (x0_norm_estimate, (f, u, 4, 0)),
         ]
-        # dec and the measures keep their atom grid, and f the measure it
-        # was built from
-        kept = max_level == 40
+        # dec and the measures keep their grid, on the leaves or the atoms,
+        # and f the measure it was built from
         for fn, args in calls:
-            builds.clear()
+            grid_builds.clear()
             fn(*args)
             reads = fn in (
                 verify_decomposition, check_multiplier_bound, check_multiplier_bounds,
                 x0_norm_estimate,
             )
-            assert len(builds) == (0 if reads and kept else 1), fn.__name__
-        builds.clear()
+            assert len(grid_builds) == (0 if reads else 1), fn.__name__
+        grid_builds.clear()
         check_multiplier_bound(u, 1.0, dict(zip(u.support, holes.tolist())), m)
-        assert len(builds) == (1 if kept else 2) and max(Counter(builds).values()) == 1
+        assert len(grid_builds) == 1 and max(Counter(grid_builds).values()) == 1
 
-    def test_no_grid_kept(self, builds):
+    def test_no_grid_kept(self, grid_builds):
         u = _sparse(np.random.default_rng(9), 30, 200)
         decompose(u, 1.0)
         assert not [name for name in vars(haar) if isinstance(vars(haar)[name], _Grid)]
         assert not hasattr(u, "__dict__")
-        assert len(builds) == 1
+        assert len(grid_builds) == 1
 
-    def test_fresh_grids(self, builds):
+    def test_fresh_grids(self, grid_builds):
         # the kept grid serves only u's support at the measure's max level;
         # every other measure and u sums on a grid of its own
         rng = np.random.default_rng(41)
@@ -343,12 +330,12 @@ class TestOneGridPerCall:
             (wider, weights_hp(u, 1.0)),
         ]
         for v, measure in cases:
-            builds.clear()
+            grid_builds.clear()
             check_multiplier_bound(v, 1.0, phi, measure)
-            assert len(builds) == 1
+            assert len(grid_builds) == 1
         assert deeper.support == u.support and _support_grid(deeper).lengths is not None
 
-    def test_copies(self, builds):
+    def test_copies(self, grid_builds):
         # a `copy.copy` shares the measure's grid, and a deep copy or a
         # pickle round trip carries its own, read-only; all check alike
         rng = np.random.default_rng(42)
@@ -356,47 +343,48 @@ class TestOneGridPerCall:
         phis = rng.uniform(-1.0, 1.0, (3, len(u.support)))
         m = weights_tl(u, 1.5, 3.0)
         want = repr(check_multiplier_bounds(u, 1.5, phis, m, 3.0))
-        builds.clear()
+        grid_builds.clear()
         shared = copy.copy(m)
         assert shared._grid_for(u) is m._grid_for(u)
         for twin in (shared, copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert repr(check_multiplier_bounds(u, 1.5, phis, twin, 3.0)) == want
             _assert_read_only(twin._grid_for(u))
-        assert not builds
+        assert not grid_builds
 
-    def test_leaf_measures_keep_no_grid(self, builds):
-        # a leaf grid is repainted in one pass per level, cheaper than kept
+    def test_leaf_grid_results_keep_their_grid(self, grid_builds):
+        # a leaf grid is kept as an atom grid is: the checks of a measure
+        # and the verification of a decomposition on the leaves build none
         u = _sparse(np.random.default_rng(43), 8, 300)
-        m = weights_hp(u, 1.0)
-        builds.clear()
+        m, dec = weights_hp(u, 1.0), decompose(u, 1.0)
+        assert vars(m)["_grid"].lengths is None and vars(dec)["_grid"].lengths is None
+        grid_builds.clear()
         check_multiplier_bounds(u, 1.0, np.ones((2, len(u.support))), m)
-        assert len(builds) == 1 and vars(m)["_grid"] is None
+        assert verify_decomposition(u, 1.0, dec).passed
+        assert not grid_builds
 
 
 def _assert_read_only(grid):
+    """Every array of the grid, the leaf grid's None edges and lengths
+    left out, is read-only."""
     assert isinstance(grid.bounds, tuple)
-    for array in (grid.owner, grid.parent, grid.edges, grid.lengths):
+    arrays = (grid.owner, grid.parent, grid.edges, grid.lengths)
+    for array in (array for array in arrays if array is not None):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
 
 
 class TestReadOnly:
-    """One atom grid serves a measure, its copies and every check, so no
-    caller may write to it: its arrays are read-only and its bounds a
-    tuple. A leaf grid is never kept, and stays writeable: `np.take` copies
-    a read-only index array."""
+    """One grid, on the leaves or the atoms, serves a result, its copies and
+    every check, so no caller may write to it: its arrays are read-only and
+    its bounds a tuple."""
 
     @pytest.mark.parametrize("max_level", [8, 40])
-    def test_writes_raise_on_the_atoms(self, max_level):
+    def test_writes_raise_on_both_grids(self, max_level):
         u = _sparse(np.random.default_rng(max_level), max_level, 300)
         grid = _support_grid(u)
-        atoms = grid.lengths is not None
-        assert atoms == (max_level == 40)
+        assert (grid.lengths is None) == (max_level == 8)
         for copied in (grid, copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
-            if atoms:
-                _assert_read_only(copied)
-            else:
-                assert copied.owner.flags.writeable and copied.parent.flags.writeable
+            _assert_read_only(copied)
             assert copied.bounds == grid.bounds and isinstance(copied.bounds, tuple)
             assert np.array_equal(copied.owner, grid.owner)

@@ -239,13 +239,12 @@ class TestLatticeNormEstimate:
         p, q = 1.5, 3.0
         for seed in range(4):
             u = random_scalar(np.random.default_rng([22, seed]), 6)
-            grid = haar._support_grid(u)
-            m = pietsch._weights_tl(u, p, q, grid)
+            m = pietsch.weights_tl(u, p, q)
             f = pisier._factorize(u, p, q, theta(p, q), m)
             off = replace(m, weights={k: w * (1 + 2e-9) for k, w in m.weights.items()})
-            assert pisier._x0_norm_estimate(f, u, 4, seed, m, grid) > 0.0
+            assert pisier._x0_norm_estimate(f, u, 4, seed, m) > 0.0
             with pytest.raises(VerificationError, match="r-th weighted mean"):
-                pisier._x0_norm_estimate(f, u, 4, seed, off, grid)
+                pisier._x0_norm_estimate(f, u, 4, seed, off)
             with pytest.raises(VerificationError, match="r-th weighted mean"):
                 pisier_oracle.x0_norm_estimate(f, u, 4, seed, off)
 
@@ -629,8 +628,7 @@ class TestNoKeyHashed:
             assert factorize(u, 1.5, 3.0) == f
             assert verify_factorization(u, f) is verdict is True
             assert x0_norm_estimate(f, u, 8) == estimate
-            grid = haar._support_grid(u)
-            assert pisier._x0_norm_estimate(f, u, 8, 0, m, grid) == estimate
+            assert pisier._x0_norm_estimate(f, u, 8, 0, m) == estimate
             reversed_f = Factorization(
                 x=dict(reversed(f.x.items())), y=f.y, theta=f.theta, p=f.p, q=f.q
             )
@@ -703,9 +701,9 @@ class TestFactorStorage:
             f = factorize(u, p, q)
             want = repr(x0_norm_estimate(f, u, 8, seed=3))
             calls = []
-            weights_tl_core = pisier._weights_tl
+            weights_tl_core = pisier.weights_tl
             monkeypatch.setattr(
-                pisier, "_weights_tl", lambda *a: calls.append(a[0]) or weights_tl_core(*a)
+                pisier, "weights_tl", lambda *a: calls.append(a[0]) or weights_tl_core(*a)
             )
             shared = copy.copy(f)
             (measure,) = f._built_from(u)
