@@ -21,9 +21,10 @@ weights in `pietsch` and the CLI's h2 check read that form when it is on
 u's support (`_KeptRows._of_support`), and `pieces` is built from it on
 first read; each that needs a block's rows together takes them from one
 sort, `_block_order`. The h2 check passes the squares of phi * u to the
-verifier's block pass on u's own grid. `_verify_rows` is the one
-verification core: a decomposition given as pieces is mapped onto the
-support rows once (`_member_rows`) and checked the same way.
+verifier's block pass on u's own grid. `verify_decomposition` is the one
+verification core, and `decompose` verifies through it: a decomposition
+given as pieces is mapped onto the support rows once (`_member_rows`) and
+checked the same way.
 
 Every function of the square sums runs on the grid of u's support
 (`haar._Grid`): the atoms cut out by the support's endpoints when the
@@ -514,56 +515,16 @@ def verify_decomposition(
     the appendix constant otherwise), (d) the middle inequality
     sum ||u_i||^p <= sum |I_i| * sup S(u_i)^p holds, (e) every block is a
     block relative to the support, read from the support parent rows, (f)
-    the observed upper-chain ratio. Every call rechecks from scratch; a
-    decomposition built by `decompose` on u's support sums on the grid it
-    keeps (`haar._KeptRows._grid_for`).
+    the observed upper-chain ratio. Every call rechecks from scratch on dec
+    as `_member_rows` maps it onto u's support rows; a decomposition built
+    by `decompose` on u's support sums on the grid it keeps
+    (`haar._KeptRows._grid_for`).
     """
     _check_exponents(p)
     if dec.max_level != u.max_level or dec.dimension != u.dimension:
         raise ValueError("decomposition does not match the expansion")
-    return _verify_rows(u, p, *_member_rows(u, dec), dec._grid_for(u))
-
-
-def _member_rows(
-    u: HaarExpansion, dec: AtomicDecomposition
-) -> tuple[np.ndarray, np.ndarray, list[DyadicInterval], bool]:
-    """dec on u's support rows, as `_verify_rows` reads it: its own row form
-    when it was built on u's support, else its pieces mapped onto the rows
-    once. Returns (the support row of each member, -1 outside the support;
-    each member's block; the tops; whether every top is a member of its
-    block and every member outside the support lies inside its top)."""
-    tops = dec.tops()
-    if dec._of_support(u):
-        block, top_rows = dec._block, dec._top_rows
-        tops_in_blocks = bool((block[top_rows] == np.arange(len(top_rows))).all())
-        return np.arange(len(u.support)), block, tops, tops_in_blocks
-    families = [family for family, _ in dec.pieces]
-    row_of = dict(zip(u.support, range(len(u.support))))
-    members = list(chain.from_iterable(families))
-    rows = np.fromiter(map(row_of.get, members, repeat(-1)), np.int64, len(members))
-    sizes = list(map(len, families))
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    strays = np.flatnonzero(rows < 0).tolist()
-    tops_in_blocks = all(map(IntervalFamily.__contains__, families, tops)) and all(
-        tops[block[j]].contains(members[j]) for j in strays
-    )
-    return rows, block, tops, tops_in_blocks
-
-
-def _verify_rows(
-    u: HaarExpansion,
-    p: float,
-    rows: np.ndarray,
-    block: np.ndarray,
-    tops: list[DyadicInterval],
-    tops_in_blocks: bool,
-    grid: _Grid,
-) -> DecompositionReport:
-    """The verification core on member rows: `rows[j]` is the support row of
-    member j, -1 outside the support, `block[j]` its block, each block's
-    rows ascending; `tops[b]` is block b's top, and `tops_in_blocks` says
-    whether every top is a member of its block and every member outside the
-    support lies inside its top. `grid` is the grid of u's support."""
+    rows, block, tops, tops_in_blocks = _member_rows(u, dec)
+    grid = dec._grid_for(u)
     norm_p = _hp_norm(u, p, grid)
     tops_carleson = _tops_carleson(tops, u.max_level)
     tops_carleson_ok = tops_carleson <= 4
@@ -608,6 +569,33 @@ def _verify_rows(
     )
 
 
+def _member_rows(
+    u: HaarExpansion, dec: AtomicDecomposition
+) -> tuple[np.ndarray, np.ndarray, list[DyadicInterval], bool]:
+    """dec on u's support rows, as `verify_decomposition` reads it: its own
+    row form when it was built on u's support, else its pieces mapped onto
+    the rows once. Returns (the support row of each member, -1 outside the
+    support; each member's block, each block's rows ascending; the tops;
+    whether every top is a member of its block and every member outside the
+    support lies inside its top)."""
+    tops = dec.tops()
+    if dec._of_support(u):
+        block, top_rows = dec._block, dec._top_rows
+        tops_in_blocks = bool((block[top_rows] == np.arange(len(top_rows))).all())
+        return np.arange(len(u.support)), block, tops, tops_in_blocks
+    families = [family for family, _ in dec.pieces]
+    row_of = dict(zip(u.support, range(len(u.support))))
+    members = list(chain.from_iterable(families))
+    rows = np.fromiter(map(row_of.get, members, repeat(-1)), np.int64, len(members))
+    sizes = list(map(len, families))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    strays = np.flatnonzero(rows < 0).tolist()
+    tops_in_blocks = all(map(IntervalFamily.__contains__, families, tops)) and all(
+        tops[block[j]].contains(members[j]) for j in strays
+    )
+    return rows, block, tops, tops_in_blocks
+
+
 def decompose(u: HaarExpansion, p: float) -> AtomicDecomposition:
     """Build the stopping-time decomposition of a nonzero expansion.
 
@@ -621,9 +609,9 @@ def _decompose(
     u: HaarExpansion, p: float, grid: _Grid
 ) -> tuple[AtomicDecomposition, DecompositionReport]:
     """`decompose` on the grid of u's support, with the report of its
-    verification, for the weight constructors to reuse within one call; the
-    stopping time and the verification share the grid and its parent
-    table."""
+    `verify_decomposition`, for the weight constructors to reuse within one
+    call; the stopping time and the verification share the grid, which the
+    decomposition keeps, and its parent table."""
     if u.is_zero:
         raise ZeroInputError("cannot decompose the zero expansion")
     _check_exponents(p)
@@ -631,7 +619,7 @@ def _decompose(
     dec = AtomicDecomposition._from_rows(
         u, {}, grid, _block=block, _top_rows=top_rows, max_level=u.max_level, dimension=u.dimension
     )
-    report = _verify_rows(u, p, *_member_rows(u, dec), grid)
+    report = verify_decomposition(u, p, dec)
     if not report.passed:
         message = f"decomposition failed verification: {report.as_dict()}"
         raise VerificationError(message, report)

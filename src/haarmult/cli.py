@@ -36,7 +36,6 @@ from .haar import (
     HaarExpansion,
     _check_exponents,
     _check_q,
-    _Grid,
     _pow,
     _square_measures,
     _squares,
@@ -194,7 +193,8 @@ def gen_random(
 def _gen_with_rng(
     rng: np.random.Generator, max_level: int, dimension: int, density: float
 ) -> HaarExpansion:
-    HaarExpansion(max_level, dimension, {})  # the constructor's checks, before any draw
+    empty = HaarExpansion(max_level, dimension, {})  # the constructor's checks, before any draw
+    max_level, dimension = empty.max_level, empty.dimension
     intervals, rows = [], []
     for level in range(max_level + 1):
         for pos in range(1 << level):
@@ -221,17 +221,17 @@ def _trial_expansion(
 
 
 def _h2_sides(
-    uv: HaarExpansion, dv: AtomicDecomposition, grid: _Grid, rng: np.random.Generator
+    uv: HaarExpansion, dv: AtomicDecomposition, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of ||phi.u_i||_2^2 = sum_{I in G_i} |phi_I|^2 |x_I|^2 |I|
     on every block of dv (built by `decompose` on uv), phi drawn block after
-    block; the left sides from the verifier's block pass on `grid`, the grid
-    of uv's support, over the squares of phi * uv. A zero phi leaves a zero
-    square in its row, so dv still partitions the rows summed."""
+    block; the left sides from the verifier's block pass on the grid of uv's
+    support that dv keeps, over the squares of phi * uv. A zero phi leaves a
+    zero square in its row, so dv still partitions the rows summed."""
     phi = np.empty(len(uv.support))
     phi[_block_order(dv._block, len(dv._top_rows))[0]] = rng.uniform(-1, 1, len(phi))
     squares = _squares(uv.values * phi[:, None])
-    lhs = _block_stats(uv, 2.0, *_member_rows(uv, dv), grid, squares)[2]
+    lhs = _block_stats(uv, 2.0, *_member_rows(uv, dv), dv._grid_for(uv), squares)[2]
     terms = _pow(np.abs(phi), 2.0) * _square_measures(uv)
     return np.array(lhs), np.bincount(dv._block, terms, len(dv._top_rows))
 
@@ -294,17 +294,18 @@ def run_verification(
     that decomposition's report, block rows and weights, and the vector h2
     identity its block pass (`_h2_sides`).
 
-    These raise ValueError before the first draw: a mutant other than None
-    or one of `_MUTANTS`, trials or dimension below 1, a density outside
-    (0, 1], a p outside (0, 2], a q outside (0, inf) or below p, and the
-    perturb-x mutant without the factorization route it corrupts.
+    These raise before the first draw: a mutant other than None or one of
+    `_MUTANTS`, trials below 1, a max level or dimension that the
+    `HaarExpansion` constructor refuses (TypeError off the integers), a
+    density outside (0, 1], a p outside (0, 2], a q outside (0, inf) or
+    below p, and the perturb-x mutant without the factorization route it
+    corrupts; all but the TypeError are ValueErrors.
     """
     if mutant is not None and mutant not in _MUTANTS:
         raise ValueError(f"mutant must be None or one of {', '.join(_MUTANTS)}, got {mutant!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if dimension < 1:
-        raise ValueError(f"dimension must be positive, got {dimension}")
+    HaarExpansion(max_level, dimension, {})  # the constructor's checks of both
     if not 0 < density <= 1:  # NaN included
         raise ValueError(f"density must lie in (0, 1], got {density}")
     _check_exponents(p)
@@ -382,10 +383,9 @@ def run_verification(
 
         if dimension > 1:
             uv = _trial_expansion(seed + 1_000_003, trial, max_level, dimension, density)
-            grid_v = _support_grid(uv)
-            dv, rv = _decompose(uv, p, grid_v)
+            dv, rv = _decompose(uv, p, _support_grid(uv))
             check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p))
-            lhs, rhs = _h2_sides(uv, dv, grid_v, rng)
+            lhs, rhs = _h2_sides(uv, dv, rng)
             slack = 1e-12 * np.maximum(np.maximum(lhs, rhs), 1e-300)
             h2_ok = not (np.abs(lhs - rhs) > slack).any()
             check("vector_h2_identity").record(h2_ok, seed, trial)

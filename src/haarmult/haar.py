@@ -69,7 +69,7 @@ no SIMD dispatch, so each power is bit for bit Python's float `pow`.
 numpy's `**` and `np.power` are not: on an AVX-512 host they dispatch to
 SVML and differ from libm in the last bit for some inputs, even at
 exponent 2. numpy's `**` is used only on cell sums (`_norm_means`), on
-the sampled candidates of `pisier._x0_norm_estimate` and, there, on one
+the sampled candidates of `pisier.x0_norm_estimate` and, there, on one
 per-row power, |x|^(1 - theta): `_pow` there would change the last bits of
 their outputs (of `max_lattice_candidate` and the pinned `verify`
 digests), and runs about 5x slower than the SIMD loop.
@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import errno
 import math
+import operator
 import os
 from itertools import chain, compress, repeat
 from typing import Iterable, Mapping, Sequence
@@ -144,9 +145,11 @@ class HaarExpansion(_Immutable):
 
     Zero coefficient vectors are dropped on construction, so the key set of
     ``coeffs`` equals the Haar support. Keys must be `DyadicInterval`s.
-    Values are tuples of floats of length ``dimension`` and must be finite;
-    a number given as a value (a Python or numpy scalar, or any 0-d array)
-    is the vector of length 1. Text is refused, never parsed: a key that is
+    ``max_level`` and ``dimension`` are integers (`operator.index`: a
+    Python or numpy integer, kept as int), else TypeError before any array
+    is built. Values are tuples of floats of length ``dimension`` and must
+    be finite; a number given as a value (a Python or numpy scalar, or any
+    0-d array) is the vector of length 1. Text is refused, never parsed: a key that is
     not an interval, and a str, bytes or numpy string value or entry, raise
     TypeError naming it.
 
@@ -164,6 +167,11 @@ class HaarExpansion(_Immutable):
     )
 
     def __init__(self, max_level: int, dimension: int, coeffs: CoeffMap) -> None:
+        try:  # numpy integers pass, stored as int; floats and text do not
+            max_level, dimension = operator.index(max_level), operator.index(dimension)
+        except TypeError:
+            message = f"max_level and dimension must be integers, got {max_level!r}, {dimension!r}"
+            raise TypeError(message) from None
         if max_level < 0:
             raise ValueError(f"max_level must be nonnegative, got {max_level}")
         if max_level > _MAX_LEVEL:

@@ -79,7 +79,6 @@ from .haar import (
     _FSUM_MIN_ROW,
     _fsum,
     _fsum_rows,
-    _Grid,
     _hp_norm,
     _KeptRows,
     _pow,
@@ -281,8 +280,10 @@ def check_multiplier_bounds(
     On the Hardy and vector routes ||u|| is the norm a constructor's
     measure kept from its verification when u is the very expansion it was
     built from and p its p, else it is computed
-    (`haar._KeptRows._built_from`). A failing row raises what its single
-    check raises, the first such row in order.
+    (`haar._KeptRows._built_from`). A negative weighted sum, whose root
+    1/s may not be real, raises ValueError. When a batch fails, its rows go
+    again one by one through this check, so a failing row raises what its
+    single check raises, the first such row in order.
     """
     if not m._keyed_by("weights", u, subset=True):
         raise ValueError("measure does not match the expansion")
@@ -300,57 +301,40 @@ def check_multiplier_bounds(
     weights = m._field_rows("weights", u)
     grid = m._grid_for(u)
     try:
-        return _check_rows(u, p, phis, m, weights, grid)
+        powers = _pow(np.abs(phis), s)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
+            terms = powers * weights
+        weighted = _fsum_rows(terms)
+        tl_route = u.dimension == 1 and s != 2.0
+        q_tl = s if tl_route else None
+        step = _batch_rows(grid)
+        lhs = []
+        for lo in range(0, len(phis), step):
+            lhs += _product_norms(u, phis[lo : lo + step], p, q_tl, grid)
+        if tl_route:
+            norm = _tl_norm(u, p, s, grid)
+        else:  # the norm the measure's verification computed, when it is u's at p
+            kept = m._built_from(u)
+            norm = kept[1] if kept is not None and kept[0] == p else _hp_norm(u, p, grid)
+        lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
+        constant = (m.normalizer / lower) ** (1.0 / p)
+        reports = []
+        for left, w in zip(lhs, weighted):
+            if w < 0.0:
+                raise ValueError(f"weighted sum {w} is negative: the measure has negative weights")
+            rhs = constant * norm * w ** (1.0 / s)
+            reports.append(
+                MultiplierReport(
+                    lhs=left,
+                    rhs=rhs,
+                    constant=constant,
+                    weighted_sum=w,
+                    ok=left <= rhs * (1.0 + _BOUND_RTOL),
+                )
+            )
+        return reports
     except (ArithmeticError, ValueError):
         if len(phis) > 1:  # raise what the first failing row raises alone
             for k in range(len(phis)):
-                _check_rows(u, p, phis[k : k + 1], m, weights, grid)
+                check_multiplier_bounds(u, p, phis[k : k + 1], m, q)
         raise
-
-
-def _check_rows(
-    u: HaarExpansion,
-    p: float,
-    phis: np.ndarray,
-    m: PietschMeasure,
-    weights: np.ndarray,
-    grid: _Grid,
-) -> list[MultiplierReport]:
-    """The reports of `check_multiplier_bounds` after its argument checks,
-    on the weights at u's support rows and the grid of u's support, in the
-    order of a single check: the weighted sums, the products' norms, ||u||,
-    C, and ValueError for a negative weighted sum (whose root 1/s may not be
-    real)."""
-    s = m.exponent
-    powers = _pow(np.abs(phis), s)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
-        terms = powers * weights
-    weighted = _fsum_rows(terms)
-    tl_route = u.dimension == 1 and s != 2.0
-    q_tl = s if tl_route else None
-    step = _batch_rows(grid)
-    lhs = []
-    for lo in range(0, len(phis), step):
-        lhs += _product_norms(u, phis[lo : lo + step], p, q_tl, grid)
-    if tl_route:
-        norm = _tl_norm(u, p, s, grid)
-    else:  # the norm the measure's verification computed, when it is u's at p
-        kept = m._built_from(u)
-        norm = kept[1] if kept is not None and kept[0] == p else _hp_norm(u, p, grid)
-    lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
-    constant = (m.normalizer / lower) ** (1.0 / p)
-    reports = []
-    for left, w in zip(lhs, weighted):
-        if w < 0.0:
-            raise ValueError(f"weighted sum {w} is negative: the measure has negative weights")
-        rhs = constant * norm * w ** (1.0 / s)
-        reports.append(
-            MultiplierReport(
-                lhs=left,
-                rhs=rhs,
-                constant=constant,
-                weighted_sum=w,
-                ok=left <= rhs * (1.0 + _BOUND_RTOL),
-            )
-        )
-    return reports

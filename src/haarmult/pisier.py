@@ -21,7 +21,7 @@ exceptions are the same.
 
 Every per-row power is `haar._pow`, Python's float `pow` per element
 through `np.float_power` (numpy's `**` may differ from it in the last
-bit), but one: `_x0_norm_estimate` takes |x|^(1 - theta) with `**`, as it
+bit), but one: `x0_norm_estimate` takes |x|^(1 - theta) with `**`, as it
 does the powers of its sampled candidates, since `_pow` there could move
 the last bits of `max_lattice_candidate` and of the pinned `verify`
 output. The per-row tolerance tests are `_isclose`, `math.isclose` on
@@ -94,7 +94,8 @@ def theta(p: float, q: float) -> float:
 def factorize(u: HaarExpansion, p: float, q: float) -> Factorization:
     """Split a nonzero scalar expansion, 1 < p < q, using its weights. The
     result keeps u and those weights, which `x0_norm_estimate` reads when
-    given that same u."""
+    given that same u. OverflowError if a factor x_I leaves the normal float
+    range (`_factorize`)."""
     if u.is_zero:
         raise ZeroInputError("cannot factorize the zero expansion")
     if u.dimension != 1:
@@ -106,11 +107,20 @@ def _factorize(
     u: HaarExpansion, p: float, q: float, exponent: float, measure: PietschMeasure
 ) -> Factorization:
     """`factorize` from `theta(p, q)` and `weights_tl(u, p, q)`, keeping the
-    source (u, measure)."""
+    source (u, measure). OverflowError if an x_I overflows or falls below
+    2^-1022, the normal float range: a subnormal or zero x_I has lost the
+    digits that the product identity of `verify_factorization` checks."""
     y = _pow(measure._field_rows("weights", u) * np.ldexp(1.0, u.levels), 1.0 / q)
-    with np.errstate(over="ignore"):  # inf as in Python
-        base = np.abs(u.values[:, 0]) * _pow(y, -exponent)
-    x = _pow(base, 1.0 / (1.0 - exponent))
+    try:
+        with np.errstate(over="ignore"):  # inf as in Python
+            base = np.abs(u.values[:, 0]) * _pow(y, -exponent)
+        x = _pow(base, 1.0 / (1.0 - exponent))
+        if not ((x >= 2.0**-1022) & (x < math.inf)).all():
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError(
+            f"a factor x_I at theta={exponent} leaves the normal float range"
+        ) from None
     return Factorization._from_rows(
         u, {"x": x, "y": y}, verified=(measure,), theta=exponent, p=p, q=q
     )
@@ -188,7 +198,8 @@ def x0_norm_estimate(
     The weights w are those `factorize` kept when u is the very expansion
     f was built from, else `weights_tl(u, f.p, f.q)` computed afresh; both
     give the same floats. The candidates run in blocks of
-    `haar._batch_rows` rows on u's grid, drawn block by block from one
+    `haar._batch_rows` rows on the grid that measure keeps for u
+    (`haar._KeptRows._grid_for`), drawn block by block from one
     stream, so memory stays bounded however large `n_samples` is. Errors
     keep their order: OverflowError before the r-th mean, comparison,
     unit-ball and cap VerificationErrors, whichever block each failure came
@@ -200,14 +211,6 @@ def x0_norm_estimate(
         raise ValueError("factorization does not match the expansion")
     kept = f._built_from(u)  # the measure `factorize` built f from
     measure = weights_tl(u, f.p, f.q) if kept is None else kept[0]
-    return _x0_norm_estimate(f, u, n_samples, seed, measure)
-
-
-def _x0_norm_estimate(
-    f: Factorization, u: HaarExpansion, n_samples: int, seed: int, measure: PietschMeasure
-) -> float:
-    """`x0_norm_estimate` after its argument checks, on `weights_tl(u, f.p,
-    f.q)`, summing on the grid that measure keeps for u (`_grid_for`)."""
     grid = measure._grid_for(u)
     y_vec = f._field_rows("y", u)
     w_vec = measure._field_rows("weights", u)

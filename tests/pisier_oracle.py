@@ -51,8 +51,9 @@ def verify_factorization(u, f):
 
 
 def x0_norm_estimate(f, u, n_samples, seed, measure):
-    """`pisier._x0_norm_estimate`: the y check one weight at a time, then
-    the candidates as arrays, as in the library."""
+    """`pisier.x0_norm_estimate` on the weights of `measure`: the y check
+    one weight at a time, then the candidates as arrays, as in the
+    library."""
     for interval, weight in measure.weights.items():
         expected = (weight * 2.0**interval.level) ** (1.0 / f.q)
         if not math.isclose(expected, f.y[interval], rel_tol=1e-9, abs_tol=1e-300):

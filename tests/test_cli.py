@@ -214,6 +214,30 @@ class TestGenRandom:
         with pytest.raises(ValueError, match=message):
             _trial_expansion(0, 0, max_level, 1, 0.5)
 
+    @pytest.mark.parametrize("max_level, dimension", [(3.5, 1), (3.0, 1), (3, 2.5)])
+    def test_non_integer_level_rejected_before_drawing(self, monkeypatch, max_level, dimension):
+        # a float level used to draw its coefficients and then fail in every
+        # norm; the constructor's TypeError now comes first
+        drawn = count_calls(monkeypatch, cli, "_trial_expansion")
+        message = "max_level and dimension must be integers"
+        args = dict(p=1.0, q=None, trials=1, seed=0, density=0.5, max_level=max_level)
+        with pytest.raises(TypeError, match=message):
+            run_verification(**args, dimension=dimension)
+        assert drawn == []
+
+        class NoDraws:
+            def random(self):
+                raise AssertionError("a coefficient was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        with pytest.raises(TypeError, match=message):
+            gen_random(max_level, dimension, 0.5, seed=0)
+
+    def test_numpy_integer_level_draws_as_int(self):
+        u = gen_random(np.int64(4), np.int64(2), 0.5, seed=3)
+        assert (type(u.max_level), type(u.dimension)) == (int, int)
+        assert u == gen_random(4, 2, 0.5, seed=3)
+
     def test_support_size_statistics(self):
         # 7 slots at density 0.5: per-trial mean 3.5, variance 7/4
         trials = 10_000
@@ -355,7 +379,7 @@ class TestCommands:
         assert payload["report"]["passed"] is True
 
     def test_decompose_verifies_once(self, tmp_path, capsys, monkeypatch):
-        verifies = count_calls(monkeypatch, atomic, "_verify_rows")
+        verifies = count_calls(monkeypatch, atomic, "verify_decomposition")
         path = write(tmp_path, "u.json", MINIMAL)
         assert main(["decompose", "--p", "1", path]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
@@ -496,6 +520,21 @@ class TestCommands:
         assert "float range" in captured.err
 
 
+    @pytest.mark.parametrize("value, q", [("1e-3", "1.502"), ("1e3", "1.5005")])
+    def test_x_factor_outside_normal_range_exit_two(self, tmp_path, capsys, value, q):
+        # x_I underflows to 0.0 or overflows: no factorization printed
+        path = write(
+            tmp_path,
+            "u.json",
+            f'{{"max_level": 0, "dimension": 1, '
+            f'"coefficients": [{{"level": 0, "pos": 0, "value": [{value}]}}]}}',
+        )
+        assert main(["factorize", "--p", "1.5", "--q", q, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a factor x_I at theta=")
+        assert captured.err.endswith(" leaves the normal float range\n")
+
     def test_overflowing_sample_norms_exit_two(self, tmp_path, capsys):
         # at q = 150 the sampled candidates' q-norms overflow
         path = str(tmp_path / "g4.json")
@@ -588,7 +627,7 @@ class TestVerifyCommand:
 
     def test_each_expansion_decomposed_once_per_trial(self, monkeypatch):
         stopping_times = count_calls(monkeypatch, atomic, "_stopping_time")
-        verifies = count_calls(monkeypatch, atomic, "_verify_rows")
+        verifies = count_calls(monkeypatch, atomic, "verify_decomposition")
         report = run_verification(
             p=1.5, q=3.0, trials=1, seed=0, density=0.5, max_level=6, dimension=2
         )
@@ -640,7 +679,7 @@ class TestVerifyCommand:
         assert len(grid_builds) == 2 * 3
         monkeypatch.setattr(haar._KeptRows, "_grid_for", lambda m, u: _support_grid(u))
         assert dump_json(run_verification(**flags)) == kept
-        assert len(grid_builds) == 2 * 3 + 2 * 10
+        assert len(grid_builds) == 2 * 3 + 2 * 14
         assert json.loads(kept)["passed"] is True
 
     def test_decay_verdicts_match_support_family(self):
@@ -660,7 +699,7 @@ class TestVerifyCommand:
         # a vector decomposition that fails its verification escapes the
         # trial: exit 1 and its report on stderr, in the fields' order with
         # the Carleson constant as a float; the error carries the report
-        verify, refused = atomic._verify_rows, []
+        verify, refused = atomic.verify_decomposition, []
 
         def failing(u, *args):
             report = verify(u, *args)
@@ -669,7 +708,7 @@ class TestVerifyCommand:
             refused.append(replace(report, chain_middle_ok=False))
             return refused[-1]
 
-        monkeypatch.setattr(atomic, "_verify_rows", failing)
+        monkeypatch.setattr(atomic, "verify_decomposition", failing)
         code = main(["verify", "--trials", "1", "--max-level", "4", "--dimension", "2"])
         r = refused[0]
         fields = {
@@ -885,7 +924,7 @@ class TestVectorH2Identity:
 
     def _compare(self, uv, dv, rngs):
         lhs_ref, rhs_ref, ok_ref = _per_block_h2(uv, dv, rngs[0])
-        lhs, rhs = _h2_sides(uv, dv, _support_grid(uv), rngs[1])
+        lhs, rhs = _h2_sides(uv, dv, rngs[1])
         assert len(lhs) == len(rhs) == len(lhs_ref)
         np.testing.assert_allclose(lhs, lhs_ref, rtol=1e-13, atol=0)
         np.testing.assert_allclose(rhs, rhs_ref, rtol=1e-13, atol=0)

@@ -156,6 +156,21 @@ class TestExpansion:
         with pytest.raises(TypeError, match="coefficient at 1/1 is text"):
             HaarExpansion(3, dimension, {iv(0, 0): [1.0] * dimension, iv(1, 1): raw})
 
+    @pytest.mark.parametrize(
+        "max_level, dimension", [(3.5, 1), (3.0, 1), (3, 2.5), (3, 1.0), ("3", 1), (None, 1)]
+    )
+    def test_non_integer_level_or_dimension_refused(self, max_level, dimension):
+        # 3.5 and 3.0 used to construct and fail in every norm, and
+        # dimension 2.5 gave "expected 2.5"
+        with pytest.raises(TypeError, match="max_level and dimension must be integers"):
+            HaarExpansion(max_level, dimension, {iv(0, 0): [1.0] * int(dimension)})
+
+    def test_numpy_integer_level_and_dimension_stored_as_int(self):
+        u = HaarExpansion(np.int64(3), np.uint8(2), {iv(1, 1): (1.0, 2.0)})
+        assert (type(u.max_level), type(u.dimension)) == (int, int)
+        assert u == HaarExpansion(3, 2, {iv(1, 1): (1.0, 2.0)})
+        assert hp_norm(u, 1.5) == hp_norm(HaarExpansion(3, 2, {iv(1, 1): (1.0, 2.0)}), 1.5)
+
     @pytest.mark.parametrize("key", [(0, 0), "0/0", 0, None])
     def test_foreign_keys_refused(self, key):
         with pytest.raises(TypeError, match=r"coefficient key .* is not a DyadicInterval"):

@@ -5,6 +5,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -143,6 +144,40 @@ class TestFactorize:
         with pytest.raises(OverflowError, match="float range"):
             factorize(u, 1.5, 300.0)
 
+    @pytest.mark.parametrize("value, q", [(1e-3, 1.502), (1e-3, 1.5005), (1e3, 1.502)])
+    def test_x_factor_outside_normal_range_fails_closed(self, value, q):
+        # theta near 1 raises |u_I| y_I^-theta to a power near 1 / (1 - theta):
+        # x_I underflows to 0.0, which fails the product identity, or
+        # overflows; both raise one OverflowError naming x and theta
+        u = scalar(0, {(0, 0): value})
+        message = f"factor x_I at theta={theta(1.5, q)} leaves the normal float range"
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            factorize(u, 1.5, q)
+
+    def test_scaled_pool_raises_or_verifies(self):
+        # coefficients scaled by 10^U(-30, 30) 10^U(-8, 8), q = p + 10^U(-3,
+        # 0.5): some factorizations put an x_I past the normal float range
+        rng = np.random.default_rng(30)
+        outcomes = []
+        for k in range(100):
+            level = int(rng.integers(1, 6))
+            u = gen_random(level, 1, 0.6, k)
+            scale = 10.0 ** rng.uniform(-30, 30)
+            coeffs = {i: v * scale * 10.0 ** rng.uniform(-8, 8) for i, (v,) in u.coeffs.items()}
+            p = rng.uniform(1.05, 1.9)
+            q = p + 10.0 ** rng.uniform(-3, 0.5)
+            u = HaarExpansion.scalar(level, coeffs)
+            if u.is_zero:
+                continue
+            try:
+                f = factorize(u, p, q)
+            except OverflowError:
+                outcomes.append("raised")
+                continue
+            assert verify_factorization(u, f)
+            outcomes.append("verified")
+        assert {"raised", "verified"} <= set(outcomes)
+
 
 class TestVerifyFactorization:
     def test_accepts_factorize_output(self):
@@ -232,19 +267,24 @@ class TestLatticeNormEstimate:
                 1 - 1e-12
             )
 
-    def test_chain_tolerance_is_relative_only(self):
+    def test_chain_tolerance_is_relative_only(self, monkeypatch):
         # the r-th mean equals ||z||^q up to _CHAIN_RTOL relative, with no
         # absolute slack: weights 2e-9 too large fail it, in the library and
-        # in the oracle, though the chain's values are near 1
+        # in the oracle, though the chain's values are near 1. A
+        # factorization built from dicts keeps no measure, so
+        # `x0_norm_estimate` takes the one `pisier.weights_tl` gives
         p, q = 1.5, 3.0
         for seed in range(4):
             u = random_scalar(np.random.default_rng([22, seed]), 6)
             m = pietsch.weights_tl(u, p, q)
-            f = pisier._factorize(u, p, q, theta(p, q), m)
+            built = pisier._factorize(u, p, q, theta(p, q), m)
+            f = Factorization(x=built.x, y=built.y, theta=built.theta, p=p, q=q)
             off = replace(m, weights={k: w * (1 + 2e-9) for k, w in m.weights.items()})
-            assert pisier._x0_norm_estimate(f, u, 4, seed, m) > 0.0
+            monkeypatch.setattr(pisier, "weights_tl", lambda *args: m)
+            assert x0_norm_estimate(f, u, 4, seed) > 0.0
+            monkeypatch.setattr(pisier, "weights_tl", lambda *args: off)
             with pytest.raises(VerificationError, match="r-th weighted mean"):
-                pisier._x0_norm_estimate(f, u, 4, seed, off)
+                x0_norm_estimate(f, u, 4, seed)
             with pytest.raises(VerificationError, match="r-th weighted mean"):
                 pisier_oracle.x0_norm_estimate(f, u, 4, seed, off)
 
@@ -628,7 +668,10 @@ class TestNoKeyHashed:
             assert factorize(u, 1.5, 3.0) == f
             assert verify_factorization(u, f) is verdict is True
             assert x0_norm_estimate(f, u, 8) == estimate
-            assert pisier._x0_norm_estimate(f, u, 8, 0, m) == estimate
+            # built from dicts, f keeps no measure: the estimate takes a
+            # fresh `weights_tl`, still with no by-key read
+            from_dicts = Factorization(x=f.x, y=f.y, theta=f.theta, p=f.p, q=f.q)
+            assert x0_norm_estimate(from_dicts, u, 8) == estimate
             reversed_f = Factorization(
                 x=dict(reversed(f.x.items())), y=f.y, theta=f.theta, p=f.p, q=f.q
             )

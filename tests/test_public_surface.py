@@ -52,6 +52,7 @@ PUBLIC = [
 ]
 
 REMOVED = [
+    ("atomic", "_verify_rows"),
     ("dyadic", "generation_decay_check"),
     ("dyadic", "maximal_intervals"),
     ("haar", "StepFunction"),
@@ -65,7 +66,9 @@ REMOVED = [
     ("haar", "q_variation"),
     ("haar", "square_function"),
     ("haar", "square_leaf_sums"),
+    ("pietsch", "_check_rows"),
     ("pietsch", "h2_measure"),
+    ("pisier", "_x0_norm_estimate"),
 ]
 
 
