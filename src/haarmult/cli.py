@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import replace
 from typing import Any
@@ -193,17 +194,34 @@ def gen_random(
 def _gen_with_rng(
     rng: np.random.Generator, max_level: int, dimension: int, density: float
 ) -> HaarExpansion:
+    """The draw of `gen_random` from `rng`, whose bit generator must be
+    PCG64 (TypeError otherwise): per dyadic interval, in support order, a
+    density test and, for an interval it keeps, `dimension` normals."""
     empty = HaarExpansion(max_level, dimension, {})  # the constructor's checks, before any draw
     max_level, dimension = empty.max_level, empty.dimension
-    intervals, rows = [], []
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError(f"the draw needs a PCG64 generator, got {type(bits).__name__}")
+    # The stream of `rng.random() < density` and then `standard_normal(d)`
+    # per interval, which `bench/refs.json` pins, at one scalar call per
+    # draw: on PCG64 `random()` is (raw >> 11) * 2^-53 for one raw draw, so
+    # it is below density exactly when raw >> 11 < density * 2^53, that is
+    # raw < cut; and d scalar normals are the stream of one
+    # `standard_normal(d)`.
+    cut = math.ceil(density * 2**53) << 11
+    raw, normal, coordinates = bits.random_raw, rng.standard_normal, range(dimension)
+    levels, positions, entries = [], [], []
     for level in range(max_level + 1):
         for pos in range(1 << level):
-            if rng.random() < density:
-                intervals.append(DyadicInterval(level, pos))
-                rows.append(rng.standard_normal(dimension))
+            if raw() < cut:
+                levels.append(level)
+                positions.append(pos)
+                for _ in coordinates:
+                    entries.append(normal())
     # drawn in support order, so the rows go in as they are
-    levels, positions = np.array(intervals, dtype=np.int64).reshape(-1, 2).T.copy()
-    values = np.array(rows).reshape(len(rows), dimension)
+    intervals = list(map(DyadicInterval, levels, positions))
+    values = np.array(entries, dtype=float).reshape(len(intervals), dimension)
+    levels, positions = np.array(levels, dtype=np.int64), np.array(positions, dtype=np.int64)
     return HaarExpansion._from_rows(max_level, dimension, intervals, levels, positions, values)
 
 
@@ -391,14 +409,15 @@ def run_verification(
             check("vector_h2_identity").record(h2_ok, seed, trial)
 
     passed = all(c.passed for c in checks.values())
+    # Python numbers, which `dump_json` writes, also for numpy arguments
     flags = {
-        "p": p,
-        "q": q,
-        "trials": trials,
-        "seed": seed,
-        "density": density,
-        "max_level": max_level,
-        "dimension": dimension,
+        "p": float(p),
+        "q": None if q is None else float(q),
+        "trials": operator.index(trials),
+        "seed": operator.index(seed),
+        "density": float(density),
+        "max_level": operator.index(max_level),
+        "dimension": operator.index(dimension),
     }
     if mutant:
         flags["inject_mutant"] = mutant

@@ -50,7 +50,7 @@ class DyadicInterval(_LevelPosition):
             raise ValueError(f"level must be nonnegative, got {level}")
         if not 0 <= position < (1 << level):
             raise ValueError(f"position must lie in [0, 2^{level}), got {position}")
-        return super().__new__(cls, level, position)
+        return tuple.__new__(cls, (level, position))
 
     @classmethod
     def _make(cls, iterable: Iterable[int]) -> "DyadicInterval":

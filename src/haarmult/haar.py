@@ -14,7 +14,12 @@ sorted), as the `support` tuple and as read-only arrays: `levels`,
 the stopping time, the block statistics, the weights, the multiplier check)
 read those arrays. The `coeffs` mapping is built from them on first access,
 so a product phi * u or a convexification builds no dict unless a caller
-reads it.
+reads it. The constructor checks a mapping in one loop on its Python
+objects: the key types first, then per interval in support order its
+level, its value and its length, so a level past max_level is refused
+before anything becomes int64; then `np.fromiter` builds the arrays in one
+pass each. A random draw (`cli._gen_with_rng`) hands its rows, already in
+support order, to `HaarExpansion._from_rows`.
 
 Every sum sum_I v_I 1_I on a hot path goes through `_cells`, on the grid
 of the support (`_Grid`), which each public call builds at most once from
@@ -125,14 +130,21 @@ _MAX_LEVEL = 61
 _TEXT = (str, bytes, bytearray)
 
 
-def _is_text(value: object) -> bool:
-    """Whether a coefficient entry is text: a str, bytes or bytearray (numpy
-    string scalars included), a numpy string array, or a 0-d array holding
-    text."""
+def _unreal(value: object) -> str:
+    """What a coefficient entry is when it is not a real number, else "":
+    "text" for a str, bytes or bytearray (numpy string scalars included) or
+    a numpy string array, "complex" for a complex number or a numpy complex
+    scalar or array, whose imaginary part a float conversion would drop. A
+    0-d array is read as its item."""
     if isinstance(value, np.ndarray) and value.ndim == 0:
         value = value.item()
     dtype = getattr(value, "dtype", None)
-    return isinstance(value, _TEXT) or isinstance(dtype, np.dtype) and dtype.kind in "SU"
+    kind = dtype.kind if isinstance(dtype, np.dtype) else ""
+    if isinstance(value, _TEXT) or kind in ("S", "U"):
+        return "text"
+    if isinstance(value, complex) or kind == "c":
+        return "complex"
+    return ""
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -151,7 +163,8 @@ class HaarExpansion(_Immutable):
     be finite; a number given as a value (a Python or numpy scalar, or any
     0-d array) is the vector of length 1. Text is refused, never parsed: a key that is
     not an interval, and a str, bytes or numpy string value or entry, raise
-    TypeError naming it.
+    TypeError naming it; so does a complex value or entry, whose imaginary
+    part a float conversion would drop.
 
     The support is kept once, row j for the j-th interval of ``support``: the
     ``support`` tuple and read-only arrays ``levels`` and ``positions``
@@ -195,11 +208,15 @@ class HaarExpansion(_Immutable):
             if isinstance(raw, (int, float)):
                 vector = (float(raw),)
             else:
-                # a 0-d array, or text to refuse below, is one entry
-                single = isinstance(raw, _TEXT) or getattr(raw, "ndim", None) == 0
+                # a 0-d array, or text or a complex number to refuse below, is one entry
+                single = isinstance(raw, (*_TEXT, complex)) or getattr(raw, "ndim", None) == 0
                 entries = (raw,) if single else tuple(raw)
-                if any(map(_is_text, entries)):
-                    raise TypeError(f"coefficient at {interval} is text, {raw!r}, not numbers")
+                refused = next(filter(None, map(_unreal, entries)), "")
+                if refused:
+                    wanted = "numbers" if refused == "text" else "real numbers"
+                    raise TypeError(
+                        f"coefficient at {interval} is {refused}, {raw!r}, not {wanted}"
+                    )
                 vector = tuple(map(float, entries))
             if len(vector) != dimension:
                 raise ValueError(
@@ -207,9 +224,11 @@ class HaarExpansion(_Immutable):
                     f"expected {dimension}"
                 )
             rows.append(vector)
-        keys = np.array(intervals, dtype=np.int64).reshape(len(intervals), 2)
-        levels, positions = keys.T.copy()
-        values = np.array(rows, dtype=float).reshape(len(rows), dimension)
+        # every level is at most max_level, so each key fits in int64
+        n = len(intervals)
+        keys = np.fromiter(chain.from_iterable(intervals), np.int64, 2 * n)
+        levels, positions = keys[0::2].copy(), keys[1::2].copy()
+        values = np.fromiter(chain.from_iterable(rows), float, n * dimension).reshape(n, dimension)
         self._store(max_level, dimension, intervals, levels, positions, values)
 
     @classmethod

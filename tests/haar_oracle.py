@@ -1,8 +1,9 @@
 """Reference implementations of the expansion hot paths, kept from the
 per-coefficient loops that the support arrays replaced: the constructor's
-validation loop, the multiplier, and the set-based stopping-time
-assignment, which steps through every k and reads its parents from
-`dyadic_oracle`; the pointwise value of a Haar function, for direct
+validation loop (`cleaned_coeffs`), the constructor as it built its
+arrays from lists (`construct`), the multiplier, and the set-based
+stopping-time assignment, which steps through every k and reads its
+parents from `dyadic_oracle`; the pointwise value of a Haar function, for direct
 evaluation of Haar sums; the sub-expansion on a set of intervals, which
 the library builds from support rows instead; `push_down`, the per-level
 leaf accumulation that the painted leaf grid of `haar._Grid` replaced, and
@@ -15,11 +16,12 @@ library's own cell sums onto the leaves, for the tests to compare; nor is
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from haarmult import HaarExpansion, IntervalFamily
+from haarmult import DyadicInterval, HaarExpansion, IntervalFamily
 from haarmult.atomic import AtomicPiece
 from haarmult.errors import VerificationError
 from haarmult.haar import _cells, _on_atoms, _support_grid
@@ -129,6 +131,64 @@ def cleaned_coeffs(max_level, dimension, coeffs):
         if any(vector):
             cleaned[interval] = vector
     return cleaned
+
+
+def _is_text(value):
+    """A text entry of a coefficient, as the constructor read it before it
+    also refused complex entries."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value.item()
+    dtype = getattr(value, "dtype", None)
+    return isinstance(value, (str, bytes, bytearray)) or isinstance(dtype, np.dtype) and dtype.kind in "SU"
+
+
+def construct(max_level, dimension, coeffs):
+    """`HaarExpansion(max_level, dimension, coeffs)` as the constructor built
+    it from lists, with `np.array` over the interval tuples and the value
+    rows: the same validation loop, its checks in the same order, and the
+    rows handed to `_from_rows`. Not for complex values, which it stored
+    without their imaginary part (with a ComplexWarning)."""
+    try:
+        max_level, dimension = operator.index(max_level), operator.index(dimension)
+    except TypeError:
+        message = f"max_level and dimension must be integers, got {max_level!r}, {dimension!r}"
+        raise TypeError(message) from None
+    if max_level < 0:
+        raise ValueError(f"max_level must be nonnegative, got {max_level}")
+    if max_level > 61:
+        raise ValueError(
+            f"max_level {max_level} exceeds 61, the deepest level "
+            f"whose leaf arithmetic fits in int64"
+        )
+    if dimension < 1:
+        raise ValueError(f"dimension must be positive, got {dimension}")
+    for key in coeffs:
+        if not isinstance(key, DyadicInterval):
+            raise TypeError(f"coefficient key {key!r} is not a DyadicInterval")
+    intervals = sorted(coeffs)
+    rows = []
+    for interval in intervals:
+        if interval.level > max_level:
+            raise ValueError(f"interval {interval} exceeds max level {max_level}")
+        raw = coeffs[interval]
+        if isinstance(raw, (int, float)):
+            vector = (float(raw),)
+        else:
+            single = isinstance(raw, (str, bytes, bytearray)) or getattr(raw, "ndim", None) == 0
+            entries = (raw,) if single else tuple(raw)
+            if any(map(_is_text, entries)):
+                raise TypeError(f"coefficient at {interval} is text, {raw!r}, not numbers")
+            vector = tuple(map(float, entries))
+        if len(vector) != dimension:
+            raise ValueError(
+                f"coefficient at {interval} has length {len(vector)}, "
+                f"expected {dimension}"
+            )
+        rows.append(vector)
+    keys = np.array(intervals, dtype=np.int64).reshape(len(intervals), 2)
+    levels, positions = keys.T.copy()
+    values = np.array(rows, dtype=float).reshape(len(rows), dimension)
+    return HaarExpansion._from_rows(max_level, dimension, intervals, levels, positions, values)
 
 
 def evaluate_haar(interval, t):

@@ -8,9 +8,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_ops.py"
 LINE = re.compile(
-    r"(?P<name>[a-z-]+): parent \d+\.\d{6} s, change \d+\.\d{6} s, "
+    r"(?P<name>[a-z-]+(?: make_input)?): parent \d+\.\d{6} s, change \d+\.\d{6} s, "
     r"ratio \d+\.\d{3}, change won (?P<won>\d+)/2"
 )
+NAMES = ["deep-hardy", "factor-sampling", "sparse-deep", "verify-suite"]
 
 
 def run(*args):
@@ -19,16 +20,24 @@ def run(*args):
     )
 
 
-def test_one_tree_against_itself():
+def run_against_itself(*args):
+    """The tool's lines for this tree against itself at 2 pairs, matched."""
     src = str(ROOT / "src")
-    done = run(src, src, "--pairs", "2")
+    done = run(src, src, "--pairs", "2", *args)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     matches = [LINE.fullmatch(line) for line in lines]
     assert all(matches), lines
-    names = [match["name"] for match in matches]
-    assert names == ["deep-hardy", "factor-sampling", "sparse-deep", "verify-suite"]
     assert all(0 <= int(match["won"]) <= 2 for match in matches)
+    return [match["name"] for match in matches]
+
+
+def test_one_tree_against_itself():
+    assert run_against_itself() == NAMES
+
+
+def test_setup_one_tree_against_itself():
+    assert run_against_itself("--setup") == [f"{name} make_input" for name in NAMES]
 
 
 def test_unknown_workload_is_a_usage_error():

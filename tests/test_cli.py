@@ -150,7 +150,9 @@ class TestLoadSave:
 
 def dict_draw(max_level, dimension, density, seed):
     """`gen_random` as it drew before its rows went in as they are: each
-    drawn coefficient into a dict, which the constructor sorts and checks."""
+    drawn coefficient into a dict, which the constructor sorts and checks,
+    from `np.random.default_rng(seed)`, one `random()` and one
+    `standard_normal(dimension)` per drawn interval."""
     rng = np.random.default_rng(seed)
     coeffs = {}
     for level in range(max_level + 1):
@@ -162,19 +164,55 @@ def dict_draw(max_level, dimension, density, seed):
     return HaarExpansion(max_level, dimension, coeffs)
 
 
+def assert_same_draw(got, want):
+    assert got.support == want.support
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.squares.tobytes() == want.squares.tobytes()
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.positions, want.positions)
+    assert got.levels.dtype == got.positions.dtype == np.int64
+    assert got.coeffs == want.coeffs
+
+
 class TestGenRandom:
-    @pytest.mark.parametrize("max_level, dimension", [(0, 1), (6, 1), (6, 2), (8, 3)])
-    @pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("max_level, dimension", [(0, 1), (6, 1), (6, 2), (8, 3), (12, 1)])
+    @pytest.mark.parametrize("density", [0.01, 0.1, 0.5, 1.0])
     def test_matches_dict_draw(self, max_level, dimension, density):
         for seed in range(3):
             got = gen_random(max_level, dimension, density, seed)
-            want = dict_draw(max_level, dimension, density, seed)
-            assert got.support == want.support
-            assert got.values.tobytes() == want.values.tobytes()
-            assert got.squares.tobytes() == want.squares.tobytes()
-            assert np.array_equal(got.levels, want.levels)
-            assert np.array_equal(got.positions, want.positions)
-            assert got.coeffs == want.coeffs
+            assert_same_draw(got, dict_draw(max_level, dimension, density, seed))
+
+    def test_density_test_exact_at_its_boundary(self):
+        # at the first draw of random() as the density the one interval of
+        # max level 0 is left out, and one float up it is kept, as the
+        # dict draw's `random() < density` decides
+        kept = []
+        for seed in range(20):
+            first = np.random.default_rng(seed).random()
+            for density in (np.nextafter(first, 0.0), first, np.nextafter(first, 1.0)):
+                got = gen_random(0, 1, float(density), seed)
+                assert_same_draw(got, dict_draw(0, 1, float(density), seed))
+                kept.append(not got.is_zero)
+        assert kept == [False, False, True] * 20
+
+    @pytest.mark.parametrize("max_level, density", [(2, 0.05), (6, 0.5)])
+    def test_trial_draw_matches_dict_draw(self, max_level, density):
+        # at max level 2 and density 0.05, 7 intervals are all left out in
+        # about 70% of the draws, so the retries run too
+        for seed in range(3):
+            for trial in range(4):
+                got = _trial_expansion(seed, trial, max_level, 2, density)
+                for attempt in range(64):
+                    want = dict_draw(max_level, 2, density, [seed, trial, attempt])
+                    if not want.is_zero:
+                        break
+                assert_same_draw(got, want)
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_bit_generator_other_than_pcg64_refused(self, bits):
+        rng = np.random.Generator(bits(0))
+        with pytest.raises(TypeError, match=f"needs a PCG64 generator, got {bits.__name__}"):
+            cli._gen_with_rng(rng, 3, 1, 0.5)
 
     def test_draw_builds_no_dict(self, monkeypatch):
         # the constructor runs once, on no coefficients, for its checks
@@ -591,6 +629,19 @@ class TestVerifyCommand:
         assert weight_sum["failure_count"] == 25
         assert len(weight_sum["failures"]) == 20
         assert "failure_count" not in payload["checks"]["decay_bound"]
+
+    def test_numpy_arguments_dump_as_python_numbers(self):
+        # numpy integers were echoed into the flags, which `dump_json`
+        # refused: "Object of type int64 is not JSON serializable"
+        flags = dict(p=1.5, q=3.0, trials=2, seed=4, density=0.5, max_level=4, dimension=2)
+        numpy_flags = {
+            key: (np.int64 if isinstance(value, int) else np.float64)(value)
+            for key, value in flags.items()
+        }
+        report = run_verification(**numpy_flags)
+        assert all(type(report["flags"][key]) is type(value) for key, value in flags.items())
+        assert dump_json(report) == dump_json(run_verification(**flags))
+        assert run_verification(**{**numpy_flags, "q": None})["flags"]["q"] is None
 
     def test_overflowing_convexification_exit_two(self, capsys):
         code = main(["verify", "--p", "1.5", "--q", "1e6", "--trials", "1"])

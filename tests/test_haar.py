@@ -171,6 +171,28 @@ class TestExpansion:
         assert u == HaarExpansion(3, 2, {iv(1, 1): (1.0, 2.0)})
         assert hp_norm(u, 1.5) == hp_norm(HaarExpansion(3, 2, {iv(1, 1): (1.0, 2.0)}), 1.5)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            np.complex128(1 + 2j),
+            1 + 2j,
+            np.complex64(1j),
+            np.array(1 + 0j),
+            np.array([1 + 2j]),
+            [1.0, 2j],
+            (1.0, np.complex128(3j)),
+            np.array([1 + 2j, 3j]),
+            [np.array(4j), 1.0, 2.0],
+        ],
+    )
+    def test_complex_values_refused(self, raw):
+        # np.complex128(1+2j) was stored as 1.0 with a ComplexWarning,
+        # np.array([1+2j, 3j]) as (1.0, 0.0), and a Python complex raised
+        # "'complex' object is not iterable"; each is refused, naming the interval
+        dimension = len(raw) if np.ndim(raw) else 1
+        with pytest.raises(TypeError, match=r"coefficient at 1/1 is complex, .*, not real numbers"):
+            HaarExpansion(3, dimension, {iv(0, 0): [1.0] * dimension, iv(1, 1): raw})
+
     @pytest.mark.parametrize("key", [(0, 0), "0/0", 0, None])
     def test_foreign_keys_refused(self, key):
         with pytest.raises(TypeError, match=r"coefficient key .* is not a DyadicInterval"):
@@ -257,6 +279,118 @@ class TestExpansion:
         m = weights_tl(u, 1.0, 1.0)
         with pytest.raises(ValueError, match="coefficient at 1/1 is not finite"):
             check_multiplier_bound(u, 1.0, {iv(1, 1): 1e308}, m, q=1.0)
+
+
+def _outcome(build, max_level, dimension, coeffs):
+    """What a constructor gives: the support and each array's dtype, shape
+    and bytes, or the type and message of its error."""
+    try:
+        u = build(max_level, dimension, coeffs)
+    except Exception as exc:  # the error is compared too
+        return type(exc), str(exc)
+    arrays = (u.levels, u.positions, u.values, u.squares)
+    return u.support, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+# each kind builds a value from a vector x of small integers as floats; a
+# scalar kind gives a length-1 value, which at d > 1 both constructors refuse
+_SCALAR_KINDS = {
+    "int": lambda x: int(x[0]),
+    "bool": lambda x: bool(x[0]),
+    "float": lambda x: float(x[0]) / 3,
+    "np.float64": lambda x: np.float64(x[0] / 3),
+    "np.float32": lambda x: np.float32(x[0] / 3),
+    "np.int64": lambda x: np.int64(x[0]),
+    "np.bool_": lambda x: np.bool_(x[0]),
+    "0-d array": lambda x: np.array(x[0] / 7),
+    "0-d int8 array": lambda x: np.array(x[0], dtype=np.int8),
+}
+_VECTOR_KINDS = {
+    "list": lambda x: (x / 3).tolist(),
+    "tuple": lambda x: tuple((x / 3).tolist()),
+    "int list": lambda x: [int(c) for c in x],
+    "bool tuple": lambda x: tuple(bool(c) for c in x),
+    "array": lambda x: x / 3,
+    "float32 array": lambda x: (x / 3).astype(np.float32),
+    "int array": lambda x: x.astype(np.int64),
+    "numpy scalar list": lambda x: [np.float64(c / 3) for c in x],
+    "0-d array list": lambda x: [np.array(c / 5) for c in x],
+}
+_VALUE_KINDS = {**_SCALAR_KINDS, **_VECTOR_KINDS}
+
+
+def _drawn_coeffs(rng, max_level, dimension, kinds):
+    """About 40 random intervals, some with a zero vector, each value of a
+    kind drawn from `kinds`."""
+    coeffs = {}
+    for _ in range(40):
+        level = int(rng.integers(0, max_level + 1))
+        interval = iv(level, int(rng.integers(0, 1 << level)))
+        x = rng.integers(-3, 4, dimension).astype(float)
+        coeffs[interval] = _VALUE_KINDS[kinds[int(rng.integers(0, len(kinds)))]](x)
+    return coeffs
+
+
+class TestConstructorOracle:
+    """The constructor against its list-built form in `haar_oracle.construct`:
+    equal arrays, or an error of the same type with the same message."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(_VALUE_KINDS))
+    def test_value_kinds(self, kind, dimension):
+        rng = np.random.default_rng([dimension, sorted(_VALUE_KINDS).index(kind)])
+        for _ in range(5):
+            coeffs = _drawn_coeffs(rng, 5, dimension, [kind])
+            want = _outcome(haar_oracle.construct, 5, dimension, coeffs)
+            assert _outcome(HaarExpansion, 5, dimension, coeffs) == want
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_mixed_kinds(self, dimension):
+        rng = np.random.default_rng(dimension)
+        for _ in range(20):
+            kinds = sorted(_VALUE_KINDS if dimension == 1 else _VECTOR_KINDS)
+            coeffs = _drawn_coeffs(rng, 6, dimension, kinds)
+            want = _outcome(haar_oracle.construct, 6, dimension, coeffs)
+            assert _outcome(HaarExpansion, 6, dimension, coeffs) == want
+
+    @pytest.mark.parametrize(
+        "max_level, dimension, coeffs",
+        [
+            (3, 1, {iv(1, 0): 1.0, (0, 0): 1.0}),
+            (3, 1, {iv(0, 0): 1.0, "0/0": 1.0}),
+            (3, 2, {iv(0, 0): (1.0, 2.0), iv(1, 1): "15"}),
+            (3, 2, {iv(0, 0): (1.0, 2.0), iv(1, 1): [1.0, b"5"]}),
+            (3, 1, {iv(0, 0): 1.0, iv(1, 1): np.array("7")}),
+            (3, 3, {iv(0, 0): (1.0, 2.0, 3.0), iv(2, 1): (1.0, 2.0)}),
+            (3, 1, {iv(0, 0): 1.0, iv(2, 1): math.nan}),
+            (3, 2, {iv(0, 0): (1.0, 2.0), iv(2, 1): np.array([np.inf, 0.0])}),
+            (3, 1, {iv(0, 0): -math.inf}),
+            # the length of a finer row is checked before the NaN of a coarser one
+            (3, 1, {iv(0, 0): math.nan, iv(2, 1): (1.0, 2.0)}),
+            (3, 1, {iv(0, 0): 1.0, iv(4, 1): 1.0}),
+            (3, 1, {iv(70, (1 << 70) - 1): 1.0}),
+            (3, 1, {iv(70, 5): 1.0, iv(1, 1): "7"}),
+            (3.5, 1, {iv(0, 0): 1.0}),
+            (-1, 1, {}),
+            (62, 1, {}),
+            (3, 0, {}),
+            (3, 1, {iv(0, 0): None}),
+        ],
+    )
+    def test_malformed_input(self, max_level, dimension, coeffs):
+        want = _outcome(haar_oracle.construct, max_level, dimension, coeffs)
+        assert isinstance(want[0], type) and issubclass(want[0], Exception)
+        assert _outcome(HaarExpansion, max_level, dimension, coeffs) == want
+
+    def test_level_past_int64_refused_in_sorted_order(self):
+        # a level-70 interval is refused on its Python ints, at its place in
+        # support order: after the text on a coarser row, and alone with
+        # the level ValueError, not an OverflowError from an int64 array
+        deep = iv(70, 5)
+        with pytest.raises(TypeError, match="coefficient at 1/1 is text"):
+            HaarExpansion(3, 1, {deep: 1.0, iv(1, 1): "7"})
+        with pytest.raises(ValueError, match="interval 70/5 exceeds max level 3"):
+            HaarExpansion(3, 1, {deep: 1.0})
 
 
 class TestEvaluateHaar:
