@@ -24,7 +24,8 @@ sort, `_block_order`. The h2 check passes the squares of phi * u to the
 verifier's block pass on u's own grid. `verify_decomposition` is the one
 verification core, and `decompose` verifies through it: a decomposition
 given as pieces is mapped onto the support rows once (`_member_rows`) and
-checked the same way.
+checked the same way. The constant of the lower norm chain is
+`_lower_constant`, which the vector multiplier check of `pietsch` reads too.
 
 Every function of the square sums runs on the grid of u's support
 (`haar._Grid`): the atoms cut out by the support's endpoints when the
@@ -345,6 +346,14 @@ def appendix_constant(p: float, carleson: float | Fraction) -> float:
     return 1.0 + 4.0 ** (1.0 / p) * ratio / (1.0 - ratio)
 
 
+def _lower_constant(u: HaarExpansion, p: float, carleson: float | Fraction) -> float:
+    """The constant a_p of the lower norm chain a_p ||u||^p <= sum_i ||u_i||^p
+    for blocks whose tops have Carleson constant `carleson`: 1 for a scalar
+    u or p <= 1, else `appendix_constant(p, carleson) ** -p`. The verifier
+    takes it at the tops' constant, the vector multiplier check at 4."""
+    return 1.0 if u.dimension == 1 or p <= 1 else appendix_constant(p, carleson) ** (-p)
+
+
 def _block_stats(
     u: HaarExpansion,
     p: float,
@@ -546,10 +555,7 @@ def verify_decomposition(
         block_sum += piece_norm_p
         top_sum += piece_bound
 
-    if u.dimension == 1 or p <= 1:
-        lower_constant = 1.0
-    else:
-        lower_constant = appendix_constant(p, max(tops_carleson, 1)) ** (-p)
+    lower_constant = _lower_constant(u, p, max(tops_carleson, 1))
     chain_lower_ok = lower_constant * norm_p_p <= block_sum * (1 + _ROUNDING_RTOL)
     observed_ratio = top_sum / norm_p_p if norm_p_p else math.inf
 

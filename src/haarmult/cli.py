@@ -47,11 +47,10 @@ from .haar import (
 from .pietsch import (
     PietschMeasure,
     _assemble,
+    _weights,
     check_multiplier_bounds,
     validate_measure,
-    weights_hp,
     weights_tl,
-    weights_vector,
 )
 from .pisier import (
     _factorize,
@@ -102,7 +101,11 @@ def _is_json_int(value: Any) -> bool:
 
 
 def load(path: str) -> HaarExpansion:
-    """Read an expansion file; every schema violation gets its own message."""
+    """Read an expansion file; every schema violation gets its own message.
+    The JSON types, finiteness and duplicates are checked here; the ranges
+    of max level, dimension, levels, positions and value lengths are the
+    checks of `DyadicInterval` and `HaarExpansion`, whose ValueError comes
+    back as ExpansionFormatError with the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -113,57 +116,47 @@ def load(path: str) -> HaarExpansion:
     max_level = data.get("max_level")
     dimension = data.get("dimension")
     entries = data.get("coefficients")
-    if not (_is_json_int(max_level) and _is_json_int(dimension) and entries is not None):
+    if not (_is_json_int(max_level) and _is_json_int(dimension) and isinstance(entries, list)):
         raise ExpansionFormatError(
             f"{path}: need integer max_level, integer dimension and a "
             f"coefficients list"
         )
-    if max_level < 0 or dimension < 1 or not isinstance(entries, list):
-        raise ExpansionFormatError(
-            f"{path}: max_level must be >= 0, dimension >= 1, coefficients a list"
-        )
-    coeffs: dict[DyadicInterval, tuple[float, ...]] = {}
-    for entry in entries:
-        if not isinstance(entry, dict):
-            entry = {}
-        level, pos, raw = entry.get("level"), entry.get("pos"), entry.get("value")
-        if not (
-            _is_json_int(level)
-            and _is_json_int(pos)
-            and isinstance(raw, list)
-            and all(_is_json_int(v) or isinstance(v, float) for v in raw)
-        ):
-            raise ExpansionFormatError(
-                f"{path}: each coefficient needs integer level and pos and a "
-                f"list of numbers as value"
-            )
-        if not 0 <= level <= max_level:
-            raise ExpansionFormatError(
-                f"{path}: level {level} outside [0, {max_level}]"
-            )
-        if not 0 <= pos < (1 << level):
-            raise ExpansionFormatError(
-                f"{path}: position {pos} outside [0, 2^{level}) at level {level}"
-            )
-        if len(raw) != dimension:
-            raise ExpansionFormatError(
-                f"{path}: value length {len(raw)} != dimension {dimension}"
-            )
-        interval = DyadicInterval(level, pos)
-        try:
-            value = tuple(map(float, raw))
-        except OverflowError:  # a JSON integer past the float range
-            value = (math.inf,)
-        if not all(map(math.isfinite, value)):
-            raise ExpansionFormatError(
-                f"{path}: coefficient at {interval} is not a finite float"
-            )
-        if interval in coeffs:
-            raise ExpansionFormatError(
-                f"{path}: duplicate coefficient for interval {interval}"
-            )
-        coeffs[interval] = value
-    return HaarExpansion(max_level, dimension, coeffs)
+    try:
+        HaarExpansion(max_level, dimension, {})  # the constructor's checks of both, first
+        coeffs: dict[DyadicInterval, tuple[float, ...]] = {}
+        for entry in entries:
+            if not isinstance(entry, dict):
+                entry = {}
+            level, pos, raw = entry.get("level"), entry.get("pos"), entry.get("value")
+            if not (
+                _is_json_int(level)
+                and _is_json_int(pos)
+                and isinstance(raw, list)
+                and all(_is_json_int(v) or isinstance(v, float) for v in raw)
+            ):
+                raise ExpansionFormatError(
+                    f"{path}: each coefficient needs integer level and pos and a "
+                    f"list of numbers as value"
+                )
+            interval = DyadicInterval(level, pos)
+            try:
+                value = tuple(map(float, raw))
+            except OverflowError:  # a JSON integer past the float range
+                value = (math.inf,)
+            if not all(map(math.isfinite, value)):
+                raise ExpansionFormatError(
+                    f"{path}: coefficient at {interval} is not a finite float"
+                )
+            if interval in coeffs:
+                raise ExpansionFormatError(
+                    f"{path}: duplicate coefficient for interval {interval}"
+                )
+            coeffs[interval] = value
+        return HaarExpansion(max_level, dimension, coeffs)
+    except ExpansionFormatError:
+        raise
+    except ValueError as exc:  # a range the constructors refuse
+        raise ExpansionFormatError(f"{path}: {exc}") from exc
 
 
 def save(path: str, u: HaarExpansion) -> None:
@@ -307,7 +300,9 @@ def run_verification(
     the factorization route when additionally 1 < p < q), and the vector
     route when dimension > 1. A trial draws u straight into support rows
     and builds u's grid once; the decay bound reads that grid's parent
-    table (`dyadic._decay_verdicts`), so no support family is built. Each
+    table (`dyadic._decay_verdicts`), so no support family is built, and
+    the Hardy and TL measures are built on it (|u|^(q/2) has u's support
+    arrays), so a trial builds the grids of u and uv alone. Each
     trial decomposes u, |u|^(q/2) and uv once, and every later step reads
     that decomposition's report, block rows and weights, and the vector h2
     identity its block pass (`_h2_sides`).
@@ -380,7 +375,7 @@ def run_verification(
         check_weights("hp", u, m).track("constant", m.normalizer ** (1.0 / p))
 
         if run_tl:
-            mt = weights_tl(u, p, q)
+            mt = _weights(u, p, q, grid)
             check_weights("tl", u, mt, q)
 
         if run_pisier:
@@ -536,12 +531,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.command == "pietsch":
         u = load(args.file)
-        if args.q is not None:
-            m = weights_tl(u, args.p, args.q)
-        elif u.dimension > 1:
-            m = weights_vector(u, args.p)
-        else:
-            m = weights_hp(u, args.p)
+        m = _weights(u, args.p) if args.q is None else weights_tl(u, args.p, args.q)
         payload = {
             "weights": m.weights,  # `dump_json` writes each key as str(interval)
             "A": m.normalizer,

@@ -21,6 +21,7 @@ transcendental right side of the generation decay bound is a float.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
@@ -41,14 +42,22 @@ class DyadicInterval(_LevelPosition):
     Positions are 0-based: level n splits [0,1) into slots 0 .. 2^n - 1.
     Any two dyadic intervals are either disjoint or nested. An interval is
     the tuple (level, position): it hashes, compares and sorts as that tuple.
+    Both are integers (`operator.index`: a Python or numpy integer, kept as
+    int), else TypeError; the position's range is tested by a shift, so no
+    2^level is built.
     """
 
     __slots__ = ()
 
     def __new__(cls, level: int, position: int) -> "DyadicInterval":
+        try:
+            level, position = operator.index(level), operator.index(position)
+        except TypeError:
+            message = f"level and position must be integers, got {level!r}, {position!r}"
+            raise TypeError(message) from None
         if level < 0:
             raise ValueError(f"level must be nonnegative, got {level}")
-        if not 0 <= position < (1 << level):
+        if position >> level:  # nonzero for a negative position too
             raise ValueError(f"position must lie in [0, 2^{level}), got {position}")
         return tuple.__new__(cls, (level, position))
 

@@ -128,6 +128,10 @@ _MAX_LEVEL = 61
 
 # text a float conversion would parse, or iterate into characters or bytes
 _TEXT = (str, bytes, bytearray)
+# values that are one entry, not a sequence of entries
+_ONE_ENTRY = (*_TEXT, complex)
+# the entry type that is real as it is, so `_unreal` need not read it
+_FLOAT = frozenset((float,))
 
 
 def _unreal(value: object) -> str:
@@ -209,9 +213,11 @@ class HaarExpansion(_Immutable):
                 vector = (float(raw),)
             else:
                 # a 0-d array, or text or a complex number to refuse below, is one entry
-                single = isinstance(raw, (*_TEXT, complex)) or getattr(raw, "ndim", None) == 0
+                single = isinstance(raw, _ONE_ENTRY) or getattr(raw, "ndim", None) == 0
                 entries = (raw,) if single else tuple(raw)
-                refused = next(filter(None, map(_unreal, entries)), "")
+                # Python floats, the entries `coeffs` and a loaded file give, are real
+                real = _FLOAT.issuperset(map(type, entries))
+                refused = "" if real else next(filter(None, map(_unreal, entries)), "")
                 if refused:
                     wanted = "numbers" if refused == "text" else "real numbers"
                     raise TypeError(

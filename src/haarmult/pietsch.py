@@ -15,7 +15,12 @@ the decomposition's row form (`math.fsum`, or `haar._fsum` for a block as
 long as a row it bins), and the weight constructors read the norm from the
 verification that their `decompose` already ran.
 
-The weight constructors build their measure with
+The three weight constructors build through one core, `_weights(u, p, q,
+grid)`: it refuses the zero expansion, decomposes u at p with summing
+exponent 2 (q None: the Hardy and vector routes) or |u|^(q/2) at 2p/q with
+summing exponent q (the Triebel-Lizorkin route) on one grid of u's support
+(|u|^(q/2) has u's support arrays), and assembles the weights
+(`_assemble`); each constructor adds only its own scalar check. The measure is kept by
 `haar._KeptRows._from_rows`, whose docstring states what a result keeps:
 the weights as a read-only array in support order (the `weights` dict is
 built on first read), the grid of u's support, and, for a Hardy or
@@ -33,11 +38,14 @@ multipliers as a (K, n) array in support order, and `check_multiplier_bound`
 is its K = 1 case on the row read from a phi dict. Per batch it checks the
 measure's keys, reads the weights into a support-order array, takes the
 grid of u's support (`haar._Grid`: the measure's own, else built),
-||u|| (the measure's own, else computed) and C once; the norms
+||u|| (the measure's own, else computed) and C once. The route is one
+line, `q_tl`: a scalar u with s != 2 is checked on the q-variation at
+q = s, any other on the square function, and the vector constant reads
+`atomic._lower_constant` at Carleson constant 4. The norms
 of the K products phi_k * u come from batched `_cells` calls on that grid
 (`haar._product_norms`), with no expansion built. The weight constructors
-build one grid too, which the decomposition inside them and the measure
-keep. Each row's |phi_I|^s w_I is summed by `haar._fsum_rows`, exactly
+build one grid too (`_weights`, which a `verify` trial hands u's), which
+the decomposition inside them and the measure keep. Each row's |phi_I|^s w_I is summed by `haar._fsum_rows`, exactly
 rounded and bit for bit `math.fsum`, so the order of the terms does not
 matter; so are the weights' totals.
 
@@ -68,7 +76,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .atomic import AtomicDecomposition, _block_order, _decompose, appendix_constant
+from .atomic import AtomicDecomposition, _block_order, _decompose, _lower_constant
 from .dyadic import DyadicInterval
 from .errors import VerificationError, ZeroInputError
 from .haar import (
@@ -79,6 +87,7 @@ from .haar import (
     _FSUM_MIN_ROW,
     _fsum,
     _fsum_rows,
+    _Grid,
     _hp_norm,
     _KeptRows,
     _pow,
@@ -183,20 +192,31 @@ def _assemble(
     return m
 
 
-def _weights(u: HaarExpansion, p: float, exponent: float) -> PietschMeasure:
-    """The weights of u's own decomposition, on one grid of u's support; the
-    norm comes from the verification inside that decomposition."""
-    dec, report = _decompose(u, p, _support_grid(u))
+def _weights(
+    u: HaarExpansion, p: float, q: float | None = None, grid: _Grid | None = None
+) -> PietschMeasure:
+    """The weights of every route, on `grid`, else on one fresh grid of u's
+    support: for q None those of u's own decomposition at p, summing
+    exponent 2 (the Hardy and vector routes); for a q those of
+    |u|^(q/2) decomposed at 2p/q, summing exponent q (the Triebel-Lizorkin
+    route). |u|^(q/2) shares u's `levels` and `positions`, so u's grid is
+    its grid too. The norm comes from the verification inside the
+    decomposition."""
+    if u.is_zero:
+        raise ZeroInputError("weights need a nonzero expansion")
+    exponent = 2.0
+    if q is not None:
+        _check_exponents(p, q)
+        u, p, exponent = convexify(u, q), 2.0 * p / q, q
+    dec, report = _decompose(u, p, _support_grid(u) if grid is None else grid)
     return _assemble(u, p, dec, exponent, report.norm_p)
 
 
 def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:
     """Weights for a scalar multiplier into the p-Hardy space, 0 < p <= 2."""
-    if u.is_zero:
-        raise ZeroInputError("weights need a nonzero expansion")
     if u.dimension != 1:
         raise ValueError("weights_hp expects a scalar expansion")
-    return _weights(u, p, 2.0)
+    return _weights(u, p)
 
 
 def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
@@ -207,15 +227,11 @@ def weights_tl(u: HaarExpansion, p: float, q: float) -> PietschMeasure:
     u's support arrays, so the grid the measure keeps is that of u's
     support too.
     """
-    if u.is_zero:
-        raise ZeroInputError("weights need a nonzero expansion")
     if u.dimension != 1:
         raise ValueError(
             "weights_tl expects a scalar expansion: q applies to scalar expansions only"
         )
-    _check_exponents(p, q)
-    powered = convexify(u, q)
-    return _weights(powered, 2.0 * p / q, q)
+    return _weights(u, p, q)
 
 
 def weights_vector(u: HaarExpansion, p: float) -> PietschMeasure:
@@ -226,9 +242,7 @@ def weights_vector(u: HaarExpansion, p: float) -> PietschMeasure:
     the assembled weight w_I = ||u_i||_2^p |I_i|^(1-p/2) mu_I / (A ||u||^p)
     reduces to the same formula as the scalar case with Euclidean norms.
     """
-    if u.is_zero:
-        raise ZeroInputError("weights need a nonzero expansion")
-    return _weights(u, p, 2.0)
+    return _weights(u, p)
 
 
 def check_multiplier_bound(
@@ -241,10 +255,12 @@ def check_multiplier_bound(
     """Evaluate ||phi.u|| <= C ||u|| (sum |phi_I|^s w_I)^(1/s).
 
     The route is chosen by the measure: exponent s = 2 with a scalar u checks
-    the Hardy-space bound with C = A^(1/p); s = q checks the
-    Triebel-Lizorkin bound with C = A^(1/p); a vector u checks the Euclidean
-    vector bound with C = (A / a_p)^(1/p), where a_p is 1 for p <= 1 and the
-    appendix constant (at Carleson constant 4) to the power -p otherwise.
+    the Hardy-space bound on the square function with C = A^(1/p), a TL
+    measure at q = 2 included; s = q != 2 checks the Triebel-Lizorkin bound
+    on the q-variation with C = A^(1/p); a vector u checks the Euclidean
+    vector bound with C = (A / a_p)^(1/p), where a_p is
+    `atomic._lower_constant` at Carleson constant 4: 1 for p <= 1 and the
+    appendix constant to the power -p otherwise.
 
     phi is read at u's support rows (a missing entry counts as 0): in one
     pass over its values when it is a plain dict keyed by u's support in
@@ -277,10 +293,10 @@ def check_multiplier_bounds(
     batches of `haar._batch_rows(grid)` rows. That grid is the one a
     constructor's measure keeps when u has the measure's support and max
     level, else it is built (`haar._KeptRows._grid_for`).
-    On the Hardy and vector routes ||u|| is the norm a constructor's
-    measure kept from its verification when u is the very expansion it was
-    built from and p its p, else it is computed
-    (`haar._KeptRows._built_from`). A negative weighted sum, whose root
+    ||u|| is the norm a constructor's measure kept from its verification
+    when u is the very expansion it was built from and p its p (only a
+    Hardy or vector measure keeps one), else it is computed on the route's
+    norm (`haar._KeptRows._built_from`). A negative weighted sum, whose root
     1/s may not be real, raises ValueError. When a batch fails, its rows go
     again one by one through this check, so a failing row raises what its
     single check raises, the first such row in order.
@@ -305,18 +321,17 @@ def check_multiplier_bounds(
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in Python
             terms = powers * weights
         weighted = _fsum_rows(terms)
-        tl_route = u.dimension == 1 and s != 2.0
-        q_tl = s if tl_route else None
+        q_tl = s if u.dimension == 1 and s != 2.0 else None  # the route
         step = _batch_rows(grid)
         lhs = []
         for lo in range(0, len(phis), step):
             lhs += _product_norms(u, phis[lo : lo + step], p, q_tl, grid)
-        if tl_route:
-            norm = _tl_norm(u, p, s, grid)
-        else:  # the norm the measure's verification computed, when it is u's at p
-            kept = m._built_from(u)
-            norm = kept[1] if kept is not None and kept[0] == p else _hp_norm(u, p, grid)
-        lower = appendix_constant(p, 4) ** (-p) if u.dimension > 1 and p > 1 else 1.0
+        kept = m._built_from(u)
+        if kept is not None and kept[0] == p:  # the norm the measure's verification computed
+            norm = kept[1]
+        else:
+            norm = _hp_norm(u, p, grid) if q_tl is None else _tl_norm(u, p, q_tl, grid)
+        lower = _lower_constant(u, p, 4)
         constant = (m.normalizer / lower) ** (1.0 / p)
         reports = []
         for left, w in zip(lhs, weighted):

@@ -45,9 +45,9 @@ def test_op_matches_reference(name):
 # or atoms, and every later check on u sums on it. deep-hardy and
 # sparse-deep: decompose and weights build one each; factor-sampling: the
 # measure inside factorize builds the one its factors, checks and samples
-# read; verify-suite: u's grid (its decomposition and Hardy measure keep
-# it), the TL measure's and uv's
-GRIDS_PER_OP = {"sparse-deep": 2, "deep-hardy": 2, "factor-sampling": 1, "verify-suite": 3}
+# read; verify-suite: u's grid (its decomposition, Hardy measure and TL
+# measure keep it) and uv's
+GRIDS_PER_OP = {"sparse-deep": 2, "deep-hardy": 2, "factor-sampling": 1, "verify-suite": 2}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -125,6 +126,28 @@ class TestLoadSave:
             load(path)
         assert main(["norm", "--p", "1", path]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_deep_level_refused_without_its_power_of_two(self, tmp_path):
+        # the level is the interval's check, then the constructor's: no
+        # 2^level is built, which at level 2^40 would take 137 GB
+        bad = dict(MINIMAL, coefficients=[{"level": 2**40, "pos": 0, "value": [1.0]}])
+        path = write(tmp_path, "bad.json", bad)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExpansionFormatError, match="interval .* exceeds max level 0") as exc:
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_max_level_refused_before_the_entries(self, tmp_path):
+        # the constructor's checks of max level and dimension come first, so
+        # a file past the int64 limit is named as such, with its path
+        bad = dict(MINIMAL, max_level=62, coefficients=[{"level": 0, "pos": 0, "value": []}])
+        with pytest.raises(ExpansionFormatError, match="max_level 62 exceeds 61"):
+            load(write(tmp_path, "bad.json", bad))
 
     def test_integer_values_accepted(self, tmp_path):
         ok = dict(MINIMAL, coefficients=[{"level": 0, "pos": 0, "value": [2]}])
@@ -688,14 +711,26 @@ class TestVerifyCommand:
 
     def test_grids_per_trial(self, grid_builds):
         # one grid of u, which its decomposition and Hardy measure keep for
-        # the Hardy checks; one of |u|^(q/2), which the TL measure keeps for
-        # the TL checks and the sampling; one of uv, which its decomposition
-        # and vector measure keep for the h2 identity and the vector checks
+        # the Hardy checks, and on which the TL measure of |u|^(q/2) is built
+        # and kept for the TL checks and the sampling; one of uv, which its
+        # decomposition and vector measure keep for the h2 identity and the
+        # vector checks
         report = run_verification(
             p=1.5, q=3.0, trials=2, seed=0, density=0.5, max_level=6, dimension=2
         )
         assert report["passed"] is True
-        assert len(grid_builds) == 2 * 3
+        assert len(grid_builds) == 2 * 2
+
+    def test_tl_measure_keeps_the_grid_of_u(self, monkeypatch):
+        # the TL measure is built on the grid the trial built for u, the
+        # very object its Hardy measure keeps
+        measures = count_calls(monkeypatch, cli, "check_multiplier_bounds")
+        grids = count_calls(monkeypatch, cli, "_support_grid")
+        run_verification(p=1.5, q=3.0, trials=1, seed=0, density=0.5, max_level=6, dimension=1)
+        (u, _, _, mh), (w, _, _, mt) = measures
+        assert w is u and mt.exponent == 3.0
+        assert mt._grid_for(u) is mh._grid_for(u) is vars(mh)["_grid"]
+        assert len(grids) == 1
 
     def test_one_tree_per_support(self, monkeypatch, grid_builds):
         # at the bench's flags: no support family, its depths or its parent
@@ -714,23 +749,23 @@ class TestVerifyCommand:
         )
         assert report["checks"]["decay_bound"] == {"passed": True, "trials": 1}
         assert sum(map(len, tables)) == 3
-        assert len(grid_builds) == 3
+        assert len(grid_builds) == 2
         assert len(grids) == 2
 
     def test_deep_sparse_checks_build_no_grid(self, monkeypatch, grid_builds):
         # on the atoms, as on the leaves, the hp, tl and vector measures
-        # keep their grid: a trial builds u's, |u|^(q/2)'s and uv's grids
-        # and its checks build none, and the report is that of checks on
-        # fresh grids
+        # keep their grid: a trial builds u's grid, which the TL measure
+        # shares, and uv's, its checks build none, and the report is that of
+        # checks on fresh grids
         flags = dict(p=1.5, q=3.0, trials=2, seed=0, density=0.01, max_level=12, dimension=2)
         u = _trial_expansion(0, 0, 12, 1, 0.01)
         assert _support_grid(u).lengths is not None
         grid_builds.clear()
         kept = dump_json(run_verification(**flags))
-        assert len(grid_builds) == 2 * 3
+        assert len(grid_builds) == 2 * 2
         monkeypatch.setattr(haar._KeptRows, "_grid_for", lambda m, u: _support_grid(u))
         assert dump_json(run_verification(**flags)) == kept
-        assert len(grid_builds) == 2 * 3 + 2 * 14
+        assert len(grid_builds) == 2 * 2 + 2 * 13
         assert json.loads(kept)["passed"] is True
 
     def test_decay_verdicts_match_support_family(self):

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -118,6 +119,29 @@ class TestDyadicInterval:
             iv(-1, 0)
         with pytest.raises(ValueError, match="position must lie"):
             DyadicInterval(level=3, position=8)
+
+    def test_non_integers_rejected(self):
+        # a float position used to be kept and read 0 in the support arrays
+        for level, position in ((1, 0.5), (1.0, 1), ("1", 0), (1, None)):
+            with pytest.raises(TypeError, match="level and position must be integers"):
+                DyadicInterval(level, position)
+
+    def test_numpy_integers_kept_as_int(self):
+        interval = DyadicInterval(np.int64(3), np.uint8(5))
+        assert interval == (3, 5)
+        assert type(interval.level) is int and type(interval.position) is int
+
+    def test_deep_level_builds_no_power_of_two(self):
+        # the range test is a shift: 2^(2^40) would take 137 GB
+        tracemalloc.start()
+        try:
+            assert DyadicInterval(2**40, 0) == (2**40, 0)
+            with pytest.raises(ValueError, match="position must lie"):
+                DyadicInterval(2**40, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_is_a_level_position_tuple(self):
         interval = DyadicInterval(level=2, position=3)

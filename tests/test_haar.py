@@ -193,6 +193,18 @@ class TestExpansion:
         with pytest.raises(TypeError, match=r"coefficient at 1/1 is complex, .*, not real numbers"):
             HaarExpansion(3, dimension, {iv(0, 0): [1.0] * dimension, iv(1, 1): raw})
 
+    def test_float_entries_skip_the_type_probe(self, monkeypatch):
+        # the tuples of Python floats that `coeffs`, a pickle and a file give
+        # are read with no `_unreal` call; any other entry still gets one
+        def probe(value):
+            raise AssertionError(f"probed {value!r}")
+
+        u = HaarExpansion(3, 2, {iv(0, 0): (1.0, -2.0), iv(3, 5): [0.5, 0.0]})
+        monkeypatch.setattr("haarmult.haar._unreal", probe)
+        assert HaarExpansion(3, 2, dict(u.coeffs)) == u
+        with pytest.raises(AssertionError, match="probed 1"):
+            HaarExpansion(3, 2, {iv(0, 0): (1, 2.0)})
+
     @pytest.mark.parametrize("key", [(0, 0), "0/0", 0, None])
     def test_foreign_keys_refused(self, key):
         with pytest.raises(TypeError, match=r"coefficient key .* is not a DyadicInterval"):

@@ -128,6 +128,20 @@ class TestWeightsTl:
             assert mt.weights == mh.weights
             assert mt.exponent == 2.0
 
+    def test_q_two_checked_as_hardy(self):
+        # a measure with s = 2, the TL measure at q = 2 included, is checked
+        # on the square function: the same reports as the Hardy measure's,
+        # on the leaf grid and on the atom grid
+        rng = np.random.default_rng(41)
+        for u in (random_expansion(rng, 6), _sparse_expansion(rng, 20, 60)):
+            assert _on_atoms(len(u.support), u.max_level) == (u.max_level == 20)
+            phis = rng.uniform(-1.0, 1.0, (8, len(u.support)))
+            for p in (0.5, 1.0, 1.5, 2.0):
+                mh, mt = weights_hp(u, p), weights_tl(u, p, 2.0)
+                assert mt._built_from(u) is None
+                want = check_multiplier_bounds(u, p, phis, mh)
+                assert check_multiplier_bounds(u, p, phis, mt, q=2.0) == want
+
     def test_sum_at_most_one(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
