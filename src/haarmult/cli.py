@@ -165,8 +165,8 @@ def save(path: str, u: HaarExpansion) -> None:
         "max_level": u.max_level,
         "dimension": u.dimension,
         "coefficients": [
-            {"level": i.level, "pos": i.position, "value": list(u.coeffs[i])}
-            for i in u.support
+            {"level": i.level, "pos": i.position, "value": value}
+            for i, value in zip(u.support, u.values.tolist())
         ],
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -369,7 +369,7 @@ def run_verification(
         c.track("max_tops_carleson", float(report.tops_carleson))
         c.track("max_observed_ratio", report.observed_ratio)
 
-        m = _assemble(u, p, dec, 2.0, report.norm_p)
+        m = _assemble(u, p, dec, report.norm_p)
         if mutant == "scale-omega":
             m = replace(m, weights={k: 2.0 * w for k, w in m.weights.items()})
         check_weights("hp", u, m).track("constant", m.normalizer ** (1.0 / p))
@@ -397,7 +397,7 @@ def run_verification(
         if dimension > 1:
             uv = _trial_expansion(seed + 1_000_003, trial, max_level, dimension, density)
             dv, rv = _decompose(uv, p, _support_grid(uv))
-            check_weights("vector", uv, _assemble(uv, p, dv, 2.0, rv.norm_p))
+            check_weights("vector", uv, _assemble(uv, p, dv, rv.norm_p))
             lhs, rhs = _h2_sides(uv, dv, rng)
             slack = 1e-12 * np.maximum(np.maximum(lhs, rhs), 1e-300)
             h2_ok = not (np.abs(lhs - rhs) > slack).any()

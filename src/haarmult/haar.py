@@ -12,9 +12,13 @@ Each expansion stores its support once, in support order ((level, position)
 sorted), as the `support` tuple and as read-only arrays: `levels`,
 `positions`, `values` and `squares`. The hot paths (cell sums, multipliers,
 the stopping time, the block statistics, the weights, the multiplier check)
-read those arrays. The `coeffs` mapping is built from them on first access,
-so a product phi * u or a convexification builds no dict unless a caller
-reads it. The constructor checks a mapping in one loop on its Python
+read those arrays. `coeffs` is no second copy: each read gives a read-only
+view over `support` and `values` (`_CoeffView`), whose length costs
+nothing, whose lookups bisect the sorted `support` tuple and whose entries
+are built per read, so an expansion keeps no dict and no per-row tuple.
+Equality compares the support tuples and the value arrays, and a copy or a
+pickle passes the constructor a plain dict of floats (lists of floats at
+d > 1). The constructor checks a mapping in one loop on its Python
 objects: the key types first, then per interval in support order its
 level, its value and its length, so a level past max_level is refused
 before anything becomes int64; then `np.fromiter` builds the arrays in one
@@ -86,8 +90,10 @@ import errno
 import math
 import operator
 import os
+from bisect import bisect_left
+from collections.abc import Mapping
 from itertools import chain, compress, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -174,14 +180,12 @@ class HaarExpansion(_Immutable):
     ``support`` tuple and read-only arrays ``levels`` and ``positions``
     (int64), ``values`` of shape (n, dimension), and ``squares``, the squared
     Euclidean lengths, bit for bit `math.fsum` of the squared entries (inf
-    where that overflows; `_squares`). ``coeffs`` is built from ``support``
-    and ``values`` on first access and kept.
+    where that overflows; `_squares`). ``coeffs`` is a read-only mapping
+    view over ``support`` and ``values``, built on each read, so nothing
+    else is kept.
     """
 
-    __slots__ = (
-        "max_level", "dimension", "support", "levels", "positions", "values",
-        "squares", "_coeffs",
-    )
+    __slots__ = ("max_level", "dimension", "support", "levels", "positions", "values", "squares")
 
     def __init__(self, max_level: int, dimension: int, coeffs: CoeffMap) -> None:
         try:  # numpy integers pass, stored as int; floats and text do not
@@ -277,27 +281,26 @@ class HaarExpansion(_Immutable):
         set_attr(self, "max_level", max_level)
         set_attr(self, "dimension", dimension)
         set_attr(self, "support", tuple(intervals))
-        set_attr(self, "_coeffs", None)
         set_attr(self, "levels", _read_only(levels))
         set_attr(self, "positions", _read_only(positions))
         set_attr(self, "values", _read_only(values))
         set_attr(self, "squares", _read_only(squares))
 
     def __reduce__(self) -> tuple:
-        """Pickle and copy through the validating constructor."""
-        return HaarExpansion, (self.max_level, self.dimension, self.coeffs)
+        """Pickle and copy through the validating constructor, from a plain
+        dict of Python floats at d = 1 (its cheapest input) and of lists of
+        floats otherwise."""
+        rows = self.values[:, 0].tolist() if self.dimension == 1 else self.values.tolist()
+        return HaarExpansion, (self.max_level, self.dimension, dict(zip(self.support, rows)))
 
     @classmethod
     def scalar(cls, max_level: int, coeffs: CoeffMap) -> "HaarExpansion":
         return cls(max_level, 1, coeffs)
 
     @property
-    def coeffs(self) -> dict[DyadicInterval, tuple[float, ...]]:
-        """Interval -> coefficient tuple in support order, built on first use."""
-        if self._coeffs is None:
-            coeffs = dict(zip(self.support, zip(*self.values.T.tolist())))
-            object.__setattr__(self, "_coeffs", coeffs)
-        return self._coeffs
+    def coeffs(self) -> Mapping[DyadicInterval, tuple[float, ...]]:
+        """Interval -> coefficient tuple in support order, a read-only view."""
+        return _CoeffView(self.support, self.values)
 
     @property
     def is_zero(self) -> bool:
@@ -309,7 +312,8 @@ class HaarExpansion(_Immutable):
         return (
             self.max_level == other.max_level
             and self.dimension == other.dimension
-            and self.coeffs == other.coeffs
+            and self.support == other.support
+            and np.array_equal(self.values, other.values)
         )
 
     def __repr__(self) -> str:
@@ -317,6 +321,35 @@ class HaarExpansion(_Immutable):
             f"HaarExpansion(max_level={self.max_level}, "
             f"dimension={self.dimension}, support={len(self.support)})"
         )
+
+
+class _CoeffView(Mapping):
+    """`HaarExpansion.coeffs`: interval -> tuple of Python floats over the
+    expansion's `support` and `values`, in support order. It has no setter
+    and keeps no entry: `len` is the support's, `[]` (and so `in` and
+    `get`) bisects the sorted support, and each read builds its tuple. A
+    key that does not compare with the intervals is in no row."""
+
+    __slots__ = ("_support", "_values")
+
+    def __init__(self, support: tuple[DyadicInterval, ...], values: np.ndarray) -> None:
+        self._support, self._values = support, values
+
+    def __len__(self) -> int:
+        return len(self._support)
+
+    def __iter__(self) -> Iterator[DyadicInterval]:
+        return iter(self._support)
+
+    def __getitem__(self, key: object) -> tuple[float, ...]:
+        support = self._support
+        try:
+            j = bisect_left(support, key)
+        except TypeError:  # a key that does not compare with the intervals
+            raise KeyError(key) from None
+        if j == len(support) or support[j] != key:
+            raise KeyError(key)
+        return tuple(self._values[j].tolist())
 
 
 def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -731,7 +764,7 @@ class _KeptRows:
         mapping = getattr(self, name)
         if _support_order(mapping, u):
             return True
-        keys, support = mapping.keys(), u.coeffs.keys()
+        keys, support = mapping.keys(), set(u.support)
         return keys <= support if subset else keys == support
 
 

@@ -28,10 +28,10 @@ vector measure, its source: u, p and the `hp_norm(u, p)` its verification
 computed. The multiplier checks, `validate_measure`, `PietschMeasure.total`
 and `pisier` take the array as it is when its support is u's
 (`_KeptRows._field_rows`), sum on the kept grid (`_grid_for`), and read
-the kept norm for that very u at that p (`_built_from`). A measure whose
-summing exponent is not 2 keeps no source: its checks take the q-variation
-norm, and it was built on |u|^(q/2), an expansion no caller holds. Nothing
-is cached: each constructor call builds a fresh measure.
+the kept norm for that very u at that p (`_built_from`). A
+Triebel-Lizorkin measure keeps no source, at q = 2 too: it was built on
+|u|^(q/2), an expansion no caller holds. Nothing is cached: each
+constructor call builds a fresh measure.
 
 The multiplier check is batched: `check_multiplier_bounds` takes K
 multipliers as a (K, n) array in support order, and `check_multiplier_bound`
@@ -153,14 +153,16 @@ def _assemble(
     u: HaarExpansion,
     p: float,
     dec: AtomicDecomposition,
-    exponent: float,
     norm_p: float,
+    q: float | None = None,
 ) -> PietschMeasure:
     """Weights from a verified decomposition of u built by `decompose` (its
-    row form) and `hp_norm(u, p)`, kept by `haar._KeptRows._from_rows` with
-    the decomposition's grid of u's support and, when the summing exponent
-    is 2, the source (u, p, norm_p). A measure that `validate_measure`
-    refuses raises VerificationError carrying it as the report."""
+    row form) and `hp_norm(u, p)`, summing exponent 2 for q None and q for
+    the Triebel-Lizorkin route (where u is |u|^(q/2) and p is 2p/q), kept
+    by `haar._KeptRows._from_rows` with the decomposition's grid of u's
+    support and, on the q None route alone, the source (u, p, norm_p). A
+    measure that `validate_measure` refuses raises VerificationError
+    carrying it as the report."""
     norm_p_p = norm_p**p
     order, ends = _block_order(dec._block, len(dec._top_rows))
     terms = _square_measures(u)[order]
@@ -180,8 +182,9 @@ def _assemble(
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.array(per_block)[dec._block] / (normalizer * norm_p_p) * u.squares
         weights = scaled * np.ldexp(1.0, -u.levels)
-    # only a check with s = 2 reads ||u||_p; a TL measure would keep |u|^(q/2)
-    verified = (p, norm_p) if exponent == 2.0 else None
+    # a TL measure, at q = 2 too, would keep |u|^(q/2), which no caller holds
+    verified = (p, norm_p) if q is None else None
+    exponent = 2.0 if q is None else q
     grid = dec._grid_for(u)
     m = PietschMeasure._from_rows(
         u, {"weights": weights}, grid, verified, normalizer=normalizer, exponent=exponent
@@ -204,12 +207,11 @@ def _weights(
     decomposition."""
     if u.is_zero:
         raise ZeroInputError("weights need a nonzero expansion")
-    exponent = 2.0
     if q is not None:
         _check_exponents(p, q)
-        u, p, exponent = convexify(u, q), 2.0 * p / q, q
+        u, p = convexify(u, q), 2.0 * p / q
     dec, report = _decompose(u, p, _support_grid(u) if grid is None else grid)
-    return _assemble(u, p, dec, exponent, report.norm_p)
+    return _assemble(u, p, dec, report.norm_p, q)
 
 
 def weights_hp(u: HaarExpansion, p: float) -> PietschMeasure:

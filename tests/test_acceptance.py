@@ -104,9 +104,9 @@ def vector_pool():
     return pool
 
 
-def _assemble_from(u, p, dec, exponent):
+def _assemble_from(u, p, dec, q=None):
     """The weights of a given verified decomposition of u."""
-    return _assemble(u, p, dec, exponent, hp_norm(u, p))
+    return _assemble(u, p, dec, hp_norm(u, p), q)
 
 
 def _row_decomposition(u):
@@ -131,7 +131,7 @@ def scalar_results(scalar_pool):
         for p in HP_PS:
             dec = decompose(u, p)
             report = verify_decomposition(u, p, dec)
-            measure = _assemble_from(u, p, dec, exponent=2.0)
+            measure = _assemble_from(u, p, dec)
             results[i, p] = (dec, report, measure)
     return results
 
@@ -153,7 +153,7 @@ def tl_results(scalar_pool, tl_decompositions):
     results = {}
     for (i, (p, q)), (dec, _) in tl_decompositions.items():
         powered = convexify(scalar_pool[i], q)
-        results[i, (p, q)] = _assemble_from(powered, 2.0 * p / q, dec, exponent=q)
+        results[i, (p, q)] = _assemble_from(powered, 2.0 * p / q, dec, q)
     return results
 
 
@@ -163,7 +163,7 @@ def vector_results(vector_pool):
     for i, u in enumerate(vector_pool):
         for p in HP_PS:
             dec = decompose(u, p)
-            results[i, p] = (dec, _assemble_from(u, p, dec, exponent=2.0))
+            results[i, p] = (dec, _assemble_from(u, p, dec))
     return results
 
 
@@ -735,7 +735,7 @@ class TestCellGridOracles:
             assert [got[k] for k in verdicts] == [want[k] for k in verdicts]
             assert deep_report.tops_carleson == report.tops_carleson
             assert all(_close(got[k], want[k]) for k in floats)
-            deep_measure = _assemble(deep, p, deep_dec, 2.0, deep_report.norm_p)
+            deep_measure = _assemble(deep, p, deep_dec, deep_report.norm_p)
             assert list(deep_measure.weights) == list(measure.weights)
             assert all(
                 _close(w, measure.weights[k]) for k, w in deep_measure.weights.items()

@@ -69,6 +69,21 @@ class TestLoadSave:
         save(str(second), load(str(first)))
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((6, 1, 0.5, 0), "286929503e668003c847bcadc95d1237863dde04c07a00162d454419a0efcd0e"),
+            ((5, 2, 0.5, 1), "1c8e4669b30c4b1fd1ffde03b0ac30221bcf4f3133331752372ec95b6c8fc08f"),
+        ],
+        ids=["d1", "d2"],
+    )
+    def test_saved_bytes_pinned(self, tmp_path, args, digest):
+        # rows are written from the support and value arrays in one pass,
+        # byte for byte as when each row was looked up by interval
+        path = tmp_path / "u.json"
+        save(str(path), gen_random(*args))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_position_at_bound_rejected(self, tmp_path):
         bad = dict(MINIMAL, coefficients=[{"level": 0, "pos": 1, "value": [1.0]}])
         with pytest.raises(ExpansionFormatError, match="position"):

@@ -5,6 +5,7 @@ import copy
 import itertools
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,12 +23,14 @@ from haarmult import (
     check_multiplier_bounds,
     convexify,
     factorize,
+    haar,
     hp_norm,
     l2_norm,
     tl_norm,
     weights_tl,
     x0_norm_estimate,
 )
+from haarmult.cli import gen_random
 from haarmult.haar import (
     _BIN_ENTRIES,
     _FSUM_MIN_ROW,
@@ -194,7 +197,7 @@ class TestExpansion:
             HaarExpansion(3, dimension, {iv(0, 0): [1.0] * dimension, iv(1, 1): raw})
 
     def test_float_entries_skip_the_type_probe(self, monkeypatch):
-        # the tuples of Python floats that `coeffs`, a pickle and a file give
+        # the Python floats that `coeffs`, a pickle and a file give
         # are read with no `_unreal` call; any other entry still gets one
         def probe(value):
             raise AssertionError(f"probed {value!r}")
@@ -234,7 +237,7 @@ class TestExpansion:
             u.values = np.zeros((2, 1))
 
     def test_attributes_cannot_be_deleted(self):
-        # every slot, the unbuilt coeffs cache included, survives a `del`
+        # every slot survives a `del`; `coeffs` is a view over them
         u = scalar(2, {(0, 0): 1.0, (1, 1): 2.0})
         for name in HaarExpansion.__slots__:
             with pytest.raises(AttributeError, match="HaarExpansion is immutable"):
@@ -279,6 +282,88 @@ class TestExpansion:
                 array = getattr(got, name)
                 assert np.array_equal(array, getattr(u, name))
                 assert not array.flags.writeable
+
+    def test_coeffs_cannot_be_mutated(self):
+        # `coeffs` was a dict kept on the expansion: an item set there went
+        # into copies and pickles (values [7, 2], hp_norm 7.14 for 1.618)
+        # while `==` still held, and a `del` made u equal a one-row expansion
+        u = scalar(1, {(0, 0): 1.0, (1, 1): 2.0})
+        values, norm = u.values.tobytes(), hp_norm(u, 1.0)
+        with pytest.raises(TypeError):
+            u.coeffs[iv(0, 0)] = (7.0,)
+        with pytest.raises(TypeError):
+            del u.coeffs[iv(1, 1)]
+        assert u.coeffs == {iv(0, 0): (1.0,), iv(1, 1): (2.0,)}
+        assert u != scalar(1, {(0, 0): 7.0})
+        for got in (copy.deepcopy(u), pickle.loads(pickle.dumps(u)), copy.copy(u)):
+            assert got == u
+            assert got.values.tobytes() == values
+            assert hp_norm(got, 1.0) == norm
+
+    def test_coeffs_view(self):
+        u = HaarExpansion(3, 2, {iv(2, 3): (1.0, -0.0), iv(0, 0): [3, 4], iv(3, 1): (0.5, 0.25)})
+        coeffs = u.coeffs
+        assert len(coeffs) == 3
+        assert list(coeffs) == list(u.support) == [iv(0, 0), iv(2, 3), iv(3, 1)]
+        want = {iv(0, 0): (3.0, 4.0), iv(2, 3): (1.0, -0.0), iv(3, 1): (0.5, 0.25)}
+        assert list(coeffs.items()) == list(want.items())
+        assert coeffs == want and want == coeffs
+        assert coeffs != {**want, iv(1, 0): (1.0, 1.0)}
+        assert {iv(0, 0): (3.0, 4.0)} != coeffs
+        assert all(type(c) is float for v in coeffs.values() for c in v)
+        for key in (iv(2, 3), (2, 3)):
+            assert key in coeffs and coeffs[key] == (1.0, -0.0)
+            assert coeffs.get(key) == (1.0, -0.0)
+        for key in (iv(1, 0), (3, 7), "x", None, (0,), (0, 0, 0), ("a", 1)):
+            assert key not in coeffs
+            assert coeffs.get(key) is None
+            with pytest.raises(KeyError):
+                coeffs[key]
+        empty = HaarExpansion.scalar(4, {}).coeffs
+        assert len(empty) == 0 and iv(0, 0) not in empty and empty == {}
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_copies_keep_array_bytes(self, dimension):
+        # a copy and a pickle pass the constructor a plain dict of Python
+        # floats (lists of them at d > 1), and give back the same arrays
+        rng = np.random.default_rng(dimension)
+        values = rng.standard_normal((40, dimension)) * 10.0 ** rng.integers(-300, 300, (40, 1))
+        values[::7, 0] = -0.0
+        intervals = {iv(int(lv), int(ps) % (1 << int(lv))) for lv, ps in rng.integers(0, 9, (40, 2))}
+        u = HaarExpansion(8, dimension, dict(zip(intervals, values)))
+        state = u.__reduce__()[1][2]
+        assert type(state) is dict and list(state) == list(u.support)
+        if dimension == 1:
+            assert all(type(x) is float for x in state.values())
+        for got in (copy.deepcopy(u), pickle.loads(pickle.dumps(u)), copy.copy(u)):
+            assert got == u and got.support == u.support
+            for name in ("levels", "positions", "values", "squares"):
+                assert getattr(got, name).tobytes() == getattr(u, name).tobytes()
+
+    def test_equality_builds_no_mapping(self, monkeypatch):
+        u = scalar(2, {(0, 0): 1.0, (1, 1): 2.0})
+        monkeypatch.setattr(haar, "_CoeffView", None)  # a `coeffs` read fails
+        assert u == scalar(2, {(1, 1): 2.0, (0, 0): 1.0})
+        assert u != scalar(3, {(0, 0): 1.0, (1, 1): 2.0})
+        assert u != scalar(2, {(0, 0): 1.0, (1, 0): 2.0})
+        assert u != scalar(2, {(0, 0): 1.0, (1, 1): -2.0})
+        assert u != scalar(2, {(0, 0): 1.0})
+        assert u != HaarExpansion(2, 2, {iv(0, 0): (1.0, 0.0), iv(1, 1): (2.0, 0.0)})
+        assert HaarExpansion(1, 2, {iv(0, 0): (1.0, 0.0)}) == HaarExpansion(1, 2, {iv(0, 0): (1.0, -0.0)})
+
+    def test_coeffs_reads_allocate_no_dict(self):
+        # a deep expansion keeps no dict, and a read allocates O(1)
+        u = gen_random(14, 1, 0.5, 0)
+        key, last = DyadicInterval(14, 5), u.support[-1]
+        want = (len(u.support), key in set(u.support), (float(u.values[-1, 0]),))
+        tracemalloc.start()
+        try:
+            got = (len(u.coeffs), key in u.coeffs, u.coeffs[last])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 16 << 10
 
     def test_multiply_drops_zero_and_rejects_non_finite_products(self):
         # the product norm is that of the expansion of the nonzero products

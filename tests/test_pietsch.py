@@ -142,6 +142,17 @@ class TestWeightsTl:
                 want = check_multiplier_bounds(u, p, phis, mh)
                 assert check_multiplier_bounds(u, p, phis, mt, q=2.0) == want
 
+    def test_q_two_keeps_no_source(self):
+        # a TL measure is built on |u|^(q/2), a fresh expansion no caller
+        # holds, so at q = 2 too it keeps no source a check could read
+        rng = np.random.default_rng(43)
+        u = random_expansion(rng, 6)
+        for p in (0.5, 1.0, 2.0):
+            mt = weights_tl(u, p, 2.0)
+            assert mt._built_from(u) is None
+            assert vars(mt)["_source"] is None
+            assert weights_hp(u, p)._built_from(u) is not None
+
     def test_sum_at_most_one(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -373,7 +384,7 @@ class TestExtremeScale:
         u = scalar(3, {(0, 0): 1.0, (1, 0): 0.5, (2, 3): -2.0, (3, 1): 0.25})
         dec, _ = atomic._decompose(u, 2.0, haar._support_grid(u))
         with pytest.raises(VerificationError, match="normalizer inf") as caught:
-            pietsch._assemble(u, 2.0, dec, 2.0, 1e-160)
+            pietsch._assemble(u, 2.0, dec, 1e-160)
         m = caught.value.report
         assert isinstance(m, PietschMeasure) and not validate_measure(m, u)
         assert m.normalizer == math.inf and m.total() == 0.0
