@@ -504,6 +504,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if getattr(args, "seed", 0) < 0:  # factorize, gen and verify, before any load or draw
+        parser.error("--seed must be nonnegative")
     if args.command == "norm":
         u = load(args.file)
         if args.q is not None:
@@ -573,8 +575,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error(f"--q must be >= --p, got p={args.p}, q={args.q}")
         if args.trials <= 0:
             parser.error("--trials must be positive")
-        if args.seed < 0:
-            parser.error("--seed must be nonnegative")
         if not 0 < args.density <= 1:
             parser.error("--density must lie in (0, 1]")
         if args.dimension < 1:

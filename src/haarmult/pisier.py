@@ -30,14 +30,21 @@ arrays.
 `x0_norm_estimate` runs its candidates in blocks of `haar._batch_rows`
 rows, drawn one block after another from the same generator, so its memory
 does not grow with the sample count. A check that fails in any block is
-raised after the last block, in the order of the unblocked chain; the
-value and the exception are those of one block holding every candidate.
+raised after the last block, in the order of the unblocked chain. A block
+of `_SCREEN_MIN_ENTRIES` sampled entries or more is first screened in log
+space (`_Chain`): one exp in place of each power, and a derived bound on
+the distance to the exact values. A block that passes would fail no check
+and raise nothing, and it runs exactly only if the screen's reach of its
+largest peak meets the largest exact peak, redrawn from the generator state
+saved before its draw. y and every other block run exactly. So the value,
+every check and every exception are those of running each block exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +57,7 @@ from .haar import (
     _cells,
     _check_q,
     _fsum,
+    _Grid,
     _KeptRows,
     _pow,
     _tl_norm,
@@ -170,6 +178,177 @@ def verify_factorization(u: HaarExpansion, f: Factorization) -> bool:
         return False
 
 
+# sampled entries (rows times support rows) from which a block of
+# `x0_norm_estimate` is screened before it runs exactly; smaller blocks,
+# verify's one block of 20 samples over about 60 rows among them, run exactly
+# at once, as the screen's fixed cost outweighs its saving there (the timing
+# table is in CHANGES.md)
+_SCREEN_MIN_ENTRIES = 1 << 13
+_LN10 = math.log(10.0)
+# the unit roundoff, and the error of one numpy exp, log or power in units
+# of it: 8 ulps, above what libm and numpy's SIMD loops claim
+_UNIT = 2.0**-53
+_FUNCTION_ERROR = 16.0
+# the largest |ln| of any value a screened block may make the exact chain
+# hold: e^600 times a cell length up to 2^61 stays finite, and e^-600 times
+# 2^-61 stays a normal float
+_SCREEN_LOG_RANGE = 600.0
+
+
+class _Chain:
+    """The candidate blocks of one `x0_norm_estimate` call, run two ways.
+
+    `exact` is the chain as it is computed and certified: it raises the
+    OverflowError of a sampled q-norm, and gives each check's failure and
+    the block's largest peak. `screen` computes the same values in log
+    space, with exp in place of every power of an entry: ln z = L e -
+    ln(sum_j 10^(q e_j) |I_j|)/q with L = ln 10, then ||z||_q^q, the r-th
+    and q-th weighted means and the peaks from exp(q ln z) and
+    exp(q theta ln z) against row vectors that carry the y, w and x
+    factors. It bounds the distance in ln between each screened value and
+    the exact one by `delta`, from the largest |ln| the block holds; it
+    passes a block only when x, y and w are in range, every value is
+    finite and inside e^+-600, and every check passes by 10 times the
+    bound, so the exact run of the block would fail no check and raise
+    nothing. It then returns the block's reach: its largest screened peak
+    times e^(10 delta), above every exact peak of the block.
+    """
+
+    def __init__(
+        self,
+        grid: _Grid,
+        u: HaarExpansion,
+        x: np.ndarray,
+        y: np.ndarray,
+        w: np.ndarray,
+        exponents: tuple[float, float, float, float],
+        step: int,
+    ) -> None:
+        self.grid, self.x, self.y, self.w, self.step = grid, x, y, w, step
+        self.p, self.q, self.th, self.r = exponents
+        self.x_power = np.abs(x) ** (1.0 - self.th)
+        self.m = np.ldexp(1.0, -u.levels)
+        self.max_level = u.max_level
+        self.leaves = 1 << u.max_level
+
+    def exact(
+        self, exponents: np.ndarray | None, with_y: bool
+    ) -> tuple[tuple[bool, bool, bool], float]:
+        """Each check's failure (unequal, uncompared, unbounded) and the
+        largest peak of the block: y when `with_y`, then the candidates
+        10^exponents scaled to unit q-norm, none when `exponents` is None."""
+        p, q, th, r = self.p, self.q, self.th, self.r
+        k = 0 if exponents is None else len(exponents)
+        candidates = np.empty((k + with_y, len(self.y)))
+        drawn = candidates[1:] if with_y else candidates
+        if with_y:
+            candidates[0] = self.y
+        if k:
+            raw = 10.0**exponents
+            with np.errstate(over="ignore"):
+                scales = (raw**q @ self.m) ** (1.0 / q)
+            if not np.all((scales > 0.0) & (scales < math.inf)):
+                raise OverflowError(
+                    f"a sampled candidate's q-norm leaves the float range at q = {q}"
+                )
+            np.divide(raw, scales[:, None], out=drawn)
+            del raw  # freed, as `ratios` below, before the cell sums: a lower peak
+
+        ratios = candidates / self.y
+        mean_q = ratios ** (q * th) @ self.w
+        mean_r = ratios ** (r * th) @ self.w
+        del ratios
+        z_norms_q = candidates**q @ self.m
+        failed = (
+            not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL, atol=0.0),
+            np.any(mean_q ** (1.0 / q) > mean_r ** (1.0 / r) * (1.0 + _CHAIN_RTOL)),
+            np.any(mean_q ** (1.0 / q) > 1.0 + _CHAIN_RTOL),
+        )
+
+        mixed = self.x_power * candidates**th
+        sums, lengths = _cells(self.grid, mixed**q)
+        means = _cell_sum(sums ** (p / q), lengths) / self.leaves
+        return failed, (means ** (1.0 / p)).max()
+
+    @cached_property
+    def _screen_rows(self):
+        """(gain, xy_log, the rows w y^(-q theta), w y^(-r theta) and
+        |x|^(q(1 - theta)), two work blocks), or None when x, y or w keep
+        every block exact: gain is the largest exponent any ln is multiplied
+        by, and xy_log bounds |ln x| + |ln y| + 3 L."""
+        q, th, r = self.q, self.th, self.r
+        x, y, w = np.abs(self.x), self.y, self.w
+        if not (
+            np.all((x > 0.0) & (x < math.inf))
+            and np.all((y > 0.0) & (y < math.inf))
+            and np.all((w >= 0.0) & (w <= 1.0))
+        ):
+            return None
+        ln_x, ln_y = np.log(x), np.log(y)
+        gain = float(np.max(np.abs([1.0, q, q * th, r * th, q * (1.0 - th)])))
+        xy_log = float(np.abs(ln_x).max() + np.abs(ln_y).max()) + 3.0 * _LN10
+        if not gain * xy_log <= _SCREEN_LOG_RANGE:
+            return None
+        w_q = w * np.exp(-(q * th) * ln_y)
+        w_r = w * np.exp(-(r * th) * ln_y)
+        x_q = np.exp((q * (1.0 - th)) * ln_x)
+        return gain, xy_log, w_q, w_r, x_q, np.empty((2, self.step, len(y)))
+
+    def screen(self, exponents: np.ndarray) -> float | None:
+        """The block's reach (class docstring), or None when it must run
+        exactly."""
+        if self._screen_rows is None:
+            return None
+        gain, xy_log, w_q, w_r, x_q, blocks = self._screen_rows
+        p, q, th, r = self.p, self.q, self.th, self.r
+        k = len(exponents)
+        work, ln_z = blocks[0, :k], blocks[1, :k]
+        with np.errstate(all="ignore"):
+            np.exp(np.multiply(exponents, q * _LN10, out=work), out=work)
+            np.multiply(exponents, _LN10, out=ln_z)
+            ln_z -= (np.log(work @ self.m) / q)[:, None]
+            z_log = max(-ln_z.min(), ln_z.max())
+            span = gain * (z_log + xy_log)
+            if not span <= _SCREEN_LOG_RANGE:
+                return None
+            np.exp(np.multiply(ln_z, q, out=work), out=work)  # z^q, for z^(r theta)
+            ln_norms, ln_r = np.log(work @ self.m), np.log(work @ w_r)
+            np.exp(np.multiply(ln_z, q * th, out=work), out=work)
+            ln_q = np.log(work @ w_q)
+            work *= x_q  # (|x|^(1 - theta) z^theta)^q
+            sums, lengths = _cells(self.grid, work)
+            top = ((_cell_sum(sums ** (p / q), lengths) / self.leaves) ** (1.0 / p)).max()
+        # delta bounds |ln exact - ln screened| of each compared value, the
+        # rounding of both sides together, with u the unit roundoff, c =
+        # `_FUNCTION_ERROR` and a the largest |ln| before any exponent (of z,
+        # x, y, 10^e and a sum over q): ln z differs by at most (c + 10) u a +
+        # (5c + 1) u + two support sums; a power multiplies that by at most
+        # gain; the powers, the x and y rows, the logs and the roots add at
+        # most (2c + 4) gain u a + (2c + 1) gain u + 11c u, two support sums
+        # and four cell sums; and z^q standing for z^(r theta) adds
+        # |r theta - q| |ln z|. 6c (gain + 1) u (a + 3) covers every u term
+        n, levels = len(self.y), self.max_level + 1
+        a = z_log + xy_log + math.log(n) + levels * math.log(2.0)
+        support_sum = 1.01 * (n + 2) * _UNIT  # gamma_k <= 1.01 k u for a sum of k
+        cell_sum = 1.01 * (len(self.grid.owner) + levels + 2) * _UNIT
+        delta = (
+            (gain + 1.0) * (6.0 * _FUNCTION_ERROR * _UNIT * (a + 3.0) + 2.0 * support_sum)
+            + 4.0 * cell_sum
+            + abs(r * th - q) * z_log
+        )
+        slack = math.log1p(_CHAIN_RTOL) - 20.0 * delta
+        lowest = np.min([ln_norms.min(), ln_r.min(), ln_q.min()])  # NaN stays
+        if not (
+            lowest >= -_SCREEN_LOG_RANGE
+            and np.all(np.abs(ln_r - ln_norms) <= slack)
+            and np.all(ln_q / q - ln_r / r <= slack)
+            and np.all(ln_q / q <= slack + 10.0 * delta)
+            and 0.0 < top < math.inf
+        ):
+            return None
+        return top * math.exp(10.0 * delta)
+
+
 def x0_norm_estimate(
     f: Factorization, u: HaarExpansion, n_samples: int, seed: int = 0
 ) -> float:
@@ -200,10 +379,12 @@ def x0_norm_estimate(
     give the same floats. The candidates run in blocks of
     `haar._batch_rows` rows on the grid that measure keeps for u
     (`haar._KeptRows._grid_for`), drawn block by block from one
-    stream, so memory stays bounded however large `n_samples` is. Errors
-    keep their order: OverflowError before the r-th mean, comparison,
-    unit-ball and cap VerificationErrors, whichever block each failure came
-    from.
+    stream, so memory stays bounded however large `n_samples` is. A block
+    of sampled candidates large enough is screened in log space first; a
+    block that passes runs exactly only if it could hold the maximum
+    (`_Chain`), so it changes no value, check or exception. Errors keep
+    their order: OverflowError before the r-th mean, comparison, unit-ball
+    and cap VerificationErrors, whichever block each failure came from.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
@@ -224,46 +405,42 @@ def x0_norm_estimate(
     norm_u = _tl_norm(u, p, q, grid)
     cap = measure.normalizer ** (1.0 / p) * norm_u
 
+    x_vec = f._field_rows("x", u)
+    step = min(_batch_rows(grid), n_samples + 1)  # the screen's work blocks are this size
+    chain = _Chain(grid, u, x_vec, y_vec, w_vec, (p, q, th, r), step)
     n_support = len(u.support)
-    x_power = np.abs(f._field_rows("x", u)) ** (1.0 - th)
-    m_vec = np.ldexp(1.0, -u.levels)
 
     # candidate 0 is y, then the samples, drawn block by block from one
-    # stream; each check's failure is kept until every block is drawn
+    # stream; each check's failure is kept until every block is drawn. A
+    # screened block (`_Chain`) whose reach meets the largest exact peak so
+    # far keeps its generator state, and runs exactly after the loop if its
+    # reach still meets the largest peak then
     rng = np.random.default_rng(seed)
-    step = _batch_rows(grid)
-    unequal = uncompared = unbounded = False
-    peaks = []
-    for lo in range(0, n_samples + 1, step):
-        candidates = np.empty((min(step, n_samples + 1 - lo), n_support))
-        drawn = candidates[1:] if lo == 0 else candidates
-        if lo == 0:
-            candidates[0] = y_vec
-        if len(drawn):
-            raw = 10.0 ** rng.uniform(-3.0, 3.0, size=drawn.shape)
-            with np.errstate(over="ignore"):
-                scales = (raw**q @ m_vec) ** (1.0 / q)
-            if not np.all((scales > 0.0) & (scales < math.inf)):
-                raise OverflowError(
-                    f"a sampled candidate's q-norm leaves the float range at q = {q}"
-                )
-            np.divide(raw, scales[:, None], out=drawn)
-            del raw  # freed, as `ratios` below, before the cell sums: a lower peak
+    failed = np.zeros(3, dtype=bool)  # unequal, uncompared, unbounded
+    peaks, contenders = [], []
+    for lo in range(0, n_samples + 1, chain.step):
+        with_y = lo == 0
+        rows = min(chain.step, n_samples + 1 - lo) - with_y
+        screens = rows and rows * n_support >= _SCREEN_MIN_ENTRIES
+        state = rng.bit_generator.state if screens else None
+        exponents = rng.uniform(-3.0, 3.0, size=(rows, n_support)) if rows else None
+        reach = None if state is None else chain.screen(exponents)
+        if reach is not None:
+            exponents = None  # y, in the first block, runs alone
+        if exponents is not None or with_y:
+            flags, peak = chain.exact(exponents, with_y)
+            failed |= flags
+            peaks.append(peak)
+        if reach is not None and reach >= np.max(peaks):  # never for a NaN peak
+            contenders.append((state, rows, reach))
+    for state, rows, reach in contenders:
+        if reach >= np.max(peaks):
+            rng.bit_generator.state = state
+            flags, peak = chain.exact(rng.uniform(-3.0, 3.0, size=(rows, n_support)), False)
+            failed |= flags
+            peaks.append(peak)
 
-        ratios = candidates / y_vec
-        mean_q = ratios ** (q * th) @ w_vec
-        mean_r = ratios ** (r * th) @ w_vec
-        del ratios
-        z_norms_q = candidates**q @ m_vec
-        unequal |= not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL, atol=0.0)
-        uncompared |= np.any(mean_q ** (1.0 / q) > mean_r ** (1.0 / r) * (1.0 + _CHAIN_RTOL))
-        unbounded |= np.any(mean_q ** (1.0 / q) > 1.0 + _CHAIN_RTOL)
-
-        mixed = x_power * candidates**th
-        sums, lengths = _cells(grid, mixed**q)
-        means = _cell_sum(sums ** (p / q), lengths) / (1 << u.max_level)
-        peaks.append((means ** (1.0 / p)).max())
-
+    unequal, uncompared, unbounded = failed
     if unequal:
         raise VerificationError("r-th weighted mean should equal ||z||^q exactly")
     if uncompared:

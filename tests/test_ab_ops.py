@@ -9,7 +9,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_ops.py"
 LINE = re.compile(
     r"(?P<name>[a-z-]+(?: make_input)?): parent \d+\.\d{6} s, change \d+\.\d{6} s, "
-    r"ratio \d+\.\d{3}, change won (?P<won>\d+)/2"
+    r"ratio \d+\.\d{3}, change won (?P<won>\d+)/2, "
+    r"minor faults per op parent \d+\.\d, change \d+\.\d"
 )
 NAMES = ["deep-hardy", "factor-sampling", "sparse-deep", "verify-suite"]
 

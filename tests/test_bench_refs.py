@@ -59,6 +59,50 @@ def test_grids_per_op(name, grid_builds):
     assert len(grid_builds) == GRIDS_PER_OP[name]
 
 
+# the candidate rows `x0_norm_estimate` runs exactly per factor-sampling op
+# on bench inputs 0-3, one list entry per exact block: y alone, and the last
+# block when it holds fewer than `pisier._SCREEN_MIN_ENTRIES` sampled entries
+# (input 1's one row of 4042). Every other block passes the screen, and none
+# could hold the maximum, so none runs exactly after the loop
+EXACT_ROWS_PER_OP = [[1], [1, 1], [1], [1]]
+
+
+def test_exact_rows_per_factor_sampling_op(monkeypatch):
+    workload = workloads.WORKLOADS["factor-sampling"](haarmult)
+    blocks = []
+    exact = pisier._Chain.exact
+
+    def counted(chain, exponents, with_y):
+        blocks.append((0 if exponents is None else len(exponents)) + with_y)
+        return exact(chain, exponents, with_y)
+
+    monkeypatch.setattr(pisier._Chain, "exact", counted)
+    rows = []
+    for seed in range(4):
+        args = workload.prepare(workload.make_input(seed))
+        blocks.clear()
+        workload.op(*args)
+        rows.append(list(blocks))
+    assert rows == EXACT_ROWS_PER_OP
+
+
+def test_verify_suite_screens_no_block(monkeypatch):
+    # verify's one block of 20 samples over about 60 support rows stays
+    # below `pisier._SCREEN_MIN_ENTRIES`, so it runs exactly at once
+    screened, exact_rows = [], []
+    exact = pisier._Chain.exact
+
+    def counted(chain, exponents, with_y):
+        exact_rows.append(len(exponents) + with_y)
+        return exact(chain, exponents, with_y)
+
+    monkeypatch.setattr(pisier._Chain, "screen", lambda *args: screened.append(args))
+    monkeypatch.setattr(pisier._Chain, "exact", counted)
+    workload = workloads.WORKLOADS["verify-suite"](haarmult)
+    workload.op(*workload.prepare(workload.make_input(0)))
+    assert screened == [] and exact_rows == [21]
+
+
 # calls per op of the stopping time, the verification (which `decompose`
 # runs too) and the Hardy norm: a factorization hands `x0_norm_estimate` the measure it was built
 # from, and a measure hands the Hardy and vector checks the norm its

@@ -528,6 +528,23 @@ class TestCommands:
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["factorize", "gen"])
+    def test_negative_seed_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        # refused as a usage error naming the flag, before any load or draw
+        path = write(tmp_path, "u.json", MINIMAL)
+        loaded = count_calls(monkeypatch, cli, "load")
+        drawn = count_calls(monkeypatch, cli, "gen_random")
+        flags = {
+            "factorize": ["--p", "1.5", "--q", "3", path],
+            "gen": ["--out", str(tmp_path / "gen.json")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-5", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed must be nonnegative" in captured.err
+        assert loaded == drawn == [] and not (tmp_path / "gen.json").exists()
+
     def test_zero_expansion_input_error(self, tmp_path, capsys):
         path = write(
             tmp_path, "zero.json", {"max_level": 1, "dimension": 1, "coefficients": []}

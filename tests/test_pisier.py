@@ -357,22 +357,45 @@ class TestLatticeNormEstimate:
         assert x0_norm_estimate(f, u, 5) > 0.0
 
     def test_nan_in_a_later_block_propagates(self, monkeypatch):
-        # a NaN peak in any block makes the estimate NaN, as the max over one
-        # array of every candidate does; Python's max would drop it
+        # a NaN peak in any exact block makes the estimate NaN, as the max
+        # over one array of every candidate does; Python's max would drop it
         u = scalar(2, {(0, 0): 1.0, (1, 0): 0.75, (1, 1): -1.25, (2, 1): 0.5, (2, 2): 1.5})
         f = factorize(u, 1.5, 3.0)
         monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1)
+        events = _record(monkeypatch)
+        exact = pisier._Chain.exact
+
+        def nan_in_third_block(chain, exponents, with_y):
+            flags, peak = exact(chain, exponents, with_y)
+            return flags, (math.nan if len(events) == 3 else peak)
+
+        monkeypatch.setattr(pisier._Chain, "exact", nan_in_third_block)
+        assert math.isnan(x0_norm_estimate(f, u, 4))
+        assert events == [("exact", 1, True)] + [("exact", 1, False)] * 4
+
+    def test_a_nan_the_screen_meets_runs_the_block_exactly(self, monkeypatch):
+        # screened, a NaN in the third block's cell sums sends that block to
+        # the exact run, whose peak is finite: no screened value reaches the
+        # estimate
+        u = scalar(2, {(0, 0): 1.0, (1, 0): 0.75, (1, 1): -1.25, (2, 1): 0.5, (2, 2): 1.5})
+        f = factorize(u, 1.5, 3.0)
+        want = x0_norm_estimate(f, u, 4)
+        monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1)
+        monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
+        events = _record(monkeypatch)
         calls = []
         cells = pisier._cells
 
-        def nan_in_third_block(grid, values):
+        def nan_in_third_call(grid, values):
             calls.append(None)
             sums, lengths = cells(grid, values)
             return (np.full_like(sums, math.nan) if len(calls) == 3 else sums), lengths
 
-        monkeypatch.setattr(pisier, "_cells", nan_in_third_block)
-        assert math.isnan(x0_norm_estimate(f, u, 4))
-        assert len(calls) == 5
+        monkeypatch.setattr(pisier, "_cells", nan_in_third_call)
+        assert x0_norm_estimate(f, u, 4) == want
+        assert events[:4] == [
+            ("exact", 1, True), ("screen", 1, True), ("screen", 1, False), ("exact", 1, False)
+        ]
 
     def test_memory_independent_of_samples(self):
         # candidates run in blocks of `haar._BATCH_ENTRIES` cell entries: at
@@ -494,6 +517,26 @@ def _outcome(fn, *args):
         return repr((type(exc), str(exc)))
 
 
+def _record(monkeypatch):
+    """The blocks `x0_norm_estimate` runs from now on, in order: ("screen",
+    sampled rows, whether it passed) and ("exact", rows, whether y is one)."""
+    events = []
+    screen, exact = pisier._Chain.screen, pisier._Chain.exact
+
+    def screened(chain, exponents):
+        reach = screen(chain, exponents)
+        events.append(("screen", len(exponents), reach is not None))
+        return reach
+
+    def exactly(chain, exponents, with_y):
+        events.append(("exact", (0 if exponents is None else len(exponents)) + with_y, with_y))
+        return exact(chain, exponents, with_y)
+
+    monkeypatch.setattr(pisier._Chain, "screen", screened)
+    monkeypatch.setattr(pisier._Chain, "exact", exactly)
+    return events
+
+
 def _sparse_scalar(rng, max_level, draws):
     coeffs = {}
     for _ in range(draws):
@@ -610,26 +653,138 @@ class TestArrayFormOracle:
         assert any(not o.startswith("(") for o in outcomes)
 
     def test_one_row_blocks_change_nothing(self, monkeypatch):
-        # every candidate in its own block against all in one block: the
-        # same values, verdicts and exceptions, NaN, inf and zero included
-        def outcomes(budget):
+        # every candidate in its own block against all in one block, each
+        # run exactly and screened: the same values, verdicts and
+        # exceptions, NaN, inf and zero included
+        def outcomes(budget, screen_from):
             monkeypatch.setattr(haar, "_BATCH_ENTRIES", budget)
-            calls = []
-            cells = pisier._cells
-            monkeypatch.setattr(pisier, "_cells", lambda *a: calls.append(a) or cells(*a))
+            monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", screen_from)
+            events = _record(monkeypatch)
             got = [
                 _outcome(x0_norm_estimate, g, u, 8, k)
                 for k, (u, p, q, th, m) in enumerate(self._cases())
                 for g in self._tampered(pisier._factorize(u, p, q, th, m), u)
             ]
             monkeypatch.undo()
-            return got, [len(values) for _, values in calls]
+            return got, events
 
-        whole, whole_rows = outcomes(1 << 40)
-        rows, row_rows = outcomes(1)
+        exactly = 1 << 40
+        whole, whole_blocks = outcomes(1 << 40, exactly)
+        rows, row_blocks = outcomes(1, exactly)
         assert rows == whole
-        assert set(whole_rows) == {9} and set(row_rows) == {1}
-        assert len(row_rows) == 9 * len(whole_rows)
+        assert {rows for _, rows, _ in whole_blocks} == {9}
+        assert {rows for _, rows, _ in row_blocks} == {1}
+        assert len(row_blocks) == 9 * len(whole_blocks)
+        for budget in (1 << 40, 1):
+            screened, blocks = outcomes(budget, 0)
+            assert screened == whole
+            assert ("screen", 8 if budget > 1 else 1, True) in blocks
+            assert ("screen", 8 if budget > 1 else 1, False) in blocks
+
+
+class TestScreenAgainstOracle:
+    """`x0_norm_estimate` against `pisier_oracle`, which runs every
+    candidate exactly in one block, on inputs that reach each way a block
+    runs: screened and passed, screened and run exactly, a contender run
+    exactly after the loop, and exact from the start."""
+
+    PQS = ((1.5, 3.0), (4.0 / 3.0, 2.0), (1.25, 7.5))
+
+    def _same(self, f, u, n_samples, seed, m):
+        got = _outcome(x0_norm_estimate, f, u, n_samples, seed)
+        assert got == _outcome(pisier_oracle.x0_norm_estimate, f, u, n_samples, seed, m)
+        return got
+
+    def test_screened_blocks(self, monkeypatch):
+        events = _record(monkeypatch)
+        for k, (p, q) in enumerate(self.PQS):
+            u = gen_random(10, 1, 0.5, k)
+            got = self._same(factorize(u, p, q), u, 40, k, pietsch.weights_tl(u, p, q))
+            assert not got.startswith("(")
+        assert ("screen", 31, True) in events and ("exact", 1, True) in events
+        assert all(passed for kind, _, passed in events if kind == "screen")
+
+    @pytest.mark.parametrize("off", [0.95e-9, 1.05e-9])
+    def test_exact_fallback_at_the_chain_threshold(self, monkeypatch, off):
+        # weights off by 0.95e-9 pass the r-th mean test and by 1.05e-9 fail
+        # it; the screen leaves both to the exact run. A factorization built
+        # from dicts keeps no measure, so the library takes `weights_tl`'s
+        p, q = 1.5, 3.0
+        u = gen_random(10, 1, 0.5, 3)
+        m = pietsch.weights_tl(u, p, q)
+        built = pisier._factorize(u, p, q, theta(p, q), m)
+        f = Factorization(x=built.x, y=built.y, theta=built.theta, p=p, q=q)
+        tilted = replace(m, weights={k: w * (1 + off) for k, w in m.weights.items()})
+        monkeypatch.setattr(pisier, "weights_tl", lambda *args: tilted)
+        events = _record(monkeypatch)
+        got = self._same(f, u, 40, 5, tilted)
+        assert ("r-th weighted mean" in got) == (off > 1e-9)
+        screened = [rows for kind, rows, _ in events if kind == "screen"]
+        assert screened and ("screen", screened[0], False) in events
+        assert ("exact", screened[0] + 1, True) in events
+
+    @pytest.mark.parametrize("budget", [1 << 16, 2, 1])
+    def test_contenders_run_exactly(self, monkeypatch, budget):
+        # one support row: every sample ties y, so every screened block
+        # could hold the maximum and runs exactly after the loop; the two
+        # rows here tie y closely enough too. Blocks of 1, 2 and 12 rows
+        monkeypatch.setattr(haar, "_BATCH_ENTRIES", budget)
+        monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
+        events = _record(monkeypatch)
+        contended = []
+        for u in (
+            scalar(0, {(0, 0): 1.0}),
+            scalar(3, {(3, 5): -2.5}),
+            scalar(1, {(0, 0): -1.0, (1, 1): 0.5}),
+            scalar(2, {(1, 1): 0.5, (2, 2): 2.0}),
+        ):
+            for p, q in ((1.5, 3.0), (1.9, 2.5)):
+                events.clear()
+                got = self._same(factorize(u, p, q), u, 11, 1, pietsch.weights_tl(u, p, q))
+                assert not got.startswith("(")
+                confirmed = [rows for kind, rows, y in events if kind == "exact" and not y]
+                screened = [rows for kind, rows, _ in events if kind == "screen"]
+                if len(u.support) == 1:
+                    assert confirmed == screened
+                contended.append(bool(confirmed))
+        assert all(contended[:4]) and any(contended[4:])
+
+    def test_sampled_overflow_edge(self, monkeypatch):
+        # raw magnitudes reach 10^3, so the sampled q-th powers overflow
+        # from q near 102.8: the screen leaves these to the exact run
+        monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
+        u = gen_random(6, 1, 0.6, 0)
+        events = _record(monkeypatch)
+        got = [
+            self._same(factorize(u, 1.5, q), u, 64, 0, pietsch.weights_tl(u, 1.5, q))
+            for q in (102.5, 102.75, 103.0)
+        ]
+        assert "OverflowError" in got[-1] and not got[0].startswith("(")
+        assert not any(passed for kind, _, passed in events if kind == "screen")
+
+    def test_scaled_inputs_and_bad_factors(self, monkeypatch):
+        # u scaled by 2^500 and 2^-500, and a NaN, an inf and a zero in
+        # each factor: every such block runs exactly
+        monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
+        base = gen_random(5, 1, 0.6, 2)
+        outcomes = []
+        for scale in (2.0**500, 2.0**-500, 1.0):
+            u = HaarExpansion.scalar(5, {i: v * scale for i, (v,) in base.coeffs.items()})
+            p, q = 1.1, 2.0  # theta near 0.2 keeps x and |u|^(q/2) in the float range
+            m = pietsch.weights_tl(u, p, q)
+            f = factorize(u, p, q)
+            events = _record(monkeypatch)
+            outcomes.append(self._same(f, u, 16, 3, m))
+            assert any(kind == "screen" and passed for kind, _, passed in events) == (scale == 1)
+            first = u.support[0]
+            for bad in (math.nan, math.inf, 0.0):
+                for x, y in (({**f.x, first: bad}, f.y), (f.x, {**f.y, first: bad})):
+                    g = Factorization(x=x, y=y, theta=f.theta, p=p, q=q)
+                    outcomes.append(self._same(g, u, 16, 3, m))
+            monkeypatch.undo()
+            monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
+        assert any(o.startswith("(") for o in outcomes)
+        assert any(not o.startswith("(") for o in outcomes)
 
 
 class TestIsClose:

@@ -13,9 +13,13 @@ stops with an AssertionError. Then N op pairs run (default 200) on inputs
 0, 1, 2, 3, 0, ... in turn; the parent's op goes first on even pairs and
 the change's on odd ones. Per workload one line gives the median op time of
 each tree, their ratio change / parent and how many pairs the change won
-(its op was faster). Times are raw `time.perf_counter` seconds, with no
-host-speed scaling, so only the ratio and the pairs won carry over between
-hosts.
+(its op was faster), and then each tree's minor page faults per op: the
+mean `ru_minflt` delta of this process over the tree's timed calls. A
+fault count that differs between the trees shows a different heap history
+(say, glibc trimming and regrowing the heap), which moves latency apart
+from the code each op runs. Times are raw `time.perf_counter` seconds, with
+no host-speed scaling, so only the ratio and the pairs won carry over
+between hosts.
 
 With `--setup` the pairs time the workload's `make_input`, the input draw
 of the bench's set-up, in place of its op, on the same inputs in the same
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import resource
 import shutil
 import statistics
 import sys
@@ -57,10 +62,13 @@ def _import_as(src: str, name: str, into: Path):
     return sys.modules[name]
 
 
-def _timed(run, *args) -> float:
+def _timed(run, *args) -> tuple[float, int]:
+    """The call's seconds and the minor page faults this process took in it."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     run(*args)
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def _drawn(value):
@@ -92,15 +100,19 @@ def compare(name: str, trees: list, workloads, pairs: int, setup: bool = False) 
             assert parent == change, f"{name}: the summaries differ on input {seed}"
         runs = [[(side.op, *a) for a in side_args] for side, side_args in zip(sides, args)]
     times: list[list[float]] = [[], []]
+    faults = [0, 0]
     for k in range(pairs):
         seed = INPUTS[k % len(INPUTS)]
         for side in (0, 1) if k % 2 == 0 else (1, 0):
-            times[side].append(_timed(*runs[side][seed]))
+            seconds, minflt = _timed(*runs[side][seed])
+            times[side].append(seconds)
+            faults[side] += minflt
     parent, change = map(statistics.median, times)
     won = sum(b < a for a, b in zip(*times))
     return (
         f"{name}: parent {parent:.6f} s, change {change:.6f} s, "
-        f"ratio {change / parent:.3f}, change won {won}/{pairs}"
+        f"ratio {change / parent:.3f}, change won {won}/{pairs}, "
+        f"minor faults per op parent {faults[0] / pairs:.1f}, change {faults[1] / pairs:.1f}"
     )
 
 
