@@ -34,10 +34,13 @@ raised after the last block, in the order of the unblocked chain. A block
 of `_SCREEN_MIN_ENTRIES` sampled entries or more is first screened in log
 space (`_Chain`): one exp in place of each power, and a derived bound on
 the distance to the exact values. A block that passes would fail no check
-and raise nothing, and it runs exactly only if the screen's reach of its
-largest peak meets the largest exact peak, redrawn from the generator state
-saved before its draw. y and every other block run exactly. So the value,
-every check and every exception are those of running each block exactly.
+and raise nothing. Its largest peak is then bounded in two steps: by its
+largest L^q mean (one matrix-vector product, as the L^p mean is no larger
+for p < q), and, only when that reach meets the largest exact peak so far,
+by its screened cell sums. It runs exactly only if the cell-sum reach meets
+the largest exact peak, redrawn from the generator state saved before its
+draw. y and every other block run exactly. So the value, every check and
+every exception are those of running each block exactly.
 """
 
 from __future__ import annotations
@@ -202,16 +205,24 @@ class _Chain:
     OverflowError of a sampled q-norm, and gives each check's failure and
     the block's largest peak. `screen` computes the same values in log
     space, with exp in place of every power of an entry: ln z = L e -
-    ln(sum_j 10^(q e_j) |I_j|)/q with L = ln 10, then ||z||_q^q, the r-th
-    and q-th weighted means and the peaks from exp(q ln z) and
-    exp(q theta ln z) against row vectors that carry the y, w and x
-    factors. It bounds the distance in ln between each screened value and
-    the exact one by `delta`, from the largest |ln| the block holds; it
-    passes a block only when x, y and w are in range, every value is
-    finite and inside e^+-600, and every check passes by 10 times the
-    bound, so the exact run of the block would fail no check and raise
-    nothing. It then returns the block's reach: its largest screened peak
-    times e^(10 delta), above every exact peak of the block.
+    ln(sum_j 10^(q e_j) |I_j|)/q with L = ln 10, then ||z||_q^q and the r-th
+    and q-th weighted means from exp(q ln z) and exp(q theta ln z) against
+    row vectors that carry the y and w factors. It bounds the distance in
+    ln between each screened value and the exact one by `delta`, from the
+    largest |ln| the block holds; it passes a block only when x, y and w
+    are in range, every value is finite and inside e^+-600, and every check
+    passes by 10 times the bound, so the exact run of the block would fail
+    no check and raise nothing.
+
+    A passed block's largest peak is bounded in two steps. `screen` returns
+    its L^q reach: the largest L^q mean of a candidate's cell function,
+    (sum_I |x_I|^((1 - theta) q) |z_I|^(theta q) |I|)^(1/q), one
+    matrix-vector product over the work block, times e^(10 delta). The
+    peak is the L^p mean, no larger for p < q. `cell_reach` then gives the
+    block's largest screened peak itself, from the cell sums of the work
+    block `screen` kept, times e^(10 delta): the tighter bound, taken only
+    for a block whose L^q reach meets the largest exact peak. Either reach
+    lies above every exact peak of the block.
     """
 
     def __init__(
@@ -230,6 +241,7 @@ class _Chain:
         self.m = np.ldexp(1.0, -u.levels)
         self.max_level = u.max_level
         self.leaves = 1 << u.max_level
+        self._passed: tuple[np.ndarray, float] | None = None  # `screen`'s last pass
 
     def exact(
         self, exponents: np.ndarray | None, with_y: bool
@@ -295,12 +307,13 @@ class _Chain:
         return gain, xy_log, w_q, w_r, x_q, np.empty((2, self.step, len(y)))
 
     def screen(self, exponents: np.ndarray) -> float | None:
-        """The block's reach (class docstring), or None when it must run
-        exactly."""
+        """The block's L^q reach (class docstring), or None when it must run
+        exactly. A block that passes keeps its work block and delta for
+        `cell_reach`."""
         if self._screen_rows is None:
             return None
         gain, xy_log, w_q, w_r, x_q, blocks = self._screen_rows
-        p, q, th, r = self.p, self.q, self.th, self.r
+        q, th, r = self.q, self.th, self.r
         k = len(exponents)
         work, ln_z = blocks[0, :k], blocks[1, :k]
         with np.errstate(all="ignore"):
@@ -316,8 +329,7 @@ class _Chain:
             np.exp(np.multiply(ln_z, q * th, out=work), out=work)
             ln_q = np.log(work @ w_q)
             work *= x_q  # (|x|^(1 - theta) z^theta)^q
-            sums, lengths = _cells(self.grid, work)
-            top = ((_cell_sum(sums ** (p / q), lengths) / self.leaves) ** (1.0 / p)).max()
+            ln_top = np.log(work @ self.m).max() / q  # the largest L^q mean, in ln
         # delta bounds |ln exact - ln screened| of each compared value, the
         # rounding of both sides together, with u the unit roundoff, c =
         # `_FUNCTION_ERROR` and a the largest |ln| before any exponent (of z,
@@ -326,7 +338,13 @@ class _Chain:
         # gain; the powers, the x and y rows, the logs and the roots add at
         # most (2c + 4) gain u a + (2c + 1) gain u + 11c u, two support sums
         # and four cell sums; and z^q standing for z^(r theta) adds
-        # |r theta - q| |ln z|. 6c (gain + 1) u (a + 3) covers every u term
+        # |r theta - q| |ln z|. 6c (gain + 1) u (a + 3) covers every u term.
+        # So e^(10 delta) lifts either reach above each exact peak: an exact
+        # peak is the cell function's L^p mean with its rounding, four cell
+        # sums among it, which delta covers; the cell-sum reach screens that
+        # same mean, and the L^q reach the L^q mean, no smaller on [0, 1)
+        # for p < q (the power-mean inequality), from one support sum, whose
+        # rounding delta covers too
         n, levels = len(self.y), self.max_level + 1
         a = z_log + xy_log + math.log(n) + levels * math.log(2.0)
         support_sum = 1.01 * (n + 2) * _UNIT  # gamma_k <= 1.01 k u for a sum of k
@@ -343,8 +361,23 @@ class _Chain:
             and np.all(np.abs(ln_r - ln_norms) <= slack)
             and np.all(ln_q / q - ln_r / r <= slack)
             and np.all(ln_q / q <= slack + 10.0 * delta)
-            and 0.0 < top < math.inf
+            and -math.inf < ln_top < math.inf
         ):
+            return None
+        self._passed = work, delta
+        return math.exp(ln_top + 10.0 * delta)
+
+    def cell_reach(self) -> float | None:
+        """The cell-sum reach of the block `screen` passed last, from the
+        work block it kept: the largest screened peak times e^(10 delta), or
+        None, and the block runs exactly, when that peak is not finite and
+        positive."""
+        work, delta = self._passed
+        p, q = self.p, self.q
+        with np.errstate(all="ignore"):
+            sums, lengths = _cells(self.grid, work)
+            top = ((_cell_sum(sums ** (p / q), lengths) / self.leaves) ** (1.0 / p)).max()
+        if not 0.0 < top < math.inf:
             return None
         return top * math.exp(10.0 * delta)
 
@@ -380,8 +413,10 @@ def x0_norm_estimate(
     `haar._batch_rows` rows on the grid that measure keeps for u
     (`haar._KeptRows._grid_for`), drawn block by block from one
     stream, so memory stays bounded however large `n_samples` is. A block
-    of sampled candidates large enough is screened in log space first; a
-    block that passes runs exactly only if it could hold the maximum
+    of sampled candidates large enough is screened in log space first. A
+    block that passes has its largest peak bounded by its largest L^q mean,
+    and, only when that bound meets the largest exact peak so far, by its
+    cell sums; it runs exactly only if that bound too meets the maximum
     (`_Chain`), so it changes no value, check or exception. Errors keep
     their order: OverflowError before the r-th mean, comparison, unit-ball
     and cap VerificationErrors, whichever block each failure came from.
@@ -412,12 +447,19 @@ def x0_norm_estimate(
 
     # candidate 0 is y, then the samples, drawn block by block from one
     # stream; each check's failure is kept until every block is drawn. A
-    # screened block (`_Chain`) whose reach meets the largest exact peak so
-    # far keeps its generator state, and runs exactly after the loop if its
-    # reach still meets the largest peak then
+    # screened block (`_Chain`) whose L^q reach meets the largest exact peak
+    # so far takes its cell-sum reach; if that meets it too, the block keeps
+    # its generator state, and runs exactly after the loop if its reach
+    # still meets the largest peak then
     rng = np.random.default_rng(seed)
     failed = np.zeros(3, dtype=bool)  # unequal, uncompared, unbounded
     peaks, contenders = [], []
+
+    def run(exponents: np.ndarray | None, with_y: bool) -> None:
+        flags, peak = chain.exact(exponents, with_y)
+        failed[:] |= flags
+        peaks.append(peak)
+
     for lo in range(0, n_samples + 1, chain.step):
         with_y = lo == 0
         rows = min(chain.step, n_samples + 1 - lo) - with_y
@@ -425,20 +467,20 @@ def x0_norm_estimate(
         state = rng.bit_generator.state if screens else None
         exponents = rng.uniform(-3.0, 3.0, size=(rows, n_support)) if rows else None
         reach = None if state is None else chain.screen(exponents)
-        if reach is not None:
-            exponents = None  # y, in the first block, runs alone
-        if exponents is not None or with_y:
-            flags, peak = chain.exact(exponents, with_y)
-            failed |= flags
-            peaks.append(peak)
+        if reach is None:
+            run(exponents, with_y)
+        elif with_y:
+            run(None, True)  # y, in the first block, runs alone
         if reach is not None and reach >= np.max(peaks):  # never for a NaN peak
-            contenders.append((state, rows, reach))
+            reach = chain.cell_reach()
+            if reach is None:
+                run(exponents, False)
+            elif reach >= np.max(peaks):
+                contenders.append((state, rows, reach))
     for state, rows, reach in contenders:
         if reach >= np.max(peaks):
             rng.bit_generator.state = state
-            flags, peak = chain.exact(rng.uniform(-3.0, 3.0, size=(rows, n_support)), False)
-            failed |= flags
-            peaks.append(peak)
+            run(rng.uniform(-3.0, 3.0, size=(rows, n_support)), False)
 
     unequal, uncompared, unbounded = failed
     if unequal:

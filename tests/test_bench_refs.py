@@ -62,28 +62,37 @@ def test_grids_per_op(name, grid_builds):
 # the candidate rows `x0_norm_estimate` runs exactly per factor-sampling op
 # on bench inputs 0-3, one list entry per exact block: y alone, and the last
 # block when it holds fewer than `pisier._SCREEN_MIN_ENTRIES` sampled entries
-# (input 1's one row of 4042). Every other block passes the screen, and none
-# could hold the maximum, so none runs exactly after the loop
+# (input 1's one row of 4042). Every other block passes the screen, and its
+# L^q reach lies below y's peak, so it takes no cell sums and never runs
+# exactly: the `_cells` calls per op are those of the exact blocks
 EXACT_ROWS_PER_OP = [[1], [1, 1], [1], [1]]
 
 
 def test_exact_rows_per_factor_sampling_op(monkeypatch):
     workload = workloads.WORKLOADS["factor-sampling"](haarmult)
-    blocks = []
-    exact = pisier._Chain.exact
+    blocks, calls = [], []
+    exact, cells = pisier._Chain.exact, pisier._cells
 
     def counted(chain, exponents, with_y):
         blocks.append((0 if exponents is None else len(exponents)) + with_y)
         return exact(chain, exponents, with_y)
 
+    def summed(grid, values):
+        calls.append(len(values))
+        return cells(grid, values)
+
     monkeypatch.setattr(pisier._Chain, "exact", counted)
-    rows = []
+    monkeypatch.setattr(pisier, "_cells", summed)
+    rows, cell_sums = [], []
     for seed in range(4):
         args = workload.prepare(workload.make_input(seed))
         blocks.clear()
+        calls.clear()
         workload.op(*args)
         rows.append(list(blocks))
+        cell_sums.append(list(calls))
     assert rows == EXACT_ROWS_PER_OP
+    assert cell_sums == EXACT_ROWS_PER_OP
 
 
 def test_verify_suite_screens_no_block(monkeypatch):

@@ -374,10 +374,45 @@ class TestLatticeNormEstimate:
         assert events == [("exact", 1, True)] + [("exact", 1, False)] * 4
 
     def test_a_nan_the_screen_meets_runs_the_block_exactly(self, monkeypatch):
-        # screened, a NaN in the third block's cell sums sends that block to
-        # the exact run, whose peak is finite: no screened value reaches the
-        # estimate
+        # screened, a NaN in the L^q sums of the third block sends that block
+        # to the exact run, whose peak is finite: no screened value reaches
+        # the estimate
         u = scalar(2, {(0, 0): 1.0, (1, 0): 0.75, (1, 1): -1.25, (2, 1): 0.5, (2, 2): 1.5})
+        f = factorize(u, 1.5, 3.0)
+        want = x0_norm_estimate(f, u, 4)
+        monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1)
+        monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
+        calls = []
+        screen = pisier._Chain.screen
+
+        def nan_in_second_screen(chain, exponents):
+            # the row |x|^(q(1 - theta)) scales only the work block the L^q
+            # sums read, so a NaN in it reaches those sums and nothing else
+            calls.append(None)
+            rows = chain._screen_rows
+            if len(calls) != 2:
+                return screen(chain, exponents)
+            x_q = rows[4].copy()
+            x_q[0] = math.nan
+            chain.__dict__["_screen_rows"] = (*rows[:4], x_q, rows[5])
+            try:
+                return screen(chain, exponents)
+            finally:
+                chain.__dict__["_screen_rows"] = rows
+
+        monkeypatch.setattr(pisier._Chain, "screen", nan_in_second_screen)
+        events = _record(monkeypatch)
+        assert x0_norm_estimate(f, u, 4) == want
+        assert events[:4] == [
+            ("exact", 1, True), ("screen", 1, True), ("screen", 1, False), ("exact", 1, False)
+        ]
+
+    def test_a_nan_in_the_cell_sums_runs_the_block_exactly(self, monkeypatch):
+        # on one support row every sample ties y, so every L^q reach meets
+        # y's peak and each screened block takes its cell sums: a NaN in
+        # those of the second screened block sends it to the exact run at
+        # once, and the others run exactly after the loop
+        u = scalar(0, {(0, 0): 1.0})
         f = factorize(u, 1.5, 3.0)
         want = x0_norm_estimate(f, u, 4)
         monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1)
@@ -393,9 +428,13 @@ class TestLatticeNormEstimate:
 
         monkeypatch.setattr(pisier, "_cells", nan_in_third_call)
         assert x0_norm_estimate(f, u, 4) == want
-        assert events[:4] == [
-            ("exact", 1, True), ("screen", 1, True), ("screen", 1, False), ("exact", 1, False)
+        assert events[:7] == [
+            ("exact", 1, True),
+            ("screen", 1, True), ("cells", 1, True),
+            ("screen", 1, True), ("cells", 1, False), ("exact", 1, False),
+            ("screen", 1, True),
         ]
+        assert events.count(("exact", 1, False)) == 4
 
     def test_memory_independent_of_samples(self):
         # candidates run in blocks of `haar._BATCH_ENTRIES` cell entries: at
@@ -519,13 +558,21 @@ def _outcome(fn, *args):
 
 def _record(monkeypatch):
     """The blocks `x0_norm_estimate` runs from now on, in order: ("screen",
-    sampled rows, whether it passed) and ("exact", rows, whether y is one)."""
+    sampled rows, whether it passed), ("cells", rows, whether the cell-sum
+    step passed) and ("exact", rows, whether y is one)."""
     events = []
-    screen, exact = pisier._Chain.screen, pisier._Chain.exact
+    screen, cell_reach, exact = (
+        pisier._Chain.screen, pisier._Chain.cell_reach, pisier._Chain.exact
+    )
 
     def screened(chain, exponents):
         reach = screen(chain, exponents)
         events.append(("screen", len(exponents), reach is not None))
+        return reach
+
+    def tightened(chain):
+        reach = cell_reach(chain)
+        events.append(("cells", len(chain._passed[0]), reach is not None))
         return reach
 
     def exactly(chain, exponents, with_y):
@@ -533,6 +580,7 @@ def _record(monkeypatch):
         return exact(chain, exponents, with_y)
 
     monkeypatch.setattr(pisier._Chain, "screen", screened)
+    monkeypatch.setattr(pisier._Chain, "cell_reach", tightened)
     monkeypatch.setattr(pisier._Chain, "exact", exactly)
     return events
 
@@ -785,6 +833,95 @@ class TestScreenAgainstOracle:
             monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
         assert any(o.startswith("(") for o in outcomes)
         assert any(not o.startswith("(") for o in outcomes)
+
+
+class TestReachesBoundThePeaks:
+    """Each reach of a block the screen passes, the L^q one that
+    `_Chain.screen` returns and the cell-sum one of `_Chain.cell_reach`,
+    lies at or above the largest peak `_Chain.exact` gives on the same
+    block, and the L^q step changes no exact run."""
+
+    def _ratios(self, monkeypatch, u, p, q):
+        """(largest exact peak / L^q reach, that peak / cell-sum reach) per
+        block the screen passes in `x0_norm_estimate` with 40 samples, every
+        block screened."""
+        monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1 << 13)
+        monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
+        ratios = []
+        screen = pisier._Chain.screen
+
+        def checked(chain, exponents):
+            reach = screen(chain, exponents)
+            if reach is not None:
+                _, peak = chain.exact(exponents, False)
+                ratios.append((peak / reach, peak / chain.cell_reach()))
+            return reach
+
+        monkeypatch.setattr(pisier._Chain, "screen", checked)
+        x0_norm_estimate(factorize(u, p, q), u, 40, 1)
+        monkeypatch.undo()
+        return ratios
+
+    @pytest.mark.parametrize("grid", ["leaves", "atoms"])
+    def test_both_reaches_bound_the_exact_peak(self, monkeypatch, grid):
+        base = (
+            gen_random(8, 1, 0.5, 0)
+            if grid == "leaves"
+            else _sparse_scalar(np.random.default_rng(7), 30, 60)
+        )
+        assert haar._on_atoms(len(base.support), base.max_level) == (grid == "atoms")
+        pqs = TestScreenAgainstOracle.PQS + ((1.5, 1.55), (1.5, 10.0))
+        ratios = []
+        for scale in (1.0, 2.0**20, 2.0**-20):
+            u = HaarExpansion.scalar(
+                base.max_level, {i: v * scale for i, (v,) in base.coeffs.items()}
+            )
+            for p, q in pqs:
+                got = self._ratios(monkeypatch, u, p, q)
+                assert got
+                ratios += got
+        assert all(0.0 < lq <= 1.0 and 1.0 - 1e-6 < cells <= 1.0 for lq, cells in ratios)
+        # past the screen's log range it passes no block, so it bounds none:
+        # q = 102.5 (on the leaves, at an input whose exact run warns of no
+        # overflow), and u scaled by 2^500 and 2^-500
+        edge = gen_random(6, 1, 0.6, 0) if grid == "leaves" else base
+        assert self._ratios(monkeypatch, edge, 1.5, 102.5) == []
+        for scale in (2.0**500, 2.0**-500):
+            u = HaarExpansion.scalar(
+                base.max_level, {i: v * scale for i, (v,) in base.coeffs.items()}
+            )
+            assert self._ratios(monkeypatch, u, 4.0 / 3.0, 2.0) == []
+
+    def test_the_lq_step_changes_no_exact_run(self, monkeypatch):
+        # the pool of ROADMAP item 15, 256 samples per call: the exact runs
+        # are the same blocks, in the same order, as when every passed block
+        # takes its cell-sum reach (an L^q reach of inf)
+        def exact_runs(lq_settles):
+            if not lq_settles:
+                screen = pisier._Chain.screen
+                monkeypatch.setattr(
+                    pisier._Chain, "screen",
+                    lambda chain, e: None if screen(chain, e) is None else math.inf,
+                )
+            events = _record(monkeypatch)
+            values = []
+            for level in (4, 6, 8):
+                for s in range(8):
+                    u = gen_random(level, 1, 0.5, 1000 + s)
+                    for p, q in ((1.5, 3.0), (1.2, 4.0), (1.9, 2.5)):
+                        values.append(repr(x0_norm_estimate(factorize(u, p, q), u, 256, s)))
+            monkeypatch.undo()
+            return values, events
+
+        values, events = exact_runs(True)
+        want_values, want_events = exact_runs(False)
+        exact = [event for event in events if event[0] == "exact"]
+        assert values == want_values
+        assert exact == [event for event in want_events if event[0] == "exact"]
+        assert (len(exact), sum(rows for _, rows, _ in exact)) == (90, 6342)
+        # the L^q step settles 63 of the 72 screened blocks with no cell sums
+        assert sum(event[0] == "cells" for event in events) == 9
+        assert sum(event[0] == "cells" for event in want_events) == 72
 
 
 class TestIsClose:
