@@ -78,10 +78,12 @@ no SIMD dispatch, so each power is bit for bit Python's float `pow`.
 numpy's `**` and `np.power` are not: on an AVX-512 host they dispatch to
 SVML and differ from libm in the last bit for some inputs, even at
 exponent 2. numpy's `**` is used only on cell sums (`_norm_means`), on
-the sampled candidates of `pisier.x0_norm_estimate` and, there, on one
-per-row power, |x|^(1 - theta): `_pow` there would change the last bits of
-their outputs (of `max_lattice_candidate` and the pinned `verify`
-digests), and runs about 5x slower than the SIMD loop.
+the sampled candidates of `pisier.x0_norm_estimate` and, there, on the
+per-row powers of `pisier._Chain`: |x|^(1 - theta) in its chain, where
+`_pow` would change the last bits of the outputs (of
+`max_lattice_candidate` and the pinned `verify` digests) and runs about 5x
+slower than the SIMD loop, and y^q and |x|^((1 - theta) q) in its
+certificate and its reach, whose derived rounding margins cover `**`.
 """
 
 from __future__ import annotations

@@ -21,26 +21,27 @@ exceptions are the same.
 
 Every per-row power is `haar._pow`, Python's float `pow` per element
 through `np.float_power` (numpy's `**` may differ from it in the last
-bit), but one: `x0_norm_estimate` takes |x|^(1 - theta) with `**`, as it
-does the powers of its sampled candidates, since `_pow` there could move
-the last bits of `max_lattice_candidate` and of the pinned `verify`
-output. The per-row tolerance tests are `_isclose`, `math.isclose` on
-arrays.
+bit), but those of `_Chain`. Its chain takes |x|^(1 - theta) with `**`,
+as it does the powers of its sampled candidates, since `_pow` there could
+move the last bits of `max_lattice_candidate` and of the pinned `verify`
+output; its certificate's y^q and its reach's |x|^((1 - theta) q) enter
+only bounds whose derived rounding margin covers `**`. The per-row
+tolerance tests are `_isclose`, `math.isclose` on arrays.
 
 `x0_norm_estimate` runs its candidates in blocks of `haar._batch_rows`
 rows, drawn one block after another from the same generator, so its memory
 does not grow with the sample count. A check that fails in any block is
-raised after the last block, in the order of the unblocked chain. A block
-of `_SCREEN_MIN_ENTRIES` sampled entries or more is first screened in log
-space (`_Chain`): one exp in place of each power, and a derived bound on
-the distance to the exact values. A block that passes would fail no check
-and raise nothing. Its largest peak is then bounded in two steps: by its
-largest L^q mean (one matrix-vector product, as the L^p mean is no larger
-for p < q), and, only when that reach meets the largest exact peak so far,
-by its screened cell sums. It runs exactly only if the cell-sum reach meets
-the largest exact peak, redrawn from the generator state saved before its
-draw. y and every other block run exactly. So the value, every check and
-every exception are those of running each block exactly.
+raised after the last block, in the order of the unblocked chain. y runs
+exactly first. In exact arithmetic whether the chain's three checks pass
+does not depend on the candidate, so once a block of
+`_SCREEN_MIN_ENTRIES` sampled entries or more is drawn, one O(n)
+certificate per call (`_Chain.certified`, from the power-mean inequality
+and a derived rounding bound) can show that no sampled candidate would
+fail one or raise. In a certified call such a block runs
+exactly only if its reach, a bound on its largest peak from its L^q means
+and then its cell sums, meets the largest exact peak so far. Every other
+block runs exactly. So the value, every check and every exception are
+those of running each block exactly.
 """
 
 from __future__ import annotations
@@ -182,66 +183,81 @@ def verify_factorization(u: HaarExpansion, f: Factorization) -> bool:
 
 
 # sampled entries (rows times support rows) from which a block of
-# `x0_norm_estimate` is screened before it runs exactly; smaller blocks,
-# verify's one block of 20 samples over about 60 rows among them, run exactly
-# at once, as the screen's fixed cost outweighs its saving there (the timing
-# table is in CHANGES.md)
+# `x0_norm_estimate` is bounded (`_Chain.reach`) before it runs exactly;
+# smaller blocks, verify's one block of 20 samples over about 60 rows among
+# them, run exactly at once, as the certificate's and the reach's fixed cost
+# outweighs what they save on a small block. The crossover lies near 2,000
+# to 4,000 entries (CHANGES.md); the value is left above it, untuned
 _SCREEN_MIN_ENTRIES = 1 << 13
 _LN10 = math.log(10.0)
-# the unit roundoff, and the error of one numpy exp, log or power in units
-# of it: 8 ulps, above what libm and numpy's SIMD loops claim
-_UNIT = 2.0**-53
-_FUNCTION_ERROR = 16.0
-# the largest |ln| of any value a screened block may make the exact chain
-# hold: e^600 times a cell length up to 2^61 stays finite, and e^-600 times
-# 2^-61 stays a normal float
-_SCREEN_LOG_RANGE = 600.0
+_UNIT = 2.0**-53  # the unit roundoff u
+# the largest |ln| of any value the exact chain of a certified call, or a
+# reach, may hold: as |I| >= 2^-61, a cell length is at most 2^61, a cell
+# lies in at most 62 support rows and no sum has e^20 terms, every value of
+# the chain, its sums and its cell sums among them, stays a normal float
+# below e^709
+_LOG_RANGE = 600.0
+# the relative error that one numpy exp, log, power, product or quotient
+# adds to a value within that range: 8 ulps, 16 u, of its exact result on
+# its float arguments (above what libm and numpy's SIMD loops claim), plus
+# u |a ln v| <= u _LOG_RANGE for each of up to four roundings in a computed
+# exponent a (as in th * q * ln 10)
+_OP_ERROR = (16.0 + 4.0 * _LOG_RANGE) * _UNIT
 
 
 class _Chain:
-    """The candidate blocks of one `x0_norm_estimate` call, run two ways.
+    """The candidate blocks of one `x0_norm_estimate` call.
 
-    `exact` is the chain as it is computed and certified: it raises the
+    `exact` is the chain as it is computed and checked: it raises the
     OverflowError of a sampled q-norm, and gives each check's failure and
-    the block's largest peak. `screen` computes the same values in log
-    space, with exp in place of every power of an entry: ln z = L e -
-    ln(sum_j 10^(q e_j) |I_j|)/q with L = ln 10, then ||z||_q^q and the r-th
-    and q-th weighted means from exp(q ln z) and exp(q theta ln z) against
-    row vectors that carry the y and w factors. It bounds the distance in
-    ln between each screened value and the exact one by `delta`, from the
-    largest |ln| the block holds; it passes a block only when x, y and w
-    are in range, every value is finite and inside e^+-600, and every check
-    passes by 10 times the bound, so the exact run of the block would fail
-    no check and raise nothing.
+    the block's largest peak.
 
-    A passed block's largest peak is bounded in two steps. `screen` returns
-    its L^q reach: the largest L^q mean of a candidate's cell function,
-    (sum_I |x_I|^((1 - theta) q) |z_I|^(theta q) |I|)^(1/q), one
-    matrix-vector product over the work block, times e^(10 delta). The
-    peak is the L^p mean, no larger for p < q. `cell_reach` then gives the
-    block's largest screened peak itself, from the cell sums of the work
-    block `screen` kept, times e^(10 delta): the tighter bound, taken only
-    for a block whose L^q reach meets the largest exact peak. Either reach
-    lies above every exact peak of the block.
+    `certified` settles the checks of every sampled block at once. With
+    r theta = q the r-th weighted mean of a candidate z is
+    sum_I z_I^q |I| c_I, c_I = w_I / (y_I^q |I|), a c-weighted mean of
+    ||z||_q^q = 1; and as the weights total W <= 1, the q-th mean is at most
+    W^(1 - q/r) times the r-th mean to the power q/r (the power-mean
+    inequality: Hardy, Littlewood and Polya, Inequalities, 2.9). So all
+    three checks pass when every c_I is close enough to 1, with room left
+    for |r theta - q| |ln(z/y)| and the chain's rounding, and none of them
+    depends on the candidate. The flag holds when x and y are positive and
+    finite, 0 < w <= 1, theta > 0 and p <= q <= r; every value the exact
+    chain of a sampled block holds lies within e^+-`_LOG_RANGE`; max |c_I -
+    1| plus those two terms is at most `_CHAIN_RTOL` / 4; and the exactly
+    rounded sum of w is at most 1 + 1e-12. The exact run of every sampled
+    block of a certified call then fails no check, raises nothing and
+    warns of nothing.
+
+    `reach` bounds the largest peak of a sampled block of a certified call.
+    A candidate's peak is the L^p mean on [0, 1) of its cell function
+    F = (sum_I |x_I|^((1 - theta) q) z_I^(theta q) 1_I)^(1/q), no larger
+    than its L^q mean (sum_I |x_I|^((1 - theta) q) z_I^(theta q) |I|)^(1/q)
+    for p <= q; that takes two exps per entry and two matrix-vector
+    products. Only when the largest L^q mean meets the largest exact peak
+    so far does `reach` take the cell sums of the same work block. Either
+    bound is lifted by `slack`, so it lies at or above every exact peak of
+    the block.
     """
 
     def __init__(
-        self,
-        grid: _Grid,
-        u: HaarExpansion,
-        x: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
+        self, grid: _Grid, u: HaarExpansion, x: np.ndarray, y: np.ndarray, w: np.ndarray,
         exponents: tuple[float, float, float, float],
-        step: int,
     ) -> None:
-        self.grid, self.x, self.y, self.w, self.step = grid, x, y, w, step
+        self.grid, self.x, self.y, self.w = grid, x, y, w
         self.p, self.q, self.th, self.r = exponents
         self.x_power = np.abs(x) ** (1.0 - self.th)
         self.m = np.ldexp(1.0, -u.levels)
-        self.max_level = u.max_level
         self.leaves = 1 << u.max_level
-        self._passed: tuple[np.ndarray, float] | None = None  # `screen`'s last pass
+        # the slack that lifts each reach, in ln: an exact peak is within
+        # 12 op errors (`_OP_ERROR`), one support sum (of z's q-norm), one
+        # cell's sum of at most L + 1 terms and one sum over the cells of
+        # the real L^p mean of its candidate; the L^q reach within 9 op
+        # errors and two support sums of the real L^q mean, and the
+        # cell-sum reach within 11 op errors, a support sum and the two cell
+        # sums of the real L^p mean. A sum of k positive terms adds at most
+        # 1.01 k u, and the powers 1/q and 1/p undo the gain q of the cell
+        # function's q-th power
+        self.slack = 24.0 * _OP_ERROR + 3.03 * (len(y) + len(grid.owner) + u.max_level + 1) * _UNIT
 
     def exact(
         self, exponents: np.ndarray | None, with_y: bool
@@ -267,8 +283,9 @@ class _Chain:
             del raw  # freed, as `ratios` below, before the cell sums: a lower peak
 
         ratios = candidates / self.y
-        mean_q = ratios ** (q * th) @ self.w
-        mean_r = ratios ** (r * th) @ self.w
+        with np.errstate(over="ignore"):  # an inf mean fails its check
+            mean_q = ratios ** (q * th) @ self.w
+            mean_r = ratios ** (r * th) @ self.w
         del ratios
         z_norms_q = candidates**q @ self.m
         failed = (
@@ -283,103 +300,60 @@ class _Chain:
         return failed, (means ** (1.0 / p)).max()
 
     @cached_property
-    def _screen_rows(self):
-        """(gain, xy_log, the rows w y^(-q theta), w y^(-r theta) and
-        |x|^(q(1 - theta)), two work blocks), or None when x, y or w keep
-        every block exact: gain is the largest exponent any ln is multiplied
-        by, and xy_log bounds |ln x| + |ln y| + 3 L."""
-        q, th, r = self.q, self.th, self.r
+    def certified(self) -> bool:
+        """Whether the exact run of every sampled block would fail no check
+        and raise nothing (class docstring)."""
+        p, q, th, r = self.p, self.q, self.th, self.r
         x, y, w = np.abs(self.x), self.y, self.w
-        if not (
-            np.all((x > 0.0) & (x < math.inf))
-            and np.all((y > 0.0) & (y < math.inf))
-            and np.all((w >= 0.0) & (w <= 1.0))
-        ):
-            return None
-        ln_x, ln_y = np.log(x), np.log(y)
-        gain = float(np.max(np.abs([1.0, q, q * th, r * th, q * (1.0 - th)])))
-        xy_log = float(np.abs(ln_x).max() + np.abs(ln_y).max()) + 3.0 * _LN10
-        if not gain * xy_log <= _SCREEN_LOG_RANGE:
-            return None
-        w_q = w * np.exp(-(q * th) * ln_y)
-        w_r = w * np.exp(-(r * th) * ln_y)
-        x_q = np.exp((q * (1.0 - th)) * ln_x)
-        return gain, xy_log, w_q, w_r, x_q, np.empty((2, self.step, len(y)))
+        positive = np.all((np.minimum(x, y) > 0.0) & (np.maximum(x, y) < math.inf))
+        if not (positive and np.all((w > 0.0) & (w <= 1.0)) and th > 0.0 and p <= q <= r):
+            return False
+        # a sampled z_I is 10^e_I / s^(1/q) with s = sum_J 10^(q e_J) |J|
+        # and |e| <= 3, s >= 10^(q e_I) |I| and s <= 10^(3q) (L + 1), so
+        # |ln z_I| <= 6 ln 10 + (L + 1) ln 2 / q; the chain's largest |ln|
+        # are those of its q-th and r theta-th powers and of w times them
+        y_log = np.abs(np.log(y)).max()
+        z_log = 6.0 * _LN10 + math.log(2.0 * self.leaves) / q
+        rho = r * th  # the exponent the exact chain takes
+        span = max(q, rho) * (np.abs(np.log(x)).max() + y_log + z_log) - np.log(w.min())
+        if not span <= _LOG_RANGE:
+            return False
+        # the margin: the r-th mean takes a quotient, its power rho, a
+        # product and a support sum, ||z||_q^q a power and a support sum,
+        # and c a power, a product and a quotient, so their ratio is within
+        # (rho + 8) op errors and two sums of n terms, 1.01 n u each, of a
+        # c-weighted mean of 1, lifted by at most |rho - q| |ln(z/y)|. The
+        # q-th mean's two checks divide such errors by q or r, both above 1,
+        # against all of `_CHAIN_RTOL`, and W^((1 - q/r)/q) adds at most
+        # 1e-12: the factor 4 leaves room for them and the second-order terms
+        margin = (rho + 8.0) * _OP_ERROR + 2.02 * len(y) * _UNIT
+        c = w / (y**q * self.m)
+        off = np.abs(c - 1.0).max() + abs(rho - q) * (z_log + y_log) + margin
+        return bool(off <= _CHAIN_RTOL / 4.0 and _fsum(w) <= 1.0 + 1e-12)
 
-    def screen(self, exponents: np.ndarray) -> float | None:
-        """The block's L^q reach (class docstring), or None when it must run
-        exactly. A block that passes keeps its work block and delta for
-        `cell_reach`."""
-        if self._screen_rows is None:
-            return None
-        gain, xy_log, w_q, w_r, x_q, blocks = self._screen_rows
-        q, th, r = self.q, self.th, self.r
-        k = len(exponents)
-        work, ln_z = blocks[0, :k], blocks[1, :k]
-        with np.errstate(all="ignore"):
-            np.exp(np.multiply(exponents, q * _LN10, out=work), out=work)
-            np.multiply(exponents, _LN10, out=ln_z)
-            ln_z -= (np.log(work @ self.m) / q)[:, None]
-            z_log = max(-ln_z.min(), ln_z.max())
-            span = gain * (z_log + xy_log)
-            if not span <= _SCREEN_LOG_RANGE:
-                return None
-            np.exp(np.multiply(ln_z, q, out=work), out=work)  # z^q, for z^(r theta)
-            ln_norms, ln_r = np.log(work @ self.m), np.log(work @ w_r)
-            np.exp(np.multiply(ln_z, q * th, out=work), out=work)
-            ln_q = np.log(work @ w_q)
-            work *= x_q  # (|x|^(1 - theta) z^theta)^q
-            ln_top = np.log(work @ self.m).max() / q  # the largest L^q mean, in ln
-        # delta bounds |ln exact - ln screened| of each compared value, the
-        # rounding of both sides together, with u the unit roundoff, c =
-        # `_FUNCTION_ERROR` and a the largest |ln| before any exponent (of z,
-        # x, y, 10^e and a sum over q): ln z differs by at most (c + 10) u a +
-        # (5c + 1) u + two support sums; a power multiplies that by at most
-        # gain; the powers, the x and y rows, the logs and the roots add at
-        # most (2c + 4) gain u a + (2c + 1) gain u + 11c u, two support sums
-        # and four cell sums; and z^q standing for z^(r theta) adds
-        # |r theta - q| |ln z|. 6c (gain + 1) u (a + 3) covers every u term.
-        # So e^(10 delta) lifts either reach above each exact peak: an exact
-        # peak is the cell function's L^p mean with its rounding, four cell
-        # sums among it, which delta covers; the cell-sum reach screens that
-        # same mean, and the L^q reach the L^q mean, no smaller on [0, 1)
-        # for p < q (the power-mean inequality), from one support sum, whose
-        # rounding delta covers too
-        n, levels = len(self.y), self.max_level + 1
-        a = z_log + xy_log + math.log(n) + levels * math.log(2.0)
-        support_sum = 1.01 * (n + 2) * _UNIT  # gamma_k <= 1.01 k u for a sum of k
-        cell_sum = 1.01 * (len(self.grid.owner) + levels + 2) * _UNIT
-        delta = (
-            (gain + 1.0) * (6.0 * _FUNCTION_ERROR * _UNIT * (a + 3.0) + 2.0 * support_sum)
-            + 4.0 * cell_sum
-            + abs(r * th - q) * z_log
-        )
-        slack = math.log1p(_CHAIN_RTOL) - 20.0 * delta
-        lowest = np.min([ln_norms.min(), ln_r.min(), ln_q.min()])  # NaN stays
-        if not (
-            lowest >= -_SCREEN_LOG_RANGE
-            and np.all(np.abs(ln_r - ln_norms) <= slack)
-            and np.all(ln_q / q - ln_r / r <= slack)
-            and np.all(ln_q / q <= slack + 10.0 * delta)
-            and -math.inf < ln_top < math.inf
-        ):
-            return None
-        self._passed = work, delta
-        return math.exp(ln_top + 10.0 * delta)
+    @cached_property
+    def _x_q(self) -> np.ndarray:
+        """|x|^((1 - theta) q), the x row of the cell function's q-th power."""
+        return self.x_power**self.q
 
-    def cell_reach(self) -> float | None:
-        """The cell-sum reach of the block `screen` passed last, from the
-        work block it kept: the largest screened peak times e^(10 delta), or
-        None, and the block runs exactly, when that peak is not finite and
-        positive."""
-        work, delta = self._passed
-        p, q = self.p, self.q
-        with np.errstate(all="ignore"):
-            sums, lengths = _cells(self.grid, work)
-            top = ((_cell_sum(sums ** (p / q), lengths) / self.leaves) ** (1.0 / p)).max()
-        if not 0.0 < top < math.inf:
-            return None
-        return top * math.exp(10.0 * delta)
+    def reach(self, exponents: np.ndarray, top: float) -> float:
+        """A bound on the largest exact peak of the sampled block
+        10^exponents of a certified call, lifted by e^`slack`: its largest
+        L^q mean when that lies below `top`, else its largest cell-sum peak
+        (class docstring)."""
+        p, q, th = self.p, self.q, self.th
+        work = np.multiply(exponents, q * _LN10)
+        np.exp(work, out=work)  # 10^(q e)
+        # z^(theta q) = 10^(theta q e) s^-theta, s the row's sum_I 10^(q e_I) |I|
+        scales = (work @ self.m) ** (-th / q) * math.exp(self.slack)
+        np.exp(np.multiply(exponents, th * q * _LN10, out=work), out=work)
+        bound = ((work @ (self._x_q * self.m)) ** (1.0 / q) * scales).max()
+        if bound < top:
+            return bound
+        work *= self._x_q  # F^q, but for s^-theta
+        sums, lengths = _cells(self.grid, work)
+        peaks = (_cell_sum(sums ** (p / q), lengths) / self.leaves) ** (1.0 / p)
+        return (peaks * scales).max()
 
 
 def x0_norm_estimate(
@@ -412,14 +386,16 @@ def x0_norm_estimate(
     give the same floats. The candidates run in blocks of
     `haar._batch_rows` rows on the grid that measure keeps for u
     (`haar._KeptRows._grid_for`), drawn block by block from one
-    stream, so memory stays bounded however large `n_samples` is. A block
-    of sampled candidates large enough is screened in log space first. A
-    block that passes has its largest peak bounded by its largest L^q mean,
-    and, only when that bound meets the largest exact peak so far, by its
-    cell sums; it runs exactly only if that bound too meets the maximum
-    (`_Chain`), so it changes no value, check or exception. Errors keep
-    their order: OverflowError before the r-th mean, comparison, unit-ball
-    and cap VerificationErrors, whichever block each failure came from.
+    stream, so memory stays bounded however large `n_samples` is. y runs
+    exactly first. When a block holds `_SCREEN_MIN_ENTRIES` sampled entries
+    or more and the call is certified (`_Chain.certified`: the exact run of
+    no sampled block would fail a check or raise), that block runs exactly
+    only if its reach, a bound on its largest peak, meets the largest exact
+    peak so far (`_Chain.reach`); every other block runs exactly. So the
+    value, every check and every exception are those of running each block
+    exactly. Errors keep their order: OverflowError before the r-th mean,
+    comparison, unit-ball and cap VerificationErrors, whichever block each
+    failure came from.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
@@ -441,46 +417,33 @@ def x0_norm_estimate(
     cap = measure.normalizer ** (1.0 / p) * norm_u
 
     x_vec = f._field_rows("x", u)
-    step = min(_batch_rows(grid), n_samples + 1)  # the screen's work blocks are this size
-    chain = _Chain(grid, u, x_vec, y_vec, w_vec, (p, q, th, r), step)
+    chain = _Chain(grid, u, x_vec, y_vec, w_vec, (p, q, th, r))
+    step = min(_batch_rows(grid), n_samples + 1)
     n_support = len(u.support)
 
     # candidate 0 is y, then the samples, drawn block by block from one
-    # stream; each check's failure is kept until every block is drawn. A
-    # screened block (`_Chain`) whose L^q reach meets the largest exact peak
-    # so far takes its cell-sum reach; if that meets it too, the block keeps
-    # its generator state, and runs exactly after the loop if its reach
-    # still meets the largest peak then
+    # stream; each check's failure is kept until every block is drawn
     rng = np.random.default_rng(seed)
     failed = np.zeros(3, dtype=bool)  # unequal, uncompared, unbounded
-    peaks, contenders = [], []
+    peaks = []
 
     def run(exponents: np.ndarray | None, with_y: bool) -> None:
         flags, peak = chain.exact(exponents, with_y)
         failed[:] |= flags
         peaks.append(peak)
 
-    for lo in range(0, n_samples + 1, chain.step):
+    for lo in range(0, n_samples + 1, step):
         with_y = lo == 0
-        rows = min(chain.step, n_samples + 1 - lo) - with_y
-        screens = rows and rows * n_support >= _SCREEN_MIN_ENTRIES
-        state = rng.bit_generator.state if screens else None
+        rows = min(step, n_samples + 1 - lo) - with_y
         exponents = rng.uniform(-3.0, 3.0, size=(rows, n_support)) if rows else None
-        reach = None if state is None else chain.screen(exponents)
-        if reach is None:
+        if not (rows and rows * n_support >= _SCREEN_MIN_ENTRIES and chain.certified):
             run(exponents, with_y)
-        elif with_y:
-            run(None, True)  # y, in the first block, runs alone
-        if reach is not None and reach >= np.max(peaks):  # never for a NaN peak
-            reach = chain.cell_reach()
-            if reach is None:
-                run(exponents, False)
-            elif reach >= np.max(peaks):
-                contenders.append((state, rows, reach))
-    for state, rows, reach in contenders:
-        if reach >= np.max(peaks):
-            rng.bit_generator.state = state
-            run(rng.uniform(-3.0, 3.0, size=(rows, n_support)), False)
+            continue
+        if with_y:
+            run(None, True)  # y runs alone, first
+        top = np.max(peaks)
+        if not chain.reach(exponents, top) < top:  # a NaN bound settles nothing
+            run(exponents, False)
 
     unequal, uncompared, unbounded = failed
     if unequal:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from haarmult import Factorization, VerificationError, tl_norm
-from haarmult.haar import _cell_sum
+from haarmult.haar import _batch_rows, _cell_sum, _support_grid
 from haarmult.pisier import _CHAIN_RTOL, _IDENTITY_RTOL
 
 import haar_oracle
@@ -52,8 +52,8 @@ def verify_factorization(u, f):
 
 def x0_norm_estimate(f, u, n_samples, seed, measure):
     """`pisier.x0_norm_estimate` on the weights of `measure`: the y check
-    one weight at a time, then the candidates as arrays, as in the
-    library."""
+    one weight at a time, then every candidate exactly, as arrays, with the
+    sampled q-norms taken in the library's blocks."""
     for interval, weight in measure.weights.items():
         expected = (weight * 2.0**interval.level) ** (1.0 / f.q)
         if not math.isclose(expected, f.y[interval], rel_tol=1e-9, abs_tol=1e-300):
@@ -73,8 +73,13 @@ def x0_norm_estimate(f, u, n_samples, seed, measure):
     candidates[0] = y_vec
     if n_samples:
         raw = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_samples, n_support))
+        # a q-norm is a row of a matrix-vector product, which BLAS rounds by
+        # the row's place in the matrix, so they are taken in the library's
+        # blocks: `haar._batch_rows` rows, y first in the first
+        step = _batch_rows(_support_grid(u))
+        blocks = np.split(raw, range(step - 1, n_samples, step))
         with np.errstate(over="ignore"):
-            scales = (raw**q @ m_vec) ** (1.0 / q)
+            scales = np.concatenate([block**q @ m_vec for block in blocks]) ** (1.0 / q)
         if not np.all((scales > 0.0) & (scales < math.inf)):
             raise OverflowError(
                 f"a sampled candidate's q-norm leaves the float range at q = {q}"
@@ -82,8 +87,9 @@ def x0_norm_estimate(f, u, n_samples, seed, measure):
         candidates[1:] = raw / scales[:, None]
 
     ratios = candidates / y_vec
-    mean_q = ratios ** (q * th) @ w_vec
-    mean_r = ratios ** (r * th) @ w_vec
+    with np.errstate(over="ignore"):  # an inf mean fails its check
+        mean_q = ratios ** (q * th) @ w_vec
+        mean_r = ratios ** (r * th) @ w_vec
     z_norms_q = candidates**q @ m_vec
     if not np.allclose(mean_r, z_norms_q, rtol=_CHAIN_RTOL, atol=0.0):
         raise VerificationError("r-th weighted mean should equal ||z||^q exactly")

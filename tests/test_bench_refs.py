@@ -62,9 +62,9 @@ def test_grids_per_op(name, grid_builds):
 # the candidate rows `x0_norm_estimate` runs exactly per factor-sampling op
 # on bench inputs 0-3, one list entry per exact block: y alone, and the last
 # block when it holds fewer than `pisier._SCREEN_MIN_ENTRIES` sampled entries
-# (input 1's one row of 4042). Every other block passes the screen, and its
-# L^q reach lies below y's peak, so it takes no cell sums and never runs
-# exactly: the `_cells` calls per op are those of the exact blocks
+# (input 1's one row of 4042). Every call is certified, and the L^q reach of
+# every other block lies below y's peak, so it takes no cell sums and never
+# runs exactly: the `_cells` calls per op are those of the exact blocks
 EXACT_ROWS_PER_OP = [[1], [1, 1], [1], [1]]
 
 
@@ -97,7 +97,8 @@ def test_exact_rows_per_factor_sampling_op(monkeypatch):
 
 def test_verify_suite_screens_no_block(monkeypatch):
     # verify's one block of 20 samples over about 60 support rows stays
-    # below `pisier._SCREEN_MIN_ENTRIES`, so it runs exactly at once
+    # below `pisier._SCREEN_MIN_ENTRIES`, so it runs exactly at once, and
+    # the call never reads its certificate
     screened, exact_rows = [], []
     exact = pisier._Chain.exact
 
@@ -105,7 +106,8 @@ def test_verify_suite_screens_no_block(monkeypatch):
         exact_rows.append(len(exponents) + with_y)
         return exact(chain, exponents, with_y)
 
-    monkeypatch.setattr(pisier._Chain, "screen", lambda *args: screened.append(args))
+    monkeypatch.setattr(pisier._Chain, "reach", lambda *args: screened.append(args))
+    monkeypatch.setattr(pisier._Chain, "certified", property(screened.append))
     monkeypatch.setattr(pisier._Chain, "exact", counted)
     workload = workloads.WORKLOADS["verify-suite"](haarmult)
     workload.op(*workload.prepare(workload.make_input(0)))

@@ -315,6 +315,15 @@ class TestLatticeNormEstimate:
         with pytest.raises(ValueError, match="factorization does not match"):
             x0_norm_estimate(f, u, 4)
 
+    def test_an_overflowing_mean_fails_its_check_and_warns_of_nothing(self):
+        # at q = 102.5 a candidate ratio's power overflows to inf: the r-th
+        # mean test fails, and no RuntimeWarning, which the test settings
+        # raise, comes before it
+        u = gen_random(8, 1, 0.5, 0)
+        message = re.escape("r-th weighted mean should equal ||z||^q exactly")
+        with pytest.raises(VerificationError, match=message):
+            x0_norm_estimate(factorize(u, 1.5, 102.5), u, 40, 1)
+
     def test_overflowing_sample_norms_fail_closed(self):
         # raw magnitudes reach 10^3, so raw**q overflows at q = 150; the
         # scales became inf and every sampled candidate the zero vector
@@ -373,51 +382,45 @@ class TestLatticeNormEstimate:
         assert math.isnan(x0_norm_estimate(f, u, 4))
         assert events == [("exact", 1, True)] + [("exact", 1, False)] * 4
 
-    def test_a_nan_the_screen_meets_runs_the_block_exactly(self, monkeypatch):
-        # screened, a NaN in the L^q sums of the third block sends that block
-        # to the exact run, whose peak is finite: no screened value reaches
-        # the estimate
+    def test_a_nan_in_x_y_or_w_leaves_the_call_uncertified(self, monkeypatch):
+        # a NaN in x, y or w, at the first or the last support row, leaves
+        # the call uncertified; through `x0_norm_estimate` only one in x gets
+        # past the y check, and then every block runs exactly
         u = scalar(2, {(0, 0): 1.0, (1, 0): 0.75, (1, 1): -1.25, (2, 1): 0.5, (2, 2): 1.5})
         f = factorize(u, 1.5, 3.0)
-        want = x0_norm_estimate(f, u, 4)
+        rows = [f._field_rows(name, u) for name in ("x", "y")]
+        rows.append(pietsch.weights_tl(u, 1.5, 3.0)._field_rows("weights", u))
+        exponents = (f.p, f.q, f.theta, f.p * (f.q - 1.0) / (f.p - 1.0))
+        grid = haar._support_grid(u)
+        assert pisier._Chain(grid, u, *rows, exponents).certified
+        for k in range(3):
+            for at in (0, -1):
+                bad = [row.copy() for row in rows]
+                bad[k][at] = math.nan
+                assert not pisier._Chain(grid, u, *bad, exponents).certified
+        g = Factorization(x={**f.x, u.support[0]: math.nan}, y=f.y, theta=f.theta, p=1.5, q=3.0)
+        assert math.isnan(x0_norm_estimate(g, u, 4))
         monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1)
         monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
-        calls = []
-        screen = pisier._Chain.screen
-
-        def nan_in_second_screen(chain, exponents):
-            # the row |x|^(q(1 - theta)) scales only the work block the L^q
-            # sums read, so a NaN in it reaches those sums and nothing else
-            calls.append(None)
-            rows = chain._screen_rows
-            if len(calls) != 2:
-                return screen(chain, exponents)
-            x_q = rows[4].copy()
-            x_q[0] = math.nan
-            chain.__dict__["_screen_rows"] = (*rows[:4], x_q, rows[5])
-            try:
-                return screen(chain, exponents)
-            finally:
-                chain.__dict__["_screen_rows"] = rows
-
-        monkeypatch.setattr(pisier._Chain, "screen", nan_in_second_screen)
         events = _record(monkeypatch)
-        assert x0_norm_estimate(f, u, 4) == want
-        assert events[:4] == [
-            ("exact", 1, True), ("screen", 1, True), ("screen", 1, False), ("exact", 1, False)
-        ]
+        assert math.isnan(x0_norm_estimate(g, u, 4))
+        assert events == [("exact", 1, True), ("certified", False)] + [("exact", 1, False)] * 4
 
     def test_a_nan_in_the_cell_sums_runs_the_block_exactly(self, monkeypatch):
-        # on one support row every sample ties y, so every L^q reach meets
-        # y's peak and each screened block takes its cell sums: a NaN in
-        # those of the second screened block sends it to the exact run at
-        # once, and the others run exactly after the loop
-        u = scalar(0, {(0, 0): 1.0})
+        # at seed 1 the L^q bounds of the first three sampled blocks here
+        # meet y's peak, and their cell-sum bounds settle them: a NaN in
+        # those of the second block sends that block to the exact run, whose
+        # peak is finite, and the others stay settled
+        u = scalar(2, {(1, 1): 0.5, (2, 2): 2.0})
         f = factorize(u, 1.5, 3.0)
-        want = x0_norm_estimate(f, u, 4)
+        want = x0_norm_estimate(f, u, 4, 1)
         monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1)
         monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
         events = _record(monkeypatch)
+        assert x0_norm_estimate(f, u, 4, 1) == want
+        settled = [("reach", 1, False), ("cells", 1)]
+        start, last = [("exact", 1, True), ("certified", True)], [("reach", 1, False)]
+        assert events == start + settled * 3 + last
         calls = []
         cells = pisier._cells
 
@@ -427,14 +430,10 @@ class TestLatticeNormEstimate:
             return (np.full_like(sums, math.nan) if len(calls) == 3 else sums), lengths
 
         monkeypatch.setattr(pisier, "_cells", nan_in_third_call)
-        assert x0_norm_estimate(f, u, 4) == want
-        assert events[:7] == [
-            ("exact", 1, True),
-            ("screen", 1, True), ("cells", 1, True),
-            ("screen", 1, True), ("cells", 1, False), ("exact", 1, False),
-            ("screen", 1, True),
-        ]
-        assert events.count(("exact", 1, False)) == 4
+        events = _record(monkeypatch)
+        assert x0_norm_estimate(f, u, 4, 1) == want
+        ran = [("reach", 1, True), ("cells", 1), ("exact", 1, False)]
+        assert events == start + settled + ran + settled + last
 
     def test_memory_independent_of_samples(self):
         # candidates run in blocks of `haar._BATCH_ENTRIES` cell entries: at
@@ -557,31 +556,42 @@ def _outcome(fn, *args):
 
 
 def _record(monkeypatch):
-    """The blocks `x0_norm_estimate` runs from now on, in order: ("screen",
-    sampled rows, whether it passed), ("cells", rows, whether the cell-sum
-    step passed) and ("exact", rows, whether y is one)."""
-    events = []
-    screen, cell_reach, exact = (
-        pisier._Chain.screen, pisier._Chain.cell_reach, pisier._Chain.exact
+    """The blocks `x0_norm_estimate` runs from now on, in order:
+    ("certified", the flag) when a call first reads it, ("reach", sampled
+    rows, whether the block runs exactly), ("cells", rows) after it when
+    the reach takes its cell-sum step, and ("exact", rows, whether y is
+    one)."""
+    events, inside = [], []
+    certified, reach, exact, cells = (
+        pisier._Chain.certified, pisier._Chain.reach, pisier._Chain.exact, pisier._cells
     )
 
-    def screened(chain, exponents):
-        reach = screen(chain, exponents)
-        events.append(("screen", len(exponents), reach is not None))
-        return reach
+    def certify(chain):
+        if "certified" not in vars(chain):
+            events.append(("certified", certified.__get__(chain)))
+        return vars(chain)["certified"]
 
-    def tightened(chain):
-        reach = cell_reach(chain)
-        events.append(("cells", len(chain._passed[0]), reach is not None))
-        return reach
+    def reached(chain, exponents, top):
+        at = len(events)
+        inside.append(None)
+        bound = reach(chain, exponents, top)
+        inside.pop()
+        events.insert(at, ("reach", len(exponents), not bound < top))
+        return bound
+
+    def summed(grid, values):
+        if inside:
+            events.append(("cells", len(values)))
+        return cells(grid, values)
 
     def exactly(chain, exponents, with_y):
         events.append(("exact", (0 if exponents is None else len(exponents)) + with_y, with_y))
         return exact(chain, exponents, with_y)
 
-    monkeypatch.setattr(pisier._Chain, "screen", screened)
-    monkeypatch.setattr(pisier._Chain, "cell_reach", tightened)
+    monkeypatch.setattr(pisier._Chain, "certified", property(certify))
+    monkeypatch.setattr(pisier._Chain, "reach", reached)
     monkeypatch.setattr(pisier._Chain, "exact", exactly)
+    monkeypatch.setattr(pisier, "_cells", summed)
     return events
 
 
@@ -702,8 +712,9 @@ class TestArrayFormOracle:
 
     def test_one_row_blocks_change_nothing(self, monkeypatch):
         # every candidate in its own block against all in one block, each
-        # run exactly and screened: the same values, verdicts and
-        # exceptions, NaN, inf and zero included
+        # run exactly and bounded: the same values, verdicts and exceptions,
+        # NaN, inf and zero included; some calls are certified and bound
+        # their blocks, and others are not
         def outcomes(budget, screen_from):
             monkeypatch.setattr(haar, "_BATCH_ENTRIES", budget)
             monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", screen_from)
@@ -724,17 +735,17 @@ class TestArrayFormOracle:
         assert {rows for _, rows, _ in row_blocks} == {1}
         assert len(row_blocks) == 9 * len(whole_blocks)
         for budget in (1 << 40, 1):
-            screened, blocks = outcomes(budget, 0)
-            assert screened == whole
-            assert ("screen", 8 if budget > 1 else 1, True) in blocks
-            assert ("screen", 8 if budget > 1 else 1, False) in blocks
+            bounded, blocks = outcomes(budget, 0)
+            assert bounded == whole
+            assert ("certified", True) in blocks and ("certified", False) in blocks
+            assert any(event[:2] == ("reach", 8 if budget > 1 else 1) for event in blocks)
 
 
 class TestScreenAgainstOracle:
     """`x0_norm_estimate` against `pisier_oracle`, which runs every
-    candidate exactly in one block, on inputs that reach each way a block
-    runs: screened and passed, screened and run exactly, a contender run
-    exactly after the loop, and exact from the start."""
+    candidate exactly, on inputs that reach each way a block runs: bounded
+    and settled, bounded and run exactly, and exact from the start, as the
+    call is uncertified."""
 
     PQS = ((1.5, 3.0), (4.0 / 3.0, 2.0), (1.25, 7.5))
 
@@ -749,14 +760,15 @@ class TestScreenAgainstOracle:
             u = gen_random(10, 1, 0.5, k)
             got = self._same(factorize(u, p, q), u, 40, k, pietsch.weights_tl(u, p, q))
             assert not got.startswith("(")
-        assert ("screen", 31, True) in events and ("exact", 1, True) in events
-        assert all(passed for kind, _, passed in events if kind == "screen")
+        assert ("reach", 31, False) in events and ("exact", 1, True) in events
+        assert [event for event in events if event[0] == "certified"] == [("certified", True)] * 3
 
     @pytest.mark.parametrize("off", [0.95e-9, 1.05e-9])
     def test_exact_fallback_at_the_chain_threshold(self, monkeypatch, off):
         # weights off by 0.95e-9 pass the r-th mean test and by 1.05e-9 fail
-        # it; the screen leaves both to the exact run. A factorization built
-        # from dicts keeps no measure, so the library takes `weights_tl`'s
+        # it; both leave the call uncertified, so every block runs exactly. A
+        # factorization built from dicts keeps no measure, so the library
+        # takes `weights_tl`'s
         p, q = 1.5, 3.0
         u = gen_random(10, 1, 0.5, 3)
         m = pietsch.weights_tl(u, p, q)
@@ -767,15 +779,15 @@ class TestScreenAgainstOracle:
         events = _record(monkeypatch)
         got = self._same(f, u, 40, 5, tilted)
         assert ("r-th weighted mean" in got) == (off > 1e-9)
-        screened = [rows for kind, rows, _ in events if kind == "screen"]
-        assert screened and ("screen", screened[0], False) in events
-        assert ("exact", screened[0] + 1, True) in events
+        step = haar._batch_rows(haar._support_grid(u))
+        assert events[:2] == [("certified", False), ("exact", step, True)]
+        assert not any(event[0] == "reach" for event in events)
 
     @pytest.mark.parametrize("budget", [1 << 16, 2, 1])
     def test_contenders_run_exactly(self, monkeypatch, budget):
-        # one support row: every sample ties y, so every screened block
-        # could hold the maximum and runs exactly after the loop; the two
-        # rows here tie y closely enough too. Blocks of 1, 2 and 12 rows
+        # one support row: every sample ties y, so every bounded block could
+        # hold the maximum and runs exactly; the two rows here tie y closely
+        # enough too. Blocks of 1, 2 and 12 rows
         monkeypatch.setattr(haar, "_BATCH_ENTRIES", budget)
         monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
         events = _record(monkeypatch)
@@ -790,16 +802,35 @@ class TestScreenAgainstOracle:
                 events.clear()
                 got = self._same(factorize(u, p, q), u, 11, 1, pietsch.weights_tl(u, p, q))
                 assert not got.startswith("(")
-                confirmed = [rows for kind, rows, y in events if kind == "exact" and not y]
-                screened = [rows for kind, rows, _ in events if kind == "screen"]
+                confirmed = [e[1] for e in events if e[0] == "exact" and not e[2]]
+                reached = [e[1] for e in events if e[0] == "reach"]
                 if len(u.support) == 1:
-                    assert confirmed == screened
+                    assert confirmed == reached
                 contended.append(bool(confirmed))
         assert all(contended[:4]) and any(contended[4:])
 
+    @pytest.mark.parametrize("budget", [1 << 16, 1 << 11])
+    def test_a_winning_sample(self, monkeypatch, budget):
+        # at (p, q) = (3, 3.1), theta near 0.97, a sampled candidate beats y
+        # on these 55 support rows; in blocks of 458 rows and of 14, run
+        # exactly and bounded, the oracle takes the q-norms in the same
+        # blocks as the library, and the winning block runs exactly
+        monkeypatch.setattr(haar, "_BATCH_ENTRIES", budget)
+        u = _sparse_scalar(np.random.default_rng(8), 20, 60)
+        p, q = 3.0, 3.1
+        f, m = factorize(u, p, q), pietsch.weights_tl(u, p, q)
+        assert len(u.support) == 55
+        got = self._same(f, u, 64, 0, m)
+        assert float(got) > x0_norm_estimate(f, u, 0)
+        monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
+        events = _record(monkeypatch)
+        assert self._same(f, u, 64, 0, m) == got
+        assert ("certified", True) in events and ("exact", 1, True) in events
+        assert any(event[0] == "reach" and event[2] for event in events)
+
     def test_sampled_overflow_edge(self, monkeypatch):
         # raw magnitudes reach 10^3, so the sampled q-th powers overflow
-        # from q near 102.8: the screen leaves these to the exact run
+        # from q near 102.8: these calls are uncertified and run exactly
         monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
         u = gen_random(6, 1, 0.6, 0)
         events = _record(monkeypatch)
@@ -808,11 +839,12 @@ class TestScreenAgainstOracle:
             for q in (102.5, 102.75, 103.0)
         ]
         assert "OverflowError" in got[-1] and not got[0].startswith("(")
-        assert not any(passed for kind, _, passed in events if kind == "screen")
+        assert events.count(("certified", False)) == 3
+        assert not any(event[0] == "reach" for event in events)
 
     def test_scaled_inputs_and_bad_factors(self, monkeypatch):
         # u scaled by 2^500 and 2^-500, and a NaN, an inf and a zero in
-        # each factor: every such block runs exactly
+        # each factor: every such call is uncertified and runs exactly
         monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
         base = gen_random(5, 1, 0.6, 2)
         outcomes = []
@@ -823,12 +855,15 @@ class TestScreenAgainstOracle:
             f = factorize(u, p, q)
             events = _record(monkeypatch)
             outcomes.append(self._same(f, u, 16, 3, m))
-            assert any(kind == "screen" and passed for kind, _, passed in events) == (scale == 1)
+            assert (("certified", True) in events) == (scale == 1)
+            assert any(event[0] == "reach" for event in events) == (scale == 1)
+            events.clear()
             first = u.support[0]
             for bad in (math.nan, math.inf, 0.0):
                 for x, y in (({**f.x, first: bad}, f.y), (f.x, {**f.y, first: bad})):
                     g = Factorization(x=x, y=y, theta=f.theta, p=p, q=q)
                     outcomes.append(self._same(g, u, 16, 3, m))
+            assert ("certified", True) not in events
             monkeypatch.undo()
             monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
         assert any(o.startswith("(") for o in outcomes)
@@ -836,28 +871,27 @@ class TestScreenAgainstOracle:
 
 
 class TestReachesBoundThePeaks:
-    """Each reach of a block the screen passes, the L^q one that
-    `_Chain.screen` returns and the cell-sum one of `_Chain.cell_reach`,
-    lies at or above the largest peak `_Chain.exact` gives on the same
+    """Both bounds `_Chain.reach` gives on a block of a certified call, the
+    L^q one (against a `top` of inf) and the cell-sum one (against -inf),
+    lie at or above the largest peak `_Chain.exact` gives on the same
     block, and the L^q step changes no exact run."""
 
     def _ratios(self, monkeypatch, u, p, q):
         """(largest exact peak / L^q reach, that peak / cell-sum reach) per
-        block the screen passes in `x0_norm_estimate` with 40 samples, every
-        block screened."""
+        sampled block of `x0_norm_estimate` with 40 samples, every block
+        bounded when the call is certified."""
         monkeypatch.setattr(haar, "_BATCH_ENTRIES", 1 << 13)
         monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
         ratios = []
-        screen = pisier._Chain.screen
+        reach = pisier._Chain.reach
 
-        def checked(chain, exponents):
-            reach = screen(chain, exponents)
-            if reach is not None:
-                _, peak = chain.exact(exponents, False)
-                ratios.append((peak / reach, peak / chain.cell_reach()))
-            return reach
+        def checked(chain, exponents, top):
+            _, peak = chain.exact(exponents, False)
+            bounds = reach(chain, exponents, math.inf), reach(chain, exponents, -math.inf)
+            ratios.append((peak / bounds[0], peak / bounds[1]))
+            return reach(chain, exponents, top)
 
-        monkeypatch.setattr(pisier._Chain, "screen", checked)
+        monkeypatch.setattr(pisier._Chain, "reach", checked)
         x0_norm_estimate(factorize(u, p, q), u, 40, 1)
         monkeypatch.undo()
         return ratios
@@ -881,7 +915,8 @@ class TestReachesBoundThePeaks:
                 assert got
                 ratios += got
         assert all(0.0 < lq <= 1.0 and 1.0 - 1e-6 < cells <= 1.0 for lq, cells in ratios)
-        # past the screen's log range it passes no block, so it bounds none:
+        # past the certificate's log range no call is certified, so no block
+        # is bounded:
         # q = 102.5 (on the leaves, at an input whose exact run warns of no
         # overflow), and u scaled by 2^500 and 2^-500
         edge = gen_random(6, 1, 0.6, 0) if grid == "leaves" else base
@@ -894,14 +929,13 @@ class TestReachesBoundThePeaks:
 
     def test_the_lq_step_changes_no_exact_run(self, monkeypatch):
         # the pool of ROADMAP item 15, 256 samples per call: the exact runs
-        # are the same blocks, in the same order, as when every passed block
-        # takes its cell-sum reach (an L^q reach of inf)
+        # are the same blocks, in the same order, as when every bounded block
+        # takes its cell-sum reach (against a `top` of -inf)
         def exact_runs(lq_settles):
             if not lq_settles:
-                screen = pisier._Chain.screen
+                reach = pisier._Chain.reach
                 monkeypatch.setattr(
-                    pisier._Chain, "screen",
-                    lambda chain, e: None if screen(chain, e) is None else math.inf,
+                    pisier._Chain, "reach", lambda chain, e, top: reach(chain, e, -math.inf)
                 )
             events = _record(monkeypatch)
             values = []
@@ -919,9 +953,114 @@ class TestReachesBoundThePeaks:
         assert values == want_values
         assert exact == [event for event in want_events if event[0] == "exact"]
         assert (len(exact), sum(rows for _, rows, _ in exact)) == (90, 6342)
-        # the L^q step settles 63 of the 72 screened blocks with no cell sums
+        # the L^q step settles 63 of the 72 bounded blocks with no cell sums
         assert sum(event[0] == "cells" for event in events) == 9
         assert sum(event[0] == "cells" for event in want_events) == 72
+
+
+class TestCertificate:
+    """Whenever a call is certified (`_Chain.certified`), the exact run of
+    every sampled block fails no check and raises nothing, and both bounds
+    of `_Chain.reach` lie at or above that block's exact peak, on the
+    leaves and on the atoms: over the pools of `TestArrayFormOracle` and
+    `TestScreenAgainstOracle`, their tampered factors and scalings by
+    2^+-k, with every block bounded. Weights tilted by 0.95e-9 or 1.05e-9
+    and a y perturbed by +-2e-10 leave the call uncertified."""
+
+    def _runner(self, monkeypatch):
+        """(run, problems, on_atoms): run(f, u, n_samples, seed) makes the
+        call and gives its certified flag, None when it read none; each
+        bounded block appends to `problems` what its exact run raised, or
+        its failed checks, exact peak and two bounds when a check failed or
+        a bound lies below that peak, and to `on_atoms` whether its grid is
+        the atoms'."""
+        monkeypatch.setattr(pisier, "_SCREEN_MIN_ENTRIES", 0)
+        problems, on_atoms = [], []
+        reach = pisier._Chain.reach
+
+        def sound(chain, exponents, top):
+            on_atoms.append(chain.grid.lengths is not None)
+            try:
+                flags, peak = chain.exact(exponents, False)
+            except (ArithmeticError, RuntimeWarning) as exc:
+                problems.append(repr(exc))
+                return math.inf
+            bounds = reach(chain, exponents, math.inf), reach(chain, exponents, -math.inf)
+            if any(flags) or not min(bounds) >= peak:
+                problems.append((flags, peak, bounds))
+            return reach(chain, exponents, top)
+
+        monkeypatch.setattr(pisier._Chain, "reach", sound)
+        events = _record(monkeypatch)
+
+        def run(f, u, n_samples, seed):
+            events.clear()
+            _outcome(x0_norm_estimate, f, u, n_samples, seed)
+            flags = [event[1] for event in events if event[0] == "certified"]
+            return flags[0] if flags else None
+
+        return run, problems, on_atoms
+
+    @staticmethod
+    def _y_off(f, u, rel):
+        """f with y perturbed by `rel` relative at the first and at the
+        last support row, one factorization each."""
+        for at in (u.support[0], u.support[-1]):
+            yield Factorization(x=f.x, y={**f.y, at: f.y[at] * (1.0 + rel)}, theta=f.theta,
+                                p=f.p, q=f.q)
+
+    def test_array_form_pool(self, monkeypatch):
+        run, problems, on_atoms = self._runner(monkeypatch)
+        pool = TestArrayFormOracle()
+        flags = []
+        for k, (u, p, q, th, m) in enumerate(pool._cases()):
+            for scale in (1.0, 2.0**40, 2.0**-40):
+                v = HaarExpansion.scalar(u.max_level, {i: x * scale for i, (x,) in u.coeffs.items()})
+                try:
+                    f = pisier._factorize(v, p, q, th, pietsch.weights_tl(v, p, q))
+                except ArithmeticError:
+                    continue
+                flags += [run(g, v, 8, k) for g in pool._tampered(f, v)]
+                for rel in (2e-10, -2e-10):
+                    assert [run(g, v, 8, k) for g in self._y_off(f, v, rel)] == [False] * 2
+        assert problems == []
+        assert True in flags and False in flags and set(on_atoms) == {False, True}
+
+    def test_screen_against_oracle_pool(self, monkeypatch):
+        run, problems, on_atoms = self._runner(monkeypatch)
+        flags = []
+        for k, (p, q) in enumerate(TestScreenAgainstOracle.PQS):
+            for scale in (1.0, 2.0**20, 2.0**-20, 2.0**500, 2.0**-500):
+                base = gen_random(10, 1, 0.5, k)
+                u = HaarExpansion.scalar(10, {i: x * scale for i, (x,) in base.coeffs.items()})
+                try:
+                    f = factorize(u, p, q)
+                except ArithmeticError:
+                    continue
+                flags.append(run(f, u, 40, k))
+                for rel in (2e-10, -2e-10):
+                    assert [run(g, u, 40, k) for g in self._y_off(f, u, rel)] == [False] * 2
+        for u in (
+            scalar(0, {(0, 0): 1.0}),
+            scalar(3, {(3, 5): -2.5}),
+            scalar(1, {(0, 0): -1.0, (1, 1): 0.5}),
+            scalar(2, {(1, 1): 0.5, (2, 2): 2.0}),
+            _sparse_scalar(np.random.default_rng(7), 30, 60),
+        ):
+            for p, q in ((1.5, 3.0), (1.9, 2.5), (1.5, 102.5), (1.5, 103.0)):
+                flags.append(run(factorize(u, p, q), u, 11, 1))
+        assert problems == []
+        assert True in flags and False in flags and set(on_atoms) == {False, True}
+        # tilted weights: a factorization built from dicts takes `weights_tl`'s
+        p, q = 1.5, 3.0
+        u = gen_random(10, 1, 0.5, 3)
+        m = pietsch.weights_tl(u, p, q)
+        built = pisier._factorize(u, p, q, theta(p, q), m)
+        f = Factorization(x=built.x, y=built.y, theta=built.theta, p=p, q=q)
+        for off in (0.95e-9, 1.05e-9):
+            tilted = replace(m, weights={k: w * (1 + off) for k, w in m.weights.items()})
+            monkeypatch.setattr(pisier, "weights_tl", lambda *args: tilted)
+            assert run(f, u, 40, 5) is False
 
 
 class TestIsClose:
