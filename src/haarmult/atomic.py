@@ -35,11 +35,16 @@ verification, and the decomposition keeps it, so `verify_decomposition`
 given a decomposition of u's support builds none (`_KeptRows._grid_for`).
 No path here allocates one entry per leaf when the grid is the atoms. A
 support row's anchor for Omega_k is its coarsest ancestor-or-self J with
-2 |Omega_k ∩ J| > |J|. On the atoms |Omega_k ∩ J| comes from an int64
-prefix sum of the lengths of the cells in Omega_k, read at J's endpoints;
-on the leaves the dense majority cover (`_majority_cover_levels`) is
-cheaper and gives the same anchors. A block's statistics are sums of its
-own square function over the cells inside its top. For a clean
+2 |Omega_k ∩ J| > |J|. On the atoms the candidates J are the nodes of the
+support's preorder trie (`_support_trie`), every ancestor-or-self of the
+support once, with no loop over levels: each J holds a run of support rows
+in preorder, and Omega_k, a threshold on the cell sums, is constant on the
+cells each row owns, so |Omega_k ∩ J| is an int64 prefix sum of the own
+lengths of the rows in Omega_k over J's run, plus the rest of J where J's
+support parent is in Omega_k; on the leaves the dense majority cover
+(`_majority_cover_levels`) is cheaper and gives the same anchors. A
+block's statistics are sums of its own square function over the cells
+inside its top. For a clean
 decomposition, as `decompose` builds, they run on the grid of u's support
 (`_block_stats`): the parent table cut at the block tops makes each block
 one tree, one `_tree_sums` on it gives every row its block's running sum,
@@ -52,10 +57,11 @@ decomposition still takes one `_cells` call per block.
 Containment inside the support is one array, each row's nearest support
 ancestor: the grid's parent table, painted on the leaf grid and from
 `dyadic._nearest_ancestors` on the atoms. The stopping time reads it to
-find block tops, and the verification inside `decompose` reads the same
-table; the verifier's block check is one pass over it: a block passes iff
-exactly one of its rows has no parent in the same block. `dyadic.is_block`
-is the reference predicate for that check; no path in the package calls it.
+find block tops by pointer jumping, and the verification inside
+`decompose` reads the same table; the verifier's block check is one pass
+over it: a block passes iff exactly one of its rows has no parent in the
+same block. `dyadic.is_block` is the reference predicate for that check;
+no path in the package calls it.
 """
 
 from __future__ import annotations
@@ -204,10 +210,40 @@ def _majority_cover_levels(omega: np.ndarray, max_level: int) -> np.ndarray:
     return cover
 
 
+def _support_trie(
+    max_level: int, levels: np.ndarray, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trie of a support sorted by (level, position): (its rows in
+    preorder, by left end and coarsest first; their left ends in leaves, in
+    that order; per node, its level and the index in that order of the row
+    that added it). Each row adds its ancestors-or-self finer than its
+    deepest common ancestor with the row before, so the nodes are every
+    ancestor-or-self of the support once, in preorder: at most n (N + 1)."""
+    starts = positions << (max_level - levels)
+    order = np.argsort(starts, kind="stable")  # rows come coarsest first
+    starts, levels = starts[order], levels[order]
+    # the deepest common ancestor of two rows lies above the highest bit in
+    # which their left ends differ and at neither's level. That bit's length
+    # is the float exponent, less one where the float rounded up to a power
+    # of two; equal left ends give -1, which puts it past every level.
+    differ = starts[1:] ^ starts[:-1]
+    bits = np.frexp(differ.astype(float))[1].astype(np.int64)
+    bits -= differ < np.left_shift(1, np.maximum(bits - 1, 0))
+    common = np.minimum(max_level - bits, np.minimum(levels[1:], levels[:-1]))
+    common = np.concatenate(([-1], common))
+    count = levels - common
+    first = np.cumsum(count) - count
+    added_by = np.repeat(np.arange(len(levels)), count)
+    node_level = np.arange(len(added_by)) + np.repeat(common + 1 - first, count)
+    return order, starts, added_by, node_level
+
+
 def _majority_cover(u: HaarExpansion, grid: _Grid) -> Callable[[np.ndarray], np.ndarray]:
     """A function taking a mask omega on the cells of the grid of u's
     support to the level of each support row's maximal majority interval,
-    -1 for a row with none.
+    -1 for a row with none. On the atoms omega must be constant on each
+    row's own cells (those it owns, `grid.owner`) and false on the cells of
+    no row, as every `sums > t` with t >= 0 is.
 
     A dyadic J has majority if more than half of its leaves lie in omega;
     the maximal such intervals are pairwise disjoint and their union contains
@@ -215,59 +251,57 @@ def _majority_cover(u: HaarExpansion, grid: _Grid) -> Callable[[np.ndarray], np.
     containing a row is its coarsest ancestor-or-self with majority.
 
     On the leaf grid this reads `_majority_cover_levels`, which needs no
-    set-up. On the atoms, the ancestors of the support rows are laid out
-    once, level by level, with each one's parent; per mask, |omega ∩ J| is
-    an int64 prefix sum of the omega cell lengths read at J's endpoints (a
-    cell holding an endpoint counts up to the endpoint), and one top-down
-    pass per level hands each majority level down to the descendants.
+    set-up. On the atoms the set-up lays out `_support_trie`, every
+    ancestor-or-self of the support once, in preorder, with no loop over
+    levels. A node J holds the rows [a, b) of the trie's row order, where
+    row a added it and b is the first row starting at or past J's end. Per
+    mask, in int64: |omega ∩ J| is the own lengths of the omega rows summed
+    over [a, b), plus the rest of J, the part no row in it covers, where J's
+    support parent is in omega; a majority node is maximal when no majority
+    node before it reaches past its left end, and each row takes the
+    maximal node whose [a, b) holds it.
     """
-    max_level, lengths, row_bounds = u.max_level, grid.lengths, grid.bounds
+    max_level, lengths, owner = u.max_level, grid.lengths, grid.owner
     if lengths is None:
         heap = (1 << u.levels) - 1 + u.positions
         return lambda omega: _majority_cover_levels(omega, max_level)[heap]
-    finest = int(u.levels[-1])
-    # The ancestors level by level, finest first: a level's nodes are its
-    # support rows and the parents of the nodes one level down, sorted and
-    # deduplicated. Each merged entry's index among them gives the node of
-    # a support row (rows_at) or the parent of a node below (parents_at).
-    layers = [np.zeros(0, dtype=np.int64)] * (finest + 2)
-    rows_at = layers[: finest + 1]
-    parents_at = [np.zeros(1, dtype=np.int64)] * (finest + 1)  # the root's is unread
-    for level in range(finest, -1, -1):
-        own = u.positions[row_bounds[level] : row_bounds[level + 1]]
-        merged = np.concatenate((own, layers[level + 1] >> 1))
-        layers[level], index = np.unique(merged, return_inverse=True)
-        rows_at[level] = index[: len(own)]
-        if level < finest:
-            parents_at[level + 1] = index[len(own) :]
-    sizes = list(map(len, layers[:-1]))
-    offsets = np.cumsum([0] + sizes).tolist()
-    level = np.repeat(np.arange(finest + 1), sizes)
-    position = np.concatenate(layers)
-    parent = np.concatenate(
-        [up + offset for up, offset in zip(parents_at, [0] + offsets)]
-    )
-    row_node = np.concatenate([at + offset for at, offset in zip(rows_at, offsets)])
-    width = 1 << (max_level - level)
-    starts = position << (max_level - level)
+    n = len(u.levels)
+    order, starts, a, node_level = _support_trie(max_level, u.levels, u.positions)
+    shift = max_level - node_level
+    node_start = starts[a] >> shift << shift
+    width = np.left_shift(1, shift)
+    end = node_start + width
+    b = np.searchsorted(starts, end)
 
-    # the cell holding each endpoint (the last cell for 2^N) and how many of
-    # its leaves lie before the endpoint; starts first, then ends
-    cell_bounds = grid.edges
-    endpoints = np.concatenate((starts, starts + width))
-    cell = np.searchsorted(cell_bounds, endpoints, side="right") - 1
-    cell = np.minimum(cell, len(lengths) - 1)
-    into = endpoints - cell_bounds[cell]
+    # each row's own length and one of its own cells (any cell where it
+    # owns none: its length 0 makes omega there unread), in preorder
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    owned = np.flatnonzero(owner >= 0)
+    own_length = np.zeros(n, dtype=np.int64)
+    np.add.at(own_length, rank[owner[owned]], lengths[owned])
+    own_cell = np.zeros(n, dtype=np.int64)
+    own_cell[rank[owner[owned]]] = owned
+    covered = np.concatenate(([0], np.cumsum(own_length)))
+    # the rest of J, outside its rows, is its support parent's own, or no
+    # row's; it is empty where J is a row
+    up = grid.parent[order]
+    rest = np.where(up[a] >= 0, width - (covered[b] - covered[a]), 0)
+    up_cell = own_cell[rank[up]][a]
 
     def cover(omega: np.ndarray) -> np.ndarray:
-        before = np.concatenate(([0], np.cumsum(np.where(omega, lengths, 0))))
-        counted = before[cell] + np.where(omega[cell], into, 0)
-        inside = counted[len(level) :] - counted[: len(level)]
-        found = np.where(2 * inside > width, level, -1)
-        for lo, hi in zip(offsets[1:], offsets[2:]):
-            up = found[parent[lo:hi]]
-            found[lo:hi] = np.where(up >= 0, up, found[lo:hi])
-        return found[row_node]
+        held = np.concatenate(([0], np.cumsum(np.where(omega[own_cell], own_length, 0))))
+        inside = held[b] - held[a] + np.where(omega[up_cell], rest, 0)
+        majority = 2 * inside > width
+        reach = np.maximum.accumulate(np.where(majority, end, 0))
+        majority[1:] &= reach[:-1] <= node_start[1:]
+        # the maximal nodes' row ranges are disjoint: mark where each
+        # starts and ends with its level + 1, and a running sum fills them
+        top = np.flatnonzero(majority)
+        marks = np.zeros(n + 1, dtype=np.int64)
+        marks[a[top]] = node_level[top] + 1
+        marks[b[top]] -= node_level[top] + 1
+        return np.cumsum(marks[:-1])[rank] - 1
 
     return cover
 
@@ -310,14 +344,13 @@ def _stopping_time(u: HaarExpansion, grid: _Grid) -> tuple[np.ndarray, np.ndarra
     # contains it. Nested rows with one anchor have one k (at the inner
     # row's k the anchor covers the outer row too), so equal anchors suffice,
     # and every support row between two such rows has that anchor as well:
-    # the top is reached through parents with the row's anchor. Parents lie
-    # on coarser levels, so one pass per level, coarsest first, sets them.
-    parent, bounds = grid.parent, grid.bounds
-    top = np.arange(len(u.support))
-    for lo, hi in zip(bounds[1:], bounds[2:]):
-        up = parent[lo:hi]
-        same = (up >= 0) & (anchor[up] == anchor[lo:hi])
-        top[lo:hi][same] = top[up[same]]
+    # the top is reached through parents with the row's anchor. Such a walk
+    # takes at most N steps, so pointer jumping reaches the top in
+    # bit_length(N) doublings.
+    parent = grid.parent
+    top = np.where((parent >= 0) & (anchor[parent] == anchor), parent, np.arange(len(parent)))
+    for _ in range(u.max_level.bit_length()):
+        top = top[top]
     # tops in support order give the blocks ordered by top
     is_top = top == np.arange(len(top))
     block = (np.cumsum(is_top) - 1)[top]

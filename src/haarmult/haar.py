@@ -39,9 +39,10 @@ atom's length, else the 2^N leaves, whose parents and owners one
 level-by-level `_paint` gives.
 On both `_cells` is a tree prefix sum, coarsest level first: each row's
 running sum is its parent's plus its own value, and each cell reads its
-owner's, in K (n + cells) work for K batch rows. Only
-`atomic._majority_cover` reads the layout (the cells' edges in
-left-to-right order); every other caller just sums over the cells. The
+owner's, in K (n + cells) work for K batch rows. On the atoms
+`atomic._majority_cover` reads each cell's owner and length, to give each
+support row the length of the cells it owns; every other caller just sums
+over the cells. The
 block statistics of a decomposition run `_tree_sums` on the same grid
 with each block's own parent table (`atomic._block_stats`), and
 `_product_norms` gives the norms of many products phi_k * u of one

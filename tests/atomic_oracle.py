@@ -6,20 +6,24 @@ time through the squared length of each coefficient; `block_stats`, the
 block statistics one `_cells` call per block, each block on its own grid,
 which the pass on the support's grid replaced for clean decompositions and
 which stays the library's path for every other; `is_clean`, which
-decompositions take that pass; and `sup_square`, the dense leaf maximum of
-the square function. The tests compare the library against them; they are
+decompositions take that pass; `sup_square`, the dense leaf maximum of
+the square function; and `majority_cover`, the cover that laid out the
+ancestors of the support with one `np.unique` per level and handed each
+majority level down one level at a time, which the support's preorder trie
+replaced on the atoms. The tests compare the library against them; they are
 slow and not part of the package.
 """
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from haarmult import IntervalFamily, PietschMeasure, carleson_constant, is_block
+from haarmult import HaarExpansion, IntervalFamily, PietschMeasure, carleson_constant, is_block
 from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, _block_stats, _member_rows
-from haarmult.atomic import appendix_constant
-from haarmult.haar import _cell_sum, _support_grid, hp_norm
+from haarmult.atomic import _majority_cover_levels, appendix_constant
+from haarmult.haar import _cell_sum, _Grid, _support_grid, hp_norm
 
 import haar_oracle
 
@@ -222,3 +226,71 @@ def assemble(u, p, dec, exponent):
         normalizer=normalizer,
         exponent=exponent,
     )
+
+
+def majority_cover(u: HaarExpansion, grid: _Grid) -> Callable[[np.ndarray], np.ndarray]:
+    """A function taking a mask omega on the cells of the grid of u's
+    support to the level of each support row's maximal majority interval,
+    -1 for a row with none.
+
+    A dyadic J has majority if more than half of its leaves lie in omega;
+    the maximal such intervals are pairwise disjoint and their union contains
+    every dyadic interval that is a subset of the union, so the maximal one
+    containing a row is its coarsest ancestor-or-self with majority.
+
+    On the leaf grid this reads `_majority_cover_levels`, which needs no
+    set-up. On the atoms, the ancestors of the support rows are laid out
+    once, level by level, with each one's parent; per mask, |omega ∩ J| is
+    an int64 prefix sum of the omega cell lengths read at J's endpoints (a
+    cell holding an endpoint counts up to the endpoint), and one top-down
+    pass per level hands each majority level down to the descendants.
+    """
+    max_level, lengths, row_bounds = u.max_level, grid.lengths, grid.bounds
+    if lengths is None:
+        heap = (1 << u.levels) - 1 + u.positions
+        return lambda omega: _majority_cover_levels(omega, max_level)[heap]
+    finest = int(u.levels[-1])
+    # The ancestors level by level, finest first: a level's nodes are its
+    # support rows and the parents of the nodes one level down, sorted and
+    # deduplicated. Each merged entry's index among them gives the node of
+    # a support row (rows_at) or the parent of a node below (parents_at).
+    layers = [np.zeros(0, dtype=np.int64)] * (finest + 2)
+    rows_at = layers[: finest + 1]
+    parents_at = [np.zeros(1, dtype=np.int64)] * (finest + 1)  # the root's is unread
+    for level in range(finest, -1, -1):
+        own = u.positions[row_bounds[level] : row_bounds[level + 1]]
+        merged = np.concatenate((own, layers[level + 1] >> 1))
+        layers[level], index = np.unique(merged, return_inverse=True)
+        rows_at[level] = index[: len(own)]
+        if level < finest:
+            parents_at[level + 1] = index[len(own) :]
+    sizes = list(map(len, layers[:-1]))
+    offsets = np.cumsum([0] + sizes).tolist()
+    level = np.repeat(np.arange(finest + 1), sizes)
+    position = np.concatenate(layers)
+    parent = np.concatenate(
+        [up + offset for up, offset in zip(parents_at, [0] + offsets)]
+    )
+    row_node = np.concatenate([at + offset for at, offset in zip(rows_at, offsets)])
+    width = 1 << (max_level - level)
+    starts = position << (max_level - level)
+
+    # the cell holding each endpoint (the last cell for 2^N) and how many of
+    # its leaves lie before the endpoint; starts first, then ends
+    cell_bounds = grid.edges
+    endpoints = np.concatenate((starts, starts + width))
+    cell = np.searchsorted(cell_bounds, endpoints, side="right") - 1
+    cell = np.minimum(cell, len(lengths) - 1)
+    into = endpoints - cell_bounds[cell]
+
+    def cover(omega: np.ndarray) -> np.ndarray:
+        before = np.concatenate(([0], np.cumsum(np.where(omega, lengths, 0))))
+        counted = before[cell] + np.where(omega[cell], into, 0)
+        inside = counted[len(level) :] - counted[: len(level)]
+        found = np.where(2 * inside > width, level, -1)
+        for lo, hi in zip(offsets[1:], offsets[2:]):
+            up = found[parent[lo:hi]]
+            found[lo:hi] = np.where(up >= 0, up, found[lo:hi])
+        return found[row_node]
+
+    return cover
