@@ -77,7 +77,7 @@ import numpy as np
 
 from .dyadic import DyadicInterval, IntervalFamily, _packed_carleson
 from .errors import VerificationError, ZeroInputError
-from .haar import HaarExpansion, _cells, _check_exponents, _Grid, _hp_norm, _KeptRows
+from .haar import HaarExpansion, _cells, _check_exponents, _Grid, _KeptRows, _norm
 from .haar import _support_grid, _tree_sums
 
 # Relative slack for inequalities that are exact in real arithmetic and only
@@ -567,7 +567,7 @@ def verify_decomposition(
         raise ValueError("decomposition does not match the expansion")
     rows, block, tops, tops_in_blocks = _member_rows(u, dec)
     grid = dec._grid_for(u)
-    norm_p = _hp_norm(u, p, grid)
+    norm_p = _norm(u, p, None, grid)
     tops_carleson = _tops_carleson(tops, u.max_level)
     tops_carleson_ok = tops_carleson <= 4
 

@@ -37,12 +37,11 @@ from .haar import (
     HaarExpansion,
     _check_exponents,
     _check_q,
+    _norm,
     _pow,
     _square_measures,
     _squares,
     _support_grid,
-    hp_norm,
-    tl_norm,
 )
 from .pietsch import (
     PietschMeasure,
@@ -508,10 +507,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error("--seed must be nonnegative")
     if args.command == "norm":
         u = load(args.file)
-        if args.q is not None:
-            value = tl_norm(u, args.p, args.q)
-        else:
-            value = hp_norm(u, args.p)
+        value = _norm(u, args.p, args.q, _support_grid(u))  # `tl_norm` or `hp_norm`
         _emit(_format_number(value), args.out)
         return 0
 

@@ -34,20 +34,17 @@ multiplier check on u of its support and max level sums on it
 (`_KeptRows._grid_for`). A grid is read-only, as one may be shared. It
 holds the level bounds of the support rows, their parent table and each
 cell's owner, the deepest support row containing it, and picks the cells
-(`_on_atoms`): the atoms when (2n + 1)(N + 1) + 256 < 2^N, with each
-atom's length, else the 2^N leaves, whose parents and owners one
-level-by-level `_paint` gives.
+(`_on_atoms`): the atoms when (2n + 1)(N + 1) + 256 < 2^N, keeping only
+each atom's length (the atoms' left ends are its prefix sums from 0), else
+the 2^N leaves, whose parents and owners one level-by-level `_paint` gives.
 On both `_cells` is a tree prefix sum, coarsest level first: each row's
 running sum is its parent's plus its own value, and each cell reads its
 owner's, in K (n + cells) work for K batch rows. On the atoms
 `atomic._majority_cover` reads each cell's owner and length, to give each
 support row the length of the cells it owns; every other caller just sums
-over the cells. The
-block statistics of a decomposition run `_tree_sums` on the same grid
-with each block's own parent table (`atomic._block_stats`), and
-`_product_norms` gives the norms of many products phi_k * u of one
-expansion, for the multiplier checks, in batches of `_batch_rows(grid)`
-rows.
+over the cells. The block statistics of a decomposition run `_tree_sums`
+on the same grid with each block's own parent table
+(`atomic._block_stats`).
 A cell adds its intervals coarsest first, starting from 0.0, so its value
 is that of the leaf sums at its first leaf, and norms are length-weighted
 sums over the cells, so on the atom grid they agree with the leaf sums to
@@ -55,6 +52,15 @@ rounding. Leaf positions, heap codes and prefix counts are int64, so the
 `HaarExpansion` constructor refuses a max level above 61 and no array is
 built for one. No function returns a value per leaf: every tree over a
 support is a `_Grid`'s, and `_paint` runs only inside `_Grid`.
+
+One core gives every norm of the square function (q None) and of the
+q-variation: `_norm(u, p, q, grid)` for u itself (`hp_norm`, `tl_norm`,
+the verification, the multiplier check, the lattice estimate) and
+`_product_norms` for many products phi_k * u of one expansion, for the
+multiplier checks, in batches of `_batch_rows(grid)` rows. Both take the
+terms by `_terms` (the squares, or |x_I|^q by `_pow`) and the p-th root of
+each leaf mean by `_root`, so a product's norm is bit for bit that of its
+expansion.
 
 A mapping keyed by intervals (a multiplier phi, summing weights, lattice
 factors) is read at the support rows by `_support_rows`: a plain dict keyed
@@ -96,6 +102,7 @@ import os
 from bisect import bisect_left
 from collections.abc import Mapping
 from itertools import chain, compress, repeat
+from numbers import Number
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -137,8 +144,9 @@ _MAX_LEVEL = 61
 
 # text a float conversion would parse, or iterate into characters or bytes
 _TEXT = (str, bytes, bytearray)
-# values that are one entry, not a sequence of entries
-_ONE_ENTRY = (*_TEXT, complex)
+# values that are one entry, not a sequence of entries: text, and any number
+# (a Fraction or a Decimal too; a complex one is refused)
+_ONE_ENTRY = (*_TEXT, Number)
 # the entry type that is real as it is, so `_unreal` need not read it
 _FLOAT = frozenset((float,))
 
@@ -173,11 +181,12 @@ class HaarExpansion(_Immutable):
     ``max_level`` and ``dimension`` are integers (`operator.index`: a
     Python or numpy integer, kept as int), else TypeError before any array
     is built. Values are tuples of floats of length ``dimension`` and must
-    be finite; a number given as a value (a Python or numpy scalar, or any
-    0-d array) is the vector of length 1. Text is refused, never parsed: a key that is
-    not an interval, and a str, bytes or numpy string value or entry, raise
-    TypeError naming it; so does a complex value or entry, whose imaginary
-    part a float conversion would drop.
+    be finite, and an integer past the float range is not; a number given
+    as a value (any `numbers.Number`: a Python or numpy scalar, a Fraction,
+    a Decimal) or any 0-d array is the vector of length 1. Text is refused, never
+    parsed: a key that is not an interval, and a str, bytes or numpy
+    string value or entry, raise TypeError naming it; so does a complex
+    value or entry, whose imaginary part a float conversion would drop.
 
     The support is kept once, row j for the j-th interval of ``support``: the
     ``support`` tuple and read-only arrays ``levels`` and ``positions``
@@ -216,7 +225,7 @@ class HaarExpansion(_Immutable):
                     f"interval {interval} exceeds max level {max_level}"
                 )
             raw = coeffs[interval]
-            if isinstance(raw, (int, float)):
+            if isinstance(raw, float):
                 vector = (float(raw),)
             else:
                 # a 0-d array, or text or a complex number to refuse below, is one entry
@@ -230,7 +239,10 @@ class HaarExpansion(_Immutable):
                     raise TypeError(
                         f"coefficient at {interval} is {refused}, {raw!r}, not {wanted}"
                     )
-                vector = tuple(map(float, entries))
+                try:
+                    vector = tuple(map(float, entries))
+                except OverflowError:  # an integer past the float range: not finite
+                    vector = (math.inf,) * len(entries)
             if len(vector) != dimension:
                 raise ValueError(
                     f"coefficient at {interval} has length {len(vector)}, "
@@ -392,18 +404,18 @@ class _Grid:
     `bounds[l]:bounds[l + 1]` are the support rows of level l, l = 0 .. N,
     `owner[c]` the deepest support row containing cell c and `parent` each
     row's nearest support ancestor, -1 for none. On the leaf grid, where
-    `edges` and `lengths` are None, `_paint` gives both. On the atom grid
-    (`_on_atoms`) `parent` is `dyadic._nearest_ancestors`, `edges` holds the
-    atom boundaries in leaves (every support endpoint, 0 and 2^N, sorted and
-    distinct), and `lengths` their differences.
+    `lengths` is None, `_paint` gives both. On the atom grid (`_on_atoms`)
+    `parent` is `dyadic._nearest_ancestors` and `lengths` holds each atom's
+    length in leaves: the atoms are cut at every support endpoint, 0 and
+    2^N, and their left ends are the prefix sums of `lengths` from 0.
     """
 
-    __slots__ = ("max_level", "bounds", "edges", "lengths", "owner", "parent")
+    __slots__ = ("max_level", "bounds", "lengths", "owner", "parent")
 
     def __init__(self, max_level: int, levels: np.ndarray, positions: np.ndarray) -> None:
         self.max_level = max_level
         self.bounds = tuple(np.searchsorted(levels, np.arange(max_level + 2)).tolist())
-        self.edges = self.lengths = None
+        self.lengths = None
         n = len(levels)
         if not _on_atoms(n, max_level):
             self.owner, self.parent = _paint(positions, self.bounds)
@@ -413,10 +425,10 @@ class _Grid:
         shift = max_level - levels
         starts = positions << shift
         ends = starts + (np.int64(1) << shift)
-        self.edges, index = np.unique(
+        edges, index = np.unique(
             np.concatenate(([0, 1 << max_level], starts, ends)), return_inverse=True
         )
-        self.lengths = np.diff(self.edges)
+        self.lengths = np.diff(edges)
         # Each atom starts at an edge. The rows starting at one edge are
         # nested, each the parent of the next finer one, and the atom there
         # lies in the finest, whose start no child shares. So are the rows
@@ -430,7 +442,7 @@ class _Grid:
         finest[up[starts[up] == starts[child]]] = False
         coarsest = np.ones(n, dtype=bool)
         coarsest[child[ends[up] == ends[child]]] = False
-        at = np.full(len(self.edges), -1)
+        at = np.full(len(edges), -1)
         at[index[n + 2 :][coarsest]] = parent[coarsest]
         at[index[2 : n + 2][finest]] = np.flatnonzero(finest)
         self.owner = at[:-1]
@@ -439,8 +451,8 @@ class _Grid:
     def _freeze(self) -> None:
         """Make the grid's arrays read-only: a result keeps the grid and
         shares it with its copies and every check."""
-        for array in (self.owner, self.parent, self.edges, self.lengths):
-            if array is not None:  # the leaf grid has no edges or lengths
+        for array in (self.owner, self.parent, self.lengths):
+            if array is not None:  # the leaf grid has no lengths
                 _read_only(array)
 
     def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
@@ -539,33 +551,46 @@ def hp_norm(u: HaarExpansion, p: float) -> float:
     """L^p norm of the square function, 0 < p <= 2, summed over the cells of
     `_cells`; OverflowError if the norm of a nonzero expansion comes out 0 or
     inf (coefficients are not rescaled)."""
-    return _hp_norm(u, p, _support_grid(u))
-
-
-def _hp_norm(u: HaarExpansion, p: float, grid: _Grid) -> float:
-    """`hp_norm` on the grid of u's support."""
-    _check_exponents(p)
-    mean = _norm_means(grid, u.squares, p)
-    return _in_float_range(float(mean ** (1.0 / p)), not u.is_zero)
+    return _norm(u, p, None, _support_grid(u))
 
 
 def tl_norm(u: HaarExpansion, p: float, q: float) -> float:
     """L^p norm of the q-variation, 0 < p <= q < infinity; OverflowError
     like `hp_norm`."""
-    return _tl_norm(u, p, q, _support_grid(u))
+    if q is None:  # `_norm`'s square function, which is `hp_norm`
+        raise TypeError("tl_norm needs a number q, got None")
+    return _norm(u, p, q, _support_grid(u))
 
 
-def _tl_norm(u: HaarExpansion, p: float, q: float, grid: _Grid) -> float:
-    """`tl_norm` on the grid of u's support."""
+def _norm(u: HaarExpansion, p: float, q: float | None, grid: _Grid) -> float:
+    """The norm of u on the grid of its support: `hp_norm` for q None, else
+    `tl_norm` at q (scalar u only). `_product_norms` shares its two rules:
+    the terms (`_terms`) and the root of the mean (`_root`)."""
     _check_exponents(p, q)
-    if u.dimension != 1:
+    if q is not None and u.dimension != 1:
         raise ValueError("q-variation is defined for scalar expansions only")
+    terms = u.squares if q is None else _terms(u.values, q)
+    return _root(_norm_means(grid, terms, p, q), p, not u.is_zero)
+
+
+def _terms(values: np.ndarray, q: float | None) -> np.ndarray:
+    """The terms of a norm, per coefficient row along the last axis of
+    `values`: the squares |x_I|^2 (`_squares`) for q None, else |x_I|^q of
+    the scalar entries by `_pow`, Python's float pow per element; a power
+    past the float range raises the OverflowError of an inf norm."""
+    if q is None:
+        return _squares(values)
     try:
-        powers = _pow(np.abs(u.values[:, 0]), q)
-    except OverflowError:  # a power |x_I|^q past the float range
-        return _in_float_range(math.inf, not u.is_zero)
-    mean = _norm_means(grid, powers, p, q)
-    return _in_float_range(float(mean ** (1.0 / p)), not u.is_zero)
+        return _pow(np.abs(values[..., 0]), q)
+    except OverflowError:  # an inf norm, which `_in_float_range` refuses
+        return _in_float_range(math.inf, True)
+
+
+def _root(mean: np.floating, p: float, nonzero: bool) -> float:
+    """The p-th root of a numpy-scalar leaf mean, taken on the scalar (an
+    array `**` may round differently in the last bit); OverflowError where
+    the norm of a nonzero expansion leaves the float range."""
+    return _in_float_range(float(mean ** (1.0 / p)), nonzero)
 
 
 def _in_float_range(norm: float, nonzero: bool) -> float:
@@ -775,10 +800,9 @@ def _product_norms(
     u: HaarExpansion, factors: np.ndarray, p: float, q: float | None, grid: _Grid
 ) -> list[float]:
     """The norm of phi_k * u for each row k of the (K, n) array `factors`
-    (phi_k at u's support rows): `hp_norm` for q None, else `tl_norm` with q
-    (scalar u only). Each is bit for bit the norm of the product expansion
-    phi_k * u (`tests/pietsch_oracle.multiply`), with the same exception,
-    and no expansion is built.
+    (phi_k at u's support rows): `_norm` at q of the product expansion
+    phi_k * u (`tests/pietsch_oracle.multiply`), bit for bit and with the
+    same exception, by the same two rules, and no expansion is built.
 
     The products without zero rows sum on u's grid `grid`, all in one
     batched `_cells` call. A product with zero rows sums on the grid of its
@@ -793,13 +817,7 @@ def _product_norms(
         raise ValueError(f"coefficient at {bad} is not finite")
     _check_exponents(p, q)
     nonzero = values.any(axis=-1)
-    if q is None:
-        terms = _squares(values)
-    else:
-        try:  # Python's float pow per element, as in `_tl_norm`
-            terms = _pow(np.abs(values[..., 0]), q)
-        except OverflowError:  # raises as `tl_norm` does
-            _in_float_range(math.inf, True)
+    terms = _terms(values, q)
     means = np.empty(len(terms))
     full = nonzero.all(axis=-1)
     if full.any():
@@ -808,12 +826,7 @@ def _product_norms(
         keep = nonzero[k]
         own = _Grid(u.max_level, u.levels[keep], u.positions[keep])
         means[k] = _norm_means(own, terms[k, keep], p, q)
-    # the root of each numpy scalar, as in `hp_norm`: an array `**` may
-    # round differently in the last bit
-    return [
-        _in_float_range(float(mean ** (1.0 / p)), any_row)
-        for mean, any_row in zip(means, nonzero.any(axis=-1).tolist())
-    ]
+    return list(map(_root, means, repeat(p), nonzero.any(axis=-1).tolist()))
 
 
 # batch rows times the n + 1 tree sums and the cells of each row per batched

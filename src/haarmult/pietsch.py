@@ -40,10 +40,11 @@ measure's keys, reads the weights into a support-order array, takes the
 grid of u's support (`haar._Grid`: the measure's own, else built),
 ||u|| (the measure's own, else computed) and C once. The route is one
 line, `q_tl`: a scalar u with s != 2 is checked on the q-variation at
-q = s, any other on the square function, and the vector constant reads
-`atomic._lower_constant` at Carleson constant 4. The norms
-of the K products phi_k * u come from batched `_cells` calls on that grid
-(`haar._product_norms`), with no expansion built. The weight constructors
+q = s, any other on the square function (q_tl None), and the vector
+constant reads `atomic._lower_constant` at Carleson constant 4. One norm
+core serves both sides at q_tl: `haar._norm` gives ||u||, and
+`haar._product_norms` the norms of the K products phi_k * u, from batched
+`_cells` calls on that grid, with no expansion built. The weight constructors
 build one grid too (`_weights`, which a `verify` trial hands u's), which
 the decomposition inside them and the measure keep. Each row's |phi_I|^s w_I is summed by `haar._fsum_rows`, exactly
 rounded and bit for bit `math.fsum`, so the order of the terms does not
@@ -88,14 +89,14 @@ from .haar import (
     _fsum,
     _fsum_rows,
     _Grid,
-    _hp_norm,
     _KeptRows,
+    _norm,
     _pow,
     _product_norms,
     _square_measures,
     _support_grid,
     _support_rows,
-    _tl_norm,
+    _unreal,
     convexify,
 )
 
@@ -298,8 +299,10 @@ def check_multiplier_bounds(
     ||u|| is the norm a constructor's measure kept from its verification
     when u is the very expansion it was built from and p its p (only a
     Hardy or vector measure keeps one), else it is computed on the route's
-    norm (`haar._KeptRows._built_from`). A negative weighted sum, whose root
-    1/s may not be real, raises ValueError. When a batch fails, its rows go
+    norm (`haar._KeptRows._built_from`). A complex or text `phis`, told by
+    its dtype, raises TypeError. A negative weighted sum, whose root 1/s may
+    not be real, raises ValueError, and a constant C past the float range an
+    OverflowError naming it. When a batch fails, its rows go
     again one by one through this check, so a failing row raises what its
     single check raises, the first such row in order.
     """
@@ -309,8 +312,11 @@ def check_multiplier_bounds(
         raise ValueError(f"measure normalizer must lie in [1, inf), got {m.normalizer}")
     _check_q(m.exponent)  # the summing exponent, 2 or the q of the route
     s = m.exponent
-    if q is not None and abs(s - q) > 1e-12:
+    if q is not None and not abs(s - q) <= 1e-12:  # NaN included
         raise ValueError(f"measure exponent {s} does not match q={q}")
+    phis = np.asarray(phis)
+    if _unreal(phis):  # read from the dtype alone: a float array pays no pass
+        raise TypeError(f"phis is {_unreal(phis)}, of dtype {phis.dtype}, not real numbers")
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 2 or phis.shape[1] != len(u.support):
         raise ValueError(f"phis has shape {phis.shape}, expected (K, {len(u.support)})")
@@ -328,13 +334,13 @@ def check_multiplier_bounds(
         lhs = []
         for lo in range(0, len(phis), step):
             lhs += _product_norms(u, phis[lo : lo + step], p, q_tl, grid)
-        kept = m._built_from(u)
-        if kept is not None and kept[0] == p:  # the norm the measure's verification computed
-            norm = kept[1]
-        else:
-            norm = _hp_norm(u, p, grid) if q_tl is None else _tl_norm(u, p, q_tl, grid)
+        kept = m._built_from(u)  # the norm the measure's verification computed, at its p
+        norm = kept[1] if kept is not None and kept[0] == p else _norm(u, p, q_tl, grid)
         lower = _lower_constant(u, p, 4)
-        constant = (m.normalizer / lower) ** (1.0 / p)
+        try:
+            constant = (m.normalizer / lower) ** (1.0 / p)
+        except OverflowError:  # Python's float ** past the float range
+            raise OverflowError(f"multiplier constant C at p={p} leaves the float range") from None
         reports = []
         for left, w in zip(lhs, weighted):
             if w < 0.0:

@@ -63,8 +63,8 @@ from .haar import (
     _fsum,
     _Grid,
     _KeptRows,
+    _norm,
     _pow,
-    _tl_norm,
 )
 from .pietsch import PietschMeasure, weights_tl
 
@@ -413,7 +413,7 @@ def x0_norm_estimate(
     if not p > 1:  # NaN included; r below needs it
         raise ValueError(f"p must exceed 1, got {p}")
     r = p * (q - 1.0) / (p - 1.0)
-    norm_u = _tl_norm(u, p, q, grid)
+    norm_u = _norm(u, p, q, grid)
     cap = measure.normalizer ** (1.0 / p) * norm_u
 
     x_vec = f._field_rows("x", u)

@@ -22,7 +22,7 @@ import numpy as np
 
 from haarmult import HaarExpansion, IntervalFamily, PietschMeasure, carleson_constant, is_block
 from haarmult.atomic import _ROUNDING_RTOL, DecompositionReport, _block_stats, _member_rows
-from haarmult.atomic import _majority_cover_levels, appendix_constant
+from haarmult.atomic import appendix_constant
 from haarmult.haar import _cell_sum, _Grid, _support_grid, hp_norm
 
 import haar_oracle
@@ -238,8 +238,8 @@ def majority_cover(u: HaarExpansion, grid: _Grid) -> Callable[[np.ndarray], np.n
     every dyadic interval that is a subset of the union, so the maximal one
     containing a row is its coarsest ancestor-or-self with majority.
 
-    On the leaf grid this reads `_majority_cover_levels`, which needs no
-    set-up. On the atoms, the ancestors of the support rows are laid out
+    On the leaf grid this reads `haar_oracle._majority_cover_levels`, whose
+    levels laid end to end are the heap order, and needs no set-up. On the atoms, the ancestors of the support rows are laid out
     once, level by level, with each one's parent; per mask, |omega ∩ J| is
     an int64 prefix sum of the omega cell lengths read at J's endpoints (a
     cell holding an endpoint counts up to the endpoint), and one top-down
@@ -248,7 +248,9 @@ def majority_cover(u: HaarExpansion, grid: _Grid) -> Callable[[np.ndarray], np.n
     max_level, lengths, row_bounds = u.max_level, grid.lengths, grid.bounds
     if lengths is None:
         heap = (1 << u.levels) - 1 + u.positions
-        return lambda omega: _majority_cover_levels(omega, max_level)[heap]
+        return lambda omega: np.concatenate(
+            haar_oracle._majority_cover_levels(omega, max_level)
+        )[heap]
     finest = int(u.levels[-1])
     # The ancestors level by level, finest first: a level's nodes are its
     # support rows and the parents of the nodes one level down, sorted and
@@ -277,7 +279,7 @@ def majority_cover(u: HaarExpansion, grid: _Grid) -> Callable[[np.ndarray], np.n
 
     # the cell holding each endpoint (the last cell for 2^N) and how many of
     # its leaves lie before the endpoint; starts first, then ends
-    cell_bounds = grid.edges
+    cell_bounds = np.concatenate(([0], np.cumsum(lengths)))
     endpoints = np.concatenate((starts, starts + width))
     cell = np.searchsorted(cell_bounds, endpoints, side="right") - 1
     cell = np.minimum(cell, len(lengths) - 1)

@@ -115,20 +115,21 @@ def test_verify_suite_screens_no_block(monkeypatch):
 
 
 # calls per op of the stopping time, the verification (which `decompose`
-# runs too) and the Hardy norm: a factorization hands `x0_norm_estimate` the measure it was built
-# from, and a measure hands the Hardy and vector checks the norm its
-# verification computed, so nothing is decomposed or normed twice
+# runs too) and the Hardy norm, `_norm` at q None: a factorization hands
+# `x0_norm_estimate` the measure it was built from, and a measure hands the
+# Hardy and vector checks the norm its verification computed, so nothing is
+# decomposed or normed twice
 CALLS_PER_OP = {
-    "sparse-deep": {"_stopping_time": 2, "verify_decomposition": 3, "_hp_norm": 3},
-    "deep-hardy": {"_stopping_time": 2, "verify_decomposition": 3, "_hp_norm": 3},
-    "factor-sampling": {"_stopping_time": 1, "verify_decomposition": 1, "_hp_norm": 1},
-    "verify-suite": {"_stopping_time": 3, "verify_decomposition": 3, "_hp_norm": 3},
+    "sparse-deep": {"_stopping_time": 2, "verify_decomposition": 3, "_norm": 3},
+    "deep-hardy": {"_stopping_time": 2, "verify_decomposition": 3, "_norm": 3},
+    "factor-sampling": {"_stopping_time": 1, "verify_decomposition": 1, "_norm": 1},
+    "verify-suite": {"_stopping_time": 3, "verify_decomposition": 3, "_norm": 3},
 }
 
 
 def _counting(calls, fn_name, fn):
     def counted(*args):
-        calls[fn_name] += 1
+        calls[fn_name] += fn_name != "_norm" or args[2] is None  # q None: Hardy
         return fn(*args)
 
     return counted

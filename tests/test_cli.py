@@ -430,6 +430,15 @@ class TestCommands:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("p", ["5e-4", "1e-4"])
+    def test_verify_constant_past_the_float_range_exit_two(self, capsys, p):
+        # exited 2 with "error: (34, 'Numerical result out of range')"
+        assert main(["verify", "--trials", "3", "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = f"error: multiplier constant C at p={float(p)} leaves the float range"
+        assert captured.err.strip() == want
+
     def test_pietsch_q_on_vector_file_exit_two(self, tmp_path, capsys):
         path = str(tmp_path / "v.json")
         save(path, gen_random(3, 2, 0.5, seed=1))

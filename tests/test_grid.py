@@ -73,7 +73,7 @@ def _assert_cells_match(top, levels, positions, values):
     assert got.flags.c_contiguous
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     if want_lengths is None:
-        assert lengths is None and grid.edges is None
+        assert lengths is None
     else:
         assert np.array_equal(lengths, want_lengths)
     return grid
@@ -171,7 +171,9 @@ class TestTreeCellSums:
             shift = u.max_level - u.levels
             starts = u.positions << shift
             ends = starts + (np.int64(1) << shift)
-            for atom, edge in enumerate(grid.edges[:-1].tolist()):
+            edges = np.concatenate(([0], np.cumsum(grid.lengths)))
+            assert edges[-1] == 1 << u.max_level
+            for atom, edge in enumerate(edges[:-1].tolist()):
                 inside = np.flatnonzero((starts <= edge) & (edge < ends))
                 deepest = inside[np.argmax(u.levels[inside])] if len(inside) else -1
                 assert grid.owner[atom] == deepest
@@ -229,7 +231,7 @@ class TestBatchRows:
         rng = np.random.default_rng(2024)
         u = _sparse(rng, 20, 3000)
         n, grid = len(u.support), _support_grid(u)
-        assert grid.edges is not None  # the atoms
+        assert grid.lengths is not None  # the atoms
         step = haar._batch_rows(grid)
         assert step == (1 << 16) // (n + 1 + len(grid.owner)) < 20
         phis = rng.uniform(-1.0, 1.0, (20, n))
@@ -364,10 +366,11 @@ class TestOneGridPerCall:
 
 
 def _assert_read_only(grid):
-    """Every array of the grid, the leaf grid's None edges and lengths
-    left out, is read-only."""
+    """Every array of the grid, the leaf grid's None lengths left out, is
+    read-only."""
     assert isinstance(grid.bounds, tuple)
-    arrays = (grid.owner, grid.parent, grid.edges, grid.lengths)
+    assert not hasattr(grid, "edges")
+    arrays = (grid.owner, grid.parent, grid.lengths)
     for array in (array for array in arrays if array is not None):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

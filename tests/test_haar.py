@@ -7,6 +7,8 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,6 +197,35 @@ class TestExpansion:
         dimension = len(raw) if np.ndim(raw) else 1
         with pytest.raises(TypeError, match=r"coefficient at 1/1 is complex, .*, not real numbers"):
             HaarExpansion(3, dimension, {iv(0, 0): [1.0] * dimension, iv(1, 1): raw})
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [
+            (Fraction(1, 3), 1 / 3),
+            (Decimal("0.25"), 0.25),
+            ([Fraction(1, 3)], 1 / 3),
+        ],
+    )
+    def test_any_number_is_one_entry(self, raw, want):
+        # a Fraction or a Decimal raised "'Fraction' object is not iterable"
+        assert HaarExpansion(2, 1, {iv(0, 0): raw}).values.tolist() == [[want]]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [10**400, -(10**400), [10**400], Fraction(10**400)],
+        ids=["int", "negative int", "list", "Fraction"],
+    )
+    def test_numbers_past_the_float_range_are_not_finite(self, raw):
+        # 10**400 let "OverflowError: int too large to convert to float" escape
+        with pytest.raises(ValueError, match=r"^coefficient at 0/0 is not finite$"):
+            HaarExpansion(2, 1, {iv(0, 0): raw})
+
+    def test_a_huge_integer_is_refused_in_the_order_of_inf(self):
+        # the finiteness check comes after the loop, so a later row's length
+        # error still wins, as it does over a float inf
+        for huge in (10**400, math.inf):
+            with pytest.raises(ValueError, match="coefficient at 1/0 has length 2"):
+                HaarExpansion(2, 1, {iv(0, 0): huge, iv(1, 0): [1.0, 2.0]})
 
     def test_float_entries_skip_the_type_probe(self, monkeypatch):
         # the Python floats that `coeffs`, a pickle and a file give
@@ -625,6 +656,12 @@ class TestTlNorm:
         u = scalar(0, {(0, 0): 1.0})
         with pytest.raises(ValueError):
             tl_norm(u, 3.0, 2.0)
+
+    def test_q_none_is_no_square_function(self):
+        # one core takes q None as the square function; `tl_norm` refuses it
+        for u in (scalar(0, {(0, 0): 1.0}), HaarExpansion(0, 2, {iv(0, 0): (1.0, 2.0)})):
+            with pytest.raises(TypeError, match="tl_norm needs a number q, got None"):
+                tl_norm(u, 1.0, None)
 
     def test_convexification_identity(self):
         rng = np.random.default_rng(17)

@@ -294,6 +294,44 @@ class TestMultiplierBound:
         with pytest.raises(ValueError):
             check_multiplier_bound(u, 1.0, {}, m, q=4.0)
 
+    def test_nan_q_rejected(self):
+        # a NaN q passed `abs(s - q) > 1e-12` and gave reports
+        u = gen_random(6, 1, 0.5, 0)
+        phis = np.ones((1, len(u.support)))
+        for m in (weights_hp(u, 1.0), weights_tl(u, 1.0, 3.0)):
+            with pytest.raises(ValueError, match=r"does not match q=nan"):
+                check_multiplier_bounds(u, 1.0, phis, m, q=math.nan)
+            with pytest.raises(ValueError, match=r"does not match q=nan"):
+                check_multiplier_bound(u, 1.0, {}, m, q=math.nan)
+
+    def test_complex_and_text_multipliers_refused(self):
+        # 1+2j was read as 1.0 (lhs 1.618, as phi = 1), "0.5" parsed as 0.5
+        u = gen_random(6, 1, 0.5, 0)
+        m, n = weights_hp(u, 1.0), len(u.support)
+        for phis, what in (
+            (np.full((1, n), 1 + 2j), r"complex, of dtype complex128, not real numbers"),
+            ([[1.0] * (n - 1) + [2j]], r"complex, of dtype complex128, not real numbers"),
+            ([["0.5"] * n], r"text, of dtype <U3, not real numbers"),
+            (np.full((1, n), b"1"), r"text, of dtype \|S1, not real numbers"),
+        ):
+            with pytest.raises(TypeError, match=rf"^phis is {what}$"):
+                check_multiplier_bounds(u, 1.0, phis, m)
+        want = check_multiplier_bounds(u, 1.0, np.ones((2, n)), m)
+        assert check_multiplier_bounds(u, 1.0, np.ones((2, n), dtype=int), m) == want
+        assert check_multiplier_bounds(u, 1.0, [[1] * n] * 2, m) == want
+
+    def test_constant_past_the_float_range_named(self):
+        # (A / a_p)^(1/p) with Python's ** raised a bare
+        # "(34, 'Numerical result out of range')"
+        u = gen_random(6, 1, 0.5, 0)
+        weights = dict(zip(u.support, weights_hp(u, 1.0)._field_rows("weights", u).tolist()))
+        m = PietschMeasure(weights, 2.0, 2.0)
+        phis = np.ones((3, len(u.support)))
+        assert check_multiplier_bounds(u, 1e-3, phis, m)[0].constant == 2.0**1000
+        message = r"^multiplier constant C at p=0.0005 leaves the float range$"
+        with pytest.raises(OverflowError, match=message):
+            check_multiplier_bounds(u, 5e-4, phis, m)
+
 
 class TestValidateMeasure:
     def test_doubled_weights_caught(self):
@@ -574,11 +612,8 @@ class TestBatchedMultiplierChecks:
             phis = self._phis(u, rng)
             want = check_multiplier_bounds(u, p, phis, m, q=q)
             norms = []
-            for name in ("_hp_norm", "_tl_norm"):
-                fn = getattr(pietsch, name)
-                monkeypatch.setattr(
-                    pietsch, name, lambda *a, fn=fn: norms.append(a) or fn(*a)
-                )
+            norm_core = pietsch._norm
+            monkeypatch.setattr(pietsch, "_norm", lambda *a: norms.append(a) or norm_core(*a))
             built = []
             from_rows = HaarExpansion._from_rows.__func__
             monkeypatch.setattr(
@@ -856,9 +891,9 @@ class TestMeasureStorage:
             assert shared._built_from(u) == m._built_from(u)
             twin, deep = copy.deepcopy((u, m))  # the memo keeps u's copy alike
             norms = []
-            hp_norm_core = pietsch._hp_norm
+            norm_core = pietsch._norm
             monkeypatch.setattr(
-                pietsch, "_hp_norm", lambda *a: norms.append(a[0]) or hp_norm_core(*a)
+                pietsch, "_norm", lambda *a: a[2] is None and norms.append(a[0]) or norm_core(*a)
             )
             haar_oracle.assert_read_only(m)
             assert shared._kept("weights") is m._kept("weights")
